@@ -12,10 +12,10 @@ from .autodiff import (
     concat_rows,
     cosine_sim_matrix,
     dropout,
-    elementwise,
     exp,
     grad_check,
     log,
+    masked_infonce,
     matmul,
     mul,
     relu,

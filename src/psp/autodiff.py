@@ -48,6 +48,17 @@ class Tensor:
         self.name = name
         self.node_id = next(_node_ids)
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
+        """Wrap a fresh 2-D float64 array that nothing else holds, without a copy."""
+        out = cls.__new__(cls)
+        out.data = arr
+        out.grad = None
+        out.requires_grad = requires_grad
+        out.name = None
+        out.node_id = next(_node_ids)
+        return out
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -190,9 +201,15 @@ def active_tape() -> Optional[Tape]:
 
 
 def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp) -> Tensor:
+    """Wrap an op's output and record it while any input requires grad.
+
+    `out_data` must be a freshly computed 2-D float64 array: the output
+    tensor adopts it without a copy. A VJP returns None for every input that
+    did not require grad when the op ran.
+    """
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
+    out = Tensor._adopt(out_data, track)
     if track:
         tape.records.append(TapeRecord(op, tuple(inputs), out, vjp))
     return out
@@ -211,9 +228,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     a_in, b_in = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return g @ b_in.T, a_in.T @ g
+        return (g @ b_in.T if need_a else None), (a_in.T @ g if need_b else None)
 
     return _emit("matmul", (a, b), a_in @ b_in, vjp)
 
@@ -243,14 +261,15 @@ def spmm(s: CsrMatrix, d: Tensor, values: Optional[Tensor] = None) -> Tensor:
     d_in = d.data
     rows_of_entries = s.row_expansion()
     cols_of_entries = s.col_indices
-    val_shape = None if values is None else values.shape
+    need_d = d.requires_grad
+    need_vals = values is not None and values.requires_grad
 
     def vjp(g):
-        gd = mat_t @ g
-        if val_shape is None:
-            return (gd,)
+        gd = mat_t @ g if need_d else None
+        if not need_vals:
+            return gd, None
         gvals = np.einsum("ij,ij->i", g[rows_of_entries], d_in[cols_of_entries])
-        return gd, gvals.reshape(val_shape)
+        return gd, gvals.reshape(values.shape)
 
     return _emit("spmm", d_args, mat @ d_in, vjp)
 
@@ -260,6 +279,16 @@ def select_rows(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise DataError(f"select_rows: index out of range for {x.rows} rows")
     x_shape = x.shape
+    if idx.size and np.all(np.diff(idx) == 1):
+        # a contiguous range: slice forward, slice-assign backward
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+
+        def vjp(g):
+            gx = np.zeros(x_shape)
+            gx[lo:hi] = g
+            return (gx,)
+
+        return _emit("select_rows", (x,), x.data[lo:hi].copy(), vjp)
 
     def vjp(g):
         gx = np.zeros(x_shape)
@@ -273,8 +302,9 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.cols:
         raise DimensionError(f"concat_rows: column counts differ, {a.shape} vs {b.shape}")
     na = a.rows
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _emit("concat_rows", (a, b), np.vstack([a.data, b.data]),
-                 lambda g: (g[:na], g[na:]))
+                 lambda g: (g[:na] if need_a else None, g[na:] if need_b else None))
 
 
 def _bcast_reducer(small: tuple, big: tuple):
@@ -302,14 +332,17 @@ def _bcast_shapes(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     ra, rb = _bcast_shapes(a, b, "add")
-    return _emit("add", (a, b), a.data + b.data, lambda g: (ra(g), rb(g)))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _emit("add", (a, b), a.data + b.data,
+                 lambda g: (ra(g) if need_a else None, rb(g) if need_b else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ra, rb = _bcast_shapes(a, b, "mul")
     a_in, b_in = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _emit("mul", (a, b), a_in * b_in,
-                 lambda g: (ra(g * b_in), rb(g * a_in)))
+                 lambda g: (ra(g * b_in) if need_a else None, rb(g * a_in) if need_b else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -361,17 +394,6 @@ def total_sum(a: Tensor) -> Tensor:
                  lambda g: (np.full(shape, g[0, 0]),))
 
 
-def elementwise(op_kind: str, *inputs) -> Tensor:
-    """Dispatch for the basic pointwise operations by name."""
-    if op_kind == "relu":
-        return relu(*inputs)
-    if op_kind == "add":
-        return add(*inputs)
-    if op_kind == "scale":
-        return scale(*inputs)
-    raise ParameterError(f"unknown elementwise op kind {op_kind!r}")
-
-
 def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
     """Inverted dropout; identity in evaluation mode.
 
@@ -401,6 +423,12 @@ def cosine_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b.T) / np.maximum(u @ v.T, COSINE_EPS)
 
 
+def _row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms as a column, and their inverses with 0 in place of 1/0."""
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return norm, np.where(norm > 0.0, 1.0 / np.maximum(norm, 1e-300), 0.0)
+
+
 def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine similarity between the rows of a and the rows of b.
 
@@ -410,23 +438,113 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.cols:
         raise DimensionError(f"cosine_sim_matrix: feature dims differ, {a.shape} vs {b.shape}")
     a_in, b_in = a.data, b.data
-    u = np.linalg.norm(a_in, axis=1, keepdims=True)
-    v = np.linalg.norm(b_in, axis=1, keepdims=True)
+    u, inv_u = _row_norms(a_in)
+    v, inv_v = _row_norms(b_in)
     norm_prod = u @ v.T
     denom = np.maximum(norm_prod, COSINE_EPS)
     out = (a_in @ b_in.T) / denom
     gate = norm_prod > COSINE_EPS
-    inv_u = np.where(u > 0.0, 1.0 / np.maximum(u, 1e-300), 0.0)
-    inv_v = np.where(v > 0.0, 1.0 / np.maximum(v, 1e-300), 0.0)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        gd = g / denom
-        gs = gd * out * gate
-        ga = gd @ b_in - (gs @ v) * inv_u * a_in
-        gb = gd.T @ a_in - (gs.T @ u) * inv_v * b_in
+        gd = g / denom * gate
+        gs = gd * out
+        ga = gd @ b_in - (gs @ v) * inv_u * a_in if need_a else None
+        gb = gd.T @ a_in - (gs.T @ u) * inv_v * b_in if need_b else None
         return ga, gb
 
     return _emit("cosine_sim_matrix", (a, b), out, vjp)
+
+
+# rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
+_INFONCE_BLOCK_ROWS = 256
+
+
+def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
+                   exclude_positive: bool) -> Tensor:
+    """Mean InfoNCE of the rows of z1 against all rows of z2, as one fused op.
+
+    Logits are cosine similarities (as in `cosine_sim_matrix`) over tau. Row
+    i scores logsumexp_j(logit_ij) - logit_{i,positives[i]}; with
+    `exclude_positive` the positive is left out of the log-sum-exp. The op
+    walks z1 in blocks of `_INFONCE_BLOCK_ROWS` rows: the forward pass keeps
+    only each row's max-shift and sum of exponentials, and the VJP recomputes
+    each block's logits, so no z1.rows x z2.rows array ever exists.
+    """
+    if z1.cols != z2.cols:
+        raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
+    m, n = z1.rows, z2.rows
+    pos = np.asarray(positives, dtype=np.int64).ravel()
+    if pos.size != m:
+        raise ContractError(f"masked_infonce: {m} anchor rows vs {pos.size} positives")
+    if m == 0 or n < (2 if exclude_positive else 1):
+        raise ContractError(f"masked_infonce: empty denominator for {m}x{n} logits")
+    if pos.min() < 0 or pos.max() >= n:
+        raise DataError(f"masked_infonce: positive index out of range for {n} rows")
+    if tau <= 0:
+        raise ParameterError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / float(tau)
+    a_in, b_in = z1.data, z2.data
+    u, inv_u = _row_norms(a_in)
+    v, inv_v = _row_norms(b_in)
+    blocks = [(lo, min(lo + _INFONCE_BLOCK_ROWS, m)) for lo in range(0, m, _INFONCE_BLOCK_ROWS)]
+
+    def block_logits(lo, hi):
+        """Cosine block, its floored norm products, and its logits."""
+        denom = u[lo:hi] * v.T
+        cos = a_in[lo:hi] @ b_in.T
+        np.maximum(denom, COSINE_EPS, out=denom)
+        cos /= denom
+        logits = cos * inv_tau
+        return cos, denom, logits
+
+    shift = np.empty((m, 1))
+    sum_exp = np.empty((m, 1))
+    positive = np.empty((m, 1))
+    for lo, hi in blocks:
+        logits = block_logits(lo, hi)[2]
+        at_pos = (np.arange(hi - lo), pos[lo:hi])
+        positive[lo:hi, 0] = logits[at_pos]
+        if exclude_positive:
+            logits[at_pos] = -np.inf
+        shift[lo:hi] = logits.max(axis=1, keepdims=True)
+        logits -= shift[lo:hi]
+        sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
+        del logits  # free the block before the next one is built
+    loss = (np.log(sum_exp) + shift - positive).sum() * (1.0 / m)
+    need_a, need_b = z1.requires_grad, z2.requires_grad
+
+    def vjp(g):
+        g_row = g[0, 0] * (1.0 / m)
+        ga = np.empty_like(a_in) if need_a else None
+        gb = np.zeros_like(b_in) if need_b else None
+        gs_u = np.zeros((n, 1))
+        for lo, hi in blocks:
+            cos, denom, gd = block_logits(lo, hi)
+            at_pos = (np.arange(hi - lo), pos[lo:hi])
+            if exclude_positive:
+                gd[at_pos] = -np.inf
+            gd -= shift[lo:hi]
+            np.exp(gd, out=gd)
+            gd *= g_row / sum_exp[lo:hi]
+            gd[at_pos] -= g_row
+            gd *= inv_tau
+            gd /= denom
+            gd *= denom > COSINE_EPS  # zero rows get subgradient 0
+            del denom
+            gs = cos  # the block is reused: gs = gd * cos, the norm term of the cosine VJP
+            gs *= gd
+            if need_a:
+                ga[lo:hi] = gd @ b_in - (gs @ v) * inv_u[lo:hi] * a_in[lo:hi]
+            if need_b:
+                gb += gd.T @ a_in[lo:hi]
+                gs_u += gs.T @ u[lo:hi]
+            del cos, gd, gs
+        if need_b:
+            gb -= gs_u * inv_v * b_in
+        return ga, gb
+
+    return _emit("masked_infonce", (z1, z2), np.array([[loss]]), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +574,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
         touched[rec.out.node_id] = rec.out
         for t in rec.inputs:
             touched[t.node_id] = t
+    produced = {rec.out.node_id for rec in tape.records}
+    leaf_grads: list[np.ndarray] = []
     for nid, t in touched.items():
-        if not t.requires_grad:
-            continue
         g = flows.get(nid)
-        if g is None:
+        if g is None or not t.requires_grad:
             continue
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        if nid not in produced:
+            # a VJP may hand one array to two inputs (add); each leaf owns its grad
+            if any(np.may_share_memory(g, h) for h in leaf_grads):
+                g = g.copy()
+            leaf_grads.append(g)
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ supplies the positive (same node) and the negatives (all other nodes). As
 written, the denominator of the per-anchor term excludes the positive pair,
 so the loss can go below zero; a config flag restores the conventional
 denominator for comparison.
+
+The loss is one fused, row-blocked op (`autodiff.masked_infonce`): it never
+forms the N x N similarity matrix, so a pre-training epoch holds O(N*B)
+floats for a fixed block of B rows instead of O(N^2).
 """
 
 from __future__ import annotations
@@ -17,18 +21,10 @@ from .autodiff import (
     AdamState,
     Tape,
     Tensor,
-    add,
     adam_step,
     backward,
-    cosine_sim_matrix,
     derive_seed,
-    exp,
-    log,
-    mul,
-    row_sum,
-    scale,
-    sub,
-    total_sum,
+    masked_infonce,
 )
 from .encoders import EncoderParams, freeze, gnn_forward, init_encoder_params, mlp_forward, parameters
 from .errors import ContractError, NumericError, ParameterError
@@ -55,14 +51,6 @@ class PretrainConfig:
             raise ParameterError("epochs must be non-negative")
 
 
-def _masked_logsumexp_rows(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise log-sum-exp restricted to mask entries, max-shifted for stability."""
-    shift = np.where(mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
-    shifted = add(logits, Tensor(-shift))
-    ex = mul(exp(shifted), Tensor(mask))
-    return add(log(row_sum(ex)), Tensor(shift))
-
-
 def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
                          include_positive_in_denominator: bool = False) -> Tensor:
     """Temperature-scaled contrastive loss anchored on the first view.
@@ -78,12 +66,8 @@ def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    logits = scale(cosine_sim_matrix(z1, z2), 1.0 / float(tau))
-    eye = np.eye(n)
-    denom_mask = np.ones((n, n)) if include_positive_in_denominator else 1.0 - eye
-    log_denom = _masked_logsumexp_rows(logits, denom_mask)
-    positive = row_sum(mul(logits, Tensor(eye)))
-    return scale(total_sum(sub(log_denom, positive)), 1.0 / n)
+    return masked_infonce(z1, z2, np.arange(n), tau,
+                          exclude_positive=not include_positive_in_denominator)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:

@@ -16,19 +16,12 @@ from .autodiff import (
     AdamState,
     Tape,
     Tensor,
-    add,
     adam_step,
     backward,
-    cosine_sim_matrix,
     derive_seed,
-    exp,
-    log,
+    masked_infonce,
     mul,
-    row_sum,
-    scale,
     select_rows,
-    sub,
-    total_sum,
 )
 from .encoders import EncoderParams, gnn_forward, mlp_forward
 from .errors import ContractError, DataError, NumericError, ParameterError
@@ -184,16 +177,7 @@ def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tens
         raise ContractError(f"{anchors.rows} anchors vs {labels.size} labels")
     if anchors.requires_grad:
         anchors = anchors.detach()
-    m = anchors.rows
-    logits = scale(cosine_sim_matrix(anchors, prototypes), 1.0 / float(tau))
-    onehot = np.zeros((m, n_classes))
-    onehot[np.arange(m), labels] = 1.0
-    neg_mask = 1.0 - onehot
-    shift = np.where(neg_mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
-    ex = mul(exp(add(logits, Tensor(-shift))), Tensor(neg_mask))
-    log_denom = add(log(row_sum(ex)), Tensor(shift))
-    positive = row_sum(mul(logits, Tensor(onehot)))
-    return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
+    return masked_infonce(anchors, prototypes, labels, tau, exclude_positive=True)
 
 
 def graph_task_views(g: GraphData, params: EncoderParams) -> tuple[Tensor, Tensor]:

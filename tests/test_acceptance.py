@@ -127,6 +127,7 @@ def test_criterion_1_gradient_correctness():
         "spmm": (lambda t: total_sum(mul(spmm(csr, t), probe43)), m43),
         "spmm_values": (lambda v: total_sum(mul(spmm(csr, m43, values=v), probe43)), vals),
         "select_rows": (lambda t: total_sum(mul(select_rows(t, [0, 2, 1, 2, 0, 1]), probe63)), m43),
+        "select_rows_range": (lambda t: total_sum(mul(select_rows(t, [1, 2, 3]), m33)), m43),
         "concat_rows": (lambda t: total_sum(mul(concat_rows(t, probe43), probe83)), m43),
         "add": (lambda t: total_sum(mul(add(t, probe43), probe43)), m43),
         "mul": (lambda t: total_sum(mul(mul(t, col), probe43)), m43),

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from psp import autodiff
 from psp.autodiff import (
     AdamState,
     CsrMatrix,
@@ -16,10 +19,10 @@ from psp.autodiff import (
     concat_rows,
     cosine_sim_matrix,
     dropout,
-    elementwise,
     exp,
     grad_check,
     log,
+    masked_infonce,
     matmul,
     mul,
     relu,
@@ -127,15 +130,6 @@ def test_add_identity_and_scale_zero():
     np.testing.assert_array_equal(scale(m, 0.0).data, np.zeros((3, 3)))
 
 
-def test_elementwise_dispatcher():
-    m = rand(2, 2, 7)
-    np.testing.assert_array_equal(elementwise("relu", m).data, np.maximum(m.data, 0))
-    np.testing.assert_array_equal(elementwise("add", m, m).data, 2 * m.data)
-    np.testing.assert_array_equal(elementwise("scale", m, 3.0).data, 3 * m.data)
-    with pytest.raises(ParameterError):
-        elementwise("pow", m)
-
-
 def test_add_shape_error():
     with pytest.raises(DimensionError):
         add(rand(2, 3), rand(3, 2))
@@ -221,6 +215,14 @@ def test_cosine_orthogonal_and_hand_value():
 def test_cosine_zero_row_guard():
     out = cosine_sim_matrix(Tensor([[0.0, 0.0]]), Tensor([[1.0, 2.0]]))
     assert out.data[0, 0] == 0.0
+
+
+def test_cosine_zero_row_gets_zero_gradient():
+    a = Tensor([[0.0, 0.0], [1.0, 2.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = total_sum(cosine_sim_matrix(a, Tensor([[1.0, -1.0], [0.5, 3.0]])))
+    backward(tape, loss)
+    assert np.array_equal(a.grad[0], [0.0, 0.0]) and np.abs(a.grad[1]).max() < 1.0
 
 
 def test_cosine_dimension_error():
@@ -403,6 +405,7 @@ def _op_cases():
         "transpose": (lambda t: total_sum(mul(transpose(t), m34)), m43),
         "spmm_dense": (lambda t: total_sum(mul(spmm(csr, t), probe43)), m43),
         "select_rows": (lambda t: total_sum(mul(select_rows(t, [0, 2, 1, 2, 0, 1]), probe63)), m43),
+        "select_rows_range": (lambda t: total_sum(mul(select_rows(t, [1, 2, 3]), m33)), m43),
         "concat_rows": (lambda t: total_sum(mul(concat_rows(t, probe43), Tensor(np.ones((8, 3))))), m43),
         "add": (lambda t: total_sum(mul(add(t, probe43), probe43)), m43),
         "add_row_bcast": (lambda t: total_sum(mul(add(m43, t), probe43)), Tensor(rng.standard_normal((1, 3)))),
@@ -438,6 +441,131 @@ def test_cosine_passes_grad_check_both_sides():
     assert grad_check(lambda t: total_sum(mul(cosine_sim_matrix(t, b), probe)), a) < 1e-4
     probe_t = Tensor(rng.standard_normal((4, 5)))
     assert grad_check(lambda t: total_sum(mul(cosine_sim_matrix(a, t), probe_t)), b) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# fused, row-blocked InfoNCE
+
+
+def composite_infonce(z1, z2, positives, tau, exclude_positive):
+    """The InfoNCE built from tape ops that `masked_infonce` replaced: the oracle.
+
+    It holds every m x n intermediate on the tape.
+    """
+    m, n = z1.rows, z2.rows
+    logits = scale(cosine_sim_matrix(z1, z2), 1.0 / float(tau))
+    onehot = np.zeros((m, n))
+    onehot[np.arange(m), positives] = 1.0
+    mask = 1.0 - onehot if exclude_positive else np.ones((m, n))
+    shift = np.where(mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
+    ex = mul(exp(add(logits, Tensor(-shift))), Tensor(mask))
+    log_denom = add(log(row_sum(ex)), Tensor(shift))
+    positive = row_sum(mul(logits, Tensor(onehot)))
+    return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
+
+
+def _value_and_grads(loss_fn, a, b):
+    za, zb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_fn(za, zb)
+    backward(tape, loss)
+    return loss.item(), za.grad, zb.grad
+
+
+# (anchor rows, candidate rows, block rows, diagonal positives, zeroed rows)
+INFONCE_CASES = {
+    "random": (37, 37, 8, True, ()),
+    "zero_rows": (37, 37, 8, True, (0, 5, 36)),
+    "block_multiple": (32, 32, 8, True, ()),
+    "n_below_block": (6, 6, None, True, ()),
+    "prompt_labels": (23, 4, 5, False, (3,)),
+}
+
+
+@pytest.mark.parametrize("exclude_positive", [True, False])
+@pytest.mark.parametrize("case", sorted(INFONCE_CASES))
+def test_masked_infonce_matches_composite(case, exclude_positive, monkeypatch):
+    m, n, block, diagonal, zero_rows = INFONCE_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(autodiff, "_INFONCE_BLOCK_ROWS", block)
+    rng = np.random.default_rng(len(case))
+    a, b = rng.standard_normal((m, 6)), rng.standard_normal((n, 6))
+    a[list(zero_rows)] = 0.0
+    b[[r for r in zero_rows if r < n]] = 0.0
+    positives = np.arange(m) if diagonal else rng.integers(0, n, size=m)
+    fused = _value_and_grads(
+        lambda x, y: masked_infonce(x, y, positives, 0.5, exclude_positive), a, b)
+    oracle = _value_and_grads(
+        lambda x, y: composite_infonce(x, y, positives, 0.5, exclude_positive), a, b)
+    assert abs(fused[0] - oracle[0]) <= 1e-12
+    for got, want in zip(fused[1:], oracle[1:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("exclude_positive", [True, False])
+def test_masked_infonce_grad_check_both_inputs(exclude_positive, monkeypatch):
+    monkeypatch.setattr(autodiff, "_INFONCE_BLOCK_ROWS", 2)
+    rng = np.random.default_rng(31)
+    z1, z2 = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((4, 3)))
+    positives = [2, 0, 3, 3, 1]
+    assert grad_check(lambda t: masked_infonce(t, z2, positives, 0.7, exclude_positive), z1) < 1e-4
+    assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7, exclude_positive), z2) < 1e-4
+
+
+def test_masked_infonce_memory_is_row_blocked():
+    n = 4000
+    rng = np.random.default_rng(5)
+    z1 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
+    z2 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = masked_infonce(z1, z2, np.arange(n), 0.5, exclude_positive=True)
+        backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item()) and z1.grad.shape == z2.grad.shape == (n, 16)
+    assert peak < n * n * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_masked_infonce_rejects_bad_positives():
+    z = rand(3, 2)
+    with pytest.raises(ContractError):
+        masked_infonce(z, z, [0, 1], 1.0, exclude_positive=True)
+    with pytest.raises(DataError):
+        masked_infonce(z, z, [0, 1, 3], 1.0, exclude_positive=True)
+    with pytest.raises(ContractError):
+        masked_infonce(z, rand(1, 2), [0, 0, 0], 1.0, exclude_positive=True)
+
+
+# ---------------------------------------------------------------------------
+# lean tape: no copies, no gradients nobody asked for, no aliased leaf grads
+
+
+def test_vjp_skips_inputs_without_grad():
+    x, w = rand(4, 3, 1), Tensor(rand(3, 2, 2).data, requires_grad=True)
+    with Tape() as tape:
+        matmul(x, w)
+    gx, gw = tape.records[0].vjp(np.ones((4, 2)))
+    assert gx is None and gw.shape == (3, 2)
+
+
+@pytest.mark.parametrize("op", [add, concat_rows])
+def test_leaf_grads_share_no_memory(op):
+    a = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        loss = total_sum(op(a, b))
+    backward(tape, loss)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_tensor_constructor_copies_its_argument():
+    arr = np.ones((2, 2))
+    t = Tensor(arr)
+    arr[0, 0] = 5.0
+    assert t.data[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------

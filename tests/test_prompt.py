@@ -291,6 +291,12 @@ def test_prompt_loss_needs_two_classes():
         prompt_loss(Tensor([[1.0]]), Tensor([[1.0]]), [0], tau=1.0)
 
 
+@pytest.mark.parametrize("labels", [[-1, 0], [0, 3]])
+def test_prompt_loss_rejects_out_of_range_labels(labels):
+    with pytest.raises(DataError):
+        prompt_loss(Tensor(np.eye(2, 3)), Tensor(np.eye(3)), labels, tau=1.0)
+
+
 def test_prompt_loss_detaches_anchors():
     anchors = Tensor(np.random.default_rng(13).standard_normal((2, 3)), requires_grad=True)
     protos = Tensor(np.random.default_rng(14).standard_normal((2, 3)), requires_grad=True)
