@@ -54,12 +54,11 @@ from .errors import (
 )
 from .graph import (
     GraphData,
+    NormalizedPromptOperator,
     PromptedGraph,
-    augment_prompted,
     build_csr,
     gcn_normalize,
     mean_readout,
-    normalize_prompted,
 )
 from .inference import Prediction, evaluate, np_prototypes, predict
 from .pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain

@@ -52,24 +52,19 @@ def _load_dataset(args) -> GraphData:
 
 def _split_for(g: GraphData, args):
     """Recompute the deterministic few-shot split a run's flags describe."""
-    task = getattr(args, "task", "node")
-    labels = g.graph_labels if task == "graph" else g.labels
+    labels = g.graph_labels if args.task == "graph" else g.labels
     if labels is None:
-        raise ContractError(f"dataset has no labels for task {task!r}")
+        raise ContractError(f"dataset has no labels for task {args.task!r}")
     split = sample_k_shot(labels, args.k_shot, args.seed, args.val_shots)
     if args.mask_ratio > 0:
         split = mask_training_labels(split, args.mask_ratio, args.seed, labels)
     return split, labels
 
 
-def _tune_once(g: GraphData, ckpt: Checkpoint, args, seed: int):
-    task = getattr(args, "task", "node")
-    labels = g.graph_labels if task == "graph" else g.labels
-    split = sample_k_shot(labels, args.k_shot, seed, args.val_shots)
-    if args.mask_ratio > 0:
-        split = mask_training_labels(split, args.mask_ratio, seed, labels)
+def _tune_once(g: GraphData, ckpt: Checkpoint, args):
+    split, labels = _split_for(g, args)
     cfg = PromptConfig(epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
-                       tau=args.tau, edge_ratio=args.edge_ratio, seed=seed, task=task,
+                       tau=args.tau, edge_ratio=args.edge_ratio, seed=args.seed, task=args.task,
                        dropout=args.dropout, patience=args.patience)
     labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
     val = LabeledSet(labeled_from_split(split.val, labels), k=args.val_shots) \
@@ -120,7 +115,7 @@ def _cmd_tune(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if args.tau is None:
         args.tau = ckpt.tau
-    prompted, losses, _, _ = _tune_once(g, ckpt, args, args.seed)
+    prompted, losses, _, _ = _tune_once(g, ckpt, args)
     bundle = Checkpoint(hidden_dim=ckpt.hidden_dim, tau=args.tau, seed=args.seed,
                         params=ckpt.params,
                         prompt=TunedPrompt(task=args.task,
@@ -131,14 +126,6 @@ def _cmd_tune(args) -> int:
     write_loss_log(str(args.out) + ".loss.tsv", losses)
     print(f"tuned {len(losses)} epochs, bundle at {args.out}", file=sys.stderr)
     return 0
-
-
-def _prompted_from_bundle(g: GraphData, ckpt: Checkpoint) -> PromptedGraph:
-    p = ckpt.prompt
-    return PromptedGraph(base=g, n_prototypes=p.weights.shape[1],
-                         proto_features=Tensor(p.proto_features),
-                         weight_rows=Tensor(p.weights),
-                         trainable_row_mask=p.mask)
 
 
 def _cmd_eval(args) -> int:
@@ -159,7 +146,9 @@ def _cmd_eval(args) -> int:
     else:
         if ckpt.prompt is None:
             raise ContractError("checkpoint holds no tuned prompt; run `tune` first or use --variant psp-np")
-        prompted = _prompted_from_bundle(g, ckpt)
+        p = ckpt.prompt
+        prompted = PromptedGraph(proto_features=Tensor(p.proto_features),
+                                 weight_rows=Tensor(p.weights), trainable_row_mask=p.mask)
         prototypes = prototype_embeddings(g, prompted, ckpt.params, "eval")
     acc = evaluate(predict(anchors, prototypes, args.tau), labels[split.test])
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
@@ -191,29 +180,29 @@ def _cmd_sweep(args) -> int:
         [float(v) for v in args.dropout_grid.split(",")]))
     best = None
     for lr, wd, dropout in grid:
-        val_accs = []
+        point = argparse.Namespace(**vars(args))
+        point.lr, point.weight_decay, point.dropout = lr, wd, dropout
+        val_accs, fits = [], []
         for seed in seeds:
-            point = argparse.Namespace(**vars(args))
-            point.lr, point.weight_decay, point.dropout, point.seed = lr, wd, dropout, seed
-            prompted, _, split, labels = _tune_once(g, ckpt, point, seed)
-            anchors = _anchor_rows(g, ckpt, args.task, split.val)
+            point.seed = seed
+            prompted, _, split, labels = _tune_once(g, ckpt, point)
             proto = prototype_embeddings(g, prompted, ckpt.params, "eval")
+            anchors = _anchor_rows(g, ckpt, args.task, split.val)
             val_accs.append(evaluate(predict(anchors, proto, args.tau), labels[split.val]))
+            fits.append((seed, split.test, proto))
         mean_val = float(np.mean(val_accs))
         print(f"grid\tlr={lr}\twd={wd}\tdropout={dropout}\tval_acc={mean_val:.4f}",
               file=sys.stderr)
         if best is None or mean_val > best[0]:
-            best = (mean_val, lr, wd, dropout)
-    _, lr, wd, dropout = best
+            best = (mean_val, lr, wd, dropout, fits)
+    _, lr, wd, dropout, fits = best
     print(f"selected\tlr={lr}\twd={wd}\tdropout={dropout}")
+    # prompt_tune is deterministic, so the grid pass's prototypes are the
+    # selected config's final prompts; test is scored from them without re-tuning
     test_accs = []
-    for seed in seeds:
-        point = argparse.Namespace(**vars(args))
-        point.lr, point.weight_decay, point.dropout, point.seed = lr, wd, dropout, seed
-        prompted, _, split, labels = _tune_once(g, ckpt, point, seed)
-        anchors = _anchor_rows(g, ckpt, args.task, split.test)
-        proto = prototype_embeddings(g, prompted, ckpt.params, "eval")
-        acc = evaluate(predict(anchors, proto, args.tau), labels[split.test])
+    for seed, test, proto in fits:
+        anchors = _anchor_rows(g, ckpt, args.task, test)
+        acc = evaluate(predict(anchors, proto, args.tau), labels[test])
         test_accs.append(acc)
         print(_metric_line(args.run_id, seed, args.task, args.k_shot, acc))
     print(f"summary\t{args.run_id}\t{float(np.mean(test_accs))!r}\t{float(np.std(test_accs))!r}")

@@ -62,6 +62,14 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
+def _require_finite(rows: np.ndarray, path: Path) -> None:
+    """Reject non-finite values, naming the line of the first offending row."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        lineno = [i for i, line in enumerate(_read_lines(path), start=1) if line.strip()][bad[0]]
+        raise DataError(f"{path.name} line {lineno}: non-finite value")
+
+
 def load_node_dataset(directory) -> GraphData:
     """Load edges.tsv / features.tsv / labels.tsv into a GraphData."""
     directory = Path(directory)
@@ -82,6 +90,7 @@ def load_node_dataset(directory) -> GraphData:
     if not feat_rows:
         raise DataError(f"features.tsv in {directory} is empty")
     features = np.array(feat_rows)
+    _require_finite(features, directory / "features.tsv")
     n = features.shape[0]
 
     labels = []
@@ -214,6 +223,7 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
         if len(rows) != n:
             raise DataError(f"{attr_path.name} has {len(rows)} rows for {n} nodes")
         features = np.array(rows)
+        _require_finite(features, attr_path)
     else:
         degrees = np.diff(adjacency.row_offsets)
         features = np.zeros((n, degree_onehot_width))
@@ -416,9 +426,13 @@ def load_checkpoint(path) -> Checkpoint:
         proto_features = reader.block()
         weights = reader.block()
         (mask_len,) = reader.unpack("<I")
+        if mask_len != weights.shape[0]:
+            raise FormatError(f"prompt mask has {mask_len} entries for {len(weights)} weight rows")
         mask = np.frombuffer(reader.take(mask_len), dtype=np.uint8).astype(bool)
         prompt = TunedPrompt(task="graph" if task_code else "node",
                              proto_features=proto_features, weights=weights, mask=mask)
+    if reader.pos != len(reader.blob):
+        raise FormatError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
     return Checkpoint(hidden_dim=hidden_dim, tau=tau, seed=seed, params=params, prompt=prompt)
 
 
@@ -435,6 +449,8 @@ def export_weight_matrix(w: Tensor, labels, path) -> None:
     n, c = w.shape
     lab = np.full(n, -1, dtype=np.int64) if labels is None \
         else np.asarray(labels, dtype=np.int64).ravel()
+    if lab.size != n:
+        raise DataError(f"{lab.size} labels for {n} weight rows")
     header = "node\tlabel\t" + "\t".join(f"w_{j}" for j in range(c))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

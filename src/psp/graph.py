@@ -1,4 +1,4 @@
-"""Graph data model, adjacency normalization, prompted-graph augmentation,
+"""Graph data model, adjacency normalization, the prompted-graph operator,
 and graph-level readout.
 
 The prompted graph attaches one virtual node per class to the base graph via
@@ -83,41 +83,37 @@ class GraphData:
 
 @dataclass
 class PromptedGraph:
-    """A base graph plus per-class virtual nodes and learnable edge weights.
+    """Per-class virtual nodes and their learnable edge weights to a base graph.
 
     `weight_rows` has one row per base node (node tasks) or per graph (graph
     tasks). Rows whose mask entry is False are pinned to zero and never
     receive gradient updates.
     """
 
-    base: GraphData
-    n_prototypes: int
     proto_features: Tensor
     weight_rows: Tensor
     trainable_row_mask: np.ndarray
 
+    @property
+    def n_prototypes(self) -> int:
+        return self.weight_rows.cols
+
 
 def build_csr(n: int, edges) -> CsrMatrix:
     """Symmetrized, deduplicated, self-loop-free unit-weight CSR."""
-    pairs = set()
-    for src, dst in edges:
-        src, dst = int(src), int(dst)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
-        if src == dst:
-            continue
-        pairs.add((min(src, dst), max(src, dst)))
-    if not pairs:
-        return CsrMatrix(n, n, np.zeros(n + 1, dtype=np.int64), [], [])
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    src = np.concatenate([arr[:, 0], arr[:, 1]])
-    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        src, dst = pairs[bad[0]]
+        raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    lo, hi = np.divmod(keys, n)
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CsrMatrix(n, n, offsets, dst, np.ones(dst.size))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return CsrMatrix(n, n, offsets, dst[order], np.ones(dst.size))
 
 
 def add_self_loops(a: CsrMatrix) -> CsrMatrix:
@@ -140,67 +136,30 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix.from_scipy(inv_sqrt @ hat.scipy() @ inv_sqrt)
 
 
-class AugmentedAdjacency:
-    """Block operator [[A, W], [W^T, I]] with the W block differentiable."""
-
-    def __init__(self, a: CsrMatrix, w: Tensor):
-        if a.rows != a.cols:
-            raise DimensionError(f"augmented adjacency needs a square base, got {a.rows}x{a.cols}")
-        if w.rows != a.rows:
-            raise DimensionError(f"weight block has {w.rows} rows for {a.rows} base nodes")
-        self.a = a
-        self.w = w
-
-    @property
-    def n_base(self) -> int:
-        return self.a.rows
-
-    @property
-    def n_prototypes(self) -> int:
-        return self.w.cols
-
-    @property
-    def rows(self) -> int:
-        return self.a.rows + self.w.cols
-
-    def dense(self) -> np.ndarray:
-        n, c = self.n_base, self.n_prototypes
-        out = np.zeros((n + c, n + c))
-        out[:n, :n] = self.a.to_dense()
-        out[:n, n:] = self.w.data
-        out[n:, :n] = self.w.data.T
-        out[n:, n:] = np.eye(c)
-        return out
-
-
-def augment_prompted(a: CsrMatrix, w: Tensor) -> AugmentedAdjacency:
-    return AugmentedAdjacency(a, w)
-
-
 class NormalizedPromptOperator:
-    """Degree-normalized augmented operator, applied block-wise.
+    """The prompted graph [[A, W], [W^T, I]], degree-normalized and applied block-wise.
 
-    Degrees are absolute row sums of [[A, W], [W^T, I]] plus the implicit
+    Degrees are absolute row sums of the block matrix plus the implicit
     self-loop on every original node; the self-looped original block and the
     signed W blocks are then scaled by d^-1/2 on both sides. The scaling
     vectors live on the tape, so gradients reach W through the degrees as
     well as through the message weights.
     """
 
-    def __init__(self, aug: AugmentedAdjacency):
-        self.a_hat = add_self_loops(aug.a)
-        self.w = aug.w
-        base_deg = Tensor((aug.a.row_sums() + 1.0).reshape(-1, 1))
-        abs_w = absolute(aug.w)
+    def __init__(self, a: CsrMatrix, w: Tensor):
+        if a.rows != a.cols:
+            raise DimensionError(f"prompted graph needs a square base, got {a.rows}x{a.cols}")
+        if w.rows != a.rows:
+            raise DimensionError(f"weight block has {w.rows} rows for {a.rows} base nodes")
+        self.a_hat = add_self_loops(a)
+        self.w = w
+        self.n_base = a.rows
+        self.rows = a.rows + w.cols
+        base_deg = Tensor((a.row_sums() + 1.0).reshape(-1, 1))
+        abs_w = absolute(w)
         self.scale_base = rsqrt(add(row_sum(abs_w), base_deg))
-        proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((aug.n_prototypes, 1))))
+        proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
         self.scale_proto = rsqrt(proto_deg)
-        self.n_base = aug.n_base
-        self.n_prototypes = aug.n_prototypes
-
-    @property
-    def rows(self) -> int:
-        return self.n_base + self.n_prototypes
 
     def apply(self, h: Tensor) -> Tensor:
         """Multiply the normalized operator by a dense (N+C)-row matrix."""
@@ -214,20 +173,6 @@ class NormalizedPromptOperator:
         top = add(spmm(self.a_hat, sb), matmul(self.w, sp))
         bottom = add(matmul(transpose(self.w), sb), sp)
         return concat_rows(mul(top, self.scale_base), mul(bottom, self.scale_proto))
-
-    def dense(self) -> np.ndarray:
-        n, c = self.n_base, self.n_prototypes
-        block = np.zeros((n + c, n + c))
-        block[:n, :n] = self.a_hat.to_dense()
-        block[:n, n:] = self.w.data
-        block[n:, :n] = self.w.data.T
-        block[n:, n:] = np.eye(c)
-        s = np.concatenate([self.scale_base.data.ravel(), self.scale_proto.data.ravel()])
-        return s[:, None] * block * s[None, :]
-
-
-def normalize_prompted(aug: AugmentedAdjacency) -> NormalizedPromptOperator:
-    return NormalizedPromptOperator(aug)
 
 
 def mean_readout(z: Tensor, graph_of) -> Tensor:

@@ -25,14 +25,7 @@ from .autodiff import (
 )
 from .encoders import EncoderParams, gnn_forward, mlp_forward
 from .errors import ContractError, DataError, NumericError, ParameterError
-from .graph import (
-    GraphData,
-    PromptedGraph,
-    augment_prompted,
-    gcn_normalize,
-    mean_readout,
-    normalize_prompted,
-)
+from .graph import GraphData, NormalizedPromptOperator, PromptedGraph, gcn_normalize, mean_readout
 from .inference import class_mean_rows, evaluate, predict
 
 LR_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -146,12 +139,10 @@ def prototype_embeddings(g: GraphData, ps: PromptedGraph, params: EncoderParams,
     w = mul(ps.weight_rows, mask)
     if _is_graph_level(g, ps.weight_rows):
         w = select_rows(w, g.graph_of)
-    aug = augment_prompted(g.adjacency, w)
-    operator = normalize_prompted(aug)
+    operator = NormalizedPromptOperator(g.adjacency, w)
     feats = concat_features(g.features, ps.proto_features)
     out = gnn_forward(feats, operator, params, mode, seed, dropout_rate)
-    n = g.n_nodes
-    return select_rows(out, np.arange(n, n + ps.n_prototypes))
+    return select_rows(out, np.arange(g.n_nodes, operator.rows))
 
 
 def concat_features(x: Tensor, proto_features: Tensor) -> Tensor:
@@ -223,8 +214,7 @@ def prompt_tune(g: GraphData, labeled: LabeledSet, params: EncoderParams,
     w0 = init_edge_weights(struct, labeled, n_classes)
     mask = restrict_edge_ratio(n_rows, labeled, cfg.edge_ratio, cfg.seed)
     weights = Tensor(w0.data * mask[:, None], requires_grad=True, name="prompt_weights")
-    prompted = PromptedGraph(base=g, n_prototypes=n_classes,
-                             proto_features=proto_features, weight_rows=weights,
+    prompted = PromptedGraph(proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
     train_anchors = Tensor(anchors_all.data[labeled.indices()])

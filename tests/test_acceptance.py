@@ -44,11 +44,10 @@ from psp.data import (
 from psp.encoders import gnn_forward, mlp_forward
 from psp.graph import (
     GraphData,
+    NormalizedPromptOperator,
     PromptedGraph,
-    augment_prompted,
     build_csr,
     gcn_normalize,
-    normalize_prompted,
 )
 from psp.inference import evaluate, np_prototypes, predict
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
@@ -165,8 +164,7 @@ def test_criterion_1_gradient_correctness():
     mask = np.ones(5, dtype=bool)
 
     def through_prompt(w):
-        ps = PromptedGraph(base=g, n_prototypes=2, proto_features=proto_feats,
-                           weight_rows=w, trainable_row_mask=mask)
+        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
         return prompt_loss(anchors, prototype_embeddings(g, ps, params, "eval"),
                            [0, 1, 0], tau=0.5)
 
@@ -237,8 +235,9 @@ def test_criterion_3_structural_invariants():
 
     n, edges = fixtures[2]
     a = build_csr(n, edges)
-    op = normalize_prompted(augment_prompted(a, Tensor(np.zeros((n, 2)))))
-    reduction_err = np.abs(op.dense()[:n, :n] - gcn_normalize(a).to_dense()).max()
+    op = NormalizedPromptOperator(a, Tensor(np.zeros((n, 2))))
+    op_matrix = op.apply(Tensor(np.eye(op.rows))).data
+    reduction_err = np.abs(op_matrix[:n, :n] - gcn_normalize(a).to_dense()).max()
 
     from psp.encoders import freeze, init_encoder_params
 

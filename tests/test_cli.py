@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from psp.cli import run
-from psp.data import load_checkpoint, load_node_dataset, load_weight_matrix, sample_k_shot
+from psp.data import (
+    TunedPrompt,
+    load_checkpoint,
+    load_node_dataset,
+    load_weight_matrix,
+    sample_k_shot,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +89,28 @@ def test_export_w_roundtrip(pipeline, tmp_path):
     values, labels = load_weight_matrix(out)
     assert values.shape == (60, 3)
     assert set(labels.tolist()) <= {0, 1, 2}
+
+
+def test_export_w_rejects_data_with_more_nodes_than_weight_rows(pipeline, tmp_path, capsys):
+    _, _, _, tuned = pipeline
+    other = tmp_path / "n90"
+    assert run(["synth", "--n", "90", "--feat-dim", "8", "--seed", "2", "--out", str(other)]) == 0
+    out = tmp_path / "w.tsv"
+    assert run(["export-w", "--ckpt", str(tuned), "--data", str(other), "--out", str(out)]) == 1
+    assert "90 labels for 60 weight rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_w_rejects_data_with_fewer_nodes_than_weight_rows(pipeline, tmp_path, capsys):
+    _, data, _, tuned = pipeline
+    bundle = load_checkpoint(tuned)
+    bundle.prompt = TunedPrompt(task="node", proto_features=bundle.prompt.proto_features,
+                                weights=np.zeros((90, 3)), mask=np.ones(90, dtype=bool))
+    wide = tmp_path / "wide.ckpt"
+    save_checkpoint(wide, bundle)
+    assert run(["export-w", "--ckpt", str(wide), "--data", str(data),
+                "--out", str(tmp_path / "w.tsv")]) == 1
+    assert "60 labels for 90 weight rows" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -175,3 +204,23 @@ def test_sweep_selects_on_validation(pipeline, capsys):
     assert out_lines[-1].startswith("summary\tsw\t")
     # grid progress went to stderr, selection used validation accuracy there
     assert captured.err.count("grid\t") == 2
+
+
+def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch):
+    import psp.cli
+
+    calls = []
+    tune = psp.cli.prompt_tune
+
+    def counting_tune(*args, **kwargs):
+        calls.append(args[3])
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(psp.cli, "prompt_tune", counting_tune)
+    _, data, ckpt, _ = pipeline
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt),
+                "--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001",
+                "--dropout-grid", "0.2", "--seeds", "1,2", "--epochs", "4",
+                "--k-shot", "3", "--val-shots", "3"]) == 0
+    assert len(calls) == 2 * 2
+    assert [(c.lr, c.seed) for c in calls] == [(0.001, 1), (0.001, 2), (0.01, 1), (0.01, 2)]

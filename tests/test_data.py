@@ -57,6 +57,13 @@ def test_load_node_dataset_ragged_features(tmp_path):
         load_node_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_load_node_dataset_rejects_non_finite_features(tmp_path, bad):
+    write_node_fixture(tmp_path / "d", features=f"1.0\t2.0\n\n3.0\t{bad}\n")
+    with pytest.raises(DataError, match="features.tsv line 3: non-finite"):
+        load_node_dataset(tmp_path / "d")
+
+
 def test_load_node_dataset_bad_edge(tmp_path):
     write_node_fixture(tmp_path / "d", edges="0\t9\n")
     with pytest.raises(DataError, match="line 1"):
@@ -139,6 +146,16 @@ def test_load_tu_dataset_rejects_cross_graph_edges(tmp_path):
     with open(tmp_path / "tu" / "TOY_A.txt", "a") as fh:
         fh.write("3, 4\n")
     with pytest.raises(DataError, match="crosses graph boundaries"):
+        load_tu_dataset(tmp_path / "tu", "TOY")
+
+
+def test_load_tu_dataset_rejects_non_finite_attributes(tmp_path):
+    write_tu_fixture(tmp_path / "tu")
+    attr = tmp_path / "tu" / "TOY_node_attributes.txt"
+    lines = attr.read_text().splitlines()
+    lines[4] = "4.0, nan"
+    attr.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="TOY_node_attributes.txt line 5: non-finite"):
         load_tu_dataset(tmp_path / "tu", "TOY")
 
 
@@ -313,6 +330,23 @@ def test_checkpoint_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_checkpoint(with_prompt=True))
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_mask_length_mismatch(tmp_path):
+    ckpt = make_checkpoint(with_prompt=True)
+    ckpt.prompt.mask = ckpt.prompt.mask[:4]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match="4 entries for 5 weight rows"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # weight export
 
@@ -334,6 +368,12 @@ def test_export_weight_matrix_sentinel_labels(tmp_path):
     export_weight_matrix(Tensor(np.zeros((2, 2))), None, path)
     _, labels = load_weight_matrix(path)
     np.testing.assert_array_equal(labels, [-1, -1])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0]])
+def test_export_weight_matrix_rejects_label_count_mismatch(tmp_path, labels):
+    with pytest.raises(DataError, match=f"{len(labels)} labels for 2 weight rows"):
+        export_weight_matrix(Tensor(np.zeros((2, 2))), labels, tmp_path / "w.tsv")
 
 
 def test_export_weight_matrix_full_precision_roundtrip(tmp_path):

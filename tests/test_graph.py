@@ -7,11 +7,10 @@ from psp.autodiff import Tensor, grad_check, mul, total_sum
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
-    augment_prompted,
+    NormalizedPromptOperator,
     build_csr,
     gcn_normalize,
     mean_readout,
-    normalize_prompted,
 )
 
 
@@ -44,6 +43,33 @@ def dense_prompted_normalize(adj_dense: np.ndarray, w: np.ndarray) -> np.ndarray
     deg = mags.sum(axis=1) + np.concatenate([np.ones(n), np.zeros(c)])
     inv = 1.0 / np.sqrt(deg)
     return inv[:, None] * signed * inv[None, :]
+
+
+def operator_matrix(op: NormalizedPromptOperator) -> np.ndarray:
+    """The operator as the code that runs computes it: its product with I."""
+    return op.apply(Tensor(np.eye(op.rows))).data
+
+
+def set_loop_build_csr(n, edges):
+    """Parity oracle: the per-edge set loop that build_csr replaced."""
+    pairs = set()
+    for src, dst in edges:
+        src, dst = int(src), int(dst)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
+        if src == dst:
+            continue
+        pairs.add((min(src, dst), max(src, dst)))
+    if not pairs:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    arr = np.array(sorted(pairs), dtype=np.int64)
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    return np.cumsum(offsets), dst
 
 
 FIXTURE_GRAPHS = {
@@ -101,6 +127,36 @@ def test_build_csr_properties(edges):
     assert a.nnz == 2 * len(undirected)
 
 
+def _assert_matches_set_loop(n, edges):
+    a = build_csr(n, edges)
+    offsets, cols = set_loop_build_csr(n, edges)
+    np.testing.assert_array_equal(a.row_offsets, offsets)
+    np.testing.assert_array_equal(a.col_indices, cols)
+    np.testing.assert_array_equal(a.values, np.ones(cols.size))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+def test_build_csr_matches_set_loop_on_fixtures(name):
+    _assert_matches_set_loop(*FIXTURE_GRAPHS[name])
+
+
+def test_build_csr_matches_set_loop_on_random_lists():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 40):
+        edges = [tuple(e) for e in rng.integers(0, n, size=(3 * n, 2))]
+        edges += [(d, s) for s, d in edges[:n]] + edges[:n] + [(i, i) for i in range(0, n, 3)]
+        _assert_matches_set_loop(n, edges)
+
+
+def test_build_csr_range_check_reports_first_bad_edge():
+    for edges in ([(0, 1), (-1, 0), (0, 9)], [(0, 1), (0, 9), (-1, 0)]):
+        with pytest.raises(DataError) as vectorized:
+            build_csr(3, edges)
+        with pytest.raises(DataError) as oracle:
+            set_loop_build_csr(3, edges)
+        assert str(vectorized.value) == str(oracle.value)
+
+
 # ---------------------------------------------------------------------------
 # gcn_normalize
 
@@ -141,29 +197,31 @@ def test_gcn_normalize_regular_graph_rows_sum_to_one():
 # augmented operator
 
 
-def test_augment_block_layout_minimal():
-    a = build_csr(1, [])
-    aug = augment_prompted(a, Tensor([[1.0]]))
-    np.testing.assert_array_equal(aug.dense(), [[0.0, 1.0], [1.0, 1.0]])
-
-
 def test_augment_output_row_count():
     for n, c in ((1, 1), (4, 2), (5, 3)):
-        aug = augment_prompted(build_csr(n, [(0, min(1, n - 1))] if n > 1 else []),
-                               Tensor(np.zeros((n, c))))
-        assert aug.rows == n + c
+        op = NormalizedPromptOperator(build_csr(n, [(0, min(1, n - 1))] if n > 1 else []),
+                                      Tensor(np.zeros((n, c))))
+        assert op.rows == n + c
+        assert op.apply(Tensor(np.ones((n + c, 2)))).rows == n + c
 
 
 def test_augment_row_mismatch():
-    with pytest.raises(DimensionError):
-        augment_prompted(build_csr(3, [(0, 1)]), Tensor(np.zeros((2, 2))))
+    with pytest.raises(DimensionError, match="weight block has 2 rows for 3 base nodes"):
+        NormalizedPromptOperator(build_csr(3, [(0, 1)]), Tensor(np.zeros((2, 2))))
+
+
+def test_prompted_operator_rejects_non_square_base():
+    from psp.autodiff import CsrMatrix
+
+    rect = CsrMatrix(2, 3, [0, 1, 2], [0, 1], [1.0, 1.0])
+    with pytest.raises(DimensionError, match="square"):
+        NormalizedPromptOperator(rect, Tensor(np.zeros((2, 1))))
 
 
 def test_normalize_prompted_zero_weights_reduces_to_gcn():
     n, edges = FIXTURE_GRAPHS["path5"]
     a = build_csr(n, edges)
-    op = normalize_prompted(augment_prompted(a, Tensor(np.zeros((n, 2)))))
-    dense = op.dense()
+    dense = operator_matrix(NormalizedPromptOperator(a, Tensor(np.zeros((n, 2)))))
     np.testing.assert_allclose(dense[:n, :n], gcn_normalize(a).to_dense(), atol=1e-12)
     # isolated prototypes aggregate only themselves
     np.testing.assert_allclose(dense[n:, n:], np.eye(2), atol=1e-15)
@@ -176,17 +234,17 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     a = build_csr(n, edges)
     w = rng.standard_normal((n, 3))
     h = rng.standard_normal((n + 3, 4))
-    op = normalize_prompted(augment_prompted(a, Tensor(w)))
-    expected = dense_prompted_normalize(a.to_dense(), w) @ h
-    np.testing.assert_allclose(op.apply(Tensor(h)).data, expected, atol=1e-12)
+    op = NormalizedPromptOperator(a, Tensor(w))
+    oracle = dense_prompted_normalize(a.to_dense(), w)
+    np.testing.assert_allclose(op.apply(Tensor(h)).data, oracle @ h, atol=1e-12)
+    np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
 
 
 def test_normalize_prompted_finite_for_extreme_weights():
     a = build_csr(3, [(0, 1), (1, 2)])
     for factor in (0.0, 1e-30, 1e6, -1e6):
         w = Tensor(np.full((3, 1), factor))
-        dense = normalize_prompted(augment_prompted(a, w)).dense()
-        assert np.isfinite(dense).all()
+        assert np.isfinite(operator_matrix(NormalizedPromptOperator(a, w))).all()
 
 
 def test_prototype_column_scaling_near_invariant():
@@ -197,7 +255,7 @@ def test_prototype_column_scaling_near_invariant():
     w = np.array([[0.6], [0.3], [0.9]])
     rows = {}
     for alpha in (1.0, 5.0):
-        got = normalize_prompted(augment_prompted(a, Tensor(w * alpha))).dense()
+        got = operator_matrix(NormalizedPromptOperator(a, Tensor(w * alpha)))
         oracle = dense_prompted_normalize(a.to_dense(), w * alpha)
         np.testing.assert_allclose(got, oracle, atol=1e-12)
         incoming = got[3, :3]
@@ -212,7 +270,7 @@ def test_gradient_through_normalization_into_weights():
     probe = Tensor(rng.standard_normal((6, 3)))
 
     def f(w):
-        op = normalize_prompted(augment_prompted(a, w))
+        op = NormalizedPromptOperator(a, w)
         return total_sum(mul(op.apply(h), probe))
 
     assert grad_check(f, Tensor(rng.standard_normal((4, 2))), h=1e-5) < 1e-4

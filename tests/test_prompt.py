@@ -11,7 +11,7 @@ from psp.encoders import (
     params_checksum,
 )
 from psp.errors import ContractError, DataError, ParameterError
-from psp.graph import GraphData, PromptedGraph, build_csr, gcn_normalize
+from psp.graph import GraphData, NormalizedPromptOperator, PromptedGraph, build_csr, gcn_normalize
 from psp.inference import evaluate, predict
 from psp.prompt import (
     LabeledSet,
@@ -179,8 +179,7 @@ def test_prototype_isolation_with_zero_weights():
     g = toy_graph()
     params = frozen_params(4)
     proto_feats = Tensor(np.random.default_rng(3).standard_normal((2, 4)))
-    ps = PromptedGraph(base=g, n_prototypes=2, proto_features=proto_feats,
-                       weight_rows=Tensor(np.zeros((5, 2))),
+    ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(np.zeros((5, 2))),
                        trainable_row_mask=np.ones(5, dtype=bool))
     got = prototype_embeddings(g, ps, params, "eval")
     # prototypes decouple: same as running the GNN on an edgeless graph of
@@ -195,7 +194,7 @@ def test_prototype_single_node_single_class_hand_propagation():
     g = GraphData(n_nodes=1, features=Tensor([[1.0, 2.0]]), adjacency=build_csr(1, []),
                   labels=np.array([0]), n_classes=1)
     params = frozen_params(2, hidden=3, seed=5)
-    ps = PromptedGraph(base=g, n_prototypes=1, proto_features=Tensor([[0.5, -1.0]]),
+    ps = PromptedGraph(proto_features=Tensor([[0.5, -1.0]]),
                        weight_rows=Tensor([[1.0]]), trainable_row_mask=np.ones(1, bool))
     got = prototype_embeddings(g, ps, params, "eval").data
 
@@ -210,13 +209,20 @@ def test_prototype_single_node_single_class_hand_propagation():
     np.testing.assert_allclose(got, out[1:], atol=1e-12)
 
 
+def test_prompted_graph_counts_prototypes_from_weight_columns():
+    ps = PromptedGraph(proto_features=Tensor(np.zeros((3, 4))),
+                       weight_rows=Tensor(np.zeros((5, 3))), trainable_row_mask=np.ones(5, bool))
+    assert ps.n_prototypes == 3
+    with pytest.raises(TypeError):
+        PromptedGraph(n_prototypes=2, proto_features=ps.proto_features,
+                      weight_rows=ps.weight_rows, trainable_row_mask=ps.trainable_row_mask)
+
+
 def test_prototype_embeddings_require_frozen_encoders():
     g = toy_graph()
     params = init_encoder_params(4, 8, 0)
-    ps = PromptedGraph(base=g, n_prototypes=2,
-                       proto_features=Tensor(np.zeros((2, 4))),
-                       weight_rows=Tensor(np.zeros((5, 2))),
-                       trainable_row_mask=np.ones(5, bool))
+    ps = PromptedGraph(proto_features=Tensor(np.zeros((2, 4))),
+                       weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, bool))
     with pytest.raises(ContractError):
         prototype_embeddings(g, ps, params)
 
@@ -227,10 +233,10 @@ def test_prototype_embeddings_masked_rows_do_not_leak():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((5, 2))
     mask = np.array([True, False, True, False, True])
-    ps = PromptedGraph(base=g, n_prototypes=2, proto_features=Tensor(rng.standard_normal((2, 4))),
+    ps = PromptedGraph(proto_features=Tensor(rng.standard_normal((2, 4))),
                        weight_rows=Tensor(w), trainable_row_mask=mask)
     got = prototype_embeddings(g, ps, params, "eval").data
-    ps_zeroed = PromptedGraph(base=g, n_prototypes=2, proto_features=ps.proto_features,
+    ps_zeroed = PromptedGraph(proto_features=ps.proto_features,
                               weight_rows=Tensor(w * mask[:, None]),
                               trainable_row_mask=np.ones(5, bool))
     expected = prototype_embeddings(g, ps_zeroed, params, "eval").data
@@ -245,18 +251,15 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     base_w = np.abs(rng.standard_normal((3, 1))) + 0.1
     outs = {}
     for factor in (1.0, 2.0):
-        ps = PromptedGraph(base=g, n_prototypes=1, proto_features=proto_feats,
-                           weight_rows=Tensor(base_w * factor),
+        ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(base_w * factor),
                            trainable_row_mask=np.ones(3, bool))
         outs[factor] = prototype_embeddings(g, ps, params, "eval").data
     assert not np.allclose(outs[1.0], outs[2.0])
     # normalization bounds every aggregation coefficient by 1 at any weight
     # scale: |w_i| <= d_i and |w_i| <= d_c give |w_i|/sqrt(d_i d_c) <= 1
-    from psp.graph import augment_prompted, normalize_prompted
-
     for factor in (1.0, 2.0, 100.0):
-        op = normalize_prompted(augment_prompted(g.adjacency, Tensor(base_w * factor)))
-        assert np.abs(op.dense()).max() <= 1.0 + 1e-12
+        op = NormalizedPromptOperator(g.adjacency, Tensor(base_w * factor))
+        assert np.abs(op.apply(Tensor(np.eye(op.rows))).data).max() <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +319,7 @@ def test_prompt_loss_gradient_through_augmented_propagation():
     mask = np.ones(5, dtype=bool)
 
     def f(w):
-        ps = PromptedGraph(base=g, n_prototypes=2, proto_features=proto_feats,
-                           weight_rows=w, trainable_row_mask=mask)
+        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
         proto = prototype_embeddings(g, ps, params, "eval")
         return prompt_loss(anchors, proto, labels, tau=0.5)
 
