@@ -56,6 +56,7 @@ from .graph import (
     GraphData,
     NormalizedPromptOperator,
     PromptedGraph,
+    SelfLoopedBase,
     build_csr,
     gcn_normalize,
     mean_readout,
@@ -65,6 +66,7 @@ from .pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from .prompt import (
     LabeledSet,
     PromptConfig,
+    TaskContext,
     graph_task_views,
     init_edge_weights,
     init_prototype_features,
@@ -72,6 +74,7 @@ from .prompt import (
     prompt_tune,
     prototype_embeddings,
     restrict_edge_ratio,
+    task_context,
 )
 
 __version__ = "0.1.0"

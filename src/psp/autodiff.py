@@ -456,6 +456,14 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     return _emit("cosine_sim_matrix", (a, b), out, vjp)
 
 
+def check_tau(tau) -> float:
+    """A softmax temperature as a float; anything but a positive finite number raises."""
+    tau = float(tau)
+    if not (np.isfinite(tau) and tau > 0):
+        raise ParameterError(f"tau must be a positive finite number, got {tau}")
+    return tau
+
+
 # rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
 _INFONCE_BLOCK_ROWS = 256
 
@@ -481,9 +489,7 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
         raise ContractError(f"masked_infonce: empty denominator for {m}x{n} logits")
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    inv_tau = 1.0 / float(tau)
+    inv_tau = 1.0 / check_tau(tau)
     a_in, b_in = z1.data, z2.data
     u, inv_u = _row_norms(a_in)
     v, inv_v = _row_norms(b_in)

@@ -29,12 +29,18 @@ from .data import (
     export_weight_matrix,
 )
 from .autodiff import Tensor
-from .encoders import gnn_forward, mlp_forward
-from .errors import ContractError, PspError
-from .graph import GraphData, PromptedGraph, gcn_normalize
+from .errors import ContractError, ParameterError, PspError
+from .graph import GraphData, PromptedGraph
 from .inference import evaluate, np_prototypes, predict
 from .pretrain import PretrainConfig, pretrain, write_loss_log
-from .prompt import LabeledSet, PromptConfig, graph_task_views, prompt_tune, prototype_embeddings
+from .prompt import (
+    LabeledSet,
+    PromptConfig,
+    TaskContext,
+    prompt_tune,
+    prototype_embeddings,
+    task_context,
+)
 
 DEFAULT_SEEDS = "0,1,2,3,4"
 
@@ -61,24 +67,34 @@ def _split_for(g: GraphData, args):
     return split, labels
 
 
-def _tune_once(g: GraphData, ckpt: Checkpoint, args):
-    split, labels = _split_for(g, args)
+def _tune_once(ctx: TaskContext, args):
+    split, labels = _split_for(ctx.graph, args)
     cfg = PromptConfig(epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
-                       tau=args.tau, edge_ratio=args.edge_ratio, seed=args.seed, task=args.task,
+                       tau=args.tau, edge_ratio=args.edge_ratio, seed=args.seed,
                        dropout=args.dropout, patience=args.patience)
     labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
     val = LabeledSet(labeled_from_split(split.val, labels), k=args.val_shots) \
         if split.val else None
-    prompted, losses = prompt_tune(g, labeled, ckpt.params, cfg, val=val)
+    prompted, losses = prompt_tune(ctx, labeled, cfg, val=val)
     return prompted, losses, split, labels
 
 
-def _anchor_rows(g: GraphData, ckpt: Checkpoint, task: str, indices) -> Tensor:
-    if task == "graph":
-        anchors, _ = graph_task_views(g, ckpt.params)
-    else:
-        anchors = mlp_forward(g.features, ckpt.params, "eval")
-    return Tensor(anchors.data[np.asarray(indices, dtype=np.int64)])
+def _accuracy(ctx: TaskContext, prototypes: Tensor, indices, labels, tau: float) -> float:
+    """Accuracy of the prototypes on the context's anchor rows at `indices`."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return evaluate(predict(Tensor(ctx.anchors.data[indices]), prototypes, tau), labels[indices])
+
+
+def _parse_list(text: str, flag: str, kind) -> list:
+    """A comma-separated flag value; blank items are skipped, but one value is required."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ParameterError(f"{flag} must be a comma-separated list of {kind.__name__} "
+                             f"values, got {text!r}") from None
+    if not values:
+        raise ParameterError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _metric_line(run_id, seed, task, shots, accuracy) -> str:
@@ -115,7 +131,7 @@ def _cmd_tune(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if args.tau is None:
         args.tau = ckpt.tau
-    prompted, losses, _, _ = _tune_once(g, ckpt, args)
+    prompted, losses, _, _ = _tune_once(task_context(g, ckpt.params, args.task), args)
     bundle = Checkpoint(hidden_dim=ckpt.hidden_dim, tau=args.tau, seed=args.seed,
                         params=ckpt.params,
                         prompt=TunedPrompt(task=args.task,
@@ -134,23 +150,18 @@ def _cmd_eval(args) -> int:
     if args.tau is None:
         args.tau = ckpt.tau
     split, labels = _split_for(g, args)
-    anchors = _anchor_rows(g, ckpt, args.task, split.test)
+    ctx = task_context(g, ckpt.params, args.task)
     if args.variant == "psp-np":
-        if args.task == "graph":
-            _, struct_view = graph_task_views(g, ckpt.params)
-        else:
-            struct_view = gnn_forward(g.features, gcn_normalize(g.adjacency), ckpt.params, "eval")
         labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
-        n_classes = g.n_graph_classes if args.task == "graph" else g.n_classes
-        prototypes = np_prototypes(struct_view, labeled, n_classes)
+        prototypes = np_prototypes(ctx.struct, labeled, ctx.n_classes)
     else:
         if ckpt.prompt is None:
             raise ContractError("checkpoint holds no tuned prompt; run `tune` first or use --variant psp-np")
         p = ckpt.prompt
         prompted = PromptedGraph(proto_features=Tensor(p.proto_features),
                                  weight_rows=Tensor(p.weights), trainable_row_mask=p.mask)
-        prototypes = prototype_embeddings(g, prompted, ckpt.params, "eval")
-    acc = evaluate(predict(anchors, prototypes, args.tau), labels[split.test])
+        prototypes = prototype_embeddings(ctx, prompted, "eval")
+    acc = _accuracy(ctx, prototypes, split.test, labels, args.tau)
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
     return 0
 
@@ -169,15 +180,15 @@ def _cmd_export_w(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    grid = list(itertools.product(_parse_list(args.lr_grid, "--lr-grid", float),
+                                  _parse_list(args.weight_decay_grid, "--weight-decay-grid", float),
+                                  _parse_list(args.dropout_grid, "--dropout-grid", float)))
     g = _load_dataset(args)
     ckpt = load_checkpoint(args.ckpt)
     if args.tau is None:
         args.tau = ckpt.tau
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    grid = list(itertools.product(
-        [float(v) for v in args.lr_grid.split(",")],
-        [float(v) for v in args.weight_decay_grid.split(",")],
-        [float(v) for v in args.dropout_grid.split(",")]))
+    ctx = task_context(g, ckpt.params, args.task)
     best = None
     for lr, wd, dropout in grid:
         point = argparse.Namespace(**vars(args))
@@ -185,10 +196,9 @@ def _cmd_sweep(args) -> int:
         val_accs, fits = [], []
         for seed in seeds:
             point.seed = seed
-            prompted, _, split, labels = _tune_once(g, ckpt, point)
-            proto = prototype_embeddings(g, prompted, ckpt.params, "eval")
-            anchors = _anchor_rows(g, ckpt, args.task, split.val)
-            val_accs.append(evaluate(predict(anchors, proto, args.tau), labels[split.val]))
+            prompted, _, split, labels = _tune_once(ctx, point)
+            proto = prototype_embeddings(ctx, prompted, "eval")
+            val_accs.append(_accuracy(ctx, proto, split.val, labels, args.tau))
             fits.append((seed, split.test, proto))
         mean_val = float(np.mean(val_accs))
         print(f"grid\tlr={lr}\twd={wd}\tdropout={dropout}\tval_acc={mean_val:.4f}",
@@ -201,8 +211,7 @@ def _cmd_sweep(args) -> int:
     # selected config's final prompts; test is scored from them without re-tuning
     test_accs = []
     for seed, test, proto in fits:
-        anchors = _anchor_rows(g, ckpt, args.task, test)
-        acc = evaluate(predict(anchors, proto, args.tau), labels[test])
+        acc = _accuracy(ctx, proto, test, labels, args.tau)
         test_accs.append(acc)
         print(_metric_line(args.run_id, seed, args.task, args.k_shot, acc))
     print(f"summary\t{args.run_id}\t{float(np.mean(test_accs))!r}\t{float(np.std(test_accs))!r}")

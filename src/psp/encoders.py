@@ -93,10 +93,21 @@ def gnn_forward(x: Tensor, a_norm, params: EncoderParams, mode: str = "eval",
     `a_norm` is either a normalized CSR adjacency or a prompted-graph
     operator covering base nodes plus prototype rows.
     """
-    training = _check_mode(mode)
-    if a_norm.rows != x.rows:
-        raise ContractError(f"operator has {a_norm.rows} rows, features have {x.rows}")
-    (w1, b1), (w2, b2) = params.gnn_layers
-    h = relu(add(_propagate(a_norm, matmul(x, w1)), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 2), training)
+    (w1, _), (w2, b2) = params.gnn_layers
+    h = gnn_hidden(matmul(x, w1), a_norm, params, mode, seed, dropout_rate)
     return add(_propagate(a_norm, matmul(h, w2)), b2)
+
+
+def gnn_hidden(xw1: Tensor, a_norm, params: EncoderParams, mode: str = "eval",
+               seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
+    """The GNN's first layer from its input already multiplied by W1:
+    propagate, add b1, relu, then dropout salted with `derive_seed(seed, 2)`.
+
+    Callers that hold a constant X·W1 run the same layer without recomputing it.
+    """
+    training = _check_mode(mode)
+    if a_norm.rows != xw1.rows:
+        raise ContractError(f"operator has {a_norm.rows} rows, features have {xw1.rows}")
+    (_, b1), _ = params.gnn_layers
+    h = relu(add(_propagate(a_norm, xw1), b1))
+    return dropout(h, dropout_rate, derive_seed(seed, 2), training)

@@ -3,7 +3,8 @@ and graph-level readout.
 
 The prompted graph attaches one virtual node per class to the base graph via
 a dense learnable weight block; its symmetric degree normalization is
-recomputed on every forward pass because the weights move during tuning.
+recomputed on every forward pass because the weights move during tuning,
+while the self-looped base and its degrees are built once.
 """
 
 from __future__ import annotations
@@ -116,10 +117,20 @@ def build_csr(n: int, edges) -> CsrMatrix:
     return CsrMatrix(n, n, offsets, dst[order], np.ones(dst.size))
 
 
-def add_self_loops(a: CsrMatrix) -> CsrMatrix:
-    if a.rows != a.cols:
-        raise DimensionError(f"add_self_loops needs a square matrix, got {a.rows}x{a.cols}")
-    return CsrMatrix.from_scipy(a.scipy() + sparse.eye(a.rows, format="csr"))
+@dataclass(frozen=True)
+class SelfLoopedBase:
+    """A square base adjacency with a self-loop added on every node, and the
+    row sums of the result (the base degrees) as an N x 1 column."""
+
+    a_hat: CsrMatrix
+    degree: Tensor
+
+    @classmethod
+    def of(cls, a: CsrMatrix) -> "SelfLoopedBase":
+        if a.rows != a.cols:
+            raise DimensionError(f"self-loops need a square matrix, got {a.rows}x{a.cols}")
+        a_hat = CsrMatrix.from_scipy(a.scipy() + sparse.eye(a.rows, format="csr"))
+        return cls(a_hat, Tensor(a_hat.row_sums().reshape(-1, 1)))
 
 
 def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
@@ -128,12 +139,9 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     Degrees are taken from the self-looped matrix, so a regular graph's
     normalized rows sum to 1.
     """
-    if a.rows != a.cols:
-        raise DimensionError(f"gcn_normalize needs a square matrix, got {a.rows}x{a.cols}")
-    hat = add_self_loops(a)
-    deg = np.maximum(hat.row_sums(), 1e-12)
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(deg))
-    return CsrMatrix.from_scipy(inv_sqrt @ hat.scipy() @ inv_sqrt)
+    base = SelfLoopedBase.of(a)
+    inv_sqrt = sparse.diags(1.0 / np.sqrt(np.maximum(base.degree.data.ravel(), 1e-12)))
+    return CsrMatrix.from_scipy(inv_sqrt @ base.a_hat.scipy() @ inv_sqrt)
 
 
 class NormalizedPromptOperator:
@@ -143,36 +151,42 @@ class NormalizedPromptOperator:
     self-loop on every original node; the self-looped original block and the
     signed W blocks are then scaled by d^-1/2 on both sides. The scaling
     vectors live on the tape, so gradients reach W through the degrees as
-    well as through the message weights.
+    well as through the message weights. The self-looped base is a constant
+    built once (`SelfLoopedBase.of`); only W changes between forward passes.
     """
 
-    def __init__(self, a: CsrMatrix, w: Tensor):
-        if a.rows != a.cols:
-            raise DimensionError(f"prompted graph needs a square base, got {a.rows}x{a.cols}")
-        if w.rows != a.rows:
-            raise DimensionError(f"weight block has {w.rows} rows for {a.rows} base nodes")
-        self.a_hat = add_self_loops(a)
+    def __init__(self, base: SelfLoopedBase, w: Tensor):
+        if w.rows != base.a_hat.rows:
+            raise DimensionError(f"weight block has {w.rows} rows for {base.a_hat.rows} base nodes")
+        self.a_hat = base.a_hat
         self.w = w
-        self.n_base = a.rows
-        self.rows = a.rows + w.cols
-        base_deg = Tensor((a.row_sums() + 1.0).reshape(-1, 1))
+        self.n_base = w.rows
+        self.rows = w.rows + w.cols
         abs_w = absolute(w)
-        self.scale_base = rsqrt(add(row_sum(abs_w), base_deg))
+        self.scale_base = rsqrt(add(row_sum(abs_w), base.degree))
         proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
         self.scale_proto = rsqrt(proto_deg)
 
-    def apply(self, h: Tensor) -> Tensor:
-        """Multiply the normalized operator by a dense (N+C)-row matrix."""
+    def _scaled_blocks(self, h: Tensor) -> tuple[Tensor, Tensor]:
         if h.rows != self.rows:
             raise DimensionError(f"operator is {self.rows}x{self.rows}, got {h.shape}")
         n = self.n_base
-        h_base = select_rows(h, np.arange(n))
-        h_proto = select_rows(h, np.arange(n, self.rows))
-        sb = mul(h_base, self.scale_base)
-        sp = mul(h_proto, self.scale_proto)
+        sb = mul(select_rows(h, np.arange(n)), self.scale_base)
+        sp = mul(select_rows(h, np.arange(n, self.rows)), self.scale_proto)
+        return sb, sp
+
+    def _prototype_block(self, sb: Tensor, sp: Tensor) -> Tensor:
+        return mul(add(matmul(transpose(self.w), sb), sp), self.scale_proto)
+
+    def apply(self, h: Tensor) -> Tensor:
+        """Multiply the normalized operator by a dense (N+C)-row matrix."""
+        sb, sp = self._scaled_blocks(h)
         top = add(spmm(self.a_hat, sb), matmul(self.w, sp))
-        bottom = add(matmul(transpose(self.w), sb), sp)
-        return concat_rows(mul(top, self.scale_base), mul(bottom, self.scale_proto))
+        return concat_rows(mul(top, self.scale_base), self._prototype_block(sb, sp))
+
+    def apply_prototype_rows(self, h: Tensor) -> Tensor:
+        """Rows N.. of `apply(h)` (the C prototype rows), without the N base rows."""
+        return self._prototype_block(*self._scaled_blocks(h))
 
 
 def mean_readout(z: Tensor, graph_of) -> Tensor:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, cosine_np
+from .autodiff import Tensor, check_tau, cosine_np
 from .errors import ContractError, DataError, DimensionError
 
 
@@ -27,7 +27,7 @@ def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> Prediction:
             f"predict: feature dims differ, {anchors.shape} vs {prototypes.shape}")
     if prototypes.rows < 1:
         raise ContractError("predict needs at least one prototype")
-    logits = cosine_np(anchors.data, prototypes.data) / float(tau)
+    logits = cosine_np(anchors.data, prototypes.data) / check_tau(tau)
     logits = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(logits)
     probs = ex / ex.sum(axis=1, keepdims=True)

@@ -23,6 +23,7 @@ from .autodiff import (
     Tensor,
     adam_step,
     backward,
+    check_tau,
     derive_seed,
     masked_infonce,
 )
@@ -43,8 +44,7 @@ class PretrainConfig:
     include_positive_in_denominator: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        check_tau(self.tau)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 0:
@@ -64,8 +64,6 @@ def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
     n = z1.rows
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
     return masked_infonce(z1, z2, np.arange(n), tau,
                           exclude_positive=not include_positive_in_denominator)
 

@@ -2,8 +2,9 @@
 
 Class prototypes become virtual nodes wired to the graph through a learnable
 weight matrix. Only that matrix trains: encoder parameters stay frozen and
-anchor representations are cached constants, so gradients reach the weights
-exclusively through the prototype rows of the augmented propagation.
+the views they produce are computed once per task (`TaskContext`), so
+gradients reach the weights exclusively through the prototype rows of the
+augmented propagation, and only those rows are computed in its last layer.
 """
 
 from __future__ import annotations
@@ -17,15 +18,26 @@ from .autodiff import (
     Tape,
     Tensor,
     adam_step,
+    add,
     backward,
+    check_tau,
+    concat_rows,
     derive_seed,
     masked_infonce,
+    matmul,
     mul,
     select_rows,
 )
-from .encoders import EncoderParams, gnn_forward, mlp_forward
-from .errors import ContractError, DataError, NumericError, ParameterError
-from .graph import GraphData, NormalizedPromptOperator, PromptedGraph, gcn_normalize, mean_readout
+from .encoders import EncoderParams, gnn_forward, gnn_hidden, mlp_forward
+from .errors import ContractError, DataError, DimensionError, NumericError, ParameterError
+from .graph import (
+    GraphData,
+    NormalizedPromptOperator,
+    PromptedGraph,
+    SelfLoopedBase,
+    gcn_normalize,
+    mean_readout,
+)
 from .inference import class_mean_rows, evaluate, predict
 
 LR_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -69,7 +81,6 @@ class PromptConfig:
     tau: float = 0.5
     edge_ratio: float = 1.0
     seed: int = 0
-    task: str = "node"
     dropout: float = 0.0
     patience: int = 30
 
@@ -80,12 +91,9 @@ class PromptConfig:
             raise ParameterError(f"weight_decay must come from {WEIGHT_DECAY_GRID}, got {self.weight_decay}")
         if not 0.0 <= self.edge_ratio <= 1.0:
             raise ParameterError(f"edge_ratio must lie in [0, 1], got {self.edge_ratio}")
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        check_tau(self.tau)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.task not in ("node", "graph"):
-            raise ParameterError(f"task must be 'node' or 'graph', got {self.task!r}")
 
 
 def init_prototype_features(x: Tensor, labeled: LabeledSet, n_classes: int) -> Tensor:
@@ -119,37 +127,77 @@ def restrict_edge_ratio(n: int, labeled: LabeledSet, r: float, seed: int) -> np.
     return mask
 
 
-def _is_graph_level(g: GraphData, weight_rows: Tensor) -> bool:
-    return g.graph_of is not None and weight_rows.rows == g.n_graphs
+@dataclass(frozen=True)
+class TaskContext:
+    """The frozen inputs of prompting one task on one graph with one checkpoint.
+
+    Built once by `task_context` and shared by every fit on the same data and
+    encoders. Rows of `anchors`, `struct` and `attr_base` are nodes for the
+    node task and graphs for the graph task; `base` and `xw1` always cover
+    the N base nodes, which the prompted graph propagates over either way.
+    """
+
+    graph: GraphData
+    params: EncoderParams
+    task: str
+    anchors: Tensor          # attribute (MLP) view: the anchor side of the loss
+    struct: Tensor           # structural (GNN) view: the edge-weight initializer
+    attr_base: Tensor        # features: the prototype-feature initializer
+    base: SelfLoopedBase     # the prompted graph's constant base block
+    xw1: Tensor              # X·W1 of the GNN's first layer over the base nodes
+
+    @property
+    def n_classes(self) -> int:
+        return self.graph.n_graph_classes if self.task == "graph" else self.graph.n_classes
 
 
-def prototype_embeddings(g: GraphData, ps: PromptedGraph, params: EncoderParams,
-                         mode: str = "eval", seed: int = 0,
-                         dropout_rate: float = 0.0) -> Tensor:
+def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
+    """Run the frozen encoders once and keep everything prompting reuses."""
+    if task not in ("node", "graph"):
+        raise ParameterError(f"task must be 'node' or 'graph', got {task!r}")
+    if not params.frozen:
+        raise ContractError("prompting requires frozen encoders")
+    if task == "graph":
+        anchors, struct = graph_task_views(g, params)
+        attr_base = mean_readout(g.features, g.graph_of)
+    else:
+        anchors = mlp_forward(g.features, params, "eval")
+        struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
+        attr_base = g.features
+    (w1, _), _ = params.gnn_layers
+    return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
+                       attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
+                       xw1=matmul(g.features, w1))
+
+
+def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval",
+                         seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Prototype rows of the GNN run over the prompted graph.
 
     The weight block is masked every forward pass, which pins untrainable
     rows to zero and zeroes their gradients. For graph-level prompting the
     per-graph weights are expanded to all member nodes; their gradient
     contributions sum back into the shared entry.
+
+    Layer 1 runs over all N+C rows, on the cached X·W1 stacked over the
+    prototypes' P·W1. The loss reads only the C prototype rows of layer 2,
+    so only those are computed: s_p*(W^T (s_b*H1_b) + s_p*H1_p), then W2, b2.
     """
-    if not params.frozen:
-        raise ContractError("prototype embeddings require frozen encoders")
+    if ps.weight_rows.rows != ctx.anchors.rows:
+        raise DimensionError(f"prompt has {ps.weight_rows.rows} weight rows for "
+                             f"{ctx.anchors.rows} {ctx.task} rows")
+    if ps.proto_features.cols != ctx.graph.features.cols:
+        raise ContractError(f"prototype features have {ps.proto_features.cols} columns, "
+                            f"graph has {ctx.graph.features.cols}")
     mask = Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1))
     w = mul(ps.weight_rows, mask)
-    if _is_graph_level(g, ps.weight_rows):
-        w = select_rows(w, g.graph_of)
-    operator = NormalizedPromptOperator(g.adjacency, w)
-    feats = concat_features(g.features, ps.proto_features)
-    out = gnn_forward(feats, operator, params, mode, seed, dropout_rate)
-    return select_rows(out, np.arange(g.n_nodes, operator.rows))
-
-
-def concat_features(x: Tensor, proto_features: Tensor) -> Tensor:
-    if x.cols != proto_features.cols:
-        raise ContractError(
-            f"prototype features have {proto_features.cols} columns, graph has {x.cols}")
-    return Tensor(np.vstack([x.data, proto_features.data]))
+    if ctx.task == "graph":
+        w = select_rows(w, ctx.graph.graph_of)
+    operator = NormalizedPromptOperator(ctx.base, w)
+    (w1, _), (w2, b2) = ctx.params.gnn_layers
+    xw1 = concat_rows(ctx.xw1, matmul(ps.proto_features, w1))
+    h = gnn_hidden(xw1, operator, ctx.params, mode, seed, dropout_rate)
+    return add(matmul(operator.apply_prototype_rows(h), w2), b2)
 
 
 def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tensor:
@@ -161,8 +209,6 @@ def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tens
     n_classes = prototypes.rows
     if n_classes < 2:
         raise ContractError("prompt loss needs at least 2 classes")
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.size != anchors.rows:
         raise ContractError(f"{anchors.rows} anchors vs {labels.size} labels")
@@ -180,58 +226,41 @@ def graph_task_views(g: GraphData, params: EncoderParams) -> tuple[Tensor, Tenso
     return mean_readout(attr_view, g.graph_of), mean_readout(struct_view, g.graph_of)
 
 
-def _task_inputs(g: GraphData, params: EncoderParams, task: str):
-    """Anchor matrix, structural embeddings, attribute base, and row count."""
-    if task == "graph":
-        if g.graph_of is None:
-            raise ContractError("graph task needs graph membership")
-        anchors, struct = graph_task_views(g, params)
-        attr_base = mean_readout(g.features, g.graph_of)
-        return anchors, struct, attr_base, g.n_graphs
-    anchors = mlp_forward(g.features, params, "eval")
-    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
-    return anchors, struct, g.features, g.n_nodes
-
-
-def prompt_tune(g: GraphData, labeled: LabeledSet, params: EncoderParams,
-                cfg: PromptConfig, val: LabeledSet | None = None,
-                ) -> tuple[PromptedGraph, list[float]]:
+def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
+                val: LabeledSet | None = None) -> tuple[PromptedGraph, list[float]]:
     """Optimize the prompt weights alone under the similarity loss.
 
-    Anchors come from the frozen attribute view, computed once in evaluation
-    mode. With a validation set, tuning keeps the weights from the best
-    validation accuracy and stops early after `cfg.patience` stale epochs.
+    Anchors come from the context's frozen attribute view. With a validation
+    set, tuning keeps the weights from the best validation accuracy and
+    stops early after `cfg.patience` stale epochs.
     """
-    if not params.frozen:
-        raise ContractError("prompt tuning requires frozen encoders")
     if not labeled.items:
         raise ContractError("prompt tuning needs a non-empty labeled set")
-    n_classes = g.n_graph_classes if cfg.task == "graph" else g.n_classes
+    n_classes = ctx.n_classes
     labeled.require_coverage(n_classes)
 
-    anchors_all, struct, attr_base, n_rows = _task_inputs(g, params, cfg.task)
-    proto_features = init_prototype_features(attr_base, labeled, n_classes)
-    w0 = init_edge_weights(struct, labeled, n_classes)
-    mask = restrict_edge_ratio(n_rows, labeled, cfg.edge_ratio, cfg.seed)
+    proto_features = init_prototype_features(ctx.attr_base, labeled, n_classes)
+    w0 = init_edge_weights(ctx.struct, labeled, n_classes)
+    mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
     weights = Tensor(w0.data * mask[:, None], requires_grad=True, name="prompt_weights")
     prompted = PromptedGraph(proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
-    train_anchors = Tensor(anchors_all.data[labeled.indices()])
+    train_anchors = Tensor(ctx.anchors.data[labeled.indices()])
     train_labels = labeled.classes()
-    val_anchors = Tensor(anchors_all.data[val.indices()]) if val is not None else None
+    val_anchors = Tensor(ctx.anchors.data[val.indices()]) if val is not None else None
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
     if val is not None and cfg.epochs > 0:
         # the untouched initialization competes as the first candidate
-        proto_init = prototype_embeddings(g, prompted, params, "eval")
+        proto_init = prototype_embeddings(ctx, prompted, "eval")
         best_acc = evaluate(predict(val_anchors, proto_init, cfg.tau), val.classes())
     for epoch in range(cfg.epochs):
         epoch_seed = derive_seed(cfg.seed, epoch)
         with Tape() as tape:
-            proto = prototype_embeddings(g, prompted, params, "train", epoch_seed, cfg.dropout)
+            proto = prototype_embeddings(ctx, prompted, "train", epoch_seed, cfg.dropout)
             loss = prompt_loss(train_anchors, proto, train_labels, cfg.tau)
         value = loss.item()
         if not np.isfinite(value):
@@ -240,7 +269,7 @@ def prompt_tune(g: GraphData, labeled: LabeledSet, params: EncoderParams,
         adam_step([weights], opt)
         losses.append(value)
         if val is not None:
-            proto_eval = prototype_embeddings(g, prompted, params, "eval")
+            proto_eval = prototype_embeddings(ctx, prompted, "eval")
             acc = evaluate(predict(val_anchors, proto_eval, cfg.tau), val.classes())
             if acc > best_acc:
                 best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch

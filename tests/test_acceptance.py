@@ -46,6 +46,7 @@ from psp.graph import (
     GraphData,
     NormalizedPromptOperator,
     PromptedGraph,
+    SelfLoopedBase,
     build_csr,
     gcn_normalize,
 )
@@ -57,6 +58,7 @@ from psp.prompt import (
     prompt_loss,
     prompt_tune,
     prototype_embeddings,
+    task_context,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -83,10 +85,11 @@ def _pipeline(seed: int, homophily: float):
     anchors = Tensor(z1.data[split.test])
     truth = g.labels[split.test]
     acc_np = evaluate(predict(anchors, np_prototypes(z2, labeled, 3), TUNE["tau"]), truth)
-    prompted, _ = prompt_tune(g, labeled, params, PromptConfig(seed=seed, **TUNE), val=val)
-    proto = prototype_embeddings(g, prompted, params, "eval")
+    ctx = task_context(g, params, "node")
+    prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
+    proto = prototype_embeddings(ctx, prompted, "eval")
     acc_psp = evaluate(predict(anchors, proto, TUNE["tau"]), truth)
-    return dict(g=g, params=params, split=split, labeled=labeled, val=val,
+    return dict(g=g, ctx=ctx, split=split, labeled=labeled, val=val,
                 anchors=anchors, truth=truth, acc_np=acc_np, acc_psp=acc_psp,
                 weights=prompted.weight_rows.data)
 
@@ -162,10 +165,11 @@ def test_criterion_1_gradient_correctness():
     proto_feats = Tensor(rng.standard_normal((2, 4)))
     anchors = Tensor(rng.standard_normal((3, 6)))
     mask = np.ones(5, dtype=bool)
+    ctx = task_context(g, params, "node")
 
     def through_prompt(w):
         ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
-        return prompt_loss(anchors, prototype_embeddings(g, ps, params, "eval"),
+        return prompt_loss(anchors, prototype_embeddings(ctx, ps, "eval"),
                            [0, 1, 0], tau=0.5)
 
     worst["prompt_loss_through_W"] = grad_check(through_prompt,
@@ -235,7 +239,7 @@ def test_criterion_3_structural_invariants():
 
     n, edges = fixtures[2]
     a = build_csr(n, edges)
-    op = NormalizedPromptOperator(a, Tensor(np.zeros((n, 2))))
+    op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2))))
     op_matrix = op.apply(Tensor(np.eye(op.rows))).data
     reduction_err = np.abs(op_matrix[:n, :n] - gcn_normalize(a).to_dense()).max()
 
@@ -292,17 +296,17 @@ def test_criterion_7_edge_ratio_robustness(homophilous_runs):
     accs = {r: [] for r in ratios}
     counts_exact = True
     for run_state in runs:
-        g, params = run_state["g"], run_state["params"]
+        g, ctx = run_state["g"], run_state["ctx"]
         split, labeled, val = run_state["split"], run_state["labeled"], run_state["val"]
         n, n_t = g.n_nodes, len(split.train)
         for ratio in ratios:
             cfg = PromptConfig(seed=split.seed, edge_ratio=ratio, **TUNE)
-            prompted, _ = prompt_tune(g, labeled, params, cfg, val=val)
+            prompted, _ = prompt_tune(ctx, labeled, cfg, val=val)
             trainable = int(prompted.trainable_row_mask.sum()) * prompted.n_prototypes
             expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.n_prototypes
             if trainable != expected:
                 counts_exact = False
-            proto = prototype_embeddings(g, prompted, params, "eval")
+            proto = prototype_embeddings(ctx, prompted, "eval")
             accs[ratio].append(
                 evaluate(predict(run_state["anchors"], proto, TUNE["tau"]), run_state["truth"]))
     means = {r: float(np.mean(v)) for r, v in accs.items()}
@@ -357,9 +361,10 @@ def test_criterion_9_cora_band():
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
         labeled = LabeledSet(labeled_from_split(split.train, g.labels), k=3)
         val = LabeledSet(labeled_from_split(split.val, g.labels), k=VAL_K)
-        prompted, _ = prompt_tune(g, labeled, params, PromptConfig(seed=seed, **TUNE), val=val)
-        anchors = Tensor(mlp_forward(g.features, params, "eval").data[split.test])
-        proto = prototype_embeddings(g, prompted, params, "eval")
+        ctx = task_context(g, params, "node")
+        prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
+        anchors = Tensor(ctx.anchors.data[split.test])
+        proto = prototype_embeddings(ctx, prompted, "eval")
         accs.append(evaluate(predict(anchors, proto, TUNE["tau"]), g.labels[split.test]))
     mean_acc = float(np.mean(accs))
     ok = abs(mean_acc - 0.6865) <= 0.06

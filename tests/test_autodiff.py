@@ -539,6 +539,13 @@ def test_masked_infonce_rejects_bad_positives():
         masked_infonce(z, rand(1, 2), [0, 0, 0], 1.0, exclude_positive=True)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
+def test_masked_infonce_rejects_bad_tau(tau):
+    z = rand(3, 2)
+    with pytest.raises(ParameterError, match="tau must be a positive finite number"):
+        masked_infonce(z, z, [0, 1, 2], tau, exclude_positive=True)
+
+
 # ---------------------------------------------------------------------------
 # lean tape: no copies, no gradients nobody asked for, no aliased leaf grads
 

@@ -213,7 +213,7 @@ def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch
     tune = psp.cli.prompt_tune
 
     def counting_tune(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return tune(*args, **kwargs)
 
     monkeypatch.setattr(psp.cli, "prompt_tune", counting_tune)
@@ -224,3 +224,64 @@ def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch
                 "--k-shot", "3", "--val-shots", "3"]) == 0
     assert len(calls) == 2 * 2
     assert [(c.lr, c.seed) for c in calls] == [(0.001, 1), (0.001, 2), (0.01, 1), (0.01, 2)]
+
+
+def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
+    import psp.cli
+    import psp.prompt
+
+    counts = {"mlp_forward": 0, "gcn_normalize": 0}
+    for module in (psp.cli, psp.prompt):
+        for name in counts:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    _, data, ckpt, _ = pipeline
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt),
+                "--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001",
+                "--dropout-grid", "0.2", "--seeds", "1,2", "--epochs", "4",
+                "--k-shot", "3", "--val-shots", "3"]) == 0
+    assert counts == {"mlp_forward": 1, "gcn_normalize": 1}
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", ","), ("--seeds", "1,x"),
+                                        ("--lr-grid", "0.01,x"), ("--weight-decay-grid", ""),
+                                        ("--dropout-grid", "0.2,,y")])
+def test_sweep_rejects_malformed_lists(pipeline, capsys, flag, value):
+    _, data, ckpt, _ = pipeline
+    args = ["sweep", "--data", str(data), "--ckpt", str(ckpt), "--lr-grid", "0.01",
+            "--weight-decay-grid", "0.0001", "--dropout-grid", "0.2", "--seeds", "1",
+            "--epochs", "2", "--k-shot", "3", "--val-shots", "3"]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tau", ["-0.5", "0", "nan", "inf"])
+def test_eval_rejects_bad_tau(pipeline, capsys, tau):
+    _, data, _, tuned = pipeline
+    for variant in ("psp", "psp-np"):
+        assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", variant,
+                    "--k-shot", "3", "--val-shots", "3", "--seed", "1", "--tau", tau]) == 1
+        captured = capsys.readouterr()
+        assert "tau must be a positive finite number" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["tune", "pretrain"])
+def test_tune_and_pretrain_reject_nan_tau(pipeline, tmp_path, capsys, command):
+    _, data, ckpt, _ = pipeline
+    out = tmp_path / "out.ckpt"
+    args = [command, "--data", str(data), "--out", str(out), "--epochs", "2", "--tau", "nan"]
+    if command == "tune":
+        args += ["--ckpt", str(ckpt), "--k-shot", "3", "--val-shots", "3", "--seed", "1"]
+    assert run(args) == 1
+    assert "tau must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,6 +8,7 @@ from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
     NormalizedPromptOperator,
+    SelfLoopedBase,
     build_csr,
     gcn_normalize,
     mean_readout,
@@ -199,15 +200,16 @@ def test_gcn_normalize_regular_graph_rows_sum_to_one():
 
 def test_augment_output_row_count():
     for n, c in ((1, 1), (4, 2), (5, 3)):
-        op = NormalizedPromptOperator(build_csr(n, [(0, min(1, n - 1))] if n > 1 else []),
-                                      Tensor(np.zeros((n, c))))
+        a = build_csr(n, [(0, min(1, n - 1))] if n > 1 else [])
+        op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, c))))
         assert op.rows == n + c
         assert op.apply(Tensor(np.ones((n + c, 2)))).rows == n + c
 
 
 def test_augment_row_mismatch():
     with pytest.raises(DimensionError, match="weight block has 2 rows for 3 base nodes"):
-        NormalizedPromptOperator(build_csr(3, [(0, 1)]), Tensor(np.zeros((2, 2))))
+        NormalizedPromptOperator(SelfLoopedBase.of(build_csr(3, [(0, 1)])),
+                                 Tensor(np.zeros((2, 2))))
 
 
 def test_prompted_operator_rejects_non_square_base():
@@ -215,13 +217,14 @@ def test_prompted_operator_rejects_non_square_base():
 
     rect = CsrMatrix(2, 3, [0, 1, 2], [0, 1], [1.0, 1.0])
     with pytest.raises(DimensionError, match="square"):
-        NormalizedPromptOperator(rect, Tensor(np.zeros((2, 1))))
+        NormalizedPromptOperator(SelfLoopedBase.of(rect), Tensor(np.zeros((2, 1))))
 
 
 def test_normalize_prompted_zero_weights_reduces_to_gcn():
     n, edges = FIXTURE_GRAPHS["path5"]
     a = build_csr(n, edges)
-    dense = operator_matrix(NormalizedPromptOperator(a, Tensor(np.zeros((n, 2)))))
+    dense = operator_matrix(
+        NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2)))))
     np.testing.assert_allclose(dense[:n, :n], gcn_normalize(a).to_dense(), atol=1e-12)
     # isolated prototypes aggregate only themselves
     np.testing.assert_allclose(dense[n:, n:], np.eye(2), atol=1e-15)
@@ -234,17 +237,22 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     a = build_csr(n, edges)
     w = rng.standard_normal((n, 3))
     h = rng.standard_normal((n + 3, 4))
-    op = NormalizedPromptOperator(a, Tensor(w))
+    op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w))
     oracle = dense_prompted_normalize(a.to_dense(), w)
     np.testing.assert_allclose(op.apply(Tensor(h)).data, oracle @ h, atol=1e-12)
     np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
+    # the prototype-row read-out is the bottom block of the full product, bitwise
+    np.testing.assert_array_equal(op.apply_prototype_rows(Tensor(h)).data,
+                                  op.apply(Tensor(h)).data[n:])
+    with pytest.raises(DimensionError):
+        op.apply_prototype_rows(Tensor(h[:n]))
 
 
 def test_normalize_prompted_finite_for_extreme_weights():
     a = build_csr(3, [(0, 1), (1, 2)])
     for factor in (0.0, 1e-30, 1e6, -1e6):
         w = Tensor(np.full((3, 1), factor))
-        assert np.isfinite(operator_matrix(NormalizedPromptOperator(a, w))).all()
+        assert np.isfinite(operator_matrix(NormalizedPromptOperator(SelfLoopedBase.of(a), w))).all()
 
 
 def test_prototype_column_scaling_near_invariant():
@@ -255,7 +263,8 @@ def test_prototype_column_scaling_near_invariant():
     w = np.array([[0.6], [0.3], [0.9]])
     rows = {}
     for alpha in (1.0, 5.0):
-        got = operator_matrix(NormalizedPromptOperator(a, Tensor(w * alpha)))
+        got = operator_matrix(
+            NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w * alpha)))
         oracle = dense_prompted_normalize(a.to_dense(), w * alpha)
         np.testing.assert_allclose(got, oracle, atol=1e-12)
         incoming = got[3, :3]
@@ -270,7 +279,7 @@ def test_gradient_through_normalization_into_weights():
     probe = Tensor(rng.standard_normal((6, 3)))
 
     def f(w):
-        op = NormalizedPromptOperator(a, w)
+        op = NormalizedPromptOperator(SelfLoopedBase.of(a), w)
         return total_sum(mul(op.apply(h), probe))
 
     assert grad_check(f, Tensor(rng.standard_normal((4, 2))), h=1e-5) < 1e-4

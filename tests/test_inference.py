@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psp.autodiff import Tensor, cosine_np
-from psp.errors import ContractError, DataError
+from psp.errors import ContractError, DataError, ParameterError
 from psp.inference import Prediction, class_mean_rows, evaluate, np_prototypes, predict
 from psp.prompt import LabeledSet, init_edge_weights
 
@@ -56,6 +56,12 @@ def test_argmax_invariant_under_increasing_transforms():
     for a, b in [(2.0, 0.0), (0.5, 3.0), (10.0, -1.0)]:
         transformed = np.argmax(a * sims + b, axis=1)
         assert np.array_equal(base, transformed)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
+def test_predict_rejects_bad_tau(tau):
+    with pytest.raises(ParameterError, match="tau must be a positive finite number"):
+        predict(Tensor([[1.0, 0.0]]), Tensor(np.eye(2)), tau)
 
 
 def test_evaluate_fractions():

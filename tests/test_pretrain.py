@@ -89,6 +89,14 @@ def test_config_validation():
         PretrainConfig(epochs=-1)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_config_and_loss_reject_bad_tau(tau):
+    with pytest.raises(ParameterError, match="tau"):
+        PretrainConfig(tau=tau)
+    with pytest.raises(ParameterError, match="tau"):
+        ntxent_pretrain_loss(Tensor(np.eye(2)), Tensor(np.eye(2)), tau=tau)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tape, Tensor, backward, grad_check
+from psp.autodiff import Tape, Tensor, backward, grad_check, mul, select_rows, total_sum
 from psp.data import generate_sbm, labeled_from_split, sample_k_shot
 from psp.encoders import (
     freeze,
@@ -10,8 +10,15 @@ from psp.encoders import (
     mlp_forward,
     params_checksum,
 )
-from psp.errors import ContractError, DataError, ParameterError
-from psp.graph import GraphData, NormalizedPromptOperator, PromptedGraph, build_csr, gcn_normalize
+from psp.errors import ContractError, DataError, DimensionError, ParameterError
+from psp.graph import (
+    GraphData,
+    NormalizedPromptOperator,
+    PromptedGraph,
+    SelfLoopedBase,
+    build_csr,
+    gcn_normalize,
+)
 from psp.inference import evaluate, predict
 from psp.prompt import (
     LabeledSet,
@@ -23,6 +30,7 @@ from psp.prompt import (
     prompt_tune,
     prototype_embeddings,
     restrict_edge_ratio,
+    task_context,
 )
 
 
@@ -84,7 +92,15 @@ def test_prompt_config_grids():
     with pytest.raises(ParameterError):
         PromptConfig(edge_ratio=1.5)
     with pytest.raises(ParameterError):
-        PromptConfig(task="edge")
+        task_context(toy_graph(), frozen_params(4), "edge")
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
+def test_prompt_config_and_loss_reject_bad_tau(tau):
+    with pytest.raises(ParameterError, match="tau"):
+        PromptConfig(tau=tau)
+    with pytest.raises(ParameterError, match="tau"):
+        prompt_loss(Tensor(np.eye(2, 3)), Tensor(np.eye(3)), [0, 1], tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,7 @@ def test_prototype_isolation_with_zero_weights():
     proto_feats = Tensor(np.random.default_rng(3).standard_normal((2, 4)))
     ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(np.zeros((5, 2))),
                        trainable_row_mask=np.ones(5, dtype=bool))
-    got = prototype_embeddings(g, ps, params, "eval")
+    got = prototype_embeddings(task_context(g, params, "node"), ps, "eval")
     # prototypes decouple: same as running the GNN on an edgeless graph of
     # just the prototype features
     iso = GraphData(n_nodes=2, features=proto_feats, adjacency=build_csr(2, []),
@@ -196,7 +212,7 @@ def test_prototype_single_node_single_class_hand_propagation():
     params = frozen_params(2, hidden=3, seed=5)
     ps = PromptedGraph(proto_features=Tensor([[0.5, -1.0]]),
                        weight_rows=Tensor([[1.0]]), trainable_row_mask=np.ones(1, bool))
-    got = prototype_embeddings(g, ps, params, "eval").data
+    got = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
 
     # independent dense two-layer propagation over the 2x2 augmented operator
     feats = np.vstack([g.features.data, ps.proto_features.data])
@@ -224,7 +240,7 @@ def test_prototype_embeddings_require_frozen_encoders():
     ps = PromptedGraph(proto_features=Tensor(np.zeros((2, 4))),
                        weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, bool))
     with pytest.raises(ContractError):
-        prototype_embeddings(g, ps, params)
+        prototype_embeddings(task_context(g, params, "node"), ps)
 
 
 def test_prototype_embeddings_masked_rows_do_not_leak():
@@ -235,11 +251,12 @@ def test_prototype_embeddings_masked_rows_do_not_leak():
     mask = np.array([True, False, True, False, True])
     ps = PromptedGraph(proto_features=Tensor(rng.standard_normal((2, 4))),
                        weight_rows=Tensor(w), trainable_row_mask=mask)
-    got = prototype_embeddings(g, ps, params, "eval").data
+    ctx = task_context(g, params, "node")
+    got = prototype_embeddings(ctx, ps, "eval").data
     ps_zeroed = PromptedGraph(proto_features=ps.proto_features,
                               weight_rows=Tensor(w * mask[:, None]),
                               trainable_row_mask=np.ones(5, bool))
-    expected = prototype_embeddings(g, ps_zeroed, params, "eval").data
+    expected = prototype_embeddings(ctx, ps_zeroed, "eval").data
     np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
@@ -253,12 +270,12 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     for factor in (1.0, 2.0):
         ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(base_w * factor),
                            trainable_row_mask=np.ones(3, bool))
-        outs[factor] = prototype_embeddings(g, ps, params, "eval").data
+        outs[factor] = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
     assert not np.allclose(outs[1.0], outs[2.0])
     # normalization bounds every aggregation coefficient by 1 at any weight
     # scale: |w_i| <= d_i and |w_i| <= d_c give |w_i|/sqrt(d_i d_c) <= 1
     for factor in (1.0, 2.0, 100.0):
-        op = NormalizedPromptOperator(g.adjacency, Tensor(base_w * factor))
+        op = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), Tensor(base_w * factor))
         assert np.abs(op.apply(Tensor(np.eye(op.rows))).data).max() <= 1.0 + 1e-12
 
 
@@ -317,13 +334,118 @@ def test_prompt_loss_gradient_through_augmented_propagation():
     anchors = Tensor(rng.standard_normal((3, 6)))
     labels = [0, 1, 0]
     mask = np.ones(5, dtype=bool)
+    ctx = task_context(g, params, "node")
 
     def f(w):
         ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
-        proto = prototype_embeddings(g, ps, params, "eval")
+        proto = prototype_embeddings(ctx, ps, "eval")
         return prompt_loss(anchors, proto, labels, tau=0.5)
 
     assert grad_check(f, Tensor(rng.standard_normal((5, 2))), h=1e-5) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# prototype-row read-out against the full-graph path
+
+
+def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
+    """Parity oracle: the two-layer GNN over all N+C rows of the prompted graph,
+    from the stacked raw features, then its prototype rows."""
+    g = ctx.graph
+    w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
+    if ctx.task == "graph":
+        w = select_rows(w, g.graph_of)
+    operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
+    feats = Tensor(np.vstack([g.features.data, ps.proto_features.data]))
+    out = gnn_forward(feats, operator, ctx.params, mode, seed, dropout_rate)
+    return select_rows(out, np.arange(g.n_nodes, operator.rows))
+
+
+def _prompt_case(task, partial_mask, seed=21):
+    rng = np.random.default_rng(seed)
+    if task == "graph":
+        g, n_classes = multi_graph(seed), 2
+    else:
+        g, n_classes = generate_sbm(60, 3, 0.8, 4.0, 5, 0.5, seed=seed), 3
+    ctx = task_context(g, frozen_params(g.features.cols, hidden=7, seed=seed), task)
+    rows = ctx.anchors.rows
+    mask = rng.random(rows) < 0.6 if partial_mask else np.ones(rows, dtype=bool)
+    return (ctx, rng.standard_normal((rows, n_classes)),
+            Tensor(rng.standard_normal((n_classes, g.features.cols))), mask)
+
+
+def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
+    w = Tensor(w0, requires_grad=True)
+    ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+    probe = Tensor(np.random.default_rng(5).standard_normal((w0.shape[1], ctx.params.hidden_dim)))
+    with Tape() as tape:
+        out = fn(ctx, ps, mode, seed, rate)
+        loss = total_sum(mul(out, probe))
+    backward(tape, loss)
+    return out.data, w.grad
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.3)])
+@pytest.mark.parametrize("partial_mask", [False, True])
+def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
+    ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask)
+    got, got_grad = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
+                                             mode, 17, rate)
+    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats,
+                                               mask, mode, 17, rate)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+    assert np.all(got_grad[~mask] == 0.0)
+    if mode == "train":
+        # dropout acted: the eval-mode read-out differs
+        eval_out, _ = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
+                                               "eval", 17, 0.0)
+        assert not np.allclose(got, eval_out)
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
+    ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True, seed=22)
+    rng = np.random.default_rng(23)
+    n_classes = w0.shape[1]
+    anchors = Tensor(rng.standard_normal((6, ctx.params.hidden_dim)))
+    labels = np.arange(6) % n_classes
+
+    def f(w):
+        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+        return prompt_loss(anchors, prototype_embeddings(ctx, ps, "train", 3, 0.3), labels, 0.5)
+
+    assert grad_check(f, Tensor(w0), h=1e-5) < 1e-4
+
+
+def test_prototype_embeddings_reject_weight_rows_for_another_task():
+    g = multi_graph()
+    ctx = task_context(g, frozen_params(4), "graph")
+    ps = PromptedGraph(proto_features=Tensor(np.zeros((2, 4))),
+                       weight_rows=Tensor(np.zeros((g.n_nodes, 2))),
+                       trainable_row_mask=np.ones(g.n_nodes, bool))
+    with pytest.raises(DimensionError, match="18 weight rows for 6 graph rows"):
+        prototype_embeddings(ctx, ps)
+
+
+def test_task_context_builds_views_once_per_task():
+    g = multi_graph()
+    params = frozen_params(4)
+    node = task_context(g, params, "node")
+    np.testing.assert_array_equal(node.anchors.data, mlp_forward(g.features, params).data)
+    np.testing.assert_array_equal(node.attr_base.data, g.features.data)
+    (w1, _), _ = params.gnn_layers
+    np.testing.assert_array_equal(node.xw1.data, g.features.data @ w1.data)
+    np.testing.assert_array_equal(node.base.degree.data.ravel(),
+                                  g.adjacency.row_sums() + 1.0)
+    graph = task_context(g, params, "graph")
+    attr, struct = graph_task_views(g, params)
+    np.testing.assert_array_equal(graph.anchors.data, attr.data)
+    np.testing.assert_array_equal(graph.struct.data, struct.data)
+    assert graph.attr_base.rows == g.n_graphs and graph.n_classes == 2
+    with pytest.raises(ContractError):
+        task_context(toy_graph(), frozen_params(4), "graph")
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +487,8 @@ def test_graph_task_weight_rows_per_graph():
     g = multi_graph()
     params = frozen_params(4)
     labeled = LabeledSet([(0, 0), (1, 1)], k=1)
-    cfg = PromptConfig(epochs=2, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0,
-                       task="graph", dropout=0.0)
-    prompted, _ = prompt_tune(g, labeled, params, cfg)
+    cfg = PromptConfig(epochs=2, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0, dropout=0.0)
+    prompted, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
     assert prompted.weight_rows.rows == g.n_graphs  # one row per graph, not per node
 
 
@@ -391,7 +512,7 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
     g, params, split, labeled, _ = sbm_setup
     cfg = PromptConfig(epochs=0, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=0,
                        edge_ratio=0.1)
-    prompted, losses = prompt_tune(g, labeled, params, cfg)
+    prompted, losses = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     assert losses == []
     struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     w0 = init_edge_weights(struct, labeled, 3)
@@ -403,15 +524,16 @@ def test_tune_improves_training_accuracy(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     anchors = mlp_forward(g.features, params, "eval")
     train_anchors = Tensor(anchors.data[labeled.indices()])
+    ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    before, _ = prompt_tune(g, labeled, params, cfg0)
+    before, _ = prompt_tune(ctx, labeled, cfg0)
     acc_before = evaluate(
-        predict(train_anchors, prototype_embeddings(g, before, params, "eval"), 0.5),
+        predict(train_anchors, prototype_embeddings(ctx, before, "eval"), 0.5),
         labeled.classes())
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    after, _ = prompt_tune(g, labeled, params, cfg)
+    after, _ = prompt_tune(ctx, labeled, cfg)
     acc_after = evaluate(
-        predict(train_anchors, prototype_embeddings(g, after, params, "eval"), 0.5),
+        predict(train_anchors, prototype_embeddings(ctx, after, "eval"), 0.5),
         labeled.classes())
     assert acc_after >= acc_before
 
@@ -420,7 +542,7 @@ def test_tune_masked_rows_stay_zero(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = PromptConfig(epochs=25, lr=1e-2, weight_decay=1e-3, tau=0.5, seed=0,
                        edge_ratio=0.05)
-    prompted, _ = prompt_tune(g, labeled, params, cfg)
+    prompted, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     frozen_rows = prompted.weight_rows.data[~prompted.trainable_row_mask]
     assert np.array_equal(frozen_rows, np.zeros_like(frozen_rows))
 
@@ -429,15 +551,16 @@ def test_tune_leaves_encoders_bitwise_unchanged(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     checksum = params_checksum(params)
     cfg = PromptConfig(epochs=15, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=0)
-    prompt_tune(g, labeled, params, cfg, val=val)
+    prompt_tune(task_context(g, params, "node"), labeled, cfg, val=val)
     assert params_checksum(params) == checksum
 
 
 def test_tune_is_seed_deterministic(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = dict(epochs=10, lr=1e-2, weight_decay=1e-4, tau=0.5, dropout=0.3)
-    a, _ = prompt_tune(g, labeled, params, PromptConfig(seed=7, **cfg), val=val)
-    b, _ = prompt_tune(g, labeled, params, PromptConfig(seed=7, **cfg), val=val)
+    ctx = task_context(g, params, "node")
+    a, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
+    b, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
     assert np.array_equal(a.weight_rows.data, b.weight_rows.data)
 
 
@@ -445,6 +568,6 @@ def test_tune_requires_frozen_and_nonempty(sbm_setup):
     g, params, split, labeled, _ = sbm_setup
     thawed = init_encoder_params(16, 32, 0)
     with pytest.raises(ContractError):
-        prompt_tune(g, labeled, thawed, PromptConfig())
+        task_context(g, thawed, "node")
     with pytest.raises(ContractError):
-        prompt_tune(g, LabeledSet([], k=0), params, PromptConfig())
+        prompt_tune(task_context(g, params, "node"), LabeledSet([], k=0), PromptConfig())
