@@ -67,7 +67,6 @@ from .prompt import (
     LabeledSet,
     PromptConfig,
     TaskContext,
-    graph_task_views,
     init_edge_weights,
     init_prototype_features,
     prompt_loss,

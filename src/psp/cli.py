@@ -180,6 +180,9 @@ def _cmd_export_w(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.val_shots < 1:
+        raise ParameterError(f"--val-shots must be at least 1 to select on validation "
+                             f"accuracy, got {args.val_shots}")
     seeds = _parse_list(args.seeds, "--seeds", int)
     grid = list(itertools.product(_parse_list(args.lr_grid, "--lr-grid", float),
                                   _parse_list(args.weight_decay_grid, "--weight-decay-grid", float),

@@ -53,75 +53,91 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# node dataset TSV triple
+# text tables
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_table(path: Path, kind, sep: Optional[str], width: Optional[int] = None,
+                header: Optional[str] = None) -> tuple[np.ndarray, list[int]]:
+    """Parse the non-blank lines of a text table into a 2-D int64 or float64 array.
+
+    `kind` (`int` or `float`) parses each token. `sep` is "\t" for tabs,
+    None for runs of whitespace, or "," for commas or whitespace. Every row
+    has `width` columns, or the first row's count when `width` is None. With
+    a `header`, the first line must start with it; it sets the width and is
+    not data. Returns the rows and each row's 1-based line in the file. A
+    malformed line raises a DataError naming the file and the line.
+    """
     if not path.is_file():
         raise DataError(f"missing dataset file {path}")
-    return path.read_text(encoding="utf-8").splitlines()
+    # bytes that are not UTF-8 become U+FFFD, which no token parses, so they are
+    # reported on their line; only the iterator holds the lines, freeing them after the loop
+    numbered = enumerate(path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1)
+    if header is not None:
+        _, first = next(numbered, (1, ""))
+        if not first.startswith(header):
+            raise FormatError(f"{path.name} line 1: expected a header starting {header!r}")
+        width = len(first.split(sep))
+    rows, linenos = [], []
+    for lineno, line in numbered:
+        if not line.strip():
+            continue
+        parts = line.replace(",", " ").split() if sep == "," else line.split(sep)
+        if width is None:
+            width = len(parts)
+        if len(parts) != width:
+            raise DataError(f"{path.name} line {lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            rows.append(list(map(kind, parts)))
+        except ValueError:
+            what = "integer" if kind is int else "numeric"
+            raise DataError(f"{path.name} line {lineno}: non-{what} value") from None
+        linenos.append(lineno)
+    try:
+        table = np.array(rows, dtype=np.int64 if kind is int else np.float64)
+        table = table.reshape(len(rows), width or 0)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-2**63 <= v < 2**63 for v in row))
+        raise DataError(f"{path.name} line {linenos[i]}: integer out of int64 range") from None
+    if kind is float:
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise DataError(f"{path.name} line {linenos[bad[0]]}: non-finite value")
+    return table, linenos
 
 
-def _require_finite(rows: np.ndarray, path: Path) -> None:
-    """Reject non-finite values, naming the line of the first offending row."""
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+def _write_table(path, rows) -> None:
+    """One tab-separated line per row of Python scalars; str of a float is its
+    shortest round-tripping repr, so values keep full precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def _check_endpoints(edges: np.ndarray, linenos: list[int], n: int, name: str) -> None:
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
     if bad.size:
-        lineno = [i for i, line in enumerate(_read_lines(path), start=1) if line.strip()][bad[0]]
-        raise DataError(f"{path.name} line {lineno}: non-finite value")
+        raise DataError(f"{name} line {linenos[bad[0]]}: endpoint out of range for {n} nodes")
+
+
+# ---------------------------------------------------------------------------
+# node dataset TSV triple
 
 
 def load_node_dataset(directory) -> GraphData:
     """Load edges.tsv / features.tsv / labels.tsv into a GraphData."""
     directory = Path(directory)
-    feat_rows = []
-    width = None
-    for lineno, line in enumerate(_read_lines(directory / "features.tsv"), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(tok) for tok in line.split("\t")]
-        except ValueError:
-            raise DataError(f"features.tsv line {lineno}: non-numeric value") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(f"features.tsv line {lineno}: expected {width} columns, got {len(row)}")
-        feat_rows.append(row)
-    if not feat_rows:
-        raise DataError(f"features.tsv in {directory} is empty")
-    features = np.array(feat_rows)
-    _require_finite(features, directory / "features.tsv")
+    features, _ = _read_table(directory / "features.tsv", float, "\t")
     n = features.shape[0]
+    if n == 0:
+        raise DataError(f"features.tsv in {directory} is empty")
 
-    labels = []
-    for lineno, line in enumerate(_read_lines(directory / "labels.tsv"), start=1):
-        if not line.strip():
-            continue
-        try:
-            labels.append(int(line.strip()))
-        except ValueError:
-            raise DataError(f"labels.tsv line {lineno}: non-integer label") from None
-    if len(labels) != n:
-        raise DataError(f"labels.tsv has {len(labels)} rows but features.tsv has {n}")
-    labels = np.array(labels, dtype=np.int64)
+    labels = _read_table(directory / "labels.tsv", int, None, 1)[0][:, 0]
+    if labels.size != n:
+        raise DataError(f"labels.tsv has {labels.size} rows but features.tsv has {n}")
     if labels.min() < 0:
         raise DataError("labels.tsv contains a negative class index")
 
-    edges = []
-    for lineno, line in enumerate(_read_lines(directory / "edges.tsv"), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"edges.tsv line {lineno}: expected 'src<TAB>dst'")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"edges.tsv line {lineno}: non-integer endpoint") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DataError(f"edges.tsv line {lineno}: endpoint out of range for {n} nodes")
-        edges.append((src, dst))
-
+    edges, linenos = _read_table(directory / "edges.tsv", int, "\t", 2)
+    _check_endpoints(edges, linenos, n, "edges.tsv")
     return GraphData(n_nodes=n, features=Tensor(features), adjacency=build_csr(n, edges),
                      labels=labels, n_classes=int(labels.max()) + 1)
 
@@ -130,39 +146,16 @@ def save_node_dataset(directory, g: GraphData) -> None:
     """Write the TSV triple; feature values keep full precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "edges.tsv", "w", encoding="utf-8") as fh:
-        a = g.adjacency
-        rows = a.row_expansion()
-        for src, dst in zip(rows, a.col_indices):
-            if src < dst:
-                fh.write(f"{src}\t{dst}\n")
-    with open(directory / "features.tsv", "w", encoding="utf-8") as fh:
-        for row in g.features.data:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-    with open(directory / "labels.tsv", "w", encoding="utf-8") as fh:
-        for label in g.labels:
-            fh.write(f"{label}\n")
+    a = g.adjacency
+    rows = a.row_expansion()
+    upper = rows < a.col_indices
+    _write_table(directory / "edges.tsv", zip(rows[upper].tolist(), a.col_indices[upper].tolist()))
+    _write_table(directory / "features.tsv", map(np.ndarray.tolist, g.features.data))
+    _write_table(directory / "labels.tsv", g.labels.reshape(-1, 1).tolist())
 
 
 # ---------------------------------------------------------------------------
 # TU text layout
-
-
-def _tu_ints(path: Path, what: str) -> list[int]:
-    out = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(int(line.strip()))
-        except ValueError:
-            raise DataError(f"{path.name} line {lineno}: non-integer {what}") from None
-    return out
-
-
-def _remap_labels(raw: list[int]) -> np.ndarray:
-    mapping = {v: i for i, v in enumerate(sorted(set(raw)))}
-    return np.array([mapping[v] for v in raw], dtype=np.int64)
 
 
 def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> GraphData:
@@ -170,60 +163,36 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
 
     Node attributes fall back to degree one-hots (overflow in the last
     bucket) when the attributes file is absent. Graph and node labels are
-    remapped to contiguous 0-based classes.
+    remapped to contiguous 0-based classes. One-column files hold one integer
+    per line; `_A` and attribute rows separate values by commas or whitespace.
     """
     directory = Path(directory)
-    indicator = _tu_ints(directory / f"{name}_graph_indicator.txt", "graph id")
-    n = len(indicator)
-    graph_of = np.array(indicator, dtype=np.int64) - 1
+    graph_of = _read_table(directory / f"{name}_graph_indicator.txt", int, None, 1)[0][:, 0] - 1
+    n = graph_of.size
     if n == 0:
         raise DataError(f"{name}_graph_indicator.txt is empty")
     if graph_of.min() < 0:
         raise DataError(f"{name}_graph_indicator.txt: graph ids are 1-based")
 
-    graph_labels = _remap_labels(_tu_ints(directory / f"{name}_graph_labels.txt", "graph label"))
+    raw = _read_table(directory / f"{name}_graph_labels.txt", int, None, 1)[0][:, 0]
+    graph_labels = np.unique(raw, return_inverse=True)[1]
     if graph_labels.size != graph_of.max() + 1:
         raise DataError(
             f"{name}_graph_labels.txt has {graph_labels.size} rows for {graph_of.max() + 1} graphs")
 
-    edges = []
-    for lineno, line in enumerate(_read_lines(directory / f"{name}_A.txt"), start=1):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.replace(",", " ").split()]
-        if len(parts) != 2:
-            raise DataError(f"{name}_A.txt line {lineno}: expected 'i, j'")
-        try:
-            src, dst = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError:
-            raise DataError(f"{name}_A.txt line {lineno}: non-integer endpoint") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DataError(f"{name}_A.txt line {lineno}: endpoint out of range for {n} nodes")
-        if graph_of[src] != graph_of[dst]:
-            raise DataError(f"{name}_A.txt line {lineno}: edge crosses graph boundaries")
-        edges.append((src, dst))
+    edges, linenos = _read_table(directory / f"{name}_A.txt", int, ",", 2)
+    edges -= 1
+    _check_endpoints(edges, linenos, n, f"{name}_A.txt")
+    crossing = np.flatnonzero(graph_of[edges[:, 0]] != graph_of[edges[:, 1]])
+    if crossing.size:
+        raise DataError(f"{name}_A.txt line {linenos[crossing[0]]}: edge crosses graph boundaries")
     adjacency = build_csr(n, edges)
 
     attr_path = directory / f"{name}_node_attributes.txt"
     if attr_path.is_file():
-        rows = []
-        width = None
-        for lineno, line in enumerate(_read_lines(attr_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [float(tok) for tok in line.replace(",", " ").split()]
-            except ValueError:
-                raise DataError(f"{attr_path.name} line {lineno}: non-numeric attribute") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(f"{attr_path.name} line {lineno}: ragged attribute row")
-            rows.append(row)
-        if len(rows) != n:
-            raise DataError(f"{attr_path.name} has {len(rows)} rows for {n} nodes")
-        features = np.array(rows)
-        _require_finite(features, attr_path)
+        features, _ = _read_table(attr_path, float, ",")
+        if features.shape[0] != n:
+            raise DataError(f"{attr_path.name} has {features.shape[0]} rows for {n} nodes")
     else:
         degrees = np.diff(adjacency.row_offsets)
         features = np.zeros((n, degree_onehot_width))
@@ -233,10 +202,10 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
     n_classes = 0
     node_label_path = directory / f"{name}_node_labels.txt"
     if node_label_path.is_file():
-        raw = _tu_ints(node_label_path, "node label")
-        if len(raw) != n:
-            raise DataError(f"{node_label_path.name} has {len(raw)} rows for {n} nodes")
-        labels = _remap_labels(raw)
+        raw = _read_table(node_label_path, int, None, 1)[0][:, 0]
+        if raw.size != n:
+            raise DataError(f"{node_label_path.name} has {raw.size} rows for {n} nodes")
+        labels = np.unique(raw, return_inverse=True)[1]
         n_classes = int(labels.max()) + 1
 
     return GraphData(n_nodes=n, features=Tensor(features), adjacency=adjacency,
@@ -251,6 +220,8 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
 
 def sample_k_shot(labels, k: int, seed: int, val_k: int = 0) -> SplitSpec:
     """Per class: k train + val_k validation drawn uniformly, the rest test."""
+    if k < 1 or val_k < 0:
+        raise ParameterError(f"need k >= 1 and val_k >= 0 items per class, got k={k}, val_k={val_k}")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B17])
     train, val, test = [], [], []
@@ -451,23 +422,18 @@ def export_weight_matrix(w: Tensor, labels, path) -> None:
         else np.asarray(labels, dtype=np.int64).ravel()
     if lab.size != n:
         raise DataError(f"{lab.size} labels for {n} weight rows")
-    header = "node\tlabel\t" + "\t".join(f"w_{j}" for j in range(c))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(n):
-            row = "\t".join(repr(float(v)) for v in w.data[i])
-            fh.write(f"{i}\t{lab[i]}\t{row}\n")
+    header = ["node", "label"] + [f"w_{j}" for j in range(c)]
+    _write_table(path, [header] + [[i, label, *row] for i, (label, row)
+                                   in enumerate(zip(lab.tolist(), w.data.tolist()))])
 
 
 def load_weight_matrix(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = _read_lines(Path(path))
-    if not lines or not lines[0].startswith("node\tlabel"):
-        raise FormatError(f"{path} does not look like a weight export")
-    labels, rows = [], []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        labels.append(int(parts[1]))
-        rows.append([float(v) for v in parts[2:]])
-    return np.array(rows), np.array(labels, dtype=np.int64)
+    """Read an `export_weight_matrix` file back as (weights, labels)."""
+    path = Path(path)
+    table, linenos = _read_table(path, float, "\t", header="node\tlabel")
+    labels = table[:, 1]
+    # a label must be an integer that float64 holds exactly
+    bad = np.flatnonzero((labels != np.round(labels)) | (np.abs(labels) > 2**53))
+    if bad.size:
+        raise DataError(f"{path.name} line {linenos[bad[0]]}: non-integer label")
+    return table[:, 2:], labels.astype(np.int64)

@@ -157,13 +157,14 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
         raise ParameterError(f"task must be 'node' or 'graph', got {task!r}")
     if not params.frozen:
         raise ContractError("prompting requires frozen encoders")
+    if task == "graph" and g.graph_of is None:
+        raise ContractError("graph-level views need graph membership")
+    anchors = mlp_forward(g.features, params, "eval")
+    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
+    attr_base = g.features
     if task == "graph":
-        anchors, struct = graph_task_views(g, params)
-        attr_base = mean_readout(g.features, g.graph_of)
-    else:
-        anchors = mlp_forward(g.features, params, "eval")
-        struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
-        attr_base = g.features
+        anchors, struct, attr_base = (mean_readout(v, g.graph_of)
+                                      for v in (anchors, struct, attr_base))
     (w1, _), _ = params.gnn_layers
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
@@ -215,15 +216,6 @@ def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tens
     if anchors.requires_grad:
         anchors = anchors.detach()
     return masked_infonce(anchors, prototypes, labels, tau, exclude_positive=True)
-
-
-def graph_task_views(g: GraphData, params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Graph-level representations: mean readout of each view's node rows."""
-    if g.graph_of is None:
-        raise ContractError("graph-level views need graph membership")
-    attr_view = mlp_forward(g.features, params, "eval")
-    struct_view = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
-    return mean_readout(attr_view, g.graph_of), mean_readout(struct_view, g.graph_of)
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,

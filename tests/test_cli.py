@@ -285,3 +285,24 @@ def test_tune_and_pretrain_reject_nan_tau(pipeline, tmp_path, capsys, command):
     assert run(args) == 1
     assert "tau must be a positive finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--k-shot", "--val-shots"])
+def test_eval_rejects_negative_shot_counts(pipeline, capsys, flag):
+    _, data, _, tuned = pipeline
+    args = ["eval", "--data", str(data), "--ckpt", str(tuned), "--k-shot", "3",
+            "--val-shots", "3", "--seed", "1"]
+    args[args.index(flag) + 1] = "-1"
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert "error: need k >= 1" in captured.err and captured.out == ""
+
+
+def test_sweep_rejects_zero_val_shots(pipeline, capsys):
+    _, data, ckpt, _ = pipeline
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt), "--lr-grid", "0.01",
+                "--weight-decay-grid", "0.0001", "--dropout-grid", "0.2", "--seeds", "1",
+                "--epochs", "2", "--k-shot", "3", "--val-shots", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "--val-shots must be at least 1" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

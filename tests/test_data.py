@@ -1,3 +1,7 @@
+import tempfile
+from contextlib import suppress
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from psp.data import (
     save_node_dataset,
 )
 from psp.encoders import init_encoder_params, parameters
-from psp.errors import DataError, FormatError, ParameterError
+from psp.errors import DataError, FormatError, ParameterError, PspError
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,62 @@ def test_load_tu_dataset_rejects_non_finite_attributes(tmp_path):
         load_tu_dataset(tmp_path / "tu", "TOY")
 
 
+@pytest.mark.parametrize("layout,name,text,message", [
+    ("node", "edges.tsv", "0\t1\n\n0\t9\n", "edges.tsv line 3: endpoint out of range"),
+    ("node", "edges.tsv", "0\t1\n0\t99999999999999999999\n",
+     "edges.tsv line 2: integer out of int64 range"),
+    ("node", "labels.tsv", "0\n\n1\t1\n", "labels.tsv line 3: expected 1 columns, got 2"),
+    ("tu", "TOY_A.txt", "1, 2\n2, 1\n\n3, 4\n", "TOY_A.txt line 4: edge crosses graph"),
+    ("tu", "TOY_A.txt", "1, 2\n\n\n2, 0\n", "TOY_A.txt line 4: endpoint out of range"),
+    ("tu", "TOY_graph_indicator.txt", "1\n1\n1\n2,\n2\n2\n3\n",
+     "TOY_graph_indicator.txt line 4: non-integer value"),
+])
+def test_table_errors_name_the_file_and_line(tmp_path, layout, name, text, message):
+    d = tmp_path / "d"
+    (write_node_fixture if layout == "node" else write_tu_fixture)(d)
+    (d / name).write_text(text)
+    with pytest.raises(DataError, match=message):
+        load_node_dataset(d) if layout == "node" else load_tu_dataset(d, "TOY")
+
+
+def test_bytes_that_are_not_utf8_are_reported_on_their_line(tmp_path):
+    write_node_fixture(tmp_path / "d")
+    (tmp_path / "d" / "labels.tsv").write_bytes(b"0\n\xff\n")
+    with pytest.raises(DataError, match="labels.tsv line 2: non-integer value"):
+        load_node_dataset(tmp_path / "d")
+
+
+# digits, signs, '.', 'e', nan, inf and separators; the 20-digit run overflows int64
+TABLE_TOKENS = [*"0123456789", "9" * 20, "-", "+", ".", "e", "nan", "inf", "\t", ",", " ", "\n"]
+table_text = st.lists(st.sampled_from(TABLE_TOKENS), max_size=30).map("".join)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]), table_text))
+def test_fuzzed_node_dataset_loads_or_raises_psp_error(replaced):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_node_fixture(Path(tmp))
+        for name, text in replaced.items():
+            (Path(tmp) / name).write_text(text)
+        with suppress(PspError):  # malformed input may be refused, only with a PspError
+            load_node_dataset(tmp)
+
+
+TU_FILES = ["TOY_A.txt", "TOY_graph_indicator.txt", "TOY_graph_labels.txt",
+            "TOY_node_attributes.txt", "TOY_node_labels.txt"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.booleans(), st.dictionaries(st.sampled_from(TU_FILES), table_text))
+def test_fuzzed_tu_dataset_loads_or_raises_psp_error(attributes, replaced):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tu_fixture(Path(tmp), attributes=attributes, node_labels=(5, 5, 7, 5, 7, 7, 5))
+        for name, text in replaced.items():
+            (Path(tmp) / name).write_text(text)
+        with suppress(PspError):
+            load_tu_dataset(tmp, "TOY")
+
+
 # ---------------------------------------------------------------------------
 # split sampling
 
@@ -184,6 +244,12 @@ def test_sample_k_shot_insufficient_class():
     labels = np.array([0, 0, 1])
     with pytest.raises(DataError, match="class 1"):
         sample_k_shot(labels, k=2, seed=0)
+
+
+@pytest.mark.parametrize("k,val_k", [(0, 0), (-1, 0), (1, -1)])
+def test_sample_k_shot_rejects_bad_counts(k, val_k):
+    with pytest.raises(ParameterError, match=f"got k={k}, val_k={val_k}"):
+        sample_k_shot(np.repeat([0, 1, 2], 20), k=k, seed=0, val_k=val_k)
 
 
 def test_mask_training_labels_noop_and_half():
@@ -383,3 +449,30 @@ def test_export_weight_matrix_full_precision_roundtrip(tmp_path):
     export_weight_matrix(w, None, path)
     values, _ = load_weight_matrix(path)
     assert np.array_equal(values, w.data)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("row,message", [("0\tx\t1.0", "line 2: non-numeric value"),
+                                         ("0", "line 2: expected 3 columns, got 1"),
+                                         ("0\t1.5\t1.0", "line 2: non-integer label")])
+def test_load_weight_matrix_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "w.tsv"
+    path.write_text(f"node\tlabel\tw_0\n{row}\n")
+    with pytest.raises(DataError, match=message):
+        load_weight_matrix(path)
+
+
+def test_load_weight_matrix_requires_the_header(tmp_path):
+    path = tmp_path / "w.tsv"
+    path.write_text("0\t1\t1.0\n")
+    with pytest.raises(FormatError, match="line 1: expected a header"):
+        load_weight_matrix(path)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(st.just("node\tlabel\tw_0\tw_1\n"), table_text), table_text)
+def test_fuzzed_weight_matrix_loads_or_raises_psp_error(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.tsv"
+        path.write_text(header + body)
+        with suppress(PspError):
+            load_weight_matrix(path)

@@ -18,12 +18,12 @@ from psp.graph import (
     SelfLoopedBase,
     build_csr,
     gcn_normalize,
+    mean_readout,
 )
 from psp.inference import evaluate, predict
 from psp.prompt import (
     LabeledSet,
     PromptConfig,
-    graph_task_views,
     init_edge_weights,
     init_prototype_features,
     prompt_loss,
@@ -440,7 +440,7 @@ def test_task_context_builds_views_once_per_task():
     np.testing.assert_array_equal(node.base.degree.data.ravel(),
                                   g.adjacency.row_sums() + 1.0)
     graph = task_context(g, params, "graph")
-    attr, struct = graph_task_views(g, params)
+    attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
     np.testing.assert_array_equal(graph.anchors.data, attr.data)
     np.testing.assert_array_equal(graph.struct.data, struct.data)
     assert graph.attr_base.rows == g.n_graphs and graph.n_classes == 2
@@ -459,7 +459,8 @@ def test_graph_views_single_node_graphs_equal_node_rows():
                   graph_of=np.array([0, 1]), graph_labels=np.array([0, 1]),
                   n_graph_classes=2)
     params = frozen_params(4)
-    attr, struct = graph_task_views(g, params)
+    ctx = task_context(g, params, "graph")
+    attr, struct = ctx.anchors, ctx.struct
     np.testing.assert_allclose(attr.data, mlp_forward(g.features, params).data, atol=1e-12)
     np.testing.assert_allclose(
         struct.data,
@@ -469,18 +470,20 @@ def test_graph_views_single_node_graphs_equal_node_rows():
 def test_graph_views_duplicate_graph_rows_match():
     g = multi_graph()
     params = frozen_params(4)
-    attr, struct = graph_task_views(g, params)
+    ctx = task_context(g, params, "graph")
+    attr, struct = ctx.anchors, ctx.struct
     # graphs 0 and 2 are isomorphic triangles; perturb features to be equal
     g.features.data[6:9] = g.features.data[0:3]
-    attr2, struct2 = graph_task_views(g, params)
+    ctx2 = task_context(g, params, "graph")
+    attr2, struct2 = ctx2.anchors, ctx2.struct
     np.testing.assert_allclose(attr2.data[0], attr2.data[2], atol=1e-12)
     np.testing.assert_allclose(struct2.data[0], struct2.data[2], atol=1e-12)
 
 
 def test_graph_views_need_membership():
     g = toy_graph()
-    with pytest.raises(ContractError):
-        graph_task_views(g, frozen_params(4))
+    with pytest.raises(ContractError, match="graph-level views need graph membership"):
+        task_context(g, frozen_params(4), "graph")
 
 
 def test_graph_task_weight_rows_per_graph():
