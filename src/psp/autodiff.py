@@ -472,12 +472,16 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
                    exclude_positive: bool) -> Tensor:
     """Mean InfoNCE of the rows of z1 against all rows of z2, as one fused op.
 
-    Logits are cosine similarities (as in `cosine_sim_matrix`) over tau. Row
-    i scores logsumexp_j(logit_ij) - logit_{i,positives[i]}; with
-    `exclude_positive` the positive is left out of the log-sum-exp. The op
-    walks z1 in blocks of `_INFONCE_BLOCK_ROWS` rows: the forward pass keeps
-    only each row's max-shift and sum of exponentials, and the VJP recomputes
-    each block's logits, so no z1.rows x z2.rows array ever exists.
+    Logits are cosine similarities over tau. Row i scores
+    logsumexp_j(logit_ij) - logit_{i,positives[i]}; with `exclude_positive`
+    the positive is left out of the log-sum-exp. Both sides' rows are scaled
+    to unit norm once, so cosines are exact for any nonzero row, and a zero
+    row gives logit 0 and gradient 0. The op walks z1 in blocks of
+    `_INFONCE_BLOCK_ROWS` rows: each block of logits is one GEMM, and only
+    each row's max-shift and sum of exponentials are kept, so no
+    z1.rows x z2.rows array ever exists. When the op is recorded, the same
+    sweep turns each exp block into softmax - one-hot and accumulates both
+    inputs' gradients for a unit seed; the VJP only scales them.
     """
     if z1.cols != z2.cols:
         raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
@@ -490,25 +494,17 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
     inv_tau = 1.0 / check_tau(tau)
-    a_in, b_in = z1.data, z2.data
-    u, inv_u = _row_norms(a_in)
-    v, inv_v = _row_norms(b_in)
-    blocks = [(lo, min(lo + _INFONCE_BLOCK_ROWS, m)) for lo in range(0, m, _INFONCE_BLOCK_ROWS)]
-
-    def block_logits(lo, hi):
-        """Cosine block, its floored norm products, and its logits."""
-        denom = u[lo:hi] * v.T
-        cos = a_in[lo:hi] @ b_in.T
-        np.maximum(denom, COSINE_EPS, out=denom)
-        cos /= denom
-        logits = cos * inv_tau
-        return cos, denom, logits
-
+    inv_u, inv_v = _row_norms(z1.data)[1], _row_norms(z2.data)[1]
+    a_unit, b_unit = z1.data * inv_u, z2.data * inv_v
+    recorded = active_tape() is not None and (z1.requires_grad or z2.requires_grad)  # as in _emit
+    ga = np.empty_like(a_unit) if recorded and z1.requires_grad else None
+    gb = np.zeros_like(b_unit) if recorded and z2.requires_grad else None
     shift = np.empty((m, 1))
     sum_exp = np.empty((m, 1))
     positive = np.empty((m, 1))
-    for lo, hi in blocks:
-        logits = block_logits(lo, hi)[2]
+    for lo in range(0, m, _INFONCE_BLOCK_ROWS):
+        hi = min(lo + _INFONCE_BLOCK_ROWS, m)
+        logits = (a_unit[lo:hi] * inv_tau) @ b_unit.T
         at_pos = (np.arange(hi - lo), pos[lo:hi])
         positive[lo:hi, 0] = logits[at_pos]
         if exclude_positive:
@@ -516,39 +512,28 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
         shift[lo:hi] = logits.max(axis=1, keepdims=True)
         logits -= shift[lo:hi]
         sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
+        if recorded:
+            probs = logits  # the exp block becomes softmax - one-hot in place
+            probs /= sum_exp[lo:hi]
+            probs[at_pos] -= 1.0
+            if ga is not None:
+                ga[lo:hi] = probs @ b_unit
+            if gb is not None:
+                gb += probs.T @ a_unit[lo:hi]
         del logits  # free the block before the next one is built
     loss = (np.log(sum_exp) + shift - positive).sum() * (1.0 / m)
-    need_a, need_b = z1.requires_grad, z2.requires_grad
+    # through the row normalization: d(x/|x|) maps g to inv|x| * (g - (g.x^) x^)
+    for g, unit, inv in ((ga, a_unit, inv_u), (gb, b_unit, inv_v)):
+        if g is not None:
+            g -= np.einsum("ij,ij->i", g, unit)[:, None] * unit
+            g *= inv * (inv_tau / m)
+            g.flags.writeable = False  # handed over as is for a unit seed
 
     def vjp(g):
-        g_row = g[0, 0] * (1.0 / m)
-        ga = np.empty_like(a_in) if need_a else None
-        gb = np.zeros_like(b_in) if need_b else None
-        gs_u = np.zeros((n, 1))
-        for lo, hi in blocks:
-            cos, denom, gd = block_logits(lo, hi)
-            at_pos = (np.arange(hi - lo), pos[lo:hi])
-            if exclude_positive:
-                gd[at_pos] = -np.inf
-            gd -= shift[lo:hi]
-            np.exp(gd, out=gd)
-            gd *= g_row / sum_exp[lo:hi]
-            gd[at_pos] -= g_row
-            gd *= inv_tau
-            gd /= denom
-            gd *= denom > COSINE_EPS  # zero rows get subgradient 0
-            del denom
-            gs = cos  # the block is reused: gs = gd * cos, the norm term of the cosine VJP
-            gs *= gd
-            if need_a:
-                ga[lo:hi] = gd @ b_in - (gs @ v) * inv_u[lo:hi] * a_in[lo:hi]
-            if need_b:
-                gb += gd.T @ a_in[lo:hi]
-                gs_u += gs.T @ u[lo:hi]
-            del cos, gd, gs
-        if need_b:
-            gb -= gs_u * inv_v * b_in
-        return ga, gb
+        s = g[0, 0]
+        if s == 1.0:
+            return ga, gb
+        return (None if ga is None else ga * s), (None if gb is None else gb * s)
 
     return _emit("masked_infonce", (z1, z2), np.array([[loss]]), vjp)
 

@@ -82,6 +82,8 @@ def _read_table(path: Path, kind, sep: Optional[str], width: Optional[int] = Non
         if not line.strip():
             continue
         parts = line.replace(",", " ").split() if sep == "," else line.split(sep)
+        if not parts:
+            raise DataError(f"{path.name} line {lineno}: no columns")
         if width is None:
             width = len(parts)
         if len(parts) != width:
@@ -282,6 +284,8 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         raise ParameterError("n_classes must be positive")
     if not 0.0 <= homophily <= 1.0:
         raise ParameterError(f"homophily must lie in [0, 1], got {homophily}")
+    if not (np.isfinite(avg_deg) and avg_deg >= 0):
+        raise ParameterError(f"avg_deg must be a non-negative finite number, got {avg_deg}")
     if feat_dim < n_classes:
         raise ParameterError(f"feat_dim {feat_dim} cannot hold {n_classes} orthogonal class means")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])

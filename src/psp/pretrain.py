@@ -8,7 +8,9 @@ denominator for comparison.
 
 The loss is one fused, row-blocked op (`autodiff.masked_infonce`): it never
 forms the N x N similarity matrix, so a pre-training epoch holds O(N*B)
-floats for a fixed block of B rows instead of O(N^2).
+floats for a fixed block of B rows instead of O(N^2). It normalizes each
+view's rows once and forms both views' gradients in the same single pass
+over the blocks as the loss, so the backward sweep only hands them over.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class PretrainConfig:
             raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 0:
             raise ParameterError("epochs must be non-negative")
+        if self.hidden_dim < 1:
+            raise ParameterError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
 
 
 def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,

@@ -10,6 +10,7 @@ augmented propagation, and only those rows are computed in its last layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,6 @@ class TaskContext:
     params: EncoderParams
     task: str
     anchors: Tensor          # attribute (MLP) view: the anchor side of the loss
-    struct: Tensor           # structural (GNN) view: the edge-weight initializer
     attr_base: Tensor        # features: the prototype-feature initializer
     base: SelfLoopedBase     # the prompted graph's constant base block
     xw1: Tensor              # X·W1 of the GNN's first layer over the base nodes
@@ -149,6 +149,13 @@ class TaskContext:
     @property
     def n_classes(self) -> int:
         return self.graph.n_graph_classes if self.task == "graph" else self.graph.n_classes
+
+    @cached_property
+    def struct(self) -> Tensor:
+        """Structural (GNN) view, the edge-weight initializer; built on first use."""
+        g = self.graph
+        struct = gnn_forward(g.features, gcn_normalize(g.adjacency), self.params, "eval")
+        return mean_readout(struct, g.graph_of) if self.task == "graph" else struct
 
 
 def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
@@ -160,13 +167,11 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     if task == "graph" and g.graph_of is None:
         raise ContractError("graph-level views need graph membership")
     anchors = mlp_forward(g.features, params, "eval")
-    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     attr_base = g.features
     if task == "graph":
-        anchors, struct, attr_base = (mean_readout(v, g.graph_of)
-                                      for v in (anchors, struct, attr_base))
+        anchors, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, attr_base))
     (w1, _), _ = params.gnn_layers
-    return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
+    return TaskContext(graph=g, params=params, task=task, anchors=anchors,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
                        xw1=matmul(g.features, w1))
 

@@ -512,6 +512,67 @@ def test_masked_infonce_grad_check_both_inputs(exclude_positive, monkeypatch):
     assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7, exclude_positive), z2) < 1e-4
 
 
+@pytest.mark.parametrize("s1,s2", [(1e3, 1.0), (1.0, 1e3), (1e-9, 1.0), (1.0, 1e-9),
+                                   (1e-7, 1e-6)])
+def test_masked_infonce_cosines_are_exact_for_any_nonzero_row(s1, s2):
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+
+    def loss(x, y):
+        return masked_infonce(Tensor(x), Tensor(y), np.arange(9), 0.5, True).item()
+
+    assert abs(loss(a * s1, b * s2) - loss(a, b)) <= 1e-12
+
+
+def _infonce_through_leaves(seed_scale=None):
+    """Tape, loss and leaves of an InfoNCE whose first view passes through a matmul."""
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.standard_normal((7, 3)))
+    w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    z2 = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+    with Tape() as tape:
+        loss = masked_infonce(matmul(x, w), z2, np.arange(7), 0.5, exclude_positive=True)
+        if seed_scale is not None:
+            loss = scale(loss, seed_scale)
+    return tape, loss, w, z2
+
+
+def test_backward_twice_over_infonce_doubles_the_leaf_grads():
+    tape, loss, w, z2 = _infonce_through_leaves()
+    backward(tape, loss)
+    first = w.grad.copy(), z2.grad.copy()
+    backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, 2 * first[0])
+    np.testing.assert_array_equal(z2.grad, 2 * first[1])
+
+
+def test_masked_infonce_vjp_is_linear_in_its_seed():
+    tape, loss, w, z2 = _infonce_through_leaves()
+    backward(tape, loss)
+    tape3, loss3, w3, z23 = _infonce_through_leaves(seed_scale=3.0)
+    backward(tape3, loss3)
+    np.testing.assert_allclose(w3.grad, 3 * w.grad, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(z23.grad, 3 * z2.grad)
+
+
+def test_masked_infonce_hands_over_read_only_grads():
+    tape, loss, _, z2 = _infonce_through_leaves()
+    backward(tape, loss)
+    assert z2.grad is tape.records[-1].vjp(np.ones((1, 1)))[1]  # no copy for a unit seed
+    with pytest.raises(ValueError, match="read-only"):
+        z2.grad += 1.0
+
+
+def test_masked_infonce_value_is_the_same_without_a_tape():
+    rng = np.random.default_rng(47)
+    a, b = rng.standard_normal((300, 5)), rng.standard_normal((300, 5))
+    with Tape() as tape:
+        taped = masked_infonce(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
+                               np.arange(300), 0.5, exclude_positive=True)
+    untaped = masked_infonce(Tensor(a), Tensor(b), np.arange(300), 0.5, exclude_positive=True)
+    assert len(tape.records) == 1 and taped.item() == untaped.item()
+
+
 def test_masked_infonce_memory_is_row_blocked():
     n = 4000
     rng = np.random.default_rng(5)

@@ -226,13 +226,11 @@ def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch
     assert [(c.lr, c.seed) for c in calls] == [(0.001, 1), (0.001, 2), (0.01, 1), (0.01, 2)]
 
 
-def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
-    import psp.cli
-    import psp.prompt
-
-    counts = {"mlp_forward": 0, "gcn_normalize": 0}
-    for module in (psp.cli, psp.prompt):
-        for name in counts:
+def _count_calls(monkeypatch, names, modules):
+    """Count calls to each function in `names` made through any of `modules`."""
+    counts = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
             if hasattr(module, name):
                 original = getattr(module, name)
 
@@ -241,6 +239,14 @@ def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
+    import psp.cli
+    import psp.prompt
+
+    counts = _count_calls(monkeypatch, ["mlp_forward", "gcn_normalize"], (psp.cli, psp.prompt))
     _, data, ckpt, _ = pipeline
     assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt),
                 "--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001",
@@ -306,3 +312,36 @@ def test_sweep_rejects_zero_val_shots(pipeline, capsys):
     captured = capsys.readouterr()
     assert "--val-shots must be at least 1" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_eval_psp_builds_no_structural_view(pipeline, capsys, monkeypatch):
+    import psp.cli
+    import psp.prompt
+
+    counts = _count_calls(monkeypatch, ["gcn_normalize"], (psp.cli, psp.prompt))
+    _, data, _, tuned = pipeline
+    assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", "psp",
+                "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
+    assert counts == {"gcn_normalize": 0}
+    assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", "psp-np",
+                "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
+    assert counts == {"gcn_normalize": 1}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-4"])
+def test_synth_rejects_bad_average_degree(tmp_path, capsys, value):
+    out = tmp_path / "data"
+    assert run(["synth", "--n", "30", "--avg-deg", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: avg_deg must be a non-negative finite number" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_pretrain_rejects_zero_hidden_dim(pipeline, tmp_path, capsys):
+    _, data, _, _ = pipeline
+    out = tmp_path / "out.ckpt"
+    assert run(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1",
+                "--hidden-dim", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "error: hidden_dim must be at least 1" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()

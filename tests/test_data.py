@@ -172,6 +172,7 @@ def test_load_tu_dataset_rejects_non_finite_attributes(tmp_path):
     ("tu", "TOY_A.txt", "1, 2\n\n\n2, 0\n", "TOY_A.txt line 4: endpoint out of range"),
     ("tu", "TOY_graph_indicator.txt", "1\n1\n1\n2,\n2\n2\n3\n",
      "TOY_graph_indicator.txt line 4: non-integer value"),
+    ("tu", "TOY_node_attributes.txt", "\n" + ",\n" * 7, "TOY_node_attributes.txt line 2: no columns"),
 ])
 def test_table_errors_name_the_file_and_line(tmp_path, layout, name, text, message):
     d = tmp_path / "d"
@@ -323,6 +324,16 @@ def test_sbm_parameter_errors():
         generate_sbm(30, 3, 1.5, 2.0, 8, 0.5, seed=0)
     with pytest.raises(ParameterError):
         generate_sbm(30, 3, 0.5, 2.0, 2, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("avg_deg", [float("nan"), float("inf"), -4.0])
+def test_sbm_rejects_bad_average_degree(avg_deg):
+    with pytest.raises(ParameterError, match="avg_deg must be a non-negative finite number"):
+        generate_sbm(30, 3, 0.5, avg_deg, 8, 0.5, seed=0)
+
+
+def test_sbm_zero_average_degree_is_edgeless():
+    assert generate_sbm(30, 3, 0.5, 0.0, 8, 0.5, seed=0).adjacency.nnz == 0
 
 
 def test_sbm_seed_determinism():
