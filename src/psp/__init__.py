@@ -9,7 +9,6 @@ from .autodiff import (
     adam_step,
     add,
     backward,
-    concat_rows,
     cosine_sim_matrix,
     dropout,
     exp,

@@ -138,10 +138,7 @@ class CsrMatrix:
         m.sort_indices()
         return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
 
-    def scipy(self, values: Optional[np.ndarray] = None):
-        if values is not None:
-            return sparse.csr_matrix((values, self.col_indices, self.row_offsets),
-                                     shape=(self.rows, self.cols))
+    def scipy(self):
         if self._sp is None:
             self._sp = sparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
                                          shape=(self.rows, self.cols))
@@ -240,38 +237,12 @@ def transpose(a: Tensor) -> Tensor:
     return _emit("transpose", (a,), a.data.T.copy(), lambda g: (g.T.copy(),))
 
 
-def spmm(s: CsrMatrix, d: Tensor, values: Optional[Tensor] = None) -> Tensor:
-    """Sparse-dense product s @ d.
-
-    When `values` is given it overrides `s.values` entry-for-entry and may be
-    differentiated, which lets stored sparse weights act as parameters.
-    """
+def spmm(s: CsrMatrix, d: Tensor) -> Tensor:
+    """Sparse-dense product s @ d."""
     if s.cols != d.rows:
         raise DimensionError(f"spmm: inner dimensions differ, {s.rows}x{s.cols} x {d.shape}")
-    if values is None:
-        mat = s.scipy()
-        mat_t = s.scipy_t()
-        d_args = (d,)
-    else:
-        if values.data.size != s.nnz:
-            raise DimensionError(f"spmm: {values.data.size} values for {s.nnz} stored entries")
-        mat = s.scipy(values.data.ravel())
-        mat_t = mat.T.tocsr()
-        d_args = (d, values)
-    d_in = d.data
-    rows_of_entries = s.row_expansion()
-    cols_of_entries = s.col_indices
-    need_d = d.requires_grad
-    need_vals = values is not None and values.requires_grad
-
-    def vjp(g):
-        gd = mat_t @ g if need_d else None
-        if not need_vals:
-            return gd, None
-        gvals = np.einsum("ij,ij->i", g[rows_of_entries], d_in[cols_of_entries])
-        return gd, gvals.reshape(values.shape)
-
-    return _emit("spmm", d_args, mat @ d_in, vjp)
+    mat_t = s.scipy_t()
+    return _emit("spmm", (d,), s.scipy() @ d.data, lambda g: (mat_t @ g,))
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
@@ -279,16 +250,6 @@ def select_rows(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise DataError(f"select_rows: index out of range for {x.rows} rows")
     x_shape = x.shape
-    if idx.size and np.all(np.diff(idx) == 1):
-        # a contiguous range: slice forward, slice-assign backward
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-
-        def vjp(g):
-            gx = np.zeros(x_shape)
-            gx[lo:hi] = g
-            return (gx,)
-
-        return _emit("select_rows", (x,), x.data[lo:hi].copy(), vjp)
 
     def vjp(g):
         gx = np.zeros(x_shape)
@@ -296,15 +257,6 @@ def select_rows(x: Tensor, indices) -> Tensor:
         return (gx,)
 
     return _emit("select_rows", (x,), x.data[idx], vjp)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.cols:
-        raise DimensionError(f"concat_rows: column counts differ, {a.shape} vs {b.shape}")
-    na = a.rows
-    need_a, need_b = a.requires_grad, b.requires_grad
-    return _emit("concat_rows", (a, b), np.vstack([a.data, b.data]),
-                 lambda g: (g[:na] if need_a else None, g[na:] if need_b else None))
 
 
 def _bcast_reducer(small: tuple, big: tuple):
@@ -374,11 +326,11 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", (a,), np.log(a_in), lambda g: (g / a_in,))
 
 
-def rsqrt(a: Tensor, floor: float = DEGREE_FLOOR) -> Tensor:
-    """Elementwise x^(-1/2) with the argument floored at `floor`."""
-    x = np.maximum(a.data, floor)
+def rsqrt(a: Tensor) -> Tensor:
+    """Elementwise x^(-1/2) with the argument floored at `DEGREE_FLOOR`."""
+    x = np.maximum(a.data, DEGREE_FLOOR)
     out = 1.0 / np.sqrt(x)
-    gate = a.data > floor
+    gate = a.data > DEGREE_FLOOR
     return _emit("rsqrt", (a,), out, lambda g: (g * (-0.5) * out / x * gate,))
 
 
@@ -394,26 +346,37 @@ def total_sum(a: Tensor) -> Tensor:
                  lambda g: (np.full(shape, g[0, 0]),))
 
 
-def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
-    """Inverted dropout; identity in evaluation mode.
+def dropout_mask(shape: tuple[int, int], p: float, seed: int,
+                 training: bool) -> Optional[np.ndarray]:
+    """The inverted-dropout factor array for `shape`, or None when dropout is off.
 
     The mask depends only on (seed, call ordinal), where the ordinal counts
-    dropout calls seen by the innermost active tape. Fresh tapes therefore
+    masks drawn under the innermost active tape. Fresh tapes therefore
     replay identical masks for identical seeds.
     """
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
+        return None
     tape = active_tape()
     ordinal = 0
     if tape is not None:
         ordinal = tape.dropout_calls
         tape.dropout_calls += 1
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, ordinal])
-    factor = (rng.random(x.shape) >= p) / (1.0 - p)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def apply_mask(x: Tensor, factor: np.ndarray) -> Tensor:
+    """x times a constant factor array of its shape, recorded as a dropout op."""
     return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
+
+
+def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
+    """Inverted dropout with a `dropout_mask`; identity in evaluation mode."""
+    factor = dropout_mask(x.shape, p, seed, training)
+    return x if factor is None else apply_mask(x, factor)
 
 
 def cosine_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:

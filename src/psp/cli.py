@@ -62,9 +62,7 @@ def _split_for(g: GraphData, args):
     if labels is None:
         raise ContractError(f"dataset has no labels for task {args.task!r}")
     split = sample_k_shot(labels, args.k_shot, args.seed, args.val_shots)
-    if args.mask_ratio > 0:
-        split = mask_training_labels(split, args.mask_ratio, args.seed, labels)
-    return split, labels
+    return mask_training_labels(split, args.mask_ratio, args.seed, labels), labels
 
 
 def _tune_once(ctx: TaskContext, args):

@@ -286,6 +286,8 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         raise ParameterError(f"homophily must lie in [0, 1], got {homophily}")
     if not (np.isfinite(avg_deg) and avg_deg >= 0):
         raise ParameterError(f"avg_deg must be a non-negative finite number, got {avg_deg}")
+    if avg_deg > n - 1:
+        raise ParameterError(f"avg_deg must be at most n - 1 = {n - 1}, got {avg_deg}")
     if feat_dim < n_classes:
         raise ParameterError(f"feat_dim {feat_dim} cannot hold {n_classes} orthogonal class means")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])

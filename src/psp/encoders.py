@@ -1,19 +1,31 @@
 """The two encoder views: an attribute-only MLP and a structure-aware GNN.
 
 Both are two layers deep, end at the same output dimension, and are frozen
-after pre-training. The GNN accepts either a plain normalized CSR adjacency
-or the prompted-graph operator.
+after pre-training. The GNN propagates over a normalized CSR adjacency; its
+first layer also serves the prompted graph's row blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import CsrMatrix, Tensor, add, derive_seed, dropout, matmul, relu, spmm
-from .errors import ContractError, ParameterError
+from .autodiff import (
+    CsrMatrix,
+    Tensor,
+    add,
+    apply_mask,
+    derive_seed,
+    dropout,
+    dropout_mask,
+    matmul,
+    relu,
+    spmm,
+)
+from .errors import ParameterError
 
 
 @dataclass
@@ -80,34 +92,28 @@ def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
     return add(matmul(h, w2), b2)
 
 
-def _propagate(a_norm, h: Tensor) -> Tensor:
-    if isinstance(a_norm, CsrMatrix):
-        return spmm(a_norm, h)
-    return a_norm.apply(h)
-
-
-def gnn_forward(x: Tensor, a_norm, params: EncoderParams, mode: str = "eval",
+def gnn_forward(x: Tensor, a_norm: CsrMatrix, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
-    """Two propagation layers over a normalized operator.
-
-    `a_norm` is either a normalized CSR adjacency or a prompted-graph
-    operator covering base nodes plus prototype rows.
-    """
+    """Two propagation layers over a normalized CSR adjacency."""
     (w1, _), (w2, b2) = params.gnn_layers
-    h = gnn_hidden(matmul(x, w1), a_norm, params, mode, seed, dropout_rate)
-    return add(_propagate(a_norm, matmul(h, w2)), b2)
+    (h,) = gnn_hidden([spmm(a_norm, matmul(x, w1))], params, mode, seed, dropout_rate)
+    return add(spmm(a_norm, matmul(h, w2)), b2)
 
 
-def gnn_hidden(xw1: Tensor, a_norm, params: EncoderParams, mode: str = "eval",
-               seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
-    """The GNN's first layer from its input already multiplied by W1:
-    propagate, add b1, relu, then dropout salted with `derive_seed(seed, 2)`.
+def gnn_hidden(blocks: Sequence[Tensor], params: EncoderParams, mode: str = "eval",
+               seed: int = 0, dropout_rate: float = 0.0) -> list[Tensor]:
+    """The GNN's first layer after propagation, on the row blocks of one graph:
+    add b1, relu, then dropout salted with `derive_seed(seed, 2)`.
 
-    Callers that hold a constant X·W1 run the same layer without recomputing it.
+    One mask is drawn over the blocks' stacked rows and sliced per block, so
+    splitting a graph's rows into blocks leaves the dropout stream unchanged.
     """
     training = _check_mode(mode)
-    if a_norm.rows != xw1.rows:
-        raise ContractError(f"operator has {a_norm.rows} rows, features have {xw1.rows}")
     (_, b1), _ = params.gnn_layers
-    h = relu(add(_propagate(a_norm, xw1), b1))
-    return dropout(h, dropout_rate, derive_seed(seed, 2), training)
+    hs = [relu(add(h, b1)) for h in blocks]
+    factor = dropout_mask((sum(h.rows for h in hs), b1.cols), dropout_rate,
+                          derive_seed(seed, 2), training)
+    if factor is None:
+        return hs
+    ends = np.cumsum([h.rows for h in hs])
+    return [apply_mask(h, factor[end - h.rows:end]) for h, end in zip(hs, ends)]

@@ -20,12 +20,10 @@ from .autodiff import (
     Tensor,
     absolute,
     add,
-    concat_rows,
     matmul,
     mul,
     row_sum,
     rsqrt,
-    select_rows,
     spmm,
     transpose,
 )
@@ -167,26 +165,26 @@ class NormalizedPromptOperator:
         proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
         self.scale_proto = rsqrt(proto_deg)
 
-    def _scaled_blocks(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        if h.rows != self.rows:
-            raise DimensionError(f"operator is {self.rows}x{self.rows}, got {h.shape}")
-        n = self.n_base
-        sb = mul(select_rows(h, np.arange(n)), self.scale_base)
-        sp = mul(select_rows(h, np.arange(n, self.rows)), self.scale_proto)
-        return sb, sp
+    def _scaled_blocks(self, h_base: Tensor, h_proto: Tensor) -> tuple[Tensor, Tensor]:
+        if h_base.rows != self.n_base or h_proto.rows != self.w.cols:
+            raise DimensionError(f"operator takes {self.n_base} base and {self.w.cols} "
+                                 f"prototype rows, got {h_base.rows} and {h_proto.rows}")
+        return mul(h_base, self.scale_base), mul(h_proto, self.scale_proto)
 
     def _prototype_block(self, sb: Tensor, sp: Tensor) -> Tensor:
         return mul(add(matmul(transpose(self.w), sb), sp), self.scale_proto)
 
-    def apply(self, h: Tensor) -> Tensor:
-        """Multiply the normalized operator by a dense (N+C)-row matrix."""
-        sb, sp = self._scaled_blocks(h)
+    def apply(self, h_base: Tensor, h_proto: Tensor) -> tuple[Tensor, Tensor]:
+        """Multiply the normalized operator by the row blocks of an (N+C)-row
+        matrix: its N base rows and its C prototype rows. Returns the product
+        as the same pair of blocks."""
+        sb, sp = self._scaled_blocks(h_base, h_proto)
         top = add(spmm(self.a_hat, sb), matmul(self.w, sp))
-        return concat_rows(mul(top, self.scale_base), self._prototype_block(sb, sp))
+        return mul(top, self.scale_base), self._prototype_block(sb, sp)
 
-    def apply_prototype_rows(self, h: Tensor) -> Tensor:
-        """Rows N.. of `apply(h)` (the C prototype rows), without the N base rows."""
-        return self._prototype_block(*self._scaled_blocks(h))
+    def apply_prototype_rows(self, h_base: Tensor, h_proto: Tensor) -> Tensor:
+        """The prototype block of `apply(h_base, h_proto)`, without the base block."""
+        return self._prototype_block(*self._scaled_blocks(h_base, h_proto))
 
 
 def mean_readout(z: Tensor, graph_of) -> Tensor:

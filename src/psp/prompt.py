@@ -22,7 +22,6 @@ from .autodiff import (
     add,
     backward,
     check_tau,
-    concat_rows,
     derive_seed,
     masked_infonce,
     matmul,
@@ -95,6 +94,9 @@ class PromptConfig:
         check_tau(self.tau)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name in ("epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def init_prototype_features(x: Tensor, labeled: LabeledSet, n_classes: int) -> Tensor:
@@ -185,9 +187,10 @@ def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval"
     per-graph weights are expanded to all member nodes; their gradient
     contributions sum back into the shared entry.
 
-    Layer 1 runs over all N+C rows, on the cached X·W1 stacked over the
-    prototypes' P·W1. The loss reads only the C prototype rows of layer 2,
-    so only those are computed: s_p*(W^T (s_b*H1_b) + s_p*H1_p), then W2, b2.
+    Layer 1 runs over all N+C rows as two row blocks: the cached X·W1 of the
+    base nodes and the prototypes' P·W1. The loss reads only the C prototype
+    rows of layer 2, so only those are computed: s_p*(W^T (s_b*H1_b) + s_p*H1_p),
+    then W2, b2.
     """
     if ps.weight_rows.rows != ctx.anchors.rows:
         raise DimensionError(f"prompt has {ps.weight_rows.rows} weight rows for "
@@ -201,9 +204,9 @@ def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval"
         w = select_rows(w, ctx.graph.graph_of)
     operator = NormalizedPromptOperator(ctx.base, w)
     (w1, _), (w2, b2) = ctx.params.gnn_layers
-    xw1 = concat_rows(ctx.xw1, matmul(ps.proto_features, w1))
-    h = gnn_hidden(xw1, operator, ctx.params, mode, seed, dropout_rate)
-    return add(matmul(operator.apply_prototype_rows(h), w2), b2)
+    blocks = operator.apply(ctx.xw1, matmul(ps.proto_features, w1))
+    h_base, h_proto = gnn_hidden(blocks, ctx.params, mode, seed, dropout_rate)
+    return add(matmul(operator.apply_prototype_rows(h_base, h_proto), w2), b2)
 
 
 def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tensor:

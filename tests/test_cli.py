@@ -345,3 +345,44 @@ def test_pretrain_rejects_zero_hidden_dim(pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: hidden_dim must be at least 1" in captured.err
     assert "Traceback" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e9"])
+def test_synth_rejects_average_degree_above_n_minus_one(tmp_path, capsys, value):
+    out = tmp_path / "data"
+    assert run(["synth", "--n", "30", "--avg-deg", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: avg_deg must be at most n - 1 = 29" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def _split_args(command, data, ckpt, out):
+    """A tiny run of a split-taking command; `tune` writes a bundle to `out`."""
+    extra = {"eval": [], "tune": ["--epochs", "2", "--out", str(out)],
+             "sweep": ["--epochs", "2", "--lr-grid", "0.01", "--weight-decay-grid", "0.0001",
+                       "--dropout-grid", "0.2", "--seeds", "1"]}
+    return [command, "--data", str(data), "--ckpt", str(ckpt), "--k-shot", "3",
+            "--val-shots", "3", "--seed", "1", *extra[command]]
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+@pytest.mark.parametrize("command", ["tune", "eval", "sweep"])
+def test_split_commands_reject_bad_mask_ratio(pipeline, tmp_path, capsys, command, value):
+    _, data, ckpt, tuned = pipeline
+    out = tmp_path / "out.ckpt"
+    args = _split_args(command, data, tuned if command == "eval" else ckpt, out)
+    assert run(args + ["--mask-ratio", value]) == 1
+    captured = capsys.readouterr()
+    assert "error: mask ratio must lie in [0, 1]" in captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag,field", [("--epochs", "epochs"), ("--patience", "patience")])
+@pytest.mark.parametrize("command", ["tune", "sweep"])
+def test_tune_and_sweep_reject_negative_counts(pipeline, tmp_path, capsys, command, flag, field):
+    _, data, ckpt, _ = pipeline
+    out = tmp_path / "out.ckpt"
+    assert run(_split_args(command, data, ckpt, out) + [flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {field} must be non-negative, got -1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()

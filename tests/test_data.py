@@ -332,6 +332,13 @@ def test_sbm_rejects_bad_average_degree(avg_deg):
         generate_sbm(30, 3, 0.5, avg_deg, 8, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("avg_deg", [29.5, 1e9, 1e308])
+def test_sbm_rejects_average_degree_above_n_minus_one(avg_deg):
+    generate_sbm(30, 3, 0.5, 29.0, 8, 0.5, seed=0)
+    with pytest.raises(ParameterError, match="avg_deg must be at most n - 1 = 29"):
+        generate_sbm(30, 3, 0.5, avg_deg, 8, 0.5, seed=0)
+
+
 def test_sbm_zero_average_degree_is_edgeless():
     assert generate_sbm(30, 3, 0.5, 0.0, 8, 0.5, seed=0).adjacency.nnz == 0
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tensor, grad_check, mul, total_sum
+from psp.autodiff import Tensor, add, grad_check, mul, total_sum
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
@@ -46,9 +46,16 @@ def dense_prompted_normalize(adj_dense: np.ndarray, w: np.ndarray) -> np.ndarray
     return inv[:, None] * signed * inv[None, :]
 
 
+def apply_stacked(op: NormalizedPromptOperator, h: np.ndarray) -> np.ndarray:
+    """The operator's product with an (N+C)-row matrix, split into its row
+    blocks on the way in and stacked on the way out."""
+    base, proto = op.apply(Tensor(h[:op.n_base]), Tensor(h[op.n_base:]))
+    return np.vstack([base.data, proto.data])
+
+
 def operator_matrix(op: NormalizedPromptOperator) -> np.ndarray:
     """The operator as the code that runs computes it: its product with I."""
-    return op.apply(Tensor(np.eye(op.rows))).data
+    return apply_stacked(op, np.eye(op.rows))
 
 
 def set_loop_build_csr(n, edges):
@@ -203,7 +210,8 @@ def test_augment_output_row_count():
         a = build_csr(n, [(0, min(1, n - 1))] if n > 1 else [])
         op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, c))))
         assert op.rows == n + c
-        assert op.apply(Tensor(np.ones((n + c, 2)))).rows == n + c
+        base, proto = op.apply(Tensor(np.ones((n, 2))), Tensor(np.ones((c, 2))))
+        assert (base.rows, proto.rows) == (n, c)
 
 
 def test_augment_row_mismatch():
@@ -239,13 +247,17 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     h = rng.standard_normal((n + 3, 4))
     op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w))
     oracle = dense_prompted_normalize(a.to_dense(), w)
-    np.testing.assert_allclose(op.apply(Tensor(h)).data, oracle @ h, atol=1e-12)
+    np.testing.assert_allclose(apply_stacked(op, h), oracle @ h, atol=1e-12)
     np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
-    # the prototype-row read-out is the bottom block of the full product, bitwise
-    np.testing.assert_array_equal(op.apply_prototype_rows(Tensor(h)).data,
-                                  op.apply(Tensor(h)).data[n:])
-    with pytest.raises(DimensionError):
-        op.apply_prototype_rows(Tensor(h[:n]))
+    # the prototype-row read-out is the prototype block of the full product, bitwise
+    h_base, h_proto = Tensor(h[:n]), Tensor(h[n:])
+    np.testing.assert_array_equal(op.apply_prototype_rows(h_base, h_proto).data,
+                                  op.apply(h_base, h_proto)[1].data)
+    for blocks in ((h[:n - 1], h[n:]), (h[:n], h[n:-1]), (h[n:], h[:n])):
+        with pytest.raises(DimensionError, match="operator takes 10 base and 3 prototype rows"):
+            op.apply(*map(Tensor, blocks))
+        with pytest.raises(DimensionError, match="operator takes 10 base and 3 prototype rows"):
+            op.apply_prototype_rows(*map(Tensor, blocks))
 
 
 def test_normalize_prompted_finite_for_extreme_weights():
@@ -275,12 +287,12 @@ def test_prototype_column_scaling_near_invariant():
 def test_gradient_through_normalization_into_weights():
     rng = np.random.default_rng(4)
     a = build_csr(4, [(0, 1), (1, 2), (2, 3)])
-    h = Tensor(rng.standard_normal((6, 3)))
-    probe = Tensor(rng.standard_normal((6, 3)))
+    h_base, h_proto = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
+    probe_base, probe_proto = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
 
     def f(w):
-        op = NormalizedPromptOperator(SelfLoopedBase.of(a), w)
-        return total_sum(mul(op.apply(h), probe))
+        base, proto = NormalizedPromptOperator(SelfLoopedBase.of(a), w).apply(h_base, h_proto)
+        return add(total_sum(mul(base, probe_base)), total_sum(mul(proto, probe_proto)))
 
     assert grad_check(f, Tensor(rng.standard_normal((4, 2))), h=1e-5) < 1e-4
 

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tape, Tensor, backward, grad_check, mul, select_rows, total_sum
+from psp.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    derive_seed,
+    dropout_mask,
+    grad_check,
+    matmul,
+    mul,
+    relu,
+    select_rows,
+    total_sum,
+)
 from psp.data import generate_sbm, labeled_from_split, sample_k_shot
 from psp.encoders import (
     freeze,
@@ -93,6 +106,13 @@ def test_prompt_config_grids():
         PromptConfig(edge_ratio=1.5)
     with pytest.raises(ParameterError):
         task_context(toy_graph(), frozen_params(4), "edge")
+
+
+@pytest.mark.parametrize("field", ["epochs", "patience"])
+def test_prompt_config_rejects_negative_counts(field):
+    PromptConfig(**{field: 0})
+    with pytest.raises(ParameterError, match=f"{field} must be non-negative, got -1"):
+        PromptConfig(**{field: -1})
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
@@ -276,7 +296,9 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     # scale: |w_i| <= d_i and |w_i| <= d_c give |w_i|/sqrt(d_i d_c) <= 1
     for factor in (1.0, 2.0, 100.0):
         op = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), Tensor(base_w * factor))
-        assert np.abs(op.apply(Tensor(np.eye(op.rows))).data).max() <= 1.0 + 1e-12
+        eye = np.eye(op.rows)
+        blocks = op.apply(Tensor(eye[:op.n_base]), Tensor(eye[op.n_base:]))
+        assert max(np.abs(b.data).max() for b in blocks) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +372,23 @@ def test_prompt_loss_gradient_through_augmented_propagation():
 
 def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     """Parity oracle: the two-layer GNN over all N+C rows of the prompted graph,
-    from the stacked raw features, then its prototype rows."""
+    both layers through the operator's full product and the first with one
+    (N+C)-row dropout mask, then its prototype rows."""
     g = ctx.graph
     w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
     if ctx.task == "graph":
         w = select_rows(w, g.graph_of)
     operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
-    feats = Tensor(np.vstack([g.features.data, ps.proto_features.data]))
-    out = gnn_forward(feats, operator, ctx.params, mode, seed, dropout_rate)
-    return select_rows(out, np.arange(g.n_nodes, operator.rows))
+    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
+    h_base, h_proto = (relu(add(h, b1)) for h in blocks)
+    factor = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
+                          derive_seed(seed, 2), mode == "train")
+    if factor is not None:
+        h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
+        h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
+    _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
+    return add(proto, b2)
 
 
 def _prompt_case(task, partial_mask, seed=21):
@@ -402,6 +432,18 @@ def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
         eval_out, _ = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
                                                "eval", 17, 0.0)
         assert not np.allclose(got, eval_out)
+
+
+def test_node_forward_copies_no_rows_and_draws_one_dropout_mask():
+    ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=True)
+    ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(w0, requires_grad=True),
+                       trainable_row_mask=mask)
+    with Tape() as tape:
+        prototype_embeddings(ctx, ps, "train", 17, 0.3)
+    ops = [rec.op for rec in tape.records]
+    assert "select_rows" not in ops
+    # one mask over the N+C rows, applied to each of the two row blocks
+    assert tape.dropout_calls == 1 and ops.count("dropout") == 2
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
