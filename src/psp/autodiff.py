@@ -419,12 +419,19 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     return _emit("cosine_sim_matrix", (a, b), out, vjp)
 
 
+def check_finite(name: str, value, positive: bool = False) -> float:
+    """`value` as a float; anything but a finite number >= 0 (> 0 when
+    `positive`) raises a ParameterError naming `name`."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ParameterError(f"{name} must be a {kind} finite number, got {value}")
+    return value
+
+
 def check_tau(tau) -> float:
     """A softmax temperature as a float; anything but a positive finite number raises."""
-    tau = float(tau)
-    if not (np.isfinite(tau) and tau > 0):
-        raise ParameterError(f"tau must be a positive finite number, got {tau}")
-    return tau
+    return check_finite("tau", tau, positive=True)
 
 
 # rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats

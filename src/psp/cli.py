@@ -8,6 +8,7 @@ error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import sys
@@ -43,6 +44,16 @@ from .prompt import (
 )
 
 DEFAULT_SEEDS = "0,1,2,3,4"
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# glibc's own ceiling for its dynamic mmap threshold: an N x h tape array is
+# served from the heap, while a block above 32 MiB is still unmapped when freed
+_MMAP_THRESHOLD = 32 << 20
+# every epoch frees its whole tape; under the default (about twice the largest
+# freed block) that heap top goes back to the kernel and the next epoch faults
+# the same pages in again, so keep up to 1 GiB of it for reuse
+_TRIM_THRESHOLD = 1 << 30
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -107,7 +118,9 @@ def _cmd_synth(args) -> int:
     g = generate_sbm(args.n, args.classes, args.homophily, args.avg_deg,
                      args.feat_dim, args.noise, args.seed)
     save_node_dataset(args.out, g)
-    print(f"wrote synthetic dataset to {args.out}", file=sys.stderr)
+    # edges are drawn with replacement and repeats dropped, so this can fall below --avg-deg
+    print(f"wrote synthetic dataset to {args.out}, mean degree "
+          f"{g.adjacency.nnz / g.n_nodes:.4g}", file=sys.stderr)
     return 0
 
 
@@ -145,6 +158,13 @@ def _cmd_tune(args) -> int:
 def _cmd_eval(args) -> int:
     g = _load_dataset(args)
     ckpt = load_checkpoint(args.ckpt)
+    p = ckpt.prompt
+    if args.variant == "psp":
+        if p is None:
+            raise ContractError("checkpoint holds no tuned prompt; run `tune` first or use --variant psp-np")
+        if p.task != args.task:
+            raise ContractError(f"--task {args.task} does not match the bundle, "
+                                f"whose prompt was tuned for task {p.task}")
     if args.tau is None:
         args.tau = ckpt.tau
     split, labels = _split_for(g, args)
@@ -153,9 +173,6 @@ def _cmd_eval(args) -> int:
         labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
         prototypes = np_prototypes(ctx.struct, labeled, ctx.n_classes)
     else:
-        if ckpt.prompt is None:
-            raise ContractError("checkpoint holds no tuned prompt; run `tune` first or use --variant psp-np")
-        p = ckpt.prompt
         prompted = PromptedGraph(proto_features=Tensor(p.proto_features),
                                  weight_rows=Tensor(p.weights), trainable_row_mask=p.mask)
         prototypes = prototype_embeddings(ctx, prompted, "eval")
@@ -335,7 +352,26 @@ def run(argv=None) -> int:
         return 1
 
 
+def keep_freed_memory() -> list[int]:
+    """Make glibc's allocator keep freed heap memory for the next epoch.
+
+    Fixing one threshold turns off glibc's dynamic adjustment of both, so both
+    are set. Returns each `mallopt` call's result (1 on success), or [] where
+    glibc's `mallopt` is missing, in which case nothing changes. Only `main`
+    calls it: `run`, library callers and tests keep the default allocator.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only: the parameter numbers are glibc's
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return []
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
+
+
 def main() -> None:
+    keep_freed_memory()
     sys.exit(run())
 
 

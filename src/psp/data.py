@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite
 from .encoders import EncoderParams, freeze
 from .errors import DataError, FormatError, ParameterError
 from .graph import GraphData, build_csr
@@ -274,8 +274,10 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
                  feat_dim: int, noise: float, seed: int) -> GraphData:
     """Equal-size-class block-model graph with orthogonal class mean features.
 
-    Each of the ~n*avg_deg/2 edges is intra-class with probability
-    `homophily`, so the expected intra-class edge fraction equals it.
+    round(n*avg_deg/2) edges are drawn with replacement, each intra-class
+    with probability `homophily`, so the expected intra-class edge fraction
+    equals it. Repeats are dropped, so the realized mean degree
+    (`adjacency.nnz / n`) falls below `avg_deg` as it nears the block sizes.
     Features are the class mean (a unit basis vector) plus Gaussian noise.
     """
     if n < n_classes:
@@ -284,8 +286,8 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         raise ParameterError("n_classes must be positive")
     if not 0.0 <= homophily <= 1.0:
         raise ParameterError(f"homophily must lie in [0, 1], got {homophily}")
-    if not (np.isfinite(avg_deg) and avg_deg >= 0):
-        raise ParameterError(f"avg_deg must be a non-negative finite number, got {avg_deg}")
+    check_finite("avg_deg", avg_deg)
+    check_finite("noise", noise)
     if avg_deg > n - 1:
         raise ParameterError(f"avg_deg must be at most n - 1 = {n - 1}, got {avg_deg}")
     if feat_dim < n_classes:
@@ -354,6 +356,8 @@ class _Reader:
     def block(self) -> np.ndarray:
         rows, cols = self.unpack("<II")
         data = np.frombuffer(self.take(rows * cols * 8), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise FormatError(f"checkpoint block {rows}x{cols} holds a non-finite value")
         return data.reshape(rows, cols).copy()
 
 

@@ -25,6 +25,7 @@ from .autodiff import (
     Tensor,
     adam_step,
     backward,
+    check_finite,
     check_tau,
     derive_seed,
     masked_infonce,
@@ -47,6 +48,8 @@ class PretrainConfig:
 
     def __post_init__(self):
         check_tau(self.tau)
+        check_finite("lr", self.lr, positive=True)
+        check_finite("weight_decay", self.weight_decay)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 0:

@@ -1,6 +1,12 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import psp
 from psp.cli import run
 from psp.data import (
     TunedPrompt,
@@ -386,3 +392,97 @@ def test_tune_and_sweep_reject_negative_counts(pipeline, tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert f"error: {field} must be non-negative, got -1" in captured.err
     assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "-1"), ("--weight-decay", "nan")])
+def test_pretrain_rejects_bad_optimizer_flags(pipeline, tmp_path, capsys, flag, value):
+    _, data, _, _ = pipeline
+    message = ("lr must be a positive" if flag == "--lr"
+               else "weight_decay must be a non-negative") + " finite number"
+    out = tmp_path / "out.ckpt"
+    assert run(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1",
+                flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}, got" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_synth_rejects_bad_noise(tmp_path, capsys, value):
+    out = tmp_path / "data"
+    assert run(["synth", "--n", "30", "--noise", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: noise must be a non-negative finite number" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_synth_reports_the_realized_mean_degree(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run(["synth", "--n", "30", "--avg-deg", "10", "--out", str(out)]) == 0
+    line = capsys.readouterr().err.splitlines()[-1]
+    reported = float(line.rsplit("mean degree ", 1)[1])
+    g = load_node_dataset(out)
+    assert reported == pytest.approx(g.adjacency.nnz / g.n_nodes, abs=5e-4)
+    assert reported < 10  # repeated draws were dropped
+
+
+def test_eval_refuses_a_task_other_than_the_bundles(pipeline, capsys):
+    _, data, _, tuned = pipeline
+    assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--task", "graph",
+                "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --task graph does not match the bundle, whose prompt was tuned for task node" \
+        in captured.err
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# allocator policy of the `psp` process
+
+_ALLOCATION_ROUNDS = """
+import resource, sys
+import numpy as np
+import psp.cli
+mode = sys.argv[1]
+if mode == "policy":
+    print(*psp.cli.keep_freed_memory())
+elif mode == "run":
+    assert psp.cli.run(["synth", "--n", "30", "--out", sys.argv[2]]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    arrays = [np.ones((300, 128)) for _ in range(20)]
+    del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _page_faults(mode, tmp_path):
+    """Minor page faults of 30 rounds of allocating and dropping twenty
+    300 x 128 arrays, in a fresh interpreter; the `policy` mode also returns
+    `keep_freed_memory`'s results."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psp.__file__)))
+    out = subprocess.run([sys.executable, "-c", _ALLOCATION_ROUNDS, mode, str(tmp_path / mode)],
+                         env=env, capture_output=True, text=True, check=True).stdout.split("\n")
+    return int(out[-2]), out[:-2]
+
+
+def test_keep_freed_memory_stops_refaulting_freed_arrays(tmp_path):
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator policy applies to glibc only")
+    without, _ = _page_faults("none", tmp_path)
+    with_policy, printed = _page_faults("policy", tmp_path)
+    after_run, _ = _page_faults("run", tmp_path)
+    assert printed == ["1 1"]  # each mallopt call succeeded
+    assert with_policy * 5 < without
+    assert with_policy * 5 < after_run  # run() alone leaves the default allocator
+
+
+def test_main_applies_the_policy_before_running(monkeypatch):
+    import psp.cli
+
+    calls = []
+    monkeypatch.setattr(psp.cli, "keep_freed_memory", lambda: calls.append("policy"))
+    monkeypatch.setattr(psp.cli, "run", lambda: calls.append("run") or 0)
+    with pytest.raises(SystemExit) as exc:
+        psp.cli.main()
+    assert exc.value.code == 0 and calls == ["policy", "run"]

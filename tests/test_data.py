@@ -332,6 +332,13 @@ def test_sbm_rejects_bad_average_degree(avg_deg):
         generate_sbm(30, 3, 0.5, avg_deg, 8, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+def test_sbm_rejects_bad_noise(noise):
+    generate_sbm(30, 3, 0.5, 2.0, 8, 0.0, seed=0)
+    with pytest.raises(ParameterError, match="noise must be a non-negative finite number"):
+        generate_sbm(30, 3, 0.5, 2.0, 8, noise, seed=0)
+
+
 @pytest.mark.parametrize("avg_deg", [29.5, 1e9, 1e308])
 def test_sbm_rejects_average_degree_above_n_minus_one(avg_deg):
     generate_sbm(30, 3, 0.5, 29.0, 8, 0.5, seed=0)
@@ -428,6 +435,22 @@ def test_checkpoint_rejects_mask_length_mismatch(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match="4 entries for 5 weight rows"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["mlp_weight", "gnn_bias", "proto_features", "weights"])
+def test_checkpoint_rejects_non_finite_blocks(tmp_path, block, value):
+    ckpt = make_checkpoint(with_prompt=True)
+    target = {"mlp_weight": ckpt.params.mlp_layers[0][0].data,
+              "gnn_bias": ckpt.params.gnn_layers[1][1].data,
+              "proto_features": ckpt.prompt.proto_features,
+              "weights": ckpt.prompt.weights}[block]
+    target.flat[-1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match=f"block {target.shape[0]}x{target.shape[1]} "
+                                          "holds a non-finite value"):
         load_checkpoint(path)
 
 

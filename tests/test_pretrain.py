@@ -89,6 +89,17 @@ def test_config_validation():
         PretrainConfig(epochs=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0), ("lr", 0.0),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
+])
+def test_config_rejects_bad_optimizer_settings(field, value):
+    PretrainConfig(weight_decay=0.0)
+    kind = "positive" if field == "lr" else "non-negative"
+    with pytest.raises(ParameterError, match=f"{field} must be a {kind} finite number"):
+        PretrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_config_and_loss_reject_bad_tau(tau):
     with pytest.raises(ParameterError, match="tau"):
