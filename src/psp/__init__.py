@@ -9,22 +9,16 @@ from .autodiff import (
     adam_step,
     add,
     backward,
-    cosine_sim_matrix,
     dropout,
-    exp,
     grad_check,
-    log,
     masked_infonce,
     matmul,
     mul,
     relu,
     row_sum,
     rsqrt,
-    scale,
     select_rows,
     spmm,
-    sub,
-    total_sum,
     transpose,
 )
 from .data import (
@@ -60,14 +54,13 @@ from .graph import (
     gcn_normalize,
     mean_readout,
 )
-from .inference import Prediction, evaluate, np_prototypes, predict
+from .inference import Prediction, class_mean_rows, evaluate, predict
 from .pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from .prompt import (
     LabeledSet,
     PromptConfig,
     TaskContext,
     init_edge_weights,
-    init_prototype_features,
     prompt_loss,
     prompt_tune,
     prototype_embeddings,

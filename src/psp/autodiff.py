@@ -22,7 +22,6 @@ from .errors import (
     ParameterError,
 )
 
-COSINE_EPS = 1e-12
 DEGREE_FLOOR = 1e-12
 
 _node_ids = itertools.count()
@@ -197,17 +196,22 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _recording_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
+    """The innermost active tape while any of `inputs` requires grad, else None."""
+    tape = active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp) -> Tensor:
-    """Wrap an op's output and record it while any input requires grad.
+    """Wrap an op's output and record it on `_recording_tape(inputs)`, if any.
 
     `out_data` must be a freshly computed 2-D float64 array: the output
     tensor adopts it without a copy. A VJP returns None for every input that
     did not require grad when the op ran.
     """
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._adopt(out_data, track)
-    if track:
+    tape = _recording_tape(inputs)
+    out = Tensor._adopt(out_data, tape is not None)
+    if tape is not None:
         tape.records.append(TapeRecord(op, tuple(inputs), out, vjp))
     return out
 
@@ -259,51 +263,41 @@ def select_rows(x: Tensor, indices) -> Tensor:
     return _emit("select_rows", (x,), x.data[idx], vjp)
 
 
-def _bcast_reducer(small: tuple, big: tuple):
-    """Gradient reducer for the limited broadcasts these models need."""
-    if small == big:
-        return lambda g: g
-    if small == (1, big[1]):
-        return lambda g: g.sum(axis=0, keepdims=True)
-    if small == (big[0], 1):
-        return lambda g: g.sum(axis=1, keepdims=True)
-    return None
+def _reduce(g: np.ndarray, axis: Optional[int]) -> np.ndarray:
+    return g if axis is None else g.sum(axis=axis, keepdims=True)
 
 
-def _bcast_shapes(a: Tensor, b: Tensor, op: str):
-    try:
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not align") from None
-    ra = _bcast_reducer(a.shape, out_shape)
-    rb = _bcast_reducer(b.shape, out_shape)
-    if out_shape not in (a.shape, b.shape) or ra is None or rb is None:
-        raise DimensionError(f"{op}: unsupported broadcast {a.shape} with {b.shape}")
-    return ra, rb
+def _reducers(a: Tensor, b: Tensor, op: str) -> tuple[Optional[int], Optional[int]]:
+    """The axis each side's gradient is summed over in an elementwise op (None: kept).
+
+    The shapes must be equal, or one side must be a row (1 x m) or a column
+    (n x 1) of the other's shape, which it is broadcast over.
+    """
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return None, None
+    for small, big, small_is_a in ((sa, sb, True), (sb, sa, False)):
+        axis = 0 if small == (1, big[1]) else 1 if small == (big[0], 1) else None
+        if axis is not None:
+            return (axis, None) if small_is_a else (None, axis)
+    raise DimensionError(f"{op}: unsupported broadcast {sa} with {sb}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    ra, rb = _bcast_shapes(a, b, "add")
+    ra, rb = _reducers(a, b, "add")
     need_a, need_b = a.requires_grad, b.requires_grad
     return _emit("add", (a, b), a.data + b.data,
-                 lambda g: (ra(g) if need_a else None, rb(g) if need_b else None))
+                 lambda g: (_reduce(g, ra) if need_a else None,
+                            _reduce(g, rb) if need_b else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ra, rb = _bcast_shapes(a, b, "mul")
+    ra, rb = _reducers(a, b, "mul")
     a_in, b_in = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     return _emit("mul", (a, b), a_in * b_in,
-                 lambda g: (ra(g * b_in) if need_a else None, rb(g * a_in) if need_b else None))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit("scale", (a,), a.data * c, lambda g: (g * c,))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
+                 lambda g: (_reduce(g * b_in, ra) if need_a else None,
+                            _reduce(g * a_in, rb) if need_b else None))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -314,16 +308,6 @@ def relu(a: Tensor) -> Tensor:
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
     return _emit("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _emit("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    a_in = a.data
-    return _emit("log", (a,), np.log(a_in), lambda g: (g / a_in,))
 
 
 def rsqrt(a: Tensor) -> Tensor:
@@ -338,12 +322,6 @@ def row_sum(a: Tensor) -> Tensor:
     cols = a.cols
     return _emit("row_sum", (a,), a.data.sum(axis=1, keepdims=True),
                  lambda g: (g * np.ones((1, cols)),))
-
-
-def total_sum(a: Tensor) -> Tensor:
-    shape = a.shape
-    return _emit("total_sum", (a,), a.data.sum().reshape(1, 1),
-                 lambda g: (np.full(shape, g[0, 0]),))
 
 
 def dropout_mask(shape: tuple[int, int], p: float, seed: int,
@@ -379,44 +357,10 @@ def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
     return x if factor is None else apply_mask(x, factor)
 
 
-def cosine_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain-array row-wise cosine similarity matrix (forward only)."""
-    u = np.linalg.norm(a, axis=1, keepdims=True)
-    v = np.linalg.norm(b, axis=1, keepdims=True)
-    return (a @ b.T) / np.maximum(u @ v.T, COSINE_EPS)
-
-
-def _row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms as a column, and their inverses with 0 in place of 1/0."""
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Inverse row norms as a column, with 0 in place of 1/0 (zero rows stay zero)."""
     norm = np.linalg.norm(x, axis=1, keepdims=True)
-    return norm, np.where(norm > 0.0, 1.0 / np.maximum(norm, 1e-300), 0.0)
-
-
-def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine similarity between the rows of a and the rows of b.
-
-    The norm product is floored at a tiny epsilon so zero rows yield
-    similarity 0 instead of NaN; such rows get subgradient 0.
-    """
-    if a.cols != b.cols:
-        raise DimensionError(f"cosine_sim_matrix: feature dims differ, {a.shape} vs {b.shape}")
-    a_in, b_in = a.data, b.data
-    u, inv_u = _row_norms(a_in)
-    v, inv_v = _row_norms(b_in)
-    norm_prod = u @ v.T
-    denom = np.maximum(norm_prod, COSINE_EPS)
-    out = (a_in @ b_in.T) / denom
-    gate = norm_prod > COSINE_EPS
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        gd = g / denom * gate
-        gs = gd * out
-        ga = gd @ b_in - (gs @ v) * inv_u * a_in if need_a else None
-        gb = gd.T @ a_in - (gs.T @ u) * inv_v * b_in if need_b else None
-        return ga, gb
-
-    return _emit("cosine_sim_matrix", (a, b), out, vjp)
+    return np.where(norm > 0.0, 1.0 / np.maximum(norm, 1e-300), 0.0)
 
 
 def check_finite(name: str, value, positive: bool = False) -> float:
@@ -464,9 +408,9 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
     inv_tau = 1.0 / check_tau(tau)
-    inv_u, inv_v = _row_norms(z1.data)[1], _row_norms(z2.data)[1]
+    inv_u, inv_v = _row_norms(z1.data), _row_norms(z2.data)
     a_unit, b_unit = z1.data * inv_u, z2.data * inv_v
-    recorded = active_tape() is not None and (z1.requires_grad or z2.requires_grad)  # as in _emit
+    recorded = _recording_tape((z1, z2)) is not None
     ga = np.empty_like(a_unit) if recorded and z1.requires_grad else None
     gb = np.zeros_like(b_unit) if recorded and z2.requires_grad else None
     shift = np.empty((m, 1))
@@ -513,39 +457,32 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep filling .grad of every requires_grad tensor on the tape.
+    """Reverse sweep adding d(loss)/d(leaf) to .grad of every leaf on the tape.
 
-    Calling twice without clearing grads accumulates: each call adds one full
-    sweep seeded at 1 into the existing buffers.
+    Leaves are the requires_grad tensors no record produced (the loss too, if
+    none did). A produced tensor's gradient is freed once its VJP has run.
+    Calling twice without clearing grads adds one more full sweep seeded at 1.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
-    flows: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
+    flows: dict[int, tuple[Tensor, np.ndarray]] = {loss.node_id: (loss, np.ones((1, 1)))}
     for rec in reversed(tape.records):
-        g_out = flows.get(rec.out.node_id)
-        if g_out is None:
+        flow = flows.pop(rec.out.node_id, None)
+        if flow is None:
             continue
-        for t, g in zip(rec.inputs, rec.vjp(g_out)):
+        for t, g in zip(rec.inputs, rec.vjp(flow[1])):
             if g is None:
                 continue
             acc = flows.get(t.node_id)
-            flows[t.node_id] = g if acc is None else acc + g
-    touched: dict[int, Tensor] = {loss.node_id: loss}
-    for rec in tape.records:
-        touched[rec.out.node_id] = rec.out
-        for t in rec.inputs:
-            touched[t.node_id] = t
-    produced = {rec.out.node_id for rec in tape.records}
+            flows[t.node_id] = (t, g if acc is None else acc[1] + g)
     leaf_grads: list[np.ndarray] = []
-    for nid, t in touched.items():
-        g = flows.get(nid)
-        if g is None or not t.requires_grad:
+    for t, g in flows.values():
+        if not t.requires_grad:
             continue
-        if nid not in produced:
-            # a VJP may hand one array to two inputs (add); each leaf owns its grad
-            if any(np.may_share_memory(g, h) for h in leaf_grads):
-                g = g.copy()
-            leaf_grads.append(g)
+        # a VJP may hand one array to two inputs (add); each leaf owns its grad
+        if any(np.may_share_memory(g, h) for h in leaf_grads):
+            g = g.copy()
+        leaf_grads.append(g)
         t.grad = g if t.grad is None else t.grad + g
 
 

@@ -32,7 +32,7 @@ from .data import (
 from .autodiff import Tensor
 from .errors import ContractError, ParameterError, PspError
 from .graph import GraphData, PromptedGraph
-from .inference import evaluate, np_prototypes, predict
+from .inference import class_mean_rows, evaluate, predict
 from .pretrain import PretrainConfig, pretrain, write_loss_log
 from .prompt import (
     LabeledSet,
@@ -171,7 +171,7 @@ def _cmd_eval(args) -> int:
     ctx = task_context(g, ckpt.params, args.task)
     if args.variant == "psp-np":
         labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
-        prototypes = np_prototypes(ctx.struct, labeled, ctx.n_classes)
+        prototypes = class_mean_rows(ctx.struct, labeled, ctx.n_classes)
     else:
         prompted = PromptedGraph(proto_features=Tensor(p.proto_features),
                                  weight_rows=Tensor(p.weights), trainable_row_mask=p.mask)

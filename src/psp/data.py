@@ -292,6 +292,13 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         raise ParameterError(f"avg_deg must be at most n - 1 = {n - 1}, got {avg_deg}")
     if feat_dim < n_classes:
         raise ParameterError(f"feat_dim {feat_dim} cannot hold {n_classes} orthogonal class means")
+    n_edges = int(round(n * avg_deg / 2.0))
+    if n_edges and homophily > 0 and n == n_classes:
+        raise ParameterError(f"homophily {homophily} draws intra-class edges, but each of the "
+                             f"{n_classes} classes has a single node")
+    if n_edges and homophily < 1 and n_classes == 1:
+        raise ParameterError(f"homophily {homophily} draws inter-class edges, but there is "
+                             "only one class")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])
 
     sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
@@ -299,7 +306,6 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     labels = np.repeat(np.arange(n_classes), sizes)
     members = [np.flatnonzero(labels == c) for c in range(n_classes)]
 
-    n_edges = int(round(n * avg_deg / 2.0))
     edges = []
     for _ in range(n_edges):
         if rng.random() < homophily:

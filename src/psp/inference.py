@@ -1,4 +1,4 @@
-"""Similarity-based prediction, accuracy, and the no-prompt baseline."""
+"""Similarity-based prediction, accuracy, and class-mean prototypes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, check_tau, cosine_np
+from .autodiff import Tensor, _row_norms, check_tau
 from .errors import ContractError, DataError, DimensionError
 
 
@@ -19,16 +19,18 @@ class Prediction:
 def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> Prediction:
     """Softmax over temperature-scaled cosine similarity to every prototype.
 
-    The denominator runs over all classes. Ties resolve to the lowest class
-    index.
+    Cosines come from unit rows, as in the losses. The denominator runs over
+    all classes. Ties resolve to the lowest class index.
     """
     if anchors.cols != prototypes.cols:
         raise DimensionError(
             f"predict: feature dims differ, {anchors.shape} vs {prototypes.shape}")
     if prototypes.rows < 1:
         raise ContractError("predict needs at least one prototype")
-    logits = cosine_np(anchors.data, prototypes.data) / check_tau(tau)
-    logits = logits - logits.max(axis=1, keepdims=True)
+    inv_tau = 1.0 / check_tau(tau)
+    a_unit = anchors.data * _row_norms(anchors.data)
+    logits = (a_unit * inv_tau) @ (prototypes.data * _row_norms(prototypes.data)).T
+    logits -= logits.max(axis=1, keepdims=True)
     ex = np.exp(logits)
     probs = ex / ex.sum(axis=1, keepdims=True)
     return Prediction(probs=Tensor(probs), argmax=np.argmax(probs, axis=1))
@@ -43,7 +45,9 @@ def evaluate(pred: Prediction, truth) -> float:
 
 
 def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
-    """Row c = mean of the rows of `values` whose labeled item is in class c."""
+    """Row c = mean of the rows of `values` whose labeled item is in class c
+    (the no-prompt prototypes over the structural view, the prompt's prototype
+    attributes over the features); every class needs a labeled item."""
     sums = np.zeros((n_classes, values.cols))
     counts = np.zeros(n_classes)
     for index, cls in labeled.items:
@@ -51,11 +55,7 @@ def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
             raise DataError(f"labeled class {cls} out of range [0, {n_classes})")
         sums[cls] += values.data[index]
         counts[cls] += 1
-    if np.any(counts == 0):
-        raise DataError(f"class {int(np.argmin(counts))} has no labeled items")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise DataError(f"classes {missing.tolist()} have no labeled items")
     return Tensor(sums / counts[:, None])
-
-
-def np_prototypes(z2: Tensor, labeled, n_classes: int) -> Tensor:
-    """Labeled-mean embeddings used directly as prototypes (no tuning)."""
-    return class_mean_rows(z2, labeled, n_classes)

@@ -62,12 +62,6 @@ class LabeledSet:
     def classes(self) -> np.ndarray:
         return np.array([c for _, c in self.items], dtype=np.int64)
 
-    def require_coverage(self, n_classes: int) -> None:
-        present = set(self.classes().tolist())
-        missing = sorted(set(range(n_classes)) - present)
-        if missing:
-            raise DataError(f"classes {missing} have no labeled items")
-
 
 def _in_grid(value: float, grid) -> bool:
     return any(np.isclose(value, g, rtol=1e-9) for g in grid)
@@ -99,15 +93,8 @@ class PromptConfig:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-def init_prototype_features(x: Tensor, labeled: LabeledSet, n_classes: int) -> Tensor:
-    """Prototype attributes: per-class mean of the labeled feature rows."""
-    labeled.require_coverage(n_classes)
-    return class_mean_rows(x, labeled, n_classes)
-
-
 def init_edge_weights(z2: Tensor, labeled: LabeledSet, n_classes: int) -> Tensor:
     """Initial weights: dot products between embeddings and labeled-mean prototypes."""
-    labeled.require_coverage(n_classes)
     proto = class_mean_rows(z2, labeled, n_classes)
     return Tensor(z2.data @ proto.data.T)
 
@@ -237,9 +224,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     if not labeled.items:
         raise ContractError("prompt tuning needs a non-empty labeled set")
     n_classes = ctx.n_classes
-    labeled.require_coverage(n_classes)
-
-    proto_features = init_prototype_features(ctx.attr_base, labeled, n_classes)
+    proto_features = class_mean_rows(ctx.attr_base, labeled, n_classes)
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
     mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
     weights = Tensor(w0.data * mask[:, None], requires_grad=True, name="prompt_weights")

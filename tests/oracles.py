@@ -1,0 +1,194 @@
+"""Test-side oracles: slow, independent versions of what `src/psp` computes.
+
+Tape ops that no `src` path runs, kept so the composite oracle and the
+per-op gradient checks (criterion 1, `test_each_op_passes_grad_check`) can
+build losses from them:
+
+- `scale`, `sub`, `exp`, `log`, `total_sum`: elementwise and reduction ops
+  on the `psp.autodiff` tape.
+- `cosine_sim_matrix`: the all-pairs cosine op; also the independent cosine
+  that `psp.inference.predict` is checked against.
+
+Parity oracles, one per fast path in `src`:
+
+- `composite_infonce` checks `psp.autodiff.masked_infonce`: the same loss
+  built from tape ops, holding every m x n intermediate.
+- `dense_gcn_normalize` checks `psp.graph.gcn_normalize`: D^-1/2 (A+I) D^-1/2
+  as a dense array.
+- `dense_prompted_normalize` checks `psp.graph.NormalizedPromptOperator`:
+  the normalized (N+C) x (N+C) prompted-graph matrix as a dense array.
+- `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
+  it replaced.
+- `full_graph_prototypes` checks `psp.prompt.prototype_embeddings`: the GNN
+  over all N+C rows of the prompted graph, then its prototype rows.
+"""
+
+import numpy as np
+
+from psp.autodiff import (
+    Tensor,
+    _emit,
+    _row_norms,
+    add,
+    derive_seed,
+    dropout_mask,
+    matmul,
+    mul,
+    relu,
+    row_sum,
+    select_rows,
+)
+from psp.errors import DataError, DimensionError
+from psp.graph import NormalizedPromptOperator, SelfLoopedBase
+
+COSINE_EPS = 1e-12
+
+# ---------------------------------------------------------------------------
+# tape ops
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return _emit("scale", (a,), a.data * c, lambda g: (g * c,))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return add(a, scale(b, -1.0))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _emit("exp", (a,), out, lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    a_in = a.data
+    return _emit("log", (a,), np.log(a_in), lambda g: (g / a_in,))
+
+
+def total_sum(a: Tensor) -> Tensor:
+    shape = a.shape
+    return _emit("total_sum", (a,), a.data.sum().reshape(1, 1),
+                 lambda g: (np.full(shape, g[0, 0]),))
+
+
+def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs cosine similarity between the rows of a and the rows of b.
+
+    The norm product is floored at `COSINE_EPS` so zero rows yield
+    similarity 0 instead of NaN; such rows get subgradient 0.
+    """
+    if a.cols != b.cols:
+        raise DimensionError(f"cosine_sim_matrix: feature dims differ, {a.shape} vs {b.shape}")
+    a_in, b_in = a.data, b.data
+    u, v = (np.linalg.norm(x, axis=1, keepdims=True) for x in (a_in, b_in))
+    inv_u, inv_v = _row_norms(a_in), _row_norms(b_in)
+    norm_prod = u @ v.T
+    denom = np.maximum(norm_prod, COSINE_EPS)
+    out = (a_in @ b_in.T) / denom
+    gate = norm_prod > COSINE_EPS
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def vjp(g):
+        gd = g / denom * gate
+        gs = gd * out
+        ga = gd @ b_in - (gs @ v) * inv_u * a_in if need_a else None
+        gb = gd.T @ a_in - (gs.T @ u) * inv_v * b_in if need_b else None
+        return ga, gb
+
+    return _emit("cosine_sim_matrix", (a, b), out, vjp)
+
+
+# ---------------------------------------------------------------------------
+# parity oracles
+
+
+def composite_infonce(z1, z2, positives, tau, exclude_positive):
+    """The InfoNCE built from tape ops that `masked_infonce` replaced.
+
+    It holds every m x n intermediate on the tape.
+    """
+    m, n = z1.rows, z2.rows
+    logits = scale(cosine_sim_matrix(z1, z2), 1.0 / float(tau))
+    onehot = np.zeros((m, n))
+    onehot[np.arange(m), positives] = 1.0
+    mask = 1.0 - onehot if exclude_positive else np.ones((m, n))
+    shift = np.where(mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
+    ex = mul(exp(add(logits, Tensor(-shift))), Tensor(mask))
+    log_denom = add(log(row_sum(ex)), Tensor(shift))
+    positive = row_sum(mul(logits, Tensor(onehot)))
+    return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
+
+
+def dense_gcn_normalize(adj_dense: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A+I) D^-1/2 computed densely."""
+    hat = adj_dense + np.eye(adj_dense.shape[0])
+    deg = hat.sum(axis=1)
+    inv = 1.0 / np.sqrt(deg)
+    return inv[:, None] * hat * inv[None, :]
+
+
+def dense_prompted_normalize(adj_dense: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The augmented operator's normalization computed densely.
+
+    Degrees are absolute row sums of [[A, W], [W^T, I]] plus the implicit
+    self-loop on original nodes; the operator itself carries the self-looped
+    original block and signed weights.
+    """
+    n, c = w.shape
+    signed = np.zeros((n + c, n + c))
+    signed[:n, :n] = adj_dense + np.eye(n)
+    signed[:n, n:] = w
+    signed[n:, :n] = w.T
+    signed[n:, n:] = np.eye(c)
+    mags = np.zeros_like(signed)
+    mags[:n, :n] = np.abs(adj_dense)
+    mags[:n, n:] = np.abs(w)
+    mags[n:, :n] = np.abs(w.T)
+    mags[n:, n:] = np.eye(c)
+    deg = mags.sum(axis=1) + np.concatenate([np.ones(n), np.zeros(c)])
+    inv = 1.0 / np.sqrt(deg)
+    return inv[:, None] * signed * inv[None, :]
+
+
+def set_loop_build_csr(n, edges):
+    """The per-edge set loop that build_csr replaced: (row offsets, columns)."""
+    pairs = set()
+    for src, dst in edges:
+        src, dst = int(src), int(dst)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
+        if src == dst:
+            continue
+        pairs.add((min(src, dst), max(src, dst)))
+    if not pairs:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    arr = np.array(sorted(pairs), dtype=np.int64)
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    return np.cumsum(offsets), dst
+
+
+def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
+    """The two-layer GNN over all N+C rows of the prompted graph, both layers
+    through the operator's full product and the first with one (N+C)-row
+    dropout mask, then its prototype rows."""
+    g = ctx.graph
+    w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
+    if ctx.task == "graph":
+        w = select_rows(w, g.graph_of)
+    operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
+    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
+    h_base, h_proto = (relu(add(h, b1)) for h in blocks)
+    factor = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
+                          derive_seed(seed, 2), mode == "train")
+    if factor is not None:
+        h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
+        h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
+    _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
+    return add(proto, b2)

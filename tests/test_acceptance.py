@@ -16,21 +16,15 @@ from psp.autodiff import (
     Tensor,
     absolute,
     add,
-    cosine_sim_matrix,
     dropout,
-    exp,
     grad_check,
-    log,
     matmul,
     mul,
     relu,
     row_sum,
     rsqrt,
-    scale,
     select_rows,
     spmm,
-    sub,
-    total_sum,
     transpose,
 )
 from psp.cli import run as cli_run
@@ -49,7 +43,7 @@ from psp.graph import (
     build_csr,
     gcn_normalize,
 )
-from psp.inference import evaluate, np_prototypes, predict
+from psp.inference import class_mean_rows, evaluate, predict
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from psp.prompt import (
     LabeledSet,
@@ -59,6 +53,8 @@ from psp.prompt import (
     prototype_embeddings,
     task_context,
 )
+
+from oracles import cosine_sim_matrix, exp, log, scale, sub, total_sum
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK = dict(n=300, n_classes=3, avg_deg=2.5, feat_dim=64, noise=0.5)
@@ -83,7 +79,7 @@ def _pipeline(seed: int, homophily: float):
     z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     anchors = Tensor(z1.data[split.test])
     truth = g.labels[split.test]
-    acc_np = evaluate(predict(anchors, np_prototypes(z2, labeled, 3), TUNE["tau"]), truth)
+    acc_np = evaluate(predict(anchors, class_mean_rows(z2, labeled, 3), TUNE["tau"]), truth)
     ctx = task_context(g, params, "node")
     prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
     proto = prototype_embeddings(ctx, prompted, "eval")

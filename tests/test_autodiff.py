@@ -16,26 +16,22 @@ from psp.autodiff import (
     adam_step,
     add,
     backward,
-    cosine_sim_matrix,
     dropout,
-    exp,
     grad_check,
-    log,
     masked_infonce,
     matmul,
     mul,
     relu,
     row_sum,
     rsqrt,
-    scale,
     select_rows,
     spmm,
-    sub,
-    total_sum,
     transpose,
 )
 from psp.errors import ContractError, DataError, DimensionError, ParameterError
 from psp.graph import build_csr
+
+from oracles import composite_infonce, cosine_sim_matrix, exp, log, scale, sub, total_sum
 
 RNG = np.random.default_rng(1234)
 
@@ -436,23 +432,6 @@ def test_cosine_passes_grad_check_both_sides():
 # fused, row-blocked InfoNCE
 
 
-def composite_infonce(z1, z2, positives, tau, exclude_positive):
-    """The InfoNCE built from tape ops that `masked_infonce` replaced: the oracle.
-
-    It holds every m x n intermediate on the tape.
-    """
-    m, n = z1.rows, z2.rows
-    logits = scale(cosine_sim_matrix(z1, z2), 1.0 / float(tau))
-    onehot = np.zeros((m, n))
-    onehot[np.arange(m), positives] = 1.0
-    mask = 1.0 - onehot if exclude_positive else np.ones((m, n))
-    shift = np.where(mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
-    ex = mul(exp(add(logits, Tensor(-shift))), Tensor(mask))
-    log_denom = add(log(row_sum(ex)), Tensor(shift))
-    positive = row_sum(mul(logits, Tensor(onehot)))
-    return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
-
-
 def _value_and_grads(loss_fn, a, b):
     za, zb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
@@ -616,6 +595,92 @@ def test_leaf_grads_share_no_memory(op):
         loss = total_sum(op(a, b))
     backward(tape, loss)
     assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_backward_frees_each_gradient_after_its_vjp():
+    x = Tensor(RNG.standard_normal((128, 1024)), requires_grad=True)  # 1 MiB
+    c = Tensor(np.full((128, 1024), 0.999))
+    with Tape() as tape:
+        h = x
+        for _ in range(31):
+            h = mul(h, c)
+        loss = total_sum(h)
+    assert len(tape.records) == 32
+    tracemalloc.start()
+    try:
+        backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(x.grad, 0.999 ** 31, rtol=1e-12)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"  # all 32 gradients at once: 33 MB
+
+
+def test_backward_fills_only_leaf_grads():
+    x = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = matmul(x, w)
+        r = relu(h)
+        loss = total_sum(r)
+    backward(tape, loss)
+    assert h.grad is None and r.grad is None and loss.grad is None
+    gate = 1.0 * (h.data > 0)
+    np.testing.assert_array_equal(x.grad, gate @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ gate)
+    leaf_loss = Tensor([[2.0]], requires_grad=True)
+    backward(Tape(), leaf_loss)
+    np.testing.assert_array_equal(leaf_loss.grad, [[1.0]])
+
+
+# (a, b) shapes for add and mul: None where the op broadcasts, else the error raised
+BROADCAST_TABLE = [
+    ((3, 4), (3, 4), None),
+    ((1, 4), (3, 4), None),
+    ((3, 4), (1, 4), None),
+    ((3, 1), (3, 4), None),
+    ((3, 4), (3, 1), None),
+    ((1, 1), (1, 4), None),
+    ((1, 4), (1, 1), None),
+    ((1, 1), (3, 1), None),
+    ((3, 1), (1, 1), None),
+    ((1, 1), (1, 1), None),
+    ((0, 4), (1, 4), None),
+    ((0, 4), (0, 1), None),
+    ((1, 0), (1, 1), None),
+    ((0, 1), (1, 1), None),
+    ((1, 4), (3, 1), DimensionError),
+    ((3, 1), (1, 4), DimensionError),
+    ((1, 1), (3, 4), DimensionError),
+    ((3, 4), (1, 1), DimensionError),
+    ((0, 0), (1, 1), DimensionError),
+    ((2, 3), (3, 2), DimensionError),
+    ((3, 4), (2, 4), DimensionError),
+    ((3, 4), (3, 2), DimensionError),
+    ((3, 4), (1, 2), DimensionError),
+]
+
+
+@pytest.mark.parametrize("op,np_op", [(add, np.add), (mul, np.multiply)])
+@pytest.mark.parametrize("sa,sb,error", BROADCAST_TABLE)
+def test_elementwise_broadcast_table(op, np_op, sa, sb, error):
+    a = Tensor(RNG.standard_normal(sa), requires_grad=True)
+    b = Tensor(RNG.standard_normal(sb), requires_grad=True)
+    if error is not None:
+        with pytest.raises(error):
+            op(a, b)
+        return
+    with Tape() as tape:
+        out = op(a, b)
+        loss = total_sum(out)
+    np.testing.assert_array_equal(out.data, np_op(a.data, b.data))
+    backward(tape, loss)
+    for t, other in ((a, b), (b, a)):
+        # d(sum)/dt sums the other side's (or ones') broadcast copies back to t's shape
+        dense = np.ones(out.shape) if op is add else np.broadcast_to(other.data, out.shape)
+        want = dense.sum(axis=tuple(i for i in (0, 1) if t.shape[i] != out.shape[i]),
+                         keepdims=True)
+        np.testing.assert_allclose(t.grad, want, rtol=1e-12)
 
 
 def test_tensor_constructor_copies_its_argument():

@@ -426,6 +426,22 @@ def test_synth_reports_the_realized_mean_degree(tmp_path, capsys):
     assert reported < 10  # repeated draws were dropped
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "3", "--classes", "3", "--avg-deg", "2"],
+     "error: homophily 0.8 draws intra-class edges, but each of the 3 classes has a single node"),
+    (["--classes", "1"], "error: homophily 0.8 draws inter-class edges, but there is only one class"),
+], ids=["singleton-classes", "one-class"])
+def test_synth_refuses_edges_its_classes_cannot_hold(tmp_path, flags, message):
+    # a fresh process under a timeout, so a generator that never returns fails the test
+    out = tmp_path / "data"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "psp.cli", "synth", *flags, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
 def test_eval_refuses_a_task_other_than_the_bundles(pipeline, capsys):
     _, data, _, tuned = pipeline
     assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--task", "graph",

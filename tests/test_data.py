@@ -350,6 +350,17 @@ def test_sbm_zero_average_degree_is_edgeless():
     assert generate_sbm(30, 3, 0.5, 0.0, 8, 0.5, seed=0).adjacency.nnz == 0
 
 
+def test_sbm_refuses_edges_its_classes_cannot_hold():
+    # the singleton-class refusal is tested through the CLI, under a timeout
+    with pytest.raises(ParameterError, match="only one class"):
+        generate_sbm(30, 1, 0.8, 2.0, 8, 0.5, seed=0)
+    # no edge drawn, or none of the impossible kind: nothing to refuse
+    assert generate_sbm(3, 3, 0.0, 2.0, 8, 0.5, seed=0).adjacency.nnz > 0
+    assert intra_class_edge_fraction(generate_sbm(30, 1, 1.0, 2.0, 8, 0.5, seed=0)) == 1.0
+    assert generate_sbm(3, 3, 0.8, 0.0, 8, 0.5, seed=0).adjacency.nnz == 0
+    assert generate_sbm(30, 1, 0.8, 0.0, 8, 0.5, seed=0).adjacency.nnz == 0
+
+
 def test_sbm_seed_determinism():
     a = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     b = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)

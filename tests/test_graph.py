@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tensor, add, grad_check, mul, total_sum
+from psp.autodiff import Tensor, add, grad_check, mul
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
@@ -14,36 +14,7 @@ from psp.graph import (
     mean_readout,
 )
 
-
-def dense_gcn_normalize(adj_dense: np.ndarray) -> np.ndarray:
-    """Independent oracle: D^-1/2 (A+I) D^-1/2 computed densely."""
-    hat = adj_dense + np.eye(adj_dense.shape[0])
-    deg = hat.sum(axis=1)
-    inv = 1.0 / np.sqrt(deg)
-    return inv[:, None] * hat * inv[None, :]
-
-
-def dense_prompted_normalize(adj_dense: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Independent oracle for the augmented operator's normalization.
-
-    Degrees are absolute row sums of [[A, W], [W^T, I]] plus the implicit
-    self-loop on original nodes; the operator itself carries the self-looped
-    original block and signed weights.
-    """
-    n, c = w.shape
-    signed = np.zeros((n + c, n + c))
-    signed[:n, :n] = adj_dense + np.eye(n)
-    signed[:n, n:] = w
-    signed[n:, :n] = w.T
-    signed[n:, n:] = np.eye(c)
-    mags = np.zeros_like(signed)
-    mags[:n, :n] = np.abs(adj_dense)
-    mags[:n, n:] = np.abs(w)
-    mags[n:, :n] = np.abs(w.T)
-    mags[n:, n:] = np.eye(c)
-    deg = mags.sum(axis=1) + np.concatenate([np.ones(n), np.zeros(c)])
-    inv = 1.0 / np.sqrt(deg)
-    return inv[:, None] * signed * inv[None, :]
+from oracles import dense_gcn_normalize, dense_prompted_normalize, set_loop_build_csr, total_sum
 
 
 def apply_stacked(op: NormalizedPromptOperator, h: np.ndarray) -> np.ndarray:
@@ -56,28 +27,6 @@ def apply_stacked(op: NormalizedPromptOperator, h: np.ndarray) -> np.ndarray:
 def operator_matrix(op: NormalizedPromptOperator) -> np.ndarray:
     """The operator as the code that runs computes it: its product with I."""
     return apply_stacked(op, np.eye(op.rows))
-
-
-def set_loop_build_csr(n, edges):
-    """Parity oracle: the per-edge set loop that build_csr replaced."""
-    pairs = set()
-    for src, dst in edges:
-        src, dst = int(src), int(dst)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
-        if src == dst:
-            continue
-        pairs.add((min(src, dst), max(src, dst)))
-    if not pairs:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    src = np.concatenate([arr[:, 0], arr[:, 1]])
-    dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    return np.cumsum(offsets), dst
 
 
 FIXTURE_GRAPHS = {

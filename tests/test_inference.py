@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor, cosine_np
+from psp.autodiff import Tensor
 from psp.errors import ContractError, DataError, ParameterError
-from psp.inference import Prediction, class_mean_rows, evaluate, np_prototypes, predict
+from psp.inference import Prediction, class_mean_rows, evaluate, predict
 from psp.prompt import LabeledSet, init_edge_weights
+
+from oracles import cosine_sim_matrix
 
 
 def test_predict_softmax_hand_case():
@@ -35,6 +37,22 @@ def test_predict_anchor_scale_invariance():
     assert np.array_equal(a.argmax, b.argmax)
 
 
+@pytest.mark.parametrize("s1,s2", [(1e-7, 1e-6), (1e3, 1.0), (1.0, 1e-9)])
+def test_predict_is_invariant_to_positive_row_scaling(s1, s2):
+    # as the losses are (test_masked_infonce_cosines_are_exact_for_any_nonzero_row)
+    rng = np.random.default_rng(8)
+    anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((3, 4))
+    base = predict(Tensor(anchors), Tensor(protos), tau=0.2).probs.data
+    scaled = predict(Tensor(anchors * s1), Tensor(protos * s2), tau=0.2).probs.data
+    np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
+
+
+def test_predict_zero_rows_score_zero():
+    pred = predict(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[2.0, 0.0], [0.0, 0.0]]), tau=1.0)
+    np.testing.assert_allclose(pred.probs.data[0], [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(pred.probs.data[1], [np.e / (np.e + 1), 1 / (np.e + 1)], atol=1e-12)
+
+
 def test_predict_probs_softmax_consistent():
     rng = np.random.default_rng(3)
     anchors, protos = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
@@ -42,7 +60,7 @@ def test_predict_probs_softmax_consistent():
     pred = predict(Tensor(anchors), Tensor(protos), tau)
     np.testing.assert_allclose(pred.probs.data.sum(axis=1), 1.0, atol=1e-9)
     # independent exponent-sum recomputation
-    sims = cosine_np(anchors, protos) / tau
+    sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data / tau
     expected = np.exp(sims) / np.exp(sims).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(pred.probs.data, expected, atol=1e-12)
     assert np.array_equal(pred.argmax, np.argmax(expected, axis=1))
@@ -51,7 +69,7 @@ def test_predict_probs_softmax_consistent():
 def test_argmax_invariant_under_increasing_transforms():
     rng = np.random.default_rng(4)
     anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
-    sims = cosine_np(anchors, protos)
+    sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data
     base = predict(Tensor(anchors), Tensor(protos), tau=1.0).argmax
     for a, b in [(2.0, 0.0), (0.5, 3.0), (10.0, -1.0)]:
         transformed = np.argmax(a * sims + b, axis=1)
@@ -79,7 +97,7 @@ def test_evaluate_length_mismatch():
 
 def test_np_prototypes_singleton_copies_embeddings():
     z = Tensor(np.arange(8.0).reshape(4, 2))
-    got = np_prototypes(z, LabeledSet([(2, 0), (0, 1)], k=1), 2)
+    got = class_mean_rows(z, LabeledSet([(2, 0), (0, 1)], k=1), 2)
     np.testing.assert_array_equal(got.data, z.data[[2, 0]])
 
 
@@ -87,7 +105,7 @@ def test_np_prototypes_shared_with_weight_init():
     rng = np.random.default_rng(5)
     z = Tensor(rng.standard_normal((6, 3)))
     labeled = LabeledSet([(0, 0), (1, 0), (4, 1), (5, 1)], k=2)
-    protos = np_prototypes(z, labeled, 2)
+    protos = class_mean_rows(z, labeled, 2)
     w = init_edge_weights(z, labeled, 2)
     # the weight init is exactly the dot products against these prototypes
     np.testing.assert_array_equal(w.data, z.data @ protos.data.T)
@@ -97,8 +115,8 @@ def test_np_prototypes_permutation_invariant():
     rng = np.random.default_rng(6)
     z = Tensor(rng.standard_normal((5, 3)))
     items = [(0, 0), (1, 0), (3, 1), (4, 1)]
-    a = np_prototypes(z, LabeledSet(items, k=2), 2).data
-    b = np_prototypes(z, LabeledSet(items[::-1], k=2), 2).data
+    a = class_mean_rows(z, LabeledSet(items, k=2), 2).data
+    b = class_mean_rows(z, LabeledSet(items[::-1], k=2), 2).data
     np.testing.assert_array_equal(a, b)
 
 

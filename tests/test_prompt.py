@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import (
-    Tape,
-    Tensor,
-    add,
-    backward,
-    derive_seed,
-    dropout_mask,
-    grad_check,
-    matmul,
-    mul,
-    relu,
-    select_rows,
-    total_sum,
-)
+from psp.autodiff import Tape, Tensor, backward, grad_check, mul
 from psp.data import generate_sbm, labeled_from_split, sample_k_shot
 from psp.encoders import (
     freeze,
@@ -33,18 +20,19 @@ from psp.graph import (
     gcn_normalize,
     mean_readout,
 )
-from psp.inference import evaluate, predict
+from psp.inference import class_mean_rows, evaluate, predict
 from psp.prompt import (
     LabeledSet,
     PromptConfig,
     init_edge_weights,
-    init_prototype_features,
     prompt_loss,
     prompt_tune,
     prototype_embeddings,
     restrict_edge_ratio,
     task_context,
 )
+
+from oracles import full_graph_prototypes, total_sum
 
 
 def frozen_params(n_features, hidden=8, seed=0):
@@ -91,9 +79,10 @@ def test_labeled_set_rejects_duplicates():
 
 def test_labeled_set_coverage():
     ls = LabeledSet([(0, 0), (1, 1)], k=1)
-    ls.require_coverage(2)
-    with pytest.raises(DataError, match=r"\[2\]"):
-        ls.require_coverage(3)
+    x = Tensor(np.zeros((2, 3)))
+    class_mean_rows(x, ls, 2)
+    with pytest.raises(DataError, match=r"\[2, 3\]"):
+        class_mean_rows(x, ls, 4)
 
 
 def test_prompt_config_grids():
@@ -127,30 +116,10 @@ def test_prompt_config_and_loss_reject_bad_tau(tau):
 # prototype attribute initialization
 
 
-def test_proto_features_singleton_copies_rows():
-    x = Tensor(np.arange(12.0).reshape(4, 3))
-    got = init_prototype_features(x, LabeledSet([(1, 0), (3, 1)], k=1), 2)
-    np.testing.assert_array_equal(got.data, x.data[[1, 3]])
-
-
 def test_proto_features_arithmetic_mean():
     x = Tensor([[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]])
-    got = init_prototype_features(x, LabeledSet([(0, 0), (1, 0), (2, 1)], k=2), 2)
+    got = class_mean_rows(x, LabeledSet([(0, 0), (1, 0), (2, 1)], k=2), 2)
     np.testing.assert_array_equal(got.data[0], [1.0, 1.0])
-
-
-def test_proto_features_permutation_invariant():
-    x = Tensor(np.random.default_rng(0).standard_normal((6, 3)))
-    items = [(0, 0), (2, 0), (3, 1), (5, 1)]
-    a = init_prototype_features(x, LabeledSet(items, k=2), 2).data
-    b = init_prototype_features(x, LabeledSet(items[::-1], k=2), 2).data
-    np.testing.assert_array_equal(a, b)
-
-
-def test_proto_features_empty_class():
-    x = Tensor(np.zeros((3, 2)))
-    with pytest.raises(DataError):
-        init_prototype_features(x, LabeledSet([(0, 0)], k=1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +337,6 @@ def test_prompt_loss_gradient_through_augmented_propagation():
 
 # ---------------------------------------------------------------------------
 # prototype-row read-out against the full-graph path
-
-
-def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
-    """Parity oracle: the two-layer GNN over all N+C rows of the prompted graph,
-    both layers through the operator's full product and the first with one
-    (N+C)-row dropout mask, then its prototype rows."""
-    g = ctx.graph
-    w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
-    if ctx.task == "graph":
-        w = select_rows(w, g.graph_of)
-    operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
-    (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
-    h_base, h_proto = (relu(add(h, b1)) for h in blocks)
-    factor = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
-                          derive_seed(seed, 2), mode == "train")
-    if factor is not None:
-        h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
-        h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
-    _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
-    return add(proto, b2)
 
 
 def _prompt_case(task, partial_mask, seed=21):
@@ -616,3 +564,5 @@ def test_tune_requires_frozen_and_nonempty(sbm_setup):
         task_context(g, thawed, "node")
     with pytest.raises(ContractError):
         prompt_tune(task_context(g, params, "node"), LabeledSet([], k=0), PromptConfig())
+    with pytest.raises(DataError, match=r"classes \[1, 2\] have no labeled items"):
+        prompt_tune(task_context(g, params, "node"), LabeledSet([(0, 0)], k=1), PromptConfig())
