@@ -116,10 +116,30 @@ def test_prompt_config_and_loss_reject_bad_tau(tau):
 # prototype attribute initialization
 
 
+def test_proto_features_singleton_copies_rows():
+    x = Tensor(np.arange(12.0).reshape(4, 3))
+    got = class_mean_rows(x, LabeledSet([(1, 0), (3, 1)], k=1), 2)
+    np.testing.assert_array_equal(got.data, x.data[[1, 3]])
+
+
 def test_proto_features_arithmetic_mean():
     x = Tensor([[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]])
     got = class_mean_rows(x, LabeledSet([(0, 0), (1, 0), (2, 1)], k=2), 2)
     np.testing.assert_array_equal(got.data[0], [1.0, 1.0])
+
+
+def test_proto_features_permutation_invariant():
+    x = Tensor(np.random.default_rng(0).standard_normal((6, 3)))
+    items = [(0, 0), (2, 0), (3, 1), (5, 1)]
+    a = class_mean_rows(x, LabeledSet(items, k=2), 2).data
+    b = class_mean_rows(x, LabeledSet(items[::-1], k=2), 2).data
+    np.testing.assert_array_equal(a, b)
+
+
+def test_proto_features_empty_class():
+    x = Tensor(np.zeros((3, 2)))
+    with pytest.raises(DataError):
+        class_mean_rows(x, LabeledSet([(0, 0)], k=1), 2)
 
 
 # ---------------------------------------------------------------------------
