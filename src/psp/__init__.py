@@ -24,7 +24,6 @@ from .autodiff import (
 from .data import (
     Checkpoint,
     SplitSpec,
-    TunedPrompt,
     export_weight_matrix,
     generate_sbm,
     load_checkpoint,

@@ -17,9 +17,7 @@ import numpy as np
 
 from .data import (
     Checkpoint,
-    TunedPrompt,
     generate_sbm,
-    labeled_from_split,
     load_checkpoint,
     load_node_dataset,
     load_tu_dataset,
@@ -31,7 +29,7 @@ from .data import (
 )
 from .autodiff import Tensor
 from .errors import ContractError, ParameterError, PspError
-from .graph import GraphData, PromptedGraph
+from .graph import GraphData
 from .inference import class_mean_rows, evaluate, predict
 from .pretrain import PretrainConfig, pretrain, write_loss_log
 from .prompt import (
@@ -69,7 +67,7 @@ def _load_dataset(args) -> GraphData:
 
 def _split_for(g: GraphData, args):
     """Recompute the deterministic few-shot split a run's flags describe."""
-    labels = g.graph_labels if args.task == "graph" else g.labels
+    labels = g.task_labels(args.task)
     if labels is None:
         raise ContractError(f"dataset has no labels for task {args.task!r}")
     split = sample_k_shot(labels, args.k_shot, args.seed, args.val_shots)
@@ -81,9 +79,8 @@ def _tune_once(ctx: TaskContext, args):
     cfg = PromptConfig(epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
                        tau=args.tau, edge_ratio=args.edge_ratio, seed=args.seed,
                        dropout=args.dropout, patience=args.patience)
-    labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
-    val = LabeledSet(labeled_from_split(split.val, labels), k=args.val_shots) \
-        if split.val else None
+    labeled = LabeledSet(split.train, labels[split.train])
+    val = LabeledSet(split.val, labels[split.val]) if split.val else None
     prompted, losses = prompt_tune(ctx, labeled, cfg, val=val)
     return prompted, losses, split, labels
 
@@ -130,8 +127,7 @@ def _cmd_pretrain(args) -> int:
                          tau=args.tau, dropout=args.dropout, hidden_dim=args.hidden_dim,
                          seed=args.seed)
     params, losses = pretrain(g, cfg)
-    save_checkpoint(args.out, Checkpoint(hidden_dim=cfg.hidden_dim, tau=cfg.tau,
-                                         seed=cfg.seed, params=params))
+    save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=params))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
     print(f"pretrained {cfg.epochs} epochs, checkpoint at {args.out}", file=sys.stderr)
     return 0
@@ -143,13 +139,8 @@ def _cmd_tune(args) -> int:
     if args.tau is None:
         args.tau = ckpt.tau
     prompted, losses, _, _ = _tune_once(task_context(g, ckpt.params, args.task), args)
-    bundle = Checkpoint(hidden_dim=ckpt.hidden_dim, tau=args.tau, seed=args.seed,
-                        params=ckpt.params,
-                        prompt=TunedPrompt(task=args.task,
-                                           proto_features=prompted.proto_features.data,
-                                           weights=prompted.weight_rows.data,
-                                           mask=prompted.trainable_row_mask))
-    save_checkpoint(args.out, bundle)
+    save_checkpoint(args.out, Checkpoint(tau=args.tau, seed=args.seed, params=ckpt.params,
+                                         prompt=prompted))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
     print(f"tuned {len(losses)} epochs, bundle at {args.out}", file=sys.stderr)
     return 0
@@ -170,12 +161,10 @@ def _cmd_eval(args) -> int:
     split, labels = _split_for(g, args)
     ctx = task_context(g, ckpt.params, args.task)
     if args.variant == "psp-np":
-        labeled = LabeledSet(labeled_from_split(split.train, labels), k=args.k_shot)
+        labeled = LabeledSet(split.train, labels[split.train])
         prototypes = class_mean_rows(ctx.struct, labeled, ctx.n_classes)
     else:
-        prompted = PromptedGraph(proto_features=Tensor(p.proto_features),
-                                 weight_rows=Tensor(p.weights), trainable_row_mask=p.mask)
-        prototypes = prototype_embeddings(ctx, prompted, "eval")
+        prototypes = prototype_embeddings(ctx, p, "eval")
     acc = _accuracy(ctx, prototypes, split.test, labels, args.tau)
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
     return 0
@@ -185,11 +174,8 @@ def _cmd_export_w(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.prompt is None:
         raise ContractError("checkpoint holds no tuned prompt to export")
-    labels = None
-    if args.data:
-        g = _load_dataset(args)
-        labels = g.graph_labels if ckpt.prompt.task == "graph" else g.labels
-    export_weight_matrix(Tensor(ckpt.prompt.weights), labels, args.out)
+    labels = _load_dataset(args).task_labels(ckpt.prompt.task) if args.data else None
+    export_weight_matrix(ckpt.prompt.weight_rows, labels, args.out)
     print(f"wrote weight matrix to {args.out}", file=sys.stderr)
     return 0
 

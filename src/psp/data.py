@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, check_finite
 from .encoders import EncoderParams, freeze
 from .errors import DataError, FormatError, ParameterError
-from .graph import GraphData, build_csr
+from .graph import GraphData, PromptedGraph, build_csr
 
 CHECKPOINT_MAGIC = b"PSPCKPT1"
 CHECKPOINT_VERSION = 1
@@ -34,22 +34,15 @@ class SplitSpec:
 
 
 @dataclass
-class TunedPrompt:
-    """Prompt state persisted alongside the encoders."""
-
-    task: str
-    proto_features: np.ndarray
-    weights: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
 class Checkpoint:
-    hidden_dim: int
     tau: float
     seed: int
     params: EncoderParams
-    prompt: Optional[TunedPrompt] = None
+    prompt: Optional[PromptedGraph] = None
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.params.hidden_dim
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +133,7 @@ def load_node_dataset(directory) -> GraphData:
 
     edges, linenos = _read_table(directory / "edges.tsv", int, "\t", 2)
     _check_endpoints(edges, linenos, n, "edges.tsv")
-    return GraphData(n_nodes=n, features=Tensor(features), adjacency=build_csr(n, edges),
-                     labels=labels, n_classes=int(labels.max()) + 1)
+    return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
 
 
 def save_node_dataset(directory, g: GraphData) -> None:
@@ -201,19 +193,15 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
         features[np.arange(n), np.minimum(degrees, degree_onehot_width - 1)] = 1.0
 
     labels = None
-    n_classes = 0
     node_label_path = directory / f"{name}_node_labels.txt"
     if node_label_path.is_file():
         raw = _read_table(node_label_path, int, None, 1)[0][:, 0]
         if raw.size != n:
             raise DataError(f"{node_label_path.name} has {raw.size} rows for {n} nodes")
         labels = np.unique(raw, return_inverse=True)[1]
-        n_classes = int(labels.max()) + 1
 
-    return GraphData(n_nodes=n, features=Tensor(features), adjacency=adjacency,
-                     labels=labels, n_classes=n_classes, graph_of=graph_of,
-                     graph_labels=graph_labels,
-                     n_graph_classes=int(graph_labels.max()) + 1)
+    return GraphData(features=Tensor(features), adjacency=adjacency, labels=labels,
+                     graph_of=graph_of, graph_labels=graph_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +226,14 @@ def sample_k_shot(labels, k: int, seed: int, val_k: int = 0) -> SplitSpec:
     return SplitSpec(train=sorted(train), val=sorted(val), test=sorted(test), k=k, seed=seed)
 
 
-def mask_training_labels(split: SplitSpec, ratio: float, seed: int, labels=None) -> SplitSpec:
-    """Keep a uniform (1-ratio) fraction of train items, at least one per class.
-
-    Without a label array the train list is treated as one class. Validation
-    and test sets are untouched.
-    """
+def mask_training_labels(split: SplitSpec, ratio: float, seed: int, labels) -> SplitSpec:
+    """Keep a uniform (1-ratio) fraction of each class's train items, at least
+    one per class. Validation and test sets are untouched."""
     if not 0.0 <= ratio <= 1.0:
         raise ParameterError(f"mask ratio must lie in [0, 1], got {ratio}")
     if ratio == 0.0 or not split.train:
         return split
-    labels = np.zeros(max(split.train) + 1, dtype=np.int64) if labels is None \
-        else np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels, dtype=np.int64).ravel()
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3A5C])
     kept = []
     train = np.array(split.train, dtype=np.int64)
@@ -259,11 +243,6 @@ def mask_training_labels(split: SplitSpec, ratio: float, seed: int, labels=None)
         kept.extend(rng.choice(members, size=n_keep, replace=False).tolist())
     return SplitSpec(train=sorted(kept), val=split.val, test=split.test,
                      k=split.k, seed=split.seed)
-
-
-def labeled_from_split(indices, labels) -> list[tuple[int, int]]:
-    labels = np.asarray(labels, dtype=np.int64)
-    return [(int(i), int(labels[i])) for i in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +299,7 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
 
     means = np.eye(n_classes, feat_dim)
     features = means[labels] + noise * rng.standard_normal((n, feat_dim))
-    return GraphData(n_nodes=n, features=Tensor(features), adjacency=build_csr(n, edges),
-                     labels=labels, n_classes=n_classes)
+    return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
 
 
 def intra_class_edge_fraction(g: GraphData) -> float:
@@ -381,9 +359,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     else:
         p = ckpt.prompt
         parts.append(struct.pack("<BB", 1, 1 if p.task == "graph" else 0))
-        parts.append(_pack_block(p.proto_features))
-        parts.append(_pack_block(p.weights))
-        mask = np.asarray(p.mask, dtype=np.uint8)
+        parts.append(_pack_block(p.proto_features.data))
+        parts.append(_pack_block(p.weight_rows.data))
+        mask = np.asarray(p.trainable_row_mask, dtype=np.uint8)
         parts.append(struct.pack("<I", mask.size) + mask.tobytes())
     Path(path).write_bytes(b"".join(parts))
 
@@ -401,26 +379,28 @@ def load_checkpoint(path) -> Checkpoint:
     if n_blocks != 8:
         raise FormatError(f"expected 8 encoder blocks, found {n_blocks}")
     blocks = [reader.block() for _ in range(n_blocks)]
+    widths = sorted({b.shape[1] for b in blocks})
+    if widths != [hidden_dim]:
+        raise FormatError(f"checkpoint header gives hidden_dim {hidden_dim}, but its encoder "
+                          f"blocks are {'/'.join(map(str, widths))} columns wide")
     params = EncoderParams(
         mlp_layers=[(Tensor(blocks[0]), Tensor(blocks[1])), (Tensor(blocks[2]), Tensor(blocks[3]))],
-        gnn_layers=[(Tensor(blocks[4]), Tensor(blocks[5])), (Tensor(blocks[6]), Tensor(blocks[7]))],
-        hidden_dim=hidden_dim)
+        gnn_layers=[(Tensor(blocks[4]), Tensor(blocks[5])), (Tensor(blocks[6]), Tensor(blocks[7]))])
     freeze(params)
     (has_prompt,) = reader.unpack("<B")
     prompt = None
     if has_prompt:
         (task_code,) = reader.unpack("<B")
-        proto_features = reader.block()
-        weights = reader.block()
+        proto_features, weights = Tensor(reader.block()), Tensor(reader.block())
         (mask_len,) = reader.unpack("<I")
-        if mask_len != weights.shape[0]:
-            raise FormatError(f"prompt mask has {mask_len} entries for {len(weights)} weight rows")
+        if mask_len != weights.rows:
+            raise FormatError(f"prompt mask has {mask_len} entries for {weights.rows} weight rows")
         mask = np.frombuffer(reader.take(mask_len), dtype=np.uint8).astype(bool)
-        prompt = TunedPrompt(task="graph" if task_code else "node",
-                             proto_features=proto_features, weights=weights, mask=mask)
+        prompt = PromptedGraph(task="graph" if task_code else "node", proto_features=proto_features,
+                               weight_rows=weights, trainable_row_mask=mask)
     if reader.pos != len(reader.blob):
         raise FormatError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
-    return Checkpoint(hidden_dim=hidden_dim, tau=tau, seed=seed, params=params, prompt=prompt)
+    return Checkpoint(tau=tau, seed=seed, params=params, prompt=prompt)
 
 
 # ---------------------------------------------------------------------------

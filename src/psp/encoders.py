@@ -32,8 +32,11 @@ from .errors import ParameterError
 class EncoderParams:
     mlp_layers: list[tuple[Tensor, Tensor]]
     gnn_layers: list[tuple[Tensor, Tensor]]
-    hidden_dim: int
     frozen: bool = False
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.mlp_layers[0][0].cols
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -51,7 +54,7 @@ def init_encoder_params(n_features: int, hidden_dim: int, seed: int) -> EncoderP
         w2 = Tensor(_glorot(rng, hidden_dim, hidden_dim), requires_grad=True, name=f"{tag}_w2")
         b2 = Tensor(np.zeros((1, hidden_dim)), requires_grad=True, name=f"{tag}_b2")
         layers.append([(w1, b1), (w2, b2)])
-    return EncoderParams(mlp_layers=layers[0], gnn_layers=layers[1], hidden_dim=hidden_dim)
+    return EncoderParams(mlp_layers=layers[0], gnn_layers=layers[1])
 
 
 def parameters(params: EncoderParams) -> list[Tensor]:

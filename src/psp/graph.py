@@ -30,27 +30,27 @@ from .autodiff import (
 from .errors import ContractError, DataError, DimensionError
 
 
+def class_count(ids: Optional[np.ndarray]) -> int:
+    """Ids 0..max in an array of classes or graph ids: max + 1, or 0 when absent or empty."""
+    return int(ids.max()) + 1 if ids is not None and ids.size else 0
+
+
 @dataclass
 class GraphData:
     """Immutable node features, sparse symmetric adjacency, and labels.
 
     `graph_of` maps nodes to graph ids for batched multi-graph datasets,
     whose adjacency is block-diagonal. Graph-level labels, when present,
-    live in `graph_labels`.
+    live in `graph_labels`. Node, class and graph counts come from the arrays.
     """
 
-    n_nodes: int
     features: Tensor
     adjacency: CsrMatrix
     labels: Optional[np.ndarray]
-    n_classes: int
     graph_of: Optional[np.ndarray] = None
     graph_labels: Optional[np.ndarray] = None
-    n_graph_classes: int = 0
 
     def __post_init__(self):
-        if self.features.rows != self.n_nodes:
-            raise DataError(f"features have {self.features.rows} rows for {self.n_nodes} nodes")
         if self.adjacency.rows != self.n_nodes or self.adjacency.cols != self.n_nodes:
             raise DataError("adjacency must be n_nodes x n_nodes")
         m = self.adjacency.scipy()
@@ -61,34 +61,48 @@ class GraphData:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != self.n_nodes:
                 raise DataError("labels must have one entry per node")
-            if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
+            if self.labels.size and self.labels.min() < 0:
                 raise DataError(f"labels must lie in [0, {self.n_classes})")
         if self.graph_of is not None:
             self.graph_of = np.asarray(self.graph_of, dtype=np.int64)
             if self.graph_of.size != self.n_nodes:
                 raise DataError("graph_of must have one entry per node")
-            n_graphs = int(self.graph_of.max()) + 1 if self.graph_of.size else 0
-            if np.unique(self.graph_of).size != n_graphs or (self.graph_of.size and self.graph_of.min() != 0):
+            if np.unique(self.graph_of).size != self.n_graphs or (self.graph_of.size and self.graph_of.min() != 0):
                 raise DataError("graph_of must be surjective onto 0..n_graphs-1")
         if self.graph_labels is not None:
             self.graph_labels = np.asarray(self.graph_labels, dtype=np.int64)
 
     @property
+    def n_nodes(self) -> int:
+        return self.features.rows
+
+    @property
+    def n_classes(self) -> int:
+        return class_count(self.labels)
+
+    @property
+    def n_graph_classes(self) -> int:
+        return class_count(self.graph_labels)
+
+    @property
     def n_graphs(self) -> int:
-        if self.graph_of is None:
-            return 0
-        return int(self.graph_of.max()) + 1 if self.graph_of.size else 0
+        return class_count(self.graph_of)
+
+    def task_labels(self, task: str) -> Optional[np.ndarray]:
+        """The labels a task predicts: one per graph for "graph", one per node for "node"."""
+        return self.graph_labels if task == "graph" else self.labels
 
 
 @dataclass
 class PromptedGraph:
     """Per-class virtual nodes and their learnable edge weights to a base graph.
 
-    `weight_rows` has one row per base node (node tasks) or per graph (graph
-    tasks). Rows whose mask entry is False are pinned to zero and never
-    receive gradient updates.
+    `weight_rows` has one row per base node for the "node" task, or one per
+    graph for the "graph" task. Rows whose mask entry is False are pinned to
+    zero and never receive gradient updates.
     """
 
+    task: str
     proto_features: Tensor
     weight_rows: Tensor
     trainable_row_mask: np.ndarray

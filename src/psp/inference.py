@@ -47,14 +47,17 @@ def evaluate(pred: Prediction, truth) -> float:
 def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
     """Row c = mean of the rows of `values` whose labeled item is in class c
     (the no-prompt prototypes over the structural view, the prompt's prototype
-    attributes over the features); every class needs a labeled item."""
+    attributes over the features); every class needs a labeled item. Rows add
+    up in item order, so each sum is the float a loop over the items gives."""
+    bad = np.flatnonzero(labeled.classes >= n_classes)
+    if bad.size:
+        raise DataError(f"labeled class {labeled.classes[bad[0]]} out of range [0, {n_classes})")
+    if labeled.indices.size and labeled.indices.max() >= values.rows:
+        raise DataError(f"labeled index {labeled.indices.max()} out of range for "
+                        f"{values.rows} rows")
     sums = np.zeros((n_classes, values.cols))
-    counts = np.zeros(n_classes)
-    for index, cls in labeled.items:
-        if not 0 <= cls < n_classes:
-            raise DataError(f"labeled class {cls} out of range [0, {n_classes})")
-        sums[cls] += values.data[index]
-        counts[cls] += 1
+    np.add.at(sums, labeled.classes, values.data[labeled.indices])
+    counts = np.bincount(labeled.classes, minlength=n_classes)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise DataError(f"classes {missing.tolist()} have no labeled items")

@@ -35,6 +35,7 @@ from .graph import (
     NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
+    class_count,
     gcn_normalize,
     mean_readout,
 )
@@ -46,21 +47,21 @@ WEIGHT_DECAY_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 
 @dataclass
 class LabeledSet:
-    """Few-shot supervision: (index, class) pairs with k shots per class."""
+    """Few-shot supervision: item `indices[j]` (a node or a graph) has class
+    `classes[j]`. Both are int64 arrays in item order."""
 
-    items: list[tuple[int, int]]
-    k: int
+    indices: np.ndarray
+    classes: np.ndarray
 
     def __post_init__(self):
-        indices = [i for i, _ in self.items]
-        if len(set(indices)) != len(indices):
+        self.indices = np.asarray(self.indices, dtype=np.int64).ravel()
+        self.classes = np.asarray(self.classes, dtype=np.int64).ravel()
+        if self.indices.size != self.classes.size:
+            raise DataError(f"{self.indices.size} labeled indices for {self.classes.size} classes")
+        if np.unique(self.indices).size != self.indices.size:
             raise DataError("labeled indices must be unique")
-
-    def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.items], dtype=np.int64)
-
-    def classes(self) -> np.ndarray:
-        return np.array([c for _, c in self.items], dtype=np.int64)
+        if self.indices.size and min(self.indices.min(), self.classes.min()) < 0:
+            raise DataError("labeled indices and classes must be non-negative")
 
 
 def _in_grid(value: float, grid) -> bool:
@@ -108,7 +109,7 @@ def restrict_edge_ratio(n: int, labeled: LabeledSet, r: float, seed: int) -> np.
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"edge ratio must lie in [0, 1], got {r}")
     mask = np.zeros(n, dtype=bool)
-    mask[labeled.indices()] = True
+    mask[labeled.indices] = True
     pool = np.flatnonzero(~mask)
     take = min(int(np.floor(r * n)), pool.size)
     if take:
@@ -137,7 +138,7 @@ class TaskContext:
 
     @property
     def n_classes(self) -> int:
-        return self.graph.n_graph_classes if self.task == "graph" else self.graph.n_classes
+        return class_count(self.graph.task_labels(self.task))
 
     @cached_property
     def struct(self) -> Tensor:
@@ -221,19 +222,18 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     set, tuning keeps the weights from the best validation accuracy and
     stops early after `cfg.patience` stale epochs.
     """
-    if not labeled.items:
+    if not labeled.indices.size:
         raise ContractError("prompt tuning needs a non-empty labeled set")
     n_classes = ctx.n_classes
     proto_features = class_mean_rows(ctx.attr_base, labeled, n_classes)
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
     mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
     weights = Tensor(w0.data * mask[:, None], requires_grad=True, name="prompt_weights")
-    prompted = PromptedGraph(proto_features=proto_features, weight_rows=weights,
+    prompted = PromptedGraph(task=ctx.task, proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
-    train_anchors = Tensor(ctx.anchors.data[labeled.indices()])
-    train_labels = labeled.classes()
-    val_anchors = Tensor(ctx.anchors.data[val.indices()]) if val is not None else None
+    train_anchors = Tensor(ctx.anchors.data[labeled.indices])
+    val_anchors = Tensor(ctx.anchors.data[val.indices]) if val is not None else None
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
@@ -241,12 +241,12 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     if val is not None and cfg.epochs > 0:
         # the untouched initialization competes as the first candidate
         proto_init = prototype_embeddings(ctx, prompted, "eval")
-        best_acc = evaluate(predict(val_anchors, proto_init, cfg.tau), val.classes())
+        best_acc = evaluate(predict(val_anchors, proto_init, cfg.tau), val.classes)
     for epoch in range(cfg.epochs):
         epoch_seed = derive_seed(cfg.seed, epoch)
         with Tape() as tape:
             proto = prototype_embeddings(ctx, prompted, "train", epoch_seed, cfg.dropout)
-            loss = prompt_loss(train_anchors, proto, train_labels, cfg.tau)
+            loss = prompt_loss(train_anchors, proto, labeled.classes, cfg.tau)
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"prompt loss became non-finite at epoch {epoch}")
@@ -255,7 +255,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         losses.append(value)
         if val is not None:
             proto_eval = prototype_embeddings(ctx, prompted, "eval")
-            acc = evaluate(predict(val_anchors, proto_eval, cfg.tau), val.classes())
+            acc = evaluate(predict(val_anchors, proto_eval, cfg.tau), val.classes)
             if acc > best_acc:
                 best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch
             elif epoch - best_epoch >= cfg.patience:

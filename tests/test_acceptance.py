@@ -30,7 +30,6 @@ from psp.autodiff import (
 from psp.cli import run as cli_run
 from psp.data import (
     generate_sbm,
-    labeled_from_split,
     load_node_dataset,
     sample_k_shot,
 )
@@ -73,8 +72,8 @@ def _pipeline(seed: int, homophily: float):
                      DESK["feat_dim"], DESK["noise"], seed=seed)
     params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
     split = sample_k_shot(g.labels, K_SHOT, seed, val_k=VAL_K)
-    labeled = LabeledSet(labeled_from_split(split.train, g.labels), k=K_SHOT)
-    val = LabeledSet(labeled_from_split(split.val, g.labels), k=VAL_K)
+    labeled = LabeledSet(split.train, g.labels[split.train])
+    val = LabeledSet(split.val, g.labels[split.val])
     z1 = mlp_forward(g.features, params, "eval")
     z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     anchors = Tensor(z1.data[split.test])
@@ -149,9 +148,9 @@ def test_criterion_1_gradient_correctness():
     # prompt loss differentiated through the augmented propagation into W
     from psp.encoders import freeze, init_encoder_params
 
-    g = GraphData(n_nodes=5, features=Tensor(rng.standard_normal((5, 4))),
+    g = GraphData(features=Tensor(rng.standard_normal((5, 4))),
                   adjacency=build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-                  labels=np.array([0, 1, 0, 1, 0]), n_classes=2)
+                  labels=np.array([0, 1, 0, 1, 0]))
     params = freeze(init_encoder_params(4, 6, seed=1))
     proto_feats = Tensor(rng.standard_normal((2, 4)))
     anchors = Tensor(rng.standard_normal((3, 6)))
@@ -159,7 +158,8 @@ def test_criterion_1_gradient_correctness():
     ctx = task_context(g, params, "node")
 
     def through_prompt(w):
-        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+        ps = PromptedGraph(task="node", proto_features=proto_feats, weight_rows=w,
+                           trainable_row_mask=mask)
         return prompt_loss(anchors, prototype_embeddings(ctx, ps, "eval"),
                            [0, 1, 0], tau=0.5)
 
@@ -188,7 +188,7 @@ def test_criterion_2_formula_oracles():
 
     rng = np.random.default_rng(7)
     z = rng.standard_normal((6, 5))
-    labeled = LabeledSet([(0, 0), (1, 0), (3, 1), (5, 1)], k=2)
+    labeled = LabeledSet([0, 1, 3, 5], [0, 0, 1, 1])
     from psp.prompt import init_edge_weights
 
     got = init_edge_weights(Tensor(z), labeled, 2).data
@@ -351,8 +351,8 @@ def test_criterion_9_cora_band():
     for seed in SEEDS:
         params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
-        labeled = LabeledSet(labeled_from_split(split.train, g.labels), k=3)
-        val = LabeledSet(labeled_from_split(split.val, g.labels), k=VAL_K)
+        labeled = LabeledSet(split.train, g.labels[split.train])
+        val = LabeledSet(split.val, g.labels[split.val])
         ctx = task_context(g, params, "node")
         prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
         anchors = Tensor(ctx.anchors.data[split.test])

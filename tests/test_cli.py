@@ -8,14 +8,15 @@ import pytest
 
 import psp
 from psp.cli import run
+from psp.autodiff import Tensor
 from psp.data import (
-    TunedPrompt,
     load_checkpoint,
     load_node_dataset,
     load_weight_matrix,
     sample_k_shot,
     save_checkpoint,
 )
+from psp.graph import PromptedGraph
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_tune_outputs_bundle_with_prompt(pipeline):
     _, _, _, tuned = pipeline
     bundle = load_checkpoint(tuned)
     assert bundle.prompt is not None
-    assert bundle.prompt.weights.shape == (60, 3)
+    assert bundle.prompt.weight_rows.shape == (60, 3)
 
 
 def test_eval_psp_and_np_print_metric_lines(pipeline, capsys):
@@ -87,6 +88,22 @@ def test_eval_psp_without_prompt_is_runtime_error(pipeline, capsys):
     assert "tuned prompt" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_checkpoint_whose_header_width_disagrees(pipeline, tmp_path, capsys):
+    import struct
+
+    _, data, ckpt, _ = pipeline
+    blob = bytearray(ckpt.read_bytes())
+    struct.pack_into("<I", blob, 12, 7)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert run(["eval", "--data", str(data), "--ckpt", str(bad), "--variant", "psp-np",
+                "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: checkpoint header gives hidden_dim 7, but its encoder blocks are 16 columns" \
+        in captured.err
+
+
 def test_export_w_roundtrip(pipeline, tmp_path):
     _, data, _, tuned = pipeline
     out = tmp_path / "w.tsv"
@@ -110,8 +127,9 @@ def test_export_w_rejects_data_with_more_nodes_than_weight_rows(pipeline, tmp_pa
 def test_export_w_rejects_data_with_fewer_nodes_than_weight_rows(pipeline, tmp_path, capsys):
     _, data, _, tuned = pipeline
     bundle = load_checkpoint(tuned)
-    bundle.prompt = TunedPrompt(task="node", proto_features=bundle.prompt.proto_features,
-                                weights=np.zeros((90, 3)), mask=np.ones(90, dtype=bool))
+    bundle.prompt = PromptedGraph(task="node", proto_features=bundle.prompt.proto_features,
+                                  weight_rows=Tensor(np.zeros((90, 3))),
+                                  trainable_row_mask=np.ones(90, dtype=bool))
     wide = tmp_path / "wide.ckpt"
     save_checkpoint(wide, bundle)
     assert run(["export-w", "--ckpt", str(wide), "--data", str(data),
@@ -188,7 +206,7 @@ def test_graph_task_pipeline_over_tu_layout(tmp_path, capsys):
                 "--k-shot", "1", "--val-shots", "1", "--seed", "0"]) == 0
     bundle = load_checkpoint(tuned)
     assert bundle.prompt.task == "graph"
-    assert bundle.prompt.weights.shape == (8, 2)  # one row per graph
+    assert bundle.prompt.weight_rows.shape == (8, 2)  # one row per graph
     assert run(["eval", "--data", str(tu), "--tu-name", "TG", "--task", "graph",
                 "--ckpt", str(tuned), "--k-shot", "1", "--val-shots", "1",
                 "--seed", "0"]) == 0

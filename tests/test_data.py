@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from psp.autodiff import Tensor
 from psp.data import (
     Checkpoint,
-    TunedPrompt,
     export_weight_matrix,
     generate_sbm,
     intra_class_edge_fraction,
-    labeled_from_split,
     load_checkpoint,
     load_node_dataset,
     load_tu_dataset,
@@ -26,6 +24,7 @@ from psp.data import (
 )
 from psp.encoders import init_encoder_params, parameters
 from psp.errors import DataError, FormatError, ParameterError, PspError
+from psp.graph import PromptedGraph
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_sample_k_shot_rejects_bad_counts(k, val_k):
 def test_mask_training_labels_noop_and_half():
     labels = np.repeat([0, 1], 20)
     split = sample_k_shot(labels, k=10, seed=1, val_k=2)
-    assert mask_training_labels(split, 0.0, seed=1) is split
+    assert mask_training_labels(split, 0.0, seed=1, labels=labels) is split
     masked = mask_training_labels(split, 0.5, seed=1, labels=labels)
     kept = np.array(masked.train)
     assert (labels[kept] == 0).sum() == 5 and (labels[kept] == 1).sum() == 5
@@ -269,11 +268,6 @@ def test_mask_training_labels_never_empties_class():
     masked = mask_training_labels(split, 1.0, seed=2, labels=labels)
     kept_classes = {int(labels[i]) for i in masked.train}
     assert kept_classes == {0, 1}
-
-
-def test_labeled_from_split():
-    labels = np.array([2, 0, 1])
-    assert labeled_from_split([1, 2], labels) == [(1, 0), (2, 1)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,10 +371,10 @@ def make_checkpoint(with_prompt=False):
     prompt = None
     if with_prompt:
         rng = np.random.default_rng(12)
-        prompt = TunedPrompt(task="node", proto_features=rng.standard_normal((2, 6)),
-                             weights=rng.standard_normal((5, 2)),
-                             mask=np.array([True, False, True, True, False]))
-    return Checkpoint(hidden_dim=4, tau=0.5, seed=11, params=params, prompt=prompt)
+        prompt = PromptedGraph(task="node", proto_features=Tensor(rng.standard_normal((2, 6))),
+                               weight_rows=Tensor(rng.standard_normal((5, 2))),
+                               trainable_row_mask=np.array([True, False, True, True, False]))
+    return Checkpoint(tau=0.5, seed=11, params=params, prompt=prompt)
 
 
 @pytest.mark.parametrize("with_prompt", [False, True])
@@ -395,9 +389,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, with_prompt):
     assert back.params.frozen
     if with_prompt:
         assert back.prompt.task == "node"
-        assert np.array_equal(back.prompt.weights, ckpt.prompt.weights)
-        assert np.array_equal(back.prompt.proto_features, ckpt.prompt.proto_features)
-        assert np.array_equal(back.prompt.mask, ckpt.prompt.mask)
+        assert np.array_equal(back.prompt.weight_rows.data, ckpt.prompt.weight_rows.data)
+        assert np.array_equal(back.prompt.proto_features.data, ckpt.prompt.proto_features.data)
+        assert np.array_equal(back.prompt.trainable_row_mask, ckpt.prompt.trainable_row_mask)
     else:
         assert back.prompt is None
 
@@ -424,6 +418,19 @@ def test_checkpoint_version_mismatch_names_versions(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_header_width_the_blocks_do_not_have(tmp_path):
+    import struct
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", blob, 12) == (4,)
+    struct.pack_into("<I", blob, 12, 7)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="hidden_dim 7, but its encoder blocks are 4 columns"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_truncation(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, make_checkpoint())
@@ -442,7 +449,7 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 def test_checkpoint_rejects_mask_length_mismatch(tmp_path):
     ckpt = make_checkpoint(with_prompt=True)
-    ckpt.prompt.mask = ckpt.prompt.mask[:4]
+    ckpt.prompt.trainable_row_mask = ckpt.prompt.trainable_row_mask[:4]
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match="4 entries for 5 weight rows"):
@@ -455,8 +462,8 @@ def test_checkpoint_rejects_non_finite_blocks(tmp_path, block, value):
     ckpt = make_checkpoint(with_prompt=True)
     target = {"mlp_weight": ckpt.params.mlp_layers[0][0].data,
               "gnn_bias": ckpt.params.gnn_layers[1][1].data,
-              "proto_features": ckpt.prompt.proto_features,
-              "weights": ckpt.prompt.weights}[block]
+              "proto_features": ckpt.prompt.proto_features.data,
+              "weights": ckpt.prompt.weight_rows.data}[block]
     target.flat[-1] = value
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)

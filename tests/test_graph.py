@@ -285,8 +285,8 @@ def test_mean_readout_membership_size_check():
 
 
 def _tiny_graph(**overrides):
-    base = dict(n_nodes=2, features=Tensor(np.zeros((2, 3))),
-                adjacency=build_csr(2, [(0, 1)]), labels=np.array([0, 1]), n_classes=2)
+    base = dict(features=Tensor(np.zeros((2, 3))), adjacency=build_csr(2, [(0, 1)]),
+                labels=np.array([0, 1]))
     base.update(overrides)
     return GraphData(**base)
 
@@ -294,6 +294,15 @@ def _tiny_graph(**overrides):
 def test_graphdata_accepts_valid():
     g = _tiny_graph()
     assert g.n_nodes == 2 and g.n_graphs == 0
+
+
+def test_graphdata_counts_come_from_the_arrays():
+    g = _tiny_graph(labels=np.array([0, 2]), graph_of=np.array([0, 1]),
+                    graph_labels=np.array([1, 0]))
+    assert (g.n_nodes, g.n_classes, g.n_graphs, g.n_graph_classes) == (2, 3, 2, 2)
+    assert g.task_labels("graph") is g.graph_labels and g.task_labels("node") is g.labels
+    bare = _tiny_graph(labels=None)
+    assert (bare.n_classes, bare.n_graphs, bare.n_graph_classes) == (0, 0, 0)
 
 
 def test_graphdata_rejects_asymmetric():
@@ -306,7 +315,7 @@ def test_graphdata_rejects_asymmetric():
 
 def test_graphdata_rejects_out_of_range_labels():
     with pytest.raises(DataError):
-        _tiny_graph(labels=np.array([0, 5]))
+        _tiny_graph(labels=np.array([0, -1]))
 
 
 def test_graphdata_rejects_gappy_graph_of():

@@ -97,14 +97,14 @@ def test_evaluate_length_mismatch():
 
 def test_np_prototypes_singleton_copies_embeddings():
     z = Tensor(np.arange(8.0).reshape(4, 2))
-    got = class_mean_rows(z, LabeledSet([(2, 0), (0, 1)], k=1), 2)
+    got = class_mean_rows(z, LabeledSet([2, 0], [0, 1]), 2)
     np.testing.assert_array_equal(got.data, z.data[[2, 0]])
 
 
 def test_np_prototypes_shared_with_weight_init():
     rng = np.random.default_rng(5)
     z = Tensor(rng.standard_normal((6, 3)))
-    labeled = LabeledSet([(0, 0), (1, 0), (4, 1), (5, 1)], k=2)
+    labeled = LabeledSet([0, 1, 4, 5], [0, 0, 1, 1])
     protos = class_mean_rows(z, labeled, 2)
     w = init_edge_weights(z, labeled, 2)
     # the weight init is exactly the dot products against these prototypes
@@ -114,12 +114,31 @@ def test_np_prototypes_shared_with_weight_init():
 def test_np_prototypes_permutation_invariant():
     rng = np.random.default_rng(6)
     z = Tensor(rng.standard_normal((5, 3)))
-    items = [(0, 0), (1, 0), (3, 1), (4, 1)]
-    a = class_mean_rows(z, LabeledSet(items, k=2), 2).data
-    b = class_mean_rows(z, LabeledSet(items[::-1], k=2), 2).data
+    indices, classes = [0, 1, 3, 4], [0, 0, 1, 1]
+    a = class_mean_rows(z, LabeledSet(indices, classes), 2).data
+    b = class_mean_rows(z, LabeledSet(indices[::-1], classes[::-1]), 2).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_class_mean_rows_rejects_an_index_past_the_rows():
+    with pytest.raises(DataError, match="labeled index 3 out of range for 3 rows"):
+        class_mean_rows(Tensor(np.zeros((3, 2))), LabeledSet([0, 3], [0, 1]), 2)
+
+
+def test_class_mean_rows_sums_in_item_order():
+    rng = np.random.default_rng(7)
+    z = Tensor(rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-8, 8, size=(40, 1)))
+    indices = rng.permutation(40)[:25]
+    classes = rng.integers(3, size=25)
+    classes[:3] = [0, 1, 2]
+    sums, counts = np.zeros((3, 5)), np.zeros(3)
+    for index, cls in zip(indices, classes):
+        sums[cls] += z.data[index]
+        counts[cls] += 1
+    got = class_mean_rows(z, LabeledSet(indices, classes), 3).data
+    assert np.array_equal(got, sums / counts[:, None])
 
 
 def test_class_mean_rows_empty_class():
     with pytest.raises(DataError):
-        class_mean_rows(Tensor(np.zeros((3, 2))), LabeledSet([(0, 1)], k=1), 2)
+        class_mean_rows(Tensor(np.zeros((3, 2))), LabeledSet([0], [1]), 2)

@@ -158,8 +158,8 @@ def test_pretrain_rejects_single_node():
     from psp.autodiff import Tensor as T
     from psp.graph import GraphData, build_csr
 
-    g = GraphData(n_nodes=1, features=T(np.ones((1, 2))), adjacency=build_csr(1, []),
-                  labels=np.array([0]), n_classes=1)
+    g = GraphData(features=T(np.ones((1, 2))), adjacency=build_csr(1, []),
+                  labels=np.array([0]))
     with pytest.raises(ContractError):
         pretrain(g, PretrainConfig(epochs=1, hidden_dim=4))
 

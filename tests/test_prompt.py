@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psp.autodiff import Tape, Tensor, backward, grad_check, mul
-from psp.data import generate_sbm, labeled_from_split, sample_k_shot
+from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import (
     freeze,
     gnn_forward,
@@ -42,8 +42,8 @@ def frozen_params(n_features, hidden=8, seed=0):
 def toy_graph(n=5, feat_dim=4, seed=0, edges=((0, 1), (1, 2), (2, 3), (3, 4))):
     rng = np.random.default_rng(seed)
     labels = np.array([i % 2 for i in range(n)])
-    return GraphData(n_nodes=n, features=Tensor(rng.standard_normal((n, feat_dim))),
-                     adjacency=build_csr(n, list(edges)), labels=labels, n_classes=2)
+    return GraphData(features=Tensor(rng.standard_normal((n, feat_dim))),
+                     adjacency=build_csr(n, list(edges)), labels=labels)
 
 
 def multi_graph(seed=0):
@@ -63,9 +63,8 @@ def multi_graph(seed=0):
     n = offset
     feats = rng.standard_normal((n, 4)) * 0.1
     feats[:, 0] += [1.0 if gl == 0 else -1.0 for gl in np.array(graph_labels)[graph_of]]
-    return GraphData(n_nodes=n, features=Tensor(feats), adjacency=build_csr(n, edges),
-                     labels=None, n_classes=0, graph_of=np.array(graph_of),
-                     graph_labels=np.array(graph_labels), n_graph_classes=2)
+    return GraphData(features=Tensor(feats), adjacency=build_csr(n, edges), labels=None,
+                     graph_of=np.array(graph_of), graph_labels=np.array(graph_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +73,30 @@ def multi_graph(seed=0):
 
 def test_labeled_set_rejects_duplicates():
     with pytest.raises(DataError):
-        LabeledSet([(0, 0), (0, 1)], k=1)
+        LabeledSet([0, 0], [0, 1])
+
+
+@pytest.mark.parametrize("indices,classes", [([-1, 3], [0, 1]), ([0, 3], [0, -1])])
+def test_labeled_set_rejects_negative_indices_and_classes(indices, classes):
+    # a negative index would alias the last row in class_mean_rows and restrict_edge_ratio
+    with pytest.raises(DataError, match="non-negative"):
+        LabeledSet(indices, classes)
+
+
+def test_labeled_set_rejects_unpaired_arrays():
+    with pytest.raises(DataError, match="2 labeled indices for 1 classes"):
+        LabeledSet([0, 1], [0])
+
+
+def test_labeled_set_holds_int64_arrays():
+    ls = LabeledSet([3, 1], [1, 0])
+    assert ls.indices.dtype == ls.classes.dtype == np.int64
+    np.testing.assert_array_equal(ls.indices, [3, 1])
+    np.testing.assert_array_equal(ls.classes, [1, 0])
 
 
 def test_labeled_set_coverage():
-    ls = LabeledSet([(0, 0), (1, 1)], k=1)
+    ls = LabeledSet([0, 1], [0, 1])
     x = Tensor(np.zeros((2, 3)))
     class_mean_rows(x, ls, 2)
     with pytest.raises(DataError, match=r"\[2, 3\]"):
@@ -118,28 +136,28 @@ def test_prompt_config_and_loss_reject_bad_tau(tau):
 
 def test_proto_features_singleton_copies_rows():
     x = Tensor(np.arange(12.0).reshape(4, 3))
-    got = class_mean_rows(x, LabeledSet([(1, 0), (3, 1)], k=1), 2)
+    got = class_mean_rows(x, LabeledSet([1, 3], [0, 1]), 2)
     np.testing.assert_array_equal(got.data, x.data[[1, 3]])
 
 
 def test_proto_features_arithmetic_mean():
     x = Tensor([[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]])
-    got = class_mean_rows(x, LabeledSet([(0, 0), (1, 0), (2, 1)], k=2), 2)
+    got = class_mean_rows(x, LabeledSet([0, 1, 2], [0, 0, 1]), 2)
     np.testing.assert_array_equal(got.data[0], [1.0, 1.0])
 
 
 def test_proto_features_permutation_invariant():
     x = Tensor(np.random.default_rng(0).standard_normal((6, 3)))
-    items = [(0, 0), (2, 0), (3, 1), (5, 1)]
-    a = class_mean_rows(x, LabeledSet(items, k=2), 2).data
-    b = class_mean_rows(x, LabeledSet(items[::-1], k=2), 2).data
+    indices, classes = [0, 2, 3, 5], [0, 0, 1, 1]
+    a = class_mean_rows(x, LabeledSet(indices, classes), 2).data
+    b = class_mean_rows(x, LabeledSet(indices[::-1], classes[::-1]), 2).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_proto_features_empty_class():
     x = Tensor(np.zeros((3, 2)))
     with pytest.raises(DataError):
-        class_mean_rows(x, LabeledSet([(0, 0)], k=1), 2)
+        class_mean_rows(x, LabeledSet([0], [0]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +166,20 @@ def test_proto_features_empty_class():
 
 def test_edge_weights_zero_embeddings():
     z = Tensor(np.zeros((4, 3)))
-    got = init_edge_weights(z, LabeledSet([(0, 0), (1, 1)], k=1), 2)
+    got = init_edge_weights(z, LabeledSet([0, 1], [0, 1]), 2)
     np.testing.assert_array_equal(got.data, np.zeros((4, 2)))
 
 
 def test_edge_weights_unit_dot():
     z = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    got = init_edge_weights(z, LabeledSet([(0, 0), (1, 1)], k=1), 2)
+    got = init_edge_weights(z, LabeledSet([0, 1], [0, 1]), 2)
     assert got.data[0, 0] == 1.0 and got.data[1, 1] == 1.0
 
 
 def test_edge_weights_match_brute_force():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((3, 4))
-    labeled = LabeledSet([(0, 0), (2, 1)], k=1)
+    labeled = LabeledSet([0, 2], [0, 1])
     got = init_edge_weights(Tensor(z), labeled, 2).data
     proto = np.stack([z[0], z[2]])
     expected = np.empty((3, 2))
@@ -176,18 +194,18 @@ def test_edge_weights_match_brute_force():
 
 
 def test_edge_ratio_zero_marks_training_rows_only():
-    labeled = LabeledSet([(2, 0), (5, 1)], k=1)
+    labeled = LabeledSet([2, 5], [0, 1])
     mask = restrict_edge_ratio(8, labeled, 0.0, seed=0)
     assert mask.sum() == 2 and mask[2] and mask[5]
 
 
 def test_edge_ratio_one_marks_everything():
-    labeled = LabeledSet([(0, 0)], k=1)
+    labeled = LabeledSet([0], [0])
     assert restrict_edge_ratio(5, labeled, 1.0, seed=0).all()
 
 
 def test_edge_ratio_counts_and_determinism():
-    labeled = LabeledSet([(0, 0), (1, 1)], k=1)
+    labeled = LabeledSet([0, 1], [0, 1])
     m1 = restrict_edge_ratio(100, labeled, 0.1, seed=4)
     m2 = restrict_edge_ratio(100, labeled, 0.1, seed=4)
     assert np.array_equal(m1, m2)
@@ -204,22 +222,21 @@ def test_prototype_isolation_with_zero_weights():
     g = toy_graph()
     params = frozen_params(4)
     proto_feats = Tensor(np.random.default_rng(3).standard_normal((2, 4)))
-    ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(np.zeros((5, 2))),
-                       trainable_row_mask=np.ones(5, dtype=bool))
+    ps = PromptedGraph(task="node", proto_features=proto_feats,
+                       weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, dtype=bool))
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval")
     # prototypes decouple: same as running the GNN on an edgeless graph of
     # just the prototype features
-    iso = GraphData(n_nodes=2, features=proto_feats, adjacency=build_csr(2, []),
-                    labels=None, n_classes=0)
+    iso = GraphData(features=proto_feats, adjacency=build_csr(2, []), labels=None)
     expected = gnn_forward(proto_feats, gcn_normalize(iso.adjacency), params, "eval")
     np.testing.assert_allclose(got.data, expected.data, atol=1e-12)
 
 
 def test_prototype_single_node_single_class_hand_propagation():
-    g = GraphData(n_nodes=1, features=Tensor([[1.0, 2.0]]), adjacency=build_csr(1, []),
-                  labels=np.array([0]), n_classes=1)
+    g = GraphData(features=Tensor([[1.0, 2.0]]), adjacency=build_csr(1, []),
+                  labels=np.array([0]))
     params = frozen_params(2, hidden=3, seed=5)
-    ps = PromptedGraph(proto_features=Tensor([[0.5, -1.0]]),
+    ps = PromptedGraph(task="node", proto_features=Tensor([[0.5, -1.0]]),
                        weight_rows=Tensor([[1.0]]), trainable_row_mask=np.ones(1, bool))
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
 
@@ -235,18 +252,18 @@ def test_prototype_single_node_single_class_hand_propagation():
 
 
 def test_prompted_graph_counts_prototypes_from_weight_columns():
-    ps = PromptedGraph(proto_features=Tensor(np.zeros((3, 4))),
+    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((3, 4))),
                        weight_rows=Tensor(np.zeros((5, 3))), trainable_row_mask=np.ones(5, bool))
     assert ps.n_prototypes == 3
     with pytest.raises(TypeError):
-        PromptedGraph(n_prototypes=2, proto_features=ps.proto_features,
+        PromptedGraph(n_prototypes=2, task="node", proto_features=ps.proto_features,
                       weight_rows=ps.weight_rows, trainable_row_mask=ps.trainable_row_mask)
 
 
 def test_prototype_embeddings_require_frozen_encoders():
     g = toy_graph()
     params = init_encoder_params(4, 8, 0)
-    ps = PromptedGraph(proto_features=Tensor(np.zeros((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((2, 4))),
                        weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, bool))
     with pytest.raises(ContractError):
         prototype_embeddings(task_context(g, params, "node"), ps)
@@ -258,11 +275,11 @@ def test_prototype_embeddings_masked_rows_do_not_leak():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((5, 2))
     mask = np.array([True, False, True, False, True])
-    ps = PromptedGraph(proto_features=Tensor(rng.standard_normal((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=Tensor(rng.standard_normal((2, 4))),
                        weight_rows=Tensor(w), trainable_row_mask=mask)
     ctx = task_context(g, params, "node")
     got = prototype_embeddings(ctx, ps, "eval").data
-    ps_zeroed = PromptedGraph(proto_features=ps.proto_features,
+    ps_zeroed = PromptedGraph(task="node", proto_features=ps.proto_features,
                               weight_rows=Tensor(w * mask[:, None]),
                               trainable_row_mask=np.ones(5, bool))
     expected = prototype_embeddings(ctx, ps_zeroed, "eval").data
@@ -277,7 +294,8 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     base_w = np.abs(rng.standard_normal((3, 1))) + 0.1
     outs = {}
     for factor in (1.0, 2.0):
-        ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(base_w * factor),
+        ps = PromptedGraph(task="node", proto_features=proto_feats,
+                           weight_rows=Tensor(base_w * factor),
                            trainable_row_mask=np.ones(3, bool))
         outs[factor] = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
     assert not np.allclose(outs[1.0], outs[2.0])
@@ -348,7 +366,8 @@ def test_prompt_loss_gradient_through_augmented_propagation():
     ctx = task_context(g, params, "node")
 
     def f(w):
-        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+        ps = PromptedGraph(task="node", proto_features=proto_feats, weight_rows=w,
+                           trainable_row_mask=mask)
         proto = prototype_embeddings(ctx, ps, "eval")
         return prompt_loss(anchors, proto, labels, tau=0.5)
 
@@ -374,7 +393,8 @@ def _prompt_case(task, partial_mask, seed=21):
 
 def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
     w = Tensor(w0, requires_grad=True)
-    ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+    ps = PromptedGraph(task=ctx.task, proto_features=proto_feats, weight_rows=w,
+                       trainable_row_mask=mask)
     probe = Tensor(np.random.default_rng(5).standard_normal((w0.shape[1], ctx.params.hidden_dim)))
     with Tape() as tape:
         out = fn(ctx, ps, mode, seed, rate)
@@ -404,8 +424,8 @@ def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
 
 def test_node_forward_copies_no_rows_and_draws_one_dropout_mask():
     ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=True)
-    ps = PromptedGraph(proto_features=proto_feats, weight_rows=Tensor(w0, requires_grad=True),
-                       trainable_row_mask=mask)
+    ps = PromptedGraph(task="node", proto_features=proto_feats,
+                       weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
     with Tape() as tape:
         prototype_embeddings(ctx, ps, "train", 17, 0.3)
     ops = [rec.op for rec in tape.records]
@@ -423,7 +443,8 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
     labels = np.arange(6) % n_classes
 
     def f(w):
-        ps = PromptedGraph(proto_features=proto_feats, weight_rows=w, trainable_row_mask=mask)
+        ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w,
+                           trainable_row_mask=mask)
         return prompt_loss(anchors, prototype_embeddings(ctx, ps, "train", 3, 0.3), labels, 0.5)
 
     assert grad_check(f, Tensor(w0), h=1e-5) < 1e-4
@@ -432,7 +453,7 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
 def test_prototype_embeddings_reject_weight_rows_for_another_task():
     g = multi_graph()
     ctx = task_context(g, frozen_params(4), "graph")
-    ps = PromptedGraph(proto_features=Tensor(np.zeros((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((2, 4))),
                        weight_rows=Tensor(np.zeros((g.n_nodes, 2))),
                        trainable_row_mask=np.ones(g.n_nodes, bool))
     with pytest.raises(DimensionError, match="18 weight rows for 6 graph rows"):
@@ -464,10 +485,9 @@ def test_task_context_builds_views_once_per_task():
 
 def test_graph_views_single_node_graphs_equal_node_rows():
     rng = np.random.default_rng(16)
-    g = GraphData(n_nodes=2, features=Tensor(rng.standard_normal((2, 4))),
-                  adjacency=build_csr(2, []), labels=None, n_classes=0,
-                  graph_of=np.array([0, 1]), graph_labels=np.array([0, 1]),
-                  n_graph_classes=2)
+    g = GraphData(features=Tensor(rng.standard_normal((2, 4))),
+                  adjacency=build_csr(2, []), labels=None,
+                  graph_of=np.array([0, 1]), graph_labels=np.array([0, 1]))
     params = frozen_params(4)
     ctx = task_context(g, params, "graph")
     attr, struct = ctx.anchors, ctx.struct
@@ -499,10 +519,29 @@ def test_graph_views_need_membership():
 def test_graph_task_weight_rows_per_graph():
     g = multi_graph()
     params = frozen_params(4)
-    labeled = LabeledSet([(0, 0), (1, 1)], k=1)
+    labeled = LabeledSet([0, 1], [0, 1])
     cfg = PromptConfig(epochs=2, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0, dropout=0.0)
     prompted, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
     assert prompted.weight_rows.rows == g.n_graphs  # one row per graph, not per node
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_tuned_prompt_survives_a_checkpoint_round_trip(task, tmp_path):
+    from psp.data import Checkpoint, load_checkpoint, save_checkpoint
+
+    g = multi_graph() if task == "graph" else toy_graph(n=8)
+    params = frozen_params(4)
+    ctx = task_context(g, params, task)
+    cfg = PromptConfig(epochs=3, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=1, edge_ratio=0.5)
+    tuned, _ = prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), cfg)
+    assert tuned.task == task
+    save_checkpoint(tmp_path / "bundle.ckpt", Checkpoint(tau=0.5, seed=1, params=params,
+                                                         prompt=tuned))
+    loaded = load_checkpoint(tmp_path / "bundle.ckpt").prompt
+    assert isinstance(loaded, PromptedGraph) and loaded.task == task
+    want = prototype_embeddings(ctx, tuned, "eval").data
+    got = prototype_embeddings(task_context(g, params, task), loaded, "eval").data
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +555,8 @@ def sbm_setup():
     g = generate_sbm(120, 3, 0.8, 4.0, 16, 0.5, seed=0)
     params, _ = pretrain(g, PretrainConfig(epochs=120, hidden_dim=32, seed=0))
     split = sample_k_shot(g.labels, 3, 0, val_k=3)
-    labeled = LabeledSet(labeled_from_split(split.train, g.labels), k=3)
-    val = LabeledSet(labeled_from_split(split.val, g.labels), k=3)
+    labeled = LabeledSet(split.train, g.labels[split.train])
+    val = LabeledSet(split.val, g.labels[split.val])
     return g, params, split, labeled, val
 
 
@@ -536,18 +575,18 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
 def test_tune_improves_training_accuracy(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     anchors = mlp_forward(g.features, params, "eval")
-    train_anchors = Tensor(anchors.data[labeled.indices()])
+    train_anchors = Tensor(anchors.data[labeled.indices])
     ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     before, _ = prompt_tune(ctx, labeled, cfg0)
     acc_before = evaluate(
         predict(train_anchors, prototype_embeddings(ctx, before, "eval"), 0.5),
-        labeled.classes())
+        labeled.classes)
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     after, _ = prompt_tune(ctx, labeled, cfg)
     acc_after = evaluate(
         predict(train_anchors, prototype_embeddings(ctx, after, "eval"), 0.5),
-        labeled.classes())
+        labeled.classes)
     assert acc_after >= acc_before
 
 
@@ -583,6 +622,6 @@ def test_tune_requires_frozen_and_nonempty(sbm_setup):
     with pytest.raises(ContractError):
         task_context(g, thawed, "node")
     with pytest.raises(ContractError):
-        prompt_tune(task_context(g, params, "node"), LabeledSet([], k=0), PromptConfig())
+        prompt_tune(task_context(g, params, "node"), LabeledSet([], []), PromptConfig())
     with pytest.raises(DataError, match=r"classes \[1, 2\] have no labeled items"):
-        prompt_tune(task_context(g, params, "node"), LabeledSet([(0, 0)], k=1), PromptConfig())
+        prompt_tune(task_context(g, params, "node"), LabeledSet([0], [0]), PromptConfig())
