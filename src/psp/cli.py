@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import itertools
 import json
 import sys
@@ -33,6 +34,8 @@ from .graph import GraphData
 from .inference import class_mean_rows, evaluate, predict
 from .pretrain import PretrainConfig, pretrain, write_loss_log
 from .prompt import (
+    LR_GRID,
+    WEIGHT_DECAY_GRID,
     LabeledSet,
     PromptConfig,
     TaskContext,
@@ -40,8 +43,6 @@ from .prompt import (
     prototype_embeddings,
     task_context,
 )
-
-DEFAULT_SEEDS = "0,1,2,3,4"
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -60,25 +61,38 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _load_dataset(args) -> GraphData:
-    if getattr(args, "tu_name", None):
-        return load_tu_dataset(args.data, args.tu_name)
-    return load_node_dataset(args.data)
+    return load_tu_dataset(args.data, args.tu_name) if args.tu_name else load_node_dataset(args.data)
 
 
-def _split_for(g: GraphData, args):
+def _load_run(args) -> tuple[GraphData, Checkpoint]:
+    """The dataset and checkpoint a run reads; `--tau` defaults to the checkpoint's."""
+    g = _load_dataset(args)
+    ckpt = load_checkpoint(args.ckpt)
+    args.tau = ckpt.tau if args.tau is None else args.tau
+    return g, ckpt
+
+
+def _task_labels(g: GraphData, task: str) -> np.ndarray:
+    if (labels := g.task_labels(task)) is None:
+        raise ContractError(f"dataset has no labels for task {task!r}")
+    return labels
+
+
+def _split_for(g: GraphData, args, seed: int):
     """Recompute the deterministic few-shot split a run's flags describe."""
-    labels = g.task_labels(args.task)
-    if labels is None:
-        raise ContractError(f"dataset has no labels for task {args.task!r}")
-    split = sample_k_shot(labels, args.k_shot, args.seed, args.val_shots)
-    return mask_training_labels(split, args.mask_ratio, args.seed, labels), labels
+    labels = _task_labels(g, args.task)
+    split = sample_k_shot(labels, args.k_shot, seed, args.val_shots)
+    return mask_training_labels(split, args.mask_ratio, seed, labels), labels
 
 
-def _tune_once(ctx: TaskContext, args):
-    split, labels = _split_for(ctx.graph, args)
-    cfg = PromptConfig(epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
-                       tau=args.tau, edge_ratio=args.edge_ratio, seed=args.seed,
-                       dropout=args.dropout, patience=args.patience)
+def _config(cls, args):
+    """A `cls` from the parsed flags named after its fields; the others keep their defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def _tune_once(ctx: TaskContext, args, cfg: PromptConfig):
+    split, labels = _split_for(ctx.graph, args, cfg.seed)
     labeled = LabeledSet(split.train, labels[split.train])
     val = LabeledSet(split.val, labels[split.val]) if split.val else None
     prompted, losses = prompt_tune(ctx, labeled, cfg, val=val)
@@ -122,11 +136,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    g = _load_dataset(args)
-    cfg = PretrainConfig(epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
-                         tau=args.tau, dropout=args.dropout, hidden_dim=args.hidden_dim,
-                         seed=args.seed)
-    params, losses = pretrain(g, cfg)
+    cfg = _config(PretrainConfig, args)
+    params, losses = pretrain(_load_dataset(args), cfg)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=params))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
     print(f"pretrained {cfg.epochs} epochs, checkpoint at {args.out}", file=sys.stderr)
@@ -134,12 +145,10 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    g = _load_dataset(args)
-    ckpt = load_checkpoint(args.ckpt)
-    if args.tau is None:
-        args.tau = ckpt.tau
-    prompted, losses, _, _ = _tune_once(task_context(g, ckpt.params, args.task), args)
-    save_checkpoint(args.out, Checkpoint(tau=args.tau, seed=args.seed, params=ckpt.params,
+    g, ckpt = _load_run(args)
+    cfg = _config(PromptConfig, args)
+    prompted, losses, _, _ = _tune_once(task_context(g, ckpt.params, args.task), args, cfg)
+    save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=ckpt.params,
                                          prompt=prompted))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
     print(f"tuned {len(losses)} epochs, bundle at {args.out}", file=sys.stderr)
@@ -147,8 +156,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    g = _load_dataset(args)
-    ckpt = load_checkpoint(args.ckpt)
+    g, ckpt = _load_run(args)
     p = ckpt.prompt
     if args.variant == "psp":
         if p is None:
@@ -156,9 +164,7 @@ def _cmd_eval(args) -> int:
         if p.task != args.task:
             raise ContractError(f"--task {args.task} does not match the bundle, "
                                 f"whose prompt was tuned for task {p.task}")
-    if args.tau is None:
-        args.tau = ckpt.tau
-    split, labels = _split_for(g, args)
+    split, labels = _split_for(g, args, args.seed)
     ctx = task_context(g, ckpt.params, args.task)
     if args.variant == "psp-np":
         labeled = LabeledSet(split.train, labels[split.train])
@@ -174,7 +180,7 @@ def _cmd_export_w(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.prompt is None:
         raise ContractError("checkpoint holds no tuned prompt to export")
-    labels = _load_dataset(args).task_labels(ckpt.prompt.task) if args.data else None
+    labels = _task_labels(_load_dataset(args), ckpt.prompt.task) if args.data else None
     export_weight_matrix(ckpt.prompt.weight_rows, labels, args.out)
     print(f"wrote weight matrix to {args.out}", file=sys.stderr)
     return 0
@@ -188,29 +194,25 @@ def _cmd_sweep(args) -> int:
     grid = list(itertools.product(_parse_list(args.lr_grid, "--lr-grid", float),
                                   _parse_list(args.weight_decay_grid, "--weight-decay-grid", float),
                                   _parse_list(args.dropout_grid, "--dropout-grid", float)))
-    g = _load_dataset(args)
-    ckpt = load_checkpoint(args.ckpt)
-    if args.tau is None:
-        args.tau = ckpt.tau
+    g, ckpt = _load_run(args)
+    base = _config(PromptConfig, args)  # every grid point is checked before the first fit
+    points = [dataclasses.replace(base, lr=lr, weight_decay=wd, dropout=d) for lr, wd, d in grid]
     ctx = task_context(g, ckpt.params, args.task)
     best = None
-    for lr, wd, dropout in grid:
-        point = argparse.Namespace(**vars(args))
-        point.lr, point.weight_decay, point.dropout = lr, wd, dropout
+    for cfg in points:
         val_accs, fits = [], []
         for seed in seeds:
-            point.seed = seed
-            prompted, _, split, labels = _tune_once(ctx, point)
+            prompted, _, split, labels = _tune_once(ctx, args, dataclasses.replace(cfg, seed=seed))
             proto = prototype_embeddings(ctx, prompted, "eval")
             val_accs.append(_accuracy(ctx, proto, split.val, labels, args.tau))
             fits.append((seed, split.test, proto))
         mean_val = float(np.mean(val_accs))
-        print(f"grid\tlr={lr}\twd={wd}\tdropout={dropout}\tval_acc={mean_val:.4f}",
-              file=sys.stderr)
+        print(f"grid\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}\t"
+              f"val_acc={mean_val:.4f}", file=sys.stderr)
         if best is None or mean_val > best[0]:
-            best = (mean_val, lr, wd, dropout, fits)
-    _, lr, wd, dropout, fits = best
-    print(f"selected\tlr={lr}\twd={wd}\tdropout={dropout}")
+            best = (mean_val, cfg, fits)
+    _, cfg, fits = best
+    print(f"selected\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}")
     # prompt_tune is deterministic, so the grid pass's prototypes are the
     # selected config's final prompts; test is scored from them without re-tuning
     test_accs = []
@@ -236,17 +238,20 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-shot", type=int, default=3)
     p.add_argument("--val-shots", type=int, default=3)
     p.add_argument("--mask-ratio", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
 
 
-def _add_tune_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--edge-ratio", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=None, help="defaults to the checkpoint value")
-    p.add_argument("--patience", type=int, default=60)
+_RESOLVED_LATER = {"tau": "defaults to the checkpoint value",
+                   "hidden_dim": "defaults to 128 for node tasks, 32 for graph tasks"}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls, names=None, **overrides) -> None:
+    """One flag per field of the config `cls` (or per field in `names`), defaulting
+    to the field's default unless `overrides` gives the command's own."""
+    for f in dataclasses.fields(cls):
+        if names is None or f.name in names:
+            default = overrides.get(f.name, f.default)
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=default,
+                           help=_RESOLVED_LATER[f.name] if default is None else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,14 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="contrastively pre-train the two encoders")
     _add_data_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--hidden-dim", type=int, default=None,
-                   help="defaults to 128 for node tasks, 32 for graph tasks")
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, PretrainConfig, hidden_dim=None)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("tune", help="learn prompt weights on a few-shot split")
@@ -282,31 +280,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     _add_split_flags(p)
-    _add_tune_flags(p)
+    _add_config_flags(p, PromptConfig, epochs=300, patience=60, dropout=0.2, tau=None)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     _add_data_flags(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--variant", choices=("psp", "psp-np"), default="psp")
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--run-id", default="run")
     _add_split_flags(p)
+    _add_config_flags(p, PromptConfig, ("tau", "seed"), tau=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid-search tuning hyperparameters on validation accuracy")
+    # no abbreviations: `--seed` must not pass for `--seeds`
+    p = sub.add_parser("sweep", help="grid-search tuning hyperparameters on validation accuracy",
+                       allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--lr-grid", default="0.0001,0.001,0.01,0.1")
-    p.add_argument("--weight-decay-grid", default="0.00001,0.0001,0.001,0.01")
+    p.add_argument("--lr-grid", default=",".join(map(str, LR_GRID)))
+    p.add_argument("--weight-decay-grid", default=",".join(map(str, WEIGHT_DECAY_GRID)))
     p.add_argument("--dropout-grid", default="0.2,0.5,0.8")
-    p.add_argument("--seeds", default=DEFAULT_SEEDS)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--seeds", default="0,1,2,3,4", help="one fit per seed at each grid point")
     p.add_argument("--run-id", default="sweep")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--edge-ratio", type=float, default=1.0)
-    p.add_argument("--patience", type=int, default=30)
     _add_split_flags(p)
+    _add_config_flags(p, PromptConfig, ("epochs", "tau", "edge_ratio", "patience"), tau=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("export-w", help="dump learned prompt weights as TSV")

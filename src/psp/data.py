@@ -298,7 +298,10 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
             edges.append((int(rng.choice(members[c1])), int(rng.choice(members[c2]))))
 
     means = np.eye(n_classes, feat_dim)
-    features = means[labels] + noise * rng.standard_normal((n, feat_dim))
+    with np.errstate(over="ignore"):
+        features = means[labels] + noise * rng.standard_normal((n, feat_dim))
+    if not np.isfinite(features).all():
+        raise ParameterError(f"noise must keep the features finite, got {noise}")
     return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
 
 

@@ -71,6 +71,8 @@ class GraphData:
                 raise DataError("graph_of must be surjective onto 0..n_graphs-1")
         if self.graph_labels is not None:
             self.graph_labels = np.asarray(self.graph_labels, dtype=np.int64)
+            if self.graph_labels.size != self.n_graphs or (self.graph_labels.size and self.graph_labels.min() < 0):
+                raise DataError("graph_labels must hold one non-negative class per graph")
 
     @property
     def n_nodes(self) -> int:

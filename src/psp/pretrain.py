@@ -3,8 +3,7 @@
 The attribute-only MLP view is the anchor side; the structure-aware GNN view
 supplies the positive (same node) and the negatives (all other nodes). As
 written, the denominator of the per-anchor term excludes the positive pair,
-so the loss can go below zero; a config flag restores the conventional
-denominator for comparison.
+so the loss can go below zero.
 
 The loss is one fused, row-blocked op (`autodiff.masked_infonce`): it never
 forms the N x N similarity matrix, so a pre-training epoch holds O(N*B)
@@ -44,7 +43,6 @@ class PretrainConfig:
     dropout: float = 0.2
     hidden_dim: int = 128
     seed: int = 0
-    include_positive_in_denominator: bool = False
 
     def __post_init__(self):
         check_tau(self.tau)
@@ -88,7 +86,7 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
         with Tape() as tape:
             z1 = mlp_forward(g.features, params, "train", epoch_seed, cfg.dropout)
             z2 = gnn_forward(g.features, a_norm, params, "train", epoch_seed, cfg.dropout)
-            loss = ntxent_pretrain_loss(z1, z2, cfg.tau, cfg.include_positive_in_denominator)
+            loss = ntxent_pretrain_loss(z1, z2, cfg.tau)
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"pre-training loss became non-finite at epoch {epoch}")

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psp
 from psp.cli import run
@@ -382,11 +388,11 @@ def test_synth_rejects_average_degree_above_n_minus_one(tmp_path, capsys, value)
 
 def _split_args(command, data, ckpt, out):
     """A tiny run of a split-taking command; `tune` writes a bundle to `out`."""
-    extra = {"eval": [], "tune": ["--epochs", "2", "--out", str(out)],
+    extra = {"eval": ["--seed", "1"], "tune": ["--seed", "1", "--epochs", "2", "--out", str(out)],
              "sweep": ["--epochs", "2", "--lr-grid", "0.01", "--weight-decay-grid", "0.0001",
                        "--dropout-grid", "0.2", "--seeds", "1"]}
     return [command, "--data", str(data), "--ckpt", str(ckpt), "--k-shot", "3",
-            "--val-shots", "3", "--seed", "1", *extra[command]]
+            "--val-shots", "3", *extra[command]]
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5"])
@@ -468,6 +474,146 @@ def test_eval_refuses_a_task_other_than_the_bundles(pipeline, capsys):
     assert "error: --task graph does not match the bundle, whose prompt was tuned for task node" \
         in captured.err
     assert captured.out == ""
+
+
+def test_export_w_refuses_data_without_labels_for_the_bundles_task(pipeline, tmp_path, capsys):
+    _, data, _, tuned = pipeline
+    bundle = load_checkpoint(tuned)
+    bundle.prompt = PromptedGraph(task="graph", proto_features=bundle.prompt.proto_features,
+                                  weight_rows=Tensor(np.ones((12, 3))),
+                                  trainable_row_mask=np.ones(12, dtype=bool))
+    graph_bundle = tmp_path / "graph.ckpt"
+    save_checkpoint(graph_bundle, bundle)
+    out = tmp_path / "w.tsv"
+    assert run(["export-w", "--ckpt", str(graph_bundle), "--data", str(data),
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: dataset has no labels for task 'graph'" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_synth_refuses_noise_that_overflows_the_features(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run(["synth", "--n", "30", "--noise", "1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: noise must keep the features finite, got 1e+308" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dropout-grid", "0.2,1.5", "error: dropout must lie in [0, 1), got 1.5"),
+    ("--lr-grid", "0.01,0.05", "error: lr must come from (0.0001, 0.001, 0.01, 0.1), got 0.05"),
+], ids=["dropout", "lr"])
+def test_sweep_refuses_a_bad_grid_point_before_the_first_fit(pipeline, capsys, monkeypatch,
+                                                              flag, value, message):
+    import psp.cli
+
+    counts = _count_calls(monkeypatch, ["prompt_tune"], (psp.cli,))
+    _, data, ckpt, _ = pipeline
+    args = ["sweep", "--data", str(data), "--ckpt", str(ckpt), "--lr-grid", "0.01",
+            "--dropout-grid", "0.2", "--weight-decay-grid", "0.0001", "--seeds", "1",
+            "--epochs", "2"]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "grid\t" not in captured.err
+    assert captured.out == "" and counts == {"prompt_tune": 0}
+
+
+def test_sweep_takes_its_seeds_from_seeds_only(pipeline, capsys):
+    _, data, ckpt, _ = pipeline
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt), "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _echo(argv, capsys) -> dict:
+    run(argv)
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line.startswith("config\t")
+    return json.loads(line.split("\t", 1)[1])
+
+
+def test_config_echo_of_each_subcommand_with_its_defaults(tmp_path, capsys):
+    # only synth writes; the other commands echo, then stop at the missing data or checkpoint
+    s, d, c, o = (str(tmp_path / name) for name in "sdco")
+    split = {"k_shot": 3, "val_shots": 3, "mask_ratio": 0.0, "task": "node", "tu_name": None}
+    assert _echo(["synth", "--out", s], capsys) == {
+        "command": "synth", "n": 300, "classes": 3, "homophily": 0.8, "avg_deg": 2.5,
+        "feat_dim": 64, "noise": 0.5, "seed": 0, "out": s}
+    assert _echo(["pretrain", "--data", d, "--out", o], capsys) == {
+        "command": "pretrain", "data": d, "out": o, "task": "node", "tu_name": None,
+        "epochs": 200, "lr": 0.0001, "weight_decay": 0.0001, "tau": 0.5, "dropout": 0.2,
+        "hidden_dim": 128, "seed": 0}
+    assert _echo(["tune", "--data", d, "--ckpt", c, "--out", o], capsys) == {
+        "command": "tune", "data": d, "ckpt": c, "out": o, **split, "seed": 0, "epochs": 300,
+        "lr": 0.01, "weight_decay": 0.0001, "dropout": 0.2, "edge_ratio": 1.0, "tau": None,
+        "patience": 60}
+    assert _echo(["eval", "--data", d, "--ckpt", c], capsys) == {
+        "command": "eval", "data": d, "ckpt": c, **split, "seed": 0, "variant": "psp",
+        "tau": None, "run_id": "run"}
+    assert _echo(["sweep", "--data", d, "--ckpt", c], capsys) == {
+        "command": "sweep", "data": d, "ckpt": c, **split, "lr_grid": "0.0001,0.001,0.01,0.1",
+        "weight_decay_grid": "1e-05,0.0001,0.001,0.01", "dropout_grid": "0.2,0.5,0.8",
+        "seeds": "0,1,2,3,4", "tau": None, "run_id": "sweep", "epochs": 200,
+        "edge_ratio": 1.0, "patience": 30}
+    assert _echo(["export-w", "--ckpt", c, "--out", o], capsys) == {
+        "command": "export-w", "ckpt": c, "out": o, "data": None, "tu_name": None}
+
+
+# ---------------------------------------------------------------------------
+# fuzzed numeric flags
+
+# one or two flags per run: with more, nearly every run holds some refusal
+# and hides what the other values do
+_FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308")
+
+
+def _fuzz_run(argv, flags: dict, int_flags) -> int:
+    """Run `argv` with `flags` appended in-process, and check the exit code: 2
+    exactly when an int flag got a value that is not an int, else 0 or 1, and
+    never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv + [f"{flag}={value}" for flag, value in flags.items()])
+    unparsable = any(flag in int_flags and value not in ("-1", "0") for flag, value in flags.items())
+    assert (code == 2) if unparsable else (code in (0, 1)), (flags, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+_SYNTH_INT_FLAGS = ("--n", "--classes", "--feat-dim", "--seed")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SYNTH_INT_FLAGS + ("--h", "--avg-deg", "--noise")),
+                       st.sampled_from(_FUZZ_VALUES), min_size=1, max_size=2))
+def test_synth_numeric_flags_refuse_or_write_a_loadable_dataset(flags):
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "data")
+        code = _fuzz_run(["synth", "--n", "30", "--out", out], flags, _SYNTH_INT_FLAGS)
+        assert os.path.exists(out) == (code == 0)
+        if code == 0:
+            load_node_dataset(out)
+
+
+_TUNE_INT_FLAGS = ("--patience", "--seed", "--k-shot", "--val-shots")
+
+
+def test_tune_numeric_flags_refuse_or_tune(pipeline):
+    _, data, ckpt, _ = pipeline
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_TUNE_INT_FLAGS + (
+        "--lr", "--weight-decay", "--dropout", "--edge-ratio", "--tau", "--mask-ratio")),
+        st.sampled_from(_FUZZ_VALUES), min_size=1, max_size=2))
+    def fuzz(flags):
+        with tempfile.TemporaryDirectory() as root:
+            out = os.path.join(root, "tuned.ckpt")
+            code = _fuzz_run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", out,
+                              "--epochs", "0"], flags, _TUNE_INT_FLAGS)
+            assert os.path.exists(out) == (code == 0)
+
+    fuzz()
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,11 @@ def test_sbm_rejects_bad_noise(noise):
         generate_sbm(30, 3, 0.5, 2.0, 8, noise, seed=0)
 
 
+def test_sbm_refuses_noise_whose_features_overflow():
+    with pytest.raises(ParameterError, match="noise must keep the features finite, got 1e"):
+        generate_sbm(30, 3, 0.5, 2.0, 8, 1e308, seed=0)
+
+
 @pytest.mark.parametrize("avg_deg", [29.5, 1e9, 1e308])
 def test_sbm_rejects_average_degree_above_n_minus_one(avg_deg):
     generate_sbm(30, 3, 0.5, 29.0, 8, 0.5, seed=0)

@@ -318,6 +318,13 @@ def test_graphdata_rejects_out_of_range_labels():
         _tiny_graph(labels=np.array([0, -1]))
 
 
+@pytest.mark.parametrize("graph_labels", [[0, 1, 1], [0], [0, -2]],
+                         ids=["too-many", "too-few", "negative"])
+def test_graphdata_rejects_bad_graph_labels(graph_labels):
+    with pytest.raises(DataError, match="graph_labels must hold one non-negative class per graph"):
+        _tiny_graph(graph_of=np.array([0, 1]), graph_labels=np.array(graph_labels))
+
+
 def test_graphdata_rejects_gappy_graph_of():
     with pytest.raises(DataError, match="surjective"):
         _tiny_graph(graph_of=np.array([0, 2]))
