@@ -10,7 +10,6 @@ from .autodiff import (
     add,
     backward,
     dropout,
-    grad_check,
     masked_infonce,
     matmul,
     mul,

@@ -18,7 +18,6 @@ from .errors import (
     ContractError,
     DataError,
     DimensionError,
-    NumericError,
     ParameterError,
 )
 
@@ -85,83 +84,36 @@ class Tensor:
 
 
 class CsrMatrix:
-    """Compressed sparse row matrix with float64 values.
+    """A float64 `scipy.sparse.csr_array` (`.csr`) checked at construction.
 
-    Invariants are checked at construction: monotone row offsets, strictly
-    increasing in-range column indices per row, aligned value array.
+    Takes what `csr_array` takes, e.g. `CsrMatrix((values, indices, offsets),
+    shape=(r, c))`. scipy's full format check applies, and the column indices
+    must be canonical: strictly increasing within each row. Malformed input
+    raises a DataError.
     """
 
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values",
-                 "_sp", "_sp_t", "_row_expand")
+    __slots__ = ("csr",)
 
-    def __init__(self, rows, cols, row_offsets, col_indices, values):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        self._sp = None
-        self._sp_t = None
-        self._row_expand = None
-        self._validate()
+    def __init__(self, arg, shape=None):
+        try:
+            # scipy silently drops entries past the last offset, so check the raw arrays first
+            if isinstance(arg, tuple) and len(arg) == 3:
+                offsets = np.ravel(arg[2])
+                if offsets.size and offsets[-1] != np.size(arg[1]):
+                    raise ValueError("row offsets must end at the entry count")
+            self.csr = sparse.csr_array(arg, shape=shape, dtype=np.float64)
+            self.csr.check_format(full_check=True)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"malformed CSR matrix: {err}") from None
+        if not self.csr.has_canonical_format:
+            raise DataError("column indices must be strictly increasing within a row")
 
-    def _validate(self) -> None:
-        off = self.row_offsets
-        if off.shape != (self.rows + 1,):
-            raise DataError(f"row_offsets must have length rows+1={self.rows + 1}, got {off.shape}")
-        if self.rows and (off[0] != 0 or off[-1] != self.col_indices.size):
-            raise DataError("row_offsets must start at 0 and end at the entry count")
-        if np.any(np.diff(off) < 0):
-            raise DataError("row_offsets must be monotone non-decreasing")
-        if self.col_indices.size != self.values.size:
-            raise DataError("values and col_indices must have equal length")
-        if self.col_indices.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.cols:
-                raise DataError("column index out of range")
-            same_row = np.diff(self.row_expansion()) == 0
-            if np.any(np.diff(self.col_indices)[same_row] <= 0):
-                raise DataError("column indices must be strictly increasing within a row")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.col_indices.size)
-
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CsrMatrix":
-        m = mat.tocsr()
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
-
-    def scipy(self):
-        if self._sp is None:
-            self._sp = sparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                                         shape=(self.rows, self.cols))
-        return self._sp
-
-    def scipy_t(self):
-        if self._sp_t is None:
-            self._sp_t = self.scipy().T.tocsr()
-        return self._sp_t
-
-    def row_expansion(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order."""
-        if self._row_expand is None:
-            self._row_expand = np.repeat(np.arange(self.rows, dtype=np.int64),
-                                         np.diff(self.row_offsets))
-        return self._row_expand
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows)
-        np.add.at(out, self.row_expansion(), self.values)
-        return out
+    rows = property(lambda self: self.csr.shape[0])
+    cols = property(lambda self: self.csr.shape[1])
+    nnz = property(lambda self: self.csr.nnz)
 
     def to_dense(self) -> np.ndarray:
-        return self.scipy().toarray()
+        return self.csr.toarray()
 
     def __repr__(self) -> str:
         return f"CsrMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -245,8 +197,7 @@ def spmm(s: CsrMatrix, d: Tensor) -> Tensor:
     """Sparse-dense product s @ d."""
     if s.cols != d.rows:
         raise DimensionError(f"spmm: inner dimensions differ, {s.rows}x{s.cols} x {d.shape}")
-    mat_t = s.scipy_t()
-    return _emit("spmm", (d,), s.scipy() @ d.data, lambda g: (mat_t @ g,))
+    return _emit("spmm", (d,), s.csr @ d.data, lambda g: (s.csr.T @ g,))
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
@@ -374,8 +325,13 @@ def check_finite(name: str, value, positive: bool = False) -> float:
 
 
 def check_tau(tau) -> float:
-    """A softmax temperature as a float; anything but a positive finite number raises."""
-    return check_finite("tau", tau, positive=True)
+    """A softmax temperature as a float; anything but a positive finite number
+    whose reciprocal is finite raises."""
+    tau = check_finite("tau", tau, positive=True)
+    if not np.isfinite(1.0 / tau):
+        raise ParameterError(f"tau must be a positive finite number with a finite "
+                             f"reciprocal, got {tau}")
+    return tau
 
 
 # rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
@@ -530,44 +486,3 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
             update = update + state.lr * state.weight_decay * p.data
         p.data -= update
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` must map a tensor to a 1x1 tensor and be deterministic; seeded
-    randomized ops qualify because fresh tapes replay their masks.
-    """
-    prev_rg, prev_grad = x.requires_grad, x.grad
-    x.requires_grad = True
-    x.grad = None
-    with Tape() as tape:
-        y = f(x)
-    if y.shape != (1, 1):
-        raise ContractError(f"grad_check: f must return a 1x1 tensor, got {y.shape}")
-    backward(tape, y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.requires_grad, x.grad = prev_rg, prev_grad
-
-    numeric = np.zeros_like(x.data)
-    base = x.data
-    for idx in np.ndindex(*base.shape):
-        orig = base[idx]
-        base[idx] = orig + h
-        with Tape():
-            fp = f(x).item()
-        base[idx] = orig - h
-        with Tape():
-            fm = f(x).item()
-        base[idx] = orig
-        numeric[idx] = (fp - fm) / (2.0 * h)
-    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
-        raise NumericError("grad_check encountered non-finite values")
-    if numeric.size == 0:
-        return 0.0
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .autodiff import Tensor, check_finite
 from .encoders import EncoderParams, freeze
@@ -22,6 +23,8 @@ from .graph import GraphData, PromptedGraph, build_csr
 
 CHECKPOINT_MAGIC = b"PSPCKPT1"
 CHECKPOINT_VERSION = 1
+# columns of the degree one-hot features `load_tu_dataset` falls back to
+DEGREE_ONEHOT_WIDTH = 64
 
 
 @dataclass
@@ -49,27 +52,21 @@ class Checkpoint:
 # text tables
 
 
-def _read_table(path: Path, kind, sep: Optional[str], width: Optional[int] = None,
-                header: Optional[str] = None) -> tuple[np.ndarray, list[int]]:
+def _read_table(path: Path, kind, sep: Optional[str],
+                width: Optional[int] = None) -> tuple[np.ndarray, list[int]]:
     """Parse the non-blank lines of a text table into a 2-D int64 or float64 array.
 
     `kind` (`int` or `float`) parses each token. `sep` is "\t" for tabs,
     None for runs of whitespace, or "," for commas or whitespace. Every row
-    has `width` columns, or the first row's count when `width` is None. With
-    a `header`, the first line must start with it; it sets the width and is
-    not data. Returns the rows and each row's 1-based line in the file. A
-    malformed line raises a DataError naming the file and the line.
+    has `width` columns, or the first row's count when `width` is None.
+    Returns the rows and each row's 1-based line in the file. A malformed
+    line raises a DataError naming the file and the line.
     """
     if not path.is_file():
         raise DataError(f"missing dataset file {path}")
     # bytes that are not UTF-8 become U+FFFD, which no token parses, so they are
     # reported on their line; only the iterator holds the lines, freeing them after the loop
     numbered = enumerate(path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1)
-    if header is not None:
-        _, first = next(numbered, (1, ""))
-        if not first.startswith(header):
-            raise FormatError(f"{path.name} line 1: expected a header starting {header!r}")
-        width = len(first.split(sep))
     rows, linenos = [], []
     for lineno, line in numbered:
         if not line.strip():
@@ -140,10 +137,8 @@ def save_node_dataset(directory, g: GraphData) -> None:
     """Write the TSV triple; feature values keep full precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    a = g.adjacency
-    rows = a.row_expansion()
-    upper = rows < a.col_indices
-    _write_table(directory / "edges.tsv", zip(rows[upper].tolist(), a.col_indices[upper].tolist()))
+    upper = sparse.triu(g.adjacency.csr, k=1, format="coo")
+    _write_table(directory / "edges.tsv", zip(upper.row.tolist(), upper.col.tolist()))
     _write_table(directory / "features.tsv", map(np.ndarray.tolist, g.features.data))
     _write_table(directory / "labels.tsv", g.labels.reshape(-1, 1).tolist())
 
@@ -152,7 +147,7 @@ def save_node_dataset(directory, g: GraphData) -> None:
 # TU text layout
 
 
-def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> GraphData:
+def load_tu_dataset(directory, name: str) -> GraphData:
     """Batch a TU-layout dataset into one block-diagonal GraphData.
 
     Node attributes fall back to degree one-hots (overflow in the last
@@ -188,9 +183,9 @@ def load_tu_dataset(directory, name: str, degree_onehot_width: int = 64) -> Grap
         if features.shape[0] != n:
             raise DataError(f"{attr_path.name} has {features.shape[0]} rows for {n} nodes")
     else:
-        degrees = np.diff(adjacency.row_offsets)
-        features = np.zeros((n, degree_onehot_width))
-        features[np.arange(n), np.minimum(degrees, degree_onehot_width - 1)] = 1.0
+        degrees = np.diff(adjacency.csr.indptr)
+        features = np.zeros((n, DEGREE_ONEHOT_WIDTH))
+        features[np.arange(n), np.minimum(degrees, DEGREE_ONEHOT_WIDTH - 1)] = 1.0
 
     labels = None
     node_label_path = directory / f"{name}_node_labels.txt"
@@ -305,17 +300,6 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
 
 
-def intra_class_edge_fraction(g: GraphData) -> float:
-    """Fraction of stored (undirected) edges joining same-class endpoints."""
-    a = g.adjacency
-    rows = a.row_expansion()
-    cols = a.col_indices
-    upper = rows < cols
-    if not upper.any():
-        return 0.0
-    return float(np.mean(g.labels[rows[upper]] == g.labels[cols[upper]]))
-
-
 # ---------------------------------------------------------------------------
 # binary checkpoint
 
@@ -425,14 +409,3 @@ def export_weight_matrix(w: Tensor, labels, path) -> None:
     _write_table(path, [header] + [[i, label, *row] for i, (label, row)
                                    in enumerate(zip(lab.tolist(), w.data.tolist()))])
 
-
-def load_weight_matrix(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an `export_weight_matrix` file back as (weights, labels)."""
-    path = Path(path)
-    table, linenos = _read_table(path, float, "\t", header="node\tlabel")
-    labels = table[:, 1]
-    # a label must be an integer that float64 holds exactly
-    bad = np.flatnonzero((labels != np.round(labels)) | (np.abs(labels) > 2**53))
-    if bad.size:
-        raise DataError(f"{path.name} line {linenos[bad[0]]}: non-integer label")
-    return table[:, 2:], labels.astype(np.int64)

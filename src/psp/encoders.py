@@ -7,7 +7,6 @@ first layer also serves the prompted graph's row blocks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,13 +69,6 @@ def freeze(params: EncoderParams) -> EncoderParams:
         p.requires_grad = False
         p.grad = None
     return params
-
-
-def params_checksum(params: EncoderParams) -> str:
-    digest = hashlib.sha256()
-    for p in parameters(params):
-        digest.update(p.data.tobytes())
-    return digest.hexdigest()
 
 
 def _check_mode(mode: str) -> bool:

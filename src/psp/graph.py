@@ -53,7 +53,7 @@ class GraphData:
     def __post_init__(self):
         if self.adjacency.rows != self.n_nodes or self.adjacency.cols != self.n_nodes:
             raise DataError("adjacency must be n_nodes x n_nodes")
-        m = self.adjacency.scipy()
+        m = self.adjacency.csr
         asym = abs(m - m.T)
         if asym.nnz and asym.max() > 0:
             raise DataError("adjacency must be symmetric")
@@ -128,7 +128,7 @@ def build_csr(n: int, edges) -> CsrMatrix:
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return CsrMatrix(n, n, offsets, dst[order], np.ones(dst.size))
+    return CsrMatrix((np.ones(dst.size), dst[order], offsets), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class SelfLoopedBase:
     def of(cls, a: CsrMatrix) -> "SelfLoopedBase":
         if a.rows != a.cols:
             raise DimensionError(f"self-loops need a square matrix, got {a.rows}x{a.cols}")
-        a_hat = CsrMatrix.from_scipy(a.scipy() + sparse.eye(a.rows, format="csr"))
-        return cls(a_hat, Tensor(a_hat.row_sums().reshape(-1, 1)))
+        a_hat = CsrMatrix(a.csr + sparse.eye_array(a.rows, format="csr"))
+        return cls(a_hat, Tensor(a_hat.csr.sum(axis=1).reshape(-1, 1)))
 
 
 def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
@@ -154,8 +154,10 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     normalized rows sum to 1.
     """
     base = SelfLoopedBase.of(a)
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(np.maximum(base.degree.data.ravel(), 1e-12)))
-    return CsrMatrix.from_scipy(inv_sqrt @ base.a_hat.scipy() @ inv_sqrt)
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(base.degree.data.ravel(), 1e-12)))
+    norm = inv_sqrt @ base.a_hat.csr @ inv_sqrt
+    norm.sort_indices()
+    return CsrMatrix(norm)
 
 
 class NormalizedPromptOperator:

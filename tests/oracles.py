@@ -21,15 +21,27 @@ Parity oracles, one per fast path in `src`:
   it replaced.
 - `full_graph_prototypes` checks `psp.prompt.prototype_embeddings`: the GNN
   over all N+C rows of the prompted graph, then its prototype rows.
+
+Test-side measurements:
+
+- `grad_check`: the finite-difference check every op and loss is held to.
+- `params_checksum`: a digest of encoder weights, to show a stage left them alone.
+- `intra_class_edge_fraction`: the share of edges joining same-class nodes,
+  the homophily that `psp.data.generate_sbm` targets.
 """
 
+import hashlib
+
 import numpy as np
+import scipy.sparse as sparse
 
 from psp.autodiff import (
+    Tape,
     Tensor,
     _emit,
     _row_norms,
     add,
+    backward,
     derive_seed,
     dropout_mask,
     matmul,
@@ -38,7 +50,8 @@ from psp.autodiff import (
     row_sum,
     select_rows,
 )
-from psp.errors import DataError, DimensionError
+from psp.encoders import parameters
+from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.graph import NormalizedPromptOperator, SelfLoopedBase
 
 COSINE_EPS = 1e-12
@@ -192,3 +205,59 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
     _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
     return add(proto, b2)
+
+
+# ---------------------------------------------------------------------------
+# measurements
+
+
+def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` must map a tensor to a 1x1 tensor and be deterministic; seeded
+    randomized ops qualify because fresh tapes replay their masks.
+    """
+    prev_rg, prev_grad = x.requires_grad, x.grad
+    x.requires_grad = True
+    x.grad = None
+    with Tape() as tape:
+        y = f(x)
+    if y.shape != (1, 1):
+        raise ContractError(f"grad_check: f must return a 1x1 tensor, got {y.shape}")
+    backward(tape, y)
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    x.requires_grad, x.grad = prev_rg, prev_grad
+
+    numeric = np.zeros_like(x.data)
+    base = x.data
+    for idx in np.ndindex(*base.shape):
+        orig = base[idx]
+        base[idx] = orig + h
+        with Tape():
+            fp = f(x).item()
+        base[idx] = orig - h
+        with Tape():
+            fm = f(x).item()
+        base[idx] = orig
+        numeric[idx] = (fp - fm) / (2.0 * h)
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        raise NumericError("grad_check encountered non-finite values")
+    if numeric.size == 0:
+        return 0.0
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def params_checksum(params) -> str:
+    digest = hashlib.sha256()
+    for p in parameters(params):
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+def intra_class_edge_fraction(g) -> float:
+    """Fraction of stored (undirected) edges joining same-class endpoints."""
+    upper = sparse.triu(g.adjacency.csr, k=1, format="coo")
+    if not upper.nnz:
+        return 0.0
+    return float(np.mean(g.labels[upper.row] == g.labels[upper.col]))

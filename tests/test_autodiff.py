@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,8 +17,8 @@ from psp.autodiff import (
     adam_step,
     add,
     backward,
+    check_tau,
     dropout,
-    grad_check,
     masked_infonce,
     matmul,
     mul,
@@ -31,7 +32,16 @@ from psp.autodiff import (
 from psp.errors import ContractError, DataError, DimensionError, ParameterError
 from psp.graph import build_csr
 
-from oracles import composite_infonce, cosine_sim_matrix, exp, log, scale, sub, total_sum
+from oracles import (
+    composite_infonce,
+    cosine_sim_matrix,
+    exp,
+    grad_check,
+    log,
+    scale,
+    sub,
+    total_sum,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -44,6 +54,10 @@ finite_matrices = arrays(
 
 def rand(rows, cols, seed=0):
     return Tensor(np.random.default_rng(seed).standard_normal((rows, cols)))
+
+
+def identity(n):
+    return CsrMatrix(sparse.eye_array(n, format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +94,7 @@ def test_matmul_associativity_on_random_chains():
 
 def test_spmm_identity_bitwise():
     m = rand(3, 2, 2)
-    out = spmm(CsrMatrix.identity(3), m)
+    out = spmm(identity(3), m)
     assert np.array_equal(out.data, m.data)
 
 
@@ -98,7 +112,20 @@ def test_spmm_empty_row_gives_zero_row():
 
 def test_spmm_shape_error():
     with pytest.raises(DimensionError):
-        spmm(CsrMatrix.identity(3), rand(2, 2))
+        spmm(identity(3), rand(2, 2))
+
+
+def test_spmm_vjp_matches_the_materialized_transpose():
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.4)
+    s = CsrMatrix(sparse.csr_array(dense))
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    g = rng.standard_normal((7, 3))
+    with Tape() as tape:
+        spmm(s, x)
+    (gx,) = tape.records[-1].vjp(g)
+    assert np.array_equal(gx, s.csr.T.tocsr() @ g)
+    np.testing.assert_allclose(gx, s.to_dense().T @ g, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +602,12 @@ def test_masked_infonce_rejects_bad_tau(tau):
         masked_infonce(z, z, [0, 1, 2], tau, exclude_positive=True)
 
 
+def test_check_tau_refuses_a_tau_with_an_infinite_reciprocal():
+    with pytest.raises(ParameterError, match="finite reciprocal, got 5e-324"):
+        check_tau(5e-324)
+    assert check_tau(1e-308) == 1e-308
+
+
 # ---------------------------------------------------------------------------
 # lean tape: no copies, no gradients nobody asked for, no aliased leaf grads
 
@@ -694,18 +727,22 @@ def test_tensor_constructor_copies_its_argument():
 # CsrMatrix invariants
 
 
-def test_csr_validation():
+@pytest.mark.parametrize("offsets,indices,values", [
+    ([0, 1], [0], [1.0]),
+    ([0, 2, 2], [1, 0], [1.0, 1.0]),
+    ([0, 1, 2], [0, 2], [1.0, 1.0]),
+    ([0, 1, 2], [0, 1], [1.0]),
+    ([1, 1, 2], [0, 1], [1.0, 1.0]),
+    ([0, 1, 1], [0, 1], [1.0, 1.0]),
+    ([0, 2, 2], [0, 0], [1.0, 1.0]),
+], ids=["offsets_too_short", "not_increasing_in_row", "col_out_of_range", "values_misaligned",
+        "offsets_not_from_zero", "offsets_end_before_entries", "repeated_col_in_row"])
+def test_csr_validation(offsets, indices, values):
     with pytest.raises(DataError):
-        CsrMatrix(2, 2, [0, 1], [0], [1.0])  # offsets too short
-    with pytest.raises(DataError):
-        CsrMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 1.0])  # not increasing in row
-    with pytest.raises(DataError):
-        CsrMatrix(2, 2, [0, 1, 2], [0, 2], [1.0, 1.0])  # col out of range
-    with pytest.raises(DataError):
-        CsrMatrix(2, 2, [0, 1, 2], [0, 1], [1.0])  # values misaligned
+        CsrMatrix((values, indices, offsets), shape=(2, 2))
 
 
 def test_csr_identity_roundtrip():
-    eye = CsrMatrix.identity(4)
+    eye = identity(4)
     np.testing.assert_array_equal(eye.to_dense(), np.eye(4))
     assert eye.nnz == 4

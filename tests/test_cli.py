@@ -18,7 +18,6 @@ from psp.autodiff import Tensor
 from psp.data import (
     load_checkpoint,
     load_node_dataset,
-    load_weight_matrix,
     sample_k_shot,
     save_checkpoint,
 )
@@ -115,9 +114,9 @@ def test_export_w_roundtrip(pipeline, tmp_path):
     out = tmp_path / "w.tsv"
     assert run(["export-w", "--ckpt", str(tuned), "--data", str(data),
                 "--out", str(out)]) == 0
-    values, labels = load_weight_matrix(out)
-    assert values.shape == (60, 3)
-    assert set(labels.tolist()) <= {0, 1, 2}
+    table = np.loadtxt(out, delimiter="\t", skiprows=1)
+    assert table[:, 2:].shape == (60, 3)
+    assert set(table[:, 1].tolist()) <= {0, 1, 2}
 
 
 def test_export_w_rejects_data_with_more_nodes_than_weight_rows(pipeline, tmp_path, capsys):
@@ -174,7 +173,7 @@ def test_tune_edge_ratio_zero_limits_nonzero_rows(pipeline, tmp_path, capsys):
                 "--edge-ratio", "0"]) == 0
     out = tmp_path / "w.tsv"
     assert run(["export-w", "--ckpt", str(tuned), "--out", str(out)]) == 0
-    values, _ = load_weight_matrix(out)
+    values = np.loadtxt(out, delimiter="\t", skiprows=1)[:, 2:]
     g = load_node_dataset(data)
     split = sample_k_shot(g.labels, 3, 1, 3)
     nonzero_rows = set(np.flatnonzero(np.abs(values).sum(axis=1) > 0).tolist())
@@ -309,6 +308,18 @@ def test_eval_rejects_bad_tau(pipeline, capsys, tau):
         captured = capsys.readouterr()
         assert "tau must be a positive finite number" in captured.err
         assert captured.out == ""
+
+
+def test_eval_refuses_a_tau_with_an_infinite_reciprocal(pipeline, capsys):
+    _, data, _, tuned = pipeline
+    args = ["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", "psp-np",
+            "--k-shot", "3", "--val-shots", "3", "--seed", "1", "--tau"]
+    assert run(args + ["1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert "tau must be a positive finite number with a finite reciprocal, got 1e-320" \
+        in captured.err
+    assert captured.out == ""
+    assert run(args + ["1e-308"]) == 0
 
 
 @pytest.mark.parametrize("command", ["tune", "pretrain"])

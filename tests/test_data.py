@@ -12,11 +12,9 @@ from psp.data import (
     Checkpoint,
     export_weight_matrix,
     generate_sbm,
-    intra_class_edge_fraction,
     load_checkpoint,
     load_node_dataset,
     load_tu_dataset,
-    load_weight_matrix,
     mask_training_labels,
     sample_k_shot,
     save_checkpoint,
@@ -25,6 +23,8 @@ from psp.data import (
 from psp.encoders import init_encoder_params, parameters
 from psp.errors import DataError, FormatError, ParameterError, PspError
 from psp.graph import PromptedGraph
+
+from oracles import intra_class_edge_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +131,10 @@ def test_load_tu_dataset_label_remap(tmp_path):
 
 def test_load_tu_dataset_degree_fallback(tmp_path):
     write_tu_fixture(tmp_path / "tu", attributes=False)
-    g = load_tu_dataset(tmp_path / "tu", "TOY", degree_onehot_width=8)
-    assert g.features.cols == 8
-    np.testing.assert_array_equal(g.features.data[0], np.eye(8)[2])  # triangle degree 2
-    np.testing.assert_array_equal(g.features.data[6], np.eye(8)[0])  # singleton degree 0
+    g = load_tu_dataset(tmp_path / "tu", "TOY")
+    assert g.features.cols == 64
+    np.testing.assert_array_equal(g.features.data[0], np.eye(64)[2])  # triangle degree 2
+    np.testing.assert_array_equal(g.features.data[6], np.eye(64)[0])  # singleton degree 0
 
 
 def test_load_tu_dataset_node_labels(tmp_path):
@@ -364,7 +364,7 @@ def test_sbm_seed_determinism():
     a = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     b = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     assert np.array_equal(a.features.data, b.features.data)
-    assert np.array_equal(a.adjacency.col_indices, b.adjacency.col_indices)
+    assert np.array_equal(a.adjacency.csr.indices, b.adjacency.csr.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +488,15 @@ def test_export_weight_matrix_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == "node\tlabel\tw_0\tw_1"
-    values, labels = load_weight_matrix(path)
-    np.testing.assert_allclose(values, w.data, atol=1e-12)
-    np.testing.assert_array_equal(labels, [1, 0])
+    table = np.loadtxt(path, delimiter="\t", skiprows=1)
+    np.testing.assert_allclose(table[:, 2:], w.data, atol=1e-12)
+    np.testing.assert_array_equal(table[:, 1], [1, 0])
 
 
 def test_export_weight_matrix_sentinel_labels(tmp_path):
     path = tmp_path / "w.tsv"
     export_weight_matrix(Tensor(np.zeros((2, 2))), None, path)
-    _, labels = load_weight_matrix(path)
+    labels = np.loadtxt(path, delimiter="\t", skiprows=1)[:, 1]
     np.testing.assert_array_equal(labels, [-1, -1])
 
 
@@ -511,32 +511,5 @@ def test_export_weight_matrix_full_precision_roundtrip(tmp_path):
     w = Tensor(rng.standard_normal((4, 3)))
     path = tmp_path / "w.tsv"
     export_weight_matrix(w, None, path)
-    values, _ = load_weight_matrix(path)
+    values = np.loadtxt(path, delimiter="\t", skiprows=1)[:, 2:]
     assert np.array_equal(values, w.data)  # repr round-trips exactly
-
-
-@pytest.mark.parametrize("row,message", [("0\tx\t1.0", "line 2: non-numeric value"),
-                                         ("0", "line 2: expected 3 columns, got 1"),
-                                         ("0\t1.5\t1.0", "line 2: non-integer label")])
-def test_load_weight_matrix_rejects_malformed_rows(tmp_path, row, message):
-    path = tmp_path / "w.tsv"
-    path.write_text(f"node\tlabel\tw_0\n{row}\n")
-    with pytest.raises(DataError, match=message):
-        load_weight_matrix(path)
-
-
-def test_load_weight_matrix_requires_the_header(tmp_path):
-    path = tmp_path / "w.tsv"
-    path.write_text("0\t1\t1.0\n")
-    with pytest.raises(FormatError, match="line 1: expected a header"):
-        load_weight_matrix(path)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.one_of(st.just("node\tlabel\tw_0\tw_1\n"), table_text), table_text)
-def test_fuzzed_weight_matrix_loads_or_raises_psp_error(header, body):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "w.tsv"
-        path.write_text(header + body)
-        with suppress(PspError):
-            load_weight_matrix(path)

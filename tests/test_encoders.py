@@ -9,12 +9,11 @@ from psp.encoders import (
     init_encoder_params,
     mlp_forward,
     parameters,
-    params_checksum,
 )
 from psp.errors import ParameterError
 from psp.graph import build_csr, gcn_normalize
 
-from oracles import total_sum
+from oracles import params_checksum, total_sum
 
 
 def make_params(n_features=4, hidden=6, seed=0):

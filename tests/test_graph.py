@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tensor, add, grad_check, mul
+from psp.autodiff import CsrMatrix, Tensor, add, mul
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
@@ -14,7 +14,13 @@ from psp.graph import (
     mean_readout,
 )
 
-from oracles import dense_gcn_normalize, dense_prompted_normalize, set_loop_build_csr, total_sum
+from oracles import (
+    dense_gcn_normalize,
+    dense_prompted_normalize,
+    grad_check,
+    set_loop_build_csr,
+    total_sum,
+)
 
 
 def apply_stacked(op: NormalizedPromptOperator, h: np.ndarray) -> np.ndarray:
@@ -68,7 +74,7 @@ def test_build_csr_range_check():
 
 def test_build_csr_sorted_columns():
     a = build_csr(4, [(3, 0), (1, 0), (2, 0)])
-    row0 = a.col_indices[a.row_offsets[0]:a.row_offsets[1]]
+    row0 = a.csr.indices[a.csr.indptr[0]:a.csr.indptr[1]]
     assert list(row0) == sorted(row0)
 
 
@@ -87,9 +93,9 @@ def test_build_csr_properties(edges):
 def _assert_matches_set_loop(n, edges):
     a = build_csr(n, edges)
     offsets, cols = set_loop_build_csr(n, edges)
-    np.testing.assert_array_equal(a.row_offsets, offsets)
-    np.testing.assert_array_equal(a.col_indices, cols)
-    np.testing.assert_array_equal(a.values, np.ones(cols.size))
+    np.testing.assert_array_equal(a.csr.indptr, offsets)
+    np.testing.assert_array_equal(a.csr.indices, cols)
+    np.testing.assert_array_equal(a.csr.data, np.ones(cols.size))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
@@ -129,9 +135,7 @@ def test_gcn_normalize_isolated_node():
 
 
 def test_gcn_normalize_rejects_non_square():
-    from psp.autodiff import CsrMatrix
-
-    rect = CsrMatrix(2, 3, [0, 1, 2], [0, 1], [1.0, 1.0])
+    rect = CsrMatrix(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError):
         gcn_normalize(rect)
 
@@ -170,9 +174,7 @@ def test_augment_row_mismatch():
 
 
 def test_prompted_operator_rejects_non_square_base():
-    from psp.autodiff import CsrMatrix
-
-    rect = CsrMatrix(2, 3, [0, 1, 2], [0, 1], [1.0, 1.0])
+    rect = CsrMatrix(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError, match="square"):
         NormalizedPromptOperator(SelfLoopedBase.of(rect), Tensor(np.zeros((2, 1))))
 
@@ -306,9 +308,7 @@ def test_graphdata_counts_come_from_the_arrays():
 
 
 def test_graphdata_rejects_asymmetric():
-    from psp.autodiff import CsrMatrix
-
-    asym = CsrMatrix(2, 2, [0, 1, 1], [1], [1.0])
+    asym = CsrMatrix(([1.0], [1], [0, 1, 1]), shape=(2, 2))
     with pytest.raises(DataError, match="symmetric"):
         _tiny_graph(adjacency=asym)
 

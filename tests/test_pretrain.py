@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor, grad_check
+from psp.autodiff import Tensor
 from psp.data import generate_sbm
-from psp.encoders import parameters, params_checksum
+from psp.encoders import parameters
 from psp.errors import ContractError, NumericError, ParameterError
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain, write_loss_log
+
+from oracles import grad_check, params_checksum
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tape, Tensor, backward, grad_check, mul
+from psp.autodiff import Tape, Tensor, backward, mul
 from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import (
     freeze,
     gnn_forward,
     init_encoder_params,
     mlp_forward,
-    params_checksum,
 )
 from psp.errors import ContractError, DataError, DimensionError, ParameterError
 from psp.graph import (
@@ -32,7 +31,7 @@ from psp.prompt import (
     task_context,
 )
 
-from oracles import full_graph_prototypes, total_sum
+from oracles import full_graph_prototypes, grad_check, params_checksum, total_sum
 
 
 def frozen_params(n_features, hidden=8, seed=0):
@@ -469,7 +468,7 @@ def test_task_context_builds_views_once_per_task():
     (w1, _), _ = params.gnn_layers
     np.testing.assert_array_equal(node.xw1.data, g.features.data @ w1.data)
     np.testing.assert_array_equal(node.base.degree.data.ravel(),
-                                  g.adjacency.row_sums() + 1.0)
+                                  g.adjacency.csr.sum(axis=1) + 1.0)
     graph = task_context(g, params, "graph")
     attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
     np.testing.assert_array_equal(graph.anchors.data, attr.data)
