@@ -14,12 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import (
-    ContractError,
-    DataError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import ContractError, DataError, DimensionError, NumericError, ParameterError
 
 DEGREE_FLOOR = 1e-12
 
@@ -475,12 +470,15 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for p, m, v in zip(params, state.m, state.v):
+    for i, (p, m, v) in enumerate(zip(params, state.m, state.v)):
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+        if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
+            raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite")
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p.data

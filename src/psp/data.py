@@ -9,9 +9,10 @@ graph. Checkpoints are little-endian binary with exact round-trips.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -25,6 +26,8 @@ CHECKPOINT_MAGIC = b"PSPCKPT1"
 CHECKPOINT_VERSION = 1
 # columns of the degree one-hot features `load_tu_dataset` falls back to
 DEGREE_ONEHOT_WIDTH = 64
+# the bytes on which numpy's tokenizer and str.splitlines agree where lines break
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
 @dataclass
@@ -53,7 +56,7 @@ class Checkpoint:
 
 
 def _read_table(path: Path, kind, sep: Optional[str],
-                width: Optional[int] = None) -> tuple[np.ndarray, list[int]]:
+                width: Optional[int] = None) -> tuple[np.ndarray, Sequence[int]]:
     """Parse the non-blank lines of a text table into a 2-D int64 or float64 array.
 
     `kind` (`int` or `float`) parses each token. `sep` is "\t" for tabs,
@@ -61,9 +64,37 @@ def _read_table(path: Path, kind, sep: Optional[str],
     has `width` columns, or the first row's count when `width` is None.
     Returns the rows and each row's 1-based line in the file. A malformed
     line raises a DataError naming the file and the line.
+
+    A plain file (printable ASCII, tabs, newlines) is parsed by numpy's C
+    tokenizer, kept if it is finite, `width` wide and has a row per line.
+    Anything else, every error included, goes through the line loop
+    `_read_lines`, which accepts the same syntax.
     """
     if not path.is_file():
         raise DataError(f"missing dataset file {path}")
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:  # 1 MiB at a time, so the file is never held whole
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return _read_lines(path, kind, sep, width)
+            lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+    lines += last != b"\n"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, np.int64 if kind is int else np.float64,
+                               comments=None, delimiter=sep, ndmin=2)
+    except (ValueError, Warning):
+        return _read_lines(path, kind, sep, width)
+    if (table.shape[0] == lines and width in (None, table.shape[1])
+            and (kind is int or np.isfinite(table).all())):
+        return table, range(1, lines + 1)
+    return _read_lines(path, kind, sep, width)
+
+
+def _read_lines(path: Path, kind, sep: Optional[str],
+                width: Optional[int] = None) -> tuple[np.ndarray, list[int]]:
+    """`_read_table`'s line loop: parses and checks one line at a time."""
     # bytes that are not UTF-8 become U+FFFD, which no token parses, so they are
     # reported on their line; only the iterator holds the lines, freeing them after the loop
     numbered = enumerate(path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1)
@@ -104,7 +135,7 @@ def _write_table(path, rows) -> None:
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-def _check_endpoints(edges: np.ndarray, linenos: list[int], n: int, name: str) -> None:
+def _check_endpoints(edges: np.ndarray, linenos: Sequence[int], n: int, name: str) -> None:
     bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
     if bad.size:
         raise DataError(f"{name} line {linenos[bad[0]]}: endpoint out of range for {n} nodes")

@@ -29,7 +29,7 @@ from psp.autodiff import (
     spmm,
     transpose,
 )
-from psp.errors import ContractError, DataError, DimensionError, ParameterError
+from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
 from psp.graph import build_csr
 
 from oracles import (
@@ -345,6 +345,16 @@ def test_adam_missing_grad_names_parameter():
     p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
     with pytest.raises(ContractError, match="prompt_weights"):
         adam_step([p], AdamState())
+
+
+@pytest.mark.parametrize("grad", [1e200, np.inf])
+def test_adam_refuses_a_non_finite_moment_naming_the_parameter(grad):
+    # 1e200 squared overflows only the second moment, whose inf would make the update a silent 0
+    p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
+    p.grad = np.full((2, 2), grad)
+    with pytest.raises(NumericError, match="moment of parameter prompt_weights is non-finite"):
+        adam_step([p], AdamState(lr=0.1))
+    assert np.array_equal(p.data, np.zeros((2, 2)))
 
 
 def test_adam_grads_cleared_after_step():

@@ -322,6 +322,17 @@ def test_eval_refuses_a_tau_with_an_infinite_reciprocal(pipeline, capsys):
     assert run(args + ["1e-308"]) == 0
 
 
+def test_tune_refuses_a_tau_whose_gradients_overflow_adam(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    out = tmp_path / "out.ckpt"
+    assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out),
+                "--epochs", "3", "--k-shot", "3", "--val-shots", "3", "--seed", "1",
+                "--tau", "1e-308"]) == 1
+    assert "error: adam_step: a moment of parameter prompt_weights is non-finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["tune", "pretrain"])
 def test_tune_and_pretrain_reject_nan_tau(pipeline, tmp_path, capsys, command):
     _, data, ckpt, _ = pipeline

@@ -1,15 +1,20 @@
 import tempfile
+import tracemalloc
+import warnings
 from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from psp import data as data_module
 from psp.autodiff import Tensor
 from psp.data import (
     Checkpoint,
+    _read_lines,
+    _read_table,
     export_weight_matrix,
     generate_sbm,
     load_checkpoint,
@@ -164,6 +169,7 @@ def test_load_tu_dataset_rejects_non_finite_attributes(tmp_path):
 
 @pytest.mark.parametrize("layout,name,text,message", [
     ("node", "edges.tsv", "0\t1\n\n0\t9\n", "edges.tsv line 3: endpoint out of range"),
+    ("node", "features.tsv", "1.0\t2.0\n\n3.0\tnan\n", "features.tsv line 3: non-finite value"),
     ("node", "edges.tsv", "0\t1\n0\t99999999999999999999\n",
      "edges.tsv line 2: integer out of int64 range"),
     ("node", "labels.tsv", "0\n\n1\t1\n", "labels.tsv line 3: expected 1 columns, got 2"),
@@ -217,6 +223,87 @@ def test_fuzzed_tu_dataset_loads_or_raises_psp_error(attributes, replaced):
             (Path(tmp) / name).write_text(text)
         with suppress(PspError):
             load_tu_dataset(tmp, "TOY")
+
+
+# ---------------------------------------------------------------------------
+# table reader: numpy's tokenizer with the line loop behind it
+
+# every (kind, sep, width) the loaders pass to _read_table
+TABLE_USES = [(float, "\t", None), (int, None, 1), (int, "\t", 2), (int, ",", 2), (float, ",", None)]
+PLAIN_CELLS = [b"0", b"7", b"-3", b"+12", b"0005", b"1.5", b"-0.0", b".5", b"1e3", b"2.", b" 4 "]
+BAD_CELLS = [b"", b"nan", b"inf", b"-Infinity", b"1e999", b"9" * 20, b"1_000", "\uff17".encode(),
+             b"0x1", b"1d5", b"1.0e"]
+SEPARATORS = [b"\t", b" ", b",", b", ", b" ,", b"\t\t", b"  ", b",,", b" \t"]
+# line breaks and spaces that str.splitlines, str.split or the parsers see differently
+ODD = [b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x85", "\x85".encode(), b"\xa0",
+       "\xa0".encode(), "\u3000".encode(), b"\x00", b"_", b" ", b"\n", b"\n\n", b" \n", b"\t",
+       b",", b", ", b"#", b"\x7f", "\uff10".encode()]
+
+
+@st.composite
+def table_bytes(draw):
+    """A table of plain cells half the time; otherwise of any cells, with up to
+    two odd byte runs inserted anywhere."""
+    clean = draw(st.booleans())
+    sep = draw(st.sampled_from(SEPARATORS))
+    width = draw(st.integers(1, 3))
+    cell = st.sampled_from(PLAIN_CELLS if clean else PLAIN_CELLS * 3 + BAD_CELLS)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=5))
+    text = b"\n".join(sep.join(row) for row in rows) + draw(st.sampled_from([b"", b"\n"]))
+    if not clean:
+        for pos, odd in draw(st.lists(st.tuples(st.integers(0, len(text)), st.sampled_from(ODD)),
+                                      max_size=2)):
+            text = text[:pos] + odd + text[pos:]
+    return text
+
+
+def table_outcome(read, path, use):
+    try:
+        table, linenos = read(path, *use)
+    except DataError as e:
+        return str(e)
+    return table.dtype, table.shape, table.tobytes(), list(linenos)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=table_bytes())
+def test_read_table_matches_the_line_loop(tmp_path, text):
+    path = tmp_path / "t.txt"  # rewritten by every example
+    path.write_bytes(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for use in TABLE_USES:
+            assert table_outcome(_read_table, path, use) == table_outcome(_read_lines, path, use), use
+    assert not caught  # numpy's warnings stay inside _read_table
+
+
+def test_clean_tables_never_reach_the_line_loop(tmp_path, monkeypatch):
+    g = generate_sbm(40, 2, 0.7, 4.0, 8, 0.5, seed=3)
+    save_node_dataset(tmp_path / "d", g)
+    write_tu_fixture(tmp_path / "tu")
+
+    def refuse(path, *_):
+        raise AssertionError(f"{path.name} went through the line loop")
+
+    monkeypatch.setattr(data_module, "_read_lines", refuse)
+    back = load_node_dataset(tmp_path / "d")
+    np.testing.assert_array_equal(back.features.data, g.features.data)
+    assert load_tu_dataset(tmp_path / "tu", "TOY").features.shape == (7, 2)
+
+
+def test_reading_features_holds_less_than_twice_the_file(tmp_path):
+    g = generate_sbm(2000, 4, 0.7, 4.0, 64, 0.5, seed=5)
+    save_node_dataset(tmp_path / "d", g)
+    path = tmp_path / "d" / "features.tsv"
+    tracemalloc.start()
+    try:
+        table, _ = _read_table(path, float, "\t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(table, g.features.data)
+    assert peak < 2 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
