@@ -45,6 +45,7 @@ from .errors import (
 )
 from .graph import (
     GraphData,
+    LabeledSet,
     NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
@@ -52,12 +53,12 @@ from .graph import (
     gcn_normalize,
     mean_readout,
 )
-from .inference import Prediction, class_mean_rows, evaluate, predict
+from .inference import class_mean_rows, evaluate, predict
 from .pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from .prompt import (
-    LabeledSet,
     PromptConfig,
     TaskContext,
+    accuracy,
     init_edge_weights,
     prompt_loss,
     prompt_tune,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import (
     Checkpoint,
+    SplitSpec,
     generate_sbm,
     load_checkpoint,
     load_node_dataset,
@@ -28,17 +29,16 @@ from .data import (
     save_node_dataset,
     export_weight_matrix,
 )
-from .autodiff import Tensor
 from .errors import ContractError, ParameterError, PspError
 from .graph import GraphData
-from .inference import class_mean_rows, evaluate, predict
+from .inference import class_mean_rows
 from .pretrain import PretrainConfig, pretrain, write_loss_log
 from .prompt import (
     LR_GRID,
     WEIGHT_DECAY_GRID,
-    LabeledSet,
     PromptConfig,
     TaskContext,
+    accuracy,
     prompt_tune,
     prototype_embeddings,
     task_context,
@@ -53,6 +53,8 @@ _MMAP_THRESHOLD = 32 << 20
 # freed block) that heap top goes back to the kernel and the next epoch faults
 # the same pages in again, so keep up to 1 GiB of it for reuse
 _TRIM_THRESHOLD = 1 << 30
+# `psp tune`'s defaults where they differ from PromptConfig's
+TUNE_DEFAULTS = {"epochs": 300, "patience": 60, "dropout": 0.2}
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -78,11 +80,10 @@ def _task_labels(g: GraphData, task: str) -> np.ndarray:
     return labels
 
 
-def _split_for(g: GraphData, args, seed: int):
+def _split_for(g: GraphData, args, seed: int) -> SplitSpec:
     """Recompute the deterministic few-shot split a run's flags describe."""
-    labels = _task_labels(g, args.task)
-    split = sample_k_shot(labels, args.k_shot, seed, args.val_shots)
-    return mask_training_labels(split, args.mask_ratio, seed, labels), labels
+    split = sample_k_shot(_task_labels(g, args.task), args.k_shot, seed, args.val_shots)
+    return mask_training_labels(split, args.mask_ratio, seed)
 
 
 def _config(cls, args):
@@ -92,17 +93,10 @@ def _config(cls, args):
 
 
 def _tune_once(ctx: TaskContext, args, cfg: PromptConfig):
-    split, labels = _split_for(ctx.graph, args, cfg.seed)
-    labeled = LabeledSet(split.train, labels[split.train])
-    val = LabeledSet(split.val, labels[split.val]) if split.val else None
-    prompted, losses = prompt_tune(ctx, labeled, cfg, val=val)
-    return prompted, losses, split, labels
-
-
-def _accuracy(ctx: TaskContext, prototypes: Tensor, indices, labels, tau: float) -> float:
-    """Accuracy of the prototypes on the context's anchor rows at `indices`."""
-    indices = np.asarray(indices, dtype=np.int64)
-    return evaluate(predict(Tensor(ctx.anchors.data[indices]), prototypes, tau), labels[indices])
+    split = _split_for(ctx.graph, args, cfg.seed)
+    val = split.val if split.val.indices.size else None
+    prompted, losses = prompt_tune(ctx, split.train, cfg, val=val)
+    return prompted, losses, split
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
@@ -147,7 +141,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_tune(args) -> int:
     g, ckpt = _load_run(args)
     cfg = _config(PromptConfig, args)
-    prompted, losses, _, _ = _tune_once(task_context(g, ckpt.params, args.task), args, cfg)
+    prompted, losses, _ = _tune_once(task_context(g, ckpt.params, args.task), args, cfg)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=ckpt.params,
                                          prompt=prompted))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
@@ -164,14 +158,13 @@ def _cmd_eval(args) -> int:
         if p.task != args.task:
             raise ContractError(f"--task {args.task} does not match the bundle, "
                                 f"whose prompt was tuned for task {p.task}")
-    split, labels = _split_for(g, args, args.seed)
+    split = _split_for(g, args, args.seed)
     ctx = task_context(g, ckpt.params, args.task)
     if args.variant == "psp-np":
-        labeled = LabeledSet(split.train, labels[split.train])
-        prototypes = class_mean_rows(ctx.struct, labeled, ctx.n_classes)
+        prototypes = class_mean_rows(ctx.struct, split.train, ctx.n_classes)
     else:
         prototypes = prototype_embeddings(ctx, p, "eval")
-    acc = _accuracy(ctx, prototypes, split.test, labels, args.tau)
+    acc = accuracy(ctx, prototypes, split.test, args.tau)
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
     return 0
 
@@ -202,9 +195,9 @@ def _cmd_sweep(args) -> int:
     for cfg in points:
         val_accs, fits = [], []
         for seed in seeds:
-            prompted, _, split, labels = _tune_once(ctx, args, dataclasses.replace(cfg, seed=seed))
+            prompted, _, split = _tune_once(ctx, args, dataclasses.replace(cfg, seed=seed))
             proto = prototype_embeddings(ctx, prompted, "eval")
-            val_accs.append(_accuracy(ctx, proto, split.val, labels, args.tau))
+            val_accs.append(accuracy(ctx, proto, split.val, args.tau))
             fits.append((seed, split.test, proto))
         mean_val = float(np.mean(val_accs))
         print(f"grid\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}\t"
@@ -212,13 +205,11 @@ def _cmd_sweep(args) -> int:
         if best is None or mean_val > best[0]:
             best = (mean_val, cfg, fits)
     _, cfg, fits = best
-    print(f"selected\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}")
     # prompt_tune is deterministic, so the grid pass's prototypes are the
     # selected config's final prompts; test is scored from them without re-tuning
-    test_accs = []
-    for seed, test, proto in fits:
-        acc = _accuracy(ctx, proto, test, labels, args.tau)
-        test_accs.append(acc)
+    test_accs = [accuracy(ctx, proto, test, args.tau) for _, test, proto in fits]
+    print(f"selected\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}")
+    for (seed, _, _), acc in zip(fits, test_accs):
         print(_metric_line(args.run_id, seed, args.task, args.k_shot, acc))
     print(f"summary\t{args.run_id}\t{float(np.mean(test_accs))!r}\t{float(np.std(test_accs))!r}")
     return 0
@@ -280,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     _add_split_flags(p)
-    _add_config_flags(p, PromptConfig, epochs=300, patience=60, dropout=0.2, tau=None)
+    _add_config_flags(p, PromptConfig, **TUNE_DEFAULTS, tau=None)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")

@@ -20,7 +20,7 @@ import scipy.sparse as sparse
 from .autodiff import Tensor, check_finite
 from .encoders import EncoderParams, freeze
 from .errors import DataError, FormatError, ParameterError
-from .graph import GraphData, PromptedGraph, build_csr
+from .graph import GraphData, LabeledSet, PromptedGraph, build_csr, class_count
 
 CHECKPOINT_MAGIC = b"PSPCKPT1"
 CHECKPOINT_VERSION = 1
@@ -32,11 +32,11 @@ _PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 @dataclass
 class SplitSpec:
-    train: list[int]
-    val: list[int]
-    test: list[int]
-    k: int
-    seed: int
+    """A few-shot split: three disjoint labeled sets, each in ascending item order."""
+
+    train: LabeledSet
+    val: LabeledSet
+    test: LabeledSet
 
 
 @dataclass
@@ -238,37 +238,36 @@ def sample_k_shot(labels, k: int, seed: int, val_k: int = 0) -> SplitSpec:
     """Per class: k train + val_k validation drawn uniformly, the rest test."""
     if k < 1 or val_k < 0:
         raise ParameterError(f"need k >= 1 and val_k >= 0 items per class, got k={k}, val_k={val_k}")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    items = LabeledSet(np.arange(np.size(labels)), labels)
+    if not items.indices.size:
+        raise DataError("cannot sample a split from an empty label array")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B17])
-    train, val, test = [], [], []
-    for cls in range(int(labels.max()) + 1):
-        pool = np.flatnonzero(labels == cls)
+    part = np.full(items.indices.size, 2)  # 0 train, 1 validation, 2 test
+    for cls in range(class_count(items.classes)):
+        pool = np.flatnonzero(items.classes == cls)
         if pool.size < k + val_k:
             raise DataError(f"class {cls} has {pool.size} items, needs {k + val_k}")
         picked = rng.permutation(pool)
-        train.extend(picked[:k].tolist())
-        val.extend(picked[k:k + val_k].tolist())
-        test.extend(picked[k + val_k:].tolist())
-    return SplitSpec(train=sorted(train), val=sorted(val), test=sorted(test), k=k, seed=seed)
+        part[picked[:k]] = 0
+        part[picked[k:k + val_k]] = 1
+    return SplitSpec(*(items.subset(part == p) for p in range(3)))
 
 
-def mask_training_labels(split: SplitSpec, ratio: float, seed: int, labels) -> SplitSpec:
+def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec:
     """Keep a uniform (1-ratio) fraction of each class's train items, at least
     one per class. Validation and test sets are untouched."""
     if not 0.0 <= ratio <= 1.0:
         raise ParameterError(f"mask ratio must lie in [0, 1], got {ratio}")
-    if ratio == 0.0 or not split.train:
+    train = split.train
+    if ratio == 0.0 or not train.indices.size:
         return split
-    labels = np.asarray(labels, dtype=np.int64).ravel()
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3A5C])
-    kept = []
-    train = np.array(split.train, dtype=np.int64)
-    for cls in np.unique(labels[train]):
-        members = train[labels[train] == cls]
+    keep = np.zeros(train.indices.size, dtype=bool)
+    for cls in np.unique(train.classes):
+        members = np.flatnonzero(train.classes == cls)
         n_keep = max(1, int(round(members.size * (1.0 - ratio))))
-        kept.extend(rng.choice(members, size=n_keep, replace=False).tolist())
-    return SplitSpec(train=sorted(kept), val=split.val, test=split.test,
-                     k=split.k, seed=split.seed)
+        keep[rng.choice(members, size=n_keep, replace=False)] = True
+    return SplitSpec(train.subset(keep), split.val, split.test)
 
 
 # ---------------------------------------------------------------------------

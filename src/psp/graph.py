@@ -28,6 +28,7 @@ from .autodiff import (
     transpose,
 )
 from .errors import ContractError, DataError, DimensionError
+from .inference import class_mean_rows
 
 
 def class_count(ids: Optional[np.ndarray]) -> int:
@@ -93,6 +94,29 @@ class GraphData:
     def task_labels(self, task: str) -> Optional[np.ndarray]:
         """The labels a task predicts: one per graph for "graph", one per node for "node"."""
         return self.graph_labels if task == "graph" else self.labels
+
+
+@dataclass
+class LabeledSet:
+    """Labeled items: item `indices[j]` (a node or a graph) has class
+    `classes[j]`. Both are int64 arrays in item order."""
+
+    indices: np.ndarray
+    classes: np.ndarray
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices, dtype=np.int64).ravel()
+        self.classes = np.asarray(self.classes, dtype=np.int64).ravel()
+        if self.indices.size != self.classes.size:
+            raise DataError(f"{self.indices.size} labeled indices for {self.classes.size} classes")
+        if np.unique(self.indices).size != self.indices.size:
+            raise DataError("labeled indices must be unique")
+        if self.indices.size and min(self.indices.min(), self.classes.min()) < 0:
+            raise DataError("labeled indices and classes must be non-negative")
+
+    def subset(self, keep: np.ndarray) -> LabeledSet:
+        """The items at the True entries of the boolean mask `keep`, in the same order."""
+        return LabeledSet(self.indices[keep], self.classes[keep])
 
 
 @dataclass
@@ -210,10 +234,5 @@ def mean_readout(z: Tensor, graph_of) -> Tensor:
     membership = np.asarray(graph_of, dtype=np.int64).ravel()
     if membership.size != z.rows:
         raise ContractError(f"membership covers {membership.size} rows, embedding has {z.rows}")
-    n_graphs = int(membership.max()) + 1 if membership.size else 0
-    counts = np.bincount(membership, minlength=n_graphs)
-    if np.any(counts == 0):
-        raise DataError(f"graph {int(np.argmin(counts))} has no member nodes")
-    sums = np.zeros((n_graphs, z.cols))
-    np.add.at(sums, membership, z.data)
-    return Tensor(sums / counts[:, None])
+    members = LabeledSet(np.arange(z.rows), membership)
+    return class_mean_rows(z, members, class_count(membership))

@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, _row_norms, check_tau
 from .errors import ContractError, DataError, DimensionError
 
 
-@dataclass
-class Prediction:
-    probs: Tensor
-    argmax: np.ndarray
-
-
-def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> Prediction:
-    """Softmax over temperature-scaled cosine similarity to every prototype.
+def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> np.ndarray:
+    """Softmax over temperature-scaled cosine similarity to every prototype:
+    one row of class probabilities per anchor.
 
     Cosines come from unit rows, as in the losses. The denominator runs over
-    all classes. Ties resolve to the lowest class index.
+    all classes.
     """
     if anchors.cols != prototypes.cols:
         raise DimensionError(
@@ -32,23 +25,26 @@ def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> Prediction:
     logits = (a_unit * inv_tau) @ (prototypes.data * _row_norms(prototypes.data)).T
     logits -= logits.max(axis=1, keepdims=True)
     ex = np.exp(logits)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    return Prediction(probs=Tensor(probs), argmax=np.argmax(probs, axis=1))
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
-def evaluate(pred: Prediction, truth) -> float:
-    """Fraction of argmax predictions equal to the true classes."""
+def evaluate(probs: np.ndarray, truth) -> float:
+    """Fraction of rows of `probs` whose most probable class is the true class.
+    Ties resolve to the lowest class index."""
     truth = np.asarray(truth, dtype=np.int64).ravel()
-    if truth.size != pred.argmax.size:
-        raise ContractError(f"{pred.argmax.size} predictions vs {truth.size} labels")
-    return float(np.mean(pred.argmax == truth))
+    if truth.size != len(probs):
+        raise ContractError(f"{len(probs)} predictions vs {truth.size} labels")
+    if not truth.size:
+        raise ContractError("accuracy needs at least one labeled item, got none")
+    return float(np.mean(np.argmax(probs, axis=1) == truth))
 
 
 def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
     """Row c = mean of the rows of `values` whose labeled item is in class c
     (the no-prompt prototypes over the structural view, the prompt's prototype
-    attributes over the features); every class needs a labeled item. Rows add
-    up in item order, so each sum is the float a loop over the items gives."""
+    attributes over the features, a graph's mean readout over its nodes);
+    every class needs a labeled item. Rows add up in item order, so each sum
+    is the float a loop over the items gives."""
     bad = np.flatnonzero(labeled.classes >= n_classes)
     if bad.size:
         raise DataError(f"labeled class {labeled.classes[bad[0]]} out of range [0, {n_classes})")

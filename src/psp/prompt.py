@@ -29,9 +29,10 @@ from .autodiff import (
     select_rows,
 )
 from .encoders import EncoderParams, gnn_forward, gnn_hidden, mlp_forward
-from .errors import ContractError, DataError, DimensionError, NumericError, ParameterError
+from .errors import ContractError, DimensionError, NumericError, ParameterError
 from .graph import (
     GraphData,
+    LabeledSet,
     NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
@@ -43,25 +44,6 @@ from .inference import class_mean_rows, evaluate, predict
 
 LR_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 WEIGHT_DECAY_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
-
-
-@dataclass
-class LabeledSet:
-    """Few-shot supervision: item `indices[j]` (a node or a graph) has class
-    `classes[j]`. Both are int64 arrays in item order."""
-
-    indices: np.ndarray
-    classes: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64).ravel()
-        self.classes = np.asarray(self.classes, dtype=np.int64).ravel()
-        if self.indices.size != self.classes.size:
-            raise DataError(f"{self.indices.size} labeled indices for {self.classes.size} classes")
-        if np.unique(self.indices).size != self.indices.size:
-            raise DataError("labeled indices must be unique")
-        if self.indices.size and min(self.indices.min(), self.classes.min()) < 0:
-            raise DataError("labeled indices and classes must be non-negative")
 
 
 def _in_grid(value: float, grid) -> bool:
@@ -197,6 +179,12 @@ def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval"
     return add(matmul(operator.apply_prototype_rows(h_base, h_proto), w2), b2)
 
 
+def accuracy(ctx: TaskContext, prototypes: Tensor, labeled: LabeledSet, tau: float) -> float:
+    """Accuracy of `prototypes` on the context's anchor rows of the labeled items."""
+    return evaluate(predict(Tensor(ctx.anchors.data[labeled.indices]), prototypes, tau),
+                    labeled.classes)
+
+
 def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tensor:
     """Contrastive loss pulling each anchor toward its class prototype.
 
@@ -233,15 +221,13 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
                              trainable_row_mask=mask)
 
     train_anchors = Tensor(ctx.anchors.data[labeled.indices])
-    val_anchors = Tensor(ctx.anchors.data[val.indices]) if val is not None else None
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
     if val is not None and cfg.epochs > 0:
         # the untouched initialization competes as the first candidate
-        proto_init = prototype_embeddings(ctx, prompted, "eval")
-        best_acc = evaluate(predict(val_anchors, proto_init, cfg.tau), val.classes)
+        best_acc = accuracy(ctx, prototype_embeddings(ctx, prompted, "eval"), val, cfg.tau)
     for epoch in range(cfg.epochs):
         epoch_seed = derive_seed(cfg.seed, epoch)
         with Tape() as tape:
@@ -254,8 +240,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         adam_step([weights], opt)
         losses.append(value)
         if val is not None:
-            proto_eval = prototype_embeddings(ctx, prompted, "eval")
-            acc = evaluate(predict(val_anchors, proto_eval, cfg.tau), val.classes)
+            acc = accuracy(ctx, prototype_embeddings(ctx, prompted, "eval"), val, cfg.tau)
             if acc > best_acc:
                 best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch
             elif epoch - best_epoch >= cfg.patience:

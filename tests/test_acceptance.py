@@ -26,7 +26,7 @@ from psp.autodiff import (
     spmm,
     transpose,
 )
-from psp.cli import run as cli_run
+from psp.cli import TUNE_DEFAULTS, run as cli_run
 from psp.data import (
     generate_sbm,
     load_node_dataset,
@@ -35,17 +35,18 @@ from psp.data import (
 from psp.encoders import gnn_forward, mlp_forward
 from psp.graph import (
     GraphData,
+    LabeledSet,
     NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
     build_csr,
     gcn_normalize,
 )
-from psp.inference import class_mean_rows, evaluate, predict
+from psp.inference import class_mean_rows, predict
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from psp.prompt import (
-    LabeledSet,
     PromptConfig,
+    accuracy,
     prompt_loss,
     prompt_tune,
     prototype_embeddings,
@@ -57,7 +58,7 @@ from oracles import cosine_sim_matrix, exp, grad_check, log, scale, sub, total_s
 SEEDS = (0, 1, 2, 3, 4)
 DESK = dict(n=300, n_classes=3, avg_deg=2.5, feat_dim=64, noise=0.5)
 PRETRAIN = dict(epochs=200, hidden_dim=128, dropout=0.2, tau=0.5)
-TUNE = dict(epochs=300, lr=1e-2, weight_decay=1e-4, tau=0.5, dropout=0.2, patience=60)
+TUNE = dict(lr=1e-2, weight_decay=1e-4, tau=0.5, **TUNE_DEFAULTS)
 K_SHOT, VAL_K = 3, 20
 
 
@@ -71,19 +72,13 @@ def _pipeline(seed: int, homophily: float):
                      DESK["feat_dim"], DESK["noise"], seed=seed)
     params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
     split = sample_k_shot(g.labels, K_SHOT, seed, val_k=VAL_K)
-    labeled = LabeledSet(split.train, g.labels[split.train])
-    val = LabeledSet(split.val, g.labels[split.val])
-    z1 = mlp_forward(g.features, params, "eval")
     z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
-    anchors = Tensor(z1.data[split.test])
-    truth = g.labels[split.test]
-    acc_np = evaluate(predict(anchors, class_mean_rows(z2, labeled, 3), TUNE["tau"]), truth)
     ctx = task_context(g, params, "node")
-    prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
+    acc_np = accuracy(ctx, class_mean_rows(z2, split.train, 3), split.test, TUNE["tau"])
+    prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
     proto = prototype_embeddings(ctx, prompted, "eval")
-    acc_psp = evaluate(predict(anchors, proto, TUNE["tau"]), truth)
-    return dict(g=g, ctx=ctx, split=split, labeled=labeled, val=val,
-                anchors=anchors, truth=truth, acc_np=acc_np, acc_psp=acc_psp,
+    acc_psp = accuracy(ctx, proto, split.test, TUNE["tau"])
+    return dict(g=g, ctx=ctx, seed=seed, split=split, acc_np=acc_np, acc_psp=acc_psp,
                 weights=prompted.weight_rows.data)
 
 
@@ -180,10 +175,10 @@ def test_criterion_2_formula_oracles():
     loss = ntxent_pretrain_loss(eye2, Tensor(np.eye(2)), tau=1.0).item()
     ok_loss = abs(loss - (-1.0)) <= 1e-9
 
-    pred = predict(Tensor([[1.0, 0.0, 0.0]]), Tensor(np.eye(3)), tau=1.0)
+    probs = predict(Tensor([[1.0, 0.0, 0.0]]), Tensor(np.eye(3)), tau=1.0)
     e = np.e
     expected = np.array([e / (e + 2), 1 / (e + 2), 1 / (e + 2)])
-    ok_probs = np.allclose(pred.probs.data[0], expected, atol=1e-9)
+    ok_probs = np.allclose(probs[0], expected, atol=1e-9)
 
     rng = np.random.default_rng(7)
     z = rng.standard_normal((6, 5))
@@ -274,7 +269,7 @@ def test_criterion_6_weight_concentration(homophilous_runs):
     fractions = []
     for r in runs:
         train = r["split"].train
-        hits = np.argmax(r["weights"][train], axis=1) == r["g"].labels[train]
+        hits = np.argmax(r["weights"][train.indices], axis=1) == train.classes
         fractions.extend(hits.tolist())
     fraction = float(np.mean(fractions))
     _report("criterion-6", fraction >= 0.9,
@@ -288,18 +283,17 @@ def test_criterion_7_edge_ratio_robustness(homophilous_runs):
     counts_exact = True
     for run_state in runs:
         g, ctx = run_state["g"], run_state["ctx"]
-        split, labeled, val = run_state["split"], run_state["labeled"], run_state["val"]
-        n, n_t = g.n_nodes, len(split.train)
+        split = run_state["split"]
+        n, n_t = g.n_nodes, split.train.indices.size
         for ratio in ratios:
-            cfg = PromptConfig(seed=split.seed, edge_ratio=ratio, **TUNE)
-            prompted, _ = prompt_tune(ctx, labeled, cfg, val=val)
+            cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
+            prompted, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
             trainable = int(prompted.trainable_row_mask.sum()) * prompted.n_prototypes
             expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.n_prototypes
             if trainable != expected:
                 counts_exact = False
             proto = prototype_embeddings(ctx, prompted, "eval")
-            accs[ratio].append(
-                evaluate(predict(run_state["anchors"], proto, TUNE["tau"]), run_state["truth"]))
+            accs[ratio].append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     means = {r: float(np.mean(v)) for r, v in accs.items()}
     gap = abs(means[0.0] - means[1.0])
     ok = counts_exact and gap <= 0.10
@@ -350,13 +344,10 @@ def test_criterion_9_cora_band():
     for seed in SEEDS:
         params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
-        labeled = LabeledSet(split.train, g.labels[split.train])
-        val = LabeledSet(split.val, g.labels[split.val])
         ctx = task_context(g, params, "node")
-        prompted, _ = prompt_tune(ctx, labeled, PromptConfig(seed=seed, **TUNE), val=val)
-        anchors = Tensor(ctx.anchors.data[split.test])
+        prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
         proto = prototype_embeddings(ctx, prompted, "eval")
-        accs.append(evaluate(predict(anchors, proto, TUNE["tau"]), g.labels[split.test]))
+        accs.append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     mean_acc = float(np.mean(accs))
     ok = abs(mean_acc - 0.6865) <= 0.06
     _report("criterion-9", ok, f"Cora 3-shot mean accuracy {mean_acc:.4f} (target band 0.6865 +/- 0.06)")

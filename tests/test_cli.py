@@ -177,8 +177,8 @@ def test_tune_edge_ratio_zero_limits_nonzero_rows(pipeline, tmp_path, capsys):
     g = load_node_dataset(data)
     split = sample_k_shot(g.labels, 3, 1, 3)
     nonzero_rows = set(np.flatnonzero(np.abs(values).sum(axis=1) > 0).tolist())
-    assert nonzero_rows <= set(split.train)
-    assert len(nonzero_rows) == len(split.train)
+    assert nonzero_rows <= set(split.train.indices.tolist())
+    assert len(nonzero_rows) == split.train.indices.size
 
 
 def test_graph_task_pipeline_over_tu_layout(tmp_path, capsys):
@@ -363,6 +363,42 @@ def test_sweep_rejects_zero_val_shots(pipeline, capsys):
                 "--epochs", "2", "--k-shot", "3", "--val-shots", "0"]) == 1
     captured = capsys.readouterr()
     assert "--val-shots must be at least 1" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_tune_with_zero_val_shots_tunes_every_epoch(pipeline, tmp_path, capsys):
+    _, data, ckpt, _ = pipeline
+    # patience 0 would stop a validated run at its first epoch without a gain
+    assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "t.ckpt"),
+                "--epochs", "5", "--patience", "0", "--k-shot", "3", "--val-shots", "0"]) == 0
+    assert "tuned 5 epochs" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def no_test_items(tmp_path_factory):
+    """A graph whose 6 items per class all go to train and validation at 3 + 3 shots."""
+    root = tmp_path_factory.mktemp("no-test")
+    data, ckpt, tuned = root / "data", root / "model.ckpt", root / "tuned.ckpt"
+    shots = ["--k-shot", "3", "--val-shots", "3"]
+    assert run(["synth", "--n", "18", "--classes", "3", "--feat-dim", "8", "--out", str(data)]) == 0
+    assert run(["pretrain", "--data", str(data), "--out", str(ckpt), "--epochs", "2",
+                "--hidden-dim", "8"]) == 0
+    assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tuned),
+                "--epochs", "2", *shots]) == 0
+    return data, ckpt, tuned, shots
+
+
+@pytest.mark.parametrize("command", ["eval-psp", "eval-psp-np", "sweep"])
+def test_scoring_an_empty_test_split_is_a_runtime_error(no_test_items, capsys, command):
+    data, ckpt, tuned, shots = no_test_items
+    argv = {"eval-psp": ["eval", "--ckpt", str(tuned)],
+            "eval-psp-np": ["eval", "--ckpt", str(ckpt), "--variant", "psp-np"],
+            "sweep": ["sweep", "--ckpt", str(ckpt), "--lr-grid", "0.01", "--weight-decay-grid",
+                      "0.0001", "--dropout-grid", "0.2", "--seeds", "0", "--epochs", "2"]}[command]
+    capsys.readouterr()
+    assert run([*argv, "--data", str(data), *shots]) == 1
+    captured = capsys.readouterr()
+    assert "error: accuracy needs at least one labeled item" in captured.err
     assert captured.out == ""
 
 

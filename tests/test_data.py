@@ -313,24 +313,57 @@ def test_reading_features_holds_less_than_twice_the_file(tmp_path):
 def test_sample_k_shot_counts():
     labels = np.repeat([0, 1], 5)
     split = sample_k_shot(labels, k=1, seed=0, val_k=0)
-    assert len(split.train) == 2
-    assert {labels[i] for i in split.train} == {0, 1}
+    assert split.train.indices.size == 2
+    assert set(split.train.classes.tolist()) == {0, 1}
 
 
 def test_sample_k_shot_deterministic_and_disjoint():
     labels = np.repeat([0, 1, 2], 10)
     a = sample_k_shot(labels, k=3, seed=4, val_k=3)
     b = sample_k_shot(labels, k=3, seed=4, val_k=3)
-    assert a.train == b.train and a.val == b.val and a.test == b.test
-    groups = [set(a.train), set(a.val), set(a.test)]
+    for part in ("train", "val", "test"):
+        assert np.array_equal(getattr(a, part).indices, getattr(b, part).indices)
+    groups = [set(a.train.indices), set(a.val.indices), set(a.test.indices)]
     assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
     assert groups[0] | groups[1] | groups[2] == set(range(30))
+
+
+# one fixed labels array and seed: the split's and the mask's random draws
+PINNED_LABELS = np.array([2, 0, 1, 0, 2, 1, 1, 0, 2, 0, 1, 2, 0, 2, 1, 0])
+
+
+def test_sample_k_shot_pins_its_draws():
+    split = sample_k_shot(PINNED_LABELS, k=3, seed=7, val_k=1)
+    np.testing.assert_array_equal(split.train.indices, [2, 3, 4, 5, 6, 7, 11, 13, 15])
+    np.testing.assert_array_equal(split.val.indices, [8, 9, 10])
+    np.testing.assert_array_equal(split.test.indices, [0, 1, 12, 14])
+    for part in (split.train, split.val, split.test):
+        np.testing.assert_array_equal(part.classes, PINNED_LABELS[part.indices])
+
+
+def test_mask_training_labels_pins_its_draws():
+    split = sample_k_shot(PINNED_LABELS, k=3, seed=7, val_k=1)
+    masked = mask_training_labels(split, 0.5, seed=7)
+    np.testing.assert_array_equal(masked.train.indices, [2, 3, 6, 11, 13, 15])
+    np.testing.assert_array_equal(masked.train.classes, PINNED_LABELS[masked.train.indices])
+    assert masked.val is split.val and masked.test is split.test
 
 
 def test_sample_k_shot_insufficient_class():
     labels = np.array([0, 0, 1])
     with pytest.raises(DataError, match="class 1"):
         sample_k_shot(labels, k=2, seed=0)
+
+
+def test_sample_k_shot_refuses_a_negative_label():
+    # a negative label used to fall outside every class and so out of all three parts
+    with pytest.raises(DataError, match="non-negative"):
+        sample_k_shot([-1, -1, 0, 0], k=1, seed=0)
+
+
+def test_sample_k_shot_refuses_empty_labels():
+    with pytest.raises(DataError, match="empty label array"):
+        sample_k_shot([], k=1, seed=0)
 
 
 @pytest.mark.parametrize("k,val_k", [(0, 0), (-1, 0), (1, -1)])
@@ -342,19 +375,18 @@ def test_sample_k_shot_rejects_bad_counts(k, val_k):
 def test_mask_training_labels_noop_and_half():
     labels = np.repeat([0, 1], 20)
     split = sample_k_shot(labels, k=10, seed=1, val_k=2)
-    assert mask_training_labels(split, 0.0, seed=1, labels=labels) is split
-    masked = mask_training_labels(split, 0.5, seed=1, labels=labels)
-    kept = np.array(masked.train)
-    assert (labels[kept] == 0).sum() == 5 and (labels[kept] == 1).sum() == 5
-    assert masked.val == split.val and masked.test == split.test
+    assert mask_training_labels(split, 0.0, seed=1) is split
+    masked = mask_training_labels(split, 0.5, seed=1)
+    assert np.bincount(masked.train.classes).tolist() == [5, 5]
+    np.testing.assert_array_equal(masked.train.classes, labels[masked.train.indices])
+    assert masked.val is split.val and masked.test is split.test
 
 
 def test_mask_training_labels_never_empties_class():
     labels = np.repeat([0, 1], 10)
     split = sample_k_shot(labels, k=4, seed=2)
-    masked = mask_training_labels(split, 1.0, seed=2, labels=labels)
-    kept_classes = {int(labels[i]) for i in masked.train}
-    assert kept_classes == {0, 1}
+    masked = mask_training_labels(split, 1.0, seed=2)
+    assert set(masked.train.classes.tolist()) == {0, 1}
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,10 +395,13 @@ def test_sample_k_shot_property_disjoint_exhaustive(extra_labels, seed):
     # four guaranteed members per class plus arbitrary extras
     labels = np.array([0, 1, 2] * 4 + extra_labels)
     split = sample_k_shot(labels, k=2, seed=seed, val_k=2)
-    train, val, test = set(split.train), set(split.val), set(split.test)
+    train, val, test = (set(part.indices.tolist()) for part in (split.train, split.val, split.test))
     assert not (train & val or train & test or val & test)
     assert train | val | test == set(range(labels.size))
     assert all((labels[list(train)] == c).sum() == 2 for c in range(3))
+    for part in (split.train, split.val, split.test):
+        assert np.all(np.diff(part.indices) > 0)
+        np.testing.assert_array_equal(part.classes, labels[part.indices])
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ def test_mean_readout_empty_group():
         mean_readout(Tensor([[1.0], [2.0]]), [0, 2])
 
 
+def test_mean_readout_refuses_a_negative_membership_id():
+    with pytest.raises(DataError, match="non-negative"):
+        mean_readout(Tensor([[1.0], [2.0]]), [0, -1])
+
+
+def test_mean_readout_matches_a_loop_over_the_nodes_bitwise():
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((40, 3))
+    membership = rng.permutation(np.arange(40) % 7)
+    want = np.zeros((7, 3))
+    for row, gid in zip(z, membership):
+        want[gid] += row
+    want /= np.bincount(membership)[:, None]
+    assert np.array_equal(mean_readout(Tensor(z), membership).data, want)
+
+
 def test_mean_readout_membership_size_check():
     with pytest.raises(ContractError):
         mean_readout(Tensor([[1.0], [2.0]]), [0])

@@ -3,8 +3,9 @@ import pytest
 
 from psp.autodiff import Tensor
 from psp.errors import ContractError, DataError, ParameterError
-from psp.inference import Prediction, class_mean_rows, evaluate, predict
-from psp.prompt import LabeledSet, init_edge_weights
+from psp.graph import LabeledSet
+from psp.inference import class_mean_rows, evaluate, predict
+from psp.prompt import init_edge_weights
 
 from oracles import cosine_sim_matrix
 
@@ -12,19 +13,18 @@ from oracles import cosine_sim_matrix
 def test_predict_softmax_hand_case():
     anchors = Tensor([[1.0, 0.0, 0.0]])
     protos = Tensor(np.eye(3))  # similarities are exactly [1, 0, 0]
-    pred = predict(anchors, protos, tau=1.0)
+    probs = predict(anchors, protos, tau=1.0)
     e = np.e
-    np.testing.assert_allclose(pred.probs.data[0],
-                               [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-9)
-    assert pred.argmax[0] == 0
+    np.testing.assert_allclose(probs[0], [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-9)
+    assert evaluate(probs, [0]) == 1.0
 
 
 def test_predict_identical_prototypes_uniform_tiebreak():
     anchors = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
     row = np.random.default_rng(1).standard_normal((1, 4))
-    pred = predict(anchors, Tensor(np.vstack([row, row, row])), tau=0.5)
-    np.testing.assert_allclose(pred.probs.data, 1.0 / 3.0, atol=1e-12)
-    assert np.array_equal(pred.argmax, [0, 0, 0])
+    probs = predict(anchors, Tensor(np.vstack([row, row, row])), tau=0.5)
+    np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
+    assert evaluate(probs, [0, 0, 0]) == 1.0
 
 
 def test_predict_anchor_scale_invariance():
@@ -33,8 +33,8 @@ def test_predict_anchor_scale_invariance():
     protos = Tensor(rng.standard_normal((3, 3)))
     a = predict(Tensor(anchors), protos, tau=0.7)
     b = predict(Tensor(4.2 * anchors), protos, tau=0.7)
-    np.testing.assert_allclose(a.probs.data, b.probs.data, atol=1e-12)
-    assert np.array_equal(a.argmax, b.argmax)
+    np.testing.assert_allclose(a, b, atol=1e-12)
+    assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
 
 @pytest.mark.parametrize("s1,s2", [(1e-7, 1e-6), (1e3, 1.0), (1.0, 1e-9)])
@@ -42,35 +42,35 @@ def test_predict_is_invariant_to_positive_row_scaling(s1, s2):
     # as the losses are (test_masked_infonce_cosines_are_exact_for_any_nonzero_row)
     rng = np.random.default_rng(8)
     anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((3, 4))
-    base = predict(Tensor(anchors), Tensor(protos), tau=0.2).probs.data
-    scaled = predict(Tensor(anchors * s1), Tensor(protos * s2), tau=0.2).probs.data
+    base = predict(Tensor(anchors), Tensor(protos), tau=0.2)
+    scaled = predict(Tensor(anchors * s1), Tensor(protos * s2), tau=0.2)
     np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
 
 def test_predict_zero_rows_score_zero():
-    pred = predict(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[2.0, 0.0], [0.0, 0.0]]), tau=1.0)
-    np.testing.assert_allclose(pred.probs.data[0], [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(pred.probs.data[1], [np.e / (np.e + 1), 1 / (np.e + 1)], atol=1e-12)
+    probs = predict(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[2.0, 0.0], [0.0, 0.0]]), tau=1.0)
+    np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(probs[1], [np.e / (np.e + 1), 1 / (np.e + 1)], atol=1e-12)
 
 
 def test_predict_probs_softmax_consistent():
     rng = np.random.default_rng(3)
     anchors, protos = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
     tau = 0.6
-    pred = predict(Tensor(anchors), Tensor(protos), tau)
-    np.testing.assert_allclose(pred.probs.data.sum(axis=1), 1.0, atol=1e-9)
+    probs = predict(Tensor(anchors), Tensor(protos), tau)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     # independent exponent-sum recomputation
     sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data / tau
     expected = np.exp(sims) / np.exp(sims).sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(pred.probs.data, expected, atol=1e-12)
-    assert np.array_equal(pred.argmax, np.argmax(expected, axis=1))
+    np.testing.assert_allclose(probs, expected, atol=1e-12)
+    assert evaluate(probs, np.argmax(expected, axis=1)) == 1.0
 
 
 def test_argmax_invariant_under_increasing_transforms():
     rng = np.random.default_rng(4)
     anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
     sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data
-    base = predict(Tensor(anchors), Tensor(protos), tau=1.0).argmax
+    base = np.argmax(predict(Tensor(anchors), Tensor(protos), tau=1.0), axis=1)
     for a, b in [(2.0, 0.0), (0.5, 3.0), (10.0, -1.0)]:
         transformed = np.argmax(a * sims + b, axis=1)
         assert np.array_equal(base, transformed)
@@ -83,16 +83,21 @@ def test_predict_rejects_bad_tau(tau):
 
 
 def test_evaluate_fractions():
-    pred = Prediction(probs=Tensor(np.eye(4)), argmax=np.array([0, 1, 2, 3]))
-    assert evaluate(pred, [0, 1, 2, 3]) == 1.0
-    assert evaluate(pred, [1, 2, 3, 0]) == 0.0
-    assert evaluate(pred, [0, 1, 2, 0]) == 0.75
+    probs = np.eye(4)
+    assert evaluate(probs, [0, 1, 2, 3]) == 1.0
+    assert evaluate(probs, [1, 2, 3, 0]) == 0.0
+    assert evaluate(probs, [0, 1, 2, 0]) == 0.75
 
 
 def test_evaluate_length_mismatch():
-    pred = Prediction(probs=Tensor(np.eye(2)), argmax=np.array([0, 1]))
     with pytest.raises(ContractError):
-        evaluate(pred, [0])
+        evaluate(np.eye(2), [0])
+
+
+def test_evaluate_refuses_an_empty_item_set():
+    # the mean of no hits would be nan with numpy's "Mean of empty slice" warning
+    with pytest.raises(ContractError, match="at least one labeled item"):
+        evaluate(np.zeros((0, 3)), [])
 
 
 def test_np_prototypes_singleton_copies_embeddings():

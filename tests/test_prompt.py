@@ -12,6 +12,7 @@ from psp.encoders import (
 from psp.errors import ContractError, DataError, DimensionError, ParameterError
 from psp.graph import (
     GraphData,
+    LabeledSet,
     NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
@@ -19,10 +20,10 @@ from psp.graph import (
     gcn_normalize,
     mean_readout,
 )
-from psp.inference import class_mean_rows, evaluate, predict
+from psp.inference import class_mean_rows
 from psp.prompt import (
-    LabeledSet,
     PromptConfig,
+    accuracy,
     init_edge_weights,
     prompt_loss,
     prompt_tune,
@@ -554,9 +555,7 @@ def sbm_setup():
     g = generate_sbm(120, 3, 0.8, 4.0, 16, 0.5, seed=0)
     params, _ = pretrain(g, PretrainConfig(epochs=120, hidden_dim=32, seed=0))
     split = sample_k_shot(g.labels, 3, 0, val_k=3)
-    labeled = LabeledSet(split.train, g.labels[split.train])
-    val = LabeledSet(split.val, g.labels[split.val])
-    return g, params, split, labeled, val
+    return g, params, split, split.train, split.val
 
 
 def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
@@ -573,19 +572,13 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
 
 def test_tune_improves_training_accuracy(sbm_setup):
     g, params, split, labeled, val = sbm_setup
-    anchors = mlp_forward(g.features, params, "eval")
-    train_anchors = Tensor(anchors.data[labeled.indices])
     ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     before, _ = prompt_tune(ctx, labeled, cfg0)
-    acc_before = evaluate(
-        predict(train_anchors, prototype_embeddings(ctx, before, "eval"), 0.5),
-        labeled.classes)
+    acc_before = accuracy(ctx, prototype_embeddings(ctx, before, "eval"), labeled, 0.5)
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     after, _ = prompt_tune(ctx, labeled, cfg)
-    acc_after = evaluate(
-        predict(train_anchors, prototype_embeddings(ctx, after, "eval"), 0.5),
-        labeled.classes)
+    acc_after = accuracy(ctx, prototype_embeddings(ctx, after, "eval"), labeled, 0.5)
     assert acc_after >= acc_before
 
 
