@@ -16,7 +16,6 @@ from .autodiff import (
     relu,
     row_sum,
     rsqrt,
-    select_rows,
     spmm,
     transpose,
 )
@@ -62,6 +61,7 @@ from .prompt import (
     init_edge_weights,
     prompt_loss,
     prompt_tune,
+    prompted_layer,
     prototype_embeddings,
     restrict_edge_ratio,
     task_context,

@@ -195,20 +195,6 @@ def spmm(s: CsrMatrix, d: Tensor) -> Tensor:
     return _emit("spmm", (d,), s.csr @ d.data, lambda g: (s.csr.T @ g,))
 
 
-def select_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
-        raise DataError(f"select_rows: index out of range for {x.rows} rows")
-    x_shape = x.shape
-
-    def vjp(g):
-        gx = np.zeros(x_shape)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _emit("select_rows", (x,), x.data[idx], vjp)
-
-
 def _reduce(g: np.ndarray, axis: Optional[int]) -> np.ndarray:
     return g if axis is None else g.sum(axis=axis, keepdims=True)
 

@@ -190,6 +190,9 @@ def _cmd_sweep(args) -> int:
     g, ckpt = _load_run(args)
     base = _config(PromptConfig, args)  # every grid point is checked before the first fit
     points = [dataclasses.replace(base, lr=lr, weight_decay=wd, dropout=d) for lr, wd, d in grid]
+    # so is the test split: its size, unlike its items, does not depend on the seed
+    if not _split_for(g, args, seeds[0]).test.indices.size:
+        raise ContractError("accuracy needs at least one labeled item, got none")
     ctx = task_context(g, ckpt.params, args.task)
     best = None
     for cfg in points:

@@ -1,14 +1,12 @@
 """The two encoder views: an attribute-only MLP and a structure-aware GNN.
 
 Both are two layers deep, end at the same output dimension, and are frozen
-after pre-training. The GNN propagates over a normalized CSR adjacency; its
-first layer also serves the prompted graph's row blocks.
+after pre-training. The GNN propagates over a normalized CSR adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,10 +14,8 @@ from .autodiff import (
     CsrMatrix,
     Tensor,
     add,
-    apply_mask,
     derive_seed,
     dropout,
-    dropout_mask,
     matmul,
     relu,
     spmm,
@@ -90,25 +86,8 @@ def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
 def gnn_forward(x: Tensor, a_norm: CsrMatrix, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Two propagation layers over a normalized CSR adjacency."""
-    (w1, _), (w2, b2) = params.gnn_layers
-    (h,) = gnn_hidden([spmm(a_norm, matmul(x, w1))], params, mode, seed, dropout_rate)
-    return add(spmm(a_norm, matmul(h, w2)), b2)
-
-
-def gnn_hidden(blocks: Sequence[Tensor], params: EncoderParams, mode: str = "eval",
-               seed: int = 0, dropout_rate: float = 0.0) -> list[Tensor]:
-    """The GNN's first layer after propagation, on the row blocks of one graph:
-    add b1, relu, then dropout salted with `derive_seed(seed, 2)`.
-
-    One mask is drawn over the blocks' stacked rows and sliced per block, so
-    splitting a graph's rows into blocks leaves the dropout stream unchanged.
-    """
     training = _check_mode(mode)
-    (_, b1), _ = params.gnn_layers
-    hs = [relu(add(h, b1)) for h in blocks]
-    factor = dropout_mask((sum(h.rows for h in hs), b1.cols), dropout_rate,
-                          derive_seed(seed, 2), training)
-    if factor is None:
-        return hs
-    ends = np.cumsum([h.rows for h in hs])
-    return [apply_mask(h, factor[end - h.rows:end]) for h, end in zip(hs, ends)]
+    (w1, b1), (w2, b2) = params.gnn_layers
+    h = relu(add(spmm(a_norm, matmul(x, w1)), b1))
+    h = dropout(h, dropout_rate, derive_seed(seed, 2), training)
+    return add(spmm(a_norm, matmul(h, w2)), b2)

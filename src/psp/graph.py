@@ -4,7 +4,9 @@ and graph-level readout.
 The prompted graph attaches one virtual node per class to the base graph via
 a dense learnable weight block; its symmetric degree normalization is
 recomputed on every forward pass because the weights move during tuning,
-while the self-looped base and its degrees are built once.
+while the self-looped base and its degrees are built once. Tuning runs the
+operator fused into one op (`psp.prompt.prompted_layer`); the tape-composed
+`NormalizedPromptOperator` here is the form that op is checked against.
 """
 
 from __future__ import annotations
@@ -207,26 +209,17 @@ class NormalizedPromptOperator:
         proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
         self.scale_proto = rsqrt(proto_deg)
 
-    def _scaled_blocks(self, h_base: Tensor, h_proto: Tensor) -> tuple[Tensor, Tensor]:
-        if h_base.rows != self.n_base or h_proto.rows != self.w.cols:
-            raise DimensionError(f"operator takes {self.n_base} base and {self.w.cols} "
-                                 f"prototype rows, got {h_base.rows} and {h_proto.rows}")
-        return mul(h_base, self.scale_base), mul(h_proto, self.scale_proto)
-
-    def _prototype_block(self, sb: Tensor, sp: Tensor) -> Tensor:
-        return mul(add(matmul(transpose(self.w), sb), sp), self.scale_proto)
-
     def apply(self, h_base: Tensor, h_proto: Tensor) -> tuple[Tensor, Tensor]:
         """Multiply the normalized operator by the row blocks of an (N+C)-row
         matrix: its N base rows and its C prototype rows. Returns the product
         as the same pair of blocks."""
-        sb, sp = self._scaled_blocks(h_base, h_proto)
+        if h_base.rows != self.n_base or h_proto.rows != self.w.cols:
+            raise DimensionError(f"operator takes {self.n_base} base and {self.w.cols} "
+                                 f"prototype rows, got {h_base.rows} and {h_proto.rows}")
+        sb, sp = mul(h_base, self.scale_base), mul(h_proto, self.scale_proto)
         top = add(spmm(self.a_hat, sb), matmul(self.w, sp))
-        return mul(top, self.scale_base), self._prototype_block(sb, sp)
-
-    def apply_prototype_rows(self, h_base: Tensor, h_proto: Tensor) -> Tensor:
-        """The prototype block of `apply(h_base, h_proto)`, without the base block."""
-        return self._prototype_block(*self._scaled_blocks(h_base, h_proto))
+        bottom = add(matmul(transpose(self.w), sb), sp)
+        return mul(top, self.scale_base), mul(bottom, self.scale_proto)
 
 
 def mean_readout(z: Tensor, graph_of) -> Tensor:

@@ -5,6 +5,11 @@ weight matrix. Only that matrix trains: encoder parameters stay frozen and
 the views they produce are computed once per task (`TaskContext`), so
 gradients reach the weights exclusively through the prototype rows of the
 augmented propagation, and only those rows are computed in its last layer.
+
+The GNN over the prompted graph is one fused op (`prompted_layer`); its gradient
+into the weights runs through the message weights and the degrees they set.
+Tuning runs layer 1 once per weight state: the pass that trains an epoch also
+reads out the validation prototypes of the weights it starts from.
 """
 
 from __future__ import annotations
@@ -18,22 +23,20 @@ from .autodiff import (
     AdamState,
     Tape,
     Tensor,
+    _emit,
     adam_step,
-    add,
     backward,
     check_tau,
     derive_seed,
+    dropout_mask,
     masked_infonce,
     matmul,
-    mul,
-    select_rows,
 )
-from .encoders import EncoderParams, gnn_forward, gnn_hidden, mlp_forward
+from .encoders import EncoderParams, _check_mode, gnn_forward, mlp_forward
 from .errors import ContractError, DimensionError, NumericError, ParameterError
 from .graph import (
     GraphData,
     LabeledSet,
-    NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
     class_count,
@@ -148,35 +151,106 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
                        xw1=matmul(g.features, w1))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two equal-shape arrays, as a column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
+
+
+def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed: int = 0,
+                   dropout_rate: float = 0.0) -> tuple[Tensor, Tensor]:
+    """Prototype rows of the frozen GNN over the prompted graph, as one recorded op.
+
+    W is the masked weight block, expanded to member nodes for the graph task;
+    the degrees are d_b = deg(A+I) + rowsum|W| and d_p = colsum|W| + 1, and
+    s = d^-1/2. Layer 1 covers both row blocks, from the cached X·W1 and P·W1:
+    H_b = s_b*((A+I)(s_b*XW1) + W(s_p*PW1)) and H_p = s_p*(W^T(s_b*XW1) + s_p*PW1),
+    then b1, relu and one (N+C)-row dropout mask salted with `derive_seed(seed, 2)`.
+    Layer 2 forms only the C prototype rows, s_p*(W^T(s_b*H_b) + s_p*H_p), then
+    W2 and b2. Only when recorded are intermediates kept; the VJP then forms
+    the weight rows' gradient in numpy, through the degrees too.
+
+    Returns the prototypes and the dropout-free prototypes of the same weights
+    (the same tensor when no dropout acted): layer 1 is shared, so a training
+    pass also yields its weights' validation read-out.
+    """
+    training = _check_mode(mode)
+    weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
+    if weights.rows != ctx.anchors.rows:
+        raise DimensionError(f"prompt has {weights.rows} weight rows for {ctx.anchors.rows} {ctx.task} rows")
+    if mask.shape != (weights.rows,):
+        raise DimensionError(f"trainable_row_mask has shape {mask.shape} for {weights.rows} weight rows")
+    if feats.cols != ctx.graph.features.cols:
+        raise ContractError(f"prototype features have {feats.cols} columns, graph has {ctx.graph.features.cols}")
+    if feats.rows != weights.cols:
+        raise DimensionError(f"prompt has {feats.rows} prototype feature rows for {weights.cols} weight columns")
+    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    a_hat, graph_of = ctx.base.a_hat.csr, ctx.graph.graph_of
+    w = weights.data * mask[:, None]
+    if ctx.task == "graph":
+        w = w[graph_of]
+    wt, n = np.ascontiguousarray(w.T), w.shape[0]
+    # d >= 1 (self-loops), so the scales need no floor
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree.data
+    deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
+    s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
+    xw, pw = ctx.xw1.data, feats.data @ w1.data
+    sb1, sp1 = xw * s_b, pw * s_p
+    t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
+    h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
+    gate_b, gate_p = h_b > 0, h_p > 0  # relu's subgradient is 0 at the kink
+    h_b *= gate_b
+    h_p *= gate_p
+
+    def layer2(hb, hp):
+        sb2 = hb * s_b
+        u2 = wt @ sb2 + hp * s_p
+        return sb2, u2, (u2 * s_p) @ w2.data + b2.data
+
+    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), training)
+    clean = None
+    if factor is not None:
+        clean = Tensor._adopt(layer2(h_b, h_p)[2], False)
+        h_b *= factor[:n]
+        h_p *= factor[n:]
+    sb2, u2, out = layer2(h_b, h_p)
+
+    def vjp(g):
+        gz = g @ w2.data.T
+        gs_p = _row_dots(gz, u2)
+        gz *= s_p  # d/du2
+        gw = sb2 @ gz.T
+        g_b = w @ gz  # d/d(s_b*H_b)
+        gs_b = _row_dots(g_b, h_b)
+        gs_p += _row_dots(gz, h_p)
+        g_b *= s_b
+        g_p = gz * s_p
+        if factor is not None:
+            g_b *= factor[:n]
+            g_p *= factor[n:]
+        g_b *= gate_b  # d/d(s_b*t1)
+        g_p *= gate_p
+        gs_b += _row_dots(g_b, t1)
+        gs_p += _row_dots(g_p, u1)
+        g_b *= s_b  # d/dt1
+        g_p *= s_p  # d/du1
+        gw += g_b @ sp1.T + sb1 @ g_p.T
+        gs_b += _row_dots(a_hat.T @ g_b + w @ g_p, xw)
+        gs_p += _row_dots(wt @ g_b + g_p, pw)
+        # through the degrees: ds/dd = -s/(2d), and d|W|/dW = sign W
+        gw += np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
+        if ctx.task == "graph":  # member nodes' entries sum into their graph's row
+            gw, per_node = np.zeros(weights.shape), gw
+            np.add.at(gw, graph_of, per_node)
+        return (gw * mask[:, None],)
+
+    out = _emit("prompted_layer", (weights,), out, vjp)
+    return out, out if clean is None else clean
+
+
 def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval",
                          seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
-    """Prototype rows of the GNN run over the prompted graph.
-
-    The weight block is masked every forward pass, which pins untrainable
-    rows to zero and zeroes their gradients. For graph-level prompting the
-    per-graph weights are expanded to all member nodes; their gradient
-    contributions sum back into the shared entry.
-
-    Layer 1 runs over all N+C rows as two row blocks: the cached X·W1 of the
-    base nodes and the prototypes' P·W1. The loss reads only the C prototype
-    rows of layer 2, so only those are computed: s_p*(W^T (s_b*H1_b) + s_p*H1_p),
-    then W2, b2.
-    """
-    if ps.weight_rows.rows != ctx.anchors.rows:
-        raise DimensionError(f"prompt has {ps.weight_rows.rows} weight rows for "
-                             f"{ctx.anchors.rows} {ctx.task} rows")
-    if ps.proto_features.cols != ctx.graph.features.cols:
-        raise ContractError(f"prototype features have {ps.proto_features.cols} columns, "
-                            f"graph has {ctx.graph.features.cols}")
-    mask = Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1))
-    w = mul(ps.weight_rows, mask)
-    if ctx.task == "graph":
-        w = select_rows(w, ctx.graph.graph_of)
-    operator = NormalizedPromptOperator(ctx.base, w)
-    (w1, _), (w2, b2) = ctx.params.gnn_layers
-    blocks = operator.apply(ctx.xw1, matmul(ps.proto_features, w1))
-    h_base, h_proto = gnn_hidden(blocks, ctx.params, mode, seed, dropout_rate)
-    return add(matmul(operator.apply_prototype_rows(h_base, h_proto), w2), b2)
+    """Prototype rows of the GNN run over the prompted graph: `prompted_layer`'s first result."""
+    return prompted_layer(ctx, ps, mode, seed, dropout_rate)[0]
 
 
 def accuracy(ctx: TaskContext, prototypes: Tensor, labeled: LabeledSet, tau: float) -> float:
@@ -225,26 +299,30 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
-    if val is not None and cfg.epochs > 0:
-        # the untouched initialization competes as the first candidate
-        best_acc = accuracy(ctx, prototype_embeddings(ctx, prompted, "eval"), val, cfg.tau)
-    for epoch in range(cfg.epochs):
-        epoch_seed = derive_seed(cfg.seed, epoch)
+    # pass e runs at the weights W_e: it validates what epoch e - 1 left (the
+    # untouched initialization competes as epoch -1) and trains epoch e; with
+    # a validation set, one last pass only validates the final weights
+    for epoch in range(cfg.epochs + (val is not None and cfg.epochs > 0)):
+        training = epoch < cfg.epochs
         with Tape() as tape:
-            proto = prototype_embeddings(ctx, prompted, "train", epoch_seed, cfg.dropout)
-            loss = prompt_loss(train_anchors, proto, labeled.classes, cfg.tau)
+            proto, val_proto = prompted_layer(ctx, prompted, "train" if training else "eval",
+                                              derive_seed(cfg.seed, epoch), cfg.dropout)
+            if training:
+                loss = prompt_loss(train_anchors, proto, labeled.classes, cfg.tau)
+        if val is not None:
+            acc = accuracy(ctx, val_proto, val, cfg.tau)
+            if acc > best_acc:
+                best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch - 1
+            elif epoch - 1 - best_epoch >= cfg.patience:
+                break
+        if not training:
+            break
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"prompt loss became non-finite at epoch {epoch}")
         backward(tape, loss)
         adam_step([weights], opt)
         losses.append(value)
-        if val is not None:
-            acc = accuracy(ctx, prototype_embeddings(ctx, prompted, "eval"), val, cfg.tau)
-            if acc > best_acc:
-                best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch
-            elif epoch - best_epoch >= cfg.patience:
-                break
     if val is not None:
         weights.data = best_w
     return prompted, losses

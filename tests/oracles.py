@@ -6,6 +6,8 @@ build losses from them:
 
 - `scale`, `sub`, `exp`, `log`, `total_sum`: elementwise and reduction ops
   on the `psp.autodiff` tape.
+- `select_rows`: a row gather, which expands per-graph weights to member
+  nodes in `full_graph_prototypes`.
 - `cosine_sim_matrix`: the all-pairs cosine op; also the independent cosine
   that `psp.inference.predict` is checked against.
 
@@ -19,8 +21,12 @@ Parity oracles, one per fast path in `src`:
   the normalized (N+C) x (N+C) prompted-graph matrix as a dense array.
 - `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
   it replaced.
-- `full_graph_prototypes` checks `psp.prompt.prototype_embeddings`: the GNN
-  over all N+C rows of the prompted graph, then its prototype rows.
+- `full_graph_prototypes` checks `psp.prompt.prompted_layer`: the GNN over
+  all N+C rows of the prompted graph, built from tape ops, then its
+  prototype rows.
+- `two_forward_prompt_tune` checks `psp.prompt.prompt_tune`'s loop: the loop
+  it replaced, over `full_graph_prototypes`, with a separate eval forward
+  after every step.
 
 Test-side measurements:
 
@@ -36,10 +42,12 @@ import numpy as np
 import scipy.sparse as sparse
 
 from psp.autodiff import (
+    AdamState,
     Tape,
     Tensor,
     _emit,
     _row_norms,
+    adam_step,
     add,
     backward,
     derive_seed,
@@ -48,11 +56,12 @@ from psp.autodiff import (
     mul,
     relu,
     row_sum,
-    select_rows,
 )
 from psp.encoders import parameters
 from psp.errors import ContractError, DataError, DimensionError, NumericError
-from psp.graph import NormalizedPromptOperator, SelfLoopedBase
+from psp.graph import NormalizedPromptOperator, PromptedGraph, SelfLoopedBase
+from psp.inference import class_mean_rows
+from psp.prompt import accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
 
 COSINE_EPS = 1e-12
 
@@ -77,6 +86,21 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     a_in = a.data
     return _emit("log", (a,), np.log(a_in), lambda g: (g / a_in,))
+
+
+def select_rows(x: Tensor, indices) -> Tensor:
+    """Rows of x at `indices` (repeats allowed); the gradient sums back per row."""
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
+        raise DataError(f"select_rows: index out of range for {x.rows} rows")
+    x_shape = x.shape
+
+    def vjp(g):
+        gx = np.zeros(x_shape)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return _emit("select_rows", (x,), x.data[idx], vjp)
 
 
 def total_sum(a: Tensor) -> Tensor:
@@ -205,6 +229,43 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
     _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
     return add(proto, b2)
+
+
+def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
+    """`prompt_tune`'s loop as it was: per epoch one training forward, a step,
+    then a separate eval forward of the new weights, all through
+    `full_graph_prototypes`. Returns the final weights (the best ones with a
+    validation set), the losses, the validation accuracies in the order they
+    were taken, and the best epoch (-1: the initialization)."""
+    n_classes = ctx.n_classes
+    w0 = init_edge_weights(ctx.struct, labeled, n_classes)
+    mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
+    weights = Tensor(w0.data * mask[:, None], requires_grad=True)
+    ps = PromptedGraph(task=ctx.task, proto_features=class_mean_rows(ctx.attr_base, labeled, n_classes),
+                       weight_rows=weights, trainable_row_mask=mask)
+    anchors = Tensor(ctx.anchors.data[labeled.indices])
+    opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    losses, val_accs = [], []
+    best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
+    if val is not None and cfg.epochs > 0:
+        val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
+        best_acc = val_accs[-1]
+    for epoch in range(cfg.epochs):
+        with Tape() as tape:
+            proto = full_graph_prototypes(ctx, ps, "train", derive_seed(cfg.seed, epoch), cfg.dropout)
+            loss = prompt_loss(anchors, proto, labeled.classes, cfg.tau)
+        backward(tape, loss)
+        adam_step([weights], opt)
+        losses.append(loss.item())
+        if val is not None:
+            val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
+            if val_accs[-1] > best_acc:
+                best_acc, best_w, best_epoch = val_accs[-1], weights.data.copy(), epoch
+            elif epoch - best_epoch >= cfg.patience:
+                break
+    if val is not None:
+        weights.data = best_w
+    return weights.data, losses, val_accs, best_epoch
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from psp.autodiff import (
     relu,
     row_sum,
     rsqrt,
-    select_rows,
     spmm,
     transpose,
 )
@@ -53,7 +52,7 @@ from psp.prompt import (
     task_context,
 )
 
-from oracles import cosine_sim_matrix, exp, grad_check, log, scale, sub, total_sum
+from oracles import cosine_sim_matrix, exp, grad_check, log, scale, select_rows, sub, total_sum
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK = dict(n=300, n_classes=3, avg_deg=2.5, feat_dim=64, noise=0.5)

@@ -25,7 +25,6 @@ from psp.autodiff import (
     relu,
     row_sum,
     rsqrt,
-    select_rows,
     spmm,
     transpose,
 )
@@ -39,6 +38,7 @@ from oracles import (
     grad_check,
     log,
     scale,
+    select_rows,
     sub,
     total_sum,
 )

@@ -402,6 +402,20 @@ def test_scoring_an_empty_test_split_is_a_runtime_error(no_test_items, capsys, c
     assert captured.out == ""
 
 
+def test_sweep_refuses_an_empty_test_split_before_its_first_fit(no_test_items, capsys,
+                                                                 monkeypatch):
+    import psp.cli
+
+    counts = _count_calls(monkeypatch, ["prompt_tune"], (psp.cli,))
+    data, ckpt, _, shots = no_test_items
+    capsys.readouterr()
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt), *shots]) == 1
+    captured = capsys.readouterr()
+    assert "error: accuracy needs at least one labeled item" in captured.err
+    assert "grid\t" not in captured.err and captured.out == ""
+    assert counts == {"prompt_tune": 0}
+
+
 def test_eval_psp_builds_no_structural_view(pipeline, capsys, monkeypatch):
     import psp.cli
     import psp.prompt

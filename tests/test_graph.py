@@ -200,15 +200,9 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     oracle = dense_prompted_normalize(a.to_dense(), w)
     np.testing.assert_allclose(apply_stacked(op, h), oracle @ h, atol=1e-12)
     np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
-    # the prototype-row read-out is the prototype block of the full product, bitwise
-    h_base, h_proto = Tensor(h[:n]), Tensor(h[n:])
-    np.testing.assert_array_equal(op.apply_prototype_rows(h_base, h_proto).data,
-                                  op.apply(h_base, h_proto)[1].data)
     for blocks in ((h[:n - 1], h[n:]), (h[:n], h[n:-1]), (h[n:], h[:n])):
         with pytest.raises(DimensionError, match="operator takes 10 base and 3 prototype rows"):
             op.apply(*map(Tensor, blocks))
-        with pytest.raises(DimensionError, match="operator takes 10 base and 3 prototype rows"):
-            op.apply_prototype_rows(*map(Tensor, blocks))
 
 
 def test_normalize_prompted_finite_for_extreme_weights():

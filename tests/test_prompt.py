@@ -27,12 +27,19 @@ from psp.prompt import (
     init_edge_weights,
     prompt_loss,
     prompt_tune,
+    prompted_layer,
     prototype_embeddings,
     restrict_edge_ratio,
     task_context,
 )
 
-from oracles import full_graph_prototypes, grad_check, params_checksum, total_sum
+from oracles import (
+    full_graph_prototypes,
+    grad_check,
+    params_checksum,
+    total_sum,
+    two_forward_prompt_tune,
+)
 
 
 def frozen_params(n_features, hidden=8, seed=0):
@@ -422,16 +429,29 @@ def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
         assert not np.allclose(got, eval_out)
 
 
-def test_node_forward_copies_no_rows_and_draws_one_dropout_mask():
-    ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=True)
-    ps = PromptedGraph(task="node", proto_features=proto_feats,
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_training_forward_records_one_op_and_draws_one_dropout_mask(task):
+    ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True)
+    ps = PromptedGraph(task=task, proto_features=proto_feats,
                        weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
     with Tape() as tape:
         prototype_embeddings(ctx, ps, "train", 17, 0.3)
-    ops = [rec.op for rec in tape.records]
-    assert "select_rows" not in ops
-    # one mask over the N+C rows, applied to each of the two row blocks
-    assert tape.dropout_calls == 1 and ops.count("dropout") == 2
+    assert [rec.op for rec in tape.records] == ["prompted_layer"]
+    # one mask over the N+C rows
+    assert tape.dropout_calls == 1
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_training_pass_reads_out_its_weights_without_dropout(task):
+    ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True)
+    ps = PromptedGraph(task=task, proto_features=proto_feats,
+                       weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
+    with Tape():
+        train, clean = prompted_layer(ctx, ps, "train", 17, 0.3)
+    np.testing.assert_array_equal(clean.data, prototype_embeddings(ctx, ps, "eval").data)
+    np.testing.assert_array_equal(train.data, prototype_embeddings(ctx, ps, "train", 17, 0.3).data)
+    out, same = prompted_layer(ctx, ps, "eval")
+    assert same is out
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
@@ -448,6 +468,23 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
         return prompt_loss(anchors, prototype_embeddings(ctx, ps, "train", 3, 0.3), labels, 0.5)
 
     assert grad_check(f, Tensor(w0), h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("field,value,error,message", [
+    ("trainable_row_mask", np.ones(59, bool), DimensionError,
+     r"trainable_row_mask has shape \(59,\) for 60 weight rows"),
+    ("proto_features", Tensor(np.zeros((3, 4))), ContractError,
+     "prototype features have 4 columns, graph has 5"),
+    ("proto_features", Tensor(np.zeros((2, 5))), DimensionError,
+     "prompt has 2 prototype feature rows for 3 weight columns"),
+])
+def test_prototype_embeddings_refuse_a_malformed_prompt(field, value, error, message):
+    ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=True)
+    fields = dict(task="node", proto_features=proto_feats, weight_rows=Tensor(w0),
+                  trainable_row_mask=mask)
+    fields[field] = value
+    with pytest.raises(error, match=message):
+        prototype_embeddings(ctx, PromptedGraph(**fields))
 
 
 def test_prototype_embeddings_reject_weight_rows_for_another_task():
@@ -617,3 +654,40 @@ def test_tune_requires_frozen_and_nonempty(sbm_setup):
         prompt_tune(task_context(g, params, "node"), LabeledSet([], []), PromptConfig())
     with pytest.raises(DataError, match=r"classes \[1, 2\] have no labeled items"):
         prompt_tune(task_context(g, params, "node"), LabeledSet([0], [0]), PromptConfig())
+
+
+@pytest.mark.parametrize("task,with_val,epochs,patience", [
+    ("node", True, 12, 30), ("node", True, 60, 3), ("node", False, 12, 30), ("node", True, 0, 30),
+    ("graph", True, 12, 30), ("graph", True, 60, 3), ("graph", False, 12, 30),
+])
+def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, epochs, patience):
+    import psp.prompt
+
+    # encoders picked so that validation accuracy moves and the best epoch is not -1
+    if task == "graph":
+        g, hidden, seed = multi_graph(3), 7, 21
+        labeled, val = LabeledSet([0, 1], [0, 1]), LabeledSet([2, 3, 4, 5], [0, 1, 0, 1])
+    else:
+        g, hidden, seed = generate_sbm(60, 3, 0.8, 4.0, 5, 0.5, seed=21), 16, 22
+        split = sample_k_shot(g.labels, 2, 21, val_k=5)
+        labeled, val = split.train, split.val
+    ctx = task_context(g, frozen_params(g.features.cols, hidden, seed), task)
+    val = val if with_val else None
+    cfg = PromptConfig(epochs=epochs, patience=patience, lr=1e-1, weight_decay=1e-3, tau=0.5,
+                       seed=4, dropout=0.3, edge_ratio=0.5)
+    want_w, want_losses, want_accs, want_best = two_forward_prompt_tune(ctx, labeled, cfg, val)
+    accs = []
+
+    def recorded_accuracy(*args):
+        accs.append(accuracy(*args))
+        return accs[-1]
+
+    monkeypatch.setattr(psp.prompt, "accuracy", recorded_accuracy)
+    prompted, losses = prompt_tune(ctx, labeled, cfg, val)
+    assert len(losses) == len(want_losses)
+    np.testing.assert_allclose(losses, want_losses, rtol=0, atol=1e-12)
+    assert accs == want_accs
+    assert (int(np.argmax(accs)) - 1 if accs else -1) == want_best
+    np.testing.assert_allclose(prompted.weight_rows.data, want_w, rtol=0, atol=1e-12)
+    if patience == 3:
+        assert len(losses) < epochs  # the patience stop acted
