@@ -53,6 +53,7 @@ from .graph import (
     mean_readout,
 )
 from .inference import class_mean_rows, evaluate, predict
+from .parallel import fork_map
 from .pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from .prompt import (
     PromptConfig,

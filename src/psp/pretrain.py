@@ -56,21 +56,19 @@ class PretrainConfig:
             raise ParameterError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
 
 
-def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
-                         include_positive_in_denominator: bool = False) -> Tensor:
+def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     """Temperature-scaled contrastive loss anchored on the first view.
 
     For each row i the positive is row i of the second view; negatives are
     the other rows of the second view. The positive is excluded from the
-    denominator unless `include_positive_in_denominator` is set.
+    denominator.
     """
     if z1.shape != z2.shape:
         raise ContractError(f"views must have equal shape, got {z1.shape} vs {z2.shape}")
     n = z1.rows
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    return masked_infonce(z1, z2, np.arange(n), tau,
-                          exclude_positive=not include_positive_in_denominator)
+    return masked_infonce(z1, z2, np.arange(n), tau, exclude_positive=True)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:

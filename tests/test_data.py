@@ -1,13 +1,16 @@
+import os
 import tempfile
 import tracemalloc
 import warnings
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from psp import data as data_module
 from psp.autodiff import Tensor
@@ -15,6 +18,7 @@ from psp.data import (
     Checkpoint,
     _read_lines,
     _read_table,
+    _write_table,
     export_weight_matrix,
     generate_sbm,
     load_checkpoint,
@@ -265,17 +269,71 @@ def table_outcome(read, path, use):
     return table.dtype, table.shape, table.tobytes(), list(linenos)
 
 
+@contextmanager
+def small_tasks(nbytes, inline=True):
+    """`_RANGE_BYTES` patched to `nbytes`, so tables split into many ranges and
+    chunks; `inline` allows one CPU, so fork_map runs them all in this process."""
+    with mock.patch.object(data_module, "_RANGE_BYTES", nbytes):
+        if not inline:
+            yield
+            return
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+            yield
+
+
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=table_bytes())
-def test_read_table_matches_the_line_loop(tmp_path, text):
+@given(text=table_bytes(), range_bytes=st.sampled_from([1, 3, 8]))
+def test_read_table_matches_the_line_loop(tmp_path, text, range_bytes):
     path = tmp_path / "t.txt"  # rewritten by every example
     path.write_bytes(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for use in TABLE_USES:
-            assert table_outcome(_read_table, path, use) == table_outcome(_read_lines, path, use), use
+            expected = table_outcome(_read_lines, path, use)
+            assert table_outcome(_read_table, path, use) == expected, use
+            with small_tasks(range_bytes):  # ranges of a line or two
+                assert table_outcome(_read_table, path, use) == expected, use
     assert not caught  # numpy's warnings stay inside _read_table
+
+
+def formatted(rows):
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows).encode()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=st.one_of(
+    arrays(np.float64, array_shapes(min_dims=2, min_side=0, max_side=5),
+           elements=st.floats(allow_nan=False, allow_infinity=False)),
+    arrays(np.int64, array_shapes(min_dims=2, min_side=0, max_side=5))),
+    chunk_bytes=st.sampled_from([1, 60, 200]), as_list=st.booleans())
+def test_write_table_gives_the_same_bytes_in_any_number_of_chunks(tmp_path, table, chunk_bytes,
+                                                                  as_list):
+    rows = table.tolist() if as_list else table
+    _write_table(tmp_path / "one.tsv", rows)
+    with small_tasks(chunk_bytes):
+        _write_table(tmp_path / "many.tsv", rows)
+    expected = formatted(table.tolist())
+    assert (tmp_path / "one.tsv").read_bytes() == expected
+    assert (tmp_path / "many.tsv").read_bytes() == expected
+
+
+def test_forked_ranges_and_chunks_match_one_task(tmp_path):
+    g = generate_sbm(300, 3, 0.7, 4.0, 8, 0.5, seed=4)
+    one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
+    _write_table(one, g.features.data)
+    with small_tasks(4096, inline=False):  # a dozen ranges and chunks, on the allowed CPUs
+        _write_table(many, g.features.data)
+        forked, linenos = _read_table(many, float, "\t")
+        assert one.read_bytes() == many.read_bytes()
+        lines = many.read_bytes().split(b"\n")
+        lines[249] = lines[249].replace(b"\t", b"\tnan\t", 1)  # in a late range
+        many.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match="many.tsv line 250: expected 8 columns, got 9"):
+            _read_table(many, float, "\t")
+    np.testing.assert_array_equal(forked, g.features.data)
+    assert list(linenos) == list(range(1, 301))
 
 
 def test_clean_tables_never_reach_the_line_loop(tmp_path, monkeypatch):
@@ -296,14 +354,16 @@ def test_reading_features_holds_less_than_twice_the_file(tmp_path):
     g = generate_sbm(2000, 4, 0.7, 4.0, 64, 0.5, seed=5)
     save_node_dataset(tmp_path / "d", g)
     path = tmp_path / "d" / "features.tsv"
-    tracemalloc.start()
-    try:
-        table, _ = _read_table(path, float, "\t")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(table, g.features.data)
-    assert peak < 2 * path.stat().st_size
+    for ranges in (1, 8):  # one range in this process; 8 over the allowed CPUs
+        tracemalloc.start()
+        try:
+            with small_tasks(path.stat().st_size // ranges + 1, inline=False):
+                table, _ = _read_table(path, float, "\t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(table, g.features.data)
+        assert peak < 2 * path.stat().st_size, ranges
 
 
 # ---------------------------------------------------------------------------

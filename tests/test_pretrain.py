@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor
+from psp.autodiff import Tensor, masked_infonce
 from psp.data import generate_sbm
 from psp.encoders import parameters
 from psp.errors import ContractError, NumericError, ParameterError
@@ -52,7 +52,7 @@ def test_loss_shape_mismatch():
 def test_loss_positive_in_denominator_variant():
     z = Tensor(np.eye(2))
     verbatim = ntxent_pretrain_loss(z, z, 1.0).item()
-    standard = ntxent_pretrain_loss(z, z, 1.0, include_positive_in_denominator=True).item()
+    standard = masked_infonce(z, z, np.arange(2), 1.0, exclude_positive=False).item()
     # the conventional form includes the positive, so its value is larger:
     # -(1 - log(e + 1)) per anchor
     assert standard > verbatim
