@@ -30,10 +30,11 @@ CHECKPOINT_VERSION = 1
 DEGREE_ONEHOT_WIDTH = 64
 # the bytes on which numpy's tokenizer and str.splitlines agree where lines break
 _PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
-# bytes of text per task `_read_table` and `_write_table` hand `fork_map`. Parsing
-# features text, two forked halves break even with one in-process parse at ~3.5 MiB
-# (2 cores: 71 vs 78 ms at 3 MiB, 104 vs 92 ms at 4 MiB), so every range pays for
-# the ~45 ms the workers cost, and every desk-scale and N=3000 input is one range
+# most bytes of text per task `_read_table` and `_write_table` hand `fork_map`.
+# Parsing features text, two forked halves break even with one in-process parse at
+# ~2 MiB (2 cores: 53 vs 55 ms at 2 MiB, 82 vs 67 ms at 3 MiB), so every range, at
+# least 4 MiB once there are two, pays for the ~20 ms the workers cost, and every
+# desk-scale and N=3000 input is one range
 _RANGE_BYTES = 8 << 20
 
 
@@ -72,14 +73,15 @@ def _read_table(path: Path, kind, sep: Optional[str],
     Returns the rows and each row's 1-based line in the file. A malformed
     line raises a DataError naming the file and the line.
 
-    The file is cut into line-aligned byte ranges of `_RANGE_BYTES`, and
-    `fork_map` parses them on every allowed core (a one-range file, in this
-    process). Each range is read once and, if plain (printable ASCII, tabs,
-    newlines), parsed by numpy's C tokenizer; it is kept if it is finite,
-    `width` wide and has a row per line. This process holds the parts and
-    their concatenation, or one range while it parses one itself. If any
-    range is not kept, the whole file, every error included, goes through
-    the line loop `_read_lines`, which accepts the same syntax.
+    The file is cut into ceil(size / `_RANGE_BYTES`) line-aligned byte
+    ranges of about even size, and `fork_map` parses them on every allowed
+    core (a one-range file, in this process). Each range is read once and,
+    if plain (printable ASCII, tabs, newlines), parsed by numpy's C
+    tokenizer; it is kept if it is finite, `width` wide and has a row per
+    line. This process holds the parts and their concatenation, or one
+    range while it parses one itself. If any range is not kept, the whole
+    file, every error included, goes through the line loop `_read_lines`,
+    which accepts the same syntax.
     """
     if not path.is_file():
         raise DataError(f"missing dataset file {path}")
@@ -92,12 +94,15 @@ def _read_table(path: Path, kind, sep: Optional[str],
 
 
 def _line_ranges(path: Path) -> list[tuple[int, int]]:
-    """Byte ranges that cover the file, each `_RANGE_BYTES` long rounded up
-    to the end of its last line."""
+    """Byte ranges that cover the file: ceil(size / `_RANGE_BYTES`) of them,
+    each about size / that many bytes, every cut moved on to the end of a line."""
     size, bounds = path.stat().st_size, [0]
+    count = -(-size // _RANGE_BYTES)
     with open(path, "rb") as fh:
-        while bounds[-1] + _RANGE_BYTES < size:
-            fh.seek(bounds[-1] + _RANGE_BYTES - 1)
+        for i in range(1, count):
+            if bounds[-1] >= i * size // count:  # a long line ran up to or past this cut
+                continue
+            fh.seek(i * size // count - 1)
             while (block := fh.read(1 << 16)) and b"\n" not in block:
                 pass
             bounds.append(fh.tell() - len(block) + block.find(b"\n") + 1 if block else size)
@@ -170,12 +175,16 @@ def _read_lines(path: Path, kind, sep: Optional[str],
 def _write_table(path, rows) -> None:
     """One tab-separated line per row of a 2-D array or a list of rows of
     Python scalars; str of a float is its shortest round-tripping repr, so
-    values keep full precision. `fork_map` formats the rows in chunks of up
-    to `_RANGE_BYTES` of float64 or int64 text (a value and its tab take at
-    most 25 bytes), and the chunks are written in order."""
-    step = max(1, _RANGE_BYTES // (25 * max(len(rows[0]) if len(rows) else 1, 1)))
+    values keep full precision. `fork_map` formats the rows in the fewest
+    chunks of even row counts that hold at most `_RANGE_BYTES` of float64 or
+    int64 text each (a value and its tab take at most 25 bytes), and the
+    chunks are written in order."""
+    n = len(rows)
+    most = max(1, _RANGE_BYTES // (25 * max(len(rows[0]) if n else 1, 1)))  # rows a chunk may hold
+    count = max(1, -(-n // most))
+    bounds = [i * n // count for i in range(count + 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(fork_map(_format_rows, [rows[i:i + step] for i in range(0, len(rows), step)]))
+        fh.writelines(fork_map(_format_rows, [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
 
 
 def _format_rows(rows) -> str:

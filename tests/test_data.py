@@ -16,6 +16,7 @@ from psp import data as data_module
 from psp.autodiff import Tensor
 from psp.data import (
     Checkpoint,
+    _line_ranges,
     _read_lines,
     _read_table,
     _write_table,
@@ -270,15 +271,13 @@ def table_outcome(read, path, use):
 
 
 @contextmanager
-def small_tasks(nbytes, inline=True):
+def small_tasks(nbytes, cpus=1):
     """`_RANGE_BYTES` patched to `nbytes`, so tables split into many ranges and
-    chunks; `inline` allows one CPU, so fork_map runs them all in this process."""
-    with mock.patch.object(data_module, "_RANGE_BYTES", nbytes):
-        if not inline:
-            yield
-            return
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
-            yield
+    chunks, and `cpus` allowed CPUs: with one, fork_map runs them all in this
+    process; with two, over two forked workers."""
+    with mock.patch.object(data_module, "_RANGE_BYTES", nbytes), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        yield
 
 
 @settings(max_examples=400, derandomize=True, deadline=None,
@@ -319,11 +318,44 @@ def test_write_table_gives_the_same_bytes_in_any_number_of_chunks(tmp_path, tabl
     assert (tmp_path / "many.tsv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("range_bytes", [100, 104, 105, 60, 30, 1])
+def test_line_ranges_are_even_and_end_on_lines(tmp_path, range_bytes):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abcd\n" * 21)  # 105 bytes
+    with small_tasks(range_bytes):
+        ranges = _line_ranges(path)
+    count = -(-105 // range_bytes)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]] and ranges[-1][1] == 105
+    assert all(hi % 5 == 0 for _, hi in ranges)  # every range ends with its line's newline
+    assert len(ranges) == min(count, 21)  # no range is a sliver left over after full ones
+    assert all(abs((hi - lo) - 105 / len(ranges)) < 5 for lo, hi in ranges)
+
+
+def test_a_long_line_past_several_cuts_stays_in_one_range(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\n" + b"b" * 40 + b"\n" + b"c\n" * 4)
+    with small_tasks(10):
+        assert _line_ranges(path) == [(0, 43), (43, 51)]  # the cuts inside "bb..." are spent
+
+
+def test_write_chunks_are_even(tmp_path, monkeypatch):
+    chunks = []
+
+    def record(fn, items):
+        chunks.extend(len(rows) for rows in items)
+        return map(fn, items)
+
+    monkeypatch.setattr(data_module, "fork_map", record)
+    with small_tasks(25 * 3 * 10):  # at most 10 rows of 3 values a chunk
+        _write_table(tmp_path / "t.tsv", np.zeros((21, 3)))
+    assert chunks == [7, 7, 7]  # not 10, 10 and a 1-row sliver
+
+
 def test_forked_ranges_and_chunks_match_one_task(tmp_path):
     g = generate_sbm(300, 3, 0.7, 4.0, 8, 0.5, seed=4)
     one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
     _write_table(one, g.features.data)
-    with small_tasks(4096, inline=False):  # a dozen ranges and chunks, on the allowed CPUs
+    with small_tasks(4096, cpus=2):  # a dozen ranges and chunks, over two workers
         _write_table(many, g.features.data)
         forked, linenos = _read_table(many, float, "\t")
         assert one.read_bytes() == many.read_bytes()
@@ -354,10 +386,10 @@ def test_reading_features_holds_less_than_twice_the_file(tmp_path):
     g = generate_sbm(2000, 4, 0.7, 4.0, 64, 0.5, seed=5)
     save_node_dataset(tmp_path / "d", g)
     path = tmp_path / "d" / "features.tsv"
-    for ranges in (1, 8):  # one range in this process; 8 over the allowed CPUs
+    for ranges in (1, 8):  # one range in this process; 8 over two workers
         tracemalloc.start()
         try:
-            with small_tasks(path.stat().st_size // ranges + 1, inline=False):
+            with small_tasks(-(-path.stat().st_size // ranges), cpus=2):
                 table, _ = _read_table(path, float, "\t")
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -27,15 +27,42 @@ def refuse_fork():
     raise AssertionError("a process was started")
 
 
-def test_two_workers_return_results_in_item_order():
-    results = list(fork_map(early_items_last, range(6), jobs=2))
+def exit_on_three(x):
+    if x == 3:
+        os._exit(1)
+    return x
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_two_workers_return_results_in_item_order(two_cpus):
+    results = list(fork_map(early_items_last, range(6)))
     assert [square for _, square in results] == [x * x for x in range(6)]
+    assert len({pid for pid, _ in results}) == 2
     assert os.getpid() not in {pid for pid, _ in results}
 
 
-def test_a_worker_exception_is_raised_in_the_parent():
+def test_a_worker_exception_is_raised_in_the_parent(two_cpus):
     with pytest.raises(ValueError, match="item 2 refused"):
-        list(fork_map(refuse_two, range(4), jobs=2))
+        list(fork_map(refuse_two, range(4)))
+
+
+def test_a_worker_that_dies_is_reported_at_its_item(two_cpus):
+    results = fork_map(exit_on_three, range(6))
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(RuntimeError, match="item 3 exited without its result"):
+        next(results)
+
+
+def test_workers_are_reaped_when_the_results_are_abandoned(two_cpus):
+    results = fork_map(early_items_last, range(6))
+    next(results)
+    results.close()
+    with pytest.raises(ChildProcessError):  # no child of this process is left, zombie or not
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("setting", ["one allowed cpu", "no affinity call, one cpu", "one item"])
@@ -50,9 +77,9 @@ def test_runs_inline_without_a_second_worker(monkeypatch, setting):
     assert list(fork_map(pid_and_square, items)) == [(os.getpid(), x * x) for x in items]
 
 
-def test_runs_inline_where_fork_is_unavailable(monkeypatch):
+def test_runs_inline_where_fork_is_unavailable(two_cpus, monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert list(fork_map(pid_and_square, range(4), jobs=2)) == [(os.getpid(), x * x) for x in range(4)]
+    assert list(fork_map(pid_and_square, range(4))) == [(os.getpid(), x * x) for x in range(4)]
 
 
 def test_one_task_reads_and_writes_without_multiprocessing(tmp_path):
