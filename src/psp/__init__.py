@@ -5,19 +5,14 @@ from .autodiff import (
     CsrMatrix,
     Tape,
     Tensor,
-    absolute,
     adam_step,
     add,
     backward,
     dropout,
     masked_infonce,
     matmul,
-    mul,
     relu,
-    row_sum,
-    rsqrt,
     spmm,
-    transpose,
 )
 from .data import (
     Checkpoint,
@@ -45,7 +40,6 @@ from .errors import (
 from .graph import (
     GraphData,
     LabeledSet,
-    NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
     build_csr,

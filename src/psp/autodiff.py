@@ -278,15 +278,12 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int,
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def apply_mask(x: Tensor, factor: np.ndarray) -> Tensor:
-    """x times a constant factor array of its shape, recorded as a dropout op."""
-    return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
-
-
 def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
     """Inverted dropout with a `dropout_mask`; identity in evaluation mode."""
     factor = dropout_mask(x.shape, p, seed, training)
-    return x if factor is None else apply_mask(x, factor)
+    if factor is None:
+        return x
+    return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -319,13 +316,12 @@ def check_tau(tau) -> float:
 _INFONCE_BLOCK_ROWS = 256
 
 
-def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
-                   exclude_positive: bool) -> Tensor:
-    """Mean InfoNCE of the rows of z1 against all rows of z2, as one fused op.
+def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
+    """Mean InfoNCE of the rows of z1 against the rows of z2, as one fused op.
 
     Logits are cosine similarities over tau. Row i scores
-    logsumexp_j(logit_ij) - logit_{i,positives[i]}; with `exclude_positive`
-    the positive is left out of the log-sum-exp. Both sides' rows are scaled
+    logsumexp_{j != positives[i]}(logit_ij) - logit_{i,positives[i]}: the
+    positive is left out of the log-sum-exp. Both sides' rows are scaled
     to unit norm once, so cosines are exact for any nonzero row, and a zero
     row gives logit 0 and gradient 0. The op walks z1 in blocks of
     `_INFONCE_BLOCK_ROWS` rows: each block of logits is one GEMM, and only
@@ -340,7 +336,7 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     pos = np.asarray(positives, dtype=np.int64).ravel()
     if pos.size != m:
         raise ContractError(f"masked_infonce: {m} anchor rows vs {pos.size} positives")
-    if m == 0 or n < (2 if exclude_positive else 1):
+    if m == 0 or n < 2:
         raise ContractError(f"masked_infonce: empty denominator for {m}x{n} logits")
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
@@ -358,8 +354,7 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
         logits = (a_unit[lo:hi] * inv_tau) @ b_unit.T
         at_pos = (np.arange(hi - lo), pos[lo:hi])
         positive[lo:hi, 0] = logits[at_pos]
-        if exclude_positive:
-            logits[at_pos] = -np.inf
+        logits[at_pos] = -np.inf
         shift[lo:hi] = logits.max(axis=1, keepdims=True)
         logits -= shift[lo:hi]
         sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
@@ -426,15 +421,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Adam with decoupled weight decay; moments are allocated lazily."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
     m: list = field(default_factory=list)
@@ -454,18 +448,18 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         if p.grad.shape != p.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch on parameter {p.name or i}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for i, (p, m, v) in enumerate(zip(params, state.m, state.v)):
         g = p.grad
         with np.errstate(over="ignore", invalid="ignore"):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
         if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
             raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite")
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p.data
         p.data -= update

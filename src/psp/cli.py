@@ -37,7 +37,6 @@ from .prompt import (
     LR_GRID,
     WEIGHT_DECAY_GRID,
     PromptConfig,
-    TaskContext,
     accuracy,
     prompt_tune,
     prototype_embeddings,
@@ -92,13 +91,6 @@ def _config(cls, args):
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _tune_once(ctx: TaskContext, args, cfg: PromptConfig):
-    split = _split_for(ctx.graph, args, cfg.seed)
-    val = split.val if split.val.indices.size else None
-    prompted, losses = prompt_tune(ctx, split.train, cfg, val=val)
-    return prompted, losses, split
-
-
 def _parse_list(text: str, flag: str, kind) -> list:
     """A comma-separated flag value; blank items are skipped, but one value is required."""
     try:
@@ -141,7 +133,9 @@ def _cmd_pretrain(args) -> int:
 def _cmd_tune(args) -> int:
     g, ckpt = _load_run(args)
     cfg = _config(PromptConfig, args)
-    prompted, losses, _ = _tune_once(task_context(g, ckpt.params, args.task), args, cfg)
+    split = _split_for(g, args, cfg.seed)
+    val = split.val if split.val.indices.size else None
+    prompted, losses = prompt_tune(task_context(g, ckpt.params, args.task), split.train, cfg, val=val)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=ckpt.params,
                                          prompt=prompted))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
@@ -190,15 +184,17 @@ def _cmd_sweep(args) -> int:
     g, ckpt = _load_run(args)
     base = _config(PromptConfig, args)  # every grid point is checked before the first fit
     points = [dataclasses.replace(base, lr=lr, weight_decay=wd, dropout=d) for lr, wd, d in grid]
+    splits = [_split_for(g, args, seed) for seed in seeds]
     # so is the test split: its size, unlike its items, does not depend on the seed
-    if not _split_for(g, args, seeds[0]).test.indices.size:
+    if not splits[0].test.indices.size:
         raise ContractError("accuracy needs at least one labeled item, got none")
     ctx = task_context(g, ckpt.params, args.task)
     best = None
     for cfg in points:
         val_accs, fits = [], []
-        for seed in seeds:
-            prompted, _, split = _tune_once(ctx, args, dataclasses.replace(cfg, seed=seed))
+        for seed, split in zip(seeds, splits):
+            # --val-shots >= 1, so every split has validation items
+            prompted, _ = prompt_tune(ctx, split.train, dataclasses.replace(cfg, seed=seed), val=split.val)
             proto = prototype_embeddings(ctx, prompted, "eval")
             val_accs.append(accuracy(ctx, proto, split.val, args.tau))
             fits.append((seed, split.test, proto))
@@ -235,7 +231,7 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 
 _RESOLVED_LATER = {"tau": "defaults to the checkpoint value",
-                   "hidden_dim": "defaults to 128 for node tasks, 32 for graph tasks"}
+                   "hidden_dim": f"defaults to {PretrainConfig.hidden_dim} for node tasks, 32 for graph tasks"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, cls, names=None, **overrides) -> None:
@@ -317,7 +313,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "hidden_dim", 1) is None:
-        args.hidden_dim = 32 if args.task == "graph" else 128
+        args.hidden_dim = 32 if args.task == "graph" else PretrainConfig.hidden_dim
     _echo_config(args)
     try:
         return args.func(args)

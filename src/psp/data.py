@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .autodiff import Tensor, check_finite
-from .encoders import EncoderParams, freeze
+from .encoders import EncoderParams, freeze, parameters
 from .errors import DataError, FormatError, ParameterError
 from .graph import GraphData, LabeledSet, PromptedGraph, build_csr, class_count
 from .parallel import fork_map
@@ -424,9 +424,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Little-endian binary layout with length-prefixed shape+data blocks."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<Iqd", ckpt.hidden_dim, ckpt.seed, ckpt.tau)]
-    blocks = []
-    for w, b in ckpt.params.mlp_layers + ckpt.params.gnn_layers:
-        blocks.extend([w.data, b.data])
+    blocks = [t.data for t in parameters(ckpt.params)]
     parts.append(struct.pack("<I", len(blocks)))
     parts.extend(_pack_block(b) for b in blocks)
     if ckpt.prompt is None:

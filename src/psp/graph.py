@@ -86,10 +86,6 @@ class GraphData:
         return class_count(self.labels)
 
     @property
-    def n_graph_classes(self) -> int:
-        return class_count(self.graph_labels)
-
-    @property
     def n_graphs(self) -> int:
         return class_count(self.graph_of)
 
@@ -134,10 +130,6 @@ class PromptedGraph:
     proto_features: Tensor
     weight_rows: Tensor
     trainable_row_mask: np.ndarray
-
-    @property
-    def n_prototypes(self) -> int:
-        return self.weight_rows.cols
 
 
 def build_csr(n: int, edges) -> CsrMatrix:

@@ -68,7 +68,7 @@ def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     n = z1.rows
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    return masked_infonce(z1, z2, np.arange(n), tau, exclude_positive=True)
+    return masked_infonce(z1, z2, np.arange(n), tau)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:

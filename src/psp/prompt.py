@@ -273,7 +273,7 @@ def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tens
         raise ContractError(f"{anchors.rows} anchors vs {labels.size} labels")
     if anchors.requires_grad:
         anchors = anchors.detach()
-    return masked_infonce(anchors, prototypes, labels, tau, exclude_positive=True)
+    return masked_infonce(anchors, prototypes, labels, tau)
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,

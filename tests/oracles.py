@@ -140,8 +140,9 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
 # parity oracles
 
 
-def composite_infonce(z1, z2, positives, tau, exclude_positive):
-    """The InfoNCE built from tape ops that `masked_infonce` replaced.
+def composite_infonce(z1, z2, positives, tau):
+    """The InfoNCE built from tape ops that `masked_infonce` replaced, with the
+    positive left out of the denominator.
 
     It holds every m x n intermediate on the tape.
     """
@@ -149,7 +150,7 @@ def composite_infonce(z1, z2, positives, tau, exclude_positive):
     logits = scale(cosine_sim_matrix(z1, z2), 1.0 / float(tau))
     onehot = np.zeros((m, n))
     onehot[np.arange(m), positives] = 1.0
-    mask = 1.0 - onehot if exclude_positive else np.ones((m, n))
+    mask = 1.0 - onehot
     shift = np.where(mask > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
     ex = mul(exp(add(logits, Tensor(-shift))), Tensor(mask))
     log_denom = add(log(row_sum(ex)), Tensor(shift))

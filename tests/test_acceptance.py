@@ -287,8 +287,8 @@ def test_criterion_7_edge_ratio_robustness(homophilous_runs):
         for ratio in ratios:
             cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
             prompted, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
-            trainable = int(prompted.trainable_row_mask.sum()) * prompted.n_prototypes
-            expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.n_prototypes
+            trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
+            expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
             if trainable != expected:
                 counts_exact = False
             proto = prototype_embeddings(ctx, prompted, "eval")

@@ -32,7 +32,7 @@ from psp.data import (
 )
 from psp.encoders import init_encoder_params, parameters
 from psp.errors import DataError, FormatError, ParameterError, PspError
-from psp.graph import PromptedGraph
+from psp.graph import PromptedGraph, class_count
 
 from oracles import intra_class_edge_fraction
 
@@ -136,7 +136,7 @@ def test_load_tu_dataset_label_remap(tmp_path):
     write_tu_fixture(tmp_path / "tu", labels=(1, -1, 1))
     g = load_tu_dataset(tmp_path / "tu", "TOY")
     np.testing.assert_array_equal(g.graph_labels, [1, 0, 1])
-    assert g.n_graph_classes == 2
+    assert class_count(g.graph_labels) == 2
 
 
 def test_load_tu_dataset_degree_fallback(tmp_path):

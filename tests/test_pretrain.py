@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor, masked_infonce
+from psp.autodiff import Tensor
 from psp.data import generate_sbm
 from psp.encoders import parameters
 from psp.errors import ContractError, NumericError, ParameterError
@@ -47,16 +47,6 @@ def test_loss_needs_two_rows():
 def test_loss_shape_mismatch():
     with pytest.raises(ContractError):
         ntxent_pretrain_loss(Tensor(np.eye(2)), Tensor(np.eye(3)), tau=1.0)
-
-
-def test_loss_positive_in_denominator_variant():
-    z = Tensor(np.eye(2))
-    verbatim = ntxent_pretrain_loss(z, z, 1.0).item()
-    standard = masked_infonce(z, z, np.arange(2), 1.0, exclude_positive=False).item()
-    # the conventional form includes the positive, so its value is larger:
-    # -(1 - log(e + 1)) per anchor
-    assert standard > verbatim
-    assert standard == pytest.approx(np.log(np.e + 1.0) - 1.0, abs=1e-9)
 
 
 def test_loss_view_order_matters_but_stays_finite():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp.autodiff import Tape, Tensor, backward, mul
 from psp.data import generate_sbm, sample_k_shot
@@ -261,7 +263,7 @@ def test_prototype_single_node_single_class_hand_propagation():
 def test_prompted_graph_counts_prototypes_from_weight_columns():
     ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((3, 4))),
                        weight_rows=Tensor(np.zeros((5, 3))), trainable_row_mask=np.ones(5, bool))
-    assert ps.n_prototypes == 3
+    assert ps.weight_rows.cols == ps.proto_features.rows == 3
     with pytest.raises(TypeError):
         PromptedGraph(n_prototypes=2, task="node", proto_features=ps.proto_features,
                       weight_rows=ps.weight_rows, trainable_row_mask=ps.trainable_row_mask)
@@ -427,6 +429,42 @@ def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
         eval_out, _ = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
                                                "eval", 17, 0.0)
         assert not np.allclose(got, eval_out)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(task=st.sampled_from(["node", "graph"]),
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), n_nodes=st.integers(1, 12),
+       n_classes=st.integers(1, 4), hidden=st.integers(1, 6), n_features=st.integers(1, 4),
+       mask_kind=st.sampled_from(["all", "none", "some"]),
+       zero_share=st.sampled_from([0.0, 0.4, 1.0]), mode=st.sampled_from(["train", "eval"]),
+       rate=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1))
+def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
+        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
+        seed):
+    """Fused forward and weight gradient against the tape-composed oracle on
+    drawn graphs, widths, row masks, dropout and weights with exact zeros."""
+    rng = np.random.default_rng(seed)
+    # the graph task's batch keeps every edge inside one graph (block-diagonal)
+    graph_of = np.repeat(np.arange(len(sizes)), sizes) if task == "graph" else np.zeros(n_nodes, int)
+    n = graph_of.size
+    pairs = rng.integers(0, n, size=(rng.integers(0, 2 * n + 1), 2))
+    g = GraphData(features=Tensor(rng.standard_normal((n, n_features))),
+                  adjacency=build_csr(n, pairs[graph_of[pairs[:, 0]] == graph_of[pairs[:, 1]]]),
+                  labels=None, graph_of=graph_of if task == "graph" else None)
+    ctx = task_context(g, frozen_params(n_features, hidden=hidden, seed=seed), task)
+    rows = ctx.anchors.rows
+    mask = {"all": np.ones(rows, bool), "none": np.zeros(rows, bool),
+            "some": rng.random(rows) < 0.5}[mask_kind]
+    w0 = rng.standard_normal((rows, n_classes))
+    w0[rng.random(w0.shape) < zero_share] = 0.0  # |W|'s VJP takes sign(0) = 0 there
+    proto_feats = Tensor(rng.standard_normal((n_classes, n_features)))
+    got, got_grad = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
+                                             mode, seed, rate)
+    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats,
+                                               mask, mode, seed, rate)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-10)
+    assert np.all(got_grad[~mask] == 0.0)
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
