@@ -8,6 +8,7 @@ error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import itertools
@@ -32,6 +33,7 @@ from .data import (
 from .errors import ContractError, ParameterError, PspError
 from .graph import GraphData
 from .inference import class_mean_rows
+from .parallel import fork_map
 from .pretrain import PretrainConfig, pretrain, write_loss_log
 from .prompt import (
     LR_GRID,
@@ -135,7 +137,7 @@ def _cmd_tune(args) -> int:
     cfg = _config(PromptConfig, args)
     split = _split_for(g, args, cfg.seed)
     val = split.val if split.val.indices.size else None
-    prompted, losses = prompt_tune(task_context(g, ckpt.params, args.task), split.train, cfg, val=val)
+    prompted, losses, _ = prompt_tune(task_context(g, ckpt.params, args.task), split.train, cfg, val=val)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=ckpt.params,
                                          prompt=prompted))
     write_loss_log(str(args.out) + ".loss.tsv", losses)
@@ -189,26 +191,28 @@ def _cmd_sweep(args) -> int:
     if not splits[0].test.indices.size:
         raise ContractError("accuracy needs at least one labeled item, got none")
     ctx = task_context(g, ckpt.params, args.task)
+    ctx.struct  # built here, before the fits fork, so no worker builds its own
+
+    def fit(job):  # --val-shots >= 1: the kept weights' validation accuracy and prototypes
+        cfg, split = job
+        return prompt_tune(ctx, split.train, cfg, val=split.val)[2]
+
+    jobs = [(dataclasses.replace(cfg, seed=seed), split) for cfg in points for seed, split in zip(seeds, splits)]
     best = None
-    for cfg in points:
-        val_accs, fits = [], []
-        for seed, split in zip(seeds, splits):
-            # --val-shots >= 1, so every split has validation items
-            prompted, _ = prompt_tune(ctx, split.train, dataclasses.replace(cfg, seed=seed), val=split.val)
-            proto = prototype_embeddings(ctx, prompted, "eval")
-            val_accs.append(accuracy(ctx, proto, split.val, args.tau))
-            fits.append((seed, split.test, proto))
-        mean_val = float(np.mean(val_accs))
-        print(f"grid\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}\t"
-              f"val_acc={mean_val:.4f}", file=sys.stderr)
-        if best is None or mean_val > best[0]:
-            best = (mean_val, cfg, fits)
-    _, cfg, fits = best
+    with contextlib.closing(fork_map(fit, jobs)) as fitted:
+        for cfg in points:
+            val_accs, protos = zip(*itertools.islice(fitted, len(seeds)))
+            mean_val = float(np.mean(val_accs))
+            print(f"grid\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}\t"
+                  f"val_acc={mean_val:.4f}", file=sys.stderr)
+            if best is None or mean_val > best[0]:
+                best = (mean_val, cfg, protos)
+    _, cfg, protos = best
     # prompt_tune is deterministic, so the grid pass's prototypes are the
     # selected config's final prompts; test is scored from them without re-tuning
-    test_accs = [accuracy(ctx, proto, test, args.tau) for _, test, proto in fits]
+    test_accs = [accuracy(ctx, proto, split.test, args.tau) for proto, split in zip(protos, splits)]
     print(f"selected\tlr={cfg.lr}\twd={cfg.weight_decay}\tdropout={cfg.dropout}")
-    for (seed, _, _), acc in zip(fits, test_accs):
+    for seed, acc in zip(seeds, test_accs):
         print(_metric_line(args.run_id, seed, args.task, args.k_shot, acc))
     print(f"summary\t{args.run_id}\t{float(np.mean(test_accs))!r}\t{float(np.std(test_accs))!r}")
     return 0

@@ -277,12 +277,13 @@ def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tens
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
-                val: LabeledSet | None = None) -> tuple[PromptedGraph, list[float]]:
+                val: LabeledSet | None = None) -> tuple[PromptedGraph, list[float], tuple | None]:
     """Optimize the prompt weights alone under the similarity loss.
 
     Anchors come from the context's frozen attribute view. With a validation
-    set, tuning keeps the weights from the best validation accuracy and
-    stops early after `cfg.patience` stale epochs.
+    set, tuning keeps the weights from the best validation accuracy, stops
+    early after `cfg.patience` stale epochs, and also returns that accuracy
+    with the kept weights' dropout-free prototypes (None without one).
     """
     if not labeled.indices.size:
         raise ContractError("prompt tuning needs a non-empty labeled set")
@@ -298,11 +299,11 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
-    best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
+    best_acc, best_w, best_proto, best_epoch = -1.0, weights.data.copy(), None, -1
     # pass e runs at the weights W_e: it validates what epoch e - 1 left (the
     # untouched initialization competes as epoch -1) and trains epoch e; with
     # a validation set, one last pass only validates the final weights
-    for epoch in range(cfg.epochs + (val is not None and cfg.epochs > 0)):
+    for epoch in range(cfg.epochs + (val is not None)):
         training = epoch < cfg.epochs
         with Tape() as tape:
             proto, val_proto = prompted_layer(ctx, prompted, "train" if training else "eval",
@@ -312,7 +313,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         if val is not None:
             acc = accuracy(ctx, val_proto, val, cfg.tau)
             if acc > best_acc:
-                best_acc, best_w, best_epoch = acc, weights.data.copy(), epoch - 1
+                best_acc, best_w, best_proto, best_epoch = acc, weights.data.copy(), val_proto, epoch - 1
             elif epoch - 1 - best_epoch >= cfg.patience:
                 break
         if not training:
@@ -325,4 +326,4 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         losses.append(value)
     if val is not None:
         weights.data = best_w
-    return prompted, losses
+    return prompted, losses, None if val is None else (best_acc, best_proto)

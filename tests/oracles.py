@@ -248,7 +248,7 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses, val_accs = [], []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
-    if val is not None and cfg.epochs > 0:
+    if val is not None:
         val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
         best_acc = val_accs[-1]
     for epoch in range(cfg.epochs):

@@ -42,6 +42,7 @@ from psp.graph import (
     gcn_normalize,
 )
 from psp.inference import class_mean_rows, predict
+from psp.parallel import fork_map
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from psp.prompt import (
     PromptConfig,
@@ -74,7 +75,7 @@ def _pipeline(seed: int, homophily: float):
     z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     ctx = task_context(g, params, "node")
     acc_np = accuracy(ctx, class_mean_rows(z2, split.train, 3), split.test, TUNE["tau"])
-    prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
+    prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
     proto = prototype_embeddings(ctx, prompted, "eval")
     acc_psp = accuracy(ctx, proto, split.test, TUNE["tau"])
     return dict(g=g, ctx=ctx, seed=seed, split=split, acc_np=acc_np, acc_psp=acc_psp,
@@ -82,15 +83,23 @@ def _pipeline(seed: int, homophily: float):
 
 
 @pytest.fixture(scope="session")
-def homophilous_runs():
+def desk_runs():
+    """Both homophilies' runs, by h, and the time of the one `fork_map` that runs
+    all 10 pipelines: two maps of 5 would leave a core idle on the odd one."""
     start = time.perf_counter()
-    runs = [_pipeline(seed, 0.8) for seed in SEEDS]
-    return runs, time.perf_counter() - start
+    runs = list(fork_map(lambda job: _pipeline(*job), [(seed, h) for h in (0.8, 0.2) for seed in SEEDS]))
+    return {0.8: runs[:len(SEEDS)], 0.2: runs[len(SEEDS):]}, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def heterophilous_runs():
-    return [_pipeline(seed, 0.2) for seed in SEEDS]
+def homophilous_runs(desk_runs):
+    runs, elapsed = desk_runs
+    return runs[0.8], elapsed
+
+
+@pytest.fixture(scope="session")
+def heterophilous_runs(desk_runs):
+    return desk_runs[0][0.2]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def test_criterion_7_edge_ratio_robustness(homophilous_runs):
         n, n_t = g.n_nodes, split.train.indices.size
         for ratio in ratios:
             cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
-            prompted, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
+            prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
             trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
             expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
             if trainable != expected:
@@ -344,7 +353,7 @@ def test_criterion_9_cora_band():
         params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
         ctx = task_context(g, params, "node")
-        prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
+        prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
         proto = prototype_embeddings(ctx, prompted, "eval")
         accs.append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     mean_acc = float(np.mean(accs))

@@ -181,10 +181,9 @@ def test_tune_edge_ratio_zero_limits_nonzero_rows(pipeline, tmp_path, capsys):
     assert len(nonzero_rows) == split.train.indices.size
 
 
-def test_graph_task_pipeline_over_tu_layout(tmp_path, capsys):
-    tu = tmp_path / "tu"
+def _write_two_class_tu(tu) -> None:
+    """8 three-node graphs under the prefix TG: paths (class 1) and triangles (class -1)."""
     tu.mkdir()
-    rng = np.random.default_rng(0)
     edges, indicator, labels = [], [], []
     node = 1
     for gid in range(1, 9):
@@ -203,6 +202,10 @@ def test_graph_task_pipeline_over_tu_layout(tmp_path, capsys):
     (tu / "TG_graph_indicator.txt").write_text("".join(f"{g}\n" for g in indicator))
     (tu / "TG_graph_labels.txt").write_text("".join(f"{v}\n" for v in labels))
 
+
+def test_graph_task_pipeline_over_tu_layout(tmp_path, capsys):
+    tu = tmp_path / "tu"
+    _write_two_class_tu(tu)
     ckpt, tuned = tmp_path / "g.ckpt", tmp_path / "gt.ckpt"
     assert run(["pretrain", "--data", str(tu), "--tu-name", "TG", "--task", "graph",
                 "--out", str(ckpt), "--epochs", "6", "--hidden-dim", "8", "--seed", "0"]) == 0
@@ -235,7 +238,7 @@ def test_sweep_selects_on_validation(pipeline, capsys):
     assert captured.err.count("grid\t") == 2
 
 
-def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch):
+def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch, one_cpu):
     import psp.cli
 
     calls = []
@@ -271,7 +274,7 @@ def _count_calls(monkeypatch, names, modules):
     return counts
 
 
-def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
+def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch, two_cpus):
     import psp.cli
     import psp.prompt
 
@@ -282,6 +285,58 @@ def test_sweep_builds_the_frozen_views_once(pipeline, capsys, monkeypatch):
                 "--dropout-grid", "0.2", "--seeds", "1,2", "--epochs", "4",
                 "--k-shot", "3", "--val-shots", "3"]) == 0
     assert counts == {"mlp_forward": 1, "gcn_normalize": 1}
+
+
+@pytest.fixture(scope="module")
+def tu_model(tmp_path_factory):
+    """The two-class TU batch and encoders pre-trained on it for the graph task."""
+    root = tmp_path_factory.mktemp("tu")
+    _write_two_class_tu(root / "tu")
+    assert run(["pretrain", "--data", str(root / "tu"), "--tu-name", "TG", "--task", "graph",
+                "--out", str(root / "g.ckpt"), "--epochs", "6", "--hidden-dim", "8", "--seed", "0"]) == 0
+    return root / "tu", root / "g.ckpt"
+
+
+def _sweep_at_each_cpu_count(argv, monkeypatch, capsys) -> dict:
+    """Exit code, stdout and stderr of `argv` with one and with two allowed CPUs."""
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        code = run(argv)
+        captured = capsys.readouterr()
+        outputs[cpus] = (code, captured.out, captured.err)
+        with pytest.raises(ChildProcessError):  # no worker is left, zombie or not
+            os.waitpid(-1, os.WNOHANG)
+    return outputs
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_sweep_prints_the_same_at_one_and_two_cpus(pipeline, tu_model, monkeypatch, capsys, task):
+    if task == "node":
+        _, data, ckpt, _ = pipeline
+        flags = ["--k-shot", "3", "--val-shots", "3"]
+    else:
+        data, ckpt = tu_model
+        flags = ["--tu-name", "TG", "--task", "graph", "--k-shot", "1", "--val-shots", "1"]
+    outputs = _sweep_at_each_cpu_count(
+        ["sweep", "--data", str(data), "--ckpt", str(ckpt), *flags, "--lr-grid", "0.001,0.1",
+         "--weight-decay-grid", "0.0001", "--dropout-grid", "0.0,0.5", "--seeds", "1,2,3",
+         "--epochs", "5"], monkeypatch, capsys)
+    assert outputs[1] == outputs[2]
+    code, out, err = outputs[2]
+    assert code == 0 and out.startswith("selected\t") and err.count("grid\t") == 4
+
+
+def test_sweep_reports_an_error_in_a_worker_as_one_cpu_does(pipeline, monkeypatch, capsys):
+    _, data, ckpt, _ = pipeline
+    outputs = _sweep_at_each_cpu_count(
+        ["sweep", "--data", str(data), "--ckpt", str(ckpt), "--lr-grid", "0.01",
+         "--weight-decay-grid", "0.0001", "--dropout-grid", "0.2", "--seeds", "1,2",
+         "--epochs", "3", "--k-shot", "3", "--val-shots", "3", "--tau", "1e-308"], monkeypatch, capsys)
+    assert outputs[1] == outputs[2]
+    code, out, err = outputs[2]
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[1:] == ["error: adam_step: a moment of parameter prompt_weights is non-finite"]
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", ","), ("--seeds", "1,x"),
@@ -403,7 +458,7 @@ def test_scoring_an_empty_test_split_is_a_runtime_error(no_test_items, capsys, c
 
 
 def test_sweep_refuses_an_empty_test_split_before_its_first_fit(no_test_items, capsys,
-                                                                 monkeypatch):
+                                                                 monkeypatch, one_cpu):
     import psp.cli
 
     counts = _count_calls(monkeypatch, ["prompt_tune"], (psp.cli,))
@@ -577,7 +632,7 @@ def test_synth_refuses_noise_that_overflows_the_features(tmp_path, capsys):
     ("--lr-grid", "0.01,0.05", "error: lr must come from (0.0001, 0.001, 0.01, 0.1), got 0.05"),
 ], ids=["dropout", "lr"])
 def test_sweep_refuses_a_bad_grid_point_before_the_first_fit(pipeline, capsys, monkeypatch,
-                                                              flag, value, message):
+                                                              one_cpu, flag, value, message):
     import psp.cli
 
     counts = _count_calls(monkeypatch, ["prompt_tune"], (psp.cli,))

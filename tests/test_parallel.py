@@ -3,9 +3,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from psp.parallel import fork_map
+from psp.parallel import blas_threads, fork_map
 
 
 def pid_and_square(x):
@@ -27,15 +28,14 @@ def refuse_fork():
     raise AssertionError("a process was started")
 
 
+def pids_of_a_nested_map(x):
+    return os.getpid(), [pid for pid, _ in fork_map(pid_and_square, range(3))]
+
+
 def exit_on_three(x):
     if x == 3:
         os._exit(1)
     return x
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def test_two_workers_return_results_in_item_order(two_cpus):
@@ -75,6 +75,30 @@ def test_runs_inline_without_a_second_worker(monkeypatch, setting):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(os, "fork", refuse_fork)
     assert list(fork_map(pid_and_square, items)) == [(os.getpid(), x * x) for x in items]
+
+
+def test_a_nested_call_runs_inline_in_its_worker(two_cpus):
+    results = list(fork_map(pids_of_a_nested_map, range(2)))
+    assert len({pid for pid, _ in results} | {os.getpid()}) == 3
+    for pid, nested in results:
+        assert nested == [pid] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+def test_every_item_runs_with_one_blas_thread(monkeypatch, cpus):
+    before = blas_threads()
+    if before is None:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        # numpy's own OpenBLAS build must be found: a renamed symbol fails here
+        assert blas != "scipy-openblas", "numpy links scipy-openblas, but its thread count was not found"
+        pytest.skip(f"no BLAS thread count to read from {blas}")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    blas_threads(2)  # so that a missing cap shows even on one core
+    try:
+        assert list(fork_map(lambda _: blas_threads(), range(4))) == [1] * 4
+        assert blas_threads() == 2  # restored once the map ends
+    finally:
+        blas_threads(before)
 
 
 def test_runs_inline_where_fork_is_unavailable(two_cpus, monkeypatch):

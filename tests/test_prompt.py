@@ -596,7 +596,7 @@ def test_graph_task_weight_rows_per_graph():
     params = frozen_params(4)
     labeled = LabeledSet([0, 1], [0, 1])
     cfg = PromptConfig(epochs=2, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0, dropout=0.0)
-    prompted, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
+    prompted, _, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
     assert prompted.weight_rows.rows == g.n_graphs  # one row per graph, not per node
 
 
@@ -608,7 +608,7 @@ def test_tuned_prompt_survives_a_checkpoint_round_trip(task, tmp_path):
     params = frozen_params(4)
     ctx = task_context(g, params, task)
     cfg = PromptConfig(epochs=3, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=1, edge_ratio=0.5)
-    tuned, _ = prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), cfg)
+    tuned, _, _ = prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), cfg)
     assert tuned.task == task
     save_checkpoint(tmp_path / "bundle.ckpt", Checkpoint(tau=0.5, seed=1, params=params,
                                                          prompt=tuned))
@@ -637,7 +637,7 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
     g, params, split, labeled, _ = sbm_setup
     cfg = PromptConfig(epochs=0, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=0,
                        edge_ratio=0.1)
-    prompted, losses = prompt_tune(task_context(g, params, "node"), labeled, cfg)
+    prompted, losses, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     assert losses == []
     struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     w0 = init_edge_weights(struct, labeled, 3)
@@ -649,10 +649,10 @@ def test_tune_improves_training_accuracy(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    before, _ = prompt_tune(ctx, labeled, cfg0)
+    before, _, _ = prompt_tune(ctx, labeled, cfg0)
     acc_before = accuracy(ctx, prototype_embeddings(ctx, before, "eval"), labeled, 0.5)
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    after, _ = prompt_tune(ctx, labeled, cfg)
+    after, _, _ = prompt_tune(ctx, labeled, cfg)
     acc_after = accuracy(ctx, prototype_embeddings(ctx, after, "eval"), labeled, 0.5)
     assert acc_after >= acc_before
 
@@ -661,7 +661,7 @@ def test_tune_masked_rows_stay_zero(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = PromptConfig(epochs=25, lr=1e-2, weight_decay=1e-3, tau=0.5, seed=0,
                        edge_ratio=0.05)
-    prompted, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
+    prompted, _, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     frozen_rows = prompted.weight_rows.data[~prompted.trainable_row_mask]
     assert np.array_equal(frozen_rows, np.zeros_like(frozen_rows))
 
@@ -678,8 +678,8 @@ def test_tune_is_seed_deterministic(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = dict(epochs=10, lr=1e-2, weight_decay=1e-4, tau=0.5, dropout=0.3)
     ctx = task_context(g, params, "node")
-    a, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
-    b, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
+    a, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
+    b, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
     assert np.array_equal(a.weight_rows.data, b.weight_rows.data)
 
 
@@ -721,11 +721,16 @@ def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, e
         return accs[-1]
 
     monkeypatch.setattr(psp.prompt, "accuracy", recorded_accuracy)
-    prompted, losses = prompt_tune(ctx, labeled, cfg, val)
+    prompted, losses, kept = prompt_tune(ctx, labeled, cfg, val)
     assert len(losses) == len(want_losses)
     np.testing.assert_allclose(losses, want_losses, rtol=0, atol=1e-12)
     assert accs == want_accs
     assert (int(np.argmax(accs)) - 1 if accs else -1) == want_best
     np.testing.assert_allclose(prompted.weight_rows.data, want_w, rtol=0, atol=1e-12)
+    if val is None:
+        assert kept is None
+    else:  # the kept weights' read-out is the one a separate eval pass forms, bit for bit
+        assert kept[0] == max(accs)
+        np.testing.assert_array_equal(kept[1].data, prototype_embeddings(ctx, prompted, "eval").data)
     if patience == 3:
         assert len(losses) < epochs  # the patience stop acted
