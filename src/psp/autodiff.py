@@ -52,6 +52,11 @@ class Tensor:
         out.node_id = next(_node_ids)
         return out
 
+    def __setstate__(self, state) -> None:
+        """Unpickle under a fresh id: one drawn in another process may be in use here."""
+        for slot, value in {**state[1], "node_id": next(_node_ids)}.items():
+            setattr(self, slot, value)
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]

@@ -366,23 +366,28 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
     sizes[: n % n_classes] += 1
     labels = np.repeat(np.arange(n_classes), sizes)
-    members = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    starts, sizes = (np.cumsum(sizes) - sizes).tolist(), sizes.tolist()  # classes are runs of ids
+
+    def pair(pop: int) -> tuple[int, int]:
+        """`rng.choice(pop, 2, replace=False)` from the same draws: Floyd's algorithm, then a one-swap shuffle."""
+        a, b = int(rng.integers(pop - 1)), int(rng.integers(pop))
+        b = pop - 1 if b == a else b
+        return (b, a) if rng.integers(2) == 0 else (a, b)
 
     edges = []
     for _ in range(n_edges):
         if rng.random() < homophily:
             cls = int(rng.integers(n_classes))
-            while members[cls].size < 2:
+            while sizes[cls] < 2:
                 cls = int(rng.integers(n_classes))
-            pair = rng.choice(members[cls], size=2, replace=False)
-            edges.append((int(pair[0]), int(pair[1])))
+            a, b = pair(sizes[cls])
+            edges.append((starts[cls] + a, starts[cls] + b))
         else:
-            c1, c2 = rng.choice(n_classes, size=2, replace=False)
-            edges.append((int(rng.choice(members[c1])), int(rng.choice(members[c2]))))
+            c1, c2 = pair(n_classes)
+            edges.append((starts[c1] + int(rng.integers(sizes[c1])), starts[c2] + int(rng.integers(sizes[c2]))))
 
-    means = np.eye(n_classes, feat_dim)
     with np.errstate(over="ignore"):
-        features = means[labels] + noise * rng.standard_normal((n, feat_dim))
+        features = np.eye(n_classes, feat_dim)[labels] + noise * rng.standard_normal((n, feat_dim))
     if not np.isfinite(features).all():
         raise ParameterError(f"noise must keep the features finite, got {noise}")
     return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)

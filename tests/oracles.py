@@ -21,6 +21,8 @@ Parity oracles, one per fast path in `src`:
   the normalized (N+C) x (N+C) prompted-graph matrix as a dense array.
 - `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
   it replaced.
+- `choice_sbm_edges` checks `psp.data.generate_sbm`'s edge loop: the loop
+  it replaced, which drew each edge with `Generator.choice`.
 - `full_graph_prototypes` checks `psp.prompt.prompted_layer`: the GNN over
   all N+C rows of the prompted graph, built from tape ops, then its
   prototype rows.
@@ -209,6 +211,28 @@ def set_loop_build_csr(n, edges):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.add.at(offsets, src + 1, 1)
     return np.cumsum(offsets), dst
+
+
+def choice_sbm_edges(n, n_classes, homophily, avg_deg, seed):
+    """`generate_sbm`'s edges as drawn by `Generator.choice`, and the generator
+    as that loop leaves it, for the features drawn next."""
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])
+    sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
+    sizes[: n % n_classes] += 1
+    labels = np.repeat(np.arange(n_classes), sizes)
+    members = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    edges = []
+    for _ in range(int(round(n * avg_deg / 2.0))):
+        if rng.random() < homophily:
+            cls = int(rng.integers(n_classes))
+            while members[cls].size < 2:
+                cls = int(rng.integers(n_classes))
+            pair = rng.choice(members[cls], size=2, replace=False)
+            edges.append((int(pair[0]), int(pair[1])))
+        else:
+            c1, c2 = rng.choice(n_classes, size=2, replace=False)
+            edges.append((int(rng.choice(members[c1])), int(rng.choice(members[c2]))))
+    return edges, rng
 
 
 def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):

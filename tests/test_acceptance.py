@@ -284,24 +284,26 @@ def test_criterion_6_weight_concentration(homophilous_runs):
             f"{100 * fraction:.1f}% of training rows peak at their true class after tuning")
 
 
+def _edge_ratio_tune(run_state, ratio):
+    """Tune one homophilous run at one edge ratio: (test accuracy, whether the
+    trainable parameter count is exactly the ratio's)."""
+    g, ctx, split = run_state["g"], run_state["ctx"], run_state["split"]
+    n, n_t = g.n_nodes, split.train.indices.size
+    cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
+    prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
+    trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
+    expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
+    proto = prototype_embeddings(ctx, prompted, "eval")
+    return accuracy(ctx, proto, split.test, TUNE["tau"]), trainable == expected
+
+
 def test_criterion_7_edge_ratio_robustness(homophilous_runs):
     runs, _ = homophilous_runs
     ratios = (0.0, 0.01, 0.1, 1.0)
-    accs = {r: [] for r in ratios}
-    counts_exact = True
-    for run_state in runs:
-        g, ctx = run_state["g"], run_state["ctx"]
-        split = run_state["split"]
-        n, n_t = g.n_nodes, split.train.indices.size
-        for ratio in ratios:
-            cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
-            prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
-            trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
-            expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
-            if trainable != expected:
-                counts_exact = False
-            proto = prototype_embeddings(ctx, prompted, "eval")
-            accs[ratio].append(accuracy(ctx, proto, split.test, TUNE["tau"]))
+    jobs = [(run_state, ratio) for run_state in runs for ratio in ratios]
+    results = list(fork_map(lambda job: _edge_ratio_tune(*job), jobs))
+    counts_exact = all(exact for _, exact in results)
+    accs = {r: [acc for (acc, _), (_, ratio) in zip(results, jobs) if ratio == r] for r in ratios}
     means = {r: float(np.mean(v)) for r, v in accs.items()}
     gap = abs(means[0.0] - means[1.0])
     ok = counts_exact and gap <= 0.10

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -575,6 +576,23 @@ def test_synth_reports_the_realized_mean_degree(tmp_path, capsys):
     g = load_node_dataset(out)
     assert reported == pytest.approx(g.adjacency.nnz / g.n_nodes, abs=5e-4)
     assert reported < 10  # repeated draws were dropped
+
+
+@pytest.mark.parametrize("flags,digests", [
+    (["--n", "300", "--seed", "3"],
+     {"edges.tsv": "b415fb3fbc19ed1ddf184cc8dc8f13ce53e9824eaec135f6772b7bfdd67e81f0",
+      "features.tsv": "a7e7479814485d380f24b65fa9b8af8d037bb30cdc6b31332475509607bacbda",
+      "labels.tsv": "77b6a0208757a1a94e406ca6d5ebfb8efa154134852f72412e9c61af04ce7193"}),
+    (["--n", "301", "--classes", "4", "--h", "0.2", "--seed", "5"],
+     {"edges.tsv": "896fa4b4ad08d4766b86487b424991026a7b2a554a9e36437668f835dbec4941",
+      "features.tsv": "876a118af9a10506b67ea0e4e37bfe8e13c954ee04209f2a654c976cb1d48cf8",
+      "labels.tsv": "11e66ee174d0f57ec5d16b81397d86ac4bf306905a5f332aa70d63ba3041afb5"}),
+], ids=["n300-h0.8", "n301-c4-h0.2"])
+def test_synth_writes_the_recorded_bytes(tmp_path, flags, digests):
+    """Digests of what `synth` wrote when it drew edges with `Generator.choice`."""
+    out = tmp_path / "data"
+    assert run(["synth", *flags, "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 @pytest.mark.parametrize("flags,message", [

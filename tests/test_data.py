@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -32,9 +32,9 @@ from psp.data import (
 )
 from psp.encoders import init_encoder_params, parameters
 from psp.errors import DataError, FormatError, ParameterError, PspError
-from psp.graph import PromptedGraph, class_count
+from psp.graph import PromptedGraph, build_csr, class_count
 
-from oracles import intra_class_edge_fraction
+from oracles import choice_sbm_edges, intra_class_edge_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +516,34 @@ def test_sbm_intra_fraction_within_three_sigma():
         n_edges = g.adjacency.nnz // 2
         sigma = np.sqrt(h * (1 - h) / n_edges)
         assert abs(intra_class_edge_fraction(g) - h) <= 3 * sigma + 0.01
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(n=st.integers(1, 60), n_classes=st.integers(1, 6),
+       homophily=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       avg_deg=st.integers(0, 48).map(lambda k: k / 4), seed=st.integers(0, 2 ** 64 - 1))
+@example(n=4, n_classes=3, homophily=0.5, avg_deg=3.0, seed=1)  # two classes of one member
+@example(n=6, n_classes=6, homophily=0.0, avg_deg=5.0, seed=2)  # only inter-class pairs
+@example(n=30, n_classes=2, homophily=0.0, avg_deg=8.0, seed=3)  # the class pair is (0, 1) or (1, 0)
+@example(n=9, n_classes=3, homophily=0.5, avg_deg=0.0, seed=4)  # no edges
+@example(n=3, n_classes=3, homophily=0.5, avg_deg=2.0, seed=5)  # refused: no intra pair exists
+def test_sbm_draws_the_edges_and_features_of_the_choice_loop(n, n_classes, homophily, avg_deg, seed):
+    feat_dim, noise = 6, 0.5
+    has_edges = round(n * avg_deg / 2.0) > 0
+    if (n < n_classes or avg_deg > n - 1
+            or has_edges and homophily > 0 and n == n_classes
+            or has_edges and homophily < 1 and n_classes == 1):
+        with pytest.raises(ParameterError):
+            generate_sbm(n, n_classes, homophily, avg_deg, feat_dim, noise, seed)
+        return
+    g = generate_sbm(n, n_classes, homophily, avg_deg, feat_dim, noise, seed)
+    edges, rng = choice_sbm_edges(n, n_classes, homophily, avg_deg, seed)
+    want = build_csr(n, edges).csr
+    np.testing.assert_array_equal(g.adjacency.csr.indptr, want.indptr)
+    np.testing.assert_array_equal(g.adjacency.csr.indices, want.indices)
+    # drawn after the edges, so equal only if both loops left the generator in one state
+    features = np.eye(n_classes, feat_dim)[g.labels] + noise * rng.standard_normal((n, feat_dim))
+    assert g.features.data.tobytes() == features.tobytes()
 
 
 def test_sbm_zero_noise_duplicates_class_rows():

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from psp.autodiff import Tensor
 from psp.parallel import blas_threads, fork_map
 
 
@@ -30,6 +31,10 @@ def refuse_fork():
 
 def pids_of_a_nested_map(x):
     return os.getpid(), [pid for pid, _ in fork_map(pid_and_square, range(3))]
+
+
+def named_tensor(x):
+    return Tensor([[x]], requires_grad=True, name=f"t{x}")
 
 
 def exit_on_three(x):
@@ -99,6 +104,15 @@ def test_every_item_runs_with_one_blas_thread(monkeypatch, cpus):
         assert blas_threads() == 2  # restored once the map ends
     finally:
         blas_threads(before)
+
+
+def test_tensors_from_workers_get_fresh_node_ids(two_cpus):
+    returned = list(fork_map(named_tensor, range(2)))
+    made_here = [named_tensor(x) for x in range(2)]
+    ids = [t.node_id for t in returned + made_here]
+    assert len(set(ids)) == 4, ids
+    assert [(t.item(), t.grad, t.requires_grad, t.name) for t in returned] == [
+        (0.0, None, True, "t0"), (1.0, None, True, "t1")]
 
 
 def test_runs_inline_where_fork_is_unavailable(two_cpus, monkeypatch):
