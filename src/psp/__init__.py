@@ -8,10 +8,8 @@ from .autodiff import (
     adam_step,
     add,
     backward,
-    dropout,
     masked_infonce,
     matmul,
-    relu,
     spmm,
 )
 from .data import (

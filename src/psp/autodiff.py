@@ -237,11 +237,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                             _reduce(g * a_in, rb) if need_b else None))
 
 
-def relu(a: Tensor) -> Tensor:
-    gate = a.data > 0  # subgradient 0 at the kink
-    return _emit("relu", (a,), a.data * gate, lambda g: (g * gate,))
-
-
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
     return _emit("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
@@ -281,14 +276,6 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int,
         tape.dropout_calls += 1
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, ordinal])
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
-    """Inverted dropout with a `dropout_mask`; identity in evaluation mode."""
-    factor = dropout_mask(x.shape, p, seed, training)
-    if factor is None:
-        return x
-    return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

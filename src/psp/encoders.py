@@ -2,6 +2,8 @@
 
 Both are two layers deep, end at the same output dimension, and are frozen
 after pre-training. The GNN propagates over a normalized CSR adjacency.
+Each view is one recorded op (`_two_layer`) that keeps only its input and
+its hidden layer for the backward sweep.
 """
 
 from __future__ import annotations
@@ -10,17 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    CsrMatrix,
-    Tensor,
-    add,
-    derive_seed,
-    dropout,
-    matmul,
-    relu,
-    spmm,
-)
-from .errors import ParameterError
+from .autodiff import CsrMatrix, Tensor, _emit, derive_seed, dropout_mask
+from .errors import DimensionError, ParameterError
 
 
 @dataclass
@@ -73,21 +66,58 @@ def _check_mode(mode: str) -> bool:
     return mode == "train"
 
 
+def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
+               seed: int, dropout_rate: float) -> Tensor:
+    """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op.
+
+    prop is the product with `a_norm`, or the identity when it is None. The
+    VJP keeps x and the hidden layer h after dropout: relu's gate (0 at the
+    kink) and dropout's keep-mask are both h > 0, and every kept entry
+    carries the one scale of `dropout_mask`.
+    """
+    (w1, b1), (w2, b2) = layers
+    if x.cols != w1.rows or (a_norm is not None and a_norm.cols != x.rows):
+        raise DimensionError(f"encoder: input {x.shape} does not fit W1 {w1.shape}"
+                             + ("" if a_norm is None else f" and adjacency {a_norm.csr.shape}"))
+    prop = (lambda m: m) if a_norm is None else (lambda m: a_norm.csr @ m)
+    back = (lambda g: g) if a_norm is None else (lambda g: a_norm.csr.T @ g)
+    h = prop(x.data @ w1.data)
+    h += b1.data
+    h *= h > 0
+    factor, scale = dropout_mask(h.shape, dropout_rate, seed, training), None
+    if factor is not None:
+        h *= factor
+        scale = factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
+        del factor
+    z = prop(h @ w2.data)
+    z += b2.data
+    x_in, w1_in, w2_in = x.data, w1.data, w2.data
+    need_x, need_w1, need_b1, need_w2, need_b2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
+
+    def vjp(g):
+        gb2 = g.sum(axis=0, keepdims=True) if need_b2 else None
+        g = back(g)
+        gh = g @ w2_in.T
+        if scale is not None:
+            gh *= scale
+        gh *= h > 0
+        gb1 = gh.sum(axis=0, keepdims=True) if need_b1 else None
+        gh = back(gh)
+        return ((gh @ w1_in.T if need_x else None), (x_in.T @ gh if need_w1 else None), gb1,
+                (h.T @ g if need_w2 else None), gb2)
+
+    return _emit("two_layer", (x, w1, b1, w2, b2), z, vjp)
+
+
 def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Attribute-only view; never reads any adjacency."""
-    training = _check_mode(mode)
-    (w1, b1), (w2, b2) = params.mlp_layers
-    h = relu(add(matmul(x, w1), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 1), training)
-    return add(matmul(h, w2), b2)
+    return _two_layer(x, params.mlp_layers, None, _check_mode(mode),
+                      derive_seed(seed, 1), dropout_rate)
 
 
 def gnn_forward(x: Tensor, a_norm: CsrMatrix, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Two propagation layers over a normalized CSR adjacency."""
-    training = _check_mode(mode)
-    (w1, b1), (w2, b2) = params.gnn_layers
-    h = relu(add(spmm(a_norm, matmul(x, w1)), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 2), training)
-    return add(spmm(a_norm, matmul(h, w2)), b2)
+    return _two_layer(x, params.gnn_layers, a_norm, _check_mode(mode),
+                      derive_seed(seed, 2), dropout_rate)

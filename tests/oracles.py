@@ -6,6 +6,8 @@ build losses from them:
 
 - `scale`, `sub`, `exp`, `log`, `total_sum`: elementwise and reduction ops
   on the `psp.autodiff` tape.
+- `relu`, `dropout`: the activation and the inverted dropout that the
+  composed encoders below are built from.
 - `select_rows`: a row gather, which expands per-graph weights to member
   nodes in `full_graph_prototypes`.
 - `cosine_sim_matrix`: the all-pairs cosine op; also the independent cosine
@@ -15,6 +17,9 @@ Parity oracles, one per fast path in `src`:
 
 - `composite_infonce` checks `psp.autodiff.masked_infonce`: the same loss
   built from tape ops, holding every m x n intermediate.
+- `composed_mlp_forward` and `composed_gnn_forward` check
+  `psp.encoders.mlp_forward` and `gnn_forward`: each encoder as the 6-8
+  generic tape ops it was recorded as before it became one op.
 - `dense_gcn_normalize` checks `psp.graph.gcn_normalize`: D^-1/2 (A+I) D^-1/2
   as a dense array.
 - `dense_prompted_normalize` checks `psp.graph.NormalizedPromptOperator`:
@@ -56,8 +61,8 @@ from psp.autodiff import (
     dropout_mask,
     matmul,
     mul,
-    relu,
     row_sum,
+    spmm,
 )
 from psp.encoders import parameters
 from psp.errors import ContractError, DataError, DimensionError, NumericError
@@ -88,6 +93,19 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     a_in = a.data
     return _emit("log", (a,), np.log(a_in), lambda g: (g / a_in,))
+
+
+def relu(a: Tensor) -> Tensor:
+    gate = a.data > 0  # subgradient 0 at the kink
+    return _emit("relu", (a,), a.data * gate, lambda g: (g * gate,))
+
+
+def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
+    """Inverted dropout with a `dropout_mask`; identity in evaluation mode."""
+    factor = dropout_mask(x.shape, p, seed, training)
+    if factor is None:
+        return x
+    return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
@@ -158,6 +176,22 @@ def composite_infonce(z1, z2, positives, tau):
     log_denom = add(log(row_sum(ex)), Tensor(shift))
     positive = row_sum(mul(logits, Tensor(onehot)))
     return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
+
+
+def composed_mlp_forward(x, params, mode="eval", seed=0, dropout_rate=0.0):
+    """`mlp_forward` as generic tape ops, with the same dropout salt."""
+    (w1, b1), (w2, b2) = params.mlp_layers
+    h = relu(add(matmul(x, w1), b1))
+    h = dropout(h, dropout_rate, derive_seed(seed, 1), mode == "train")
+    return add(matmul(h, w2), b2)
+
+
+def composed_gnn_forward(x, a_norm, params, mode="eval", seed=0, dropout_rate=0.0):
+    """`gnn_forward` as generic tape ops, with the same dropout salt."""
+    (w1, b1), (w2, b2) = params.gnn_layers
+    h = relu(add(spmm(a_norm, matmul(x, w1)), b1))
+    h = dropout(h, dropout_rate, derive_seed(seed, 2), mode == "train")
+    return add(spmm(a_norm, matmul(h, w2)), b2)
 
 
 def dense_gcn_normalize(adj_dense: np.ndarray) -> np.ndarray:

@@ -16,10 +16,8 @@ from psp.autodiff import (
     Tensor,
     absolute,
     add,
-    dropout,
     matmul,
     mul,
-    relu,
     row_sum,
     rsqrt,
     spmm,
@@ -53,7 +51,18 @@ from psp.prompt import (
     task_context,
 )
 
-from oracles import cosine_sim_matrix, exp, grad_check, log, scale, select_rows, sub, total_sum
+from oracles import (
+    cosine_sim_matrix,
+    dropout,
+    exp,
+    grad_check,
+    log,
+    relu,
+    scale,
+    select_rows,
+    sub,
+    total_sum,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK = dict(n=300, n_classes=3, avg_deg=2.5, feat_dim=64, noise=0.5)
@@ -167,6 +176,20 @@ def test_criterion_1_gradient_correctness():
 
     worst["prompt_loss_through_W"] = grad_check(through_prompt,
                                                 Tensor(rng.standard_normal((5, 2))))
+
+    # each fused encoder op in train mode, through x and through each parameter
+    enc = init_encoder_params(4, 6, seed=2)
+    a_norm = gcn_normalize(g.adjacency)
+    feats, probe = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 6)))
+    views = {"mlp": lambda x: mlp_forward(x, enc, "train", 11, 0.3),
+             "gnn": lambda x: gnn_forward(x, a_norm, enc, "train", 11, 0.3)}
+    for view, forward in views.items():
+        worst[f"two_layer_{view}_x"] = grad_check(lambda t: total_sum(mul(forward(t), probe)),
+                                                  Tensor(rng.standard_normal((5, 4))))
+        leaves = [t for layer in getattr(enc, f"{view}_layers") for t in layer]
+        for name, leaf in zip(("w1", "b1", "w2", "b2"), leaves):
+            worst[f"two_layer_{view}_{name}"] = grad_check(
+                lambda t: total_sum(mul(forward(feats), probe)), leaf)
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     _report("criterion-1", not bad and elapsed < 30.0,

@@ -18,25 +18,26 @@ from psp.autodiff import (
     add,
     backward,
     check_tau,
-    dropout,
     masked_infonce,
     matmul,
     mul,
-    relu,
     row_sum,
     rsqrt,
     spmm,
     transpose,
 )
+from psp.encoders import gnn_forward, init_encoder_params, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
-from psp.graph import build_csr
+from psp.graph import build_csr, gcn_normalize
 
 from oracles import (
     composite_infonce,
     cosine_sim_matrix,
+    dropout,
     exp,
     grad_check,
     log,
+    relu,
     scale,
     select_rows,
     sub,
@@ -446,6 +447,16 @@ def _op_cases():
         "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, True)), m43),
         "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
     }
+    # the fused encoder op in train mode, through x and through each parameter (perturbed in place)
+    enc, a_norm = init_encoder_params(3, 4, seed=5), gcn_normalize(csr)
+    views = {"mlp": lambda x: mlp_forward(x, enc, "train", 11, 0.3),
+             "gnn": lambda x: gnn_forward(x, a_norm, enc, "train", 11, 0.3)}
+    for view, forward in views.items():
+        cases[f"two_layer_{view}_x"] = (lambda t, f=forward: total_sum(mul(f(t), probe44)), m43)
+        leaves = [t for layer in getattr(enc, f"{view}_layers") for t in layer]
+        for name, leaf in zip(("w1", "b1", "w2", "b2"), leaves):
+            cases[f"two_layer_{view}_{name}"] = (
+                lambda t, f=forward: total_sum(mul(f(probe43), probe44)), leaf)
     return cases
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psp.autodiff import Tape, Tensor, backward
+from psp.autodiff import Tape, Tensor, backward, mul
 from psp.encoders import (
     EncoderParams,
     freeze,
@@ -10,10 +12,10 @@ from psp.encoders import (
     mlp_forward,
     parameters,
 )
-from psp.errors import ParameterError
+from psp.errors import DimensionError, ParameterError
 from psp.graph import build_csr, gcn_normalize
 
-from oracles import params_checksum, total_sum
+from oracles import composed_gnn_forward, composed_mlp_forward, params_checksum, total_sum
 
 
 def make_params(n_features=4, hidden=6, seed=0):
@@ -152,3 +154,61 @@ def test_encoder_params_dataclass_shape():
     assert len(p.mlp_layers) == 2 and len(p.gnn_layers) == 2
     assert p.mlp_layers[0][0].shape == (4, 6)
     assert p.gnn_layers[1][0].shape == (6, 6)
+
+
+def test_forward_rejects_mismatched_inputs():
+    p = make_params(n_features=4)
+    with pytest.raises(DimensionError):
+        mlp_forward(Tensor(np.zeros((3, 5))), p)
+    with pytest.raises(DimensionError):
+        gnn_forward(Tensor(np.zeros((3, 4))), gcn_normalize(build_csr(4, [])), p)
+
+
+# ---------------------------------------------------------------------------
+# the fused encoder op against the composed tape ops it replaced
+
+
+def _output_and_grads(forward, view, x, params, needs, probe, *args):
+    """Output of `forward` and the gradient of sum(out * probe) into x and the
+    view's four parameters (None where an input does not require grad)."""
+    leaves = [x] + [t for layer in getattr(params, f"{view}_layers") for t in layer]
+    for leaf, need in zip(leaves, needs):
+        leaf.requires_grad, leaf.grad = need, None
+    with Tape() as tape:
+        out = forward(x, *args)
+        loss = total_sum(mul(out, probe))
+    backward(tape, loss)
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(2, 40), hidden=st.integers(1, 8), n_features=st.integers(1, 6),
+       rate=st.sampled_from([0.0, 0.2, 0.5, 0.9]), mode=st.sampled_from(["train", "eval"]),
+       needs=st.tuples(*[st.booleans()] * 5), seed=st.integers(0, 2**32 - 1))
+def test_fused_encoders_match_composed_oracles_bitwise(n, hidden, n_features, rate, mode, needs,
+                                                       seed):
+    """Output and every gradient, to the bit, on drawn sizes, dropout, modes and
+    requires_grad flags, over a graph whose last node is isolated and with
+    pre-activations of exactly 0 (zero feature rows and a zero W1 column)."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, n_features))
+    features[rng.random(n) < 0.3] = 0.0
+    a_norm = gcn_normalize(build_csr(n, rng.integers(0, n - 1, size=(rng.integers(0, 2 * n), 2))))
+    probe = Tensor(rng.standard_normal((n, hidden)))
+    params = make_params(n_features, hidden, seed)
+    for t in parameters(params):
+        t.data[:] = rng.standard_normal(t.shape)
+    for w1, b1 in (params.mlp_layers[0], params.gnn_layers[0]):
+        dead = rng.integers(hidden)
+        w1.data[:, dead] = 0.0
+        b1.data[0, dead] = 0.0
+    cases = (("mlp", mlp_forward, composed_mlp_forward, ()),
+             ("gnn", gnn_forward, composed_gnn_forward, (a_norm,)))
+    for view, fused, composed, graph in cases:
+        got, want = (_output_and_grads(forward, view, Tensor(features), params, needs, probe,
+                                       *graph, params, mode, seed, rate)
+                     for forward in (fused, composed))
+        assert got[0].tobytes() == want[0].tobytes(), view
+        for name, g, w in zip(("x", "w1", "b1", "w2", "b2"), got[1], want[1]):
+            assert (g is None) == (w is None) and (g is None or g.tobytes() == w.tobytes()), \
+                f"{view} d{name}"

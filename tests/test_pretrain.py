@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,21 @@ def test_pretrain_aborts_on_non_finite():
     g.features.data[0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="epoch 0"):
         pretrain(g, PretrainConfig(epochs=3, hidden_dim=8, seed=0))
+
+
+def test_pretrain_epoch_peak_stays_near_the_arrays_it_needs():
+    """One full-batch epoch at N=2000, hidden 128. Each encoder keeps only its
+    hidden layer and output for the backward sweep (about 12.4 N x h float64
+    arrays at peak); as 6-8 generic tape ops per encoder it held 24.7."""
+    n, hidden = 2000, 128
+    g = generate_sbm(n, 3, 0.8, 2.5, 64, 0.5, seed=0)
+    tracemalloc.start()
+    try:
+        pretrain(g, PretrainConfig(epochs=1, hidden_dim=hidden))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * hidden * 8) < 16, f"peak {peak / (n * hidden * 8):.1f} N x h arrays"
 
 
 def test_pretrain_rejects_single_node():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tape, Tensor, backward, mul
+from psp import encoders
+from psp.autodiff import Tape, Tensor, backward, derive_seed, mul
 from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import (
     freeze,
@@ -477,6 +478,45 @@ def test_training_forward_records_one_op_and_draws_one_dropout_mask(task):
     assert [rec.op for rec in tape.records] == ["prompted_layer"]
     # one mask over the N+C rows
     assert tape.dropout_calls == 1
+
+
+def test_each_encoder_training_forward_records_one_op_and_draws_its_dropout_ordinal(monkeypatch):
+    p = init_encoder_params(4, 6, seed=0)
+    x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+    a = gcn_normalize(build_csr(5, [(0, 1), (1, 2)]))
+    draws = []
+
+    def spy(shape, rate, seed, training):
+        draws.append((seed, tape.dropout_calls))
+        return mask(shape, rate, seed, training)
+
+    mask = encoders.dropout_mask
+    monkeypatch.setattr(encoders, "dropout_mask", spy)
+    with Tape() as tape:
+        mlp_forward(x, p, "train", 7, 0.2)
+        assert [rec.op for rec in tape.records] == ["two_layer"]
+        gnn_forward(x, a, p, "train", 7, 0.2)
+        assert [rec.op for rec in tape.records] == ["two_layer"] * 2
+    # (seed, ordinal): the MLP draws first, as in pre-training
+    assert draws == [(derive_seed(7, 1), 0), (derive_seed(7, 2), 1)]
+    assert tape.dropout_calls == 2
+
+
+def test_encoder_eval_forward_draws_no_mask_and_frozen_encoders_record_nothing():
+    x = Tensor(np.random.default_rng(8).standard_normal((5, 4)))
+    a = gcn_normalize(build_csr(5, [(0, 1), (3, 4)]))
+    p = init_encoder_params(4, 6, seed=0)
+    with Tape() as tape:
+        mlp_forward(x, p, "eval", 7, 0.5)
+        gnn_forward(x, a, p, "eval", 7, 0.5)
+    assert tape.dropout_calls == 0
+    assert [rec.op for rec in tape.records] == ["two_layer"] * 2  # p still requires grad
+    freeze(p)
+    with Tape() as tape:
+        for mode in ("eval", "train"):
+            mlp_forward(x, p, mode, 7, 0.5)
+            gnn_forward(x, a, p, mode, 7, 0.5)
+    assert not tape.records
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
