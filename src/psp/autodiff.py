@@ -7,7 +7,6 @@ requires gradients, so forward passes through frozen models run tape-free.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -18,14 +17,13 @@ from .errors import ContractError, DataError, DimensionError, NumericError, Para
 
 DEGREE_FLOOR = 1e-12
 
-_node_ids = itertools.count()
 _TAPE_STACK: list["Tape"] = []
 
 
 class Tensor:
     """Dense float64 matrix participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.array(data, dtype=np.float64)
@@ -39,7 +37,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self.node_id = next(_node_ids)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -49,13 +46,7 @@ class Tensor:
         out.grad = None
         out.requires_grad = requires_grad
         out.name = None
-        out.node_id = next(_node_ids)
         return out
-
-    def __setstate__(self, state) -> None:
-        """Unpickle under a fresh id: one drawn in another process may be in use here."""
-        for slot, value in {**state[1], "node_id": next(_node_ids)}.items():
-            setattr(self, slot, value)
 
     @property
     def rows(self) -> int:
@@ -132,7 +123,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self.dropout_calls = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -144,14 +134,9 @@ class Tape:
             raise ContractError("tape stack corrupted: exited a tape that was not innermost")
 
 
-def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _recording_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
     """The innermost active tape while any of `inputs` requires grad, else None."""
-    tape = active_tape()
-    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+    return _TAPE_STACK[-1] if _TAPE_STACK and any(t.requires_grad for t in inputs) else None
 
 
 def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp) -> Tensor:
@@ -256,25 +241,19 @@ def row_sum(a: Tensor) -> Tensor:
                  lambda g: (g * np.ones((1, cols)),))
 
 
-def dropout_mask(shape: tuple[int, int], p: float, seed: int,
+def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
                  training: bool) -> Optional[np.ndarray]:
     """The inverted-dropout factor array for `shape`, or None when dropout is off.
 
-    The mask depends only on (seed, call ordinal), where the ordinal counts
-    masks drawn under the innermost active tape. Fresh tapes therefore
-    replay identical masks for identical seeds.
+    The mask depends only on (seed, stream): each call site names its own
+    stream, so a mask does not depend on what ran before it, on a tape or off.
     """
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return None
-    tape = active_tape()
-    ordinal = 0
-    if tape is not None:
-        ordinal = tape.dropout_calls
-        tape.dropout_calls += 1
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, ordinal])
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, stream])
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
@@ -389,18 +368,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
-    flows: dict[int, tuple[Tensor, np.ndarray]] = {loss.node_id: (loss, np.ones((1, 1)))}
+    # keyed by the tensors themselves: the tape keeps each one alive, so no two share an id
+    flows: dict[Tensor, np.ndarray] = {loss: np.ones((1, 1))}
     for rec in reversed(tape.records):
-        flow = flows.pop(rec.out.node_id, None)
+        flow = flows.pop(rec.out, None)
         if flow is None:
             continue
-        for t, g in zip(rec.inputs, rec.vjp(flow[1])):
-            if g is None:
-                continue
-            acc = flows.get(t.node_id)
-            flows[t.node_id] = (t, g if acc is None else acc[1] + g)
+        for t, g in zip(rec.inputs, rec.vjp(flow)):
+            if g is not None:
+                flows[t] = g if t not in flows else flows[t] + g
     leaf_grads: list[np.ndarray] = []
-    for t, g in flows.values():
+    for t, g in flows.items():
         if not t.requires_grad:
             continue
         # a VJP may hand one array to two inputs (add); each leaf owns its grad

@@ -67,7 +67,7 @@ def _check_mode(mode: str) -> bool:
 
 
 def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
-               seed: int, dropout_rate: float) -> Tensor:
+               seed: int, stream: int, dropout_rate: float) -> Tensor:
     """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op.
 
     prop is the product with `a_norm`, or the identity when it is None. The
@@ -84,7 +84,7 @@ def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
     h = prop(x.data @ w1.data)
     h += b1.data
     h *= h > 0
-    factor, scale = dropout_mask(h.shape, dropout_rate, seed, training), None
+    factor, scale = dropout_mask(h.shape, dropout_rate, seed, stream, training), None
     if factor is not None:
         h *= factor
         scale = factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
@@ -113,11 +113,11 @@ def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Attribute-only view; never reads any adjacency."""
     return _two_layer(x, params.mlp_layers, None, _check_mode(mode),
-                      derive_seed(seed, 1), dropout_rate)
+                      derive_seed(seed, 1), 0, dropout_rate)
 
 
 def gnn_forward(x: Tensor, a_norm: CsrMatrix, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Two propagation layers over a normalized CSR adjacency."""
     return _two_layer(x, params.gnn_layers, a_norm, _check_mode(mode),
-                      derive_seed(seed, 2), dropout_rate)
+                      derive_seed(seed, 2), 1, dropout_rate)

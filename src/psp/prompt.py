@@ -164,7 +164,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     the degrees are d_b = deg(A+I) + rowsum|W| and d_p = colsum|W| + 1, and
     s = d^-1/2. Layer 1 covers both row blocks, from the cached X·W1 and P·W1:
     H_b = s_b*((A+I)(s_b*XW1) + W(s_p*PW1)) and H_p = s_p*(W^T(s_b*XW1) + s_p*PW1),
-    then b1, relu and one (N+C)-row dropout mask salted with `derive_seed(seed, 2)`.
+    then b1, relu and one (N+C)-row dropout mask, stream 0 of `derive_seed(seed, 2)`.
     Layer 2 forms only the C prototype rows, s_p*(W^T(s_b*H_b) + s_p*H_p), then
     W2 and b2. Only when recorded are intermediates kept; the VJP then forms
     the weight rows' gradient in numpy, through the degrees too.
@@ -206,7 +206,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         u2 = wt @ sb2 + hp * s_p
         return sb2, u2, (u2 * s_p) @ w2.data + b2.data
 
-    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), training)
+    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
     clean = None
     if factor is not None:
         clean = Tensor._adopt(layer2(h_b, h_p)[2], False)

@@ -100,9 +100,10 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", (a,), a.data * gate, lambda g: (g * gate,))
 
 
-def dropout(x: Tensor, p: float, seed: int, training: bool) -> Tensor:
-    """Inverted dropout with a `dropout_mask`; identity in evaluation mode."""
-    factor = dropout_mask(x.shape, p, seed, training)
+def dropout(x: Tensor, p: float, seed: int, stream: int, training: bool) -> Tensor:
+    """Inverted dropout with the `dropout_mask` of (seed, stream), which is
+    the same on a tape or off; identity in evaluation mode."""
+    factor = dropout_mask(x.shape, p, seed, stream, training)
     if factor is None:
         return x
     return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
@@ -179,18 +180,18 @@ def composite_infonce(z1, z2, positives, tau):
 
 
 def composed_mlp_forward(x, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`mlp_forward` as generic tape ops, with the same dropout salt."""
+    """`mlp_forward` as generic tape ops, with the same dropout salt and stream."""
     (w1, b1), (w2, b2) = params.mlp_layers
     h = relu(add(matmul(x, w1), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 1), mode == "train")
+    h = dropout(h, dropout_rate, derive_seed(seed, 1), 0, mode == "train")
     return add(matmul(h, w2), b2)
 
 
 def composed_gnn_forward(x, a_norm, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`gnn_forward` as generic tape ops, with the same dropout salt."""
+    """`gnn_forward` as generic tape ops, with the same dropout salt and stream."""
     (w1, b1), (w2, b2) = params.gnn_layers
     h = relu(add(spmm(a_norm, matmul(x, w1)), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 2), mode == "train")
+    h = dropout(h, dropout_rate, derive_seed(seed, 2), 1, mode == "train")
     return add(spmm(a_norm, matmul(h, w2)), b2)
 
 
@@ -282,7 +283,7 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
     factor = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
-                          derive_seed(seed, 2), mode == "train")
+                          derive_seed(seed, 2), 0, mode == "train")
     if factor is not None:
         h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))

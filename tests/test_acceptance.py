@@ -142,7 +142,7 @@ def test_criterion_1_gradient_correctness():
         "log": (lambda t: total_sum(log(t)), positive),
         "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
         "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
-        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, True)), m43),
+        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
         "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
     }
     worst = {}

@@ -168,17 +168,17 @@ def test_row_vector_and_col_vector_broadcasts():
 
 def test_dropout_eval_is_identity():
     m = rand(4, 4, 11)
-    assert dropout(m, 0.7, seed=3, training=False) is m
+    assert dropout(m, 0.7, seed=3, stream=0, training=False) is m
 
 
 def test_dropout_p_zero_is_identity():
     m = rand(4, 4, 12)
-    assert dropout(m, 0.0, seed=3, training=True) is m
+    assert dropout(m, 0.0, seed=3, stream=0, training=True) is m
 
 
 def test_dropout_survivor_fraction():
     m = Tensor(np.ones((100, 100)))
-    out = dropout(m, 0.5, seed=5, training=True)
+    out = dropout(m, 0.5, seed=5, stream=0, training=True)
     survivors = np.count_nonzero(out.data) / out.data.size
     assert abs(survivors - 0.5) < 0.03
     # survivors carry the inverted scale
@@ -187,26 +187,21 @@ def test_dropout_survivor_fraction():
 
 def test_dropout_bad_probability():
     with pytest.raises(ParameterError):
-        dropout(rand(2, 2), 1.0, seed=0, training=True)
+        dropout(rand(2, 2), 1.0, seed=0, stream=0, training=True)
     with pytest.raises(ParameterError):
-        dropout(rand(2, 2), -0.1, seed=0, training=True)
+        dropout(rand(2, 2), -0.1, seed=0, stream=0, training=True)
 
 
 def test_dropout_is_pure_in_seed():
-    m = rand(6, 6, 13)
-    a = dropout(m, 0.4, seed=21, training=True)
-    b = dropout(m, 0.4, seed=21, training=True)
-    assert np.array_equal(a.data, b.data)
-    c = dropout(m, 0.4, seed=22, training=True)
-    assert not np.array_equal(a.data, c.data)
-
-
-def test_dropout_ordinal_advances_within_a_tape():
-    m = Tensor(np.ones((8, 8)), requires_grad=True)
+    """The mask is a function of (seed, stream) alone, on a tape or off."""
+    m = Tensor(rand(6, 6, 13).data, requires_grad=True)
+    a = dropout(m, 0.4, seed=21, stream=0, training=True)
     with Tape():
-        first = dropout(m, 0.5, seed=4, training=True)
-        second = dropout(m, 0.5, seed=4, training=True)
-    assert not np.array_equal(first.data, second.data)
+        b = dropout(m, 0.4, seed=21, stream=0, training=True)
+    assert np.array_equal(a.data, b.data)
+    c = dropout(m, 0.4, seed=22, stream=0, training=True)
+    d = dropout(m, 0.4, seed=21, stream=1, training=True)
+    assert not np.array_equal(a.data, c.data) and not np.array_equal(a.data, d.data)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +439,7 @@ def _op_cases():
         "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
         "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
         "total_sum": (lambda t: scale(total_sum(t), 3.0), m43),
-        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, True)), m43),
+        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
         "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
     }
     # the fused encoder op in train mode, through x and through each parameter (perturbed in place)

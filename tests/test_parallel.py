@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor
+from psp.autodiff import Tape, Tensor, add, backward, mul
 from psp.parallel import blas_threads, fork_map
 
 
@@ -106,13 +107,23 @@ def test_every_item_runs_with_one_blas_thread(monkeypatch, cpus):
         blas_threads(before)
 
 
-def test_tensors_from_workers_get_fresh_node_ids(two_cpus):
+def test_tensors_from_workers_get_their_own_gradients(two_cpus):
+    """Tensors piped back from workers and tensors made here meet in one
+    backward sweep, and each leaf gets its own gradient; a pickle round trip
+    keeps a tensor's data, grad, requires_grad and name."""
     returned = list(fork_map(named_tensor, range(2)))
-    made_here = [named_tensor(x) for x in range(2)]
-    ids = [t.node_id for t in returned + made_here]
-    assert len(set(ids)) == 4, ids
     assert [(t.item(), t.grad, t.requires_grad, t.name) for t in returned] == [
         (0.0, None, True, "t0"), (1.0, None, True, "t1")]
+    leaves = returned + [named_tensor(x) for x in range(2)]
+    with Tape() as tape:
+        loss = mul(leaves[0], Tensor([[1.0]]))
+        for k, t in enumerate(leaves[1:], start=2):
+            loss = add(loss, mul(t, Tensor([[float(k)]])))
+    backward(tape, loss)
+    assert [t.grad.item() for t in leaves] == [1.0, 2.0, 3.0, 4.0]
+    back = pickle.loads(pickle.dumps(leaves[3], pickle.HIGHEST_PROTOCOL))
+    assert [(t.item(), t.grad.item(), t.requires_grad, t.name) for t in (back, leaves[3])] == [
+        (1.0, 4.0, True, "t1")] * 2
 
 
 def test_runs_inline_where_fork_is_unavailable(two_cpus, monkeypatch):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp import encoders
+from psp import encoders, prompt
 from psp.autodiff import Tape, Tensor, backward, derive_seed, mul
 from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import (
@@ -468,48 +470,76 @@ def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
     assert np.all(got_grad[~mask] == 0.0)
 
 
+def _spy_on_masks(monkeypatch, module) -> list:
+    """The (seed, stream) of every mask that `module` draws, in order."""
+    draws, draw = [], module.dropout_mask
+
+    def spy(shape, rate, seed, stream, training):
+        factor = draw(shape, rate, seed, stream, training)
+        if factor is not None:
+            draws.append((seed, stream))
+        return factor
+
+    monkeypatch.setattr(module, "dropout_mask", spy)
+    return draws
+
+
 @pytest.mark.parametrize("task", ["node", "graph"])
-def test_training_forward_records_one_op_and_draws_one_dropout_mask(task):
+def test_training_forward_records_one_op_and_draws_one_dropout_mask(task, monkeypatch):
     ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True)
     ps = PromptedGraph(task=task, proto_features=proto_feats,
                        weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
+    draws = _spy_on_masks(monkeypatch, prompt)
     with Tape() as tape:
         prototype_embeddings(ctx, ps, "train", 17, 0.3)
     assert [rec.op for rec in tape.records] == ["prompted_layer"]
-    # one mask over the N+C rows
-    assert tape.dropout_calls == 1
+    # one mask over the N+C rows, from stream 0
+    assert draws == [(derive_seed(17, 2), 0)]
 
 
 def test_each_encoder_training_forward_records_one_op_and_draws_its_dropout_ordinal(monkeypatch):
     p = init_encoder_params(4, 6, seed=0)
     x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
     a = gcn_normalize(build_csr(5, [(0, 1), (1, 2)]))
-    draws = []
-
-    def spy(shape, rate, seed, training):
-        draws.append((seed, tape.dropout_calls))
-        return mask(shape, rate, seed, training)
-
-    mask = encoders.dropout_mask
-    monkeypatch.setattr(encoders, "dropout_mask", spy)
+    draws = _spy_on_masks(monkeypatch, encoders)
     with Tape() as tape:
         mlp_forward(x, p, "train", 7, 0.2)
         assert [rec.op for rec in tape.records] == ["two_layer"]
         gnn_forward(x, a, p, "train", 7, 0.2)
         assert [rec.op for rec in tape.records] == ["two_layer"] * 2
-    # (seed, ordinal): the MLP draws first, as in pre-training
+    # (seed, stream): each view draws from its own stream
     assert draws == [(derive_seed(7, 1), 0), (derive_seed(7, 2), 1)]
-    assert tape.dropout_calls == 2
 
 
-def test_encoder_eval_forward_draws_no_mask_and_frozen_encoders_record_nothing():
+def test_dropout_masks_do_not_depend_on_the_tape_or_call_order():
+    """Each training forward gives the same bits, so draws the same mask,
+    outside a tape and inside one, whichever forward runs first."""
+    p = init_encoder_params(4, 6, seed=0)
+    x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+    a = gcn_normalize(build_csr(5, [(0, 1), (1, 2), (3, 4)]))
+    ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=False)
+    ps = PromptedGraph(task="node", proto_features=proto_feats,
+                       weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
+    forwards = {"mlp": lambda: mlp_forward(x, p, "train", 7, 0.5),
+                "gnn": lambda: gnn_forward(x, a, p, "train", 7, 0.5),
+                "prompted": lambda: prompted_layer(ctx, ps, "train", 7, 0.5)[0]}
+    alone = {name: forward().data.tobytes() for name, forward in forwards.items()}
+    for order in itertools.permutations(forwards):
+        with Tape() as tape:
+            taped = {name: forwards[name]().data.tobytes() for name in order}
+        assert len(tape.records) == 3
+        assert taped == alone, order
+
+
+def test_encoder_eval_forward_draws_no_mask_and_frozen_encoders_record_nothing(monkeypatch):
     x = Tensor(np.random.default_rng(8).standard_normal((5, 4)))
     a = gcn_normalize(build_csr(5, [(0, 1), (3, 4)]))
     p = init_encoder_params(4, 6, seed=0)
+    draws = _spy_on_masks(monkeypatch, encoders)
     with Tape() as tape:
         mlp_forward(x, p, "eval", 7, 0.5)
         gnn_forward(x, a, p, "eval", 7, 0.5)
-    assert tape.dropout_calls == 0
+    assert draws == []
     assert [rec.op for rec in tape.records] == ["two_layer"] * 2  # p still requires grad
     freeze(p)
     with Tape() as tape:
