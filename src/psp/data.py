@@ -461,6 +461,12 @@ def load_checkpoint(path) -> Checkpoint:
     if widths != [hidden_dim]:
         raise FormatError(f"checkpoint header gives hidden_dim {hidden_dim}, but its encoder "
                           f"blocks are {'/'.join(map(str, widths))} columns wide")
+    # W1 is F x h with one F for both views, W2 is h x h and each bias 1 x h
+    names = [f"{view}_{p}" for view in ("mlp", "gnn") for p in ("w1", "b1", "w2", "b2")]
+    for name, block, rows in zip(names, blocks, [blocks[0].shape[0], 1, hidden_dim, 1] * 2):
+        if block.shape[0] != rows:
+            raise FormatError(f"checkpoint encoder block {name} is {block.shape[0]}x{hidden_dim}, "
+                              f"expected {rows}x{hidden_dim}")
     params = EncoderParams(
         mlp_layers=[(Tensor(blocks[0]), Tensor(blocks[1])), (Tensor(blocks[2]), Tensor(blocks[3]))],
         gnn_layers=[(Tensor(blocks[4]), Tensor(blocks[5])), (Tensor(blocks[6]), Tensor(blocks[7]))])

@@ -678,6 +678,19 @@ def test_checkpoint_rejects_a_header_width_the_blocks_do_not_have(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("block,rows,want", [("mlp_b1", 2, 1), ("gnn_b2", 2, 1), ("mlp_w2", 5, 4),
+                                             ("gnn_w2", 3, 4), ("gnn_w1", 7, 6)])
+def test_checkpoint_rejects_encoder_blocks_of_the_wrong_shape(tmp_path, block, rows, want):
+    """W1 is F x h with one F for both views, W2 is h x h, each bias 1 x h."""
+    ckpt = make_checkpoint()
+    target = next(t for t in parameters(ckpt.params) if t.name == block)
+    target.data = np.ones((rows, 4))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match=f"block {block} is {rows}x4, expected {want}x4"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_truncation(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, make_checkpoint())
