@@ -7,6 +7,12 @@ then a 4-fit node sweep and a 4-fit graph sweep run. `GOLDEN.json` holds the
 sha256 of every file the chain writes, plus the numbers behind them: loss
 logs, accuracies and sweep selections.
 
+With `PSP_GOLDEN_N3000=1` in the environment, the script and the golden test
+also run an N=3000 block-model chain (pretrain 2 epochs, tune 20 epochs with
+dropout 0.2, eval in both variants, export-w), recorded under the file's
+`n3000` key. It takes a few seconds, so tier-1 leaves it off; `--update`
+without the switch keeps the recorded `n3000` section as it is.
+
 The digests hold only on a machine whose fingerprint (CPU model, numpy's
 BLAS build, BLAS thread count) matches the file's, because BLAS may round
 differently elsewhere. `differences` therefore compares digests on a
@@ -15,6 +21,7 @@ and selections exactly.
 
     python tests/golden.py            # rerun the chain and report differences
     python tests/golden.py --update   # rewrite tests/golden/GOLDEN.json
+    PSP_GOLDEN_N3000=1 python tests/golden.py   # the N=3000 chain as well
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import sys
 import tempfile
@@ -37,6 +45,7 @@ from psp.cli import run  # noqa: E402
 from psp.parallel import blas_threads  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "GOLDEN.json"
+N3000 = os.environ.get("PSP_GOLDEN_N3000") == "1"
 LOSS_TOLERANCE = 1e-12
 TU_NAME = "DESK"
 SWEEP_FLAGS = ["--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001", "--dropout-grid", "0.2",
@@ -90,8 +99,40 @@ def _losses(path: Path) -> list[float]:
     return [float(line.split("\t")[1]) for line in path.read_text().splitlines()]
 
 
-def run_chain(root: Path) -> dict:
-    """Run the chain under `root` (an empty directory) and return its record."""
+def _digests(root: Path) -> dict:
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _stages(root: Path, name: str, data: list, losses: dict, accuracies: dict,
+            pretrain: list, tune: list) -> None:
+    """pretrain, tune, eval in both variants and export-w on one dataset."""
+    ckpt, bundle = root / f"{name}.ckpt", root / f"{name}.tuned.ckpt"
+    _psp("pretrain", *data, "--out", ckpt, *pretrain)
+    _psp("tune", *data, "--ckpt", ckpt, "--out", bundle, *tune)
+    losses[f"{name}.pretrain"] = _losses(Path(f"{ckpt}.loss.tsv"))
+    losses[f"{name}.tune"] = _losses(Path(f"{bundle}.loss.tsv"))
+    for variant in ("psp", "psp-np"):
+        line = _psp("eval", *data, "--ckpt", bundle, "--variant", variant)
+        accuracies[f"{name}.eval.{variant}"] = float(line.split("\t")[4])
+    _psp("export-w", *data[:4], "--ckpt", bundle, "--out", root / f"{name}.w.tsv")
+
+
+def run_n3000_chain(root: Path) -> dict:
+    """The opt-in N=3000 chain under `root` (an empty directory): its record
+    without the fingerprint."""
+    root = Path(root)
+    _psp("synth", "--n", 3000, "--seed", 0, "--out", root / "nodes-n3000")
+    losses, accuracies = {}, {}
+    _stages(root, "nodes-n3000", ["--data", root / "nodes-n3000"], losses, accuracies,
+            ["--epochs", 2], ["--epochs", 20, "--dropout", 0.2])
+    return {"digests": _digests(root), "losses": losses, "accuracies": accuracies,
+            "selections": {}}
+
+
+def run_chain(root: Path, n3000: bool = False) -> dict:
+    """Run the chain under `root` (an empty directory) and return its record;
+    with `n3000`, then the N=3000 chain, under `root / "n3000"`."""
     root = Path(root)
     _psp("synth", "--n", 300, "--h", 0.8, "--seed", 0, "--out", root / "nodes-h0.8")
     _psp("synth", "--n", 300, "--h", 0.2, "--seed", 0, "--out", root / "nodes-h0.2")
@@ -101,29 +142,21 @@ def run_chain(root: Path) -> dict:
                 "tu": ["--data", root / "tu", "--tu-name", TU_NAME, "--task", "graph"]}
     losses, accuracies, selections = {}, {}, {}
     for name, data in datasets.items():
-        ckpt, bundle = root / f"{name}.ckpt", root / f"{name}.tuned.ckpt"
-        _psp("pretrain", *data, "--out", ckpt, "--epochs", 10)
-        _psp("tune", *data, "--ckpt", ckpt, "--out", bundle, "--epochs", 20)
-        losses[f"{name}.pretrain"] = _losses(Path(f"{ckpt}.loss.tsv"))
-        losses[f"{name}.tune"] = _losses(Path(f"{bundle}.loss.tsv"))
-        for variant in ("psp", "psp-np"):
-            line = _psp("eval", *data, "--ckpt", bundle, "--variant", variant)
-            accuracies[f"{name}.eval.{variant}"] = float(line.split("\t")[4])
-        _psp("export-w", *data[:4], "--ckpt", bundle, "--out", root / f"{name}.w.tsv")
+        _stages(root, name, data, losses, accuracies, ["--epochs", 10], ["--epochs", 20])
     for name, ckpt in (("nodes-h0.2", "nodes-h0.2.ckpt"), ("tu", "tu.ckpt")):
         lines = _psp("sweep", *datasets[name], "--ckpt", root / ckpt, *SWEEP_FLAGS).splitlines()
         selections[f"{name}.sweep"] = lines[0]
         accuracies[f"{name}.sweep.test"] = [float(line.split("\t")[4]) for line in lines[1:-1]]
-    digests = {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(root.rglob("*")) if path.is_file()}
-    return {"fingerprint": fingerprint(), "digests": digests, "losses": losses,
-            "accuracies": accuracies, "selections": selections}
+    record = {"fingerprint": fingerprint(), "digests": _digests(root), "losses": losses,
+              "accuracies": accuracies, "selections": selections}
+    if n3000:
+        record["n3000"] = run_n3000_chain(root / "n3000")
+    return record
 
 
-def differences(got: dict, want: dict) -> list[str]:
-    """Where the rerun `got` departs from the golden record `want` (empty: none)."""
+def _section_differences(got: dict, want: dict, same_machine: bool) -> list[str]:
     found = []
-    if got["fingerprint"] == want["fingerprint"]:
+    if same_machine:
         found += [f"digest of {k}: {got['digests'].get(k)} != {v}"
                   for k, v in want["digests"].items() if got["digests"].get(k) != v]
         found += [f"unrecorded file {k}" for k in got["digests"].keys() - want["digests"].keys()]
@@ -139,10 +172,25 @@ def differences(got: dict, want: dict) -> list[str]:
     return found
 
 
+def differences(got: dict, want: dict) -> list[str]:
+    """Where the rerun `got` departs from the golden record `want` (empty: none).
+    The N=3000 section is compared when `got` has one."""
+    same_machine = got["fingerprint"] == want["fingerprint"]
+    found = _section_differences(got, want, same_machine)
+    if "n3000" in got:
+        if "n3000" not in want:
+            return found + ["no n3000 section recorded"]
+        found += [f"n3000 {d}" for d in _section_differences(got["n3000"], want["n3000"],
+                                                             same_machine)]
+    return found
+
+
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as root:
-        got = run_chain(Path(root))
+        got = run_chain(Path(root), N3000)
     if "--update" in argv:
+        if not N3000 and GOLDEN.exists():  # keep the recorded N=3000 section
+            got.update({k: v for k, v in json.loads(GOLDEN.read_text()).items() if k == "n3000"})
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")
