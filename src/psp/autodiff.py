@@ -283,6 +283,12 @@ def check_tau(tau) -> float:
     return tau
 
 
+def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: float) -> None:
+    """g := c * d(x/|x|)^T g in place: inv|x| * (g - (g.x^) x^) * c, row by row."""
+    g -= np.einsum("ij,ij->i", g, unit)[:, None] * unit
+    g *= inv * c
+
+
 # rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
 _INFONCE_BLOCK_ROWS = 256
 
@@ -299,7 +305,10 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
     each row's max-shift and sum of exponentials are kept, so no
     z1.rows x z2.rows array ever exists. When the op is recorded, the same
     sweep turns each exp block into softmax - one-hot and accumulates both
-    inputs' gradients for a unit seed; the VJP only scales them.
+    inputs' gradients for a unit seed; the VJP only scales them. Each block
+    finishes its anchor rows' gradient and stores it over those rows of z1's
+    unit array, which no later block reads, so the z1 side needs no array of
+    its own; the z2 side is finished once the sweep is done.
     """
     if z1.cols != z2.cols:
         raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
@@ -315,7 +324,8 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
     inv_u, inv_v = _row_norms(z1.data), _row_norms(z2.data)
     a_unit, b_unit = z1.data * inv_u, z2.data * inv_v
     recorded = _recording_tape((z1, z2)) is not None
-    ga = np.empty_like(a_unit) if recorded and z1.requires_grad else None
+    # each block overwrites its own anchor rows with their gradient, once it has read them
+    ga = a_unit if recorded and z1.requires_grad else None
     gb = np.zeros_like(b_unit) if recorded and z2.requires_grad else None
     shift = np.empty((m, 1))
     sum_exp = np.empty((m, 1))
@@ -329,21 +339,21 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
         shift[lo:hi] = logits.max(axis=1, keepdims=True)
         logits -= shift[lo:hi]
         sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
-        if recorded:
-            probs = logits  # the exp block becomes softmax - one-hot in place
-            probs /= sum_exp[lo:hi]
-            probs[at_pos] -= 1.0
-            if ga is not None:
-                ga[lo:hi] = probs @ b_unit
+        if recorded:  # the exp block becomes softmax - one-hot in place
+            logits /= sum_exp[lo:hi]
+            logits[at_pos] -= 1.0
             if gb is not None:
-                gb += probs.T @ a_unit[lo:hi]
+                gb += logits.T @ a_unit[lo:hi]
+            if ga is not None:
+                g_rows = logits @ b_unit
+                _through_row_norms(g_rows, a_unit[lo:hi], inv_u[lo:hi], inv_tau / m)
+                ga[lo:hi] = g_rows
         del logits  # free the block before the next one is built
     loss = (np.log(sum_exp) + shift - positive).sum() * (1.0 / m)
-    # through the row normalization: d(x/|x|) maps g to inv|x| * (g - (g.x^) x^)
-    for g, unit, inv in ((ga, a_unit, inv_u), (gb, b_unit, inv_v)):
+    if gb is not None:
+        _through_row_norms(gb, b_unit, inv_v, inv_tau / m)
+    for g in (ga, gb):
         if g is not None:
-            g -= np.einsum("ij,ij->i", g, unit)[:, None] * unit
-            g *= inv * (inv_tau / m)
             g.flags.writeable = False  # handed over as is for a unit seed
 
     def vjp(g):

@@ -3,7 +3,7 @@
 Both are two layers deep, end at the same output dimension, and are frozen
 after pre-training. The GNN propagates over a normalized CSR adjacency.
 Each view is one recorded op (`_two_layer`) that keeps only its input and
-its hidden layer for the backward sweep.
+rebuilds its hidden layer in the backward sweep.
 """
 
 from __future__ import annotations
@@ -71,9 +71,11 @@ def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
     """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op.
 
     prop is the product with `a_norm`, or the identity when it is None. The
-    VJP keeps x and the hidden layer h after dropout: relu's gate (0 at the
-    kink) and dropout's keep-mask are both h > 0, and every kept entry
-    carries the one scale of `dropout_mask`.
+    VJP keeps no array of its own: it rebuilds the hidden layer h after
+    dropout from x, W1, b1 and the (seed, stream) mask, which nothing changes
+    between the forward and the backward sweep, so the rebuilt h has the
+    forward's bits. Relu's gate (0 at the kink) and dropout's keep-mask are
+    both h > 0, and every kept entry carries the one scale of `dropout_mask`.
     """
     (w1, b1), (w2, b2) = layers
     if x.cols != w1.rows or (a_norm is not None and a_norm.cols != x.rows):
@@ -81,22 +83,26 @@ def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
                              + ("" if a_norm is None else f" and adjacency {a_norm.csr.shape}"))
     prop = (lambda m: m) if a_norm is None else (lambda m: a_norm.csr @ m)
     back = (lambda g: g) if a_norm is None else (lambda g: a_norm.csr.T @ g)
-    h = prop(x.data @ w1.data)
-    h += b1.data
-    h *= h > 0
-    factor, scale = dropout_mask(h.shape, dropout_rate, seed, stream, training), None
-    if factor is not None:
+    x_in, w1_in, b1_in, w2_in = x.data, w1.data, b1.data, w2.data
+
+    def hidden():  # h and the scale of its kept entries (None without dropout)
+        h = prop(x_in @ w1_in)
+        h += b1_in
+        h *= h > 0
+        factor = dropout_mask(h.shape, dropout_rate, seed, stream, training)
+        if factor is None:
+            return h, None
         h *= factor
-        scale = factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
-        del factor
-    z = prop(h @ w2.data)
+        return h, factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
+
+    z = prop(hidden()[0] @ w2_in)
     z += b2.data
-    x_in, w1_in, w2_in = x.data, w1.data, w2.data
     need_x, need_w1, need_b1, need_w2, need_b2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
 
     def vjp(g):
         gb2 = g.sum(axis=0, keepdims=True) if need_b2 else None
         g = back(g)
+        h, scale = hidden()
         gh = g @ w2_in.T
         if scale is not None:
             gh *= scale

@@ -166,8 +166,11 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     H_b = s_b*((A+I)(s_b*XW1) + W(s_p*PW1)) and H_p = s_p*(W^T(s_b*XW1) + s_p*PW1),
     then b1, relu and one (N+C)-row dropout mask, stream 0 of `derive_seed(seed, 2)`.
     Layer 2 forms only the C prototype rows, s_p*(W^T(s_b*H_b) + s_p*H_p), then
-    W2 and b2. Only when recorded are intermediates kept; the VJP then forms
-    the weight rows' gradient in numpy, through the degrees too.
+    W2 and b2. The VJP forms the weight rows' gradient in numpy, through the
+    degrees too. Of the N-row arrays it keeps only t1 = (A+I)(s_b*XW1) + W(s_p*PW1)
+    and H_b after relu and dropout: it recomputes s_b*XW1 and s_b*H_b where it
+    reads them, and, as in the encoders, relu's gate and the keep-mask are
+    both H > 0 and every kept entry carries the one scale of `dropout_mask`.
 
     Returns the prototypes and the dropout-free prototypes of the same weights
     (the same tensor when no dropout acted): layer 1 is shared, so a training
@@ -197,43 +200,43 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     sb1, sp1 = xw * s_b, pw * s_p
     t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
     h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
-    gate_b, gate_p = h_b > 0, h_p > 0  # relu's subgradient is 0 at the kink
-    h_b *= gate_b
-    h_p *= gate_p
+    h_b *= h_b > 0  # relu's subgradient is 0 at the kink
+    h_p *= h_p > 0
 
     def layer2(hb, hp):
-        sb2 = hb * s_b
-        u2 = wt @ sb2 + hp * s_p
-        return sb2, u2, (u2 * s_p) @ w2.data + b2.data
+        u2 = wt @ (hb * s_b) + hp * s_p
+        return u2, (u2 * s_p) @ w2.data + b2.data
 
     factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
-    clean = None
+    clean, scale = None, None
     if factor is not None:
-        clean = Tensor._adopt(layer2(h_b, h_p)[2], False)
+        clean = Tensor._adopt(layer2(h_b, h_p)[1], False)
         h_b *= factor[:n]
         h_p *= factor[n:]
-    sb2, u2, out = layer2(h_b, h_p)
+        scale = factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
+    u2, out = layer2(h_b, h_p)
 
     def vjp(g):
         gz = g @ w2.data.T
         gs_p = _row_dots(gz, u2)
         gz *= s_p  # d/du2
-        gw = sb2 @ gz.T
+        gw = (h_b * s_b) @ gz.T
         g_b = w @ gz  # d/d(s_b*H_b)
         gs_b = _row_dots(g_b, h_b)
         gs_p += _row_dots(gz, h_p)
         g_b *= s_b
         g_p = gz * s_p
-        if factor is not None:
-            g_b *= factor[:n]
-            g_p *= factor[n:]
-        g_b *= gate_b  # d/d(s_b*t1)
-        g_p *= gate_p
+        if scale is not None:
+            g_b *= scale
+            g_p *= scale
+        # relu's gate and the keep-mask are both H > 0 after dropout
+        g_b *= h_b > 0  # d/d(s_b*t1)
+        g_p *= h_p > 0
         gs_b += _row_dots(g_b, t1)
         gs_p += _row_dots(g_p, u1)
         g_b *= s_b  # d/dt1
         g_p *= s_p  # d/du1
-        gw += g_b @ sp1.T + sb1 @ g_p.T
+        gw += g_b @ sp1.T + (xw * s_b) @ g_p.T
         gs_b += _row_dots(a_hat.T @ g_b + w @ g_p, xw)
         gs_p += _row_dots(wt @ g_b + g_p, pw)
         # through the degrees: ds/dd = -s/(2d), and d|W|/dW = sign W

@@ -31,6 +31,9 @@ Parity oracles, one per fast path in `src`:
 - `full_graph_prototypes` checks `psp.prompt.prompted_layer`: the GNN over
   all N+C rows of the prompted graph, built from tape ops, then its
   prototype rows.
+- `keep_all_prompted_layer` checks `psp.prompt.prompted_layer` byte for
+  byte: the fused op as it was before its VJP stopped keeping s_b*XW1,
+  s_b*H_b, the float dropout factor and relu's gates.
 - `two_forward_prompt_tune` checks `psp.prompt.prompt_tune`'s loop: the loop
   it replaced, over `full_graph_prototypes`, with a separate eval forward
   after every step.
@@ -64,11 +67,11 @@ from psp.autodiff import (
     row_sum,
     spmm,
 )
-from psp.encoders import parameters
+from psp.encoders import _check_mode, parameters
 from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.graph import NormalizedPromptOperator, PromptedGraph, SelfLoopedBase
 from psp.inference import class_mean_rows
-from psp.prompt import accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
+from psp.prompt import _row_dots, accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
 
 COSINE_EPS = 1e-12
 
@@ -289,6 +292,75 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
     _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
     return add(proto, b2)
+
+
+def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
+    """`psp.prompt.prompted_layer` as it was, with a VJP that keeps every
+    N-row intermediate it reads: s_b*XW1, t1, H_b, s_b*H_b, the (N+C)-row
+    dropout factor and relu's gates. Returns the prototypes and the
+    dropout-free prototypes."""
+    training = _check_mode(mode)
+    weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
+    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    a_hat, graph_of = ctx.base.a_hat.csr, ctx.graph.graph_of
+    w = weights.data * mask[:, None]
+    if ctx.task == "graph":
+        w = w[graph_of]
+    wt, n = np.ascontiguousarray(w.T), w.shape[0]
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree.data
+    deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
+    s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
+    xw, pw = ctx.xw1.data, feats.data @ w1.data
+    sb1, sp1 = xw * s_b, pw * s_p
+    t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
+    h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
+    gate_b, gate_p = h_b > 0, h_p > 0
+    h_b *= gate_b
+    h_p *= gate_p
+
+    def layer2(hb, hp):
+        sb2 = hb * s_b
+        u2 = wt @ sb2 + hp * s_p
+        return sb2, u2, (u2 * s_p) @ w2.data + b2.data
+
+    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    clean = None
+    if factor is not None:
+        clean = Tensor._adopt(layer2(h_b, h_p)[2], False)
+        h_b *= factor[:n]
+        h_p *= factor[n:]
+    sb2, u2, out = layer2(h_b, h_p)
+
+    def vjp(g):
+        gz = g @ w2.data.T
+        gs_p = _row_dots(gz, u2)
+        gz *= s_p
+        gw = sb2 @ gz.T
+        g_b = w @ gz
+        gs_b = _row_dots(g_b, h_b)
+        gs_p += _row_dots(gz, h_p)
+        g_b *= s_b
+        g_p = gz * s_p
+        if factor is not None:
+            g_b *= factor[:n]
+            g_p *= factor[n:]
+        g_b *= gate_b
+        g_p *= gate_p
+        gs_b += _row_dots(g_b, t1)
+        gs_p += _row_dots(g_p, u1)
+        g_b *= s_b
+        g_p *= s_p
+        gw += g_b @ sp1.T + sb1 @ g_p.T
+        gs_b += _row_dots(a_hat.T @ g_b + w @ g_p, xw)
+        gs_p += _row_dots(wt @ g_b + g_p, pw)
+        gw += np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
+        if ctx.task == "graph":
+            gw, per_node = np.zeros(weights.shape), gw
+            np.add.at(gw, graph_of, per_node)
+        return (gw * mask[:, None],)
+
+    out = _emit("prompted_layer", (weights,), out, vjp)
+    return out, out if clean is None else clean
 
 
 def two_forward_prompt_tune(ctx, labeled, cfg, val=None):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from psp.prompt import (
 from oracles import (
     full_graph_prototypes,
     grad_check,
+    keep_all_prompted_layer,
     params_checksum,
     total_sum,
     two_forward_prompt_tune,
@@ -434,18 +436,12 @@ def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
         assert not np.allclose(got, eval_out)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(task=st.sampled_from(["node", "graph"]),
-       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), n_nodes=st.integers(1, 12),
-       n_classes=st.integers(1, 4), hidden=st.integers(1, 6), n_features=st.integers(1, 4),
-       mask_kind=st.sampled_from(["all", "none", "some"]),
-       zero_share=st.sampled_from([0.0, 0.4, 1.0]), mode=st.sampled_from(["train", "eval"]),
-       rate=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1))
-def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
-        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
-        seed):
-    """Fused forward and weight gradient against the tape-composed oracle on
-    drawn graphs, widths, row masks, dropout and weights with exact zeros."""
+def _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share,
+                seed, zero_w1_column=False):
+    """A drawn graph (a block-diagonal batch for the graph task), its task
+    context, weights with a share of exact zeros, prototype features and a
+    row mask. A zero W1 column puts that hidden unit's pre-activations at
+    relu's kink: b1 starts at 0."""
     rng = np.random.default_rng(seed)
     # the graph task's batch keeps every edge inside one graph (block-diagonal)
     graph_of = np.repeat(np.arange(len(sizes)), sizes) if task == "graph" else np.zeros(n_nodes, int)
@@ -454,13 +450,36 @@ def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
     g = GraphData(features=Tensor(rng.standard_normal((n, n_features))),
                   adjacency=build_csr(n, pairs[graph_of[pairs[:, 0]] == graph_of[pairs[:, 1]]]),
                   labels=None, graph_of=graph_of if task == "graph" else None)
-    ctx = task_context(g, frozen_params(n_features, hidden=hidden, seed=seed), task)
+    params = frozen_params(n_features, hidden=hidden, seed=seed)
+    if zero_w1_column:
+        params.gnn_layers[0][0].data[:, 0] = 0.0
+    ctx = task_context(g, params, task)
     rows = ctx.anchors.rows
     mask = {"all": np.ones(rows, bool), "none": np.zeros(rows, bool),
             "some": rng.random(rows) < 0.5}[mask_kind]
     w0 = rng.standard_normal((rows, n_classes))
     w0[rng.random(w0.shape) < zero_share] = 0.0  # |W|'s VJP takes sign(0) = 0 there
-    proto_feats = Tensor(rng.standard_normal((n_classes, n_features)))
+    return ctx, w0, Tensor(rng.standard_normal((n_classes, n_features))), mask
+
+
+_DRAWN_CASES = dict(
+    task=st.sampled_from(["node", "graph"]),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), n_nodes=st.integers(1, 12),
+    n_classes=st.integers(1, 4), hidden=st.integers(1, 6), n_features=st.integers(1, 4),
+    mask_kind=st.sampled_from(["all", "none", "some"]),
+    zero_share=st.sampled_from([0.0, 0.4, 1.0]), mode=st.sampled_from(["train", "eval"]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rate=st.sampled_from([0.0, 0.3, 0.9]), **_DRAWN_CASES)
+def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
+        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
+        seed):
+    """Fused forward and weight gradient against the tape-composed oracle on
+    drawn graphs, widths, row masks, dropout and weights with exact zeros."""
+    ctx, w0, proto_feats, mask = _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features,
+                                             mask_kind, zero_share, seed)
     got, got_grad = _forward_and_weight_grad(prototype_embeddings, ctx, w0, proto_feats, mask,
                                              mode, seed, rate)
     want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats,
@@ -468,6 +487,29 @@ def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-10)
     assert np.all(got_grad[~mask] == 0.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rate=st.sampled_from([0.0, 0.2, 0.5, 0.9]), zero_w1_column=st.booleans(), **_DRAWN_CASES)
+def test_prompted_layer_matches_keep_all_oracle_bitwise(
+        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
+        zero_w1_column, seed):
+    """The lean VJP against the one that kept every intermediate, byte for
+    byte (signed zeros count): prototypes, dropout-free prototypes and dW."""
+    ctx, w0, proto_feats, mask = _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features,
+                                             mask_kind, zero_share, seed, zero_w1_column)
+    probe = Tensor(np.random.default_rng(seed).standard_normal((n_classes, hidden)))
+    results = []
+    for layer in (prompted_layer, keep_all_prompted_layer):
+        w = Tensor(w0, requires_grad=True)
+        ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w,
+                           trainable_row_mask=mask)
+        with Tape() as tape:
+            out, clean = layer(ctx, ps, mode, seed, rate)
+            loss = total_sum(mul(out, probe))
+        backward(tape, loss)
+        results.append([a.tobytes() for a in (out.data, clean.data, w.grad)])
+    assert results[0] == results[1]
 
 
 def _spy_on_masks(monkeypatch, module) -> list:
@@ -751,6 +793,26 @@ def test_tune_is_seed_deterministic(sbm_setup):
     a, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
     b, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
     assert np.array_equal(a.weight_rows.data, b.weight_rows.data)
+
+
+def test_tuning_pass_peak_stays_near_the_arrays_it_needs():
+    """Three tuning epochs and the last validation pass at N=2000, hidden 128,
+    dropout 0.2, above a task context that is already built. Of the N-row
+    arrays the prompted layer keeps only t1 and H_b for its VJP (about 5.2
+    N x h float64 arrays at peak); keeping s_b*XW1, s_b*H_b, the float
+    dropout factor and relu's gates as well, it peaked at 8.4."""
+    n, hidden = 2000, 128
+    g = generate_sbm(n, 3, 0.8, 2.5, 64, 0.5, seed=0)
+    ctx = task_context(g, frozen_params(64, hidden=hidden), "node")
+    ctx.struct
+    split = sample_k_shot(g.labels, 3, 0, val_k=3)
+    tracemalloc.start()
+    try:
+        prompt_tune(ctx, split.train, PromptConfig(epochs=3, dropout=0.2), val=split.val)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * hidden * 8) < 6.5, f"peak {peak / (n * hidden * 8):.1f} N x h arrays"
 
 
 def test_tune_requires_frozen_and_nonempty(sbm_setup):
