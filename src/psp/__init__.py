@@ -2,15 +2,11 @@
 
 from .autodiff import (
     AdamState,
-    CsrMatrix,
     Tape,
     Tensor,
     adam_step,
-    add,
     backward,
     masked_infonce,
-    matmul,
-    spmm,
 )
 from .data import (
     Checkpoint,

@@ -74,42 +74,6 @@ class Tensor:
         return f"Tensor({self.rows}x{self.cols}, requires_grad={self.requires_grad}{tag})"
 
 
-class CsrMatrix:
-    """A float64 `scipy.sparse.csr_array` (`.csr`) checked at construction.
-
-    Takes what `csr_array` takes, e.g. `CsrMatrix((values, indices, offsets),
-    shape=(r, c))`. scipy's full format check applies, and the column indices
-    must be canonical: strictly increasing within each row. Malformed input
-    raises a DataError.
-    """
-
-    __slots__ = ("csr",)
-
-    def __init__(self, arg, shape=None):
-        try:
-            # scipy silently drops entries past the last offset, so check the raw arrays first
-            if isinstance(arg, tuple) and len(arg) == 3:
-                offsets = np.ravel(arg[2])
-                if offsets.size and offsets[-1] != np.size(arg[1]):
-                    raise ValueError("row offsets must end at the entry count")
-            self.csr = sparse.csr_array(arg, shape=shape, dtype=np.float64)
-            self.csr.check_format(full_check=True)
-        except (TypeError, ValueError) as err:
-            raise DataError(f"malformed CSR matrix: {err}") from None
-        if not self.csr.has_canonical_format:
-            raise DataError("column indices must be strictly increasing within a row")
-
-    rows = property(lambda self: self.csr.shape[0])
-    cols = property(lambda self: self.csr.shape[1])
-    nnz = property(lambda self: self.csr.nnz)
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def __repr__(self) -> str:
-        return f"CsrMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
 @dataclass
 class TapeRecord:
     op: str
@@ -158,6 +122,12 @@ def derive_seed(seed: int, salt: int) -> int:
     return (int(seed) * 1_000_003 + int(salt)) & 0x7FFFFFFFFFFFFFFF
 
 
+def seeded_rng(seed: int, salt: int) -> np.random.Generator:
+    """The generator of one seeded draw site: `salt` names the site, so no two
+    sites share a stream for the same seed."""
+    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, salt])
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -178,11 +148,11 @@ def transpose(a: Tensor) -> Tensor:
     return _emit("transpose", (a,), a.data.T.copy(), lambda g: (g.T.copy(),))
 
 
-def spmm(s: CsrMatrix, d: Tensor) -> Tensor:
+def spmm(s: sparse.csr_array, d: Tensor) -> Tensor:
     """Sparse-dense product s @ d."""
-    if s.cols != d.rows:
-        raise DimensionError(f"spmm: inner dimensions differ, {s.rows}x{s.cols} x {d.shape}")
-    return _emit("spmm", (d,), s.csr @ d.data, lambda g: (s.csr.T @ g,))
+    if s.shape[1] != d.rows:
+        raise DimensionError(f"spmm: inner dimensions differ, {s.shape} x {d.shape}")
+    return _emit("spmm", (d,), s @ d.data, lambda g: (s.T @ g,))
 
 
 def _reduce(g: np.ndarray, axis: Optional[int]) -> np.ndarray:
@@ -243,8 +213,9 @@ def row_sum(a: Tensor) -> Tensor:
 
 def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
                  training: bool) -> Optional[np.ndarray]:
-    """The inverted-dropout factor array for `shape`, or None when dropout is off.
+    """The bool keep-mask of inverted dropout for `shape`, or None when dropout is off.
 
+    Callers multiply by the mask, then scale the kept entries by 1/(1-p).
     The mask depends only on (seed, stream): each call site names its own
     stream, so a mask does not depend on what ran before it, on a tape or off.
     """
@@ -253,8 +224,7 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return None
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, stream])
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return seeded_rng(seed, stream).random(shape) >= p
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

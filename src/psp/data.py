@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import Tensor, check_finite
+from .autodiff import Tensor, check_finite, seeded_rng
 from .encoders import EncoderParams, freeze, parameters
 from .errors import DataError, FormatError, ParameterError
 from .graph import GraphData, LabeledSet, PromptedGraph, build_csr, class_count
@@ -226,7 +226,7 @@ def save_node_dataset(directory, g: GraphData) -> None:
     """Write the TSV triple; feature values keep full precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    upper = sparse.triu(g.adjacency.csr, k=1, format="coo")
+    upper = sparse.triu(g.adjacency, k=1, format="coo")
     _write_table(directory / "edges.tsv", np.column_stack((upper.row, upper.col)))
     _write_table(directory / "features.tsv", g.features.data)
     _write_table(directory / "labels.tsv", g.labels.reshape(-1, 1))
@@ -272,7 +272,7 @@ def load_tu_dataset(directory, name: str) -> GraphData:
         if features.shape[0] != n:
             raise DataError(f"{attr_path.name} has {features.shape[0]} rows for {n} nodes")
     else:
-        degrees = np.diff(adjacency.csr.indptr)
+        degrees = np.diff(adjacency.indptr)
         features = np.zeros((n, DEGREE_ONEHOT_WIDTH))
         features[np.arange(n), np.minimum(degrees, DEGREE_ONEHOT_WIDTH - 1)] = 1.0
 
@@ -299,7 +299,7 @@ def sample_k_shot(labels, k: int, seed: int, val_k: int = 0) -> SplitSpec:
     items = LabeledSet(np.arange(np.size(labels)), labels)
     if not items.indices.size:
         raise DataError("cannot sample a split from an empty label array")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B17])
+    rng = seeded_rng(seed, 0x5B17)
     part = np.full(items.indices.size, 2)  # 0 train, 1 validation, 2 test
     for cls in range(class_count(items.classes)):
         pool = np.flatnonzero(items.classes == cls)
@@ -319,7 +319,7 @@ def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec
     train = split.train
     if ratio == 0.0 or not train.indices.size:
         return split
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3A5C])
+    rng = seeded_rng(seed, 0x3A5C)
     keep = np.zeros(train.indices.size, dtype=bool)
     for cls in np.unique(train.classes):
         members = np.flatnonzero(train.classes == cls)
@@ -361,7 +361,7 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     if n_edges and homophily < 1 and n_classes == 1:
         raise ParameterError(f"homophily {homophily} draws inter-class edges, but there is "
                              "only one class")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])
+    rng = seeded_rng(seed, 0x5B3)
 
     sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
     sizes[: n % n_classes] += 1

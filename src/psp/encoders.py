@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
-from .autodiff import CsrMatrix, Tensor, _emit, derive_seed, dropout_mask
+from .autodiff import Tensor, _emit, derive_seed, dropout_mask, seeded_rng
 from .errors import DimensionError, ParameterError
 
 
@@ -34,7 +35,7 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_encoder_params(n_features: int, hidden_dim: int, seed: int) -> EncoderParams:
     """Glorot-uniform weights, zero biases, seeded and reproducible."""
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x9E37])
+    rng = seeded_rng(seed, 0x9E37)
     layers = []
     for tag in ("mlp", "gnn"):
         w1 = Tensor(_glorot(rng, n_features, hidden_dim), requires_grad=True, name=f"{tag}_w1")
@@ -66,7 +67,7 @@ def _check_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
+def _two_layer(x: Tensor, layers, a_norm: sparse.csr_array | None, training: bool,
                seed: int, stream: int, dropout_rate: float) -> Tensor:
     """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op.
 
@@ -75,25 +76,27 @@ def _two_layer(x: Tensor, layers, a_norm: CsrMatrix | None, training: bool,
     dropout from x, W1, b1 and the (seed, stream) mask, which nothing changes
     between the forward and the backward sweep, so the rebuilt h has the
     forward's bits. Relu's gate (0 at the kink) and dropout's keep-mask are
-    both h > 0, and every kept entry carries the one scale of `dropout_mask`.
+    both h > 0, and every kept entry carries the one scale 1/(1-p).
     """
     (w1, b1), (w2, b2) = layers
-    if x.cols != w1.rows or (a_norm is not None and a_norm.cols != x.rows):
+    if x.cols != w1.rows or (a_norm is not None and a_norm.shape[1] != x.rows):
         raise DimensionError(f"encoder: input {x.shape} does not fit W1 {w1.shape}"
-                             + ("" if a_norm is None else f" and adjacency {a_norm.csr.shape}"))
-    prop = (lambda m: m) if a_norm is None else (lambda m: a_norm.csr @ m)
-    back = (lambda g: g) if a_norm is None else (lambda g: a_norm.csr.T @ g)
+                             + ("" if a_norm is None else f" and adjacency {a_norm.shape}"))
+    prop = (lambda m: m) if a_norm is None else (lambda m: a_norm @ m)
+    back = (lambda g: g) if a_norm is None else (lambda g: a_norm.T @ g)
     x_in, w1_in, b1_in, w2_in = x.data, w1.data, b1.data, w2.data
 
     def hidden():  # h and the scale of its kept entries (None without dropout)
         h = prop(x_in @ w1_in)
         h += b1_in
         h *= h > 0
-        factor = dropout_mask(h.shape, dropout_rate, seed, stream, training)
-        if factor is None:
+        keep = dropout_mask(h.shape, dropout_rate, seed, stream, training)
+        if keep is None:
             return h, None
-        h *= factor
-        return h, factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
+        scale = 1.0 / (1.0 - dropout_rate)
+        h *= keep
+        h *= scale
+        return h, scale
 
     z = prop(hidden()[0] @ w2_in)
     z += b2.data
@@ -122,7 +125,7 @@ def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
                       derive_seed(seed, 1), 0, dropout_rate)
 
 
-def gnn_forward(x: Tensor, a_norm: CsrMatrix, params: EncoderParams, mode: str = "eval",
+def gnn_forward(x: Tensor, a_norm: sparse.csr_array, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Two propagation layers over a normalized CSR adjacency."""
     return _two_layer(x, params.gnn_layers, a_norm, _check_mode(mode),

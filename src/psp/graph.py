@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .autodiff import (
-    CsrMatrix,
     Tensor,
     absolute,
     add,
@@ -42,21 +41,23 @@ def class_count(ids: Optional[np.ndarray]) -> int:
 class GraphData:
     """Immutable node features, sparse symmetric adjacency, and labels.
 
-    `graph_of` maps nodes to graph ids for batched multi-graph datasets,
-    whose adjacency is block-diagonal. Graph-level labels, when present,
-    live in `graph_labels`. Node, class and graph counts come from the arrays.
+    The adjacency is held as `check_csr` returns it: a checked, canonical
+    float64 `csr_array`, whoever built the graph. `graph_of` maps nodes to
+    graph ids for batched multi-graph datasets, whose adjacency is
+    block-diagonal. Graph-level labels, when present, live in
+    `graph_labels`. Node, class and graph counts come from the arrays.
     """
 
     features: Tensor
-    adjacency: CsrMatrix
+    adjacency: sparse.csr_array
     labels: Optional[np.ndarray]
     graph_of: Optional[np.ndarray] = None
     graph_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.adjacency.rows != self.n_nodes or self.adjacency.cols != self.n_nodes:
+        m = self.adjacency = check_csr(self.adjacency)
+        if m.shape != (self.n_nodes, self.n_nodes):
             raise DataError("adjacency must be n_nodes x n_nodes")
-        m = self.adjacency.csr
         asym = abs(m - m.T)
         if asym.nnz and asym.max() > 0:
             raise DataError("adjacency must be symmetric")
@@ -132,8 +133,31 @@ class PromptedGraph:
     trainable_row_mask: np.ndarray
 
 
-def build_csr(n: int, edges) -> CsrMatrix:
-    """Symmetrized, deduplicated, self-loop-free unit-weight CSR."""
+def check_csr(arg, shape=None) -> sparse.csr_array:
+    """`arg` as a float64 `scipy.sparse.csr_array`, checked.
+
+    Takes what `csr_array` takes, e.g. `check_csr((values, indices, offsets),
+    shape=(r, c))` or a sparse array, whose arrays the result shares. scipy's
+    full format check applies, and the column indices must be canonical:
+    strictly increasing within each row. Malformed input raises a DataError.
+    """
+    try:
+        # scipy silently drops entries past the last offset, so check the raw arrays first
+        if isinstance(arg, tuple) and len(arg) == 3:
+            offsets = np.ravel(arg[2])
+            if offsets.size and offsets[-1] != np.size(arg[1]):
+                raise ValueError("row offsets must end at the entry count")
+        csr = sparse.csr_array(arg, shape=shape, dtype=np.float64)
+        csr.check_format(full_check=True)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"malformed CSR matrix: {err}") from None
+    if not csr.has_canonical_format:
+        raise DataError("column indices must be strictly increasing within a row")
+    return csr
+
+
+def build_csr(n: int, edges) -> sparse.csr_array:
+    """Symmetrized, deduplicated, self-loop-free unit-weight CSR, canonical by construction."""
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
@@ -146,7 +170,7 @@ def build_csr(n: int, edges) -> CsrMatrix:
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return CsrMatrix((np.ones(dst.size), dst[order], offsets), shape=(n, n))
+    return sparse.csr_array((np.ones(dst.size), dst[order], offsets), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -154,18 +178,19 @@ class SelfLoopedBase:
     """A square base adjacency with a self-loop added on every node, and the
     row sums of the result (the base degrees) as an N x 1 column."""
 
-    a_hat: CsrMatrix
+    a_hat: sparse.csr_array
     degree: Tensor
 
     @classmethod
-    def of(cls, a: CsrMatrix) -> "SelfLoopedBase":
-        if a.rows != a.cols:
-            raise DimensionError(f"self-loops need a square matrix, got {a.rows}x{a.cols}")
-        a_hat = CsrMatrix(a.csr + sparse.eye_array(a.rows, format="csr"))
-        return cls(a_hat, Tensor(a_hat.csr.sum(axis=1).reshape(-1, 1)))
+    def of(cls, a: sparse.csr_array) -> "SelfLoopedBase":
+        n, cols = a.shape
+        if n != cols:
+            raise DimensionError(f"self-loops need a square matrix, got {n}x{cols}")
+        a_hat = a + sparse.eye_array(n, format="csr")
+        return cls(a_hat, Tensor(a_hat.sum(axis=1).reshape(-1, 1)))
 
 
-def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
+def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
     """Symmetric renormalization with implicit self-loops.
 
     Degrees are taken from the self-looped matrix, so a regular graph's
@@ -173,9 +198,9 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     """
     base = SelfLoopedBase.of(a)
     inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(base.degree.data.ravel(), 1e-12)))
-    norm = inv_sqrt @ base.a_hat.csr @ inv_sqrt
+    norm = inv_sqrt @ base.a_hat @ inv_sqrt
     norm.sort_indices()
-    return CsrMatrix(norm)
+    return norm
 
 
 class NormalizedPromptOperator:
@@ -190,8 +215,8 @@ class NormalizedPromptOperator:
     """
 
     def __init__(self, base: SelfLoopedBase, w: Tensor):
-        if w.rows != base.a_hat.rows:
-            raise DimensionError(f"weight block has {w.rows} rows for {base.a_hat.rows} base nodes")
+        if w.rows != base.a_hat.shape[0]:
+            raise DimensionError(f"weight block has {w.rows} rows for {base.a_hat.shape[0]} base nodes")
         self.a_hat = base.a_hat
         self.w = w
         self.n_base = w.rows

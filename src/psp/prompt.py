@@ -30,7 +30,7 @@ from .autodiff import (
     derive_seed,
     dropout_mask,
     masked_infonce,
-    matmul,
+    seeded_rng,
 )
 from .encoders import EncoderParams, _check_mode, gnn_forward, mlp_forward
 from .errors import ContractError, DimensionError, NumericError, ParameterError
@@ -98,8 +98,7 @@ def restrict_edge_ratio(n: int, labeled: LabeledSet, r: float, seed: int) -> np.
     pool = np.flatnonzero(~mask)
     take = min(int(np.floor(r * n)), pool.size)
     if take:
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x51EC])
-        mask[rng.choice(pool, size=take, replace=False)] = True
+        mask[seeded_rng(seed, 0x51EC).choice(pool, size=take, replace=False)] = True
     return mask
 
 
@@ -148,7 +147,7 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     (w1, _), _ = params.gnn_layers
     return TaskContext(graph=g, params=params, task=task, anchors=anchors,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
-                       xw1=matmul(g.features, w1))
+                       xw1=Tensor._adopt(g.features.data @ w1.data, False))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +169,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     degrees too. Of the N-row arrays it keeps only t1 = (A+I)(s_b*XW1) + W(s_p*PW1)
     and H_b after relu and dropout: it recomputes s_b*XW1 and s_b*H_b where it
     reads them, and, as in the encoders, relu's gate and the keep-mask are
-    both H > 0 and every kept entry carries the one scale of `dropout_mask`.
+    both H > 0 and every kept entry carries the one scale 1/(1-p).
 
     Returns the prototypes and the dropout-free prototypes of the same weights
     (the same tensor when no dropout acted): layer 1 is shared, so a training
@@ -187,7 +186,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     if feats.rows != weights.cols:
         raise DimensionError(f"prompt has {feats.rows} prototype feature rows for {weights.cols} weight columns")
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    a_hat, graph_of = ctx.base.a_hat.csr, ctx.graph.graph_of
+    a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
     w = weights.data * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
@@ -207,13 +206,15 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         u2 = wt @ (hb * s_b) + hp * s_p
         return u2, (u2 * s_p) @ w2.data + b2.data
 
-    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
     clean, scale = None, None
-    if factor is not None:
+    if keep is not None:
         clean = Tensor._adopt(layer2(h_b, h_p)[1], False)
-        h_b *= factor[:n]
-        h_p *= factor[n:]
-        scale = factor.max(initial=0.0)  # 1/(1-p), or 0 when every entry dropped
+        scale = 1.0 / (1.0 - dropout_rate)
+        h_b *= keep[:n]
+        h_b *= scale
+        h_p *= keep[n:]
+        h_p *= scale
     u2, out = layer2(h_b, h_p)
 
     def vjp(g):

@@ -17,7 +17,8 @@ The digests hold only on a machine whose fingerprint (CPU model, numpy's
 BLAS build, BLAS thread count) matches the file's, because BLAS may round
 differently elsewhere. `differences` therefore compares digests on a
 matching machine, and elsewhere the losses within 1e-12 and the accuracies
-and selections exactly.
+and selections exactly; `comparison` says which of the two ran, and the
+script prints it before its verdict.
 
     python tests/golden.py            # rerun the chain and report differences
     python tests/golden.py --update   # rewrite tests/golden/GOLDEN.json
@@ -172,10 +173,27 @@ def _section_differences(got: dict, want: dict, same_machine: bool) -> list[str]
     return found
 
 
+def fingerprint_differences(got: dict, want: dict) -> list[str]:
+    """The fingerprint fields in which the rerun `got` departs from the record
+    `want`, each with both values (empty: digests are comparable)."""
+    mine, theirs = got["fingerprint"], want["fingerprint"]
+    return [f"{k} ({mine.get(k)!r} here, {theirs.get(k)!r} recorded)"
+            for k in sorted(mine.keys() | theirs.keys()) if mine.get(k) != theirs.get(k)]
+
+
+def comparison(got: dict, want: dict) -> str:
+    """Which check `differences` makes of `got` against `want`, in one line."""
+    fields = fingerprint_differences(got, want)
+    if not fields:
+        return "compared every digest: the machine fingerprint matches the record"
+    return (f"compared values within {LOSS_TOLERANCE:g} and exact accuracies and selections, "
+            f"not digests: the fingerprint differs in {'; '.join(fields)}")
+
+
 def differences(got: dict, want: dict) -> list[str]:
     """Where the rerun `got` departs from the golden record `want` (empty: none).
     The N=3000 section is compared when `got` has one."""
-    same_machine = got["fingerprint"] == want["fingerprint"]
+    same_machine = not fingerprint_differences(got, want)
     found = _section_differences(got, want, same_machine)
     if "n3000" in got:
         if "n3000" not in want:
@@ -195,7 +213,9 @@ def main(argv) -> int:
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")
         return 0
-    found = differences(got, json.loads(GOLDEN.read_text()))
+    want = json.loads(GOLDEN.read_text())
+    found = differences(got, want)
+    print(comparison(got, want))
     print("\n".join(found) or "golden outputs match")
     return 1 if found else 0
 

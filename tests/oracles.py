@@ -65,6 +65,7 @@ from psp.autodiff import (
     matmul,
     mul,
     row_sum,
+    seeded_rng,
     spmm,
 )
 from psp.encoders import _check_mode, parameters
@@ -106,9 +107,10 @@ def relu(a: Tensor) -> Tensor:
 def dropout(x: Tensor, p: float, seed: int, stream: int, training: bool) -> Tensor:
     """Inverted dropout with the `dropout_mask` of (seed, stream), which is
     the same on a tape or off; identity in evaluation mode."""
-    factor = dropout_mask(x.shape, p, seed, stream, training)
-    if factor is None:
+    keep = dropout_mask(x.shape, p, seed, stream, training)
+    if keep is None:
         return x
+    factor = keep / (1.0 - p)
     return _emit("dropout", (x,), x.data * factor, lambda g: (g * factor,))
 
 
@@ -254,7 +256,7 @@ def set_loop_build_csr(n, edges):
 def choice_sbm_edges(n, n_classes, homophily, avg_deg, seed):
     """`generate_sbm`'s edges as drawn by `Generator.choice`, and the generator
     as that loop leaves it, for the features drawn next."""
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5B3])
+    rng = seeded_rng(seed, 0x5B3)
     sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
     sizes[: n % n_classes] += 1
     labels = np.repeat(np.arange(n_classes), sizes)
@@ -285,9 +287,10 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
     blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
-    factor = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
-                          derive_seed(seed, 2), 0, mode == "train")
-    if factor is not None:
+    keep = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
+                        derive_seed(seed, 2), 0, mode == "train")
+    if keep is not None:
+        factor = keep / (1.0 - dropout_rate)
         h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
     _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
@@ -302,7 +305,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     training = _check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    a_hat, graph_of = ctx.base.a_hat.csr, ctx.graph.graph_of
+    a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
     w = weights.data * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
@@ -323,7 +326,8 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         u2 = wt @ sb2 + hp * s_p
         return sb2, u2, (u2 * s_p) @ w2.data + b2.data
 
-    factor = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    factor = None if keep is None else keep / (1.0 - dropout_rate)
     clean = None
     if factor is not None:
         clean = Tensor._adopt(layer2(h_b, h_p)[2], False)
@@ -450,7 +454,7 @@ def params_checksum(params) -> str:
 
 def intra_class_edge_fraction(g) -> float:
     """Fraction of stored (undirected) edges joining same-class endpoints."""
-    upper = sparse.triu(g.adjacency.csr, k=1, format="coo")
+    upper = sparse.triu(g.adjacency, k=1, format="coo")
     if not upper.nnz:
         return 0.0
     return float(np.mean(g.labels[upper.row] == g.labels[upper.col]))

@@ -247,18 +247,18 @@ def test_criterion_3_structural_invariants():
     worst_norm = 0.0
     for n, edges in fixtures:
         a = build_csr(n, edges)
-        dense = a.to_dense()
+        dense = a.toarray()
         hat = dense + np.eye(n)
         inv = 1.0 / np.sqrt(hat.sum(axis=1))
         brute = inv[:, None] * hat * inv[None, :]
-        worst_norm = max(worst_norm, np.abs(gcn_normalize(a).to_dense() - brute).max())
+        worst_norm = max(worst_norm, np.abs(gcn_normalize(a).toarray() - brute).max())
 
     n, edges = fixtures[2]
     a = build_csr(n, edges)
     op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2))))
     eye = np.eye(op.rows)
     top, _ = op.apply(Tensor(eye[:n]), Tensor(eye[n:]))
-    reduction_err = np.abs(top.data[:, :n] - gcn_normalize(a).to_dense()).max()
+    reduction_err = np.abs(top.data[:, :n] - gcn_normalize(a).toarray()).max()
 
     from psp.encoders import freeze, init_encoder_params
 

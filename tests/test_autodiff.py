@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from psp import autodiff
 from psp.autodiff import (
     AdamState,
-    CsrMatrix,
     Tape,
     Tensor,
     absolute,
@@ -28,7 +27,7 @@ from psp.autodiff import (
 )
 from psp.encoders import gnn_forward, init_encoder_params, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
-from psp.graph import build_csr, gcn_normalize
+from psp.graph import build_csr, check_csr, gcn_normalize
 
 from oracles import (
     composite_infonce,
@@ -58,7 +57,7 @@ def rand(rows, cols, seed=0):
 
 
 def identity(n):
-    return CsrMatrix(sparse.eye_array(n, format="csr"))
+    return sparse.eye_array(n, format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +118,14 @@ def test_spmm_shape_error():
 def test_spmm_vjp_matches_the_materialized_transpose():
     rng = np.random.default_rng(7)
     dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.4)
-    s = CsrMatrix(sparse.csr_array(dense))
+    s = sparse.csr_array(dense)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     g = rng.standard_normal((7, 3))
     with Tape() as tape:
         spmm(s, x)
     (gx,) = tape.records[-1].vjp(g)
-    assert np.array_equal(gx, s.csr.T.tocsr() @ g)
-    np.testing.assert_allclose(gx, s.to_dense().T @ g, rtol=0, atol=1e-12)
+    assert np.array_equal(gx, s.T.tocsr() @ g)
+    np.testing.assert_allclose(gx, s.toarray().T @ g, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +737,7 @@ def test_tensor_constructor_copies_its_argument():
 
 
 # ---------------------------------------------------------------------------
-# CsrMatrix invariants
+# check_csr invariants
 
 
 @pytest.mark.parametrize("offsets,indices,values", [
@@ -753,13 +752,45 @@ def test_tensor_constructor_copies_its_argument():
         "offsets_not_from_zero", "offsets_end_before_entries", "repeated_col_in_row"])
 def test_csr_validation(offsets, indices, values):
     with pytest.raises(DataError):
-        CsrMatrix((values, indices, offsets), shape=(2, 2))
+        check_csr((values, indices, offsets), shape=(2, 2))
+
+
+def _well_formed(values, indices, offsets, cols) -> bool:
+    """The rule check_csr enforces on a raw triple, spelled out."""
+    if offsets[0] != 0 or offsets[-1] != len(indices) or len(values) != len(indices):
+        return False
+    if any(hi < lo for lo, hi in zip(offsets, offsets[1:])):
+        return False
+    rows = [indices[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return all(0 <= c < cols for c in indices) and all(
+        all(a < b for a, b in zip(row, row[1:])) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4),
+       st.lists(st.integers(-1, 5), max_size=8), st.lists(st.integers(-1, 8), min_size=1, max_size=6),
+       st.integers(-1, 1), st.booleans())
+def test_check_csr_accepts_exactly_the_well_formed_triples(rows, cols, indices, offsets, extra, tidy):
+    offsets = offsets[:rows + 1] + [len(indices)] * (rows + 1 - len(offsets))  # rows + 1 offsets
+    if tidy and rows:  # offsets from 0 to the entry count, non-decreasing, each row sorted
+        offsets = [0] + sorted(min(max(o, 0), len(indices)) for o in offsets[1:-1]) + [len(indices)]
+        indices = [c for lo, hi in zip(offsets, offsets[1:]) for c in sorted(indices[lo:hi])]
+    values = [1.0] * max(0, len(indices) + extra)
+    if _well_formed(values, indices, offsets, cols):
+        got = check_csr((values, indices, offsets), shape=(rows, cols)).toarray()
+        want = np.zeros((rows, cols))
+        for r, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            want[r, indices[lo:hi]] = 1.0
+        np.testing.assert_array_equal(got, want)
+    else:
+        with pytest.raises(DataError):
+            check_csr((values, indices, offsets), shape=(rows, cols))
 
 
 def test_csr_identity_roundtrip():
-    eye = identity(4)
-    np.testing.assert_array_equal(eye.to_dense(), np.eye(4))
-    assert eye.nnz == 4
+    eye = check_csr(identity(4))
+    np.testing.assert_array_equal(eye.toarray(), np.eye(4))
+    assert eye.nnz == 4 and eye.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +799,15 @@ def test_csr_identity_roundtrip():
 
 @pytest.mark.parametrize("module,name", [
     ("autodiff", "absolute"), ("autodiff", "mul"), ("autodiff", "row_sum"), ("autodiff", "rsqrt"),
-    ("autodiff", "transpose"), ("graph", "NormalizedPromptOperator")])
+    ("autodiff", "transpose"), ("autodiff", "add"), ("autodiff", "matmul"), ("autodiff", "spmm"),
+    ("graph", "NormalizedPromptOperator"), (None, "CsrMatrix")])
 def test_oracle_only_names_stay_out_of_the_package_namespace(module, name):
-    """Only the parity oracles use these; they are reached through their module."""
+    """Only the parity oracles use these; they are reached through their module.
+    A name without a module is gone from every module."""
     import psp
 
     assert not hasattr(psp, name)
-    assert hasattr(getattr(psp, module), name)
+    if module is None:
+        assert not any(hasattr(getattr(psp, m), name) for m in ("autodiff", "graph"))
+    else:
+        assert hasattr(getattr(psp, module), name)

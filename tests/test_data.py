@@ -53,7 +53,7 @@ def test_load_node_dataset_minimal(tmp_path):
     write_node_fixture(tmp_path / "d")
     g = load_node_dataset(tmp_path / "d")
     assert g.n_nodes == 2 and g.n_classes == 2
-    np.testing.assert_array_equal(g.adjacency.to_dense(), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(g.adjacency.toarray(), [[0, 1], [1, 0]])
     np.testing.assert_array_equal(g.features.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -96,7 +96,7 @@ def test_node_dataset_roundtrip(tmp_path):
     assert back.n_nodes == g.n_nodes and back.n_classes == g.n_classes
     np.testing.assert_array_equal(back.features.data, g.features.data)
     np.testing.assert_array_equal(back.labels, g.labels)
-    np.testing.assert_array_equal(back.adjacency.to_dense(), g.adjacency.to_dense())
+    np.testing.assert_array_equal(back.adjacency.toarray(), g.adjacency.toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_load_tu_dataset_blocks_and_membership(tmp_path):
     g = load_tu_dataset(tmp_path / "tu", "TOY")
     assert g.n_nodes == 7 and g.n_graphs == 3
     np.testing.assert_array_equal(g.graph_of, [0, 0, 0, 1, 1, 1, 2])
-    dense = g.adjacency.to_dense()
+    dense = g.adjacency.toarray()
     assert dense[:3, 3:].sum() == 0  # block-diagonal
     assert dense[:3, :3].sum() == 6  # triangle
     assert dense[6].sum() == 0  # singleton
@@ -538,9 +538,9 @@ def test_sbm_draws_the_edges_and_features_of_the_choice_loop(n, n_classes, homop
         return
     g = generate_sbm(n, n_classes, homophily, avg_deg, feat_dim, noise, seed)
     edges, rng = choice_sbm_edges(n, n_classes, homophily, avg_deg, seed)
-    want = build_csr(n, edges).csr
-    np.testing.assert_array_equal(g.adjacency.csr.indptr, want.indptr)
-    np.testing.assert_array_equal(g.adjacency.csr.indices, want.indices)
+    want = build_csr(n, edges)
+    np.testing.assert_array_equal(g.adjacency.indptr, want.indptr)
+    np.testing.assert_array_equal(g.adjacency.indices, want.indices)
     # drawn after the edges, so equal only if both loops left the generator in one state
     features = np.eye(n_classes, feat_dim)[g.labels] + noise * rng.standard_normal((n, feat_dim))
     assert g.features.data.tobytes() == features.tobytes()
@@ -606,7 +606,7 @@ def test_sbm_seed_determinism():
     a = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     b = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     assert np.array_equal(a.features.data, b.features.data)
-    assert np.array_equal(a.adjacency.csr.indices, b.adjacency.csr.indices)
+    assert np.array_equal(a.adjacency.indices, b.adjacency.indices)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_gnn_identity_propagation_without_edges():
     p = make_params()
     x = Tensor(np.random.default_rng(2).standard_normal((4, 4)))
     a = gcn_normalize(build_csr(4, []))  # normalizes to the identity
-    np.testing.assert_allclose(a.to_dense(), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(a.toarray(), np.eye(4), atol=1e-15)
     out = gnn_forward(x, a, p)
     # isolated nodes see only themselves: same transform applied row-wise
     single = gnn_forward(Tensor(x.data[2:3]), gcn_normalize(build_csr(1, [])), p)
@@ -88,7 +88,7 @@ def test_gnn_isomorphic_nodes_equal_embeddings():
 def test_gnn_two_node_path_averages_to_equal_rows():
     p = make_params()
     a = gcn_normalize(build_csr(2, [(0, 1)]))
-    np.testing.assert_allclose(a.to_dense(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(a.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
     x = Tensor(np.array([[1.0, 0.0, 2.0, -1.0], [3.0, 1.0, 0.0, 5.0]]))
     out = gnn_forward(x, a, p)
     np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import CsrMatrix, Tensor, add, mul
+from psp.autodiff import Tensor, add, mul
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
     NormalizedPromptOperator,
     SelfLoopedBase,
     build_csr,
+    check_csr,
     class_count,
     gcn_normalize,
     mean_readout,
@@ -55,7 +57,7 @@ FIXTURE_GRAPHS = {
 
 def test_build_csr_symmetrizes():
     a = build_csr(2, [(0, 1)])
-    np.testing.assert_array_equal(a.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(a.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_build_csr_dedups():
@@ -65,7 +67,7 @@ def test_build_csr_dedups():
 
 def test_build_csr_drops_self_loops():
     a = build_csr(2, [(0, 0), (0, 1)])
-    assert a.to_dense()[0, 0] == 0.0
+    assert a.toarray()[0, 0] == 0.0
 
 
 def test_build_csr_range_check():
@@ -75,7 +77,7 @@ def test_build_csr_range_check():
 
 def test_build_csr_sorted_columns():
     a = build_csr(4, [(3, 0), (1, 0), (2, 0)])
-    row0 = a.csr.indices[a.csr.indptr[0]:a.csr.indptr[1]]
+    row0 = a.indices[a.indptr[0]:a.indptr[1]]
     assert list(row0) == sorted(row0)
 
 
@@ -83,7 +85,7 @@ def test_build_csr_sorted_columns():
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30))
 def test_build_csr_properties(edges):
     a = build_csr(8, edges)
-    dense = a.to_dense()
+    dense = a.toarray()
     np.testing.assert_array_equal(dense, dense.T)          # symmetric
     assert np.all(np.diag(dense) == 0)                      # no self-loops
     assert set(np.unique(dense)) <= {0.0, 1.0}              # unit, deduplicated
@@ -94,9 +96,9 @@ def test_build_csr_properties(edges):
 def _assert_matches_set_loop(n, edges):
     a = build_csr(n, edges)
     offsets, cols = set_loop_build_csr(n, edges)
-    np.testing.assert_array_equal(a.csr.indptr, offsets)
-    np.testing.assert_array_equal(a.csr.indices, cols)
-    np.testing.assert_array_equal(a.csr.data, np.ones(cols.size))
+    np.testing.assert_array_equal(a.indptr, offsets)
+    np.testing.assert_array_equal(a.indices, cols)
+    np.testing.assert_array_equal(a.data, np.ones(cols.size))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
@@ -127,16 +129,16 @@ def test_build_csr_range_check_reports_first_bad_edge():
 
 def test_gcn_normalize_two_node_path():
     out = gcn_normalize(build_csr(2, [(0, 1)]))
-    np.testing.assert_allclose(out.to_dense(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(out.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_gcn_normalize_isolated_node():
     out = gcn_normalize(build_csr(1, []))
-    np.testing.assert_allclose(out.to_dense(), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(out.toarray(), [[1.0]], atol=1e-15)
 
 
 def test_gcn_normalize_rejects_non_square():
-    rect = CsrMatrix(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
+    rect = check_csr(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError):
         gcn_normalize(rect)
 
@@ -145,14 +147,14 @@ def test_gcn_normalize_rejects_non_square():
 def test_gcn_normalize_matches_dense_oracle(name):
     n, edges = FIXTURE_GRAPHS[name]
     a = build_csr(n, edges)
-    got = gcn_normalize(a).to_dense()
-    np.testing.assert_allclose(got, dense_gcn_normalize(a.to_dense()), atol=1e-12)
+    got = gcn_normalize(a).toarray()
+    np.testing.assert_allclose(got, dense_gcn_normalize(a.toarray()), atol=1e-12)
     np.testing.assert_allclose(got, got.T, atol=1e-12)
 
 
 def test_gcn_normalize_regular_graph_rows_sum_to_one():
     out = gcn_normalize(build_csr(6, [(i, (i + 1) % 6) for i in range(6)]))
-    np.testing.assert_allclose(out.to_dense().sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.toarray().sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_augment_row_mismatch():
 
 
 def test_prompted_operator_rejects_non_square_base():
-    rect = CsrMatrix(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
+    rect = check_csr(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError, match="square"):
         NormalizedPromptOperator(SelfLoopedBase.of(rect), Tensor(np.zeros((2, 1))))
 
@@ -185,7 +187,7 @@ def test_normalize_prompted_zero_weights_reduces_to_gcn():
     a = build_csr(n, edges)
     dense = operator_matrix(
         NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2)))))
-    np.testing.assert_allclose(dense[:n, :n], gcn_normalize(a).to_dense(), atol=1e-12)
+    np.testing.assert_allclose(dense[:n, :n], gcn_normalize(a).toarray(), atol=1e-12)
     # isolated prototypes aggregate only themselves
     np.testing.assert_allclose(dense[n:, n:], np.eye(2), atol=1e-15)
     np.testing.assert_array_equal(dense[n:, :n], 0.0)
@@ -198,7 +200,7 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     w = rng.standard_normal((n, 3))
     h = rng.standard_normal((n + 3, 4))
     op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w))
-    oracle = dense_prompted_normalize(a.to_dense(), w)
+    oracle = dense_prompted_normalize(a.toarray(), w)
     np.testing.assert_allclose(apply_stacked(op, h), oracle @ h, atol=1e-12)
     np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
     for blocks in ((h[:n - 1], h[n:]), (h[:n], h[n:-1]), (h[n:], h[:n])):
@@ -223,7 +225,7 @@ def test_prototype_column_scaling_near_invariant():
     for alpha in (1.0, 5.0):
         got = operator_matrix(
             NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w * alpha)))
-        oracle = dense_prompted_normalize(a.to_dense(), w * alpha)
+        oracle = dense_prompted_normalize(a.toarray(), w * alpha)
         np.testing.assert_allclose(got, oracle, atol=1e-12)
         incoming = got[3, :3]
         rows[alpha] = incoming / np.abs(incoming).sum()
@@ -319,9 +321,25 @@ def test_graphdata_counts_come_from_the_arrays():
 
 
 def test_graphdata_rejects_asymmetric():
-    asym = CsrMatrix(([1.0], [1], [0, 1, 1]), shape=(2, 2))
+    asym = sparse.csr_array(([1.0], [1], [0, 1, 1]), shape=(2, 2))
     with pytest.raises(DataError, match="symmetric"):
         _tiny_graph(adjacency=asym)
+
+
+@pytest.mark.parametrize("indices", [[1, 5], [1, 0], [0, 0]],
+                         ids=["col_out_of_range", "not_increasing_in_row", "repeated_col_in_row"])
+def test_graphdata_checks_a_csr_array_it_is_given(indices):
+    """A csr_array built by hand, which scipy's constructor lets through, is refused."""
+    adjacency = sparse.csr_array(([1.0, 1.0], indices, [0, 2, 2]), shape=(2, 2))
+    with pytest.raises(DataError, match="CSR|strictly increasing"):
+        _tiny_graph(adjacency=adjacency)
+
+
+def test_graphdata_holds_a_float64_canonical_csr_array():
+    g = _tiny_graph(adjacency=sparse.csr_array(np.array([[0, 1], [1, 0]])))
+    assert isinstance(g.adjacency, sparse.csr_array) and g.adjacency.dtype == np.float64
+    assert g.adjacency.has_canonical_format
+    np.testing.assert_array_equal(g.adjacency.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_graphdata_rejects_out_of_range_labels():

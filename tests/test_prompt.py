@@ -517,10 +517,10 @@ def _spy_on_masks(monkeypatch, module) -> list:
     draws, draw = [], module.dropout_mask
 
     def spy(shape, rate, seed, stream, training):
-        factor = draw(shape, rate, seed, stream, training)
-        if factor is not None:
+        keep = draw(shape, rate, seed, stream, training)
+        if keep is not None:
             draws.append((seed, stream))
-        return factor
+        return keep
 
     monkeypatch.setattr(module, "dropout_mask", spy)
     return draws
@@ -656,7 +656,7 @@ def test_task_context_builds_views_once_per_task():
     (w1, _), _ = params.gnn_layers
     np.testing.assert_array_equal(node.xw1.data, g.features.data @ w1.data)
     np.testing.assert_array_equal(node.base.degree.data.ravel(),
-                                  g.adjacency.csr.sum(axis=1) + 1.0)
+                                  g.adjacency.sum(axis=1) + 1.0)
     graph = task_context(g, params, "graph")
     attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
     np.testing.assert_array_equal(graph.anchors.data, attr.data)
