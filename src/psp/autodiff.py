@@ -8,7 +8,7 @@ requires gradients, so forward passes through frozen models run tape-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -23,7 +23,7 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """Dense float64 matrix participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.array(data, dtype=np.float64)
@@ -34,7 +34,6 @@ class Tensor:
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D, got array of shape {arr.shape}")
         self.data = arr
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.name = name
 
@@ -43,7 +42,6 @@ class Tensor:
         """Wrap a fresh 2-D float64 array that nothing else holds, without a copy."""
         out = cls.__new__(cls)
         out.data = arr
-        out.grad = None
         out.requires_grad = requires_grad
         out.name = None
         return out
@@ -219,9 +217,7 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
     The mask depends only on (seed, stream): each call site names its own
     stream, so a mask does not depend on what ran before it, on a tape or off.
     """
-    p = float(p)
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
+    p = check_fraction("dropout", p, open_top=True)
     if not training or p == 0.0:
         return None
     return seeded_rng(seed, stream).random(shape) >= p
@@ -240,6 +236,15 @@ def check_finite(name: str, value, positive: bool = False) -> float:
     if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
         kind = "positive" if positive else "non-negative"
         raise ParameterError(f"{name} must be a {kind} finite number, got {value}")
+    return value
+
+
+def check_fraction(name: str, value, open_top: bool) -> float:
+    """`value` as a float; anything outside [0, 1], or [0, 1) when `open_top`,
+    NaN included, raises a ParameterError naming `name`."""
+    value = float(value)
+    if not (0.0 <= value and (value < 1.0 if open_top else value <= 1.0)):
+        raise ParameterError(f"{name} must lie in [0, 1{')' if open_top else ']'}, got {value}")
     return value
 
 
@@ -339,12 +344,12 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
 # backward sweep
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep adding d(loss)/d(leaf) to .grad of every leaf on the tape.
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every leaf on the tape that the sweep reaches.
 
     Leaves are the requires_grad tensors no record produced (the loss too, if
     none did). A produced tensor's gradient is freed once its VJP has run.
-    Calling twice without clearing grads adds one more full sweep seeded at 1.
+    The tape is left as it was, so a second call returns equal gradients.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
@@ -357,15 +362,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for t, g in zip(rec.inputs, rec.vjp(flow)):
             if g is not None:
                 flows[t] = g if t not in flows else flows[t] + g
-    leaf_grads: list[np.ndarray] = []
+    grads: dict[Tensor, np.ndarray] = {}
     for t, g in flows.items():
-        if not t.requires_grad:
-            continue
-        # a VJP may hand one array to two inputs (add); each leaf owns its grad
-        if any(np.may_share_memory(g, h) for h in leaf_grads):
-            g = g.copy()
-        leaf_grads.append(g)
-        t.grad = g if t.grad is None else t.grad + g
+        if t.requires_grad:  # a VJP may hand one array to two inputs (add); each leaf owns its gradient
+            grads[t] = g.copy() if any(np.may_share_memory(g, h) for h in grads.values()) else g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +386,23 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """One bias-corrected update in place; gradients are cleared afterward."""
+def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], state: AdamState) -> None:
+    """One bias-corrected update in place, each parameter moved by its entry of `grads`."""
     if not state.m:
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
     if len(state.m) != len(params):
         raise ContractError(f"optimizer state tracks {len(state.m)} parameters, got {len(params)}")
     for i, p in enumerate(params):
-        if p.grad is None:
+        if p not in grads:
             raise ContractError(f"adam_step: parameter {p.name or i} has no gradient")
-        if p.grad.shape != p.data.shape:
+        if grads[p].shape != p.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch on parameter {p.name or i}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for i, (p, m, v) in enumerate(zip(params, state.m, state.v)):
-        g = p.grad
+        g = grads[p]
         with np.errstate(over="ignore", invalid="ignore"):
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -413,4 +414,3 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p.data
         p.data -= update
-        p.grad = None

@@ -191,7 +191,6 @@ def _cmd_sweep(args) -> int:
     if not splits[0].test.indices.size:
         raise ContractError("accuracy needs at least one labeled item, got none")
     ctx = task_context(g, ckpt.params, args.task)
-    ctx.struct  # built here, before the fits fork, so no worker builds its own
 
     def fit(job):  # --val-shots >= 1: the kept weights' validation accuracy and prototypes
         cfg, split = job

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import Tensor, check_finite, seeded_rng
+from .autodiff import Tensor, check_finite, check_fraction, check_tau, seeded_rng
 from .encoders import EncoderParams, freeze, parameters
 from .errors import DataError, FormatError, ParameterError
 from .graph import GraphData, LabeledSet, PromptedGraph, build_csr, class_count
@@ -314,8 +314,7 @@ def sample_k_shot(labels, k: int, seed: int, val_k: int = 0) -> SplitSpec:
 def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec:
     """Keep a uniform (1-ratio) fraction of each class's train items, at least
     one per class. Validation and test sets are untouched."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ParameterError(f"mask ratio must lie in [0, 1], got {ratio}")
+    check_fraction("mask ratio", ratio, open_top=False)
     train = split.train
     if ratio == 0.0 or not train.indices.size:
         return split
@@ -346,8 +345,7 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         raise ParameterError(f"need at least one node per class, got n={n}, classes={n_classes}")
     if n_classes < 1:
         raise ParameterError("n_classes must be positive")
-    if not 0.0 <= homophily <= 1.0:
-        raise ParameterError(f"homophily must lie in [0, 1], got {homophily}")
+    check_fraction("homophily", homophily, open_top=False)
     check_finite("avg_deg", avg_deg)
     check_finite("noise", noise)
     if avg_deg > n - 1:
@@ -417,6 +415,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def flags(self, n: int, name: str) -> np.ndarray:
+        """`n` bytes that must each be 0 or 1, as bools."""
+        raw = np.frombuffer(self.take(n), dtype=np.uint8)
+        if (raw > 1).any():
+            raise FormatError(f"checkpoint {name} byte is {raw.max()}, expected 0 or 1")
+        return raw.astype(bool)
+
     def block(self) -> np.ndarray:
         rows, cols = self.unpack("<II")
         data = np.frombuffer(self.take(rows * cols * 8), dtype="<f8")
@@ -453,6 +458,10 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
     hidden_dim, seed, tau = reader.unpack("<Iqd")
+    try:
+        check_tau(tau)
+    except ParameterError as err:
+        raise FormatError(f"checkpoint header: {err}") from None
     (n_blocks,) = reader.unpack("<I")
     if n_blocks != 8:
         raise FormatError(f"expected 8 encoder blocks, found {n_blocks}")
@@ -471,16 +480,15 @@ def load_checkpoint(path) -> Checkpoint:
         mlp_layers=[(Tensor(blocks[0]), Tensor(blocks[1])), (Tensor(blocks[2]), Tensor(blocks[3]))],
         gnn_layers=[(Tensor(blocks[4]), Tensor(blocks[5])), (Tensor(blocks[6]), Tensor(blocks[7]))])
     freeze(params)
-    (has_prompt,) = reader.unpack("<B")
     prompt = None
-    if has_prompt:
-        (task_code,) = reader.unpack("<B")
+    if reader.flags(1, "has-prompt")[0]:
+        graph_task = reader.flags(1, "task")[0]
         proto_features, weights = Tensor(reader.block()), Tensor(reader.block())
         (mask_len,) = reader.unpack("<I")
         if mask_len != weights.rows:
             raise FormatError(f"prompt mask has {mask_len} entries for {weights.rows} weight rows")
-        mask = np.frombuffer(reader.take(mask_len), dtype=np.uint8).astype(bool)
-        prompt = PromptedGraph(task="graph" if task_code else "node", proto_features=proto_features,
+        mask = reader.flags(mask_len, "trainable-mask")
+        prompt = PromptedGraph(task="graph" if graph_task else "node", proto_features=proto_features,
                                weight_rows=weights, trainable_row_mask=mask)
     if reader.pos != len(reader.blob):
         raise FormatError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")

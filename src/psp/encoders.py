@@ -57,7 +57,6 @@ def freeze(params: EncoderParams) -> EncoderParams:
     params.frozen = True
     for p in parameters(params):
         p.requires_grad = False
-        p.grad = None
     return params
 
 

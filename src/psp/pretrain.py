@@ -25,6 +25,7 @@ from .autodiff import (
     adam_step,
     backward,
     check_finite,
+    check_fraction,
     check_tau,
     derive_seed,
     masked_infonce,
@@ -48,8 +49,7 @@ class PretrainConfig:
         check_tau(self.tau)
         check_finite("lr", self.lr, positive=True)
         check_finite("weight_decay", self.weight_decay)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_fraction("dropout", self.dropout, open_top=True)
         if self.epochs < 0:
             raise ParameterError("epochs must be non-negative")
         if self.hidden_dim < 1:
@@ -88,8 +88,7 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"pre-training loss became non-finite at epoch {epoch}")
-        backward(tape, loss)
-        adam_step(parameters(params), opt)
+        adam_step(parameters(params), backward(tape, loss), opt)
         losses.append(value)
     return freeze(params), losses
 

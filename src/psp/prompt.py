@@ -15,7 +15,6 @@ reads out the validation prototypes of the weights it starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .autodiff import (
     _emit,
     adam_step,
     backward,
+    check_fraction,
     check_tau,
     derive_seed,
     dropout_mask,
@@ -69,11 +69,9 @@ class PromptConfig:
             raise ParameterError(f"lr must come from {LR_GRID}, got {self.lr}")
         if not _in_grid(self.weight_decay, WEIGHT_DECAY_GRID):
             raise ParameterError(f"weight_decay must come from {WEIGHT_DECAY_GRID}, got {self.weight_decay}")
-        if not 0.0 <= self.edge_ratio <= 1.0:
-            raise ParameterError(f"edge_ratio must lie in [0, 1], got {self.edge_ratio}")
+        check_fraction("edge ratio", self.edge_ratio, open_top=False)
         check_tau(self.tau)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_fraction("dropout", self.dropout, open_top=True)
         for name in ("epochs", "patience"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -91,8 +89,7 @@ def restrict_edge_ratio(n: int, labeled: LabeledSet, r: float, seed: int) -> np.
     The sample is capped by the number of rows outside the labeled set, so
     r=1 marks every row trainable.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ParameterError(f"edge ratio must lie in [0, 1], got {r}")
+    check_fraction("edge ratio", r, open_top=False)
     mask = np.zeros(n, dtype=bool)
     mask[labeled.indices] = True
     pool = np.flatnonzero(~mask)
@@ -116,6 +113,7 @@ class TaskContext:
     params: EncoderParams
     task: str
     anchors: Tensor          # attribute (MLP) view: the anchor side of the loss
+    struct: Tensor           # structural (GNN) view: the edge-weight initializer
     attr_base: Tensor        # features: the prototype-feature initializer
     base: SelfLoopedBase     # the prompted graph's constant base block
     xw1: Tensor              # X·W1 of the GNN's first layer over the base nodes
@@ -123,13 +121,6 @@ class TaskContext:
     @property
     def n_classes(self) -> int:
         return class_count(self.graph.task_labels(self.task))
-
-    @cached_property
-    def struct(self) -> Tensor:
-        """Structural (GNN) view, the edge-weight initializer; built on first use."""
-        g = self.graph
-        struct = gnn_forward(g.features, gcn_normalize(g.adjacency), self.params, "eval")
-        return mean_readout(struct, g.graph_of) if self.task == "graph" else struct
 
 
 def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
@@ -141,11 +132,12 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     if task == "graph" and g.graph_of is None:
         raise ContractError("graph-level views need graph membership")
     anchors = mlp_forward(g.features, params, "eval")
+    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     attr_base = g.features
     if task == "graph":
-        anchors, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, attr_base))
+        anchors, struct, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, struct, attr_base))
     (w1, _), _ = params.gnn_layers
-    return TaskContext(graph=g, params=params, task=task, anchors=anchors,
+    return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
                        xw1=Tensor._adopt(g.features.data @ w1.data, False))
 
@@ -325,8 +317,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"prompt loss became non-finite at epoch {epoch}")
-        backward(tape, loss)
-        adam_step([weights], opt)
+        adam_step([weights], backward(tape, loss), opt)
         losses.append(value)
     if val is not None:
         weights.data = best_w

@@ -390,8 +390,7 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
         with Tape() as tape:
             proto = full_graph_prototypes(ctx, ps, "train", derive_seed(cfg.seed, epoch), cfg.dropout)
             loss = prompt_loss(anchors, proto, labeled.classes, cfg.tau)
-        backward(tape, loss)
-        adam_step([weights], opt)
+        adam_step([weights], backward(tape, loss), opt)
         losses.append(loss.item())
         if val is not None:
             val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
@@ -414,16 +413,15 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     `f` must map a tensor to a 1x1 tensor and be deterministic; seeded
     randomized ops qualify because fresh tapes replay their masks.
     """
-    prev_rg, prev_grad = x.requires_grad, x.grad
+    prev_rg = x.requires_grad
     x.requires_grad = True
-    x.grad = None
     with Tape() as tape:
         y = f(x)
     if y.shape != (1, 1):
         raise ContractError(f"grad_check: f must return a 1x1 tensor, got {y.shape}")
-    backward(tape, y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.requires_grad, x.grad = prev_rg, prev_grad
+    analytic = backward(tape, y).get(x)
+    analytic = np.zeros_like(x.data) if analytic is None else analytic.copy()
+    x.requires_grad = prev_rg
 
     numeric = np.zeros_like(x.data)
     base = x.data

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from psp.autodiff import (
     adam_step,
     add,
     backward,
+    check_fraction,
     check_tau,
     masked_infonce,
     matmul,
@@ -229,8 +231,8 @@ def test_cosine_zero_row_gets_zero_gradient():
     a = Tensor([[0.0, 0.0], [1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
         loss = total_sum(cosine_sim_matrix(a, Tensor([[1.0, -1.0], [0.5, 3.0]])))
-    backward(tape, loss)
-    assert np.array_equal(a.grad[0], [0.0, 0.0]) and np.abs(a.grad[1]).max() < 1.0
+    ga = backward(tape, loss)[a]
+    assert np.array_equal(ga[0], [0.0, 0.0]) and np.abs(ga[1]).max() < 1.0
 
 
 def test_cosine_dimension_error():
@@ -255,16 +257,14 @@ def test_backward_sum_gives_ones():
     x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
     with Tape() as tape:
         loss = total_sum(x)
-    backward(tape, loss)
-    np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(backward(tape, loss)[x], np.ones((3, 4)))
 
 
 def test_backward_quadratic_gives_x():
     x = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
     with Tape() as tape:
         loss = scale(total_sum(mul(x, x)), 0.5)
-    backward(tape, loss)
-    np.testing.assert_allclose(x.grad, x.data, rtol=1e-12)
+    np.testing.assert_allclose(backward(tape, loss)[x], x.data, rtol=1e-12)
 
 
 def test_backward_requires_scalar_loss():
@@ -275,14 +275,13 @@ def test_backward_requires_scalar_loss():
         backward(tape, y)
 
 
-def test_backward_twice_accumulates():
+def test_backward_twice_returns_equal_gradients():
     x = Tensor(RNG.standard_normal((2, 2)), requires_grad=True)
     with Tape() as tape:
         loss = total_sum(scale(x, 2.0))
-    backward(tape, loss)
-    first = x.grad.copy()
-    backward(tape, loss)
-    np.testing.assert_allclose(x.grad, 2 * first)
+    first = backward(tape, loss)[x].copy()
+    np.testing.assert_array_equal(backward(tape, loss)[x], first)
+    np.testing.assert_array_equal(first, np.full((2, 2), 2.0))
 
 
 def test_frozen_tensors_stay_gradless():
@@ -290,8 +289,8 @@ def test_frozen_tensors_stay_gradless():
     c = Tensor(RNG.standard_normal((2, 2)))
     with Tape() as tape:
         loss = total_sum(mul(x, c))
-    backward(tape, loss)
-    assert c.grad is None and x.grad is not None
+    grads = backward(tape, loss)
+    assert c not in grads and x in grads
 
 
 def test_backward_mlp_composite_matches_finite_differences():
@@ -313,15 +312,13 @@ def test_backward_mlp_composite_matches_finite_differences():
 def test_adam_zero_grad_is_identity():
     p = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
     before = p.data.copy()
-    p.grad = np.zeros((3, 3))
-    adam_step([p], AdamState(lr=0.1, weight_decay=0.0))
+    adam_step([p], {p: np.zeros((3, 3))}, AdamState(lr=0.1, weight_decay=0.0))
     assert np.array_equal(p.data, before)
 
 
 def test_adam_first_step_closed_form():
     p = Tensor(np.zeros((1, 1)), requires_grad=True)
-    p.grad = np.ones((1, 1))
-    adam_step([p], AdamState(lr=0.1))
+    adam_step([p], {p: np.ones((1, 1))}, AdamState(lr=0.1))
     # m_hat = v_hat = 1 on the first unit-gradient step
     assert p.data[0, 0] == pytest.approx(-0.1 / (1 + 1e-8), abs=1e-12)
 
@@ -331,38 +328,50 @@ def test_adam_counter_semantics():
     state = AdamState(lr=0.01)
     assert state.t == 0
     for _ in range(2):
-        p.grad = np.ones((2, 2))
-        adam_step([p], state)
+        adam_step([p], {p: np.ones((2, 2))}, state)
     assert state.t == 2
 
 
 def test_adam_missing_grad_names_parameter():
     p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
     with pytest.raises(ContractError, match="prompt_weights"):
-        adam_step([p], AdamState())
+        adam_step([p], {}, AdamState())
 
 
 @pytest.mark.parametrize("grad", [1e200, np.inf])
 def test_adam_refuses_a_non_finite_moment_naming_the_parameter(grad):
     # 1e200 squared overflows only the second moment, whose inf would make the update a silent 0
     p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
-    p.grad = np.full((2, 2), grad)
     with pytest.raises(NumericError, match="moment of parameter prompt_weights is non-finite"):
-        adam_step([p], AdamState(lr=0.1))
+        adam_step([p], {p: np.full((2, 2), grad)}, AdamState(lr=0.1))
     assert np.array_equal(p.data, np.zeros((2, 2)))
 
 
+def test_adam_refuses_grads_that_lack_a_parameter():
+    p, q = (Tensor(np.zeros((2, 2)), requires_grad=True, name=n) for n in ("p", "q"))
+    state = AdamState(lr=0.1)
+    with pytest.raises(ContractError, match="parameter q has no gradient"):
+        adam_step([p, q], {p: np.ones((2, 2))}, state)
+    assert state.t == 0 and np.array_equal(p.data, np.zeros((2, 2)))
+
+
 def test_adam_grads_cleared_after_step():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    p.grad = np.ones((2, 2))
-    adam_step([p], AdamState(lr=0.1))
-    assert p.grad is None
+    """No gradient outlives a step, taken or refused, for the next sweep to
+    add to: not even that of the parameter a NumericError stops at."""
+    p, q = (Tensor(np.zeros((1, 1)), requires_grad=True, name=n) for n in ("p", "q"))
+    with Tape() as tape:
+        loss = add(p, scale(q, 1e200))
+    adam_step([p], backward(tape, loss), AdamState(lr=0.1))
+    with pytest.raises(NumericError, match="parameter q"):
+        adam_step([p, q], backward(tape, loss), AdamState(lr=0.1))
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[p], [[1.0]])
+    np.testing.assert_array_equal(grads[q], [[1e200]])
 
 
 def test_adam_decoupled_weight_decay():
     p = Tensor(np.full((1, 1), 2.0), requires_grad=True)
-    p.grad = np.zeros((1, 1))
-    adam_step([p], AdamState(lr=0.1, weight_decay=0.5))
+    adam_step([p], {p: np.zeros((1, 1))}, AdamState(lr=0.1, weight_decay=0.5))
     assert p.data[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
@@ -371,8 +380,7 @@ def test_adam_decoupled_weight_decay():
 def test_adam_zero_grad_identity_property(values):
     p = Tensor(values, requires_grad=True)
     before = p.data.copy()
-    p.grad = np.zeros_like(values)
-    adam_step([p], AdamState(lr=0.3, weight_decay=0.0))
+    adam_step([p], {p: np.zeros_like(values)}, AdamState(lr=0.3, weight_decay=0.0))
     assert np.array_equal(p.data, before)
 
 
@@ -478,8 +486,8 @@ def _value_and_grads(loss_fn, a, b):
     za, zb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
         loss = loss_fn(za, zb)
-    backward(tape, loss)
-    return loss.item(), za.grad, zb.grad
+    grads = backward(tape, loss)
+    return loss.item(), grads[za], grads[zb]
 
 
 # (anchor rows, candidate rows, block rows, diagonal positives, zeroed rows)
@@ -545,30 +553,30 @@ def _infonce_through_leaves(seed_scale=None):
     return tape, loss, w, z2
 
 
-def test_backward_twice_over_infonce_doubles_the_leaf_grads():
+def test_backward_twice_over_infonce_returns_equal_gradients():
     tape, loss, w, z2 = _infonce_through_leaves()
-    backward(tape, loss)
-    first = w.grad.copy(), z2.grad.copy()
-    backward(tape, loss)
-    np.testing.assert_array_equal(w.grad, 2 * first[0])
-    np.testing.assert_array_equal(z2.grad, 2 * first[1])
+    first = {t: g.copy() for t, g in backward(tape, loss).items()}
+    second = backward(tape, loss)
+    assert set(first) == set(second) == {w, z2}
+    for t in (w, z2):
+        np.testing.assert_array_equal(second[t], first[t])
 
 
 def test_masked_infonce_vjp_is_linear_in_its_seed():
     tape, loss, w, z2 = _infonce_through_leaves()
-    backward(tape, loss)
+    grads = backward(tape, loss)
     tape3, loss3, w3, z23 = _infonce_through_leaves(seed_scale=3.0)
-    backward(tape3, loss3)
-    np.testing.assert_allclose(w3.grad, 3 * w.grad, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(z23.grad, 3 * z2.grad)
+    grads3 = backward(tape3, loss3)
+    np.testing.assert_allclose(grads3[w3], 3 * grads[w], rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(grads3[z23], 3 * grads[z2])
 
 
 def test_masked_infonce_hands_over_read_only_grads():
     tape, loss, _, z2 = _infonce_through_leaves()
-    backward(tape, loss)
-    assert z2.grad is tape.records[-1].vjp(np.ones((1, 1)))[1]  # no copy for a unit seed
+    g = backward(tape, loss)[z2]
+    assert g is tape.records[-1].vjp(np.ones((1, 1)))[1]  # no copy for a unit seed
     with pytest.raises(ValueError, match="read-only"):
-        z2.grad += 1.0
+        g += 1.0
 
 
 def test_masked_infonce_value_is_the_same_without_a_tape():
@@ -590,11 +598,11 @@ def test_masked_infonce_memory_is_row_blocked():
     try:
         with Tape() as tape:
             loss = masked_infonce(z1, z2, np.arange(n), 0.5)
-        backward(tape, loss)
+        grads = backward(tape, loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(loss.item()) and z1.grad.shape == z2.grad.shape == (n, 16)
+    assert np.isfinite(loss.item()) and grads[z1].shape == grads[z2].shape == (n, 16)
     assert peak < n * n * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -621,6 +629,18 @@ def test_check_tau_refuses_a_tau_with_an_infinite_reciprocal():
     assert check_tau(1e-308) == 1e-308
 
 
+@pytest.mark.parametrize("value,open_top,refused", [
+    (0.0, True, False), (0.999, True, False), (1.0, True, True), (1.0, False, False),
+    (-0.1, False, True), (1.5, False, True), (np.nan, True, True), (np.nan, False, True)])
+def test_check_fraction_states_both_unit_ranges(value, open_top, refused):
+    if refused:
+        with pytest.raises(ParameterError, match=re.escape(
+                f"ratio must lie in [0, 1{')' if open_top else ']'}, got {value}")):
+            check_fraction("ratio", value, open_top)
+    else:
+        assert check_fraction("ratio", value, open_top) == value
+
+
 # ---------------------------------------------------------------------------
 # lean tape: no copies, no gradients nobody asked for, no aliased leaf grads
 
@@ -639,8 +659,8 @@ def test_leaf_grads_share_no_memory(op):
     b = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
     with Tape() as tape:
         loss = total_sum(op(a, b))
-    backward(tape, loss)
-    assert not np.shares_memory(a.grad, b.grad)
+    grads = backward(tape, loss)
+    assert not np.shares_memory(grads[a], grads[b])
 
 
 def test_backward_frees_each_gradient_after_its_vjp():
@@ -654,11 +674,11 @@ def test_backward_frees_each_gradient_after_its_vjp():
     assert len(tape.records) == 32
     tracemalloc.start()
     try:
-        backward(tape, loss)
+        gx = backward(tape, loss)[x]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    np.testing.assert_allclose(x.grad, 0.999 ** 31, rtol=1e-12)
+    np.testing.assert_allclose(gx, 0.999 ** 31, rtol=1e-12)
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"  # all 32 gradients at once: 33 MB
 
 
@@ -669,14 +689,28 @@ def test_backward_fills_only_leaf_grads():
         h = matmul(x, w)
         r = relu(h)
         loss = total_sum(r)
-    backward(tape, loss)
-    assert h.grad is None and r.grad is None and loss.grad is None
+    grads = backward(tape, loss)
+    assert set(grads) == {x, w}
     gate = 1.0 * (h.data > 0)
-    np.testing.assert_array_equal(x.grad, gate @ w.data.T)
-    np.testing.assert_array_equal(w.grad, x.data.T @ gate)
+    np.testing.assert_array_equal(grads[x], gate @ w.data.T)
+    np.testing.assert_array_equal(grads[w], x.data.T @ gate)
     leaf_loss = Tensor([[2.0]], requires_grad=True)
-    backward(Tape(), leaf_loss)
-    np.testing.assert_array_equal(leaf_loss.grad, [[1.0]])
+    assert list(backward(Tape(), leaf_loss)) == [leaf_loss]
+    np.testing.assert_array_equal(backward(Tape(), leaf_loss)[leaf_loss], [[1.0]])
+
+
+def test_backward_returns_only_the_reached_trainable_leaves():
+    """Frozen inputs, produced tensors and leaves off the loss's path are absent."""
+    x = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    frozen = Tensor(RNG.standard_normal((2, 2)))
+    unreached = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = matmul(x, frozen)
+        side = relu(unreached)
+        loss = total_sum(relu(h))
+    grads = backward(tape, loss)
+    assert isinstance(grads, dict) and list(grads) == [x]
+    assert all(t not in grads for t in (frozen, unreached, h, side, loss))
 
 
 # (a, b) shapes for add and mul: None where the op broadcasts, else the error raised
@@ -720,13 +754,13 @@ def test_elementwise_broadcast_table(op, np_op, sa, sb, error):
         out = op(a, b)
         loss = total_sum(out)
     np.testing.assert_array_equal(out.data, np_op(a.data, b.data))
-    backward(tape, loss)
+    grads = backward(tape, loss)
     for t, other in ((a, b), (b, a)):
         # d(sum)/dt sums the other side's (or ones') broadcast copies back to t's shape
         dense = np.ones(out.shape) if op is add else np.broadcast_to(other.data, out.shape)
         want = dense.sum(axis=tuple(i for i in (0, 1) if t.shape[i] != out.shape[i]),
                          keepdims=True)
-        np.testing.assert_allclose(t.grad, want, rtol=1e-12)
+        np.testing.assert_allclose(grads[t], want, rtol=1e-12)
 
 
 def test_tensor_constructor_copies_its_argument():

@@ -472,18 +472,16 @@ def test_sweep_refuses_an_empty_test_split_before_its_first_fit(no_test_items, c
     assert counts == {"prompt_tune": 0}
 
 
-def test_eval_psp_builds_no_structural_view(pipeline, capsys, monkeypatch):
+def test_each_eval_variant_builds_the_structural_view_once(pipeline, capsys, monkeypatch):
     import psp.cli
     import psp.prompt
 
     counts = _count_calls(monkeypatch, ["gcn_normalize"], (psp.cli, psp.prompt))
     _, data, _, tuned = pipeline
-    assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", "psp",
-                "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
-    assert counts == {"gcn_normalize": 0}
-    assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", "psp-np",
-                "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
-    assert counts == {"gcn_normalize": 1}
+    for runs, variant in enumerate(("psp", "psp-np"), start=1):
+        assert run(["eval", "--data", str(data), "--ckpt", str(tuned), "--variant", variant,
+                    "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
+        assert counts == {"gcn_normalize": runs}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-4"])

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -729,6 +730,49 @@ def test_checkpoint_rejects_non_finite_blocks(tmp_path, block, value):
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match=f"block {target.shape[0]}x{target.shape[1]} "
                                           "holds a non-finite value"):
+        load_checkpoint(path)
+
+
+def _prompted_bundle(tmp_path) -> tuple[Path, bytearray, dict]:
+    """A saved bundle with a prompt, its bytes and the offset of each 0/1 field
+    and of the header's tau."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    has_prompt_at = len(path.read_bytes()) - 1
+    save_checkpoint(path, make_checkpoint(with_prompt=True))
+    blob = bytearray(path.read_bytes())
+    return path, blob, {"has-prompt": has_prompt_at, "task": has_prompt_at + 1,
+                        "trainable-mask": len(blob) - 2, "tau": 24}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("has-prompt", 2), ("has-prompt", 255), ("task", 9), ("trainable-mask", 7),
+    ("tau", np.nan), ("tau", np.inf), ("tau", 0.0), ("tau", -0.5), ("tau", 5e-324)])
+def test_checkpoint_refuses_a_corrupt_flag_or_tau_naming_the_field(tmp_path, field, value):
+    import struct
+
+    path, blob, at = _prompted_bundle(tmp_path)
+    if field == "tau":
+        assert struct.unpack_from("<d", blob, at["tau"]) == (0.5,)
+        struct.pack_into("<d", blob, at["tau"], value)
+        want = "checkpoint header: tau must be a positive finite number"
+    else:
+        assert blob[at[field]] in (0, 1)
+        blob[at[field]] = value
+        want = f"checkpoint {field} byte is {value}, expected 0 or 1"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=re.escape(want)):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_a_bundle_with_one_byte_flipped_loads_or_raises_a_psp_error(tmp_path, where, flip):
+    path, blob, _ = _prompted_bundle(tmp_path)
+    blob[int(where * len(blob))] ^= flip
+    path.write_bytes(bytes(blob))
+    with suppress(PspError):
         load_checkpoint(path)
 
 
