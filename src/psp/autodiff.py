@@ -209,6 +209,10 @@ def row_sum(a: Tensor) -> Tensor:
                  lambda g: (g * np.ones((1, cols)),))
 
 
+# uniform values per buffered draw in dropout_mask (512 KiB of float64)
+_DROPOUT_DRAW = 1 << 16
+
+
 def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
                  training: bool) -> Optional[np.ndarray]:
     """The bool keep-mask of inverted dropout for `shape`, or None when dropout is off.
@@ -216,11 +220,20 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
     Callers multiply by the mask, then scale the kept entries by 1/(1-p).
     The mask depends only on (seed, stream): each call site names its own
     stream, so a mask does not depend on what ran before it, on a tape or off.
+    It is `seeded_rng(seed, stream).random(shape) >= p`, drawn `_DROPOUT_DRAW`
+    values at a time, so no float array of `shape` is formed.
     """
     p = check_fraction("dropout", p, open_top=True)
     if not training or p == 0.0:
         return None
-    return seeded_rng(seed, stream).random(shape) >= p
+    rng = seeded_rng(seed, stream)
+    keep = np.empty(shape, dtype=bool)
+    flat, buf = keep.reshape(-1), np.empty(min(keep.size, _DROPOUT_DRAW))
+    for lo in range(0, flat.size, _DROPOUT_DRAW):  # the stream's values in C order
+        draw = buf[:flat.size - lo]
+        rng.random(out=draw)
+        np.greater_equal(draw, p, out=flat[lo:lo + draw.size])
+    return keep
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -266,9 +279,12 @@ def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: floa
 
 # rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
 _INFONCE_BLOCK_ROWS = 256
+# rows of z2 per product that masked_infonce adds into z2's gradient
+_INFONCE_GB_ROWS = 1024
 
 
-def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
+def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
+                   overwrite_inputs: bool = False) -> Tensor:
     """Mean InfoNCE of the rows of z1 against the rows of z2, as one fused op.
 
     Logits are cosine similarities over tau. Row i scores
@@ -283,7 +299,14 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
     inputs' gradients for a unit seed; the VJP only scales them. Each block
     finishes its anchor rows' gradient and stores it over those rows of z1's
     unit array, which no later block reads, so the z1 side needs no array of
-    its own; the z2 side is finished once the sweep is done.
+    its own; the z2 side is added up through one buffer of about
+    `_INFONCE_GB_ROWS` rows and finished once the sweep is done.
+
+    With `overwrite_inputs`, the unit arrays are z1's and z2's own data,
+    scaled in place: afterwards z2 holds its unit rows, and z1 holds its unit
+    rows, or its gradient when that is formed. It saves two N x h arrays. Only
+    a caller that never reads either input again may set it, and the inputs
+    must share no memory.
     """
     if z1.cols != z2.cols:
         raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
@@ -296,12 +319,24 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
     inv_tau = 1.0 / check_tau(tau)
+    if overwrite_inputs and np.may_share_memory(z1.data, z2.data):
+        raise ContractError("masked_infonce: overwrite_inputs needs inputs that share no memory")
     inv_u, inv_v = _row_norms(z1.data), _row_norms(z2.data)
-    a_unit, b_unit = z1.data * inv_u, z2.data * inv_v
+    a_unit = np.multiply(z1.data, inv_u, out=z1.data if overwrite_inputs else None)
+    b_unit = np.multiply(z2.data, inv_v, out=z2.data if overwrite_inputs else None)
     recorded = _recording_tape((z1, z2)) is not None
     # each block overwrites its own anchor rows with their gradient, once it has read them
     ga = a_unit if recorded and z1.requires_grad else None
     gb = np.zeros_like(b_unit) if recorded and z2.requires_grad else None
+    if gb is not None:
+        # gb grows chunk by chunk through one buffer. numpy forms a product with
+        # one row or one column as a gemv, whose last bits differ from the whole
+        # product's: so no chunk has one row, and a one-column gb is one chunk.
+        starts = list(range(0, n, _INFONCE_GB_ROWS if z2.cols > 1 else n))
+        if n - starts[-1] == 1:
+            starts.pop()
+        gb_chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+        gb_part = np.empty((max(c.stop - c.start for c in gb_chunks), z2.cols))
     shift = np.empty((m, 1))
     sum_exp = np.empty((m, 1))
     positive = np.empty((m, 1))
@@ -317,8 +352,11 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float) -> Tensor:
         if recorded:  # the exp block becomes softmax - one-hot in place
             logits /= sum_exp[lo:hi]
             logits[at_pos] -= 1.0
-            if gb is not None:
-                gb += logits.T @ a_unit[lo:hi]
+            if gb is not None:  # gb += logits.T @ a_unit[lo:hi]
+                for c in gb_chunks:
+                    part = gb_part[:c.stop - c.start]
+                    np.matmul(logits[:, c].T, a_unit[lo:hi], out=part)
+                    gb[c] += part
             if ga is not None:
                 g_rows = logits @ b_unit
                 _through_row_norms(g_rows, a_unit[lo:hi], inv_u[lo:hi], inv_tau / m)
@@ -387,29 +425,38 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected update in place, each parameter moved by its entry of `grads`."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
-        raise ContractError(f"optimizer state tracks {len(state.m)} parameters, got {len(params)}")
+    """One bias-corrected update in place, each parameter moved by its entry of `grads`.
+
+    All or nothing: every new moment is formed aside and checked before any
+    is stored, so a refusal leaves the parameters, the moments and `state.t`
+    as they were.
+    """
+    old_m = state.m or [np.zeros_like(p.data) for p in params]
+    old_v = state.v or [np.zeros_like(p.data) for p in params]
+    if len(old_m) != len(params):
+        raise ContractError(f"optimizer state tracks {len(old_m)} parameters, got {len(params)}")
     for i, p in enumerate(params):
         if p not in grads:
             raise ContractError(f"adam_step: parameter {p.name or i} has no gradient")
         if grads[p].shape != p.data.shape:
             raise ContractError(f"adam_step: gradient shape mismatch on parameter {p.name or i}")
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for i, (p, m, v) in enumerate(zip(params, state.m, state.v)):
+    new_m, new_v = [], []
+    for i, (p, m, v) in enumerate(zip(params, old_m, old_v)):
         g = grads[p]
         with np.errstate(over="ignore", invalid="ignore"):
-            m *= ADAM_BETA1
+            m = m * ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
+            v = v * ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
         if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
             raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite")
+        new_m.append(m)
+        new_v.append(v)
+    state.m, state.v = new_m, new_v
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    for p, m, v in zip(params, new_m, new_v):
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p.data

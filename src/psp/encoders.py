@@ -106,13 +106,16 @@ def _two_layer(x: Tensor, layers, a_norm: sparse.csr_array | None, training: boo
         g = back(g)
         h, scale = hidden()
         gh = g @ w2_in.T
+        gw2 = h.T @ g if need_w2 else None
+        del g  # neither N-row array outlives its last read
         if scale is not None:
             gh *= scale
         gh *= h > 0
+        del h
         gb1 = gh.sum(axis=0, keepdims=True) if need_b1 else None
         gh = back(gh)
         return ((gh @ w1_in.T if need_x else None), (x_in.T @ gh if need_w1 else None), gb1,
-                (h.T @ g if need_w2 else None), gb2)
+                gw2, gb2)
 
     return _emit("two_layer", (x, w1, b1, w2, b2), z, vjp)
 

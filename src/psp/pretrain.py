@@ -8,7 +8,7 @@ so the loss can go below zero.
 The loss is one fused, row-blocked op (`autodiff.masked_infonce`): it never
 forms the N x N similarity matrix, so a pre-training epoch holds O(N*B)
 floats for a fixed block of B rows instead of O(N^2). It normalizes each
-view's rows once and forms both views' gradients in the same single pass
+view's rows once, in place, and forms both views' gradients in the same single pass
 over the blocks as the loss, so the backward sweep only hands them over.
 """
 
@@ -56,19 +56,21 @@ class PretrainConfig:
             raise ParameterError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
 
 
-def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
+def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
+                         overwrite_inputs: bool = False) -> Tensor:
     """Temperature-scaled contrastive loss anchored on the first view.
 
     For each row i the positive is row i of the second view; negatives are
     the other rows of the second view. The positive is excluded from the
-    denominator.
+    denominator. `overwrite_inputs` is passed to `masked_infonce`: the loss
+    then normalizes the views in place, and neither may be read again.
     """
     if z1.shape != z2.shape:
         raise ContractError(f"views must have equal shape, got {z1.shape} vs {z2.shape}")
     n = z1.rows
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    return masked_infonce(z1, z2, np.arange(n), tau)
+    return masked_infonce(z1, z2, np.arange(n), tau, overwrite_inputs)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:
@@ -84,11 +86,16 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
         with Tape() as tape:
             z1 = mlp_forward(g.features, params, "train", epoch_seed, cfg.dropout)
             z2 = gnn_forward(g.features, a_norm, params, "train", epoch_seed, cfg.dropout)
-            loss = ntxent_pretrain_loss(z1, z2, cfg.tau)
+            # the encoders' VJPs never read their outputs, so the loss may
+            # normalize the views in place
+            loss = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"pre-training loss became non-finite at epoch {epoch}")
-        adam_step(parameters(params), backward(tape, loss), opt)
+        try:
+            adam_step(parameters(params), backward(tape, loss), opt)
+        except NumericError as err:
+            raise NumericError(f"{err} at epoch {epoch}") from err
         losses.append(value)
     return freeze(params), losses
 

@@ -189,8 +189,13 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
     xw, pw = ctx.xw1.data, feats.data @ w1.data
     sb1, sp1 = xw * s_b, pw * s_p
-    t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
-    h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
+    u1 = wt @ sb1 + sp1
+    t1 = a_hat @ sb1
+    del sb1  # no N-row temporary outlives its last read
+    t1 += w @ sp1
+    h_b = t1 * s_b
+    h_b += b1.data
+    h_p = u1 * s_p + b1.data
     h_b *= h_b > 0  # relu's subgradient is 0 at the kink
     h_p *= h_p > 0
 
@@ -230,8 +235,10 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         g_b *= s_b  # d/dt1
         g_p *= s_p  # d/du1
         gw += g_b @ sp1.T + (xw * s_b) @ g_p.T
-        gs_b += _row_dots(a_hat.T @ g_b + w @ g_p, xw)
         gs_p += _row_dots(wt @ g_b + g_p, pw)
+        g_x = a_hat.T @ g_b  # d/d(s_b*XW1); g_b is not read again, so W g_p goes into it
+        g_x += np.matmul(w, g_p, out=g_b)
+        gs_b += _row_dots(g_x, xw)
         # through the degrees: ds/dd = -s/(2d), and d|W|/dW = sign W
         gw += np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
         if ctx.task == "graph":  # member nodes' entries sum into their graph's row
@@ -317,7 +324,10 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"prompt loss became non-finite at epoch {epoch}")
-        adam_step([weights], backward(tape, loss), opt)
+        try:
+            adam_step([weights], backward(tape, loss), opt)
+        except NumericError as err:
+            raise NumericError(f"{err} at epoch {epoch}") from err
         losses.append(value)
     if val is not None:
         weights.data = best_w

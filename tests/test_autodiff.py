@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +185,17 @@ def test_dropout_survivor_fraction():
     assert np.allclose(out.data[out.data != 0], 2.0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 70_001), (70_001, 1), (0, 4), (300, 128),
+                                   (256, 256), (1024, 128), (3001, 128)])
+def test_dropout_mask_is_one_full_draw_compared_with_p(shape):
+    """Below, at, a multiple of and past the buffer of `_DROPOUT_DRAW` values."""
+    for p, seed, stream in ((0.2, 3, 0), (0.5, 11, 1)):
+        want = autodiff.seeded_rng(seed, stream).random(shape) >= p
+        got = autodiff.dropout_mask(shape, p, seed, stream, training=True)
+        assert got.dtype == bool and got.shape == shape
+        np.testing.assert_array_equal(got, want)
+
+
 def test_dropout_bad_probability():
     with pytest.raises(ParameterError):
         dropout(rand(2, 2), 1.0, seed=0, stream=0, training=True)
@@ -345,6 +355,20 @@ def test_adam_refuses_a_non_finite_moment_naming_the_parameter(grad):
     with pytest.raises(NumericError, match="moment of parameter prompt_weights is non-finite"):
         adam_step([p], {p: np.full((2, 2), grad)}, AdamState(lr=0.1))
     assert np.array_equal(p.data, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("steps_before", [0, 1])
+def test_adam_refusal_leaves_parameters_moments_and_counter_as_they_were(steps_before):
+    p, q = (Tensor(np.zeros((2, 2)), requires_grad=True, name=n) for n in ("p", "q"))
+    state = AdamState(lr=0.1)
+    for _ in range(steps_before):
+        adam_step([p, q], {p: np.ones((2, 2)), q: np.ones((2, 2))}, state)
+    params, moments = [p.data.copy(), q.data.copy()], [m.copy() for m in state.m + state.v]
+    with pytest.raises(NumericError, match="moment of parameter q is non-finite"):
+        adam_step([p, q], {p: np.ones((2, 2)), q: np.full((2, 2), 1e200)}, state)
+    assert state.t == steps_before and len(state.m) == len(state.v) == 2 * steps_before
+    for got, want in zip([p.data, q.data] + state.m + state.v, params + moments):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_adam_refuses_grads_that_lack_a_parameter():
@@ -589,21 +613,95 @@ def test_masked_infonce_value_is_the_same_without_a_tape():
     assert len(tape.records) == 1 and taped.item() == untaped.item()
 
 
-def test_masked_infonce_memory_is_row_blocked():
+def test_masked_infonce_memory_is_row_blocked(traced_peak):
     n = 4000
     rng = np.random.default_rng(5)
     z1 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
     z2 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
-    tracemalloc.start()
-    try:
+
+    def loss_and_grads():
         with Tape() as tape:
             loss = masked_infonce(z1, z2, np.arange(n), 0.5)
-        grads = backward(tape, loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return loss, backward(tape, loss)
+
+    (loss, grads), peak = traced_peak(loss_and_grads, n, n)
     assert np.isfinite(loss.item()) and grads[z1].shape == grads[z2].shape == (n, 16)
-    assert peak < n * n * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 0.25, f"peak {peak:.3f} n x n arrays"
+
+
+def _unit_rows(x):
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.where(norm > 0, x / np.maximum(norm, 1e-300), 0.0)
+
+
+def _infonce_run(a, b, overwrite, taped):
+    """Loss, gradients (None untaped) and inputs of one masked_infonce call on copies of a, b."""
+    z1, z2 = Tensor(a, requires_grad=taped), Tensor(b, requires_grad=taped)
+    with Tape() as tape:
+        loss = masked_infonce(z1, z2, np.arange(len(a)), 0.5, overwrite_inputs=overwrite)
+    if not taped:
+        return loss.item(), None, z1, z2
+    grads = backward(tape, loss)
+    return loss.item(), (grads[z1].copy(), grads[z2].copy()), z1, z2
+
+
+def _infonce_inputs(cols):
+    rng = np.random.default_rng(53)
+    a, b = rng.standard_normal((300, cols)), rng.standard_normal((300, cols))
+    a[4] = b[7] = 0.0  # a zero row stays zero
+    return a, b
+
+
+@pytest.fixture
+def infonce_inputs():
+    return _infonce_inputs(6)
+
+
+def test_masked_infonce_default_leaves_its_inputs_untouched(infonce_inputs):
+    a, b = infonce_inputs
+    for taped in (False, True):
+        _, _, z1, z2 = _infonce_run(a, b, False, taped)
+        np.testing.assert_array_equal(z1.data, a)
+        np.testing.assert_array_equal(z2.data, b)
+
+
+def test_masked_infonce_overwrite_inputs_gives_the_same_bits(infonce_inputs):
+    a, b = infonce_inputs
+    loss, grads, _, _ = _infonce_run(a, b, False, True)
+    loss_in_place, grads_in_place, _, z2 = _infonce_run(a, b, True, True)
+    assert loss_in_place == loss
+    for got, want in zip(grads_in_place, grads):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(z2.data, _unit_rows(b), rtol=1e-15, atol=0)
+    untaped, _, z1, z2 = _infonce_run(a, b, True, False)
+    assert untaped == loss
+    for z, x in ((z1, a), (z2, b)):  # without a gradient to store, both hold unit rows
+        np.testing.assert_allclose(z.data, _unit_rows(x), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+@pytest.mark.parametrize("gb_rows", [2, 7, 299, 300])
+def test_masked_infonce_gradient_chunks_give_the_single_products_bits(cols, gb_rows, monkeypatch):
+    """299 leaves one row over, which joins the chunk before it: a one-row
+    product, like a one-column one, is a gemv with other last bits."""
+    a, b = _infonce_inputs(cols)
+    _, whole, _, _ = _infonce_run(a, b, False, True)
+    monkeypatch.setattr(autodiff, "_INFONCE_GB_ROWS", gb_rows)
+    _, chunked, _, _ = _infonce_run(a, b, False, True)
+    for got, want in zip(chunked, whole):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_masked_infonce_overwrite_refuses_inputs_that_share_memory():
+    base = np.random.default_rng(59).standard_normal((6, 4))
+    z = Tensor(base)
+    left, right = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4)))
+    left.data, right.data = base[:4], base[2:]
+    before = base.copy()
+    for z1, z2 in ((z, z), (left, right)):
+        with pytest.raises(ContractError, match="overwrite_inputs needs inputs that share no memory"):
+            masked_infonce(z1, z2, np.arange(z1.rows), 0.5, overwrite_inputs=True)
+    np.testing.assert_array_equal(base, before)
 
 
 def test_masked_infonce_rejects_bad_positives():
@@ -663,7 +761,7 @@ def test_leaf_grads_share_no_memory(op):
     assert not np.shares_memory(grads[a], grads[b])
 
 
-def test_backward_frees_each_gradient_after_its_vjp():
+def test_backward_frees_each_gradient_after_its_vjp(traced_peak):
     x = Tensor(RNG.standard_normal((128, 1024)), requires_grad=True)  # 1 MiB
     c = Tensor(np.full((128, 1024), 0.999))
     with Tape() as tape:
@@ -672,14 +770,9 @@ def test_backward_frees_each_gradient_after_its_vjp():
             h = mul(h, c)
         loss = total_sum(h)
     assert len(tape.records) == 32
-    tracemalloc.start()
-    try:
-        gx = backward(tape, loss)[x]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_allclose(gx, 0.999 ** 31, rtol=1e-12)
-    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"  # all 32 gradients at once: 33 MB
+    grads, peak = traced_peak(lambda: backward(tape, loss), 128, 1024)
+    np.testing.assert_allclose(grads[x], 0.999 ** 31, rtol=1e-12)
+    assert peak < 3.8, f"peak {peak:.1f} MiB"  # all 32 gradients at once: 33 MB
 
 
 def test_backward_fills_only_leaf_grads():

@@ -337,7 +337,8 @@ def test_sweep_reports_an_error_in_a_worker_as_one_cpu_does(pipeline, monkeypatc
     assert outputs[1] == outputs[2]
     code, out, err = outputs[2]
     assert code == 1 and out == "" and "Traceback" not in err
-    assert err.splitlines()[1:] == ["error: adam_step: a moment of parameter prompt_weights is non-finite"]
+    assert err.splitlines()[1:] == [
+        "error: adam_step: a moment of parameter prompt_weights is non-finite at epoch 0"]
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", ","), ("--seeds", "1,x"),
@@ -384,7 +385,7 @@ def test_tune_refuses_a_tau_whose_gradients_overflow_adam(pipeline, tmp_path, ca
     assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out),
                 "--epochs", "3", "--k-shot", "3", "--val-shots", "3", "--seed", "1",
                 "--tau", "1e-308"]) == 1
-    assert "error: adam_step: a moment of parameter prompt_weights is non-finite" \
+    assert "error: adam_step: a moment of parameter prompt_weights is non-finite at epoch 0\n" \
         in capsys.readouterr().err
     assert not out.exists()
 
