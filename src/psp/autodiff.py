@@ -449,7 +449,8 @@ def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], stat
             v = v * ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
         if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
-            raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite")
+            raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite, "
+                               f"gradient max-abs {float(np.abs(g).max())}")
         new_m.append(m)
         new_v.append(v)
     state.m, state.v = new_m, new_v

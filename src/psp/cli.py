@@ -159,7 +159,7 @@ def _cmd_eval(args) -> int:
     if args.variant == "psp-np":
         prototypes = class_mean_rows(ctx.struct, split.train, ctx.n_classes)
     else:
-        prototypes = prototype_embeddings(ctx, p, "eval")
+        prototypes = prototype_embeddings(ctx, p, "eval").data
     acc = accuracy(ctx, prototypes, split.test, args.tau)
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
     return 0

@@ -442,7 +442,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     else:
         p = ckpt.prompt
         parts.append(struct.pack("<BB", 1, 1 if p.task == "graph" else 0))
-        parts.append(_pack_block(p.proto_features.data))
+        parts.append(_pack_block(p.proto_features))
         parts.append(_pack_block(p.weight_rows.data))
         mask = np.asarray(p.trainable_row_mask, dtype=np.uint8)
         parts.append(struct.pack("<I", mask.size) + mask.tobytes())
@@ -458,6 +458,8 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
     hidden_dim, seed, tau = reader.unpack("<Iqd")
+    if hidden_dim < 1:
+        raise FormatError(f"checkpoint header gives hidden_dim {hidden_dim}, expected at least 1")
     try:
         check_tau(tau)
     except ParameterError as err:
@@ -483,7 +485,7 @@ def load_checkpoint(path) -> Checkpoint:
     prompt = None
     if reader.flags(1, "has-prompt")[0]:
         graph_task = reader.flags(1, "task")[0]
-        proto_features, weights = Tensor(reader.block()), Tensor(reader.block())
+        proto_features, weights = reader.block(), Tensor(reader.block())
         (mask_len,) = reader.unpack("<I")
         if mask_len != weights.rows:
             raise FormatError(f"prompt mask has {mask_len} entries for {weights.rows} weight rows")

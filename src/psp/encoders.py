@@ -21,7 +21,10 @@ from .errors import DimensionError, ParameterError
 class EncoderParams:
     mlp_layers: list[tuple[Tensor, Tensor]]
     gnn_layers: list[tuple[Tensor, Tensor]]
-    frozen: bool = False
+
+    @property
+    def frozen(self) -> bool:  # set by `freeze`: no parameter requires grad
+        return not any(p.requires_grad for p in parameters(self))
 
     @property
     def hidden_dim(self) -> int:
@@ -54,7 +57,6 @@ def parameters(params: EncoderParams) -> list[Tensor]:
 
 
 def freeze(params: EncoderParams) -> EncoderParams:
-    params.frozen = True
     for p in parameters(params):
         p.requires_grad = False
     return params

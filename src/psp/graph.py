@@ -128,7 +128,7 @@ class PromptedGraph:
     """
 
     task: str
-    proto_features: Tensor
+    proto_features: np.ndarray
     weight_rows: Tensor
     trainable_row_mask: np.ndarray
 
@@ -179,7 +179,7 @@ class SelfLoopedBase:
     row sums of the result (the base degrees) as an N x 1 column."""
 
     a_hat: sparse.csr_array
-    degree: Tensor
+    degree: np.ndarray
 
     @classmethod
     def of(cls, a: sparse.csr_array) -> "SelfLoopedBase":
@@ -187,7 +187,7 @@ class SelfLoopedBase:
         if n != cols:
             raise DimensionError(f"self-loops need a square matrix, got {n}x{cols}")
         a_hat = a + sparse.eye_array(n, format="csr")
-        return cls(a_hat, Tensor(a_hat.sum(axis=1).reshape(-1, 1)))
+        return cls(a_hat, a_hat.sum(axis=1).reshape(-1, 1))
 
 
 def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
@@ -197,7 +197,7 @@ def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
     normalized rows sum to 1.
     """
     base = SelfLoopedBase.of(a)
-    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(base.degree.data.ravel(), 1e-12)))
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(base.degree.ravel(), 1e-12)))
     norm = inv_sqrt @ base.a_hat @ inv_sqrt
     norm.sort_indices()
     return norm
@@ -222,7 +222,7 @@ class NormalizedPromptOperator:
         self.n_base = w.rows
         self.rows = w.rows + w.cols
         abs_w = absolute(w)
-        self.scale_base = rsqrt(add(row_sum(abs_w), base.degree))
+        self.scale_base = rsqrt(add(row_sum(abs_w), Tensor(base.degree)))
         proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
         self.scale_proto = rsqrt(proto_deg)
 
@@ -239,10 +239,10 @@ class NormalizedPromptOperator:
         return mul(top, self.scale_base), mul(bottom, self.scale_proto)
 
 
-def mean_readout(z: Tensor, graph_of) -> Tensor:
+def mean_readout(z: np.ndarray, graph_of) -> np.ndarray:
     """Per-graph mean of node rows; group g of the output is graph g's mean."""
     membership = np.asarray(graph_of, dtype=np.int64).ravel()
-    if membership.size != z.rows:
-        raise ContractError(f"membership covers {membership.size} rows, embedding has {z.rows}")
-    members = LabeledSet(np.arange(z.rows), membership)
+    if membership.size != len(z):
+        raise ContractError(f"membership covers {membership.size} rows, embedding has {len(z)}")
+    members = LabeledSet(np.arange(len(z)), membership)
     return class_mean_rows(z, members, class_count(membership))

@@ -4,25 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _row_norms, check_tau
+from .autodiff import _row_norms, check_tau
 from .errors import ContractError, DataError, DimensionError
 
 
-def predict(anchors: Tensor, prototypes: Tensor, tau: float) -> np.ndarray:
+def predict(anchors: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
     """Softmax over temperature-scaled cosine similarity to every prototype:
     one row of class probabilities per anchor.
 
     Cosines come from unit rows, as in the losses. The denominator runs over
     all classes.
     """
-    if anchors.cols != prototypes.cols:
+    if anchors.shape[1] != prototypes.shape[1]:
         raise DimensionError(
             f"predict: feature dims differ, {anchors.shape} vs {prototypes.shape}")
-    if prototypes.rows < 1:
+    if len(prototypes) < 1:
         raise ContractError("predict needs at least one prototype")
     inv_tau = 1.0 / check_tau(tau)
-    a_unit = anchors.data * _row_norms(anchors.data)
-    logits = (a_unit * inv_tau) @ (prototypes.data * _row_norms(prototypes.data)).T
+    a_unit = anchors * _row_norms(anchors)
+    logits = (a_unit * inv_tau) @ (prototypes * _row_norms(prototypes)).T
     logits -= logits.max(axis=1, keepdims=True)
     ex = np.exp(logits)
     return ex / ex.sum(axis=1, keepdims=True)
@@ -39,7 +39,7 @@ def evaluate(probs: np.ndarray, truth) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == truth))
 
 
-def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
+def class_mean_rows(values: np.ndarray, labeled, n_classes: int) -> np.ndarray:
     """Row c = mean of the rows of `values` whose labeled item is in class c
     (the no-prompt prototypes over the structural view, the prompt's prototype
     attributes over the features, a graph's mean readout over its nodes);
@@ -48,13 +48,13 @@ def class_mean_rows(values: Tensor, labeled, n_classes: int) -> Tensor:
     bad = np.flatnonzero(labeled.classes >= n_classes)
     if bad.size:
         raise DataError(f"labeled class {labeled.classes[bad[0]]} out of range [0, {n_classes})")
-    if labeled.indices.size and labeled.indices.max() >= values.rows:
+    if labeled.indices.size and labeled.indices.max() >= len(values):
         raise DataError(f"labeled index {labeled.indices.max()} out of range for "
-                        f"{values.rows} rows")
-    sums = np.zeros((n_classes, values.cols))
-    np.add.at(sums, labeled.classes, values.data[labeled.indices])
+                        f"{len(values)} rows")
+    sums = np.zeros((n_classes, values.shape[1]))
+    np.add.at(sums, labeled.classes, values[labeled.indices])
     counts = np.bincount(labeled.classes, minlength=n_classes)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise DataError(f"classes {missing.tolist()} have no labeled items")
-    return Tensor(sums / counts[:, None])
+    return sums / counts[:, None]

@@ -91,11 +91,12 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
             loss = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
         value = loss.item()
         if not np.isfinite(value):
-            raise NumericError(f"pre-training loss became non-finite at epoch {epoch}")
+            raise NumericError(f"pre-training loss became non-finite at epoch {epoch}, last finite loss "
+                               f"{losses[-1] if losses else 'none'}")
         try:
             adam_step(parameters(params), backward(tape, loss), opt)
         except NumericError as err:
-            raise NumericError(f"{err} at epoch {epoch}") from err
+            raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
         losses.append(value)
     return freeze(params), losses
 

@@ -77,10 +77,9 @@ class PromptConfig:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-def init_edge_weights(z2: Tensor, labeled: LabeledSet, n_classes: int) -> Tensor:
+def init_edge_weights(z2: np.ndarray, labeled: LabeledSet, n_classes: int) -> np.ndarray:
     """Initial weights: dot products between embeddings and labeled-mean prototypes."""
-    proto = class_mean_rows(z2, labeled, n_classes)
-    return Tensor(z2.data @ proto.data.T)
+    return z2 @ class_mean_rows(z2, labeled, n_classes).T
 
 
 def restrict_edge_ratio(n: int, labeled: LabeledSet, r: float, seed: int) -> np.ndarray:
@@ -112,11 +111,11 @@ class TaskContext:
     graph: GraphData
     params: EncoderParams
     task: str
-    anchors: Tensor          # attribute (MLP) view: the anchor side of the loss
-    struct: Tensor           # structural (GNN) view: the edge-weight initializer
-    attr_base: Tensor        # features: the prototype-feature initializer
+    anchors: np.ndarray      # attribute (MLP) view: the anchor side of the loss
+    struct: np.ndarray       # structural (GNN) view: the edge-weight initializer
+    attr_base: np.ndarray    # features: the prototype-feature initializer
     base: SelfLoopedBase     # the prompted graph's constant base block
-    xw1: Tensor              # X·W1 of the GNN's first layer over the base nodes
+    xw1: np.ndarray          # X·W1 of the GNN's first layer over the base nodes
 
     @property
     def n_classes(self) -> int:
@@ -131,15 +130,15 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
         raise ContractError("prompting requires frozen encoders")
     if task == "graph" and g.graph_of is None:
         raise ContractError("graph-level views need graph membership")
-    anchors = mlp_forward(g.features, params, "eval")
-    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
-    attr_base = g.features
+    anchors = mlp_forward(g.features, params, "eval").data
+    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
+    attr_base = g.features.data
     if task == "graph":
         anchors, struct, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, struct, attr_base))
     (w1, _), _ = params.gnn_layers
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
-                       xw1=Tensor._adopt(g.features.data @ w1.data, False))
+                       xw1=g.features.data @ w1.data)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,7 +147,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed: int = 0,
-                   dropout_rate: float = 0.0) -> tuple[Tensor, Tensor]:
+                   dropout_rate: float = 0.0) -> tuple[Tensor, np.ndarray]:
     """Prototype rows of the frozen GNN over the prompted graph, as one recorded op.
 
     W is the masked weight block, expanded to member nodes for the graph task;
@@ -163,20 +162,20 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     reads them, and, as in the encoders, relu's gate and the keep-mask are
     both H > 0 and every kept entry carries the one scale 1/(1-p).
 
-    Returns the prototypes and the dropout-free prototypes of the same weights
-    (the same tensor when no dropout acted): layer 1 is shared, so a training
+    Returns the prototypes and, as an array on no tape, their dropout-free read-out
+    (the first's data when no dropout acted): layer 1 is shared, so a training
     pass also yields its weights' validation read-out.
     """
     training = _check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
-    if weights.rows != ctx.anchors.rows:
-        raise DimensionError(f"prompt has {weights.rows} weight rows for {ctx.anchors.rows} {ctx.task} rows")
+    if weights.rows != len(ctx.anchors):
+        raise DimensionError(f"prompt has {weights.rows} weight rows for {len(ctx.anchors)} {ctx.task} rows")
     if mask.shape != (weights.rows,):
         raise DimensionError(f"trainable_row_mask has shape {mask.shape} for {weights.rows} weight rows")
-    if feats.cols != ctx.graph.features.cols:
-        raise ContractError(f"prototype features have {feats.cols} columns, graph has {ctx.graph.features.cols}")
-    if feats.rows != weights.cols:
-        raise DimensionError(f"prompt has {feats.rows} prototype feature rows for {weights.cols} weight columns")
+    if feats.shape[1] != ctx.graph.features.cols:
+        raise ContractError(f"prototype features have {feats.shape[1]} columns, graph has {ctx.graph.features.cols}")
+    if len(feats) != weights.cols:
+        raise DimensionError(f"prompt has {len(feats)} prototype feature rows for {weights.cols} weight columns")
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
     a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
     w = weights.data * mask[:, None]
@@ -184,10 +183,10 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
     # d >= 1 (self-loops), so the scales need no floor
-    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree.data
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
-    xw, pw = ctx.xw1.data, feats.data @ w1.data
+    xw, pw = ctx.xw1, feats @ w1.data
     sb1, sp1 = xw * s_b, pw * s_p
     u1 = wt @ sb1 + sp1
     t1 = a_hat @ sb1
@@ -206,7 +205,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
     clean, scale = None, None
     if keep is not None:
-        clean = Tensor._adopt(layer2(h_b, h_p)[1], False)
+        clean = layer2(h_b, h_p)[1]
         scale = 1.0 / (1.0 - dropout_rate)
         h_b *= keep[:n]
         h_b *= scale
@@ -247,7 +246,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         return (gw * mask[:, None],)
 
     out = _emit("prompted_layer", (weights,), out, vjp)
-    return out, out if clean is None else clean
+    return out, out.data if clean is None else clean
 
 
 def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval",
@@ -256,10 +255,9 @@ def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval"
     return prompted_layer(ctx, ps, mode, seed, dropout_rate)[0]
 
 
-def accuracy(ctx: TaskContext, prototypes: Tensor, labeled: LabeledSet, tau: float) -> float:
+def accuracy(ctx: TaskContext, prototypes: np.ndarray, labeled: LabeledSet, tau: float) -> float:
     """Accuracy of `prototypes` on the context's anchor rows of the labeled items."""
-    return evaluate(predict(Tensor(ctx.anchors.data[labeled.indices]), prototypes, tau),
-                    labeled.classes)
+    return evaluate(predict(ctx.anchors[labeled.indices], prototypes, tau), labeled.classes)
 
 
 def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tensor:
@@ -293,12 +291,12 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     n_classes = ctx.n_classes
     proto_features = class_mean_rows(ctx.attr_base, labeled, n_classes)
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
-    mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
-    weights = Tensor(w0.data * mask[:, None], requires_grad=True, name="prompt_weights")
+    mask = restrict_edge_ratio(len(ctx.anchors), labeled, cfg.edge_ratio, cfg.seed)
+    weights = Tensor(w0 * mask[:, None], requires_grad=True, name="prompt_weights")
     prompted = PromptedGraph(task=ctx.task, proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
-    train_anchors = Tensor(ctx.anchors.data[labeled.indices])
+    train_anchors = Tensor(ctx.anchors[labeled.indices])
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
@@ -323,11 +321,12 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
             break
         value = loss.item()
         if not np.isfinite(value):
-            raise NumericError(f"prompt loss became non-finite at epoch {epoch}")
+            raise NumericError(f"prompt loss became non-finite at epoch {epoch}, last finite loss "
+                               f"{losses[-1] if losses else 'none'}")
         try:
             adam_step([weights], backward(tape, loss), opt)
         except NumericError as err:
-            raise NumericError(f"{err} at epoch {epoch}") from err
+            raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
         losses.append(value)
     if val is not None:
         weights.data = best_w

@@ -285,7 +285,7 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         w = select_rows(w, g.graph_of)
     operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    blocks = operator.apply(matmul(g.features, w1), matmul(ps.proto_features, w1))
+    blocks = operator.apply(matmul(g.features, w1), matmul(Tensor(ps.proto_features), w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
     keep = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
                         derive_seed(seed, 2), 0, mode == "train")
@@ -310,10 +310,10 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     if ctx.task == "graph":
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
-    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree.data
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
-    xw, pw = ctx.xw1.data, feats.data @ w1.data
+    xw, pw = ctx.xw1, feats @ w1.data
     sb1, sp1 = xw * s_b, pw * s_p
     t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
     h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
@@ -330,7 +330,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     factor = None if keep is None else keep / (1.0 - dropout_rate)
     clean = None
     if factor is not None:
-        clean = Tensor._adopt(layer2(h_b, h_p)[2], False)
+        clean = layer2(h_b, h_p)[2]
         h_b *= factor[:n]
         h_p *= factor[n:]
     sb2, u2, out = layer2(h_b, h_p)
@@ -364,7 +364,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         return (gw * mask[:, None],)
 
     out = _emit("prompted_layer", (weights,), out, vjp)
-    return out, out if clean is None else clean
+    return out, out.data if clean is None else clean
 
 
 def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
@@ -375,16 +375,16 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
     were taken, and the best epoch (-1: the initialization)."""
     n_classes = ctx.n_classes
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
-    mask = restrict_edge_ratio(ctx.anchors.rows, labeled, cfg.edge_ratio, cfg.seed)
-    weights = Tensor(w0.data * mask[:, None], requires_grad=True)
+    mask = restrict_edge_ratio(len(ctx.anchors), labeled, cfg.edge_ratio, cfg.seed)
+    weights = Tensor(w0 * mask[:, None], requires_grad=True)
     ps = PromptedGraph(task=ctx.task, proto_features=class_mean_rows(ctx.attr_base, labeled, n_classes),
                        weight_rows=weights, trainable_row_mask=mask)
-    anchors = Tensor(ctx.anchors.data[labeled.indices])
+    anchors = Tensor(ctx.anchors[labeled.indices])
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses, val_accs = [], []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1
     if val is not None:
-        val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
+        val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps).data, val, cfg.tau))
         best_acc = val_accs[-1]
     for epoch in range(cfg.epochs):
         with Tape() as tape:
@@ -393,7 +393,7 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
         adam_step([weights], backward(tape, loss), opt)
         losses.append(loss.item())
         if val is not None:
-            val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps), val, cfg.tau))
+            val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps).data, val, cfg.tau))
             if val_accs[-1] > best_acc:
                 best_acc, best_w, best_epoch = val_accs[-1], weights.data.copy(), epoch
             elif epoch - best_epoch >= cfg.patience:

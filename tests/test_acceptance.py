@@ -81,11 +81,11 @@ def _pipeline(seed: int, homophily: float):
                      DESK["feat_dim"], DESK["noise"], seed=seed)
     params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
     split = sample_k_shot(g.labels, K_SHOT, seed, val_k=VAL_K)
-    z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
+    z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
     ctx = task_context(g, params, "node")
     acc_np = accuracy(ctx, class_mean_rows(z2, split.train, 3), split.test, TUNE["tau"])
     prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
-    proto = prototype_embeddings(ctx, prompted, "eval")
+    proto = prototype_embeddings(ctx, prompted, "eval").data
     acc_psp = accuracy(ctx, proto, split.test, TUNE["tau"])
     return dict(g=g, ctx=ctx, seed=seed, split=split, acc_np=acc_np, acc_psp=acc_psp,
                 weights=prompted.weight_rows.data)
@@ -163,7 +163,7 @@ def test_criterion_1_gradient_correctness():
                   adjacency=build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
                   labels=np.array([0, 1, 0, 1, 0]))
     params = freeze(init_encoder_params(4, 6, seed=1))
-    proto_feats = Tensor(rng.standard_normal((2, 4)))
+    proto_feats = rng.standard_normal((2, 4))
     anchors = Tensor(rng.standard_normal((3, 6)))
     mask = np.ones(5, dtype=bool)
     ctx = task_context(g, params, "node")
@@ -206,7 +206,7 @@ def test_criterion_2_formula_oracles():
     loss = ntxent_pretrain_loss(eye2, Tensor(np.eye(2)), tau=1.0).item()
     ok_loss = abs(loss - (-1.0)) <= 1e-9
 
-    probs = predict(Tensor([[1.0, 0.0, 0.0]]), Tensor(np.eye(3)), tau=1.0)
+    probs = predict(np.array([[1.0, 0.0, 0.0]]), np.eye(3), tau=1.0)
     e = np.e
     expected = np.array([e / (e + 2), 1 / (e + 2), 1 / (e + 2)])
     ok_probs = np.allclose(probs[0], expected, atol=1e-9)
@@ -216,7 +216,7 @@ def test_criterion_2_formula_oracles():
     labeled = LabeledSet([0, 1, 3, 5], [0, 0, 1, 1])
     from psp.prompt import init_edge_weights
 
-    got = init_edge_weights(Tensor(z), labeled, 2).data
+    got = init_edge_weights(z, labeled, 2)
     proto = np.stack([(z[0] + z[1]) / 2, (z[3] + z[5]) / 2])
     brute = np.empty((6, 2))
     for i in range(6):
@@ -316,7 +316,7 @@ def _edge_ratio_tune(run_state, ratio):
     prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
     trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
     expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
-    proto = prototype_embeddings(ctx, prompted, "eval")
+    proto = prototype_embeddings(ctx, prompted, "eval").data
     return accuracy(ctx, proto, split.test, TUNE["tau"]), trainable == expected
 
 
@@ -379,7 +379,7 @@ def test_criterion_9_cora_band():
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
         ctx = task_context(g, params, "node")
         prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
-        proto = prototype_embeddings(ctx, prompted, "eval")
+        proto = prototype_embeddings(ctx, prompted, "eval").data
         accs.append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     mean_acc = float(np.mean(accs))
     ok = abs(mean_acc - 0.6865) <= 0.06

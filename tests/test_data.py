@@ -619,7 +619,7 @@ def make_checkpoint(with_prompt=False):
     prompt = None
     if with_prompt:
         rng = np.random.default_rng(12)
-        prompt = PromptedGraph(task="node", proto_features=Tensor(rng.standard_normal((2, 6))),
+        prompt = PromptedGraph(task="node", proto_features=rng.standard_normal((2, 6)),
                                weight_rows=Tensor(rng.standard_normal((5, 2))),
                                trainable_row_mask=np.array([True, False, True, True, False]))
     return Checkpoint(tau=0.5, seed=11, params=params, prompt=prompt)
@@ -638,7 +638,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, with_prompt):
     if with_prompt:
         assert back.prompt.task == "node"
         assert np.array_equal(back.prompt.weight_rows.data, ckpt.prompt.weight_rows.data)
-        assert np.array_equal(back.prompt.proto_features.data, ckpt.prompt.proto_features.data)
+        assert np.array_equal(back.prompt.proto_features, ckpt.prompt.proto_features)
         assert np.array_equal(back.prompt.trainable_row_mask, ckpt.prompt.trainable_row_mask)
     else:
         assert back.prompt is None
@@ -693,11 +693,16 @@ def test_checkpoint_rejects_encoder_blocks_of_the_wrong_shape(tmp_path, block, r
 
 
 def test_checkpoint_truncation(tmp_path):
+    """Every proper prefix of a bundle, with a prompt and without, is refused
+    as truncated (a loop, not ~2k parametrized cases)."""
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, make_checkpoint())
-    path.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(FormatError, match="truncated"):
-        load_checkpoint(path)
+    for with_prompt in (False, True):
+        save_checkpoint(path, make_checkpoint(with_prompt))
+        blob = path.read_bytes()
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="checkpoint truncated"):
+                load_checkpoint(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
@@ -723,7 +728,7 @@ def test_checkpoint_rejects_non_finite_blocks(tmp_path, block, value):
     ckpt = make_checkpoint(with_prompt=True)
     target = {"mlp_weight": ckpt.params.mlp_layers[0][0].data,
               "gnn_bias": ckpt.params.gnn_layers[1][1].data,
-              "proto_features": ckpt.prompt.proto_features.data,
+              "proto_features": ckpt.prompt.proto_features,
               "weights": ckpt.prompt.weight_rows.data}[block]
     target.flat[-1] = value
     path = tmp_path / "model.ckpt"
@@ -747,12 +752,21 @@ def _prompted_bundle(tmp_path) -> tuple[Path, bytearray, dict]:
 
 @pytest.mark.parametrize("field,value", [
     ("has-prompt", 2), ("has-prompt", 255), ("task", 9), ("trainable-mask", 7),
-    ("tau", np.nan), ("tau", np.inf), ("tau", 0.0), ("tau", -0.5), ("tau", 5e-324)])
+    ("tau", np.nan), ("tau", np.inf), ("tau", 0.0), ("tau", -0.5), ("tau", 5e-324),
+    ("hidden_dim", 0)])
 def test_checkpoint_refuses_a_corrupt_flag_or_tau_naming_the_field(tmp_path, field, value):
     import struct
 
     path, blob, at = _prompted_bundle(tmp_path)
-    if field == "tau":
+    if field == "hidden_dim":  # a bundle whose header and encoder blocks agree on the width
+        ckpt = make_checkpoint(with_prompt=True)
+        for t in parameters(ckpt.params):
+            t.data = t.data[:, :value]
+        save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 12) == (value,)
+        want = f"checkpoint header gives hidden_dim {value}, expected at least 1"
+    elif field == "tau":
         assert struct.unpack_from("<d", blob, at["tau"]) == (0.5,)
         struct.pack_into("<d", blob, at["tau"], value)
         want = "checkpoint header: tau must be a positive finite number"

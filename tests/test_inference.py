@@ -11,8 +11,8 @@ from oracles import cosine_sim_matrix
 
 
 def test_predict_softmax_hand_case():
-    anchors = Tensor([[1.0, 0.0, 0.0]])
-    protos = Tensor(np.eye(3))  # similarities are exactly [1, 0, 0]
+    anchors = np.array([[1.0, 0.0, 0.0]])
+    protos = np.eye(3)  # similarities are exactly [1, 0, 0]
     probs = predict(anchors, protos, tau=1.0)
     e = np.e
     np.testing.assert_allclose(probs[0], [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-9)
@@ -20,9 +20,9 @@ def test_predict_softmax_hand_case():
 
 
 def test_predict_identical_prototypes_uniform_tiebreak():
-    anchors = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
+    anchors = np.random.default_rng(0).standard_normal((3, 4))
     row = np.random.default_rng(1).standard_normal((1, 4))
-    probs = predict(anchors, Tensor(np.vstack([row, row, row])), tau=0.5)
+    probs = predict(anchors, np.vstack([row, row, row]), tau=0.5)
     np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
     assert evaluate(probs, [0, 0, 0]) == 1.0
 
@@ -30,9 +30,9 @@ def test_predict_identical_prototypes_uniform_tiebreak():
 def test_predict_anchor_scale_invariance():
     rng = np.random.default_rng(2)
     anchors = rng.standard_normal((4, 3))
-    protos = Tensor(rng.standard_normal((3, 3)))
-    a = predict(Tensor(anchors), protos, tau=0.7)
-    b = predict(Tensor(4.2 * anchors), protos, tau=0.7)
+    protos = rng.standard_normal((3, 3))
+    a = predict(anchors, protos, tau=0.7)
+    b = predict(4.2 * anchors, protos, tau=0.7)
     np.testing.assert_allclose(a, b, atol=1e-12)
     assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
@@ -42,13 +42,13 @@ def test_predict_is_invariant_to_positive_row_scaling(s1, s2):
     # as the losses are (test_masked_infonce_cosines_are_exact_for_any_nonzero_row)
     rng = np.random.default_rng(8)
     anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((3, 4))
-    base = predict(Tensor(anchors), Tensor(protos), tau=0.2)
-    scaled = predict(Tensor(anchors * s1), Tensor(protos * s2), tau=0.2)
+    base = predict(anchors, protos, tau=0.2)
+    scaled = predict(anchors * s1, protos * s2, tau=0.2)
     np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
 
 def test_predict_zero_rows_score_zero():
-    probs = predict(Tensor([[0.0, 0.0], [1.0, 0.0]]), Tensor([[2.0, 0.0], [0.0, 0.0]]), tau=1.0)
+    probs = predict(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]), tau=1.0)
     np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(probs[1], [np.e / (np.e + 1), 1 / (np.e + 1)], atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_predict_probs_softmax_consistent():
     rng = np.random.default_rng(3)
     anchors, protos = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
     tau = 0.6
-    probs = predict(Tensor(anchors), Tensor(protos), tau)
+    probs = predict(anchors, protos, tau)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     # independent exponent-sum recomputation
     sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data / tau
@@ -70,7 +70,7 @@ def test_argmax_invariant_under_increasing_transforms():
     rng = np.random.default_rng(4)
     anchors, protos = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
     sims = cosine_sim_matrix(Tensor(anchors), Tensor(protos)).data
-    base = np.argmax(predict(Tensor(anchors), Tensor(protos), tau=1.0), axis=1)
+    base = np.argmax(predict(anchors, protos, tau=1.0), axis=1)
     for a, b in [(2.0, 0.0), (0.5, 3.0), (10.0, -1.0)]:
         transformed = np.argmax(a * sims + b, axis=1)
         assert np.array_equal(base, transformed)
@@ -79,7 +79,7 @@ def test_argmax_invariant_under_increasing_transforms():
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
 def test_predict_rejects_bad_tau(tau):
     with pytest.raises(ParameterError, match="tau must be a positive finite number"):
-        predict(Tensor([[1.0, 0.0]]), Tensor(np.eye(2)), tau)
+        predict(np.array([[1.0, 0.0]]), np.eye(2), tau)
 
 
 def test_evaluate_fractions():
@@ -101,49 +101,49 @@ def test_evaluate_refuses_an_empty_item_set():
 
 
 def test_np_prototypes_singleton_copies_embeddings():
-    z = Tensor(np.arange(8.0).reshape(4, 2))
+    z = np.arange(8.0).reshape(4, 2)
     got = class_mean_rows(z, LabeledSet([2, 0], [0, 1]), 2)
-    np.testing.assert_array_equal(got.data, z.data[[2, 0]])
+    np.testing.assert_array_equal(got, z[[2, 0]])
 
 
 def test_np_prototypes_shared_with_weight_init():
     rng = np.random.default_rng(5)
-    z = Tensor(rng.standard_normal((6, 3)))
+    z = rng.standard_normal((6, 3))
     labeled = LabeledSet([0, 1, 4, 5], [0, 0, 1, 1])
     protos = class_mean_rows(z, labeled, 2)
     w = init_edge_weights(z, labeled, 2)
     # the weight init is exactly the dot products against these prototypes
-    np.testing.assert_array_equal(w.data, z.data @ protos.data.T)
+    np.testing.assert_array_equal(w, z @ protos.T)
 
 
 def test_np_prototypes_permutation_invariant():
     rng = np.random.default_rng(6)
-    z = Tensor(rng.standard_normal((5, 3)))
+    z = rng.standard_normal((5, 3))
     indices, classes = [0, 1, 3, 4], [0, 0, 1, 1]
-    a = class_mean_rows(z, LabeledSet(indices, classes), 2).data
-    b = class_mean_rows(z, LabeledSet(indices[::-1], classes[::-1]), 2).data
+    a = class_mean_rows(z, LabeledSet(indices, classes), 2)
+    b = class_mean_rows(z, LabeledSet(indices[::-1], classes[::-1]), 2)
     np.testing.assert_array_equal(a, b)
 
 
 def test_class_mean_rows_rejects_an_index_past_the_rows():
     with pytest.raises(DataError, match="labeled index 3 out of range for 3 rows"):
-        class_mean_rows(Tensor(np.zeros((3, 2))), LabeledSet([0, 3], [0, 1]), 2)
+        class_mean_rows(np.zeros((3, 2)), LabeledSet([0, 3], [0, 1]), 2)
 
 
 def test_class_mean_rows_sums_in_item_order():
     rng = np.random.default_rng(7)
-    z = Tensor(rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-8, 8, size=(40, 1)))
+    z = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-8, 8, size=(40, 1))
     indices = rng.permutation(40)[:25]
     classes = rng.integers(3, size=25)
     classes[:3] = [0, 1, 2]
     sums, counts = np.zeros((3, 5)), np.zeros(3)
     for index, cls in zip(indices, classes):
-        sums[cls] += z.data[index]
+        sums[cls] += z[index]
         counts[cls] += 1
-    got = class_mean_rows(z, LabeledSet(indices, classes), 3).data
+    got = class_mean_rows(z, LabeledSet(indices, classes), 3)
     assert np.array_equal(got, sums / counts[:, None])
 
 
 def test_class_mean_rows_empty_class():
     with pytest.raises(DataError):
-        class_mean_rows(Tensor(np.zeros((3, 2))), LabeledSet([0], [1]), 2)
+        class_mean_rows(np.zeros((3, 2)), LabeledSet([0], [1]), 2)

@@ -142,7 +142,8 @@ def test_pretrain_loss_window_means_decrease():
 def test_pretrain_aborts_on_non_finite():
     g = generate_sbm(20, 2, 0.5, 4.0, 8, 0.5, seed=9)
     g.features.data[0, 0] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="epoch 0"):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="^pre-training loss became non-finite at epoch 0, last finite loss none$"):
         pretrain(g, PretrainConfig(epochs=3, hidden_dim=8, seed=0))
 
 
@@ -168,7 +169,8 @@ def test_pretrain_names_the_epoch_adam_refuses(tau):
     """Tiny temperatures give finite losses whose gradients overflow Adam's moments."""
     g = generate_sbm(20, 2, 0.5, 4.0, 8, 0.5, seed=9)
     with np.errstate(over="ignore"), pytest.raises(
-            NumericError, match=r"^adam_step: a moment of parameter mlp_w1 is non-finite at epoch 0$"):
+            NumericError, match=r"^adam_step: a moment of parameter mlp_w1 is non-finite, "
+                                r"gradient max-abs \S+ at epoch 0, loss \S+$"):
         pretrain(g, PretrainConfig(epochs=3, hidden_dim=8, seed=0, tau=tau))
 
 

@@ -14,7 +14,7 @@ from psp.encoders import (
     init_encoder_params,
     mlp_forward,
 )
-from psp.errors import ContractError, DataError, DimensionError, ParameterError
+from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
 from psp.graph import (
     GraphData,
     LabeledSet,
@@ -25,7 +25,7 @@ from psp.graph import (
     gcn_normalize,
     mean_readout,
 )
-from psp.inference import class_mean_rows
+from psp.inference import class_mean_rows, predict
 from psp.prompt import (
     PromptConfig,
     accuracy,
@@ -110,7 +110,7 @@ def test_labeled_set_holds_int64_arrays():
 
 def test_labeled_set_coverage():
     ls = LabeledSet([0, 1], [0, 1])
-    x = Tensor(np.zeros((2, 3)))
+    x = np.zeros((2, 3))
     class_mean_rows(x, ls, 2)
     with pytest.raises(DataError, match=r"\[2, 3\]"):
         class_mean_rows(x, ls, 4)
@@ -148,27 +148,27 @@ def test_prompt_config_and_loss_reject_bad_tau(tau):
 
 
 def test_proto_features_singleton_copies_rows():
-    x = Tensor(np.arange(12.0).reshape(4, 3))
+    x = np.arange(12.0).reshape(4, 3)
     got = class_mean_rows(x, LabeledSet([1, 3], [0, 1]), 2)
-    np.testing.assert_array_equal(got.data, x.data[[1, 3]])
+    np.testing.assert_array_equal(got, x[[1, 3]])
 
 
 def test_proto_features_arithmetic_mean():
-    x = Tensor([[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]])
+    x = np.array([[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]])
     got = class_mean_rows(x, LabeledSet([0, 1, 2], [0, 0, 1]), 2)
-    np.testing.assert_array_equal(got.data[0], [1.0, 1.0])
+    np.testing.assert_array_equal(got[0], [1.0, 1.0])
 
 
 def test_proto_features_permutation_invariant():
-    x = Tensor(np.random.default_rng(0).standard_normal((6, 3)))
+    x = np.random.default_rng(0).standard_normal((6, 3))
     indices, classes = [0, 2, 3, 5], [0, 0, 1, 1]
-    a = class_mean_rows(x, LabeledSet(indices, classes), 2).data
-    b = class_mean_rows(x, LabeledSet(indices[::-1], classes[::-1]), 2).data
+    a = class_mean_rows(x, LabeledSet(indices, classes), 2)
+    b = class_mean_rows(x, LabeledSet(indices[::-1], classes[::-1]), 2)
     np.testing.assert_array_equal(a, b)
 
 
 def test_proto_features_empty_class():
-    x = Tensor(np.zeros((3, 2)))
+    x = np.zeros((3, 2))
     with pytest.raises(DataError):
         class_mean_rows(x, LabeledSet([0], [0]), 2)
 
@@ -178,22 +178,22 @@ def test_proto_features_empty_class():
 
 
 def test_edge_weights_zero_embeddings():
-    z = Tensor(np.zeros((4, 3)))
+    z = np.zeros((4, 3))
     got = init_edge_weights(z, LabeledSet([0, 1], [0, 1]), 2)
-    np.testing.assert_array_equal(got.data, np.zeros((4, 2)))
+    np.testing.assert_array_equal(got, np.zeros((4, 2)))
 
 
 def test_edge_weights_unit_dot():
-    z = Tensor([[1.0, 0.0], [0.0, 1.0]])
+    z = np.array([[1.0, 0.0], [0.0, 1.0]])
     got = init_edge_weights(z, LabeledSet([0, 1], [0, 1]), 2)
-    assert got.data[0, 0] == 1.0 and got.data[1, 1] == 1.0
+    assert got[0, 0] == 1.0 and got[1, 1] == 1.0
 
 
 def test_edge_weights_match_brute_force():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((3, 4))
     labeled = LabeledSet([0, 2], [0, 1])
-    got = init_edge_weights(Tensor(z), labeled, 2).data
+    got = init_edge_weights(z, labeled, 2)
     proto = np.stack([z[0], z[2]])
     expected = np.empty((3, 2))
     for i in range(3):
@@ -234,14 +234,14 @@ def test_edge_ratio_counts_and_determinism():
 def test_prototype_isolation_with_zero_weights():
     g = toy_graph()
     params = frozen_params(4)
-    proto_feats = Tensor(np.random.default_rng(3).standard_normal((2, 4)))
+    proto_feats = np.random.default_rng(3).standard_normal((2, 4))
     ps = PromptedGraph(task="node", proto_features=proto_feats,
                        weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, dtype=bool))
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval")
     # prototypes decouple: same as running the GNN on an edgeless graph of
     # just the prototype features
-    iso = GraphData(features=proto_feats, adjacency=build_csr(2, []), labels=None)
-    expected = gnn_forward(proto_feats, gcn_normalize(iso.adjacency), params, "eval")
+    iso = GraphData(features=Tensor(proto_feats), adjacency=build_csr(2, []), labels=None)
+    expected = gnn_forward(iso.features, gcn_normalize(iso.adjacency), params, "eval")
     np.testing.assert_allclose(got.data, expected.data, atol=1e-12)
 
 
@@ -249,12 +249,12 @@ def test_prototype_single_node_single_class_hand_propagation():
     g = GraphData(features=Tensor([[1.0, 2.0]]), adjacency=build_csr(1, []),
                   labels=np.array([0]))
     params = frozen_params(2, hidden=3, seed=5)
-    ps = PromptedGraph(task="node", proto_features=Tensor([[0.5, -1.0]]),
+    ps = PromptedGraph(task="node", proto_features=np.array([[0.5, -1.0]]),
                        weight_rows=Tensor([[1.0]]), trainable_row_mask=np.ones(1, bool))
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
 
     # independent dense two-layer propagation over the 2x2 augmented operator
-    feats = np.vstack([g.features.data, ps.proto_features.data])
+    feats = np.vstack([g.features.data, ps.proto_features])
     signed = np.array([[1.0, 1.0], [1.0, 1.0]])       # [[a00+1, w], [w, 1]]
     deg = np.array([1.0 + 1.0, 1.0 + 1.0])            # |w| + implicit/self loops
     m = signed / np.sqrt(np.outer(deg, deg))
@@ -265,9 +265,9 @@ def test_prototype_single_node_single_class_hand_propagation():
 
 
 def test_prompted_graph_counts_prototypes_from_weight_columns():
-    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((3, 4))),
+    ps = PromptedGraph(task="node", proto_features=np.zeros((3, 4)),
                        weight_rows=Tensor(np.zeros((5, 3))), trainable_row_mask=np.ones(5, bool))
-    assert ps.weight_rows.cols == ps.proto_features.rows == 3
+    assert ps.weight_rows.cols == len(ps.proto_features) == 3
     with pytest.raises(TypeError):
         PromptedGraph(n_prototypes=2, task="node", proto_features=ps.proto_features,
                       weight_rows=ps.weight_rows, trainable_row_mask=ps.trainable_row_mask)
@@ -276,7 +276,7 @@ def test_prompted_graph_counts_prototypes_from_weight_columns():
 def test_prototype_embeddings_require_frozen_encoders():
     g = toy_graph()
     params = init_encoder_params(4, 8, 0)
-    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=np.zeros((2, 4)),
                        weight_rows=Tensor(np.zeros((5, 2))), trainable_row_mask=np.ones(5, bool))
     with pytest.raises(ContractError):
         prototype_embeddings(task_context(g, params, "node"), ps)
@@ -288,7 +288,7 @@ def test_prototype_embeddings_masked_rows_do_not_leak():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((5, 2))
     mask = np.array([True, False, True, False, True])
-    ps = PromptedGraph(task="node", proto_features=Tensor(rng.standard_normal((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=rng.standard_normal((2, 4)),
                        weight_rows=Tensor(w), trainable_row_mask=mask)
     ctx = task_context(g, params, "node")
     got = prototype_embeddings(ctx, ps, "eval").data
@@ -303,7 +303,7 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     g = toy_graph(n=3, edges=((0, 1), (1, 2)))
     params = frozen_params(4)
     rng = np.random.default_rng(9)
-    proto_feats = Tensor(rng.standard_normal((1, 4)))
+    proto_feats = rng.standard_normal((1, 4))
     base_w = np.abs(rng.standard_normal((3, 1))) + 0.1
     outs = {}
     for factor in (1.0, 2.0):
@@ -372,7 +372,7 @@ def test_prompt_loss_gradient_through_augmented_propagation():
     g = toy_graph()
     params = frozen_params(4, hidden=6, seed=2)
     rng = np.random.default_rng(15)
-    proto_feats = Tensor(rng.standard_normal((2, 4)))
+    proto_feats = rng.standard_normal((2, 4))
     anchors = Tensor(rng.standard_normal((3, 6)))
     labels = [0, 1, 0]
     mask = np.ones(5, dtype=bool)
@@ -398,10 +398,10 @@ def _prompt_case(task, partial_mask, seed=21):
     else:
         g, n_classes = generate_sbm(60, 3, 0.8, 4.0, 5, 0.5, seed=seed), 3
     ctx = task_context(g, frozen_params(g.features.cols, hidden=7, seed=seed), task)
-    rows = ctx.anchors.rows
+    rows = len(ctx.anchors)
     mask = rng.random(rows) < 0.6 if partial_mask else np.ones(rows, dtype=bool)
     return (ctx, rng.standard_normal((rows, n_classes)),
-            Tensor(rng.standard_normal((n_classes, g.features.cols))), mask)
+            rng.standard_normal((n_classes, g.features.cols)), mask)
 
 
 def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
@@ -452,12 +452,12 @@ def _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, 
     if zero_w1_column:
         params.gnn_layers[0][0].data[:, 0] = 0.0
     ctx = task_context(g, params, task)
-    rows = ctx.anchors.rows
+    rows = len(ctx.anchors)
     mask = {"all": np.ones(rows, bool), "none": np.zeros(rows, bool),
             "some": rng.random(rows) < 0.5}[mask_kind]
     w0 = rng.standard_normal((rows, n_classes))
     w0[rng.random(w0.shape) < zero_share] = 0.0  # |W|'s VJP takes sign(0) = 0 there
-    return ctx, w0, Tensor(rng.standard_normal((n_classes, n_features))), mask
+    return ctx, w0, rng.standard_normal((n_classes, n_features)), mask
 
 
 _DRAWN_CASES = dict(
@@ -505,7 +505,7 @@ def test_prompted_layer_matches_keep_all_oracle_bitwise(
         with Tape() as tape:
             out, clean = layer(ctx, ps, mode, seed, rate)
             loss = total_sum(mul(out, probe))
-        results.append([a.tobytes() for a in (out.data, clean.data, backward(tape, loss)[w])])
+        results.append([a.tobytes() for a in (out.data, clean, backward(tape, loss)[w])])
     assert results[0] == results[1]
 
 
@@ -595,10 +595,10 @@ def test_training_pass_reads_out_its_weights_without_dropout(task):
                        weight_rows=Tensor(w0, requires_grad=True), trainable_row_mask=mask)
     with Tape():
         train, clean = prompted_layer(ctx, ps, "train", 17, 0.3)
-    np.testing.assert_array_equal(clean.data, prototype_embeddings(ctx, ps, "eval").data)
+    np.testing.assert_array_equal(clean, prototype_embeddings(ctx, ps, "eval").data)
     np.testing.assert_array_equal(train.data, prototype_embeddings(ctx, ps, "train", 17, 0.3).data)
     out, same = prompted_layer(ctx, ps, "eval")
-    assert same is out
+    assert same is out.data
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
@@ -620,9 +620,9 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
 @pytest.mark.parametrize("field,value,error,message", [
     ("trainable_row_mask", np.ones(59, bool), DimensionError,
      r"trainable_row_mask has shape \(59,\) for 60 weight rows"),
-    ("proto_features", Tensor(np.zeros((3, 4))), ContractError,
+    ("proto_features", np.zeros((3, 4)), ContractError,
      "prototype features have 4 columns, graph has 5"),
-    ("proto_features", Tensor(np.zeros((2, 5))), DimensionError,
+    ("proto_features", np.zeros((2, 5)), DimensionError,
      "prompt has 2 prototype feature rows for 3 weight columns"),
 ])
 def test_prototype_embeddings_refuse_a_malformed_prompt(field, value, error, message):
@@ -637,7 +637,7 @@ def test_prototype_embeddings_refuse_a_malformed_prompt(field, value, error, mes
 def test_prototype_embeddings_reject_weight_rows_for_another_task():
     g = multi_graph()
     ctx = task_context(g, frozen_params(4), "graph")
-    ps = PromptedGraph(task="node", proto_features=Tensor(np.zeros((2, 4))),
+    ps = PromptedGraph(task="node", proto_features=np.zeros((2, 4)),
                        weight_rows=Tensor(np.zeros((g.n_nodes, 2))),
                        trainable_row_mask=np.ones(g.n_nodes, bool))
     with pytest.raises(DimensionError, match="18 weight rows for 6 graph rows"):
@@ -648,17 +648,16 @@ def test_task_context_builds_views_once_per_task():
     g = multi_graph()
     params = frozen_params(4)
     node = task_context(g, params, "node")
-    np.testing.assert_array_equal(node.anchors.data, mlp_forward(g.features, params).data)
-    np.testing.assert_array_equal(node.attr_base.data, g.features.data)
+    np.testing.assert_array_equal(node.anchors, mlp_forward(g.features, params).data)
+    np.testing.assert_array_equal(node.attr_base, g.features.data)
     (w1, _), _ = params.gnn_layers
-    np.testing.assert_array_equal(node.xw1.data, g.features.data @ w1.data)
-    np.testing.assert_array_equal(node.base.degree.data.ravel(),
-                                  g.adjacency.sum(axis=1) + 1.0)
+    np.testing.assert_array_equal(node.xw1, g.features.data @ w1.data)
+    np.testing.assert_array_equal(node.base.degree.ravel(), g.adjacency.sum(axis=1) + 1.0)
     graph = task_context(g, params, "graph")
     attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
-    np.testing.assert_array_equal(graph.anchors.data, attr.data)
-    np.testing.assert_array_equal(graph.struct.data, struct.data)
-    assert graph.attr_base.rows == g.n_graphs and graph.n_classes == 2
+    np.testing.assert_array_equal(graph.anchors, attr)
+    np.testing.assert_array_equal(graph.struct, struct)
+    assert len(graph.attr_base) == g.n_graphs and graph.n_classes == 2
     with pytest.raises(ContractError):
         task_context(toy_graph(), frozen_params(4), "graph")
 
@@ -675,9 +674,9 @@ def test_graph_views_single_node_graphs_equal_node_rows():
     params = frozen_params(4)
     ctx = task_context(g, params, "graph")
     attr, struct = ctx.anchors, ctx.struct
-    np.testing.assert_allclose(attr.data, mlp_forward(g.features, params).data, atol=1e-12)
+    np.testing.assert_allclose(attr, mlp_forward(g.features, params).data, atol=1e-12)
     np.testing.assert_allclose(
-        struct.data,
+        struct,
         gnn_forward(g.features, gcn_normalize(g.adjacency), params).data, atol=1e-12)
 
 
@@ -690,8 +689,8 @@ def test_graph_views_duplicate_graph_rows_match():
     g.features.data[6:9] = g.features.data[0:3]
     ctx2 = task_context(g, params, "graph")
     attr2, struct2 = ctx2.anchors, ctx2.struct
-    np.testing.assert_allclose(attr2.data[0], attr2.data[2], atol=1e-12)
-    np.testing.assert_allclose(struct2.data[0], struct2.data[2], atol=1e-12)
+    np.testing.assert_allclose(attr2[0], attr2[2], atol=1e-12)
+    np.testing.assert_allclose(struct2[0], struct2[2], atol=1e-12)
 
 
 def test_graph_views_need_membership():
@@ -728,6 +727,35 @@ def test_tuned_prompt_survives_a_checkpoint_round_trip(task, tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_a_value_is_a_tensor_only_where_a_tape_op_takes_or_returns_it(tmp_path):
+    """The frozen views, prototype features, base degrees, class means and
+    read-outs are plain float64 arrays; the prompted layer's output is a Tensor."""
+    from psp.data import Checkpoint, load_checkpoint, save_checkpoint
+
+    ctx = task_context(toy_graph(n=8), frozen_params(4), "node")
+    labeled = LabeledSet([0, 1], [0, 1])
+    prompted, _, (_, kept) = prompt_tune(ctx, labeled, PromptConfig(epochs=1),
+                                         val=LabeledSet([2, 3], [0, 1]))
+    save_checkpoint(tmp_path / "bundle.ckpt", Checkpoint(tau=0.5, seed=0, params=ctx.params,
+                                                         prompt=prompted))
+    values = {name: getattr(ctx, name) for name in ("anchors", "struct", "attr_base", "xw1")}
+    values.update({
+        "base.degree": ctx.base.degree,
+        "tuned proto_features": prompted.proto_features,
+        "loaded proto_features": load_checkpoint(tmp_path / "bundle.ckpt").prompt.proto_features,
+        "kept prototypes": kept,
+        "dropout-free read-out": prompted_layer(ctx, prompted, "train", 0, 0.5)[1],
+        "class_mean_rows": class_mean_rows(ctx.struct, labeled, 2),
+        "mean_readout": mean_readout(ctx.anchors, np.arange(8) // 2),
+        "init_edge_weights": init_edge_weights(ctx.struct, labeled, 2),
+        "predict": predict(ctx.anchors, kept, 0.5),
+    })
+    wrapped = {name: type(v).__name__ for name, v in values.items()
+               if not (isinstance(v, np.ndarray) and v.dtype == np.float64)}
+    assert wrapped == {}
+    assert isinstance(prompted_layer(ctx, prompted)[0], Tensor)
+
+
 # ---------------------------------------------------------------------------
 # prompt_tune contracts
 
@@ -748,9 +776,9 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
                        edge_ratio=0.1)
     prompted, losses, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     assert losses == []
-    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
+    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
     w0 = init_edge_weights(struct, labeled, 3)
-    expected = w0.data * prompted.trainable_row_mask[:, None]
+    expected = w0 * prompted.trainable_row_mask[:, None]
     np.testing.assert_allclose(prompted.weight_rows.data, expected, atol=1e-15)
 
 
@@ -759,10 +787,10 @@ def test_tune_improves_training_accuracy(sbm_setup):
     ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     before, _, _ = prompt_tune(ctx, labeled, cfg0)
-    acc_before = accuracy(ctx, prototype_embeddings(ctx, before, "eval"), labeled, 0.5)
+    acc_before = accuracy(ctx, prototype_embeddings(ctx, before, "eval").data, labeled, 0.5)
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
     after, _, _ = prompt_tune(ctx, labeled, cfg)
-    acc_after = accuracy(ctx, prototype_embeddings(ctx, after, "eval"), labeled, 0.5)
+    acc_after = accuracy(ctx, prototype_embeddings(ctx, after, "eval").data, labeled, 0.5)
     assert acc_after >= acc_before
 
 
@@ -781,6 +809,23 @@ def test_tune_leaves_encoders_bitwise_unchanged(sbm_setup):
     cfg = PromptConfig(epochs=15, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=0)
     prompt_tune(task_context(g, params, "node"), labeled, cfg, val=val)
     assert params_checksum(params) == checksum
+
+
+def test_tune_refusal_of_a_non_finite_loss_names_the_last_finite_one(monkeypatch):
+    ctx = task_context(toy_graph(n=8), frozen_params(4), "node")
+    finite = []
+
+    def finite_once(*args):
+        loss = prompt_loss(*args)
+        finite.append(loss.item())
+        if len(finite) > 1:
+            loss.data[0, 0] = np.nan
+        return loss
+
+    monkeypatch.setattr(prompt, "prompt_loss", finite_once)
+    with pytest.raises(NumericError) as refusal:
+        prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), PromptConfig(epochs=3))
+    assert str(refusal.value) == f"prompt loss became non-finite at epoch 1, last finite loss {finite[0]}"
 
 
 def test_tune_is_seed_deterministic(sbm_setup):
@@ -871,6 +916,6 @@ def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, e
         assert kept is None
     else:  # the kept weights' read-out is the one a separate eval pass forms, bit for bit
         assert kept[0] == max(accs)
-        np.testing.assert_array_equal(kept[1].data, prototype_embeddings(ctx, prompted, "eval").data)
+        np.testing.assert_array_equal(kept[1], prototype_embeddings(ctx, prompted, "eval").data)
     if patience == 3:
         assert len(losses) < epochs  # the patience stop acted
