@@ -9,6 +9,7 @@ graph. Checkpoints are little-endian binary with exact round-trips.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -75,13 +76,13 @@ def _read_table(path: Path, kind, sep: Optional[str],
 
     The file is cut into ceil(size / `_RANGE_BYTES`) line-aligned byte
     ranges of about even size, and `fork_map` parses them on every allowed
-    core (a one-range file, in this process). Each range is read once and,
+    core (a one-range file, in this process). Each range is read and,
     if plain (printable ASCII, tabs, newlines), parsed by numpy's C
-    tokenizer; it is kept if it is finite, `width` wide and has a row per
-    line. This process holds the parts and their concatenation, or one
-    range while it parses one itself. If any range is not kept, the whole
-    file, every error included, goes through the line loop `_read_lines`,
-    which accepts the same syntax.
+    tokenizer, a one-range file from its path; it is kept if it is finite,
+    `width` wide and has a row per line. This process holds the parts and
+    their concatenation, or one range while it parses one itself. If any
+    range is not kept, the whole file, every error included, goes through
+    the line loop `_read_lines`, which accepts the same syntax.
     """
     if not path.is_file():
         raise DataError(f"missing dataset file {path}")
@@ -119,14 +120,16 @@ def _parse_range(task) -> Optional[np.ndarray]:
     with open(path, "rb") as fh:
         fh.seek(lo)
         text = fh.read(hi - lo)
+        whole = lo == 0 and not fh.read(1)
     # 64 KiB at a time: translate allocates its whole input's length
     if any(text[i:i + (1 << 16)].translate(None, _PLAIN_BYTES) for i in range(0, len(text), 1 << 16)):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # a BytesIO, not the path: numpy's path reader would read the whole file
-            table = np.loadtxt(io.BytesIO(text), np.int64 if kind is int else np.float64,
+            # numpy's path reader reads the whole file, but steps through lines in C,
+            # where over a BytesIO it takes ~100 ns more a line in Python
+            table = np.loadtxt(path if whole else io.BytesIO(text), np.int64 if kind is int else np.float64,
                                comments=None, delimiter=sep, ndmin=2)
     except (ValueError, Warning):
         return None
@@ -331,6 +334,54 @@ def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec
 # synthetic benchmark
 
 
+class _RawDraws:
+    """`rng.random()` and `rng.integers(k)` (1 <= k < 2**32) for a PCG64
+    `rng`, read from its words fetched in bulk, not one call each. A copy of
+    the generator fetches the words; `hand_back` moves `rng` past what was read.
+
+    `double` is numpy's `(word >> 11) * 2**-53`. `below` is its 32-bit Lemire
+    bounded draw, rejections included, over the half-words of `next_uint32`:
+    a word's low half first, its high half kept for the next half-word."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, bits = rng, np.random.PCG64()
+        bits.state = state = rng.bit_generator.state
+        self.has_half, self.half, self.used = state["has_uint32"], state["uinteger"], 0
+        # chunks of 64, 128, ... words, then 64k at a time, so a small graph fetches few
+        chunks = (bits.random_raw(min(64 << i, 1 << 16)).tolist() for i in itertools.count())
+        self._word = itertools.chain.from_iterable(chunks).__next__
+
+    def double(self) -> float:
+        self.used += 1
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def below(self, k: int) -> int:
+        if k == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (1 << 32) % k  # numpy's (2**32 - 1 - (k - 1)) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
+
+    def _uint32(self) -> int:
+        if self.has_half:
+            self.has_half = 0
+            return self.half
+        self.used += 1
+        word = self._word()
+        self.has_half, self.half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def hand_back(self) -> None:
+        bits = self.rng.bit_generator
+        bits.advance(self.used)  # which empties the half-word buffer
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = self.has_half, self.half
+        bits.state = state
+
+
 def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
                  feat_dim: int, noise: float, seed: int) -> GraphData:
     """Equal-size-class block-model graph with orthogonal class mean features.
@@ -365,24 +416,27 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     sizes[: n % n_classes] += 1
     labels = np.repeat(np.arange(n_classes), sizes)
     starts, sizes = (np.cumsum(sizes) - sizes).tolist(), sizes.tolist()  # classes are runs of ids
+    draws = _RawDraws(rng)
+    double, below = draws.double, draws.below
 
     def pair(pop: int) -> tuple[int, int]:
         """`rng.choice(pop, 2, replace=False)` from the same draws: Floyd's algorithm, then a one-swap shuffle."""
-        a, b = int(rng.integers(pop - 1)), int(rng.integers(pop))
+        a, b = below(pop - 1), below(pop)
         b = pop - 1 if b == a else b
-        return (b, a) if rng.integers(2) == 0 else (a, b)
+        return (b, a) if below(2) == 0 else (a, b)
 
     edges = []
     for _ in range(n_edges):
-        if rng.random() < homophily:
-            cls = int(rng.integers(n_classes))
+        if double() < homophily:
+            cls = below(n_classes)
             while sizes[cls] < 2:
-                cls = int(rng.integers(n_classes))
+                cls = below(n_classes)
             a, b = pair(sizes[cls])
             edges.append((starts[cls] + a, starts[cls] + b))
         else:
             c1, c2 = pair(n_classes)
-            edges.append((starts[c1] + int(rng.integers(sizes[c1])), starts[c2] + int(rng.integers(sizes[c2]))))
+            edges.append((starts[c1] + below(sizes[c1]), starts[c2] + below(sizes[c2])))
+    draws.hand_back()
 
     with np.errstate(over="ignore"):
         features = np.eye(n_classes, feat_dim)[labels] + noise * rng.standard_normal((n, feat_dim))

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from psp import data as data_module
-from psp.autodiff import Tensor
+from psp.autodiff import Tensor, seeded_rng
 from psp.data import (
     Checkpoint,
     _line_ranges,
+    _RawDraws,
     _read_lines,
     _read_table,
     _write_table,
@@ -608,6 +609,46 @@ def test_sbm_seed_determinism():
     b = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     assert np.array_equal(a.features.data, b.features.data)
     assert np.array_equal(a.adjacency.indices, b.adjacency.indices)
+
+
+@pytest.mark.parametrize("full_half_word", [False, True])
+def test_raw_draws_match_scalar_generator_calls(full_half_word):
+    rng = np.random.default_rng(2024)
+    if full_half_word:
+        rng.integers(3)  # keeps the high half of its word for the next 32-bit draw
+    assert rng.bit_generator.state["has_uint32"] == full_half_word
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = before = rng.bit_generator.state
+    draws = _RawDraws(rng)
+    # the large bounds reject a third to a half of their draws
+    bounds = [1, 2, 3, 16667, 2 ** 31 + 1, 3_000_000_000, 2 ** 32 - 1]
+    for _ in range(300):  # ~2,000 words: past the first chunks' ends
+        assert draws.double() == twin.random()
+        for k in bounds:
+            assert draws.below(k) == twin.integers(k)
+    assert rng.bit_generator.state == before  # the draws read a copy
+    draws.hand_back()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
+
+
+def test_sbm_makes_no_scalar_generator_calls(monkeypatch):
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append("random")
+            return super().random(*args, **kwargs)
+
+        def integers(self, *args, **kwargs):
+            calls.append("integers")
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(data_module, "seeded_rng",
+                        lambda seed, salt: CountingGenerator(seeded_rng(seed, salt).bit_generator))
+    g = generate_sbm(3000, 3, 0.8, 2.5, 16, 0.5, seed=11)
+    assert g.adjacency.nnz > 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
