@@ -58,10 +58,6 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """Copy of the value, cut off from any tape."""
-        return Tensor(self.data.copy(), requires_grad=False, name=self.name)
-
     def item(self) -> float:
         if self.shape != (1, 1):
             raise ContractError(f"item() needs a 1x1 tensor, got {self.shape}")

@@ -170,7 +170,7 @@ def _cmd_export_w(args) -> int:
     if ckpt.prompt is None:
         raise ContractError("checkpoint holds no tuned prompt to export")
     labels = _task_labels(_load_dataset(args), ckpt.prompt.task) if args.data else None
-    export_weight_matrix(ckpt.prompt.weight_rows, labels, args.out)
+    export_weight_matrix(ckpt.prompt.weight_rows.data, labels, args.out)
     print(f"wrote weight matrix to {args.out}", file=sys.stderr)
     return 0
 

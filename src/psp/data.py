@@ -222,7 +222,7 @@ def load_node_dataset(directory) -> GraphData:
 
     edges, linenos = _read_table(directory / "edges.tsv", int, "\t", 2)
     _check_endpoints(edges, linenos, n, "edges.tsv")
-    return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
+    return GraphData(features=features, adjacency=build_csr(n, edges), labels=labels)
 
 
 def save_node_dataset(directory, g: GraphData) -> None:
@@ -231,7 +231,7 @@ def save_node_dataset(directory, g: GraphData) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     upper = sparse.triu(g.adjacency, k=1, format="coo")
     _write_table(directory / "edges.tsv", np.column_stack((upper.row, upper.col)))
-    _write_table(directory / "features.tsv", g.features.data)
+    _write_table(directory / "features.tsv", g.features)
     _write_table(directory / "labels.tsv", g.labels.reshape(-1, 1))
 
 
@@ -287,7 +287,7 @@ def load_tu_dataset(directory, name: str) -> GraphData:
             raise DataError(f"{node_label_path.name} has {raw.size} rows for {n} nodes")
         labels = np.unique(raw, return_inverse=True)[1]
 
-    return GraphData(features=Tensor(features), adjacency=adjacency, labels=labels,
+    return GraphData(features=features, adjacency=adjacency, labels=labels,
                      graph_of=graph_of, graph_labels=graph_labels)
 
 
@@ -442,7 +442,7 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
         features = np.eye(n_classes, feat_dim)[labels] + noise * rng.standard_normal((n, feat_dim))
     if not np.isfinite(features).all():
         raise ParameterError(f"noise must keep the features finite, got {noise}")
-    return GraphData(features=Tensor(features), adjacency=build_csr(n, edges), labels=labels)
+    return GraphData(features=features, adjacency=build_csr(n, edges), labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def load_checkpoint(path) -> Checkpoint:
 # weight matrix export
 
 
-def export_weight_matrix(w: Tensor, labels, path) -> None:
+def export_weight_matrix(w: np.ndarray, labels, path) -> None:
     """Tab-separated dump of the learned node-to-prototype weights.
 
     Columns: node index, label (-1 when labels are absent), then one
@@ -568,5 +568,5 @@ def export_weight_matrix(w: Tensor, labels, path) -> None:
         raise DataError(f"{lab.size} labels for {n} weight rows")
     header = ["node", "label"] + [f"w_{j}" for j in range(c)]
     _write_table(path, [header] + [[i, label, *row] for i, (label, row)
-                                   in enumerate(zip(lab.tolist(), w.data.tolist()))])
+                                   in enumerate(zip(lab.tolist(), w.tolist()))])
 

@@ -2,8 +2,8 @@
 
 Both are two layers deep, end at the same output dimension, and are frozen
 after pre-training. The GNN propagates over a normalized CSR adjacency.
-Each view is one recorded op (`_two_layer`) that keeps only its input and
-rebuilds its hidden layer in the backward sweep.
+Each view is one recorded op (`_two_layer`) of its four parameters over a
+constant feature array, and rebuilds its hidden layer in the backward sweep.
 """
 
 from __future__ import annotations
@@ -68,27 +68,27 @@ def _check_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def _two_layer(x: Tensor, layers, a_norm: sparse.csr_array | None, training: bool,
+def _two_layer(x: np.ndarray, layers, a_norm: sparse.csr_array | None, training: bool,
                seed: int, stream: int, dropout_rate: float) -> Tensor:
-    """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op.
+    """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op of W1, b1, W2, b2.
 
-    prop is the product with `a_norm`, or the identity when it is None. The
-    VJP keeps no array of its own: it rebuilds the hidden layer h after
-    dropout from x, W1, b1 and the (seed, stream) mask, which nothing changes
-    between the forward and the backward sweep, so the rebuilt h has the
-    forward's bits. Relu's gate (0 at the kink) and dropout's keep-mask are
-    both h > 0, and every kept entry carries the one scale 1/(1-p).
+    prop is the product with `a_norm`, or the identity when it is None; x is a
+    constant array. The VJP keeps no array of its own: it rebuilds the hidden
+    layer h after dropout from x, W1, b1 and the (seed, stream) mask, which
+    nothing changes between the forward and the backward sweep, so the rebuilt
+    h has the forward's bits. Relu's gate (0 at the kink) and dropout's
+    keep-mask are both h > 0, and every kept entry carries the one scale 1/(1-p).
     """
     (w1, b1), (w2, b2) = layers
-    if x.cols != w1.rows or (a_norm is not None and a_norm.shape[1] != x.rows):
+    if x.shape[1] != w1.rows or (a_norm is not None and a_norm.shape[1] != len(x)):
         raise DimensionError(f"encoder: input {x.shape} does not fit W1 {w1.shape}"
                              + ("" if a_norm is None else f" and adjacency {a_norm.shape}"))
     prop = (lambda m: m) if a_norm is None else (lambda m: a_norm @ m)
     back = (lambda g: g) if a_norm is None else (lambda g: a_norm.T @ g)
-    x_in, w1_in, b1_in, w2_in = x.data, w1.data, b1.data, w2.data
+    w1_in, b1_in, w2_in = w1.data, b1.data, w2.data
 
     def hidden():  # h and the scale of its kept entries (None without dropout)
-        h = prop(x_in @ w1_in)
+        h = prop(x @ w1_in)
         h += b1_in
         h *= h > 0
         keep = dropout_mask(h.shape, dropout_rate, seed, stream, training)
@@ -101,7 +101,7 @@ def _two_layer(x: Tensor, layers, a_norm: sparse.csr_array | None, training: boo
 
     z = prop(hidden()[0] @ w2_in)
     z += b2.data
-    need_x, need_w1, need_b1, need_w2, need_b2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
+    need_w1, need_b1, need_w2, need_b2 = (t.requires_grad for t in (w1, b1, w2, b2))
 
     def vjp(g):
         gb2 = g.sum(axis=0, keepdims=True) if need_b2 else None
@@ -115,21 +115,19 @@ def _two_layer(x: Tensor, layers, a_norm: sparse.csr_array | None, training: boo
         gh *= h > 0
         del h
         gb1 = gh.sum(axis=0, keepdims=True) if need_b1 else None
-        gh = back(gh)
-        return ((gh @ w1_in.T if need_x else None), (x_in.T @ gh if need_w1 else None), gb1,
-                gw2, gb2)
+        return (x.T @ back(gh) if need_w1 else None), gb1, gw2, gb2
 
-    return _emit("two_layer", (x, w1, b1, w2, b2), z, vjp)
+    return _emit("two_layer", (w1, b1, w2, b2), z, vjp)
 
 
-def mlp_forward(x: Tensor, params: EncoderParams, mode: str = "eval",
+def mlp_forward(x: np.ndarray, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Attribute-only view; never reads any adjacency."""
     return _two_layer(x, params.mlp_layers, None, _check_mode(mode),
                       derive_seed(seed, 1), 0, dropout_rate)
 
 
-def gnn_forward(x: Tensor, a_norm: sparse.csr_array, params: EncoderParams, mode: str = "eval",
+def gnn_forward(x: np.ndarray, a_norm: sparse.csr_array, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
     """Two propagation layers over a normalized CSR adjacency."""
     return _two_layer(x, params.gnn_layers, a_norm, _check_mode(mode),

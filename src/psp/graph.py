@@ -41,20 +41,29 @@ def class_count(ids: Optional[np.ndarray]) -> int:
 class GraphData:
     """Immutable node features, sparse symmetric adjacency, and labels.
 
-    The adjacency is held as `check_csr` returns it: a checked, canonical
-    float64 `csr_array`, whoever built the graph. `graph_of` maps nodes to
-    graph ids for batched multi-graph datasets, whose adjacency is
-    block-diagonal. Graph-level labels, when present, live in
+    The features are the graph's own finite float64 N x F array, copied from
+    what the caller passed. The adjacency is held as `check_csr` returns it: a
+    checked, canonical float64 `csr_array`, whoever built the graph. `graph_of`
+    maps nodes to graph ids for batched multi-graph datasets, whose adjacency
+    is block-diagonal. Graph-level labels, when present, live in
     `graph_labels`. Node, class and graph counts come from the arrays.
     """
 
-    features: Tensor
+    features: np.ndarray
     adjacency: sparse.csr_array
     labels: Optional[np.ndarray]
     graph_of: Optional[np.ndarray] = None
     graph_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        try:
+            x = self.features = np.array(self.features, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"features must be numeric, got {type(self.features).__name__}") from None
+        if x.ndim != 2:
+            raise DataError(f"features must be a 2-D nodes x features array, got shape {x.shape}")
+        if not np.isfinite(x).all():  # argmin: the first row that is not all finite
+            raise DataError(f"features row {np.isfinite(x).all(axis=1).argmin()} holds a non-finite value")
         m = self.adjacency = check_csr(self.adjacency)
         if m.shape != (self.n_nodes, self.n_nodes):
             raise DataError("adjacency must be n_nodes x n_nodes")
@@ -80,7 +89,7 @@ class GraphData:
 
     @property
     def n_nodes(self) -> int:
-        return self.features.rows
+        return len(self.features)
 
     @property
     def n_classes(self) -> int:

@@ -77,7 +77,7 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
     """Full-batch contrastive training; returns frozen encoders + loss history."""
     if g.n_nodes < 2:
         raise ContractError("pre-training needs at least 2 nodes")
-    params = init_encoder_params(g.features.cols, cfg.hidden_dim, cfg.seed)
+    params = init_encoder_params(g.features.shape[1], cfg.hidden_dim, cfg.seed)
     a_norm = gcn_normalize(g.adjacency)
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []

@@ -132,13 +132,13 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
         raise ContractError("graph-level views need graph membership")
     anchors = mlp_forward(g.features, params, "eval").data
     struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
-    attr_base = g.features.data
+    attr_base = g.features
     if task == "graph":
         anchors, struct, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, struct, attr_base))
     (w1, _), _ = params.gnn_layers
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
-                       xw1=g.features.data @ w1.data)
+                       xw1=g.features @ w1.data)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,8 +172,9 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         raise DimensionError(f"prompt has {weights.rows} weight rows for {len(ctx.anchors)} {ctx.task} rows")
     if mask.shape != (weights.rows,):
         raise DimensionError(f"trainable_row_mask has shape {mask.shape} for {weights.rows} weight rows")
-    if feats.shape[1] != ctx.graph.features.cols:
-        raise ContractError(f"prototype features have {feats.shape[1]} columns, graph has {ctx.graph.features.cols}")
+    if feats.shape[1] != ctx.graph.features.shape[1]:
+        raise ContractError(f"prototype features have {feats.shape[1]} columns, "
+                            f"graph has {ctx.graph.features.shape[1]}")
     if len(feats) != weights.cols:
         raise DimensionError(f"prompt has {len(feats)} prototype feature rows for {weights.cols} weight columns")
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
@@ -260,21 +261,18 @@ def accuracy(ctx: TaskContext, prototypes: np.ndarray, labeled: LabeledSet, tau:
     return evaluate(predict(ctx.anchors[labeled.indices], prototypes, tau), labeled.classes)
 
 
-def prompt_loss(anchors: Tensor, prototypes: Tensor, labels, tau: float) -> Tensor:
+def prompt_loss(anchors: np.ndarray, prototypes: Tensor, labels, tau: float) -> Tensor:
     """Contrastive loss pulling each anchor toward its class prototype.
 
-    The denominator runs over the other classes only. Anchors are treated as
-    constants: gradients flow solely into the prototype side.
+    The denominator runs over the other classes only. Anchors are a constant
+    array: gradients flow solely into the prototype side.
     """
-    n_classes = prototypes.rows
-    if n_classes < 2:
+    if prototypes.rows < 2:
         raise ContractError("prompt loss needs at least 2 classes")
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.size != anchors.rows:
-        raise ContractError(f"{anchors.rows} anchors vs {labels.size} labels")
-    if anchors.requires_grad:
-        anchors = anchors.detach()
-    return masked_infonce(anchors, prototypes, labels, tau)
+    if labels.size != len(anchors):
+        raise ContractError(f"{len(anchors)} anchors vs {labels.size} labels")
+    return masked_infonce(Tensor(anchors), prototypes, labels, tau)
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
@@ -296,8 +294,6 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     prompted = PromptedGraph(task=ctx.task, proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
-    train_anchors = Tensor(ctx.anchors[labeled.indices])
-
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
     best_acc, best_w, best_proto, best_epoch = -1.0, weights.data.copy(), None, -1
@@ -310,7 +306,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
             proto, val_proto = prompted_layer(ctx, prompted, "train" if training else "eval",
                                               derive_seed(cfg.seed, epoch), cfg.dropout)
             if training:
-                loss = prompt_loss(train_anchors, proto, labeled.classes, cfg.tau)
+                loss = prompt_loss(ctx.anchors[labeled.indices], proto, labeled.classes, cfg.tau)
         if val is not None:
             acc = accuracy(ctx, val_proto, val, cfg.tau)
             if acc > best_acc:

@@ -185,17 +185,17 @@ def composite_infonce(z1, z2, positives, tau):
 
 
 def composed_mlp_forward(x, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`mlp_forward` as generic tape ops, with the same dropout salt and stream."""
+    """`mlp_forward` of the array x as generic tape ops, with the same dropout salt and stream."""
     (w1, b1), (w2, b2) = params.mlp_layers
-    h = relu(add(matmul(x, w1), b1))
+    h = relu(add(matmul(Tensor(x), w1), b1))
     h = dropout(h, dropout_rate, derive_seed(seed, 1), 0, mode == "train")
     return add(matmul(h, w2), b2)
 
 
 def composed_gnn_forward(x, a_norm, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`gnn_forward` as generic tape ops, with the same dropout salt and stream."""
+    """`gnn_forward` of the array x as generic tape ops, with the same dropout salt and stream."""
     (w1, b1), (w2, b2) = params.gnn_layers
-    h = relu(add(spmm(a_norm, matmul(x, w1)), b1))
+    h = relu(add(spmm(a_norm, matmul(Tensor(x), w1)), b1))
     h = dropout(h, dropout_rate, derive_seed(seed, 2), 1, mode == "train")
     return add(spmm(a_norm, matmul(h, w2)), b2)
 
@@ -285,7 +285,7 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         w = select_rows(w, g.graph_of)
     operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    blocks = operator.apply(matmul(g.features, w1), matmul(Tensor(ps.proto_features), w1))
+    blocks = operator.apply(matmul(Tensor(g.features), w1), matmul(Tensor(ps.proto_features), w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
     keep = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
                         derive_seed(seed, 2), 0, mode == "train")
@@ -379,7 +379,7 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
     weights = Tensor(w0 * mask[:, None], requires_grad=True)
     ps = PromptedGraph(task=ctx.task, proto_features=class_mean_rows(ctx.attr_base, labeled, n_classes),
                        weight_rows=weights, trainable_row_mask=mask)
-    anchors = Tensor(ctx.anchors[labeled.indices])
+    anchors = ctx.anchors[labeled.indices]
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses, val_accs = [], []
     best_acc, best_w, best_epoch = -1.0, weights.data.copy(), -1

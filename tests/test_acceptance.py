@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale experiments
 (criteria 4-7) share one set of pre-trained encoders per seed through a
-session fixture; every run is deterministic in its seed.
+session fixture; every run is deterministic in its seed. Criterion 10 runs
+the graph task on its own seeded graph batches.
 """
 
 import os
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 
 from psp.autodiff import (
+    Tape,
     Tensor,
     absolute,
     add,
+    backward,
     matmul,
     mul,
     row_sum,
@@ -27,6 +30,7 @@ from psp.cli import TUNE_DEFAULTS, run as cli_run
 from psp.data import (
     generate_sbm,
     load_node_dataset,
+    load_tu_dataset,
     sample_k_shot,
 )
 from psp.encoders import gnn_forward, mlp_forward
@@ -51,6 +55,7 @@ from psp.prompt import (
     task_context,
 )
 
+from graph_batches import write_ring_chord_batch
 from oracles import (
     cosine_sim_matrix,
     dropout,
@@ -159,12 +164,12 @@ def test_criterion_1_gradient_correctness():
     # prompt loss differentiated through the augmented propagation into W
     from psp.encoders import freeze, init_encoder_params
 
-    g = GraphData(features=Tensor(rng.standard_normal((5, 4))),
+    g = GraphData(features=rng.standard_normal((5, 4)),
                   adjacency=build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
                   labels=np.array([0, 1, 0, 1, 0]))
     params = freeze(init_encoder_params(4, 6, seed=1))
     proto_feats = rng.standard_normal((2, 4))
-    anchors = Tensor(rng.standard_normal((3, 6)))
+    anchors = rng.standard_normal((3, 6))
     mask = np.ones(5, dtype=bool)
     ctx = task_context(g, params, "node")
 
@@ -177,15 +182,13 @@ def test_criterion_1_gradient_correctness():
     worst["prompt_loss_through_W"] = grad_check(through_prompt,
                                                 Tensor(rng.standard_normal((5, 2))))
 
-    # each fused encoder op in train mode, through x and through each parameter
+    # each fused encoder op in train mode, through each parameter
     enc = init_encoder_params(4, 6, seed=2)
     a_norm = gcn_normalize(g.adjacency)
-    feats, probe = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 6)))
+    feats, probe = rng.standard_normal((5, 4)), Tensor(rng.standard_normal((5, 6)))
     views = {"mlp": lambda x: mlp_forward(x, enc, "train", 11, 0.3),
              "gnn": lambda x: gnn_forward(x, a_norm, enc, "train", 11, 0.3)}
     for view, forward in views.items():
-        worst[f"two_layer_{view}_x"] = grad_check(lambda t: total_sum(mul(forward(t), probe)),
-                                                  Tensor(rng.standard_normal((5, 4))))
         leaves = [t for layer in getattr(enc, f"{view}_layers") for t in layer]
         for name, leaf in zip(("w1", "b1", "w2", "b2"), leaves):
             worst[f"two_layer_{view}_{name}"] = grad_check(
@@ -263,7 +266,7 @@ def test_criterion_3_structural_invariants():
     from psp.encoders import freeze, init_encoder_params
 
     params = freeze(init_encoder_params(8, 6, seed=2))
-    x = Tensor(np.random.default_rng(4).standard_normal((6, 8)))
+    x = np.random.default_rng(4).standard_normal((6, 8))
     baseline = mlp_forward(x, params, "eval").data
     bitwise = all(
         np.array_equal(mlp_forward(x, params, "eval").data, baseline)
@@ -384,3 +387,61 @@ def test_criterion_9_cora_band():
     mean_acc = float(np.mean(accs))
     ok = abs(mean_acc - 0.6865) <= 0.06
     _report("criterion-9", ok, f"Cora 3-shot mean accuracy {mean_acc:.4f} (target band 0.6865 +/- 0.06)")
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: graph classification learns
+
+# seeds 100-104 chose the batch and the settings below; the gate runs on seeds
+# no design step read (a first gate on seeds 0-4 read them, see CHANGES.md)
+GRAPH_SEEDS = (200, 201, 202, 203, 204)
+GRAPH_PRETRAIN = dict(epochs=50, hidden_dim=32, lr=1e-3)
+GRAPH_TUNE = dict(epochs=200, lr=1e-2, dropout=0.2, tau=0.5)
+GRAPH_K_SHOT = 10
+# seeds 100-104: PSP 0.640 mean, PSP-np 0.607, the untuned prompt 0.571. A
+# seed's accuracy on 90 test graphs has a binomial sd of 0.051 alone (0.037
+# measured over the five), so the floor sits 2 such sds below the mean
+GRAPH_FLOOR = 1.0 / 3.0 + 0.20
+
+
+def _graph_run(root: Path, seed: int):
+    """One seed of the graph task: (PSP, PSP-np and untuned-prompt test
+    accuracy, relative error of the tuning gradient at the initial weights)."""
+    write_ring_chord_batch(root, "RING", seed)
+    g = load_tu_dataset(root, "RING")
+    params, _ = pretrain(g, PretrainConfig(seed=seed, **GRAPH_PRETRAIN))
+    split = sample_k_shot(g.graph_labels, GRAPH_K_SHOT, seed)
+    ctx = task_context(g, params, "graph")
+    tau, rate = GRAPH_TUNE["tau"], GRAPH_TUNE["dropout"]
+    init, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **{**GRAPH_TUNE, "epochs": 0}))
+    tuned, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **GRAPH_TUNE))
+    accs = [accuracy(ctx, prototype_embeddings(ctx, p, "eval").data, split.test, tau) for p in (tuned, init)]
+    acc_np = accuracy(ctx, class_mean_rows(ctx.struct, split.train, ctx.n_classes), split.test, tau)
+
+    # the first tuning step's gradient along a random direction, against a central difference
+    def loss_at(w):
+        ps = PromptedGraph("graph", init.proto_features, w, init.trainable_row_mask)
+        proto = prototype_embeddings(ctx, ps, "train", seed, rate)
+        return prompt_loss(ctx.anchors[split.train.indices], proto, split.train.classes, tau)
+
+    w = Tensor(init.weight_rows.data, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_at(w)
+    direction, h = np.random.default_rng(seed).standard_normal(w.shape), 1e-6
+    slope = float((backward(tape, loss)[w] * direction).sum())
+    fd = (loss_at(Tensor(w.data + h * direction)).item()
+          - loss_at(Tensor(w.data - h * direction)).item()) / (2 * h)
+    return accs[0], acc_np, accs[1], abs(slope - fd) / max(abs(fd), 1e-12)
+
+
+def test_criterion_10_graph_classification_learns(tmp_path):
+    start = time.perf_counter()
+    runs = list(fork_map(lambda seed: _graph_run(tmp_path / str(seed), seed), GRAPH_SEEDS))
+    elapsed = time.perf_counter() - start
+    psp = float(np.mean([r[0] for r in runs]))
+    worst_grad = max(r[3] for r in runs)
+    per_seed = "; ".join(f"seed {s}: PSP {r[0]:.3f} vs PSP-np {r[1]:.3f} (untuned {r[2]:.3f})"
+                         for s, r in zip(GRAPH_SEEDS, runs))
+    _report("criterion-10", psp >= GRAPH_FLOOR and worst_grad < 1e-5,
+            f"graph task PSP {psp:.4f} (floor {GRAPH_FLOOR:.4f}), tuning gradient vs central "
+            f"difference {worst_grad:.1e}, in {elapsed:.1f}s; {per_seed}")

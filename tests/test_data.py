@@ -56,7 +56,7 @@ def test_load_node_dataset_minimal(tmp_path):
     g = load_node_dataset(tmp_path / "d")
     assert g.n_nodes == 2 and g.n_classes == 2
     np.testing.assert_array_equal(g.adjacency.toarray(), [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(g.features.data, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_node_dataset_missing_labels(tmp_path):
@@ -96,7 +96,7 @@ def test_node_dataset_roundtrip(tmp_path):
     save_node_dataset(tmp_path / "d", g)
     back = load_node_dataset(tmp_path / "d")
     assert back.n_nodes == g.n_nodes and back.n_classes == g.n_classes
-    np.testing.assert_array_equal(back.features.data, g.features.data)
+    np.testing.assert_array_equal(back.features, g.features)
     np.testing.assert_array_equal(back.labels, g.labels)
     np.testing.assert_array_equal(back.adjacency.toarray(), g.adjacency.toarray())
 
@@ -144,9 +144,9 @@ def test_load_tu_dataset_label_remap(tmp_path):
 def test_load_tu_dataset_degree_fallback(tmp_path):
     write_tu_fixture(tmp_path / "tu", attributes=False)
     g = load_tu_dataset(tmp_path / "tu", "TOY")
-    assert g.features.cols == 64
-    np.testing.assert_array_equal(g.features.data[0], np.eye(64)[2])  # triangle degree 2
-    np.testing.assert_array_equal(g.features.data[6], np.eye(64)[0])  # singleton degree 0
+    assert g.features.shape[1] == 64
+    np.testing.assert_array_equal(g.features[0], np.eye(64)[2])  # triangle degree 2
+    np.testing.assert_array_equal(g.features[6], np.eye(64)[0])  # singleton degree 0
 
 
 def test_load_tu_dataset_node_labels(tmp_path):
@@ -356,9 +356,9 @@ def test_write_chunks_are_even(tmp_path, monkeypatch):
 def test_forked_ranges_and_chunks_match_one_task(tmp_path):
     g = generate_sbm(300, 3, 0.7, 4.0, 8, 0.5, seed=4)
     one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
-    _write_table(one, g.features.data)
+    _write_table(one, g.features)
     with small_tasks(4096, cpus=2):  # a dozen ranges and chunks, over two workers
-        _write_table(many, g.features.data)
+        _write_table(many, g.features)
         forked, linenos = _read_table(many, float, "\t")
         assert one.read_bytes() == many.read_bytes()
         lines = many.read_bytes().split(b"\n")
@@ -366,7 +366,7 @@ def test_forked_ranges_and_chunks_match_one_task(tmp_path):
         many.write_bytes(b"\n".join(lines))
         with pytest.raises(DataError, match="many.tsv line 250: expected 8 columns, got 9"):
             _read_table(many, float, "\t")
-    np.testing.assert_array_equal(forked, g.features.data)
+    np.testing.assert_array_equal(forked, g.features)
     assert list(linenos) == list(range(1, 301))
 
 
@@ -380,7 +380,7 @@ def test_clean_tables_never_reach_the_line_loop(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_module, "_read_lines", refuse)
     back = load_node_dataset(tmp_path / "d")
-    np.testing.assert_array_equal(back.features.data, g.features.data)
+    np.testing.assert_array_equal(back.features, g.features)
     assert load_tu_dataset(tmp_path / "tu", "TOY").features.shape == (7, 2)
 
 
@@ -396,7 +396,7 @@ def test_reading_features_holds_less_than_twice_the_file(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(table, g.features.data)
+        np.testing.assert_array_equal(table, g.features)
         assert peak < 2 * path.stat().st_size, ranges
 
 
@@ -545,13 +545,13 @@ def test_sbm_draws_the_edges_and_features_of_the_choice_loop(n, n_classes, homop
     np.testing.assert_array_equal(g.adjacency.indices, want.indices)
     # drawn after the edges, so equal only if both loops left the generator in one state
     features = np.eye(n_classes, feat_dim)[g.labels] + noise * rng.standard_normal((n, feat_dim))
-    assert g.features.data.tobytes() == features.tobytes()
+    assert g.features.tobytes() == features.tobytes()
 
 
 def test_sbm_zero_noise_duplicates_class_rows():
     g = generate_sbm(30, 3, 0.8, 4.0, 8, 0.0, seed=3)
     for cls in range(3):
-        rows = g.features.data[g.labels == cls]
+        rows = g.features[g.labels == cls]
         assert np.all(rows == rows[0])
 
 
@@ -607,7 +607,7 @@ def test_sbm_refuses_edges_its_classes_cannot_hold():
 def test_sbm_seed_determinism():
     a = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
     b = generate_sbm(60, 3, 0.6, 5.0, 8, 0.5, seed=7)
-    assert np.array_equal(a.features.data, b.features.data)
+    assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.adjacency.indices, b.adjacency.indices)
 
 
@@ -836,20 +836,20 @@ def test_a_bundle_with_one_byte_flipped_loads_or_raises_a_psp_error(tmp_path, wh
 
 
 def test_export_weight_matrix_layout(tmp_path):
-    w = Tensor([[0.125, -3.5], [2.0, 1e-9]])
+    w = np.array([[0.125, -3.5], [2.0, 1e-9]])
     path = tmp_path / "w.tsv"
     export_weight_matrix(w, [1, 0], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == "node\tlabel\tw_0\tw_1"
     table = np.loadtxt(path, delimiter="\t", skiprows=1)
-    np.testing.assert_allclose(table[:, 2:], w.data, atol=1e-12)
+    np.testing.assert_allclose(table[:, 2:], w, atol=1e-12)
     np.testing.assert_array_equal(table[:, 1], [1, 0])
 
 
 def test_export_weight_matrix_sentinel_labels(tmp_path):
     path = tmp_path / "w.tsv"
-    export_weight_matrix(Tensor(np.zeros((2, 2))), None, path)
+    export_weight_matrix(np.zeros((2, 2)), None, path)
     labels = np.loadtxt(path, delimiter="\t", skiprows=1)[:, 1]
     np.testing.assert_array_equal(labels, [-1, -1])
 
@@ -857,13 +857,13 @@ def test_export_weight_matrix_sentinel_labels(tmp_path):
 @pytest.mark.parametrize("labels", [[0, 1, 2], [0]])
 def test_export_weight_matrix_rejects_label_count_mismatch(tmp_path, labels):
     with pytest.raises(DataError, match=f"{len(labels)} labels for 2 weight rows"):
-        export_weight_matrix(Tensor(np.zeros((2, 2))), labels, tmp_path / "w.tsv")
+        export_weight_matrix(np.zeros((2, 2)), labels, tmp_path / "w.tsv")
 
 
 def test_export_weight_matrix_full_precision_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
-    w = Tensor(rng.standard_normal((4, 3)))
+    w = rng.standard_normal((4, 3))
     path = tmp_path / "w.tsv"
     export_weight_matrix(w, None, path)
     values = np.loadtxt(path, delimiter="\t", skiprows=1)[:, 2:]
-    assert np.array_equal(values, w.data)  # repr round-trips exactly
+    assert np.array_equal(values, w)  # repr round-trips exactly

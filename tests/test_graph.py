@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -300,7 +302,7 @@ def test_mean_readout_membership_size_check():
 
 
 def _tiny_graph(**overrides):
-    base = dict(features=Tensor(np.zeros((2, 3))), adjacency=build_csr(2, [(0, 1)]),
+    base = dict(features=np.zeros((2, 3)), adjacency=build_csr(2, [(0, 1)]),
                 labels=np.array([0, 1]))
     base.update(overrides)
     return GraphData(**base)
@@ -309,6 +311,37 @@ def _tiny_graph(**overrides):
 def test_graphdata_accepts_valid():
     g = _tiny_graph()
     assert g.n_nodes == 2 and g.n_graphs == 0
+
+
+def test_graphdata_holds_its_own_float64_copy_of_the_features():
+    x = np.arange(6).reshape(2, 3)
+    g = _tiny_graph(features=x)
+    x[0, 0] = 99
+    assert type(g.features) is np.ndarray and g.features.dtype == np.float64
+    np.testing.assert_array_equal(g.features, np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3, 1)], ids=["1-D", "3-D"])
+def test_graphdata_refuses_features_that_are_not_2d(shape):
+    with pytest.raises(DataError, match=re.escape(f"features must be a 2-D nodes x features array, "
+                                                   f"got shape {shape}")):
+        _tiny_graph(features=np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_graphdata_refuses_non_finite_features_naming_the_row(value):
+    """Accepted, a NaN row would become a NaN anchor that prediction scores as class 0."""
+    x = np.zeros((2, 3))
+    x[1, 2] = value
+    with pytest.raises(DataError, match="^features row 1 holds a non-finite value$"):
+        _tiny_graph(features=x)
+
+
+@pytest.mark.parametrize("features", [Tensor(np.zeros((2, 3))), [["0.5", "x", "1"], ["1", "2", "3"]]],
+                         ids=["tensor", "text"])
+def test_graphdata_refuses_non_numeric_features(features):
+    with pytest.raises(DataError, match=f"^features must be numeric, got {type(features).__name__}$"):
+        _tiny_graph(features=features)
 
 
 def test_graphdata_counts_come_from_the_arrays():

@@ -141,7 +141,7 @@ def test_pretrain_loss_window_means_decrease():
 
 def test_pretrain_aborts_on_non_finite():
     g = generate_sbm(20, 2, 0.5, 4.0, 8, 0.5, seed=9)
-    g.features.data[0, 0] = np.nan
+    g.features[0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match="^pre-training loss became non-finite at epoch 0, last finite loss none$"):
         pretrain(g, PretrainConfig(epochs=3, hidden_dim=8, seed=0))
@@ -175,10 +175,9 @@ def test_pretrain_names_the_epoch_adam_refuses(tau):
 
 
 def test_pretrain_rejects_single_node():
-    from psp.autodiff import Tensor as T
     from psp.graph import GraphData, build_csr
 
-    g = GraphData(features=T(np.ones((1, 2))), adjacency=build_csr(1, []),
+    g = GraphData(features=np.ones((1, 2)), adjacency=build_csr(1, []),
                   labels=np.array([0]))
     with pytest.raises(ContractError):
         pretrain(g, PretrainConfig(epochs=1, hidden_dim=4))

@@ -55,7 +55,7 @@ def frozen_params(n_features, hidden=8, seed=0):
 def toy_graph(n=5, feat_dim=4, seed=0, edges=((0, 1), (1, 2), (2, 3), (3, 4))):
     rng = np.random.default_rng(seed)
     labels = np.array([i % 2 for i in range(n)])
-    return GraphData(features=Tensor(rng.standard_normal((n, feat_dim))),
+    return GraphData(features=rng.standard_normal((n, feat_dim)),
                      adjacency=build_csr(n, list(edges)), labels=labels)
 
 
@@ -76,7 +76,7 @@ def multi_graph(seed=0):
     n = offset
     feats = rng.standard_normal((n, 4)) * 0.1
     feats[:, 0] += [1.0 if gl == 0 else -1.0 for gl in np.array(graph_labels)[graph_of]]
-    return GraphData(features=Tensor(feats), adjacency=build_csr(n, edges), labels=None,
+    return GraphData(features=feats, adjacency=build_csr(n, edges), labels=None,
                      graph_of=np.array(graph_of), graph_labels=np.array(graph_labels))
 
 
@@ -140,7 +140,7 @@ def test_prompt_config_and_loss_reject_bad_tau(tau):
     with pytest.raises(ParameterError, match="tau"):
         PromptConfig(tau=tau)
     with pytest.raises(ParameterError, match="tau"):
-        prompt_loss(Tensor(np.eye(2, 3)), Tensor(np.eye(3)), [0, 1], tau=tau)
+        prompt_loss(np.eye(2, 3), Tensor(np.eye(3)), [0, 1], tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +240,13 @@ def test_prototype_isolation_with_zero_weights():
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval")
     # prototypes decouple: same as running the GNN on an edgeless graph of
     # just the prototype features
-    iso = GraphData(features=Tensor(proto_feats), adjacency=build_csr(2, []), labels=None)
+    iso = GraphData(features=proto_feats, adjacency=build_csr(2, []), labels=None)
     expected = gnn_forward(iso.features, gcn_normalize(iso.adjacency), params, "eval")
     np.testing.assert_allclose(got.data, expected.data, atol=1e-12)
 
 
 def test_prototype_single_node_single_class_hand_propagation():
-    g = GraphData(features=Tensor([[1.0, 2.0]]), adjacency=build_csr(1, []),
+    g = GraphData(features=[[1.0, 2.0]], adjacency=build_csr(1, []),
                   labels=np.array([0]))
     params = frozen_params(2, hidden=3, seed=5)
     ps = PromptedGraph(task="node", proto_features=np.array([[0.5, -1.0]]),
@@ -254,7 +254,7 @@ def test_prototype_single_node_single_class_hand_propagation():
     got = prototype_embeddings(task_context(g, params, "node"), ps, "eval").data
 
     # independent dense two-layer propagation over the 2x2 augmented operator
-    feats = np.vstack([g.features.data, ps.proto_features])
+    feats = np.vstack([g.features, ps.proto_features])
     signed = np.array([[1.0, 1.0], [1.0, 1.0]])       # [[a00+1, w], [w, 1]]
     deg = np.array([1.0 + 1.0, 1.0 + 1.0])            # |w| + implicit/self loops
     m = signed / np.sqrt(np.outer(deg, deg))
@@ -326,7 +326,7 @@ def test_weight_doubling_changes_but_bounds_prototypes():
 
 
 def test_prompt_loss_hand_case():
-    anchors = Tensor([[1.0, 0.0]])
+    anchors = np.array([[1.0, 0.0]])
     protos = Tensor([[1.0, 0.0], [0.0, 1.0]])
     assert prompt_loss(anchors, protos, [0], tau=1.0).item() == pytest.approx(-1.0, abs=1e-9)
 
@@ -336,13 +336,13 @@ def test_prompt_loss_anchor_scale_invariance():
     anchors = rng.standard_normal((4, 3))
     protos = Tensor(rng.standard_normal((3, 3)))
     labels = [0, 1, 2, 0]
-    base = prompt_loss(Tensor(anchors), protos, labels, tau=0.5).item()
-    scaled = prompt_loss(Tensor(7.5 * anchors), protos, labels, tau=0.5).item()
+    base = prompt_loss(anchors, protos, labels, tau=0.5).item()
+    scaled = prompt_loss(7.5 * anchors, protos, labels, tau=0.5).item()
     assert scaled == pytest.approx(base, abs=1e-9)
 
 
 def test_prompt_loss_identical_prototypes_is_zero():
-    anchors = Tensor(np.random.default_rng(11).standard_normal((3, 4)))
+    anchors = np.random.default_rng(11).standard_normal((3, 4))
     row = np.random.default_rng(12).standard_normal((1, 4))
     protos = Tensor(np.vstack([row, row]))
     assert prompt_loss(anchors, protos, [0, 1, 0], tau=1.0).item() == pytest.approx(0.0, abs=1e-9)
@@ -350,22 +350,27 @@ def test_prompt_loss_identical_prototypes_is_zero():
 
 def test_prompt_loss_needs_two_classes():
     with pytest.raises(ContractError):
-        prompt_loss(Tensor([[1.0]]), Tensor([[1.0]]), [0], tau=1.0)
+        prompt_loss(np.ones((1, 1)), Tensor([[1.0]]), [0], tau=1.0)
 
 
 @pytest.mark.parametrize("labels", [[-1, 0], [0, 3]])
 def test_prompt_loss_rejects_out_of_range_labels(labels):
     with pytest.raises(DataError):
-        prompt_loss(Tensor(np.eye(2, 3)), Tensor(np.eye(3)), labels, tau=1.0)
+        prompt_loss(np.eye(2, 3), Tensor(np.eye(3)), labels, tau=1.0)
 
 
-def test_prompt_loss_detaches_anchors():
-    anchors = Tensor(np.random.default_rng(13).standard_normal((2, 3)), requires_grad=True)
+def test_prompt_loss_record_reaches_only_the_prototypes():
+    """The anchors are a constant array: the loss's one record differentiates
+    the prototypes alone, and the caller's anchors are left as they were."""
+    anchors = np.random.default_rng(13).standard_normal((2, 3))
+    before = anchors.copy()
     protos = Tensor(np.random.default_rng(14).standard_normal((2, 3)), requires_grad=True)
     with Tape() as tape:
         loss = prompt_loss(anchors, protos, [0, 1], tau=0.5)
-    grads = backward(tape, loss)
-    assert anchors not in grads and protos in grads
+    (record,) = tape.records
+    assert record.inputs[1] is protos and not record.inputs[0].requires_grad
+    assert list(backward(tape, loss)) == [protos]
+    assert np.array_equal(anchors, before)
 
 
 def test_prompt_loss_gradient_through_augmented_propagation():
@@ -373,7 +378,7 @@ def test_prompt_loss_gradient_through_augmented_propagation():
     params = frozen_params(4, hidden=6, seed=2)
     rng = np.random.default_rng(15)
     proto_feats = rng.standard_normal((2, 4))
-    anchors = Tensor(rng.standard_normal((3, 6)))
+    anchors = rng.standard_normal((3, 6))
     labels = [0, 1, 0]
     mask = np.ones(5, dtype=bool)
     ctx = task_context(g, params, "node")
@@ -397,11 +402,11 @@ def _prompt_case(task, partial_mask, seed=21):
         g, n_classes = multi_graph(seed), 2
     else:
         g, n_classes = generate_sbm(60, 3, 0.8, 4.0, 5, 0.5, seed=seed), 3
-    ctx = task_context(g, frozen_params(g.features.cols, hidden=7, seed=seed), task)
+    ctx = task_context(g, frozen_params(g.features.shape[1], hidden=7, seed=seed), task)
     rows = len(ctx.anchors)
     mask = rng.random(rows) < 0.6 if partial_mask else np.ones(rows, dtype=bool)
     return (ctx, rng.standard_normal((rows, n_classes)),
-            rng.standard_normal((n_classes, g.features.cols)), mask)
+            rng.standard_normal((n_classes, g.features.shape[1])), mask)
 
 
 def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
@@ -445,7 +450,7 @@ def _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, 
     graph_of = np.repeat(np.arange(len(sizes)), sizes) if task == "graph" else np.zeros(n_nodes, int)
     n = graph_of.size
     pairs = rng.integers(0, n, size=(rng.integers(0, 2 * n + 1), 2))
-    g = GraphData(features=Tensor(rng.standard_normal((n, n_features))),
+    g = GraphData(features=rng.standard_normal((n, n_features)),
                   adjacency=build_csr(n, pairs[graph_of[pairs[:, 0]] == graph_of[pairs[:, 1]]]),
                   labels=None, graph_of=graph_of if task == "graph" else None)
     params = frozen_params(n_features, hidden=hidden, seed=seed)
@@ -538,7 +543,7 @@ def test_training_forward_records_one_op_and_draws_one_dropout_mask(task, monkey
 
 def test_each_encoder_training_forward_records_one_op_and_draws_its_dropout_ordinal(monkeypatch):
     p = init_encoder_params(4, 6, seed=0)
-    x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+    x = np.random.default_rng(6).standard_normal((5, 4))
     a = gcn_normalize(build_csr(5, [(0, 1), (1, 2)]))
     draws = _spy_on_masks(monkeypatch, encoders)
     with Tape() as tape:
@@ -554,7 +559,7 @@ def test_dropout_masks_do_not_depend_on_the_tape_or_call_order():
     """Each training forward gives the same bits, so draws the same mask,
     outside a tape and inside one, whichever forward runs first."""
     p = init_encoder_params(4, 6, seed=0)
-    x = Tensor(np.random.default_rng(6).standard_normal((5, 4)))
+    x = np.random.default_rng(6).standard_normal((5, 4))
     a = gcn_normalize(build_csr(5, [(0, 1), (1, 2), (3, 4)]))
     ctx, w0, proto_feats, mask = _prompt_case("node", partial_mask=False)
     ps = PromptedGraph(task="node", proto_features=proto_feats,
@@ -571,7 +576,7 @@ def test_dropout_masks_do_not_depend_on_the_tape_or_call_order():
 
 
 def test_encoder_eval_forward_draws_no_mask_and_frozen_encoders_record_nothing(monkeypatch):
-    x = Tensor(np.random.default_rng(8).standard_normal((5, 4)))
+    x = np.random.default_rng(8).standard_normal((5, 4))
     a = gcn_normalize(build_csr(5, [(0, 1), (3, 4)]))
     p = init_encoder_params(4, 6, seed=0)
     draws = _spy_on_masks(monkeypatch, encoders)
@@ -606,7 +611,7 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
     ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True, seed=22)
     rng = np.random.default_rng(23)
     n_classes = w0.shape[1]
-    anchors = Tensor(rng.standard_normal((6, ctx.params.hidden_dim)))
+    anchors = rng.standard_normal((6, ctx.params.hidden_dim))
     labels = np.arange(6) % n_classes
 
     def f(w):
@@ -649,9 +654,9 @@ def test_task_context_builds_views_once_per_task():
     params = frozen_params(4)
     node = task_context(g, params, "node")
     np.testing.assert_array_equal(node.anchors, mlp_forward(g.features, params).data)
-    np.testing.assert_array_equal(node.attr_base, g.features.data)
+    np.testing.assert_array_equal(node.attr_base, g.features)
     (w1, _), _ = params.gnn_layers
-    np.testing.assert_array_equal(node.xw1, g.features.data @ w1.data)
+    np.testing.assert_array_equal(node.xw1, g.features @ w1.data)
     np.testing.assert_array_equal(node.base.degree.ravel(), g.adjacency.sum(axis=1) + 1.0)
     graph = task_context(g, params, "graph")
     attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
@@ -668,7 +673,7 @@ def test_task_context_builds_views_once_per_task():
 
 def test_graph_views_single_node_graphs_equal_node_rows():
     rng = np.random.default_rng(16)
-    g = GraphData(features=Tensor(rng.standard_normal((2, 4))),
+    g = GraphData(features=rng.standard_normal((2, 4)),
                   adjacency=build_csr(2, []), labels=None,
                   graph_of=np.array([0, 1]), graph_labels=np.array([0, 1]))
     params = frozen_params(4)
@@ -686,7 +691,7 @@ def test_graph_views_duplicate_graph_rows_match():
     ctx = task_context(g, params, "graph")
     attr, struct = ctx.anchors, ctx.struct
     # graphs 0 and 2 are isomorphic triangles; perturb features to be equal
-    g.features.data[6:9] = g.features.data[0:3]
+    g.features[6:9] = g.features[0:3]
     ctx2 = task_context(g, params, "graph")
     attr2, struct2 = ctx2.anchors, ctx2.struct
     np.testing.assert_allclose(attr2[0], attr2[2], atol=1e-12)
@@ -728,9 +733,12 @@ def test_tuned_prompt_survives_a_checkpoint_round_trip(task, tmp_path):
 
 
 def test_a_value_is_a_tensor_only_where_a_tape_op_takes_or_returns_it(tmp_path):
-    """The frozen views, prototype features, base degrees, class means and
-    read-outs are plain float64 arrays; the prompted layer's output is a Tensor."""
-    from psp.data import Checkpoint, load_checkpoint, save_checkpoint
+    """The graph features from every loader and from the generator, the frozen
+    views, prototype features, base degrees, class means and read-outs are
+    plain float64 arrays; the prompted layer's output is a Tensor."""
+    from psp.data import (Checkpoint, load_checkpoint, load_node_dataset, load_tu_dataset,
+                          save_checkpoint, save_node_dataset)
+    from graph_batches import write_ring_chord_batch
 
     ctx = task_context(toy_graph(n=8), frozen_params(4), "node")
     labeled = LabeledSet([0, 1], [0, 1])
@@ -750,6 +758,14 @@ def test_a_value_is_a_tensor_only_where_a_tape_op_takes_or_returns_it(tmp_path):
         "init_edge_weights": init_edge_weights(ctx.struct, labeled, 2),
         "predict": predict(ctx.anchors, kept, 0.5),
     })
+    sbm = generate_sbm(30, 3, 0.8, 4.0, 8, 0.5, seed=0)
+    save_node_dataset(tmp_path / "nodes", sbm)
+    write_ring_chord_batch(tmp_path / "tu", "RING", seed=0, n_graphs=6)
+    values["generate_sbm features"] = sbm.features
+    values["load_node_dataset features"] = load_node_dataset(tmp_path / "nodes").features
+    values["load_tu_dataset features"] = load_tu_dataset(tmp_path / "tu", "RING").features
+    (tmp_path / "tu" / "RING_node_attributes.txt").unlink()
+    values["degree one-hot features"] = load_tu_dataset(tmp_path / "tu", "RING").features
     wrapped = {name: type(v).__name__ for name, v in values.items()
                if not (isinstance(v, np.ndarray) and v.dtype == np.float64)}
     assert wrapped == {}
@@ -894,7 +910,7 @@ def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, e
         g, hidden, seed = generate_sbm(60, 3, 0.8, 4.0, 5, 0.5, seed=21), 16, 22
         split = sample_k_shot(g.labels, 2, 21, val_k=5)
         labeled, val = split.train, split.val
-    ctx = task_context(g, frozen_params(g.features.cols, hidden, seed), task)
+    ctx = task_context(g, frozen_params(g.features.shape[1], hidden, seed), task)
     val = val if with_val else None
     cfg = PromptConfig(epochs=epochs, patience=patience, lr=1e-1, weight_decay=1e-3, tau=0.5,
                        seed=4, dropout=0.3, edge_ratio=0.5)
