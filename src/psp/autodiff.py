@@ -238,6 +238,11 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.where(norm > 0.0, 1.0 / np.maximum(norm, 1e-300), 0.0)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two equal-shape arrays, as a column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
+
+
 def check_finite(name: str, value, positive: bool = False) -> float:
     """`value` as a float; anything but a finite number >= 0 (> 0 when
     `positive`) raises a ParameterError naming `name`."""
@@ -269,7 +274,7 @@ def check_tau(tau) -> float:
 
 def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: float) -> None:
     """g := c * d(x/|x|)^T g in place: inv|x| * (g - (g.x^) x^) * c, row by row."""
-    g -= np.einsum("ij,ij->i", g, unit)[:, None] * unit
+    g -= _row_dots(g, unit) * unit
     g *= inv * c
 
 

@@ -173,13 +173,11 @@ def build_csr(n: int, edges) -> sparse.csr_array:
         src, dst = pairs[bad[0]]
         raise DataError(f"edge ({src}, {dst}) out of range for {n} nodes")
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
-    lo, hi = np.divmod(keys, n)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return sparse.csr_array((np.ones(dst.size), dst[order], offsets), shape=(n, n))
+    pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    # tocsr sorts each row's columns and sums repeats into one entry
+    a = sparse.coo_array((np.ones(len(pairs)), pairs.T), shape=(n, n)).tocsr()
+    a.data[:] = 1.0
+    return a
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .autodiff import (
     derive_seed,
     masked_infonce,
 )
+from .data import _write_table
 from .encoders import EncoderParams, freeze, gnn_forward, init_encoder_params, mlp_forward, parameters
 from .errors import ContractError, NumericError, ParameterError
 from .graph import GraphData, gcn_normalize
@@ -103,6 +104,4 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
 
 def write_loss_log(path, losses) -> None:
     """Tab-separated epoch/loss pairs, one line per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for epoch, value in enumerate(losses):
-            fh.write(f"{epoch}\t{value!r}\n")
+    _write_table(path, list(enumerate(losses)))

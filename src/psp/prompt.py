@@ -23,6 +23,7 @@ from .autodiff import (
     Tape,
     Tensor,
     _emit,
+    _row_dots,
     adam_step,
     backward,
     check_fraction,
@@ -139,11 +140,6 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
                        xw1=g.features @ w1.data)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two equal-shape arrays, as a column."""
-    return np.einsum("ij,ij->i", a, b)[:, None]
 
 
 def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed: int = 0,

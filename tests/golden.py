@@ -1,17 +1,12 @@
 """Golden outputs of a fixed desk-scale chain of `psp` runs.
 
-The chain runs in process through `psp.cli.run`: two block-model node
-datasets (N=300 at homophily 0.8 and 0.2) and a 60-graph batch in the TU
-layout each go through pretrain, tune, eval (both variants) and export-w;
-then a 4-fit node sweep and a 4-fit graph sweep run. `GOLDEN.json` holds the
-sha256 of every file the chain writes, plus the numbers behind them: loss
-logs, accuracies and sweep selections.
-
-With `PSP_GOLDEN_N3000=1` in the environment, the script and the golden test
-also run an N=3000 block-model chain (pretrain 2 epochs, tune 20 epochs with
-dropout 0.2, eval in both variants, export-w), recorded under the file's
-`n3000` key. It takes a few seconds, so tier-1 leaves it off; `--update`
-without the switch keeps the recorded `n3000` section as it is.
+The chain runs in process through `psp.cli.run`: three block-model node
+datasets (N=300 at homophily 0.8 and 0.2, N=3000 at 0.8) and a 60-graph batch
+in the TU layout each go through pretrain, tune, eval (both variants) and
+export-w; then a 4-fit node sweep and a 4-fit graph sweep run. The N=3000
+dataset pretrains 2 epochs and tunes 20 with dropout 0.2. `GOLDEN.json`
+holds the sha256 of every file the chain writes, plus the numbers behind
+them: loss logs, accuracies and sweep selections.
 
 The digests hold only on a machine whose fingerprint (CPU model, numpy's
 BLAS build, BLAS thread count) matches the file's, because BLAS may round
@@ -22,7 +17,6 @@ script prints it before its verdict.
 
     python tests/golden.py            # rerun the chain and report differences
     python tests/golden.py --update   # rewrite tests/golden/GOLDEN.json
-    PSP_GOLDEN_N3000=1 python tests/golden.py   # the N=3000 chain as well
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import platform
 import sys
 import tempfile
@@ -46,7 +39,6 @@ from psp.cli import run  # noqa: E402
 from psp.parallel import blas_threads  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "GOLDEN.json"
-N3000 = os.environ.get("PSP_GOLDEN_N3000") == "1"
 LOSS_TOLERANCE = 1e-12
 TU_NAME = "DESK"
 SWEEP_FLAGS = ["--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001", "--dropout-grid", "0.2",
@@ -119,58 +111,28 @@ def _stages(root: Path, name: str, data: list, losses: dict, accuracies: dict,
     _psp("export-w", *data[:4], "--ckpt", bundle, "--out", root / f"{name}.w.tsv")
 
 
-def run_n3000_chain(root: Path) -> dict:
-    """The opt-in N=3000 chain under `root` (an empty directory): its record
-    without the fingerprint."""
-    root = Path(root)
-    _psp("synth", "--n", 3000, "--seed", 0, "--out", root / "nodes-n3000")
-    losses, accuracies = {}, {}
-    _stages(root, "nodes-n3000", ["--data", root / "nodes-n3000"], losses, accuracies,
-            ["--epochs", 2], ["--epochs", 20, "--dropout", 0.2])
-    return {"digests": _digests(root), "losses": losses, "accuracies": accuracies,
-            "selections": {}}
-
-
-def run_chain(root: Path, n3000: bool = False) -> dict:
-    """Run the chain under `root` (an empty directory) and return its record;
-    with `n3000`, then the N=3000 chain, under `root / "n3000"`."""
+def run_chain(root: Path) -> dict:
+    """Run the chain under `root` (an empty directory) and return its record."""
     root = Path(root)
     _psp("synth", "--n", 300, "--h", 0.8, "--seed", 0, "--out", root / "nodes-h0.8")
     _psp("synth", "--n", 300, "--h", 0.2, "--seed", 0, "--out", root / "nodes-h0.2")
+    _psp("synth", "--n", 3000, "--seed", 0, "--out", root / "nodes-n3000")
     write_tu_batch(root / "tu")
     datasets = {"nodes-h0.8": ["--data", root / "nodes-h0.8"],
                 "nodes-h0.2": ["--data", root / "nodes-h0.2"],
-                "tu": ["--data", root / "tu", "--tu-name", TU_NAME, "--task", "graph"]}
+                "tu": ["--data", root / "tu", "--tu-name", TU_NAME, "--task", "graph"],
+                "nodes-n3000": ["--data", root / "nodes-n3000"]}
+    stage_flags = {"nodes-n3000": (["--epochs", 2], ["--epochs", 20, "--dropout", 0.2])}
     losses, accuracies, selections = {}, {}, {}
     for name, data in datasets.items():
-        _stages(root, name, data, losses, accuracies, ["--epochs", 10], ["--epochs", 20])
+        _stages(root, name, data, losses, accuracies,
+                *stage_flags.get(name, (["--epochs", 10], ["--epochs", 20])))
     for name, ckpt in (("nodes-h0.2", "nodes-h0.2.ckpt"), ("tu", "tu.ckpt")):
         lines = _psp("sweep", *datasets[name], "--ckpt", root / ckpt, *SWEEP_FLAGS).splitlines()
         selections[f"{name}.sweep"] = lines[0]
         accuracies[f"{name}.sweep.test"] = [float(line.split("\t")[4]) for line in lines[1:-1]]
-    record = {"fingerprint": fingerprint(), "digests": _digests(root), "losses": losses,
-              "accuracies": accuracies, "selections": selections}
-    if n3000:
-        record["n3000"] = run_n3000_chain(root / "n3000")
-    return record
-
-
-def _section_differences(got: dict, want: dict, same_machine: bool) -> list[str]:
-    found = []
-    if same_machine:
-        found += [f"digest of {k}: {got['digests'].get(k)} != {v}"
-                  for k, v in want["digests"].items() if got["digests"].get(k) != v]
-        found += [f"unrecorded file {k}" for k in got["digests"].keys() - want["digests"].keys()]
-    for key, values in want["losses"].items():
-        mine = got["losses"].get(key, [])
-        if len(mine) != len(values) or not all(
-                math.isclose(a, b, rel_tol=LOSS_TOLERANCE, abs_tol=LOSS_TOLERANCE)
-                for a, b in zip(mine, values)):
-            found.append(f"losses {key}: {mine} != {values}")
-    for section in ("accuracies", "selections"):
-        found += [f"{section} {k}: {got[section].get(k)!r} != {v!r}"
-                  for k, v in want[section].items() if got[section].get(k) != v]
-    return found
+    return {"fingerprint": fingerprint(), "digests": _digests(root), "losses": losses,
+            "accuracies": accuracies, "selections": selections}
 
 
 def fingerprint_differences(got: dict, want: dict) -> list[str]:
@@ -191,24 +153,28 @@ def comparison(got: dict, want: dict) -> str:
 
 
 def differences(got: dict, want: dict) -> list[str]:
-    """Where the rerun `got` departs from the golden record `want` (empty: none).
-    The N=3000 section is compared when `got` has one."""
-    same_machine = not fingerprint_differences(got, want)
-    found = _section_differences(got, want, same_machine)
-    if "n3000" in got:
-        if "n3000" not in want:
-            return found + ["no n3000 section recorded"]
-        found += [f"n3000 {d}" for d in _section_differences(got["n3000"], want["n3000"],
-                                                             same_machine)]
+    """Where the rerun `got` departs from the golden record `want` (empty: none)."""
+    found = []
+    if not fingerprint_differences(got, want):
+        found += [f"digest of {k}: {got['digests'].get(k)} != {v}"
+                  for k, v in want["digests"].items() if got["digests"].get(k) != v]
+        found += [f"unrecorded file {k}" for k in got["digests"].keys() - want["digests"].keys()]
+    for key, values in want["losses"].items():
+        mine = got["losses"].get(key, [])
+        if len(mine) != len(values) or not all(
+                math.isclose(a, b, rel_tol=LOSS_TOLERANCE, abs_tol=LOSS_TOLERANCE)
+                for a, b in zip(mine, values)):
+            found.append(f"losses {key}: {mine} != {values}")
+    for section in ("accuracies", "selections"):
+        found += [f"{section} {k}: {got[section].get(k)!r} != {v!r}"
+                  for k, v in want[section].items() if got[section].get(k) != v]
     return found
 
 
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as root:
-        got = run_chain(Path(root), N3000)
+        got = run_chain(Path(root))
     if "--update" in argv:
-        if not N3000 and GOLDEN.exists():  # keep the recorded N=3000 section
-            got.update({k: v for k, v in json.loads(GOLDEN.read_text()).items() if k == "n3000"})
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")

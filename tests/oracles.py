@@ -56,6 +56,7 @@ from psp.autodiff import (
     Tape,
     Tensor,
     _emit,
+    _row_dots,
     _row_norms,
     adam_step,
     add,
@@ -72,7 +73,7 @@ from psp.encoders import _check_mode, parameters
 from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.graph import NormalizedPromptOperator, PromptedGraph, SelfLoopedBase
 from psp.inference import class_mean_rows
-from psp.prompt import _row_dots, accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
+from psp.prompt import accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
 
 COSINE_EPS = 1e-12
 

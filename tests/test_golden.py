@@ -6,11 +6,10 @@ import golden
 
 def test_desk_chain_reproduces_the_golden_file(tmp_path):
     """Every digest on a machine with the recorded fingerprint; elsewhere the
-    losses within 1e-12 and the accuracies and selections exactly. With
-    PSP_GOLDEN_N3000=1 the N=3000 chain is checked too. The test prints which
-    comparison ran, and warns when it could not compare digests."""
+    losses within 1e-12 and the accuracies and selections exactly. The test
+    prints which comparison ran, and warns when it could not compare digests."""
     want = json.loads(golden.GOLDEN.read_text())
-    got = golden.run_chain(tmp_path, golden.N3000)
+    got = golden.run_chain(tmp_path)
     ran = golden.comparison(got, want)
     print(ran)
     if golden.fingerprint_differences(got, want):

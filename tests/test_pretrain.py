@@ -188,3 +188,9 @@ def test_write_loss_log(tmp_path):
     write_loss_log(path, [1.5, 0.75])
     lines = path.read_text().splitlines()
     assert lines[0] == "0\t1.5" and lines[1] == "1\t0.75"
+    write_loss_log(path, [])  # no epochs: an empty file
+    assert path.read_bytes() == b""
+    losses = [0.1 + 0.2, 5e-324, -1e-300]  # a long repr, a subnormal, a tiny negative
+    write_loss_log(path, losses)
+    assert path.read_bytes() == "".join(f"{epoch}\t{value!r}\n"
+                                        for epoch, value in enumerate(losses)).encode()
