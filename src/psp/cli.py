@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import gc
 import itertools
 import json
 import sys
@@ -347,6 +348,10 @@ def keep_freed_memory() -> list[int]:
 
 
 def main() -> None:
+    # the objects numpy, scipy and psp create at import live until exit; in the
+    # permanent generation, no collection during the run, in a forked worker or
+    # at interpreter exit walks them again
+    gc.freeze()
     keep_freed_memory()
     sys.exit(run())
 

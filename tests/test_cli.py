@@ -264,6 +264,26 @@ def test_sweep_tunes_each_grid_point_and_seed_once(pipeline, capsys, monkeypatch
     assert [(c.lr, c.seed) for c in calls] == [(0.001, 1), (0.001, 2), (0.01, 1), (0.01, 2)]
 
 
+def test_sweep_keeps_the_first_of_tied_grid_points(pipeline, capsys, monkeypatch, one_cpu):
+    import psp.cli
+
+    tune = psp.cli.prompt_tune
+
+    def tied_tune(*args, **kwargs):  # real prototypes, one validation accuracy for every fit
+        prompted, losses, (_, protos) = tune(*args, **kwargs)
+        return prompted, losses, (0.5, protos)
+
+    monkeypatch.setattr(psp.cli, "prompt_tune", tied_tune)
+    _, data, ckpt, _ = pipeline
+    assert run(["sweep", "--data", str(data), "--ckpt", str(ckpt),
+                "--lr-grid", "0.001,0.01", "--weight-decay-grid", "0.0001,0.001",
+                "--dropout-grid", "0.2,0.5", "--seeds", "1,2", "--epochs", "2",
+                "--k-shot", "3", "--val-shots", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("val_acc=0.5000") == 8
+    assert captured.out.splitlines()[0] == "selected\tlr=0.001\twd=0.0001\tdropout=0.2"
+
+
 def _count_calls(monkeypatch, names, modules):
     """Count calls to each function in `names` made through any of `modules`."""
     counts = dict.fromkeys(names, 0)
@@ -767,7 +787,7 @@ def test_tune_numeric_flags_refuse_or_tune(pipeline):
 
 
 # ---------------------------------------------------------------------------
-# allocator policy of the `psp` process
+# allocator and collector policy of the `psp` process
 
 _ALLOCATION_ROUNDS = """
 import resource, sys
@@ -786,14 +806,20 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _fresh_python(script, mode, tmp_path):
+    """The stdout lines of `script` run in a fresh interpreter, with `mode` and
+    a path under `tmp_path` as its arguments."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psp.__file__)))
+    return subprocess.run([sys.executable, "-c", script, mode, str(tmp_path / mode)],
+                          env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
 def _page_faults(mode, tmp_path):
     """Minor page faults of 30 rounds of allocating and dropping twenty
     300 x 128 arrays, in a fresh interpreter; the `policy` mode also returns
     `keep_freed_memory`'s results."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psp.__file__)))
-    out = subprocess.run([sys.executable, "-c", _ALLOCATION_ROUNDS, mode, str(tmp_path / mode)],
-                         env=env, capture_output=True, text=True, check=True).stdout.split("\n")
-    return int(out[-2]), out[:-2]
+    out = _fresh_python(_ALLOCATION_ROUNDS, mode, tmp_path)
+    return int(out[-1]), out[:-1]
 
 
 def test_keep_freed_memory_stops_refaulting_freed_arrays(tmp_path):
@@ -811,8 +837,29 @@ def test_main_applies_the_policy_before_running(monkeypatch):
     import psp.cli
 
     calls = []
+    # stubbed, so that this test freezes nothing of pytest's own heap
+    monkeypatch.setattr(psp.cli.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(psp.cli, "keep_freed_memory", lambda: calls.append("policy"))
-    monkeypatch.setattr(psp.cli, "run", lambda: calls.append("run") or 0)
+    monkeypatch.setattr(psp.cli, "run", lambda: calls.append("run") or 3)
     with pytest.raises(SystemExit) as exc:
         psp.cli.main()
-    assert exc.value.code == 0 and calls == ["policy", "run"]
+    assert exc.value.code == 3 and calls == ["freeze", "policy", "run"]
+
+
+_FREEZE_COUNT = """
+import gc, sys
+import psp
+import psp.cli
+if sys.argv[1] == "run":
+    assert psp.cli.run(["synth", "--n", "30", "--out", sys.argv[2]]) == 0
+    print(gc.get_freeze_count())
+else:
+    psp.cli.run = lambda: print(gc.get_freeze_count()) or 0
+    psp.cli.main()
+"""
+
+
+def test_only_main_freezes_the_import_time_heap(tmp_path):
+    # after `psp.cli.run`, then from inside `psp.cli.main`
+    assert _fresh_python(_FREEZE_COUNT, "run", tmp_path) == ["0"]  # library use keeps the default collector
+    assert int(_fresh_python(_FREEZE_COUNT, "main", tmp_path)[-1]) > 0
