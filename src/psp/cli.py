@@ -167,6 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_w(args) -> int:
+    if args.tu_name and not args.data:
+        raise ParameterError("--tu-name needs --data: the label column comes from the dataset it names")
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.prompt is None:
         raise ContractError("checkpoint holds no tuned prompt to export")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .autodiff import (
     AdamState,
@@ -48,6 +49,9 @@ from .inference import class_mean_rows, evaluate, predict
 
 LR_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 WEIGHT_DECAY_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
+# rows of (A+I)^T(s_b*G_b) per block in prompted_layer's VJP: a whole N x h
+# product there is a fourth N-row array, which fragments the CLI's heap
+_VJP_BLOCK_ROWS = 1024
 
 
 def _in_grid(value: float, grid) -> bool:
@@ -149,14 +153,20 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     W is the masked weight block, expanded to member nodes for the graph task;
     the degrees are d_b = deg(A+I) + rowsum|W| and d_p = colsum|W| + 1, and
     s = d^-1/2. Layer 1 covers both row blocks, from the cached X·W1 and P·W1:
-    H_b = s_b*((A+I)(s_b*XW1) + W(s_p*PW1)) and H_p = s_p*(W^T(s_b*XW1) + s_p*PW1),
-    then b1, relu and one (N+C)-row dropout mask, stream 0 of `derive_seed(seed, 2)`.
-    Layer 2 forms only the C prototype rows, s_p*(W^T(s_b*H_b) + s_p*H_p), then
-    W2 and b2. The VJP forms the weight rows' gradient in numpy, through the
-    degrees too. Of the N-row arrays it keeps only t1 = (A+I)(s_b*XW1) + W(s_p*PW1)
-    and H_b after relu and dropout: it recomputes s_b*XW1 and s_b*H_b where it
-    reads them, and, as in the encoders, relu's gate and the keep-mask are
-    both H > 0 and every kept entry carries the one scale 1/(1-p).
+    H_b = s_b*t1 with t1 = (A+I)(s_b*XW1) + W(s_p*PW1), and
+    H_p = s_p*((s_b*W)^T XW1 + s_p*PW1); then b1, relu and one (N+C)-row dropout
+    keep-mask, stream 0 of `derive_seed(seed, 2)`. Layer 2 forms only the C
+    prototype rows, s_p*u2 with u2 = ((s_b*W)^T H_b + s_p*H_p)/(1-p), then W2 and b2.
+
+    The scales ride on the narrow operands: s_b scales W's C columns, the stored
+    values of A+I by column (A+I is symmetric, so that matrix is also the
+    transpose the VJP needs), and the N x C products that form dW, after their
+    GEMM; 1/(1-p) scales u2's C rows. H_b = s_b*t1 is the one N x h pass that
+    only scales: a training step (forward, dropout and VJP) makes 20 passes over
+    N x h arrays, an eval pass 8. The VJP forms the weight rows' gradient in
+    numpy, through the degrees too. Of the N-row arrays it keeps only t1 and H_b
+    after relu and the keep-mask, whose gates are both H_b > 0 as in the
+    encoders, and it forms (A+I)^T(s_b*G_b) a block of rows at a time.
 
     Returns the prototypes and, as an array on no tape, their dropout-free read-out
     (the first's data when no dropout acted): layer 1 is shared, so a training
@@ -183,60 +193,65 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
+    wst = wt * s_b.T  # (s_b*W)^T
+    # (A+I)(s_b*Y) for any Y, and (A+I)^T(s_b*Y) as well: A+I is symmetric
+    sb_cols = np.take(s_b.ravel(), a_hat.indices)
+    sb_cols *= a_hat.data
+    a_sb = sparse.csr_array((sb_cols, a_hat.indices, a_hat.indptr), shape=a_hat.shape)
     xw, pw = ctx.xw1, feats @ w1.data
-    sb1, sp1 = xw * s_b, pw * s_p
-    u1 = wt @ sb1 + sp1
-    t1 = a_hat @ sb1
-    del sb1  # no N-row temporary outlives its last read
+    sp1 = pw * s_p
+    u1 = wst @ xw
+    u1 += sp1
+    t1 = a_sb @ xw
     t1 += w @ sp1
     h_b = t1 * s_b
     h_b += b1.data
-    h_p = u1 * s_p + b1.data
-    h_b *= h_b > 0  # relu's subgradient is 0 at the kink
-    h_p *= h_p > 0
+    np.maximum(h_b, 0.0, out=h_b)  # relu's subgradient is 0 at the kink
+    h_p = u1 * s_p
+    h_p += b1.data
+    np.maximum(h_p, 0.0, out=h_p)
 
-    def layer2(hb, hp):
-        u2 = wt @ (hb * s_b) + hp * s_p
+    def layer2(hb, hp, scale):
+        u2 = wst @ hb
+        u2 += hp * s_p
+        if scale is not None:
+            u2 *= scale
         return u2, (u2 * s_p) @ w2.data + b2.data
 
     keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
     clean, scale = None, None
     if keep is not None:
-        clean = layer2(h_b, h_p)[1]
+        clean = layer2(h_b, h_p, None)[1]
         scale = 1.0 / (1.0 - dropout_rate)
         h_b *= keep[:n]
-        h_b *= scale
         h_p *= keep[n:]
-        h_p *= scale
-    u2, out = layer2(h_b, h_p)
+    u2, out = layer2(h_b, h_p, scale)
 
     def vjp(g):
         gz = g @ w2.data.T
         gs_p = _row_dots(gz, u2)
         gz *= s_p  # d/du2
-        gw = (h_b * s_b) @ gz.T
-        g_b = w @ gz  # d/d(s_b*H_b)
-        gs_b = _row_dots(g_b, h_b)
-        gs_p += _row_dots(gz, h_p)
-        g_b *= s_b
-        g_p = gz * s_p
         if scale is not None:
-            g_b *= scale
-            g_p *= scale
+            gz *= scale  # d/d((s_b*W)^T H_b + s_p*H_p)
+        gs_p += _row_dots(gz, h_p)
+        g_b = wst.T @ gz  # d/dH_b
         # relu's gate and the keep-mask are both H > 0 after dropout
         g_b *= h_b > 0  # d/d(s_b*t1)
+        gs_b = _row_dots(g_b, t1)
+        for lo in range(0, n, _VJP_BLOCK_ROWS):  # (A+I)^T(s_b*g_b): d/d(s_b*XW1) through t1
+            rows = slice(lo, lo + _VJP_BLOCK_ROWS)
+            gs_b[rows] += _row_dots(a_sb[rows] @ g_b, xw[rows])
+        g_p = gz * s_p  # d/dH_p
         g_p *= h_p > 0
-        gs_b += _row_dots(g_b, t1)
         gs_p += _row_dots(g_p, u1)
-        g_b *= s_b  # d/dt1
         g_p *= s_p  # d/du1
-        gw += g_b @ sp1.T + (xw * s_b) @ g_p.T
-        gs_p += _row_dots(wt @ g_b + g_p, pw)
-        g_x = a_hat.T @ g_b  # d/d(s_b*XW1); g_b is not read again, so W g_p goes into it
-        g_x += np.matmul(w, g_p, out=g_b)
-        gs_b += _row_dots(g_x, xw)
+        g_ws = h_b @ gz.T  # d/d(s_b*W), N x C
+        g_ws += xw @ g_p.T
+        gs_b += _row_dots(w, g_ws)
+        g_ws += g_b @ sp1.T  # s_b*(this) is d/dW through t1's W(s_p*PW1)
+        gs_p += _row_dots(wst @ g_b + g_p, pw)  # d/d(s_p*PW1)
         # through the degrees: ds/dd = -s/(2d), and d|W|/dW = sign W
-        gw += np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
+        gw = g_ws * s_b + np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
         if ctx.task == "graph":  # member nodes' entries sum into their graph's row
             gw, per_node = np.zeros(weights.shape), gw
             np.add.at(gw, graph_of, per_node)

@@ -17,6 +17,10 @@ script prints it before its verdict.
 
     python tests/golden.py            # rerun the chain and report differences
     python tests/golden.py --update   # rewrite tests/golden/GOLDEN.json
+
+Before it rewrites the file, `--update` prints what it replaces
+(`update_summary`): the comparison, each difference and the largest loss
+difference, so a change of bits shows at a glance whether only digests moved.
 """
 
 from __future__ import annotations
@@ -171,10 +175,22 @@ def differences(got: dict, want: dict) -> list[str]:
     return found
 
 
+def update_summary(got: dict, want: dict) -> list[str]:
+    """What rewriting the record `want` with `got` replaces: the comparison
+    made, each difference, and the largest loss difference with its log."""
+    gaps = [(abs(a - b), key) for key, values in want["losses"].items()
+            for a, b in zip(got["losses"].get(key, []), values)]
+    gap, key = max(gaps, default=(0.0, None))
+    return [comparison(got, want), *(differences(got, want) or ["golden outputs match"]),
+            f"largest loss difference: {gap:.3g}" + (f" ({key})" if gap else "")]
+
+
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as root:
         got = run_chain(Path(root))
     if "--update" in argv:
+        if GOLDEN.exists():
+            print("\n".join(update_summary(got, json.loads(GOLDEN.read_text()))))
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")

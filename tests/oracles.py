@@ -32,8 +32,10 @@ Parity oracles, one per fast path in `src`:
   all N+C rows of the prompted graph, built from tape ops, then its
   prototype rows.
 - `keep_all_prompted_layer` checks `psp.prompt.prompted_layer` byte for
-  byte: the fused op as it was before its VJP stopped keeping s_b*XW1,
-  s_b*H_b, the float dropout factor and relu's gates.
+  byte: the same folded arithmetic (each degree scale on a C-wide operand,
+  the dropout scale on layer 2's C rows), with every N-row intermediate in
+  an array of its own instead of reused buffers, shared gates and a
+  block-wise sparse product.
 - `two_forward_prompt_tune` checks `psp.prompt.prompt_tune`'s loop: the loop
   it replaced, over `full_graph_prototypes`, with a separate eval forward
   after every step.
@@ -299,9 +301,11 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
 
 
 def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
-    """`psp.prompt.prompted_layer` as it was, with a VJP that keeps every
-    N-row intermediate it reads: s_b*XW1, t1, H_b, s_b*H_b, the (N+C)-row
-    dropout factor and relu's gates. Returns the prototypes and the
+    """`psp.prompt.prompted_layer`'s arithmetic, step for step, with a VJP that
+    keeps every N-row intermediate it reads in an array of its own: the
+    column-scaled A+I, t1, the pre-activation, relu's output and gate, the
+    dropped-out rows and the keep-mask, and each stage of the base-row
+    gradient, including (A+I)^T(s_b*G_b) whole. Returns the prototypes and the
     dropout-free prototypes."""
     training = _check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
@@ -314,51 +318,51 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
+    wst = wt * s_b.T
+    a_sb = sparse.csr_array((a_hat.data * s_b.ravel()[a_hat.indices], a_hat.indices, a_hat.indptr),
+                            shape=a_hat.shape)
     xw, pw = ctx.xw1, feats @ w1.data
-    sb1, sp1 = xw * s_b, pw * s_p
-    t1, u1 = a_hat @ sb1 + w @ sp1, wt @ sb1 + sp1
-    h_b, h_p = t1 * s_b + b1.data, u1 * s_p + b1.data
-    gate_b, gate_p = h_b > 0, h_p > 0
-    h_b *= gate_b
-    h_p *= gate_p
+    sp1 = pw * s_p
+    u1 = wst @ xw + sp1
+    t1 = a_sb @ xw + w @ sp1
+    pre_b, pre_p = t1 * s_b + b1.data, u1 * s_p + b1.data
+    relu_b, relu_p = np.maximum(pre_b, 0.0), np.maximum(pre_p, 0.0)
+    gate_b, gate_p = relu_b > 0, relu_p > 0
 
-    def layer2(hb, hp):
-        sb2 = hb * s_b
-        u2 = wt @ sb2 + hp * s_p
-        return sb2, u2, (u2 * s_p) @ w2.data + b2.data
+    def layer2(hb, hp, scale):
+        u2 = wst @ hb + hp * s_p
+        if scale is not None:
+            u2 = u2 * scale
+        return u2, (u2 * s_p) @ w2.data + b2.data
 
     keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
-    factor = None if keep is None else keep / (1.0 - dropout_rate)
-    clean = None
-    if factor is not None:
-        clean = layer2(h_b, h_p)[2]
-        h_b *= factor[:n]
-        h_p *= factor[n:]
-    sb2, u2, out = layer2(h_b, h_p)
+    keep_b, keep_p = (None, None) if keep is None else (keep[:n], keep[n:])
+    clean, scale, h_b, h_p = None, None, relu_b, relu_p
+    if keep is not None:
+        clean = layer2(relu_b, relu_p, None)[1]
+        scale = 1.0 / (1.0 - dropout_rate)
+        h_b, h_p = relu_b * keep_b, relu_p * keep_p
+    u2, out = layer2(h_b, h_p, scale)
 
     def vjp(g):
         gz = g @ w2.data.T
         gs_p = _row_dots(gz, u2)
-        gz *= s_p
-        gw = sb2 @ gz.T
-        g_b = w @ gz
-        gs_b = _row_dots(g_b, h_b)
+        gz = gz * s_p
+        if scale is not None:
+            gz = gz * scale
         gs_p += _row_dots(gz, h_p)
-        g_b *= s_b
-        g_p = gz * s_p
-        if factor is not None:
-            g_b *= factor[:n]
-            g_p *= factor[n:]
-        g_b *= gate_b
-        g_p *= gate_p
-        gs_b += _row_dots(g_b, t1)
+        g_h = wst.T @ gz
+        g_pre = g_h * gate_b if keep_b is None else g_h * gate_b * keep_b
+        g_x = a_sb @ g_pre
+        gs_b = _row_dots(g_pre, t1) + _row_dots(g_x, xw)
+        g_p = gz * s_p * gate_p if keep_p is None else gz * s_p * gate_p * keep_p
         gs_p += _row_dots(g_p, u1)
-        g_b *= s_b
-        g_p *= s_p
-        gw += g_b @ sp1.T + sb1 @ g_p.T
-        gs_b += _row_dots(a_hat.T @ g_b + w @ g_p, xw)
-        gs_p += _row_dots(wt @ g_b + g_p, pw)
-        gw += np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
+        g_p = g_p * s_p
+        g_ws = h_b @ gz.T + xw @ g_p.T
+        gs_b += _row_dots(w, g_ws)
+        g_ws = g_ws + g_pre @ sp1.T
+        gs_p += _row_dots(wst @ g_pre + g_p, pw)
+        gw = g_ws * s_b + np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
         if ctx.task == "graph":
             gw, per_node = np.zeros(weights.shape), gw
             np.add.at(gw, graph_of, per_node)

@@ -646,6 +646,15 @@ def test_eval_refuses_a_task_other_than_the_bundles(pipeline, capsys):
     assert captured.out == ""
 
 
+def test_export_w_refuses_a_tu_name_without_data(pipeline, tmp_path, capsys):
+    _, _, _, tuned = pipeline
+    out = tmp_path / "w.tsv"
+    assert run(["export-w", "--ckpt", str(tuned), "--tu-name", "X", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: --tu-name needs --data" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_export_w_refuses_data_without_labels_for_the_bundles_task(pipeline, tmp_path, capsys):
     _, data, _, tuned = pipeline
     bundle = load_checkpoint(tuned)

@@ -863,9 +863,10 @@ def n2000_task():
 def test_tuning_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak):
     """Three tuning epochs and the last validation pass, dropout 0.2, above a
     task context that is already built. Of the N-row arrays the prompted
-    layer keeps only t1 and H_b for its VJP, and frees each temporary after
-    its last read (about 4.3 N x h float64 arrays at peak). Keeping s_b*XW1
-    through layer 1 and forming A^T g_b and W g_p side by side, it peaked at
+    layer keeps only t1 and H_b for its VJP, scales no N x h copy, and forms
+    (A+I)^T(s_b*G_b) a block of rows at a time (about 3.8 N x h float64
+    arrays at peak). It peaked at 4.3 with the scales on N x h arrays; keeping
+    s_b*XW1 through layer 1 and forming A^T g_b and W g_p side by side, at
     5.2; keeping s_b*XW1, s_b*H_b, the float dropout factor and relu's gates
     as well, at 8.4."""
     ctx, split = n2000_task
@@ -875,9 +876,9 @@ def test_tuning_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak
 
 
 def test_eval_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak):
-    """One eval-mode pass: s_b*XW1 is freed before W(s_p*PW1) is formed, so at
-    most three N x h arrays are alive at once (about 3.1 at peak; 4.1 when
-    all four terms of layer 1 were)."""
+    """One eval-mode pass: layer 1 scales A+I's stored values, not a copy of
+    XW1, so at most two N x h arrays are alive at once (about 2.2 at peak;
+    3.1 with s_b*XW1 formed, 4.1 when all four terms of layer 1 were)."""
     ctx, split = n2000_task
     prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(epochs=0))
     _, peak = traced_peak(lambda: prompted_layer(ctx, prompted, "eval"), 2000, 128)
