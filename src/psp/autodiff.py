@@ -1,8 +1,10 @@
-"""Dense/sparse linear algebra with a reverse-mode tape and an Adam optimizer.
+"""A reverse-mode tape, the fused contrastive loss and an Adam optimizer.
 
 All values are float64 matrices; vectors are stored as Nx1 or 1xN. Operations
 record onto the innermost active ``Tape`` only while at least one input
 requires gradients, so forward passes through frozen models run tape-free.
+Three fused ops record on it: `masked_infonce` here, the encoders'
+`_two_layer` and `psp.prompt.prompted_layer`.
 """
 
 from __future__ import annotations
@@ -11,11 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ContractError, DataError, DimensionError, NumericError, ParameterError
-
-DEGREE_FLOOR = 1e-12
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -124,85 +123,6 @@ def seeded_rng(seed: int, salt: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    a_in, b_in = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        return (g @ b_in.T if need_a else None), (a_in.T @ g if need_b else None)
-
-    return _emit("matmul", (a, b), a_in @ b_in, vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _emit("transpose", (a,), a.data.T.copy(), lambda g: (g.T.copy(),))
-
-
-def spmm(s: sparse.csr_array, d: Tensor) -> Tensor:
-    """Sparse-dense product s @ d."""
-    if s.shape[1] != d.rows:
-        raise DimensionError(f"spmm: inner dimensions differ, {s.shape} x {d.shape}")
-    return _emit("spmm", (d,), s @ d.data, lambda g: (s.T @ g,))
-
-
-def _reduce(g: np.ndarray, axis: Optional[int]) -> np.ndarray:
-    return g if axis is None else g.sum(axis=axis, keepdims=True)
-
-
-def _reducers(a: Tensor, b: Tensor, op: str) -> tuple[Optional[int], Optional[int]]:
-    """The axis each side's gradient is summed over in an elementwise op (None: kept).
-
-    The shapes must be equal, or one side must be a row (1 x m) or a column
-    (n x 1) of the other's shape, which it is broadcast over.
-    """
-    sa, sb = a.shape, b.shape
-    if sa == sb:
-        return None, None
-    for small, big, small_is_a in ((sa, sb, True), (sb, sa, False)):
-        axis = 0 if small == (1, big[1]) else 1 if small == (big[0], 1) else None
-        if axis is not None:
-            return (axis, None) if small_is_a else (None, axis)
-    raise DimensionError(f"{op}: unsupported broadcast {sa} with {sb}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    ra, rb = _reducers(a, b, "add")
-    need_a, need_b = a.requires_grad, b.requires_grad
-    return _emit("add", (a, b), a.data + b.data,
-                 lambda g: (_reduce(g, ra) if need_a else None,
-                            _reduce(g, rb) if need_b else None))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    ra, rb = _reducers(a, b, "mul")
-    a_in, b_in = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    return _emit("mul", (a, b), a_in * b_in,
-                 lambda g: (_reduce(g * b_in, ra) if need_a else None,
-                            _reduce(g * a_in, rb) if need_b else None))
-
-
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-    return _emit("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
-
-
-def rsqrt(a: Tensor) -> Tensor:
-    """Elementwise x^(-1/2) with the argument floored at `DEGREE_FLOOR`."""
-    x = np.maximum(a.data, DEGREE_FLOOR)
-    out = 1.0 / np.sqrt(x)
-    gate = a.data > DEGREE_FLOOR
-    return _emit("rsqrt", (a,), out, lambda g: (g * (-0.5) * out / x * gate,))
-
-
-def row_sum(a: Tensor) -> Tensor:
-    cols = a.cols
-    return _emit("row_sum", (a,), a.data.sum(axis=1, keepdims=True),
-                 lambda g: (g * np.ones((1, cols)),))
 
 
 # uniform values per buffered draw in dropout_mask (512 KiB of float64)

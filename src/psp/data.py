@@ -543,6 +543,10 @@ def load_checkpoint(path) -> Checkpoint:
         (mask_len,) = reader.unpack("<I")
         if mask_len != weights.rows:
             raise FormatError(f"prompt mask has {mask_len} entries for {weights.rows} weight rows")
+        # one prototype row per weight column, as wide as the features W1 takes
+        if proto_features.shape != (weights.cols, blocks[0].shape[0]):
+            raise FormatError("prompt prototype features are {}x{} for {}x{} weights and a {}x{} "
+                              "encoder W1".format(*proto_features.shape, *weights.shape, *blocks[0].shape))
         mask = reader.flags(mask_len, "trainable-mask")
         prompt = PromptedGraph(task="graph" if graph_task else "node", proto_features=proto_features,
                                weight_rows=weights, trainable_row_mask=mask)

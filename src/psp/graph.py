@@ -1,12 +1,11 @@
-"""Graph data model, adjacency normalization, the prompted-graph operator,
-and graph-level readout.
+"""Graph data model, adjacency normalization, the self-looped base of the
+prompted graph, and graph-level readout.
 
 The prompted graph attaches one virtual node per class to the base graph via
-a dense learnable weight block; its symmetric degree normalization is
-recomputed on every forward pass because the weights move during tuning,
-while the self-looped base and its degrees are built once. Tuning runs the
-operator fused into one op (`psp.prompt.prompted_layer`); the tape-composed
-`NormalizedPromptOperator` here is the form that op is checked against.
+a dense learnable weight block. Its one operator is the fused
+`psp.prompt.prompted_layer`, which recomputes the symmetric degree
+normalization on every forward pass because the weights move during tuning;
+the self-looped base and its degrees (`SelfLoopedBase`) are built once.
 """
 
 from __future__ import annotations
@@ -17,17 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import (
-    Tensor,
-    absolute,
-    add,
-    matmul,
-    mul,
-    row_sum,
-    rsqrt,
-    spmm,
-    transpose,
-)
+from .autodiff import Tensor
 from .errors import ContractError, DataError, DimensionError
 from .inference import class_mean_rows
 
@@ -208,42 +197,6 @@ def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
     norm = inv_sqrt @ base.a_hat @ inv_sqrt
     norm.sort_indices()
     return norm
-
-
-class NormalizedPromptOperator:
-    """The prompted graph [[A, W], [W^T, I]], degree-normalized and applied block-wise.
-
-    Degrees are absolute row sums of the block matrix plus the implicit
-    self-loop on every original node; the self-looped original block and the
-    signed W blocks are then scaled by d^-1/2 on both sides. The scaling
-    vectors live on the tape, so gradients reach W through the degrees as
-    well as through the message weights. The self-looped base is a constant
-    built once (`SelfLoopedBase.of`); only W changes between forward passes.
-    """
-
-    def __init__(self, base: SelfLoopedBase, w: Tensor):
-        if w.rows != base.a_hat.shape[0]:
-            raise DimensionError(f"weight block has {w.rows} rows for {base.a_hat.shape[0]} base nodes")
-        self.a_hat = base.a_hat
-        self.w = w
-        self.n_base = w.rows
-        self.rows = w.rows + w.cols
-        abs_w = absolute(w)
-        self.scale_base = rsqrt(add(row_sum(abs_w), Tensor(base.degree)))
-        proto_deg = add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1))))
-        self.scale_proto = rsqrt(proto_deg)
-
-    def apply(self, h_base: Tensor, h_proto: Tensor) -> tuple[Tensor, Tensor]:
-        """Multiply the normalized operator by the row blocks of an (N+C)-row
-        matrix: its N base rows and its C prototype rows. Returns the product
-        as the same pair of blocks."""
-        if h_base.rows != self.n_base or h_proto.rows != self.w.cols:
-            raise DimensionError(f"operator takes {self.n_base} base and {self.w.cols} "
-                                 f"prototype rows, got {h_base.rows} and {h_proto.rows}")
-        sb, sp = mul(h_base, self.scale_base), mul(h_proto, self.scale_proto)
-        top = add(spmm(self.a_hat, sb), matmul(self.w, sp))
-        bottom = add(matmul(transpose(self.w), sb), sp)
-        return mul(top, self.scale_base), mul(bottom, self.scale_proto)
 
 
 def mean_readout(z: np.ndarray, graph_of) -> np.ndarray:

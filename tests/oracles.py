@@ -1,11 +1,13 @@
 """Test-side oracles: slow, independent versions of what `src/psp` computes.
 
-Tape ops that no `src` path runs, kept so the composite oracle and the
+Tape ops that no `src` path runs, kept so the composite oracles and the
 per-op gradient checks (criterion 1, `test_each_op_passes_grad_check`) can
 build losses from them:
 
-- `scale`, `sub`, `exp`, `log`, `total_sum`: elementwise and reduction ops
-  on the `psp.autodiff` tape.
+- `matmul`, `transpose`, `spmm`, `add`, `mul` (equal shapes, or one side a
+  row or a column of the other's), `absolute`, `rsqrt` (floored at
+  `DEGREE_FLOOR`), `row_sum`, `scale`, `sub`, `exp`, `log`, `total_sum`:
+  products, elementwise ops and reductions on the `psp.autodiff` tape.
 - `relu`, `dropout`: the activation and the inverted dropout that the
   composed encoders below are built from.
 - `select_rows`: a row gather, which expands per-graph weights to member
@@ -22,15 +24,15 @@ Parity oracles, one per fast path in `src`:
   generic tape ops it was recorded as before it became one op.
 - `dense_gcn_normalize` checks `psp.graph.gcn_normalize`: D^-1/2 (A+I) D^-1/2
   as a dense array.
-- `dense_prompted_normalize` checks `psp.graph.NormalizedPromptOperator`:
-  the normalized (N+C) x (N+C) prompted-graph matrix as a dense array.
+- `dense_prompted_normalize` checks `prompted_apply`, the prompted-graph
+  operator as tape ops: the normalized (N+C) x (N+C) matrix as a dense array.
 - `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
   it replaced.
 - `choice_sbm_edges` checks `psp.data.generate_sbm`'s edge loop: the loop
   it replaced, which drew each edge with `Generator.choice`.
 - `full_graph_prototypes` checks `psp.prompt.prompted_layer`: the GNN over
-  all N+C rows of the prompted graph, built from tape ops, then its
-  prototype rows.
+  all N+C rows of the prompted graph, both layers through `prompted_apply`,
+  then its prototype rows.
 - `keep_all_prompted_layer` checks `psp.prompt.prompted_layer` byte for
   byte: the same folded arithmetic (each degree scale on a C-wide operand,
   the dropout scale on layer 2's C rows), with every N-row intermediate in
@@ -61,26 +63,98 @@ from psp.autodiff import (
     _row_dots,
     _row_norms,
     adam_step,
-    add,
     backward,
     derive_seed,
     dropout_mask,
-    matmul,
-    mul,
-    row_sum,
     seeded_rng,
-    spmm,
 )
 from psp.encoders import _check_mode, parameters
 from psp.errors import ContractError, DataError, DimensionError, NumericError
-from psp.graph import NormalizedPromptOperator, PromptedGraph, SelfLoopedBase
+from psp.graph import PromptedGraph, SelfLoopedBase
 from psp.inference import class_mean_rows
 from psp.prompt import accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
 
 COSINE_EPS = 1e-12
+DEGREE_FLOOR = 1e-12
 
 # ---------------------------------------------------------------------------
 # tape ops
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.cols != b.rows:
+        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
+    a_in, b_in = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _emit("matmul", (a, b), a_in @ b_in,
+                 lambda g: (g @ b_in.T if need_a else None, a_in.T @ g if need_b else None))
+
+
+def transpose(a: Tensor) -> Tensor:
+    return _emit("transpose", (a,), a.data.T.copy(), lambda g: (g.T.copy(),))
+
+
+def spmm(s: sparse.csr_array, d: Tensor) -> Tensor:
+    """Sparse-dense product s @ d."""
+    if s.shape[1] != d.rows:
+        raise DimensionError(f"spmm: inner dimensions differ, {s.shape} x {d.shape}")
+    return _emit("spmm", (d,), s @ d.data, lambda g: (s.T @ g,))
+
+
+def _reduce(g: np.ndarray, axis) -> np.ndarray:
+    return g if axis is None else g.sum(axis=axis, keepdims=True)
+
+
+def _reducers(a: Tensor, b: Tensor, op: str) -> tuple:
+    """The axis each side's gradient is summed over in an elementwise op (None: kept).
+
+    The shapes must be equal, or one side must be a row (1 x m) or a column
+    (n x 1) of the other's shape, which it is broadcast over.
+    """
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return None, None
+    for small, big, small_is_a in ((sa, sb, True), (sb, sa, False)):
+        axis = 0 if small == (1, big[1]) else 1 if small == (big[0], 1) else None
+        if axis is not None:
+            return (axis, None) if small_is_a else (None, axis)
+    raise DimensionError(f"{op}: unsupported broadcast {sa} with {sb}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    ra, rb = _reducers(a, b, "add")
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _emit("add", (a, b), a.data + b.data,
+                 lambda g: (_reduce(g, ra) if need_a else None,
+                            _reduce(g, rb) if need_b else None))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    ra, rb = _reducers(a, b, "mul")
+    a_in, b_in = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _emit("mul", (a, b), a_in * b_in,
+                 lambda g: (_reduce(g * b_in, ra) if need_a else None,
+                            _reduce(g * a_in, rb) if need_b else None))
+
+
+def absolute(a: Tensor) -> Tensor:
+    sign = np.sign(a.data)
+    return _emit("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
+
+
+def rsqrt(a: Tensor) -> Tensor:
+    """Elementwise x^(-1/2) with the argument floored at `DEGREE_FLOOR`."""
+    x = np.maximum(a.data, DEGREE_FLOOR)
+    out = 1.0 / np.sqrt(x)
+    gate = a.data > DEGREE_FLOOR
+    return _emit("rsqrt", (a,), out, lambda g: (g * (-0.5) * out / x * gate,))
+
+
+def row_sum(a: Tensor) -> Tensor:
+    cols = a.cols
+    return _emit("row_sum", (a,), a.data.sum(axis=1, keepdims=True),
+                 lambda g: (g * np.ones((1, cols)),))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -278,25 +352,40 @@ def choice_sbm_edges(n, n_classes, homophily, avg_deg, seed):
     return edges, rng
 
 
+def prompted_apply(base: SelfLoopedBase, w: Tensor, h_base: Tensor, h_proto: Tensor):
+    """The prompted graph [[A+I, W], [W^T, I]], scaled by d^-1/2 on both sides,
+    times the matrix whose base rows are `h_base` and prototype rows `h_proto`;
+    returns the product as the same two row blocks. d holds the absolute row
+    sums, plus 1 on base rows; gradients reach W through d too."""
+    abs_w = absolute(w)
+    s_b = rsqrt(add(row_sum(abs_w), Tensor(base.degree)))
+    s_p = rsqrt(add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1)))))
+    sb, sp = mul(h_base, s_b), mul(h_proto, s_p)
+    top = add(spmm(base.a_hat, sb), matmul(w, sp))
+    bottom = add(matmul(transpose(w), sb), sp)
+    return mul(top, s_b), mul(bottom, s_p)
+
+
 def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     """The two-layer GNN over all N+C rows of the prompted graph, both layers
-    through the operator's full product and the first with one (N+C)-row
-    dropout mask, then its prototype rows."""
+    through `prompted_apply` and the first with one (N+C)-row dropout mask,
+    then its prototype rows."""
     g = ctx.graph
     w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
     if ctx.task == "graph":
         w = select_rows(w, g.graph_of)
-    operator = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), w)
+    base = SelfLoopedBase.of(g.adjacency)
     (w1, b1), (w2, b2) = ctx.params.gnn_layers
-    blocks = operator.apply(matmul(Tensor(g.features), w1), matmul(Tensor(ps.proto_features), w1))
+    blocks = prompted_apply(base, w, matmul(Tensor(g.features), w1),
+                            matmul(Tensor(ps.proto_features), w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
-    keep = dropout_mask((operator.rows, ctx.params.hidden_dim), dropout_rate,
+    keep = dropout_mask((w.rows + w.cols, ctx.params.hidden_dim), dropout_rate,
                         derive_seed(seed, 2), 0, mode == "train")
     if keep is not None:
         factor = keep / (1.0 - dropout_rate)
         h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
         h_proto = mul(h_proto, Tensor(factor[g.n_nodes:]))
-    _, proto = operator.apply(matmul(h_base, w2), matmul(h_proto, w2))
+    _, proto = prompted_apply(base, w, matmul(h_base, w2), matmul(h_proto, w2))
     return add(proto, b2)
 
 

@@ -12,36 +12,36 @@ from psp.autodiff import (
     AdamState,
     Tape,
     Tensor,
-    absolute,
     adam_step,
-    add,
     backward,
     check_fraction,
     check_tau,
     masked_infonce,
-    matmul,
-    mul,
-    row_sum,
-    rsqrt,
-    spmm,
-    transpose,
 )
 from psp.encoders import gnn_forward, init_encoder_params, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
 from psp.graph import build_csr, check_csr, gcn_normalize
 
 from oracles import (
+    absolute,
+    add,
     composite_infonce,
     cosine_sim_matrix,
     dropout,
     exp,
     grad_check,
     log,
+    matmul,
+    mul,
     relu,
+    row_sum,
+    rsqrt,
     scale,
     select_rows,
+    spmm,
     sub,
     total_sum,
+    transpose,
 )
 
 RNG = np.random.default_rng(1234)
@@ -919,22 +919,3 @@ def test_csr_identity_roundtrip():
     np.testing.assert_array_equal(eye.toarray(), np.eye(4))
     assert eye.nnz == 4 and eye.dtype == np.float64
 
-
-# ---------------------------------------------------------------------------
-# package surface
-
-
-@pytest.mark.parametrize("module,name", [
-    ("autodiff", "absolute"), ("autodiff", "mul"), ("autodiff", "row_sum"), ("autodiff", "rsqrt"),
-    ("autodiff", "transpose"), ("autodiff", "add"), ("autodiff", "matmul"), ("autodiff", "spmm"),
-    ("graph", "NormalizedPromptOperator"), (None, "CsrMatrix")])
-def test_oracle_only_names_stay_out_of_the_package_namespace(module, name):
-    """Only the parity oracles use these; they are reached through their module.
-    A name without a module is gone from every module."""
-    import psp
-
-    assert not hasattr(psp, name)
-    if module is None:
-        assert not any(hasattr(getattr(psp, m), name) for m in ("autodiff", "graph"))
-    else:
-        assert hasattr(getattr(psp, module), name)

@@ -148,6 +148,21 @@ def test_export_w_rejects_data_with_fewer_nodes_than_weight_rows(pipeline, tmp_p
     assert "60 labels for 90 weight rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 8), (3, 5)], ids=["rows", "width"])
+def test_export_w_refuses_a_bundle_whose_prompt_blocks_disagree(pipeline, tmp_path, capsys, rows, cols):
+    _, _, _, tuned = pipeline
+    bundle = load_checkpoint(tuned)
+    bundle.prompt.proto_features = np.zeros((rows, cols))
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, bundle)
+    out = tmp_path / "w.tsv"
+    assert run(["export-w", "--ckpt", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: prompt prototype features are {rows}x{cols} for 60x3 weights and a 8x16 " \
+           "encoder W1" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["synth", "--bogus-flag", "1", "--out", "x"]) == 2
     assert "bogus-flag" in capsys.readouterr().err

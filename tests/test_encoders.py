@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tape, Tensor, backward, mul
+from psp.autodiff import Tape, Tensor, backward
 from psp.encoders import (
     EncoderParams,
     freeze,
@@ -15,7 +15,7 @@ from psp.encoders import (
 from psp.errors import DimensionError, ParameterError
 from psp.graph import build_csr, gcn_normalize
 
-from oracles import composed_gnn_forward, composed_mlp_forward, params_checksum, total_sum
+from oracles import composed_gnn_forward, composed_mlp_forward, mul, params_checksum, total_sum
 
 
 def make_params(n_features=4, hidden=6, seed=0):

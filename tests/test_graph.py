@@ -6,11 +6,10 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp.autodiff import Tensor, add, mul
+from psp.autodiff import Tensor
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
-    NormalizedPromptOperator,
     SelfLoopedBase,
     build_csr,
     check_csr,
@@ -20,24 +19,24 @@ from psp.graph import (
 )
 
 from oracles import (
+    add,
     dense_gcn_normalize,
     dense_prompted_normalize,
     grad_check,
+    mul,
+    prompted_apply,
     set_loop_build_csr,
     total_sum,
 )
 
 
-def apply_stacked(op: NormalizedPromptOperator, h: np.ndarray) -> np.ndarray:
-    """The operator's product with an (N+C)-row matrix, split into its row
-    blocks on the way in and stacked on the way out."""
-    base, proto = op.apply(Tensor(h[:op.n_base]), Tensor(h[op.n_base:]))
+def operator_matrix(a, w: np.ndarray, h=None) -> np.ndarray:
+    """`prompted_apply` over base adjacency a and weights w times an (N+C)-row
+    matrix h, by default I (the operator itself), split into its row blocks on
+    the way in and stacked on the way out."""
+    h = np.eye(sum(w.shape)) if h is None else h
+    base, proto = prompted_apply(SelfLoopedBase.of(a), Tensor(w), Tensor(h[:len(w)]), Tensor(h[len(w):]))
     return np.vstack([base.data, proto.data])
-
-
-def operator_matrix(op: NormalizedPromptOperator) -> np.ndarray:
-    """The operator as the code that runs computes it: its product with I."""
-    return apply_stacked(op, np.eye(op.rows))
 
 
 FIXTURE_GRAPHS = {
@@ -160,35 +159,19 @@ def test_gcn_normalize_regular_graph_rows_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# augmented operator
-
-
-def test_augment_output_row_count():
-    for n, c in ((1, 1), (4, 2), (5, 3)):
-        a = build_csr(n, [(0, min(1, n - 1))] if n > 1 else [])
-        op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, c))))
-        assert op.rows == n + c
-        base, proto = op.apply(Tensor(np.ones((n, 2))), Tensor(np.ones((c, 2))))
-        assert (base.rows, proto.rows) == (n, c)
-
-
-def test_augment_row_mismatch():
-    with pytest.raises(DimensionError, match="weight block has 2 rows for 3 base nodes"):
-        NormalizedPromptOperator(SelfLoopedBase.of(build_csr(3, [(0, 1)])),
-                                 Tensor(np.zeros((2, 2))))
+# prompted-graph operator (the `prompted_apply` oracle)
 
 
 def test_prompted_operator_rejects_non_square_base():
     rect = check_csr(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError, match="square"):
-        NormalizedPromptOperator(SelfLoopedBase.of(rect), Tensor(np.zeros((2, 1))))
+        SelfLoopedBase.of(rect)
 
 
 def test_normalize_prompted_zero_weights_reduces_to_gcn():
     n, edges = FIXTURE_GRAPHS["path5"]
     a = build_csr(n, edges)
-    dense = operator_matrix(
-        NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2)))))
+    dense = operator_matrix(a, np.zeros((n, 2)))
     np.testing.assert_allclose(dense[:n, :n], gcn_normalize(a).toarray(), atol=1e-12)
     # isolated prototypes aggregate only themselves
     np.testing.assert_allclose(dense[n:, n:], np.eye(2), atol=1e-15)
@@ -201,20 +184,15 @@ def test_normalize_prompted_apply_matches_dense_oracle():
     a = build_csr(n, edges)
     w = rng.standard_normal((n, 3))
     h = rng.standard_normal((n + 3, 4))
-    op = NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w))
     oracle = dense_prompted_normalize(a.toarray(), w)
-    np.testing.assert_allclose(apply_stacked(op, h), oracle @ h, atol=1e-12)
-    np.testing.assert_allclose(operator_matrix(op), oracle, atol=1e-12)
-    for blocks in ((h[:n - 1], h[n:]), (h[:n], h[n:-1]), (h[n:], h[:n])):
-        with pytest.raises(DimensionError, match="operator takes 10 base and 3 prototype rows"):
-            op.apply(*map(Tensor, blocks))
+    np.testing.assert_allclose(operator_matrix(a, w, h), oracle @ h, atol=1e-12)
+    np.testing.assert_allclose(operator_matrix(a, w), oracle, atol=1e-12)
 
 
 def test_normalize_prompted_finite_for_extreme_weights():
     a = build_csr(3, [(0, 1), (1, 2)])
     for factor in (0.0, 1e-30, 1e6, -1e6):
-        w = Tensor(np.full((3, 1), factor))
-        assert np.isfinite(operator_matrix(NormalizedPromptOperator(SelfLoopedBase.of(a), w))).all()
+        assert np.isfinite(operator_matrix(a, np.full((3, 1), factor))).all()
 
 
 def test_prototype_column_scaling_near_invariant():
@@ -225,8 +203,7 @@ def test_prototype_column_scaling_near_invariant():
     w = np.array([[0.6], [0.3], [0.9]])
     rows = {}
     for alpha in (1.0, 5.0):
-        got = operator_matrix(
-            NormalizedPromptOperator(SelfLoopedBase.of(a), Tensor(w * alpha)))
+        got = operator_matrix(a, w * alpha)
         oracle = dense_prompted_normalize(a.toarray(), w * alpha)
         np.testing.assert_allclose(got, oracle, atol=1e-12)
         incoming = got[3, :3]
@@ -241,7 +218,7 @@ def test_gradient_through_normalization_into_weights():
     probe_base, probe_proto = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
 
     def f(w):
-        base, proto = NormalizedPromptOperator(SelfLoopedBase.of(a), w).apply(h_base, h_proto)
+        base, proto = prompted_apply(SelfLoopedBase.of(a), w, h_base, h_proto)
         return add(total_sum(mul(base, probe_base)), total_sum(mul(proto, probe_proto)))
 
     assert grad_check(f, Tensor(rng.standard_normal((4, 2))), h=1e-5) < 1e-4

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psp import encoders, prompt
-from psp.autodiff import Tape, Tensor, backward, derive_seed, mul
+from psp.autodiff import Tape, Tensor, backward, derive_seed
 from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import (
     freeze,
@@ -18,7 +18,6 @@ from psp.errors import ContractError, DataError, DimensionError, NumericError, P
 from psp.graph import (
     GraphData,
     LabeledSet,
-    NormalizedPromptOperator,
     PromptedGraph,
     SelfLoopedBase,
     build_csr,
@@ -42,7 +41,9 @@ from oracles import (
     full_graph_prototypes,
     grad_check,
     keep_all_prompted_layer,
+    mul,
     params_checksum,
+    prompted_apply,
     total_sum,
     two_forward_prompt_tune,
 )
@@ -315,9 +316,9 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     # normalization bounds every aggregation coefficient by 1 at any weight
     # scale: |w_i| <= d_i and |w_i| <= d_c give |w_i|/sqrt(d_i d_c) <= 1
     for factor in (1.0, 2.0, 100.0):
-        op = NormalizedPromptOperator(SelfLoopedBase.of(g.adjacency), Tensor(base_w * factor))
-        eye = np.eye(op.rows)
-        blocks = op.apply(Tensor(eye[:op.n_base]), Tensor(eye[op.n_base:]))
+        eye = np.eye(4)
+        blocks = prompted_apply(SelfLoopedBase.of(g.adjacency), Tensor(base_w * factor),
+                                Tensor(eye[:3]), Tensor(eye[3:]))
         assert max(np.abs(b.data).max() for b in blocks) <= 1.0 + 1e-12
 
 
@@ -864,25 +865,27 @@ def test_tuning_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak
     """Three tuning epochs and the last validation pass, dropout 0.2, above a
     task context that is already built. Of the N-row arrays the prompted
     layer keeps only t1 and H_b for its VJP, scales no N x h copy, and forms
-    (A+I)^T(s_b*G_b) a block of rows at a time (about 3.8 N x h float64
-    arrays at peak). It peaked at 4.3 with the scales on N x h arrays; keeping
-    s_b*XW1 through layer 1 and forming A^T g_b and W g_p side by side, at
-    5.2; keeping s_b*XW1, s_b*H_b, the float dropout factor and relu's gates
-    as well, at 8.4."""
+    (A+I)^T(s_b*G_b) a block of rows at a time (3.79 N x h float64 arrays at
+    peak, so the bound of 4.2 fails on one more N x h array kept: 4.79). It
+    peaked at 4.3 with the scales on N x h arrays; keeping s_b*XW1 through
+    layer 1 and forming A^T g_b and W g_p side by side, at 5.2; keeping
+    s_b*XW1, s_b*H_b, the float dropout factor and relu's gates as well, at
+    8.4."""
     ctx, split = n2000_task
     _, peak = traced_peak(lambda: prompt_tune(ctx, split.train, PromptConfig(epochs=3, dropout=0.2),
                                               val=split.val), 2000, 128)
-    assert peak < 4.8, f"peak {peak:.2f} N x h arrays"
+    assert peak < 4.2, f"peak {peak:.2f} N x h arrays"
 
 
 def test_eval_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak):
     """One eval-mode pass: layer 1 scales A+I's stored values, not a copy of
-    XW1, so at most two N x h arrays are alive at once (about 2.2 at peak;
-    3.1 with s_b*XW1 formed, 4.1 when all four terms of layer 1 were)."""
+    XW1, so at most two N x h arrays are alive at once (2.15 at peak, so the
+    bound of 2.6 fails on one more N x h array kept: 3.15; 3.1 with s_b*XW1
+    formed, 4.1 when all four terms of layer 1 were)."""
     ctx, split = n2000_task
     prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(epochs=0))
     _, peak = traced_peak(lambda: prompted_layer(ctx, prompted, "eval"), 2000, 128)
-    assert peak < 3.5, f"peak {peak:.2f} N x h arrays"
+    assert peak < 2.6, f"peak {peak:.2f} N x h arrays"
 
 
 def test_tune_requires_frozen_and_nonempty(sbm_setup):
