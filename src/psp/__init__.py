@@ -1,13 +1,6 @@
 """Dual-view contrastive pre-training and structure prompt tuning for graphs."""
 
-from .autodiff import (
-    AdamState,
-    Tape,
-    Tensor,
-    adam_step,
-    backward,
-    masked_infonce,
-)
+from .autodiff import AdamState, adam_step, masked_infonce
 from .data import (
     Checkpoint,
     SplitSpec,
@@ -21,7 +14,14 @@ from .data import (
     save_checkpoint,
     save_node_dataset,
 )
-from .encoders import EncoderParams, freeze, gnn_forward, init_encoder_params, mlp_forward
+from .encoders import (
+    PARAM_NAMES,
+    EncoderParams,
+    encoder_vjp,
+    gnn_forward,
+    init_encoder_params,
+    mlp_forward,
+)
 from .errors import (
     ContractError,
     DataError,

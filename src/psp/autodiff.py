@@ -1,114 +1,21 @@
-"""A reverse-mode tape, the fused contrastive loss and an Adam optimizer.
+"""Seeded dropout masks, parameter checks, the fused contrastive loss and an
+Adam optimizer.
 
-All values are float64 matrices; vectors are stored as Nx1 or 1xN. Operations
-record onto the innermost active ``Tape`` only while at least one input
-requires gradients, so forward passes through frozen models run tape-free.
-Three fused ops record on it: `masked_infonce` here, the encoders'
-`_two_layer` and `psp.prompt.prompted_layer`.
+All values are float64 arrays; vectors are stored as Nx1 or 1xN. There is no
+tape: each fused op forms its own gradients (`masked_infonce` in its one
+sweep, `psp.encoders.encoder_vjp`, the VJP that `psp.prompt.prompted_layer`
+returns), and each training step chains them by hand. The generic tape that
+those gradients are checked against lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ContractError, DataError, DimensionError, NumericError, ParameterError
-
-_TAPE_STACK: list["Tape"] = []
-
-
-class Tensor:
-    """Dense float64 matrix participating in reverse-mode differentiation."""
-
-    __slots__ = ("data", "requires_grad", "name")
-
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise DimensionError(f"tensors are 2-D, got array of shape {arr.shape}")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.name = name
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
-        """Wrap a fresh 2-D float64 array that nothing else holds, without a copy."""
-        out = cls.__new__(cls)
-        out.data = arr
-        out.requires_grad = requires_grad
-        out.name = None
-        return out
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.shape != (1, 1):
-            raise ContractError(f"item() needs a 1x1 tensor, got {self.shape}")
-        return float(self.data[0, 0])
-
-    def __repr__(self) -> str:
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"Tensor({self.rows}x{self.cols}, requires_grad={self.requires_grad}{tag})"
-
-
-@dataclass
-class TapeRecord:
-    op: str
-    inputs: tuple
-    out: Tensor
-    vjp: Callable[[np.ndarray], tuple]
-
-
-class Tape:
-    """Ordered log of differentiable operations; append order is topological."""
-
-    def __init__(self):
-        self.records: list[TapeRecord] = []
-
-    def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        if popped is not self:
-            raise ContractError("tape stack corrupted: exited a tape that was not innermost")
-
-
-def _recording_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
-    """The innermost active tape while any of `inputs` requires grad, else None."""
-    return _TAPE_STACK[-1] if _TAPE_STACK and any(t.requires_grad for t in inputs) else None
-
-
-def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp) -> Tensor:
-    """Wrap an op's output and record it on `_recording_tape(inputs)`, if any.
-
-    `out_data` must be a freshly computed 2-D float64 array: the output
-    tensor adopts it without a copy. A VJP returns None for every input that
-    did not require grad when the op ran.
-    """
-    tape = _recording_tape(inputs)
-    out = Tensor._adopt(out_data, tape is not None)
-    if tape is not None:
-        tape.records.append(TapeRecord(op, tuple(inputs), out, vjp))
-    return out
-
 
 def derive_seed(seed: int, salt: int) -> int:
     """Stable per-call seed derivation for seeded randomized ops."""
@@ -135,7 +42,8 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
 
     Callers multiply by the mask, then scale the kept entries by 1/(1-p).
     The mask depends only on (seed, stream): each call site names its own
-    stream, so a mask does not depend on what ran before it, on a tape or off.
+    stream, so a mask does not depend on what ran before it: a VJP that draws
+    it again gets the forward's mask.
     It is `seeded_rng(seed, stream).random(shape) >= p`, drawn `_DROPOUT_DRAW`
     values at a time, so no float array of `shape` is formed.
     """
@@ -198,15 +106,18 @@ def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: floa
     g *= inv * c
 
 
-# rows of z1 per block in masked_infonce; its loss holds O(block * z2.rows) floats
+# rows of z1 per block in masked_infonce; its loss holds O(block * len(z2)) floats
 _INFONCE_BLOCK_ROWS = 256
 # rows of z2 per product that masked_infonce adds into z2's gradient
 _INFONCE_GB_ROWS = 1024
 
 
-def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
-                   overwrite_inputs: bool = False) -> Tensor:
-    """Mean InfoNCE of the rows of z1 against the rows of z2, as one fused op.
+def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
+                   wrt: tuple[bool, bool] = (False, False), overwrite_inputs: bool = False
+                   ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Mean InfoNCE of the rows of z1 against the rows of z2, as one fused op:
+    the loss, and its gradients into z1 and z2 where `wrt` asks for them (None
+    elsewhere).
 
     Logits are cosine similarities over tau. Row i scores
     logsumexp_{j != positives[i]}(logit_ij) - logit_{i,positives[i]}: the
@@ -215,23 +126,22 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     row gives logit 0 and gradient 0. The op walks z1 in blocks of
     `_INFONCE_BLOCK_ROWS` rows: each block of logits is one GEMM, and only
     each row's max-shift and sum of exponentials are kept, so no
-    z1.rows x z2.rows array ever exists. When the op is recorded, the same
-    sweep turns each exp block into softmax - one-hot and accumulates both
-    inputs' gradients for a unit seed; the VJP only scales them. Each block
-    finishes its anchor rows' gradient and stores it over those rows of z1's
-    unit array, which no later block reads, so the z1 side needs no array of
-    its own; the z2 side is added up through one buffer of about
+    len(z1) x len(z2) array ever exists. When a gradient is asked for, the same
+    sweep turns each exp block into softmax - one-hot and accumulates it. Each
+    block finishes its anchor rows' gradient and stores it over those rows of
+    z1's unit array, which no later block reads, so the z1 side needs no array
+    of its own; the z2 side is added up through one buffer of about
     `_INFONCE_GB_ROWS` rows and finished once the sweep is done.
 
-    With `overwrite_inputs`, the unit arrays are z1's and z2's own data,
-    scaled in place: afterwards z2 holds its unit rows, and z1 holds its unit
-    rows, or its gradient when that is formed. It saves two N x h arrays. Only
-    a caller that never reads either input again may set it, and the inputs
-    must share no memory.
+    With `overwrite_inputs`, the unit arrays are z1 and z2 themselves, scaled
+    in place: afterwards z2 holds its unit rows, and z1 holds its unit rows, or
+    its gradient when that is formed. It saves two N x h arrays. Only a caller
+    that never reads either input again may set it, and the inputs must share
+    no memory.
     """
-    if z1.cols != z2.cols:
+    if z1.shape[1] != z2.shape[1]:
         raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
-    m, n = z1.rows, z2.rows
+    m, n = len(z1), len(z2)
     pos = np.asarray(positives, dtype=np.int64).ravel()
     if pos.size != m:
         raise ContractError(f"masked_infonce: {m} anchor rows vs {pos.size} positives")
@@ -240,24 +150,23 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     if pos.min() < 0 or pos.max() >= n:
         raise DataError(f"masked_infonce: positive index out of range for {n} rows")
     inv_tau = 1.0 / check_tau(tau)
-    if overwrite_inputs and np.may_share_memory(z1.data, z2.data):
+    if overwrite_inputs and np.may_share_memory(z1, z2):
         raise ContractError("masked_infonce: overwrite_inputs needs inputs that share no memory")
-    inv_u, inv_v = _row_norms(z1.data), _row_norms(z2.data)
-    a_unit = np.multiply(z1.data, inv_u, out=z1.data if overwrite_inputs else None)
-    b_unit = np.multiply(z2.data, inv_v, out=z2.data if overwrite_inputs else None)
-    recorded = _recording_tape((z1, z2)) is not None
+    inv_u, inv_v = _row_norms(z1), _row_norms(z2)
+    a_unit = np.multiply(z1, inv_u, out=z1 if overwrite_inputs else None)
+    b_unit = np.multiply(z2, inv_v, out=z2 if overwrite_inputs else None)
     # each block overwrites its own anchor rows with their gradient, once it has read them
-    ga = a_unit if recorded and z1.requires_grad else None
-    gb = np.zeros_like(b_unit) if recorded and z2.requires_grad else None
+    ga = a_unit if wrt[0] else None
+    gb = np.zeros_like(b_unit) if wrt[1] else None
     if gb is not None:
         # gb grows chunk by chunk through one buffer. numpy forms a product with
         # one row or one column as a gemv, whose last bits differ from the whole
         # product's: so no chunk has one row, and a one-column gb is one chunk.
-        starts = list(range(0, n, _INFONCE_GB_ROWS if z2.cols > 1 else n))
+        starts = list(range(0, n, _INFONCE_GB_ROWS if z2.shape[1] > 1 else n))
         if n - starts[-1] == 1:
             starts.pop()
         gb_chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-        gb_part = np.empty((max(c.stop - c.start for c in gb_chunks), z2.cols))
+        gb_part = np.empty((max(c.stop - c.start for c in gb_chunks), z2.shape[1]))
     shift = np.empty((m, 1))
     sum_exp = np.empty((m, 1))
     positive = np.empty((m, 1))
@@ -270,7 +179,7 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
         shift[lo:hi] = logits.max(axis=1, keepdims=True)
         logits -= shift[lo:hi]
         sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
-        if recorded:  # the exp block becomes softmax - one-hot in place
+        if any(wrt):  # the exp block becomes softmax - one-hot in place
             logits /= sum_exp[lo:hi]
             logits[at_pos] -= 1.0
             if gb is not None:  # gb += logits.T @ a_unit[lo:hi]
@@ -286,46 +195,7 @@ def masked_infonce(z1: Tensor, z2: Tensor, positives, tau: float,
     loss = (np.log(sum_exp) + shift - positive).sum() * (1.0 / m)
     if gb is not None:
         _through_row_norms(gb, b_unit, inv_v, inv_tau / m)
-    for g in (ga, gb):
-        if g is not None:
-            g.flags.writeable = False  # handed over as is for a unit seed
-
-    def vjp(g):
-        s = g[0, 0]
-        if s == 1.0:
-            return ga, gb
-        return (None if ga is None else ga * s), (None if gb is None else gb * s)
-
-    return _emit("masked_infonce", (z1, z2), np.array([[loss]]), vjp)
-
-
-# ---------------------------------------------------------------------------
-# backward sweep
-
-
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """d(loss)/d(leaf) for every leaf on the tape that the sweep reaches.
-
-    Leaves are the requires_grad tensors no record produced (the loss too, if
-    none did). A produced tensor's gradient is freed once its VJP has run.
-    The tape is left as it was, so a second call returns equal gradients.
-    """
-    if loss.shape != (1, 1):
-        raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
-    # keyed by the tensors themselves: the tape keeps each one alive, so no two share an id
-    flows: dict[Tensor, np.ndarray] = {loss: np.ones((1, 1))}
-    for rec in reversed(tape.records):
-        flow = flows.pop(rec.out, None)
-        if flow is None:
-            continue
-        for t, g in zip(rec.inputs, rec.vjp(flow)):
-            if g is not None:
-                flows[t] = g if t not in flows else flows[t] + g
-    grads: dict[Tensor, np.ndarray] = {}
-    for t, g in flows.items():
-        if t.requires_grad:  # a VJP may hand one array to two inputs (add); each leaf owns its gradient
-            grads[t] = g.copy() if any(np.may_share_memory(g, h) for h in grads.values()) else g
-    return grads
+    return float(loss), ga, gb
 
 
 # ---------------------------------------------------------------------------
@@ -345,32 +215,34 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected update in place, each parameter moved by its entry of `grads`.
+def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
+              state: AdamState) -> None:
+    """One bias-corrected update of the named arrays in place, each moved by
+    its entry of `grads`.
 
     All or nothing: every new moment is formed aside and checked before any
     is stored, so a refusal leaves the parameters, the moments and `state.t`
     as they were.
     """
-    old_m = state.m or [np.zeros_like(p.data) for p in params]
-    old_v = state.v or [np.zeros_like(p.data) for p in params]
+    old_m = state.m or [np.zeros_like(p) for p in params.values()]
+    old_v = state.v or [np.zeros_like(p) for p in params.values()]
     if len(old_m) != len(params):
         raise ContractError(f"optimizer state tracks {len(old_m)} parameters, got {len(params)}")
-    for i, p in enumerate(params):
-        if p not in grads:
-            raise ContractError(f"adam_step: parameter {p.name or i} has no gradient")
-        if grads[p].shape != p.data.shape:
-            raise ContractError(f"adam_step: gradient shape mismatch on parameter {p.name or i}")
+    for name, p in params.items():
+        if name not in grads:
+            raise ContractError(f"adam_step: parameter {name} has no gradient")
+        if grads[name].shape != p.shape:
+            raise ContractError(f"adam_step: gradient shape mismatch on parameter {name}")
     new_m, new_v = [], []
-    for i, (p, m, v) in enumerate(zip(params, old_m, old_v)):
-        g = grads[p]
+    for name, m, v in zip(params, old_m, old_v):
+        g = grads[name]
         with np.errstate(over="ignore", invalid="ignore"):
             m = m * ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v = v * ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
         if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
-            raise NumericError(f"adam_step: a moment of parameter {p.name or i} is non-finite, "
+            raise NumericError(f"adam_step: a moment of parameter {name} is non-finite, "
                                f"gradient max-abs {float(np.abs(g).max())}")
         new_m.append(m)
         new_v.append(v)
@@ -378,8 +250,8 @@ def adam_step(params: Sequence[Tensor], grads: Mapping[Tensor, np.ndarray], stat
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, m, v in zip(params, new_m, new_v):
+    for p, m, v in zip(params.values(), new_m, new_v):
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if state.weight_decay:
-            update = update + state.lr * state.weight_decay * p.data
-        p.data -= update
+            update = update + state.lr * state.weight_decay * p
+        p -= update

@@ -48,10 +48,10 @@ from .prompt import (
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-# glibc's own ceiling for its dynamic mmap threshold: an N x h tape array is
+# glibc's own ceiling for its dynamic mmap threshold: an N x h epoch array is
 # served from the heap, while a block above 32 MiB is still unmapped when freed
 _MMAP_THRESHOLD = 32 << 20
-# every epoch frees its whole tape; under the default (about twice the largest
+# every epoch frees all its N x h arrays; under the default (about twice the largest
 # freed block) that heap top goes back to the kernel and the next epoch faults
 # the same pages in again, so keep up to 1 GiB of it for reuse
 _TRIM_THRESHOLD = 1 << 30
@@ -160,7 +160,7 @@ def _cmd_eval(args) -> int:
     if args.variant == "psp-np":
         prototypes = class_mean_rows(ctx.struct, split.train, ctx.n_classes)
     else:
-        prototypes = prototype_embeddings(ctx, p, "eval").data
+        prototypes = prototype_embeddings(ctx, p, "eval")
     acc = accuracy(ctx, prototypes, split.test, args.tau)
     print(_metric_line(args.run_id, args.seed, args.task, args.k_shot, acc))
     return 0
@@ -173,7 +173,7 @@ def _cmd_export_w(args) -> int:
     if ckpt.prompt is None:
         raise ContractError("checkpoint holds no tuned prompt to export")
     labels = _task_labels(_load_dataset(args), ckpt.prompt.task) if args.data else None
-    export_weight_matrix(ckpt.prompt.weight_rows.data, labels, args.out)
+    export_weight_matrix(ckpt.prompt.weight_rows, labels, args.out)
     print(f"wrote weight matrix to {args.out}", file=sys.stderr)
     return 0
 

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import Tensor, check_finite, check_fraction, check_tau, seeded_rng
-from .encoders import EncoderParams, freeze, parameters
+from .autodiff import check_finite, check_fraction, check_tau, seeded_rng
+from .encoders import PARAM_NAMES, EncoderParams
 from .errors import DataError, FormatError, ParameterError
 from .graph import GraphData, LabeledSet, PromptedGraph, build_csr, class_count
 from .parallel import fork_map
@@ -488,7 +488,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Little-endian binary layout with length-prefixed shape+data blocks."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<Iqd", ckpt.hidden_dim, ckpt.seed, ckpt.tau)]
-    blocks = [t.data for t in parameters(ckpt.params)]
+    blocks = [ckpt.params[name] for name in PARAM_NAMES]
     parts.append(struct.pack("<I", len(blocks)))
     parts.extend(_pack_block(b) for b in blocks)
     if ckpt.prompt is None:
@@ -497,7 +497,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         p = ckpt.prompt
         parts.append(struct.pack("<BB", 1, 1 if p.task == "graph" else 0))
         parts.append(_pack_block(p.proto_features))
-        parts.append(_pack_block(p.weight_rows.data))
+        parts.append(_pack_block(p.weight_rows))
         mask = np.asarray(p.trainable_row_mask, dtype=np.uint8)
         parts.append(struct.pack("<I", mask.size) + mask.tobytes())
     Path(path).write_bytes(b"".join(parts))
@@ -527,24 +527,20 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"checkpoint header gives hidden_dim {hidden_dim}, but its encoder "
                           f"blocks are {'/'.join(map(str, widths))} columns wide")
     # W1 is F x h with one F for both views, W2 is h x h and each bias 1 x h
-    names = [f"{view}_{p}" for view in ("mlp", "gnn") for p in ("w1", "b1", "w2", "b2")]
-    for name, block, rows in zip(names, blocks, [blocks[0].shape[0], 1, hidden_dim, 1] * 2):
+    for name, block, rows in zip(PARAM_NAMES, blocks, [blocks[0].shape[0], 1, hidden_dim, 1] * 2):
         if block.shape[0] != rows:
             raise FormatError(f"checkpoint encoder block {name} is {block.shape[0]}x{hidden_dim}, "
                               f"expected {rows}x{hidden_dim}")
-    params = EncoderParams(
-        mlp_layers=[(Tensor(blocks[0]), Tensor(blocks[1])), (Tensor(blocks[2]), Tensor(blocks[3]))],
-        gnn_layers=[(Tensor(blocks[4]), Tensor(blocks[5])), (Tensor(blocks[6]), Tensor(blocks[7]))])
-    freeze(params)
+    params = EncoderParams(zip(PARAM_NAMES, blocks))
     prompt = None
     if reader.flags(1, "has-prompt")[0]:
         graph_task = reader.flags(1, "task")[0]
-        proto_features, weights = reader.block(), Tensor(reader.block())
+        proto_features, weights = reader.block(), reader.block()
         (mask_len,) = reader.unpack("<I")
-        if mask_len != weights.rows:
-            raise FormatError(f"prompt mask has {mask_len} entries for {weights.rows} weight rows")
+        if mask_len != len(weights):
+            raise FormatError(f"prompt mask has {mask_len} entries for {len(weights)} weight rows")
         # one prototype row per weight column, as wide as the features W1 takes
-        if proto_features.shape != (weights.cols, blocks[0].shape[0]):
+        if proto_features.shape != (weights.shape[1], blocks[0].shape[0]):
             raise FormatError("prompt prototype features are {}x{} for {}x{} weights and a {}x{} "
                               "encoder W1".format(*proto_features.shape, *weights.shape, *blocks[0].shape))
         mask = reader.flags(mask_len, "trainable-mask")

@@ -2,33 +2,35 @@
 
 Both are two layers deep, end at the same output dimension, and are frozen
 after pre-training. The GNN propagates over a normalized CSR adjacency.
-Each view is one recorded op (`_two_layer`) of its four parameters over a
-constant feature array, and rebuilds its hidden layer in the backward sweep.
+Each view's training gradient is one VJP (`encoder_vjp`) into its four
+parameters, over a constant feature array; it rebuilds the hidden layer
+instead of keeping it from the forward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import Tensor, _emit, derive_seed, dropout_mask, seeded_rng
+from .autodiff import derive_seed, dropout_mask, seeded_rng
 from .errors import DimensionError, ParameterError
 
+# the eight encoder parameters, in checkpoint order: each view's W1, b1, W2, b2
+PARAM_NAMES = tuple(f"{view}_{p}" for view in ("mlp", "gnn") for p in ("w1", "b1", "w2", "b2"))
+# each view's dropout: the salt of its seed and its stream
+_DROPOUT = {"mlp": (1, 0), "gnn": (2, 1)}
 
-@dataclass
-class EncoderParams:
-    mlp_layers: list[tuple[Tensor, Tensor]]
-    gnn_layers: list[tuple[Tensor, Tensor]]
 
-    @property
-    def frozen(self) -> bool:  # set by `freeze`: no parameter requires grad
-        return not any(p.requires_grad for p in parameters(self))
+class EncoderParams(dict):
+    """Both views' parameters: float64 arrays keyed by `PARAM_NAMES`."""
 
     @property
     def hidden_dim(self) -> int:
-        return self.mlp_layers[0][0].cols
+        return self["mlp_w1"].shape[1]
+
+    def view(self, tag: str) -> tuple[np.ndarray, ...]:
+        """The view's W1, b1, W2 and b2."""
+        return tuple(self[f"{tag}_{p}"] for p in ("w1", "b1", "w2", "b2"))
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -39,27 +41,9 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
 def init_encoder_params(n_features: int, hidden_dim: int, seed: int) -> EncoderParams:
     """Glorot-uniform weights, zero biases, seeded and reproducible."""
     rng = seeded_rng(seed, 0x9E37)
-    layers = []
-    for tag in ("mlp", "gnn"):
-        w1 = Tensor(_glorot(rng, n_features, hidden_dim), requires_grad=True, name=f"{tag}_w1")
-        b1 = Tensor(np.zeros((1, hidden_dim)), requires_grad=True, name=f"{tag}_b1")
-        w2 = Tensor(_glorot(rng, hidden_dim, hidden_dim), requires_grad=True, name=f"{tag}_w2")
-        b2 = Tensor(np.zeros((1, hidden_dim)), requires_grad=True, name=f"{tag}_b2")
-        layers.append([(w1, b1), (w2, b2)])
-    return EncoderParams(mlp_layers=layers[0], gnn_layers=layers[1])
-
-
-def parameters(params: EncoderParams) -> list[Tensor]:
-    out = []
-    for w, b in params.mlp_layers + params.gnn_layers:
-        out.extend([w, b])
-    return out
-
-
-def freeze(params: EncoderParams) -> EncoderParams:
-    for p in parameters(params):
-        p.requires_grad = False
-    return params
+    fan_in = {"w1": n_features, "w2": hidden_dim}
+    return EncoderParams({name: _glorot(rng, fan_in[name[-2:]], hidden_dim) if name[-2] == "w"
+                          else np.zeros((1, hidden_dim)) for name in PARAM_NAMES})
 
 
 def _check_mode(mode: str) -> bool:
@@ -68,67 +52,77 @@ def _check_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def _two_layer(x: np.ndarray, layers, a_norm: sparse.csr_array | None, training: bool,
-               seed: int, stream: int, dropout_rate: float) -> Tensor:
-    """prop(dropout(relu(prop(x@W1) + b1)) @ W2) + b2, as one recorded op of W1, b1, W2, b2.
+def _hidden(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
+            training: bool, seed: int, dropout_rate: float):
+    """The view's hidden layer h = dropout(relu(prop(x@W1) + b1)), the scale of
+    its kept entries (None without dropout) and prop.
 
-    prop is the product with `a_norm`, or the identity when it is None; x is a
-    constant array. The VJP keeps no array of its own: it rebuilds the hidden
-    layer h after dropout from x, W1, b1 and the (seed, stream) mask, which
-    nothing changes between the forward and the backward sweep, so the rebuilt
-    h has the forward's bits. Relu's gate (0 at the kink) and dropout's
-    keep-mask are both h > 0, and every kept entry carries the one scale 1/(1-p).
+    prop is the product with `a_norm`, or the identity when it is None. The
+    mask depends only on (seed, stream), so a second call gives h's bits again.
     """
-    (w1, b1), (w2, b2) = layers
-    if x.shape[1] != w1.rows or (a_norm is not None and a_norm.shape[1] != len(x)):
+    w1, b1, _, _ = params.view(view)
+    if x.shape[1] != len(w1) or (a_norm is not None and a_norm.shape[1] != len(x)):
         raise DimensionError(f"encoder: input {x.shape} does not fit W1 {w1.shape}"
                              + ("" if a_norm is None else f" and adjacency {a_norm.shape}"))
     prop = (lambda m: m) if a_norm is None else (lambda m: a_norm @ m)
-    back = (lambda g: g) if a_norm is None else (lambda g: a_norm.T @ g)
-    w1_in, b1_in, w2_in = w1.data, b1.data, w2.data
+    h = prop(x @ w1)
+    h += b1
+    h *= h > 0
+    salt, stream = _DROPOUT[view]
+    keep = dropout_mask(h.shape, dropout_rate, derive_seed(seed, salt), stream, training)
+    if keep is None:
+        return h, None, prop
+    scale = 1.0 / (1.0 - dropout_rate)
+    h *= keep
+    h *= scale
+    return h, scale, prop
 
-    def hidden():  # h and the scale of its kept entries (None without dropout)
-        h = prop(x @ w1_in)
-        h += b1_in
-        h *= h > 0
-        keep = dropout_mask(h.shape, dropout_rate, seed, stream, training)
-        if keep is None:
-            return h, None
-        scale = 1.0 / (1.0 - dropout_rate)
-        h *= keep
-        h *= scale
-        return h, scale
 
-    z = prop(hidden()[0] @ w2_in)
-    z += b2.data
-    need_w1, need_b1, need_w2, need_b2 = (t.requires_grad for t in (w1, b1, w2, b2))
-
-    def vjp(g):
-        gb2 = g.sum(axis=0, keepdims=True) if need_b2 else None
-        g = back(g)
-        h, scale = hidden()
-        gh = g @ w2_in.T
-        gw2 = h.T @ g if need_w2 else None
-        del g  # neither N-row array outlives its last read
-        if scale is not None:
-            gh *= scale
-        gh *= h > 0
-        del h
-        gb1 = gh.sum(axis=0, keepdims=True) if need_b1 else None
-        return (x.T @ back(gh) if need_w1 else None), gb1, gw2, gb2
-
-    return _emit("two_layer", (w1, b1, w2, b2), z, vjp)
+def _two_layer(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
+               mode: str, seed: int, dropout_rate: float) -> np.ndarray:
+    """prop(h @ W2) + b2 for the view's hidden layer h (`_hidden`)."""
+    h, _, prop = _hidden(view, x, params, a_norm, _check_mode(mode), seed, dropout_rate)
+    z = prop(h @ params[f"{view}_w2"])
+    z += params[f"{view}_b2"]
+    return z
 
 
 def mlp_forward(x: np.ndarray, params: EncoderParams, mode: str = "eval",
-                seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
+                seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Attribute-only view; never reads any adjacency."""
-    return _two_layer(x, params.mlp_layers, None, _check_mode(mode),
-                      derive_seed(seed, 1), 0, dropout_rate)
+    return _two_layer("mlp", x, params, None, mode, seed, dropout_rate)
 
 
 def gnn_forward(x: np.ndarray, a_norm: sparse.csr_array, params: EncoderParams, mode: str = "eval",
-                seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
+                seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Two propagation layers over a normalized CSR adjacency."""
-    return _two_layer(x, params.gnn_layers, a_norm, _check_mode(mode),
-                      derive_seed(seed, 2), 1, dropout_rate)
+    return _two_layer("gnn", x, params, a_norm, mode, seed, dropout_rate)
+
+
+def encoder_vjp(g: np.ndarray, view: str, x: np.ndarray, params: EncoderParams,
+                a_norm: sparse.csr_array | None = None, seed: int = 0,
+                dropout_rate: float = 0.0) -> dict[str, np.ndarray]:
+    """The gradients of sum(g * z) into the view's W1, b1, W2 and b2, by name,
+    for z the view's training forward with the same seed and rate (`a_norm`
+    None for the MLP).
+
+    Keeps no array of its own: it rebuilds h from x, W1, b1 and the
+    (seed, stream) mask, which nothing changes between the forward and the
+    step, so the rebuilt h has the forward's bits. Relu's gate (0 at the kink)
+    and dropout's keep-mask are both h > 0, and every kept entry carries the
+    one scale 1/(1-p).
+    """
+    gb2 = g.sum(axis=0, keepdims=True)
+    back = (lambda m: m) if a_norm is None else (lambda m: a_norm.T @ m)
+    g = back(g)
+    h, scale, _ = _hidden(view, x, params, a_norm, True, seed, dropout_rate)
+    gh = g @ params[f"{view}_w2"].T
+    gw2 = h.T @ g
+    del g  # neither N-row array outlives its last read
+    if scale is not None:
+        gh *= scale
+    gh *= h > 0
+    del h
+    gb1 = gh.sum(axis=0, keepdims=True)
+    grads = (x.T @ back(gh), gb1, gw2, gb2)
+    return {f"{view}_{p}": grad for p, grad in zip(("w1", "b1", "w2", "b2"), grads)}

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import Tensor
 from .errors import ContractError, DataError, DimensionError
 from .inference import class_mean_rows
 
@@ -127,7 +126,7 @@ class PromptedGraph:
 
     task: str
     proto_features: np.ndarray
-    weight_rows: Tensor
+    weight_rows: np.ndarray
     trainable_row_mask: np.ndarray
 
 

@@ -9,7 +9,8 @@ The loss is one fused, row-blocked op (`autodiff.masked_infonce`): it never
 forms the N x N similarity matrix, so a pre-training epoch holds O(N*B)
 floats for a fixed block of B rows instead of O(N^2). It normalizes each
 view's rows once, in place, and forms both views' gradients in the same single pass
-over the blocks as the loss, so the backward sweep only hands them over.
+over the blocks as the loss. Each epoch hands those two gradients to the
+encoders' VJPs and the eight it gets back to Adam: there is no tape.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import numpy as np
 
 from .autodiff import (
     AdamState,
-    Tape,
-    Tensor,
     adam_step,
-    backward,
     check_finite,
     check_fraction,
     check_tau,
@@ -31,7 +29,7 @@ from .autodiff import (
     masked_infonce,
 )
 from .data import _write_table
-from .encoders import EncoderParams, freeze, gnn_forward, init_encoder_params, mlp_forward, parameters
+from .encoders import EncoderParams, encoder_vjp, gnn_forward, init_encoder_params, mlp_forward
 from .errors import ContractError, NumericError, ParameterError
 from .graph import GraphData, gcn_normalize
 
@@ -57,9 +55,10 @@ class PretrainConfig:
             raise ParameterError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
 
 
-def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
-                         overwrite_inputs: bool = False) -> Tensor:
-    """Temperature-scaled contrastive loss anchored on the first view.
+def ntxent_pretrain_loss(z1: np.ndarray, z2: np.ndarray, tau: float, overwrite_inputs: bool = False
+                         ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Temperature-scaled contrastive loss anchored on the first view, and its
+    gradients into both views.
 
     For each row i the positive is row i of the second view; negatives are
     the other rows of the second view. The positive is excluded from the
@@ -68,14 +67,14 @@ def ntxent_pretrain_loss(z1: Tensor, z2: Tensor, tau: float,
     """
     if z1.shape != z2.shape:
         raise ContractError(f"views must have equal shape, got {z1.shape} vs {z2.shape}")
-    n = z1.rows
+    n = len(z1)
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    return masked_infonce(z1, z2, np.arange(n), tau, overwrite_inputs)
+    return masked_infonce(z1, z2, np.arange(n), tau, (True, True), overwrite_inputs)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:
-    """Full-batch contrastive training; returns frozen encoders + loss history."""
+    """Full-batch contrastive training; returns the encoders + loss history."""
     if g.n_nodes < 2:
         raise ContractError("pre-training needs at least 2 nodes")
     params = init_encoder_params(g.features.shape[1], cfg.hidden_dim, cfg.seed)
@@ -84,22 +83,25 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         epoch_seed = derive_seed(cfg.seed, epoch)
-        with Tape() as tape:
-            z1 = mlp_forward(g.features, params, "train", epoch_seed, cfg.dropout)
-            z2 = gnn_forward(g.features, a_norm, params, "train", epoch_seed, cfg.dropout)
-            # the encoders' VJPs never read their outputs, so the loss may
-            # normalize the views in place
-            loss = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
-        value = loss.item()
+        z1 = mlp_forward(g.features, params, "train", epoch_seed, cfg.dropout)
+        z2 = gnn_forward(g.features, a_norm, params, "train", epoch_seed, cfg.dropout)
+        # the encoders' VJPs never read their outputs, so the loss may
+        # normalize the views in place; g1 is then z1's own memory
+        value, g1, g2 = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
+        del z1, z2  # z2 holds its unit rows, which nothing reads again
         if not np.isfinite(value):
             raise NumericError(f"pre-training loss became non-finite at epoch {epoch}, last finite loss "
                                f"{losses[-1] if losses else 'none'}")
+        grads = (encoder_vjp(g2, "gnn", g.features, params, a_norm, epoch_seed, cfg.dropout)
+                 | encoder_vjp(g1, "mlp", g.features, params, None, epoch_seed, cfg.dropout))
+        del g1, g2
         try:
-            adam_step(parameters(params), backward(tape, loss), opt)
+            adam_step(params, grads, opt)
         except NumericError as err:
             raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
         losses.append(value)
-    return freeze(params), losses
+        del grads  # no array of this epoch is alive while the next one runs
+    return params, losses
 
 
 def write_loss_log(path, losses) -> None:

@@ -6,8 +6,9 @@ the views they produce are computed once per task (`TaskContext`), so
 gradients reach the weights exclusively through the prototype rows of the
 augmented propagation, and only those rows are computed in its last layer.
 
-The GNN over the prompted graph is one fused op (`prompted_layer`); its gradient
-into the weights runs through the message weights and the degrees they set.
+The GNN over the prompted graph is one fused op (`prompted_layer`) that returns
+its own VJP; its gradient into the weights runs through the message weights
+and the degrees they set, and a tuning step hands it the loss's gradient.
 Tuning runs layer 1 once per weight state: the pass that trains an epoch also
 reads out the validation prototypes of the weights it starts from.
 """
@@ -15,18 +16,15 @@ reads out the validation prototypes of the weights it starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from .autodiff import (
     AdamState,
-    Tape,
-    Tensor,
-    _emit,
     _row_dots,
     adam_step,
-    backward,
     check_fraction,
     check_tau,
     derive_seed,
@@ -131,24 +129,21 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     """Run the frozen encoders once and keep everything prompting reuses."""
     if task not in ("node", "graph"):
         raise ParameterError(f"task must be 'node' or 'graph', got {task!r}")
-    if not params.frozen:
-        raise ContractError("prompting requires frozen encoders")
     if task == "graph" and g.graph_of is None:
         raise ContractError("graph-level views need graph membership")
-    anchors = mlp_forward(g.features, params, "eval").data
-    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
+    anchors = mlp_forward(g.features, params, "eval")
+    struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     attr_base = g.features
     if task == "graph":
         anchors, struct, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, struct, attr_base))
-    (w1, _), _ = params.gnn_layers
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
                        attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
-                       xw1=g.features @ w1.data)
+                       xw1=g.features @ params["gnn_w1"])
 
 
 def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed: int = 0,
-                   dropout_rate: float = 0.0) -> tuple[Tensor, np.ndarray]:
-    """Prototype rows of the frozen GNN over the prompted graph, as one recorded op.
+                   dropout_rate: float = 0.0) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Prototype rows of the frozen GNN over the prompted graph, as one fused op.
 
     W is the masked weight block, expanded to member nodes for the graph task;
     the degrees are d_b = deg(A+I) + rowsum|W| and d_p = colsum|W| + 1, and
@@ -168,24 +163,25 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     after relu and the keep-mask, whose gates are both H_b > 0 as in the
     encoders, and it forms (A+I)^T(s_b*G_b) a block of rows at a time.
 
-    Returns the prototypes and, as an array on no tape, their dropout-free read-out
-    (the first's data when no dropout acted): layer 1 is shared, so a training
-    pass also yields its weights' validation read-out.
+    Returns the prototypes; their dropout-free read-out (the prototypes
+    themselves when no dropout acted), for layer 1 is shared, so a training
+    pass also yields its weights' validation read-out; and the VJP, which maps
+    d/d(prototypes) to d/d(weight_rows), zero on the rows the mask pins.
     """
     training = _check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
-    if weights.rows != len(ctx.anchors):
-        raise DimensionError(f"prompt has {weights.rows} weight rows for {len(ctx.anchors)} {ctx.task} rows")
-    if mask.shape != (weights.rows,):
-        raise DimensionError(f"trainable_row_mask has shape {mask.shape} for {weights.rows} weight rows")
+    if len(weights) != len(ctx.anchors):
+        raise DimensionError(f"prompt has {len(weights)} weight rows for {len(ctx.anchors)} {ctx.task} rows")
+    if mask.shape != (len(weights),):
+        raise DimensionError(f"trainable_row_mask has shape {mask.shape} for {len(weights)} weight rows")
     if feats.shape[1] != ctx.graph.features.shape[1]:
         raise ContractError(f"prototype features have {feats.shape[1]} columns, "
                             f"graph has {ctx.graph.features.shape[1]}")
-    if len(feats) != weights.cols:
-        raise DimensionError(f"prompt has {len(feats)} prototype feature rows for {weights.cols} weight columns")
-    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    if len(feats) != weights.shape[1]:
+        raise DimensionError(f"prompt has {len(feats)} prototype feature rows for {weights.shape[1]} weight columns")
+    w1, b1, w2, b2 = ctx.params.view("gnn")
     a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
-    w = weights.data * mask[:, None]
+    w = weights * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
@@ -198,17 +194,17 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     sb_cols = np.take(s_b.ravel(), a_hat.indices)
     sb_cols *= a_hat.data
     a_sb = sparse.csr_array((sb_cols, a_hat.indices, a_hat.indptr), shape=a_hat.shape)
-    xw, pw = ctx.xw1, feats @ w1.data
+    xw, pw = ctx.xw1, feats @ w1
     sp1 = pw * s_p
     u1 = wst @ xw
     u1 += sp1
     t1 = a_sb @ xw
     t1 += w @ sp1
     h_b = t1 * s_b
-    h_b += b1.data
+    h_b += b1
     np.maximum(h_b, 0.0, out=h_b)  # relu's subgradient is 0 at the kink
     h_p = u1 * s_p
-    h_p += b1.data
+    h_p += b1
     np.maximum(h_p, 0.0, out=h_p)
 
     def layer2(hb, hp, scale):
@@ -216,9 +212,9 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         u2 += hp * s_p
         if scale is not None:
             u2 *= scale
-        return u2, (u2 * s_p) @ w2.data + b2.data
+        return u2, (u2 * s_p) @ w2 + b2
 
-    keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0, training)
     clean, scale = None, None
     if keep is not None:
         clean = layer2(h_b, h_p, None)[1]
@@ -228,7 +224,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     u2, out = layer2(h_b, h_p, scale)
 
     def vjp(g):
-        gz = g @ w2.data.T
+        gz = g @ w2.T
         gs_p = _row_dots(gz, u2)
         gz *= s_p  # d/du2
         if scale is not None:
@@ -255,14 +251,13 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
         if ctx.task == "graph":  # member nodes' entries sum into their graph's row
             gw, per_node = np.zeros(weights.shape), gw
             np.add.at(gw, graph_of, per_node)
-        return (gw * mask[:, None],)
+        return gw * mask[:, None]
 
-    out = _emit("prompted_layer", (weights,), out, vjp)
-    return out, out.data if clean is None else clean
+    return out, out if clean is None else clean, vjp
 
 
 def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval",
-                         seed: int = 0, dropout_rate: float = 0.0) -> Tensor:
+                         seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Prototype rows of the GNN run over the prompted graph: `prompted_layer`'s first result."""
     return prompted_layer(ctx, ps, mode, seed, dropout_rate)[0]
 
@@ -272,18 +267,21 @@ def accuracy(ctx: TaskContext, prototypes: np.ndarray, labeled: LabeledSet, tau:
     return evaluate(predict(ctx.anchors[labeled.indices], prototypes, tau), labeled.classes)
 
 
-def prompt_loss(anchors: np.ndarray, prototypes: Tensor, labels, tau: float) -> Tensor:
-    """Contrastive loss pulling each anchor toward its class prototype.
+def prompt_loss(anchors: np.ndarray, prototypes: np.ndarray, labels, tau: float
+                ) -> tuple[float, np.ndarray]:
+    """Contrastive loss pulling each anchor toward its class prototype, and its
+    gradient into the prototypes.
 
     The denominator runs over the other classes only. Anchors are a constant
-    array: gradients flow solely into the prototype side.
+    array: the gradient is formed for the prototype side alone.
     """
-    if prototypes.rows < 2:
+    if len(prototypes) < 2:
         raise ContractError("prompt loss needs at least 2 classes")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.size != len(anchors):
         raise ContractError(f"{len(anchors)} anchors vs {labels.size} labels")
-    return masked_infonce(Tensor(anchors), prototypes, labels, tau)
+    loss, _, grad = masked_infonce(anchors, prototypes, labels, tau, (False, True))
+    return loss, grad
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
@@ -301,40 +299,39 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     proto_features = class_mean_rows(ctx.attr_base, labeled, n_classes)
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
     mask = restrict_edge_ratio(len(ctx.anchors), labeled, cfg.edge_ratio, cfg.seed)
-    weights = Tensor(w0 * mask[:, None], requires_grad=True, name="prompt_weights")
+    weights = w0 * mask[:, None]
     prompted = PromptedGraph(task=ctx.task, proto_features=proto_features, weight_rows=weights,
                              trainable_row_mask=mask)
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses: list[float] = []
-    best_acc, best_w, best_proto, best_epoch = -1.0, weights.data.copy(), None, -1
+    best_acc, best_w, best_proto, best_epoch = -1.0, weights.copy(), None, -1
     # pass e runs at the weights W_e: it validates what epoch e - 1 left (the
     # untouched initialization competes as epoch -1) and trains epoch e; with
     # a validation set, one last pass only validates the final weights
     for epoch in range(cfg.epochs + (val is not None)):
         training = epoch < cfg.epochs
-        with Tape() as tape:
-            proto, val_proto = prompted_layer(ctx, prompted, "train" if training else "eval",
-                                              derive_seed(cfg.seed, epoch), cfg.dropout)
-            if training:
-                loss = prompt_loss(ctx.anchors[labeled.indices], proto, labeled.classes, cfg.tau)
+        proto, val_proto, vjp = prompted_layer(ctx, prompted, "train" if training else "eval",
+                                               derive_seed(cfg.seed, epoch), cfg.dropout)
+        if training:
+            value, g_proto = prompt_loss(ctx.anchors[labeled.indices], proto, labeled.classes, cfg.tau)
         if val is not None:
             acc = accuracy(ctx, val_proto, val, cfg.tau)
             if acc > best_acc:
-                best_acc, best_w, best_proto, best_epoch = acc, weights.data.copy(), val_proto, epoch - 1
+                best_acc, best_w, best_proto, best_epoch = acc, weights.copy(), val_proto, epoch - 1
             elif epoch - 1 - best_epoch >= cfg.patience:
                 break
         if not training:
             break
-        value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"prompt loss became non-finite at epoch {epoch}, last finite loss "
                                f"{losses[-1] if losses else 'none'}")
         try:
-            adam_step([weights], backward(tape, loss), opt)
+            adam_step({"prompt_weights": weights}, {"prompt_weights": vjp(g_proto)}, opt)
         except NumericError as err:
             raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
         losses.append(value)
+        del vjp  # its N-row arrays go before the next pass forms its own
     if val is not None:
-        weights.data = best_w
+        prompted.weight_rows = best_w
     return prompted, losses, None if val is None else (best_acc, best_proto)

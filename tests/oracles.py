@@ -1,5 +1,14 @@
 """Test-side oracles: slow, independent versions of what `src/psp` computes.
 
+The reverse-mode tape lives here: `Tensor`, `Tape`, `_emit` and `backward`.
+`src` has three fused ops, each with a hand-derived gradient (the InfoNCE's
+single sweep, `encoder_vjp`, and the VJP `prompted_layer` returns), and each
+training step chains them by hand, so `src` needs no tape. The tape stays as
+the gradient contract: the generic ops below record on it, and the composed
+oracles built from them are what the hand-chained steps are checked against
+(the gradient-contract tests in `test_pretrain.py` and `test_prompt.py`). An op records onto the innermost active tape
+only while one of its inputs requires grad.
+
 Tape ops that no `src` path runs, kept so the composite oracles and the
 per-op gradient checks (criterion 1, `test_each_op_passes_grad_check`) can
 build losses from them:
@@ -7,7 +16,7 @@ build losses from them:
 - `matmul`, `transpose`, `spmm`, `add`, `mul` (equal shapes, or one side a
   row or a column of the other's), `absolute`, `rsqrt` (floored at
   `DEGREE_FLOOR`), `row_sum`, `scale`, `sub`, `exp`, `log`, `total_sum`:
-  products, elementwise ops and reductions on the `psp.autodiff` tape.
+  products, elementwise ops and reductions.
 - `relu`, `dropout`: the activation and the inverted dropout that the
   composed encoders below are built from.
 - `select_rows`: a row gather, which expands per-graph weights to member
@@ -20,8 +29,8 @@ Parity oracles, one per fast path in `src`:
 - `composite_infonce` checks `psp.autodiff.masked_infonce`: the same loss
   built from tape ops, holding every m x n intermediate.
 - `composed_mlp_forward` and `composed_gnn_forward` check
-  `psp.encoders.mlp_forward` and `gnn_forward`: each encoder as the 6-8
-  generic tape ops it was recorded as before it became one op.
+  `psp.encoders.mlp_forward`, `gnn_forward` and `encoder_vjp`: each encoder
+  as the 6-8 generic tape ops it was recorded as before it became one op.
 - `dense_gcn_normalize` checks `psp.graph.gcn_normalize`: D^-1/2 (A+I) D^-1/2
   as a dense array.
 - `dense_prompted_normalize` checks `prompted_apply`, the prompted-graph
@@ -44,38 +53,142 @@ Parity oracles, one per fast path in `src`:
 
 Test-side measurements:
 
-- `grad_check`: the finite-difference check every op and loss is held to.
+- `grad_check`: the finite-difference check every op, loss and hand-chained
+  step is held to; `op_grad_cases` holds its cases for the tape ops and the
+  fused encoders, and `prompt_loss_and_grad` chains a tuning step's loss and
+  weight gradient by hand for it.
 - `params_checksum`: a digest of encoder weights, to show a stage left them alone.
 - `intra_class_edge_fraction`: the share of edges joining same-class nodes,
   the homophily that `psp.data.generate_sbm` targets.
 """
 
 import hashlib
+from collections import namedtuple
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
 
-from psp.autodiff import (
-    AdamState,
-    Tape,
-    Tensor,
-    _emit,
-    _row_dots,
-    _row_norms,
-    adam_step,
-    backward,
-    derive_seed,
-    dropout_mask,
-    seeded_rng,
-)
-from psp.encoders import _check_mode, parameters
+from psp.autodiff import AdamState, _row_dots, _row_norms, adam_step, derive_seed, dropout_mask, seeded_rng
+from psp.encoders import PARAM_NAMES, _check_mode, encoder_vjp, gnn_forward, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError
-from psp.graph import PromptedGraph, SelfLoopedBase
+from psp.encoders import init_encoder_params
+from psp.graph import PromptedGraph, SelfLoopedBase, build_csr, gcn_normalize
 from psp.inference import class_mean_rows
-from psp.prompt import accuracy, init_edge_weights, prompt_loss, restrict_edge_ratio
+from psp.prompt import accuracy, init_edge_weights, prompt_loss, prompted_layer, restrict_edge_ratio
 
 COSINE_EPS = 1e-12
 DEGREE_FLOOR = 1e-12
+
+# ---------------------------------------------------------------------------
+# the tape
+
+_TAPE_STACK: list["Tape"] = []
+
+
+class Tensor:
+    """Dense float64 matrix participating in reverse-mode differentiation."""
+
+    __slots__ = ("data", "requires_grad", "name")
+
+    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+        arr = np.array(data, dtype=np.float64)
+        if arr.ndim == 0:
+            arr = arr.reshape(1, 1)
+        elif arr.ndim == 1:
+            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise DimensionError(f"tensors are 2-D, got array of shape {arr.shape}")
+        self.data = arr
+        self.requires_grad = bool(requires_grad)
+        self.name = name
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
+
+    def item(self) -> float:
+        if self.shape != (1, 1):
+            raise ContractError(f"item() needs a 1x1 tensor, got {self.shape}")
+        return float(self.data[0, 0])
+
+    def __repr__(self) -> str:
+        tag = f", name={self.name!r}" if self.name else ""
+        return f"Tensor({self.rows}x{self.cols}, requires_grad={self.requires_grad}{tag})"
+
+
+TapeRecord = namedtuple("TapeRecord", "op inputs out vjp")
+
+
+class Tape:
+    """Ordered log of differentiable operations; append order is topological."""
+
+    def __init__(self):
+        self.records: list[TapeRecord] = []
+
+    def __enter__(self) -> "Tape":
+        _TAPE_STACK.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        popped = _TAPE_STACK.pop()
+        if popped is not self:
+            raise ContractError("tape stack corrupted: exited a tape that was not innermost")
+
+
+def _emit(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, vjp) -> Tensor:
+    """Wrap an op's output and record it on the innermost active tape while
+    any of `inputs` requires grad.
+
+    `out_data` must be a freshly computed 2-D float64 array: the output
+    tensor adopts it without a copy. A VJP returns None for every input that
+    did not require grad when the op ran.
+    """
+    tape = _TAPE_STACK[-1] if _TAPE_STACK and any(t.requires_grad for t in inputs) else None
+    out = Tensor.__new__(Tensor)  # adopts out_data without a copy
+    out.data, out.requires_grad, out.name = out_data, tape is not None, None
+    if tape is not None:
+        tape.records.append(TapeRecord(op, tuple(inputs), out, vjp))
+    return out
+
+
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every leaf on the tape that the sweep reaches.
+
+    Leaves are the requires_grad tensors no record produced (the loss too, if
+    none did). A produced tensor's gradient is freed once its VJP has run.
+    The tape is left as it was, so a second call returns equal gradients.
+    """
+    if loss.shape != (1, 1):
+        raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
+    # keyed by the tensors themselves: the tape keeps each one alive, so no two share an id
+    flows: dict[Tensor, np.ndarray] = {loss: np.ones((1, 1))}
+    for rec in reversed(tape.records):
+        flow = flows.pop(rec.out, None)
+        if flow is None:
+            continue
+        for t, g in zip(rec.inputs, rec.vjp(flow)):
+            if g is not None:
+                flows[t] = g if t not in flows else flows[t] + g
+    grads: dict[Tensor, np.ndarray] = {}
+    for t, g in flows.items():
+        if t.requires_grad:  # a VJP may hand one array to two inputs (add); each leaf owns its gradient
+            grads[t] = g.copy() if any(np.may_share_memory(g, h) for h in grads.values()) else g
+    return grads
+
+
+def encoder_leaves(params) -> dict[str, Tensor]:
+    """Each encoder array of `params` as a trainable tape leaf of the same name (a copy)."""
+    return {name: Tensor(params[name], requires_grad=True, name=name) for name in PARAM_NAMES}
+
 
 # ---------------------------------------------------------------------------
 # tape ops
@@ -261,17 +374,19 @@ def composite_infonce(z1, z2, positives, tau):
     return scale(total_sum(sub(log_denom, positive)), 1.0 / m)
 
 
-def composed_mlp_forward(x, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`mlp_forward` of the array x as generic tape ops, with the same dropout salt and stream."""
-    (w1, b1), (w2, b2) = params.mlp_layers
+def composed_mlp_forward(x, leaves, mode="eval", seed=0, dropout_rate=0.0):
+    """`mlp_forward` of the array x as generic tape ops of `leaves` (`encoder_leaves`),
+    with the same dropout salt and stream."""
+    w1, b1, w2, b2 = (leaves[f"mlp_{p}"] for p in ("w1", "b1", "w2", "b2"))
     h = relu(add(matmul(Tensor(x), w1), b1))
     h = dropout(h, dropout_rate, derive_seed(seed, 1), 0, mode == "train")
     return add(matmul(h, w2), b2)
 
 
-def composed_gnn_forward(x, a_norm, params, mode="eval", seed=0, dropout_rate=0.0):
-    """`gnn_forward` of the array x as generic tape ops, with the same dropout salt and stream."""
-    (w1, b1), (w2, b2) = params.gnn_layers
+def composed_gnn_forward(x, a_norm, leaves, mode="eval", seed=0, dropout_rate=0.0):
+    """`gnn_forward` of the array x as generic tape ops of `leaves` (`encoder_leaves`),
+    with the same dropout salt and stream."""
+    w1, b1, w2, b2 = (leaves[f"gnn_{p}"] for p in ("w1", "b1", "w2", "b2"))
     h = relu(add(spmm(a_norm, matmul(Tensor(x), w1)), b1))
     h = dropout(h, dropout_rate, derive_seed(seed, 2), 1, mode == "train")
     return add(spmm(a_norm, matmul(h, w2)), b2)
@@ -369,13 +484,13 @@ def prompted_apply(base: SelfLoopedBase, w: Tensor, h_base: Tensor, h_proto: Ten
 def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     """The two-layer GNN over all N+C rows of the prompted graph, both layers
     through `prompted_apply` and the first with one (N+C)-row dropout mask,
-    then its prototype rows."""
+    then its prototype rows. `ps.weight_rows` is the tape leaf, a Tensor."""
     g = ctx.graph
     w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
     if ctx.task == "graph":
         w = select_rows(w, g.graph_of)
     base = SelfLoopedBase.of(g.adjacency)
-    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    w1, b1, w2, b2 = (Tensor(a) for a in ctx.params.view("gnn"))
     blocks = prompted_apply(base, w, matmul(Tensor(g.features), w1),
                             matmul(Tensor(ps.proto_features), w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
@@ -394,13 +509,13 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     keeps every N-row intermediate it reads in an array of its own: the
     column-scaled A+I, t1, the pre-activation, relu's output and gate, the
     dropped-out rows and the keep-mask, and each stage of the base-row
-    gradient, including (A+I)^T(s_b*G_b) whole. Returns the prototypes and the
-    dropout-free prototypes."""
+    gradient, including (A+I)^T(s_b*G_b) whole. Returns what `prompted_layer`
+    returns: the prototypes, the dropout-free prototypes and the VJP."""
     training = _check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
-    (w1, b1), (w2, b2) = ctx.params.gnn_layers
+    w1, b1, w2, b2 = ctx.params.view("gnn")
     a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
-    w = weights.data * mask[:, None]
+    w = weights * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
@@ -410,11 +525,11 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     wst = wt * s_b.T
     a_sb = sparse.csr_array((a_hat.data * s_b.ravel()[a_hat.indices], a_hat.indices, a_hat.indptr),
                             shape=a_hat.shape)
-    xw, pw = ctx.xw1, feats @ w1.data
+    xw, pw = ctx.xw1, feats @ w1
     sp1 = pw * s_p
     u1 = wst @ xw + sp1
     t1 = a_sb @ xw + w @ sp1
-    pre_b, pre_p = t1 * s_b + b1.data, u1 * s_p + b1.data
+    pre_b, pre_p = t1 * s_b + b1, u1 * s_p + b1
     relu_b, relu_p = np.maximum(pre_b, 0.0), np.maximum(pre_p, 0.0)
     gate_b, gate_p = relu_b > 0, relu_p > 0
 
@@ -422,9 +537,9 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         u2 = wst @ hb + hp * s_p
         if scale is not None:
             u2 = u2 * scale
-        return u2, (u2 * s_p) @ w2.data + b2.data
+        return u2, (u2 * s_p) @ w2 + b2
 
-    keep = dropout_mask((n + w.shape[1], b1.cols), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0, training)
     keep_b, keep_p = (None, None) if keep is None else (keep[:n], keep[n:])
     clean, scale, h_b, h_p = None, None, relu_b, relu_p
     if keep is not None:
@@ -434,7 +549,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     u2, out = layer2(h_b, h_p, scale)
 
     def vjp(g):
-        gz = g @ w2.data.T
+        gz = g @ w2.T
         gs_p = _row_dots(gz, u2)
         gz = gz * s_p
         if scale is not None:
@@ -455,10 +570,9 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
         if ctx.task == "graph":
             gw, per_node = np.zeros(weights.shape), gw
             np.add.at(gw, graph_of, per_node)
-        return (gw * mask[:, None],)
+        return gw * mask[:, None]
 
-    out = _emit("prompted_layer", (weights,), out, vjp)
-    return out, out.data if clean is None else clean
+    return out, out if clean is None else clean, vjp
 
 
 def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
@@ -483,51 +597,43 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
     for epoch in range(cfg.epochs):
         with Tape() as tape:
             proto = full_graph_prototypes(ctx, ps, "train", derive_seed(cfg.seed, epoch), cfg.dropout)
-            loss = prompt_loss(anchors, proto, labeled.classes, cfg.tau)
-        adam_step([weights], backward(tape, loss), opt)
-        losses.append(loss.item())
+            loss, g_proto = prompt_loss(anchors, proto.data, labeled.classes, cfg.tau)
+            seeded = total_sum(mul(proto, Tensor(g_proto)))  # its flow into proto is g_proto
+        adam_step({"prompt_weights": weights.data}, {"prompt_weights": backward(tape, seeded)[weights]}, opt)
+        losses.append(loss)
         if val is not None:
             val_accs.append(accuracy(ctx, full_graph_prototypes(ctx, ps).data, val, cfg.tau))
             if val_accs[-1] > best_acc:
                 best_acc, best_w, best_epoch = val_accs[-1], weights.data.copy(), epoch
             elif epoch - best_epoch >= cfg.patience:
                 break
-    if val is not None:
-        weights.data = best_w
-    return weights.data, losses, val_accs, best_epoch
+    return best_w if val is not None else weights.data, losses, val_accs, best_epoch
 
 
 # ---------------------------------------------------------------------------
 # measurements
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
+def grad_check(f, x, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` must map a tensor to a 1x1 tensor and be deterministic; seeded
-    randomized ops qualify because fresh tapes replay their masks.
+    Either `x` is a Tensor and `f` maps it to a 1x1 tensor on the tape, or `x`
+    is an array and `f` maps it to (value, analytic gradient), as a chain of
+    `src`'s fused ops and their VJPs does. `x` is perturbed in place, so `f`
+    must be deterministic in it; seeded randomized ops qualify because their
+    masks depend on (seed, stream) alone.
     """
-    prev_rg = x.requires_grad
-    x.requires_grad = True
-    with Tape() as tape:
-        y = f(x)
-    if y.shape != (1, 1):
-        raise ContractError(f"grad_check: f must return a 1x1 tensor, got {y.shape}")
-    analytic = backward(tape, y).get(x)
-    analytic = np.zeros_like(x.data) if analytic is None else analytic.copy()
-    x.requires_grad = prev_rg
-
-    numeric = np.zeros_like(x.data)
-    base = x.data
-    for idx in np.ndindex(*base.shape):
-        orig = base[idx]
-        base[idx] = orig + h
-        with Tape():
-            fp = f(x).item()
-        base[idx] = orig - h
-        with Tape():
-            fm = f(x).item()
-        base[idx] = orig
+    if isinstance(x, Tensor):
+        f, x = _value_and_grad(f, x), x.data
+    analytic = np.array(f(x)[1], dtype=np.float64)
+    numeric = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
+        fp = f(x)[0]
+        x[idx] = orig - h
+        fm = f(x)[0]
+        x[idx] = orig
         numeric[idx] = (fp - fm) / (2.0 * h)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise NumericError("grad_check encountered non-finite values")
@@ -537,10 +643,95 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def _value_and_grad(f, leaf: Tensor):
+    """`f` of the tensor `leaf` as a function of leaf's data that returns
+    (value, gradient), the gradient from `backward` (zero where none flows)."""
+    def value_and_grad(_):
+        prev, leaf.requires_grad = leaf.requires_grad, True
+        try:
+            with Tape() as tape:
+                y = f(leaf)
+            if y.shape != (1, 1):
+                raise ContractError(f"grad_check: f must return a 1x1 tensor, got {y.shape}")
+            g = backward(tape, y).get(leaf)
+        finally:
+            leaf.requires_grad = prev
+        return y.item(), np.zeros_like(leaf.data) if g is None else g
+
+    return value_and_grad
+
+
+def _encoder_grad_case(view, x, params, a_norm, probe, name, seed=11, dropout_rate=0.3):
+    """(f, array) for `grad_check`: sum(probe * z) for z the view's training
+    forward (`a_norm` None for the MLP), as a function of the parameter `name`,
+    which the check perturbs in place, with its gradient from `encoder_vjp`."""
+    def f(_):
+        z = (mlp_forward(x, params, "train", seed, dropout_rate) if a_norm is None
+             else gnn_forward(x, a_norm, params, "train", seed, dropout_rate))
+        return float((z * probe).sum()), encoder_vjp(probe, view, x, params, a_norm, seed, dropout_rate)[name]
+
+    return f, params[name]
+
+
+def prompt_loss_and_grad(ctx, ps, anchors, labels, tau, mode="eval", seed=0, dropout_rate=0.0):
+    """`prompt_loss` of `prompted_layer`'s prototypes and its gradient into
+    `ps.weight_rows`, chained by hand as a tuning step chains them; a function
+    of the weights for `grad_check`, which perturbs `ps.weight_rows` in place."""
+    proto, _, vjp = prompted_layer(ctx, ps, mode, seed, dropout_rate)
+    loss, g_proto = prompt_loss(anchors, proto, labels, tau)
+    return loss, vjp(g_proto)
+
+
+def op_grad_cases() -> dict:
+    """name: (f, x) for `grad_check`, one or more per tape op, and one per
+    parameter of each fused encoder op in train mode, through `encoder_vjp`."""
+    rng = np.random.default_rng(7)
+    m33 = Tensor(rng.standard_normal((3, 3)))
+    m34 = Tensor(rng.standard_normal((3, 4)))
+    m43 = Tensor(rng.standard_normal((4, 3)))
+    positive = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5)
+    probe43 = Tensor(rng.standard_normal((4, 3)))
+    probe63 = Tensor(rng.standard_normal((6, 3)))
+    probe44 = Tensor(rng.standard_normal((4, 4)))
+    col = Tensor(rng.standard_normal((4, 1)))
+    csr = build_csr(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cases = {
+        "matmul_left": (lambda t: total_sum(matmul(t, m34)), m43),
+        "matmul_right": (lambda t: total_sum(matmul(m43, t)), m34),
+        "transpose": (lambda t: total_sum(mul(transpose(t), m34)), m43),
+        "spmm_dense": (lambda t: total_sum(mul(spmm(csr, t), probe43)), m43),
+        "select_rows": (lambda t: total_sum(mul(select_rows(t, [0, 2, 1, 2, 0, 1]), probe63)), m43),
+        "select_rows_range": (lambda t: total_sum(mul(select_rows(t, [1, 2, 3]), m33)), m43),
+        "add": (lambda t: total_sum(mul(add(t, probe43), probe43)), m43),
+        "add_row_bcast": (lambda t: total_sum(mul(add(m43, t), probe43)), Tensor(rng.standard_normal((1, 3)))),
+        "add_col_bcast": (lambda t: total_sum(mul(add(m43, t), probe43)), col),
+        "mul": (lambda t: total_sum(mul(mul(t, probe43), probe43)), m43),
+        "mul_col_bcast": (lambda t: total_sum(mul(mul(m43, t), probe43)), col),
+        "scale": (lambda t: total_sum(scale(t, -2.5)), m43),
+        "sub": (lambda t: total_sum(mul(sub(t, probe43), probe43)), m43),
+        "relu": (lambda t: total_sum(relu(t)), m43),
+        "absolute": (lambda t: total_sum(absolute(t)), Tensor(rng.standard_normal((4, 3)) + 0.2)),
+        "exp": (lambda t: total_sum(exp(t)), m33),
+        "log": (lambda t: total_sum(log(t)), positive),
+        "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
+        "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
+        "total_sum": (lambda t: scale(total_sum(t), 3.0), m43),
+        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
+        "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
+    }
+    # each fused encoder op in train mode, through each parameter (perturbed in place)
+    enc, a_norm = init_encoder_params(3, 4, seed=5), gcn_normalize(csr)
+    for view, graph in (("mlp", None), ("gnn", a_norm)):
+        for p in ("w1", "b1", "w2", "b2"):
+            cases[f"two_layer_{view}_{p}"] = _encoder_grad_case(view, probe43.data, enc, graph,
+                                                               probe44.data, f"{view}_{p}")
+    return cases
+
+
 def params_checksum(params) -> str:
     digest = hashlib.sha256()
-    for p in parameters(params):
-        digest.update(p.data.tobytes())
+    for name in PARAM_NAMES:
+        digest.update(params[name].tobytes())
     return digest.hexdigest()
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psp.autodiff import Tape, Tensor, backward
 from psp.cli import TUNE_DEFAULTS, run as cli_run
 from psp.data import (
     generate_sbm,
@@ -21,7 +20,7 @@ from psp.data import (
     load_tu_dataset,
     sample_k_shot,
 )
-from psp.encoders import gnn_forward, mlp_forward
+from psp.encoders import gnn_forward, init_encoder_params, mlp_forward
 from psp.graph import (
     GraphData,
     LabeledSet,
@@ -36,34 +35,13 @@ from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain
 from psp.prompt import (
     PromptConfig,
     accuracy,
-    prompt_loss,
     prompt_tune,
     prototype_embeddings,
     task_context,
 )
 
 from graph_batches import write_ring_chord_batch
-from oracles import (
-    absolute,
-    add,
-    cosine_sim_matrix,
-    dropout,
-    exp,
-    grad_check,
-    log,
-    matmul,
-    mul,
-    prompted_apply,
-    relu,
-    row_sum,
-    rsqrt,
-    scale,
-    select_rows,
-    spmm,
-    sub,
-    total_sum,
-    transpose,
-)
+from oracles import Tensor, grad_check, op_grad_cases, prompt_loss_and_grad, prompted_apply
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK = dict(n=300, n_classes=3, avg_deg=2.5, feat_dim=64, noise=0.5)
@@ -82,14 +60,14 @@ def _pipeline(seed: int, homophily: float):
                      DESK["feat_dim"], DESK["noise"], seed=seed)
     params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
     split = sample_k_shot(g.labels, K_SHOT, seed, val_k=VAL_K)
-    z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval").data
+    z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     ctx = task_context(g, params, "node")
     acc_np = accuracy(ctx, class_mean_rows(z2, split.train, 3), split.test, TUNE["tau"])
     prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
-    proto = prototype_embeddings(ctx, prompted, "eval").data
+    proto = prototype_embeddings(ctx, prompted, "eval")
     acc_psp = accuracy(ctx, proto, split.test, TUNE["tau"])
     return dict(g=g, ctx=ctx, seed=seed, split=split, acc_np=acc_np, acc_psp=acc_psp,
-                weights=prompted.weight_rows.data)
+                weights=prompted.weight_rows)
 
 
 @pytest.fixture(scope="session")
@@ -119,76 +97,26 @@ def heterophilous_runs(desk_runs):
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
-    m43 = Tensor(rng.standard_normal((4, 3)))
-    m33 = Tensor(rng.standard_normal((3, 3)))
-    m34 = Tensor(rng.standard_normal((3, 4)))
-    positive = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5)
-    probe43 = Tensor(rng.standard_normal((4, 3)))
-    probe63 = Tensor(rng.standard_normal((6, 3)))
-    col = Tensor(rng.standard_normal((4, 1)))
-    csr = build_csr(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    ops = {
-        "matmul": (lambda t: total_sum(matmul(t, m34)), m43),
-        "transpose": (lambda t: total_sum(mul(transpose(t), m34)), m43),
-        "spmm": (lambda t: total_sum(mul(spmm(csr, t), probe43)), m43),
-        "select_rows": (lambda t: total_sum(mul(select_rows(t, [0, 2, 1, 2, 0, 1]), probe63)), m43),
-        "select_rows_range": (lambda t: total_sum(mul(select_rows(t, [1, 2, 3]), m33)), m43),
-        "add": (lambda t: total_sum(mul(add(t, probe43), probe43)), m43),
-        "mul": (lambda t: total_sum(mul(mul(t, col), probe43)), m43),
-        "scale": (lambda t: total_sum(scale(t, -2.5)), m43),
-        "sub": (lambda t: total_sum(mul(sub(t, probe43), probe43)), m43),
-        "relu": (lambda t: total_sum(relu(t)), m43),
-        "absolute": (lambda t: total_sum(absolute(t)), Tensor(rng.standard_normal((4, 3)) + 0.2)),
-        "exp": (lambda t: total_sum(exp(t)), m33),
-        "log": (lambda t: total_sum(log(t)), positive),
-        "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
-        "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
-        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
-        "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
-    }
-    worst = {}
-    for name, (f, x) in ops.items():
-        worst[name] = grad_check(f, x, h=1e-5)
+    worst = {name: grad_check(f, x, h=1e-5) for name, (f, x) in op_grad_cases().items()}
 
-    z2c = Tensor(rng.standard_normal((4, 3)))
+    z2c = rng.standard_normal((4, 3))
     worst["pretrain_loss_tau_0.5"] = grad_check(
-        lambda t: ntxent_pretrain_loss(t, z2c, 0.5), Tensor(rng.standard_normal((4, 3))))
-    z1c = Tensor(rng.standard_normal((4, 3)))
+        lambda t: ntxent_pretrain_loss(t, z2c, 0.5)[:2], rng.standard_normal((4, 3)))
+    z1c = rng.standard_normal((4, 3))
     worst["pretrain_loss_z2_side"] = grad_check(
-        lambda t: ntxent_pretrain_loss(z1c, t, 1.0), Tensor(rng.standard_normal((4, 3))))
+        lambda t: ntxent_pretrain_loss(z1c, t, 1.0)[::2], rng.standard_normal((4, 3)))
 
     # prompt loss differentiated through the augmented propagation into W
-    from psp.encoders import freeze, init_encoder_params
-
     g = GraphData(features=rng.standard_normal((5, 4)),
                   adjacency=build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
                   labels=np.array([0, 1, 0, 1, 0]))
-    params = freeze(init_encoder_params(4, 6, seed=1))
-    proto_feats = rng.standard_normal((2, 4))
-    anchors = rng.standard_normal((3, 6))
-    mask = np.ones(5, dtype=bool)
-    ctx = task_context(g, params, "node")
+    ctx = task_context(g, init_encoder_params(4, 6, seed=1), "node")
+    proto_feats, anchors = rng.standard_normal((2, 4)), rng.standard_normal((3, 6))
+    ps = PromptedGraph(task="node", proto_features=proto_feats, weight_rows=rng.standard_normal((5, 2)),
+                       trainable_row_mask=np.ones(5, dtype=bool))
+    worst["prompt_loss_through_W"] = grad_check(
+        lambda _: prompt_loss_and_grad(ctx, ps, anchors, [0, 1, 0], 0.5), ps.weight_rows)
 
-    def through_prompt(w):
-        ps = PromptedGraph(task="node", proto_features=proto_feats, weight_rows=w,
-                           trainable_row_mask=mask)
-        return prompt_loss(anchors, prototype_embeddings(ctx, ps, "eval"),
-                           [0, 1, 0], tau=0.5)
-
-    worst["prompt_loss_through_W"] = grad_check(through_prompt,
-                                                Tensor(rng.standard_normal((5, 2))))
-
-    # each fused encoder op in train mode, through each parameter
-    enc = init_encoder_params(4, 6, seed=2)
-    a_norm = gcn_normalize(g.adjacency)
-    feats, probe = rng.standard_normal((5, 4)), Tensor(rng.standard_normal((5, 6)))
-    views = {"mlp": lambda x: mlp_forward(x, enc, "train", 11, 0.3),
-             "gnn": lambda x: gnn_forward(x, a_norm, enc, "train", 11, 0.3)}
-    for view, forward in views.items():
-        leaves = [t for layer in getattr(enc, f"{view}_layers") for t in layer]
-        for name, leaf in zip(("w1", "b1", "w2", "b2"), leaves):
-            worst[f"two_layer_{view}_{name}"] = grad_check(
-                lambda t: total_sum(mul(forward(feats), probe)), leaf)
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     _report("criterion-1", not bad and elapsed < 30.0,
@@ -201,8 +129,7 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_formula_oracles():
-    eye2 = Tensor(np.eye(2))
-    loss = ntxent_pretrain_loss(eye2, Tensor(np.eye(2)), tau=1.0).item()
+    loss = ntxent_pretrain_loss(np.eye(2), np.eye(2), tau=1.0)[0]
     ok_loss = abs(loss - (-1.0)) <= 1e-9
 
     probs = predict(np.array([[1.0, 0.0, 0.0]]), np.eye(3), tau=1.0)
@@ -259,13 +186,11 @@ def test_criterion_3_structural_invariants():
                             Tensor(eye[:n]), Tensor(eye[n:]))
     reduction_err = np.abs(top.data[:, :n] - gcn_normalize(a).toarray()).max()
 
-    from psp.encoders import freeze, init_encoder_params
-
-    params = freeze(init_encoder_params(8, 6, seed=2))
+    params = init_encoder_params(8, 6, seed=2)
     x = np.random.default_rng(4).standard_normal((6, 8))
-    baseline = mlp_forward(x, params, "eval").data
+    baseline = mlp_forward(x, params, "eval")
     bitwise = all(
-        np.array_equal(mlp_forward(x, params, "eval").data, baseline)
+        np.array_equal(mlp_forward(x, params, "eval"), baseline)
         for _ in ([], [(0, 1)], [(i, j) for i in range(6) for j in range(i + 1, 6)]))
 
     ok = worst_norm <= 1e-12 and reduction_err <= 1e-12 and bitwise
@@ -313,9 +238,9 @@ def _edge_ratio_tune(run_state, ratio):
     n, n_t = g.n_nodes, split.train.indices.size
     cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
     prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
-    trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.cols
-    expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.cols
-    proto = prototype_embeddings(ctx, prompted, "eval").data
+    trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.shape[1]
+    expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.shape[1]
+    proto = prototype_embeddings(ctx, prompted, "eval")
     return accuracy(ctx, proto, split.test, TUNE["tau"]), trainable == expected
 
 
@@ -378,7 +303,7 @@ def test_criterion_9_cora_band():
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
         ctx = task_context(g, params, "node")
         prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
-        proto = prototype_embeddings(ctx, prompted, "eval").data
+        proto = prototype_embeddings(ctx, prompted, "eval")
         accs.append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     mean_acc = float(np.mean(accs))
     ok = abs(mean_acc - 0.6865) <= 0.06
@@ -411,22 +336,19 @@ def _graph_run(root: Path, seed: int):
     tau, rate = GRAPH_TUNE["tau"], GRAPH_TUNE["dropout"]
     init, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **{**GRAPH_TUNE, "epochs": 0}))
     tuned, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **GRAPH_TUNE))
-    accs = [accuracy(ctx, prototype_embeddings(ctx, p, "eval").data, split.test, tau) for p in (tuned, init)]
+    accs = [accuracy(ctx, prototype_embeddings(ctx, p, "eval"), split.test, tau) for p in (tuned, init)]
     acc_np = accuracy(ctx, class_mean_rows(ctx.struct, split.train, ctx.n_classes), split.test, tau)
 
     # the first tuning step's gradient along a random direction, against a central difference
-    def loss_at(w):
+    def loss_and_grad_at(w):
         ps = PromptedGraph("graph", init.proto_features, w, init.trainable_row_mask)
-        proto = prototype_embeddings(ctx, ps, "train", seed, rate)
-        return prompt_loss(ctx.anchors[split.train.indices], proto, split.train.classes, tau)
+        return prompt_loss_and_grad(ctx, ps, ctx.anchors[split.train.indices], split.train.classes,
+                                    tau, "train", seed, rate)
 
-    w = Tensor(init.weight_rows.data, requires_grad=True)
-    with Tape() as tape:
-        loss = loss_at(w)
+    w = init.weight_rows
     direction, h = np.random.default_rng(seed).standard_normal(w.shape), 1e-6
-    slope = float((backward(tape, loss)[w] * direction).sum())
-    fd = (loss_at(Tensor(w.data + h * direction)).item()
-          - loss_at(Tensor(w.data - h * direction)).item()) / (2 * h)
+    slope = float((loss_and_grad_at(w)[1] * direction).sum())
+    fd = (loss_and_grad_at(w + h * direction)[0] - loss_and_grad_at(w - h * direction)[0]) / (2 * h)
     return accs[0], acc_np, accs[1], abs(slope - fd) / max(abs(fd), 1e-12)
 
 

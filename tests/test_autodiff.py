@@ -8,40 +8,27 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from psp import autodiff
-from psp.autodiff import (
-    AdamState,
-    Tape,
-    Tensor,
-    adam_step,
-    backward,
-    check_fraction,
-    check_tau,
-    masked_infonce,
-)
-from psp.encoders import gnn_forward, init_encoder_params, mlp_forward
+from psp.autodiff import AdamState, adam_step, check_fraction, check_tau, masked_infonce
 from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
-from psp.graph import build_csr, check_csr, gcn_normalize
+from psp.graph import build_csr, check_csr
 
 from oracles import (
-    absolute,
+    Tape,
+    Tensor,
     add,
+    backward,
     composite_infonce,
     cosine_sim_matrix,
     dropout,
-    exp,
     grad_check,
     log,
     matmul,
     mul,
+    op_grad_cases,
     relu,
-    row_sum,
-    rsqrt,
     scale,
-    select_rows,
     spmm,
-    sub,
     total_sum,
-    transpose,
 )
 
 RNG = np.random.default_rng(1234)
@@ -320,64 +307,63 @@ def test_backward_mlp_composite_matches_finite_differences():
 
 
 def test_adam_zero_grad_is_identity():
-    p = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
-    before = p.data.copy()
-    adam_step([p], {p: np.zeros((3, 3))}, AdamState(lr=0.1, weight_decay=0.0))
-    assert np.array_equal(p.data, before)
+    p = RNG.standard_normal((3, 3))
+    before = p.copy()
+    adam_step({"p": p}, {"p": np.zeros((3, 3))}, AdamState(lr=0.1, weight_decay=0.0))
+    assert np.array_equal(p, before)
 
 
 def test_adam_first_step_closed_form():
-    p = Tensor(np.zeros((1, 1)), requires_grad=True)
-    adam_step([p], {p: np.ones((1, 1))}, AdamState(lr=0.1))
+    p = np.zeros((1, 1))
+    adam_step({"p": p}, {"p": np.ones((1, 1))}, AdamState(lr=0.1))
     # m_hat = v_hat = 1 on the first unit-gradient step
-    assert p.data[0, 0] == pytest.approx(-0.1 / (1 + 1e-8), abs=1e-12)
+    assert p[0, 0] == pytest.approx(-0.1 / (1 + 1e-8), abs=1e-12)
 
 
 def test_adam_counter_semantics():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
+    p = np.zeros((2, 2))
     state = AdamState(lr=0.01)
     assert state.t == 0
     for _ in range(2):
-        adam_step([p], {p: np.ones((2, 2))}, state)
+        adam_step({"p": p}, {"p": np.ones((2, 2))}, state)
     assert state.t == 2
 
 
 def test_adam_missing_grad_names_parameter():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
     with pytest.raises(ContractError, match="prompt_weights"):
-        adam_step([p], {}, AdamState())
+        adam_step({"prompt_weights": np.zeros((2, 2))}, {}, AdamState())
 
 
 @pytest.mark.parametrize("grad", [1e200, np.inf])
 def test_adam_refuses_a_non_finite_moment_naming_the_parameter(grad):
     # 1e200 squared overflows only the second moment, whose inf would make the update a silent 0
-    p = Tensor(np.zeros((2, 2)), requires_grad=True, name="prompt_weights")
+    p = np.zeros((2, 2))
     with pytest.raises(NumericError, match=re.escape(f"moment of parameter prompt_weights is "
                                                      f"non-finite, gradient max-abs {float(grad)}")):
-        adam_step([p], {p: np.full((2, 2), grad)}, AdamState(lr=0.1))
-    assert np.array_equal(p.data, np.zeros((2, 2)))
+        adam_step({"prompt_weights": p}, {"prompt_weights": np.full((2, 2), grad)}, AdamState(lr=0.1))
+    assert np.array_equal(p, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("steps_before", [0, 1])
 def test_adam_refusal_leaves_parameters_moments_and_counter_as_they_were(steps_before):
-    p, q = (Tensor(np.zeros((2, 2)), requires_grad=True, name=n) for n in ("p", "q"))
+    params = {"p": np.zeros((2, 2)), "q": np.zeros((2, 2))}
     state = AdamState(lr=0.1)
     for _ in range(steps_before):
-        adam_step([p, q], {p: np.ones((2, 2)), q: np.ones((2, 2))}, state)
-    params, moments = [p.data.copy(), q.data.copy()], [m.copy() for m in state.m + state.v]
+        adam_step(params, {"p": np.ones((2, 2)), "q": np.ones((2, 2))}, state)
+    before = [a.copy() for a in list(params.values()) + state.m + state.v]
     with pytest.raises(NumericError, match="moment of parameter q is non-finite"):
-        adam_step([p, q], {p: np.ones((2, 2)), q: np.full((2, 2), 1e200)}, state)
+        adam_step(params, {"p": np.ones((2, 2)), "q": np.full((2, 2), 1e200)}, state)
     assert state.t == steps_before and len(state.m) == len(state.v) == 2 * steps_before
-    for got, want in zip([p.data, q.data] + state.m + state.v, params + moments):
+    for got, want in zip(list(params.values()) + state.m + state.v, before):
         np.testing.assert_array_equal(got, want)
 
 
 def test_adam_refuses_grads_that_lack_a_parameter():
-    p, q = (Tensor(np.zeros((2, 2)), requires_grad=True, name=n) for n in ("p", "q"))
+    params = {"p": np.zeros((2, 2)), "q": np.zeros((2, 2))}
     state = AdamState(lr=0.1)
     with pytest.raises(ContractError, match="parameter q has no gradient"):
-        adam_step([p, q], {p: np.ones((2, 2))}, state)
-    assert state.t == 0 and np.array_equal(p.data, np.zeros((2, 2)))
+        adam_step(params, {"p": np.ones((2, 2))}, state)
+    assert state.t == 0 and np.array_equal(params["p"], np.zeros((2, 2)))
 
 
 def test_adam_grads_cleared_after_step():
@@ -386,27 +372,31 @@ def test_adam_grads_cleared_after_step():
     p, q = (Tensor(np.zeros((1, 1)), requires_grad=True, name=n) for n in ("p", "q"))
     with Tape() as tape:
         loss = add(p, scale(q, 1e200))
-    adam_step([p], backward(tape, loss), AdamState(lr=0.1))
+
+    def named():
+        grads = backward(tape, loss)
+        return {t.name: grads[t] for t in (p, q)}
+
+    adam_step({"p": p.data}, named(), AdamState(lr=0.1))
     with pytest.raises(NumericError, match="parameter q"):
-        adam_step([p, q], backward(tape, loss), AdamState(lr=0.1))
-    grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[p], [[1.0]])
-    np.testing.assert_array_equal(grads[q], [[1e200]])
+        adam_step({"p": p.data, "q": q.data}, named(), AdamState(lr=0.1))
+    grads = named()
+    np.testing.assert_array_equal(grads["p"], [[1.0]])
+    np.testing.assert_array_equal(grads["q"], [[1e200]])
 
 
 def test_adam_decoupled_weight_decay():
-    p = Tensor(np.full((1, 1), 2.0), requires_grad=True)
-    adam_step([p], {p: np.zeros((1, 1))}, AdamState(lr=0.1, weight_decay=0.5))
-    assert p.data[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+    p = np.full((1, 1), 2.0)
+    adam_step({"p": p}, {"p": np.zeros((1, 1))}, AdamState(lr=0.1, weight_decay=0.5))
+    assert p[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(finite_matrices)
 def test_adam_zero_grad_identity_property(values):
-    p = Tensor(values, requires_grad=True)
-    before = p.data.copy()
-    adam_step([p], {p: np.zeros_like(values)}, AdamState(lr=0.3, weight_decay=0.0))
-    assert np.array_equal(p.data, before)
+    p = values.copy()
+    adam_step({"p": p}, {"p": np.zeros_like(values)}, AdamState(lr=0.3, weight_decay=0.0))
+    assert np.array_equal(p, values)
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +429,9 @@ def test_grad_check_flags_non_finite():
 # every differentiable op passes the finite-difference oracle
 
 
-def _op_cases():
-    rng = np.random.default_rng(7)
-    m33 = Tensor(rng.standard_normal((3, 3)))
-    m34 = Tensor(rng.standard_normal((3, 4)))
-    m43 = Tensor(rng.standard_normal((4, 3)))
-    positive = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5)
-    probe43 = Tensor(rng.standard_normal((4, 3)))
-    probe63 = Tensor(rng.standard_normal((6, 3)))
-    probe44 = Tensor(rng.standard_normal((4, 4)))
-    col = Tensor(rng.standard_normal((4, 1)))
-    csr = build_csr(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cases = {
-        "matmul_left": (lambda t: total_sum(matmul(t, m34)), m43),
-        "matmul_right": (lambda t: total_sum(matmul(m43, t)), m34),
-        "transpose": (lambda t: total_sum(mul(transpose(t), m34)), m43),
-        "spmm_dense": (lambda t: total_sum(mul(spmm(csr, t), probe43)), m43),
-        "select_rows": (lambda t: total_sum(mul(select_rows(t, [0, 2, 1, 2, 0, 1]), probe63)), m43),
-        "select_rows_range": (lambda t: total_sum(mul(select_rows(t, [1, 2, 3]), m33)), m43),
-        "add": (lambda t: total_sum(mul(add(t, probe43), probe43)), m43),
-        "add_row_bcast": (lambda t: total_sum(mul(add(m43, t), probe43)), Tensor(rng.standard_normal((1, 3)))),
-        "add_col_bcast": (lambda t: total_sum(mul(add(m43, t), probe43)), col),
-        "mul": (lambda t: total_sum(mul(mul(t, probe43), probe43)), m43),
-        "mul_col_bcast": (lambda t: total_sum(mul(mul(m43, t), probe43)), col),
-        "scale": (lambda t: total_sum(scale(t, -2.5)), m43),
-        "sub": (lambda t: total_sum(mul(sub(t, probe43), probe43)), m43),
-        "relu": (lambda t: total_sum(relu(t)), m43),
-        "absolute": (lambda t: total_sum(absolute(t)), Tensor(rng.standard_normal((4, 3)) + 0.2)),
-        "exp": (lambda t: total_sum(exp(t)), m33),
-        "log": (lambda t: total_sum(log(t)), positive),
-        "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
-        "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
-        "total_sum": (lambda t: scale(total_sum(t), 3.0), m43),
-        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
-        "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
-    }
-    # the fused encoder op in train mode, through each parameter (perturbed in place)
-    enc, a_norm = init_encoder_params(3, 4, seed=5), gcn_normalize(csr)
-    views = {"mlp": lambda x: mlp_forward(x, enc, "train", 11, 0.3),
-             "gnn": lambda x: gnn_forward(x, a_norm, enc, "train", 11, 0.3)}
-    for view, forward in views.items():
-        leaves = [t for layer in getattr(enc, f"{view}_layers") for t in layer]
-        for name, leaf in zip(("w1", "b1", "w2", "b2"), leaves):
-            cases[f"two_layer_{view}_{name}"] = (
-                lambda t, f=forward: total_sum(mul(f(probe43.data), probe44)), leaf)
-    return cases
-
-
-@pytest.mark.parametrize("name", sorted(_op_cases()))
+@pytest.mark.parametrize("name", sorted(op_grad_cases()))
 def test_each_op_passes_grad_check(name):
-    f, x = _op_cases()[name]
+    f, x = op_grad_cases()[name]
     assert grad_check(f, x, h=1e-5) < 1e-4, name
 
 
@@ -506,10 +449,10 @@ def test_cosine_passes_grad_check_both_sides():
 # fused, row-blocked InfoNCE
 
 
-def _value_and_grads(loss_fn, a, b):
+def _composite_value_and_grads(a, b, positives, tau):
     za, zb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
-        loss = loss_fn(za, zb)
+        loss = composite_infonce(za, zb, positives, tau)
     grads = backward(tape, loss)
     return loss.item(), grads[za], grads[zb]
 
@@ -534,10 +477,8 @@ def test_masked_infonce_matches_composite(case, monkeypatch):
     a[list(zero_rows)] = 0.0
     b[[r for r in zero_rows if r < n]] = 0.0
     positives = np.arange(m) if diagonal else rng.integers(0, n, size=m)
-    fused = _value_and_grads(
-        lambda x, y: masked_infonce(x, y, positives, 0.5), a, b)
-    oracle = _value_and_grads(
-        lambda x, y: composite_infonce(x, y, positives, 0.5), a, b)
+    fused = masked_infonce(a, b, positives, 0.5, (True, True))
+    oracle = _composite_value_and_grads(a, b, positives, 0.5)
     assert abs(fused[0] - oracle[0]) <= 1e-12
     for got, want in zip(fused[1:], oracle[1:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -546,10 +487,10 @@ def test_masked_infonce_matches_composite(case, monkeypatch):
 def test_masked_infonce_grad_check_both_inputs(monkeypatch):
     monkeypatch.setattr(autodiff, "_INFONCE_BLOCK_ROWS", 2)
     rng = np.random.default_rng(31)
-    z1, z2 = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((4, 3)))
+    z1, z2 = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
     positives = [2, 0, 3, 3, 1]
-    assert grad_check(lambda t: masked_infonce(t, z2, positives, 0.7), z1) < 1e-4
-    assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7), z2) < 1e-4
+    assert grad_check(lambda t: masked_infonce(t, z2, positives, 0.7, (True, False))[:2], z1) < 1e-4
+    assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7, (False, True))[::2], z2) < 1e-4
 
 
 @pytest.mark.parametrize("s1,s2", [(1e3, 1.0), (1.0, 1e3), (1e-9, 1.0), (1.0, 1e-9),
@@ -559,26 +500,19 @@ def test_masked_infonce_cosines_are_exact_for_any_nonzero_row(s1, s2):
     a, b = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
 
     def loss(x, y):
-        return masked_infonce(Tensor(x), Tensor(y), np.arange(9), 0.5).item()
+        return masked_infonce(x, y, np.arange(9), 0.5)[0]
 
     assert abs(loss(a * s1, b * s2) - loss(a, b)) <= 1e-12
 
 
-def _infonce_through_leaves(seed_scale=None):
-    """Tape, loss and leaves of an InfoNCE whose first view passes through a matmul."""
+def test_backward_twice_over_infonce_returns_equal_gradients():
+    """The oracle InfoNCE, its first view through a matmul."""
     rng = np.random.default_rng(43)
     x = Tensor(rng.standard_normal((7, 3)))
     w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     z2 = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = masked_infonce(matmul(x, w), z2, np.arange(7), 0.5)
-        if seed_scale is not None:
-            loss = scale(loss, seed_scale)
-    return tape, loss, w, z2
-
-
-def test_backward_twice_over_infonce_returns_equal_gradients():
-    tape, loss, w, z2 = _infonce_through_leaves()
+        loss = composite_infonce(matmul(x, w), z2, np.arange(7), 0.5)
     first = {t: g.copy() for t, g in backward(tape, loss).items()}
     second = backward(tape, loss)
     assert set(first) == set(second) == {w, z2}
@@ -586,46 +520,22 @@ def test_backward_twice_over_infonce_returns_equal_gradients():
         np.testing.assert_array_equal(second[t], first[t])
 
 
-def test_masked_infonce_vjp_is_linear_in_its_seed():
-    tape, loss, w, z2 = _infonce_through_leaves()
-    grads = backward(tape, loss)
-    tape3, loss3, w3, z23 = _infonce_through_leaves(seed_scale=3.0)
-    grads3 = backward(tape3, loss3)
-    np.testing.assert_allclose(grads3[w3], 3 * grads[w], rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(grads3[z23], 3 * grads[z2])
-
-
-def test_masked_infonce_hands_over_read_only_grads():
-    tape, loss, _, z2 = _infonce_through_leaves()
-    g = backward(tape, loss)[z2]
-    assert g is tape.records[-1].vjp(np.ones((1, 1)))[1]  # no copy for a unit seed
-    with pytest.raises(ValueError, match="read-only"):
-        g += 1.0
-
-
-def test_masked_infonce_value_is_the_same_without_a_tape():
+def test_masked_infonce_value_is_the_same_without_gradients():
     rng = np.random.default_rng(47)
     a, b = rng.standard_normal((300, 5)), rng.standard_normal((300, 5))
-    with Tape() as tape:
-        taped = masked_infonce(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
-                               np.arange(300), 0.5)
-    untaped = masked_infonce(Tensor(a), Tensor(b), np.arange(300), 0.5)
-    assert len(tape.records) == 1 and taped.item() == untaped.item()
+    both = masked_infonce(a, b, np.arange(300), 0.5, (True, True))[0]
+    for wrt in ((False, False), (True, False), (False, True)):
+        loss, ga, gb = masked_infonce(a, b, np.arange(300), 0.5, wrt)
+        assert loss == both and (ga is not None, gb is not None) == wrt
 
 
 def test_masked_infonce_memory_is_row_blocked(traced_peak):
     n = 4000
     rng = np.random.default_rng(5)
-    z1 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
-    z2 = Tensor(rng.standard_normal((n, 16)), requires_grad=True)
-
-    def loss_and_grads():
-        with Tape() as tape:
-            loss = masked_infonce(z1, z2, np.arange(n), 0.5)
-        return loss, backward(tape, loss)
-
-    (loss, grads), peak = traced_peak(loss_and_grads, n, n)
-    assert np.isfinite(loss.item()) and grads[z1].shape == grads[z2].shape == (n, 16)
+    z1, z2 = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
+    (loss, g1, g2), peak = traced_peak(lambda: masked_infonce(z1, z2, np.arange(n), 0.5, (True, True)),
+                                       n, n)
+    assert np.isfinite(loss) and g1.shape == g2.shape == (n, 16)
     assert peak < 0.25, f"peak {peak:.3f} n x n arrays"
 
 
@@ -634,15 +544,11 @@ def _unit_rows(x):
     return np.where(norm > 0, x / np.maximum(norm, 1e-300), 0.0)
 
 
-def _infonce_run(a, b, overwrite, taped):
-    """Loss, gradients (None untaped) and inputs of one masked_infonce call on copies of a, b."""
-    z1, z2 = Tensor(a, requires_grad=taped), Tensor(b, requires_grad=taped)
-    with Tape() as tape:
-        loss = masked_infonce(z1, z2, np.arange(len(a)), 0.5, overwrite_inputs=overwrite)
-    if not taped:
-        return loss.item(), None, z1, z2
-    grads = backward(tape, loss)
-    return loss.item(), (grads[z1].copy(), grads[z2].copy()), z1, z2
+def _infonce_run(a, b, overwrite, grads):
+    """Loss, gradients (None without) and inputs of one masked_infonce call on copies of a, b."""
+    z1, z2 = a.copy(), b.copy()
+    loss, g1, g2 = masked_infonce(z1, z2, np.arange(len(a)), 0.5, (grads, grads), overwrite)
+    return loss, (g1.copy(), g2.copy()) if grads else None, z1, z2
 
 
 def _infonce_inputs(cols):
@@ -659,10 +565,10 @@ def infonce_inputs():
 
 def test_masked_infonce_default_leaves_its_inputs_untouched(infonce_inputs):
     a, b = infonce_inputs
-    for taped in (False, True):
-        _, _, z1, z2 = _infonce_run(a, b, False, taped)
-        np.testing.assert_array_equal(z1.data, a)
-        np.testing.assert_array_equal(z2.data, b)
+    for grads in (False, True):
+        _, _, z1, z2 = _infonce_run(a, b, False, grads)
+        np.testing.assert_array_equal(z1, a)
+        np.testing.assert_array_equal(z2, b)
 
 
 def test_masked_infonce_overwrite_inputs_gives_the_same_bits(infonce_inputs):
@@ -672,11 +578,11 @@ def test_masked_infonce_overwrite_inputs_gives_the_same_bits(infonce_inputs):
     assert loss_in_place == loss
     for got, want in zip(grads_in_place, grads):
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_allclose(z2.data, _unit_rows(b), rtol=1e-15, atol=0)
-    untaped, _, z1, z2 = _infonce_run(a, b, True, False)
-    assert untaped == loss
+    np.testing.assert_allclose(z2, _unit_rows(b), rtol=1e-15, atol=0)
+    no_grads, _, z1, z2 = _infonce_run(a, b, True, False)
+    assert no_grads == loss
     for z, x in ((z1, a), (z2, b)):  # without a gradient to store, both hold unit rows
-        np.testing.assert_allclose(z.data, _unit_rows(x), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(z, _unit_rows(x), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("cols", [1, 6])
@@ -694,29 +600,26 @@ def test_masked_infonce_gradient_chunks_give_the_single_products_bits(cols, gb_r
 
 def test_masked_infonce_overwrite_refuses_inputs_that_share_memory():
     base = np.random.default_rng(59).standard_normal((6, 4))
-    z = Tensor(base)
-    left, right = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4)))
-    left.data, right.data = base[:4], base[2:]
     before = base.copy()
-    for z1, z2 in ((z, z), (left, right)):
+    for z1, z2 in ((base, base), (base[:4], base[2:])):
         with pytest.raises(ContractError, match="overwrite_inputs needs inputs that share no memory"):
-            masked_infonce(z1, z2, np.arange(z1.rows), 0.5, overwrite_inputs=True)
+            masked_infonce(z1, z2, np.arange(len(z1)), 0.5, overwrite_inputs=True)
     np.testing.assert_array_equal(base, before)
 
 
 def test_masked_infonce_rejects_bad_positives():
-    z = rand(3, 2)
+    z = rand(3, 2).data
     with pytest.raises(ContractError):
         masked_infonce(z, z, [0, 1], 1.0)
     with pytest.raises(DataError):
         masked_infonce(z, z, [0, 1, 3], 1.0)
     with pytest.raises(ContractError):
-        masked_infonce(z, rand(1, 2), [0, 0, 0], 1.0)
+        masked_infonce(z, rand(1, 2).data, [0, 0, 0], 1.0)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
 def test_masked_infonce_rejects_bad_tau(tau):
-    z = rand(3, 2)
+    z = rand(3, 2).data
     with pytest.raises(ParameterError, match="tau must be a positive finite number"):
         masked_infonce(z, z, [0, 1, 2], tau)
 
@@ -740,7 +643,7 @@ def test_check_fraction_states_both_unit_ranges(value, open_top, refused):
 
 
 # ---------------------------------------------------------------------------
-# lean tape: no copies, no gradients nobody asked for, no aliased leaf grads
+# the oracle tape is lean: no copies, no gradients nobody asked for, no aliased leaf grads
 
 
 def test_vjp_skips_inputs_without_grad():

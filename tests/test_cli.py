@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import psp
 from psp.cli import run
-from psp.autodiff import Tensor
 from psp.data import (
     load_checkpoint,
     load_node_dataset,
@@ -139,7 +138,7 @@ def test_export_w_rejects_data_with_fewer_nodes_than_weight_rows(pipeline, tmp_p
     _, data, _, tuned = pipeline
     bundle = load_checkpoint(tuned)
     bundle.prompt = PromptedGraph(task="node", proto_features=bundle.prompt.proto_features,
-                                  weight_rows=Tensor(np.zeros((90, 3))),
+                                  weight_rows=np.zeros((90, 3)),
                                   trainable_row_mask=np.ones(90, dtype=bool))
     wide = tmp_path / "wide.ckpt"
     save_checkpoint(wide, bundle)
@@ -674,7 +673,7 @@ def test_export_w_refuses_data_without_labels_for_the_bundles_task(pipeline, tmp
     _, data, _, tuned = pipeline
     bundle = load_checkpoint(tuned)
     bundle.prompt = PromptedGraph(task="graph", proto_features=bundle.prompt.proto_features,
-                                  weight_rows=Tensor(np.ones((12, 3))),
+                                  weight_rows=np.ones((12, 3)),
                                   trainable_row_mask=np.ones(12, dtype=bool))
     graph_bundle = tmp_path / "graph.ckpt"
     save_checkpoint(graph_bundle, bundle)

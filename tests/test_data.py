@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from psp import data as data_module
-from psp.autodiff import Tensor, seeded_rng
+from psp.autodiff import seeded_rng
 from psp.data import (
     Checkpoint,
     _line_ranges,
@@ -32,7 +32,7 @@ from psp.data import (
     save_checkpoint,
     save_node_dataset,
 )
-from psp.encoders import init_encoder_params, parameters
+from psp.encoders import PARAM_NAMES, init_encoder_params
 from psp.errors import DataError, FormatError, ParameterError, PspError
 from psp.graph import PromptedGraph, build_csr, class_count
 
@@ -661,7 +661,7 @@ def make_checkpoint(with_prompt=False):
     if with_prompt:
         rng = np.random.default_rng(12)
         prompt = PromptedGraph(task="node", proto_features=rng.standard_normal((2, 6)),
-                               weight_rows=Tensor(rng.standard_normal((5, 2))),
+                               weight_rows=rng.standard_normal((5, 2)),
                                trainable_row_mask=np.array([True, False, True, True, False]))
     return Checkpoint(tau=0.5, seed=11, params=params, prompt=prompt)
 
@@ -673,12 +673,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, with_prompt):
     save_checkpoint(path, ckpt)
     back = load_checkpoint(path)
     assert back.hidden_dim == 4 and back.seed == 11 and back.tau == 0.5
-    for got, want in zip(parameters(back.params), parameters(ckpt.params)):
-        assert np.array_equal(got.data, want.data)
-    assert back.params.frozen
+    assert tuple(back.params) == PARAM_NAMES
+    for name in PARAM_NAMES:
+        assert np.array_equal(back.params[name], ckpt.params[name])
     if with_prompt:
         assert back.prompt.task == "node"
-        assert np.array_equal(back.prompt.weight_rows.data, ckpt.prompt.weight_rows.data)
+        assert np.array_equal(back.prompt.weight_rows, ckpt.prompt.weight_rows)
         assert np.array_equal(back.prompt.proto_features, ckpt.prompt.proto_features)
         assert np.array_equal(back.prompt.trainable_row_mask, ckpt.prompt.trainable_row_mask)
     else:
@@ -725,8 +725,7 @@ def test_checkpoint_rejects_a_header_width_the_blocks_do_not_have(tmp_path):
 def test_checkpoint_rejects_encoder_blocks_of_the_wrong_shape(tmp_path, block, rows, want):
     """W1 is F x h with one F for both views, W2 is h x h, each bias 1 x h."""
     ckpt = make_checkpoint()
-    target = next(t for t in parameters(ckpt.params) if t.name == block)
-    target.data = np.ones((rows, 4))
+    ckpt.params[block] = np.ones((rows, 4))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match=f"block {block} is {rows}x4, expected {want}x4"):
@@ -767,10 +766,10 @@ def test_checkpoint_rejects_mask_length_mismatch(tmp_path):
 @pytest.mark.parametrize("block", ["mlp_weight", "gnn_bias", "proto_features", "weights"])
 def test_checkpoint_rejects_non_finite_blocks(tmp_path, block, value):
     ckpt = make_checkpoint(with_prompt=True)
-    target = {"mlp_weight": ckpt.params.mlp_layers[0][0].data,
-              "gnn_bias": ckpt.params.gnn_layers[1][1].data,
+    target = {"mlp_weight": ckpt.params["mlp_w1"],
+              "gnn_bias": ckpt.params["gnn_b2"],
               "proto_features": ckpt.prompt.proto_features,
-              "weights": ckpt.prompt.weight_rows.data}[block]
+              "weights": ckpt.prompt.weight_rows}[block]
     target.flat[-1] = value
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
@@ -801,8 +800,8 @@ def test_checkpoint_refuses_a_corrupt_flag_or_tau_naming_the_field(tmp_path, fie
     path, blob, at = _prompted_bundle(tmp_path)
     if field == "hidden_dim":  # a bundle whose header and encoder blocks agree on the width
         ckpt = make_checkpoint(with_prompt=True)
-        for t in parameters(ckpt.params):
-            t.data = t.data[:, :value]
+        for name, a in ckpt.params.items():
+            ckpt.params[name] = a[:, :value]
         save_checkpoint(path, ckpt)
         blob = path.read_bytes()
         assert struct.unpack_from("<I", blob, 12) == (value,)

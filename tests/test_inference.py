@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor
 from psp.errors import ContractError, DataError, ParameterError
 from psp.graph import LabeledSet
 from psp.inference import class_mean_rows, evaluate, predict
 from psp.prompt import init_edge_weights
 
-from oracles import cosine_sim_matrix
+from oracles import Tensor, cosine_sim_matrix
 
 
 def test_predict_softmax_hand_case():

@@ -7,10 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from psp.autodiff import Tape, Tensor, backward
 from psp.parallel import blas_threads, fork_map
 
-from oracles import add, mul
+from oracles import Tape, Tensor, add, backward, mul
 
 
 def pid_and_square(x):

@@ -1,13 +1,25 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from psp.autodiff import Tensor
+from psp.autodiff import derive_seed
 from psp.data import generate_sbm
-from psp.encoders import parameters
+from psp.encoders import PARAM_NAMES, init_encoder_params
 from psp.errors import ContractError, NumericError, ParameterError
+from psp.graph import gcn_normalize
 from psp.pretrain import PretrainConfig, ntxent_pretrain_loss, pretrain, write_loss_log
 
-from oracles import grad_check, params_checksum
+from oracles import (
+    Tape,
+    backward,
+    composed_gnn_forward,
+    composed_mlp_forward,
+    composite_infonce,
+    encoder_leaves,
+    grad_check,
+    params_checksum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -16,56 +28,80 @@ from oracles import grad_check, params_checksum
 
 def test_loss_hand_case_n2():
     # sim(anchor, positive) = 1, sim(anchor, negative) = 0 for both anchors
-    z = Tensor(np.eye(2))
-    assert ntxent_pretrain_loss(z, Tensor(np.eye(2)), tau=1.0).item() == pytest.approx(-1.0, abs=1e-9)
+    assert ntxent_pretrain_loss(np.eye(2), np.eye(2), tau=1.0)[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_loss_hand_case_n3_orthogonal():
-    z = Tensor(np.eye(3))
     expected = -1.0 + np.log(2.0)
-    assert ntxent_pretrain_loss(z, Tensor(np.eye(3)), tau=1.0).item() == pytest.approx(expected, abs=1e-9)
+    assert ntxent_pretrain_loss(np.eye(3), np.eye(3), tau=1.0)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_loss_scale_invariance():
     rng = np.random.default_rng(0)
     z1, z2 = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-    base = ntxent_pretrain_loss(Tensor(z1), Tensor(z2), tau=0.5).item()
-    scaled = ntxent_pretrain_loss(Tensor(5.0 * z1), Tensor(5.0 * z2), tau=0.5).item()
+    base = ntxent_pretrain_loss(z1, z2, tau=0.5)[0]
+    scaled = ntxent_pretrain_loss(5.0 * z1, 5.0 * z2, tau=0.5)[0]
     assert scaled == pytest.approx(base, abs=1e-9)
     # per-row positive rescaling too
     row_scaled = z1 * rng.uniform(0.5, 3.0, size=(5, 1))
-    assert ntxent_pretrain_loss(Tensor(row_scaled), Tensor(z2), tau=0.5).item() == \
-        pytest.approx(base, abs=1e-9)
+    assert ntxent_pretrain_loss(row_scaled, z2, tau=0.5)[0] == pytest.approx(base, abs=1e-9)
 
 
 def test_loss_needs_two_rows():
-    one = Tensor([[1.0, 0.0]])
+    one = np.array([[1.0, 0.0]])
     with pytest.raises(ContractError):
         ntxent_pretrain_loss(one, one, tau=1.0)
 
 
 def test_loss_shape_mismatch():
     with pytest.raises(ContractError):
-        ntxent_pretrain_loss(Tensor(np.eye(2)), Tensor(np.eye(3)), tau=1.0)
+        ntxent_pretrain_loss(np.eye(2), np.eye(3), tau=1.0)
 
 
 def test_loss_view_order_matters_but_stays_finite():
     rng = np.random.default_rng(1)
-    z1, z2 = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
-    forward = ntxent_pretrain_loss(z1, z2, 0.5).item()
-    swapped = ntxent_pretrain_loss(z2, z1, 0.5).item()
+    z1, z2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    forward = ntxent_pretrain_loss(z1, z2, 0.5)[0]
+    swapped = ntxent_pretrain_loss(z2, z1, 0.5)[0]
     assert np.isfinite(forward) and np.isfinite(swapped)
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0])
 def test_loss_gradients_both_views(tau):
     rng = np.random.default_rng(2)
-    z2 = Tensor(rng.standard_normal((4, 3)))
-    err = grad_check(lambda t: ntxent_pretrain_loss(t, z2, tau), Tensor(rng.standard_normal((4, 3))))
+    z2 = rng.standard_normal((4, 3))
+    err = grad_check(lambda t: ntxent_pretrain_loss(t, z2, tau)[:2], rng.standard_normal((4, 3)))
     assert err < 1e-4
-    z1 = Tensor(rng.standard_normal((4, 3)))
-    err = grad_check(lambda t: ntxent_pretrain_loss(z1, t, tau), Tensor(rng.standard_normal((4, 3))))
+    z1 = rng.standard_normal((4, 3))
+    err = grad_check(lambda t: ntxent_pretrain_loss(z1, t, tau)[::2], rng.standard_normal((4, 3)))
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the hand-chained step against the tape
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pretraining_step_gradients_match_the_tape(dropout, seed, monkeypatch):
+    """The eight named gradients that one epoch hands to Adam, within 1e-12 of
+    the oracle tape's `backward` over the composed encoders and InfoNCE at the
+    same initial weights, seed and dropout streams."""
+    g = generate_sbm(40, 3, 0.8, 4.0, 6, 0.5, seed=seed)
+    cfg = PretrainConfig(epochs=1, hidden_dim=5, dropout=dropout, seed=seed)
+    handed = []  # `psp.pretrain` the name is the function; the module is imported by its path
+    monkeypatch.setattr(importlib.import_module("psp.pretrain"), "adam_step", lambda params, grads, state: handed.append(grads))
+    pretrain(g, cfg)
+    leaves = encoder_leaves(init_encoder_params(6, 5, seed))
+    a_norm, epoch_seed = gcn_normalize(g.adjacency), derive_seed(seed, 0)
+    with Tape() as tape:
+        z1 = composed_mlp_forward(g.features, leaves, "train", epoch_seed, dropout)
+        z2 = composed_gnn_forward(g.features, a_norm, leaves, "train", epoch_seed, dropout)
+        want = backward(tape, composite_infonce(z1, z2, np.arange(40), cfg.tau))
+    (got,) = handed
+    assert sorted(got) == sorted(PARAM_NAMES)
+    for name in PARAM_NAMES:
+        np.testing.assert_allclose(got[name], want[leaves[name]], rtol=0, atol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +133,7 @@ def test_config_and_loss_reject_bad_tau(tau):
     with pytest.raises(ParameterError, match="tau"):
         PretrainConfig(tau=tau)
     with pytest.raises(ParameterError, match="tau"):
-        ntxent_pretrain_loss(Tensor(np.eye(2)), Tensor(np.eye(2)), tau=tau)
+        ntxent_pretrain_loss(np.eye(2), np.eye(2), tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +147,10 @@ def small_graph():
 
 def test_pretrain_zero_epochs_returns_frozen_init(small_graph):
     params, losses = pretrain(small_graph, PretrainConfig(epochs=0, hidden_dim=8, seed=3))
-    assert params.frozen and losses == []
-    from psp.encoders import init_encoder_params
-
+    assert losses == []
     reference = init_encoder_params(16, 8, seed=3)
-    for got, want in zip(parameters(params), parameters(reference)):
-        assert np.array_equal(got.data, want.data)
+    for name in PARAM_NAMES:
+        assert np.array_equal(params[name], reference[name])
 
 
 def test_pretrain_descends_on_small_graph(small_graph):
@@ -149,8 +183,7 @@ def test_pretrain_aborts_on_non_finite():
 
 def test_pretrain_epoch_peak_stays_near_the_arrays_it_needs(traced_peak):
     """One full-batch epoch at N=2000, hidden 128, dropout 0.2. Each encoder
-    keeps only its output and rebuilds its hidden layer in the backward
-    sweep; the loss normalizes both views in place, holds one block of logits
+    keeps only its output and rebuilds its hidden layer in its VJP; the loss normalizes both views in place, holds one block of logits
     at a time, stores the anchor gradient over the anchors' unit rows and adds
     into the other view's gradient through a small buffer (about 6.3 N x h
     float64 arrays at peak). Normalizing copies of the views and adding one

@@ -11,10 +11,11 @@ from pathlib import Path
 PROBES_PY = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
 # probes of functions that were deleted or renamed; NormalizedPromptOperator
-# moved to the test oracles as `prompted_apply`, and no CLI path ran it
+# moved to the test oracles as `prompted_apply`, and no CLI path ran it; the
+# tape's `backward` moved there too, as each training step chains its VJPs by hand
 STALE = {("psp.graph", "augment_prompted"), ("psp.graph", "normalize_prompted"),
          ("psp.prompt", "graph_task_views"), ("psp.inference", "np_prototypes"),
-         ("psp.graph", "NormalizedPromptOperator.apply")}
+         ("psp.graph", "NormalizedPromptOperator.apply"), ("psp.autodiff", "backward")}
 
 
 def _probes() -> list[tuple]:
