@@ -1,6 +1,6 @@
 """Dual-view contrastive pre-training and structure prompt tuning for graphs."""
 
-from .autodiff import AdamState, adam_step, masked_infonce
+from .autodiff import AdamState, FitRecord, adam_step, masked_infonce
 from .data import (
     Checkpoint,
     SplitSpec,

@@ -1,15 +1,15 @@
-"""Seeded dropout masks, parameter checks, the fused contrastive loss and an
-Adam optimizer.
+"""Seeded dropout masks, parameter checks, the fused contrastive loss, an
+Adam optimizer and the record that both training stages step it through.
 
-All values are float64 arrays; vectors are stored as Nx1 or 1xN. There is no
-tape: each fused op forms its own gradients (`masked_infonce` in its one
-sweep, `psp.encoders.encoder_vjp`, the VJP that `psp.prompt.prompted_layer`
-returns), and each training step chains them by hand. The generic tape that
-those gradients are checked against lives in `tests/oracles.py`.
+All values are float64 arrays; vectors are stored as Nx1 or 1xN. Each fused op
+forms its own gradients (`masked_infonce` in its one sweep,
+`psp.encoders.encoder_vjp`, the VJP that `psp.prompt.prompted_layer` returns),
+and each training step chains them by hand into `FitRecord.step`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -60,13 +60,13 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
     return keep
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
+def row_norms(x: np.ndarray) -> np.ndarray:
     """Inverse row norms as a column, with 0 in place of 1/0 (zero rows stay zero)."""
     norm = np.linalg.norm(x, axis=1, keepdims=True)
     return np.where(norm > 0.0, 1.0 / np.maximum(norm, 1e-300), 0.0)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two equal-shape arrays, as a column."""
     return np.einsum("ij,ij->i", a, b)[:, None]
 
@@ -102,7 +102,7 @@ def check_tau(tau) -> float:
 
 def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: float) -> None:
     """g := c * d(x/|x|)^T g in place: inv|x| * (g - (g.x^) x^) * c, row by row."""
-    g -= _row_dots(g, unit) * unit
+    g -= row_dots(g, unit) * unit
     g *= inv * c
 
 
@@ -152,7 +152,7 @@ def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
     inv_tau = 1.0 / check_tau(tau)
     if overwrite_inputs and np.may_share_memory(z1, z2):
         raise ContractError("masked_infonce: overwrite_inputs needs inputs that share no memory")
-    inv_u, inv_v = _row_norms(z1), _row_norms(z2)
+    inv_u, inv_v = row_norms(z1), row_norms(z2)
     a_unit = np.multiply(z1, inv_u, out=z1 if overwrite_inputs else None)
     b_unit = np.multiply(z2, inv_v, out=z2 if overwrite_inputs else None)
     # each block overwrites its own anchor rows with their gradient, once it has read them
@@ -255,3 +255,33 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p
         p -= update
+
+
+@dataclass
+class FitRecord:
+    """A training run's loss per stepped epoch and why it stopped: `epochs`, or
+    `patience` when it skipped a training epoch. With validation, also the kept
+    epoch (-1: the initialization), its accuracy, weights and dropout-free prototypes."""
+
+    stage: str  # names the loss in the non-finite-loss refusal
+    losses: list = field(default_factory=list)
+    stop: str = "epochs"
+    best_epoch: int = -1
+    best_acc: float = -1.0
+    best_weights: Optional[np.ndarray] = None
+    best_proto: Optional[np.ndarray] = None
+
+    @contextmanager
+    def step(self, epoch: int, loss: float, params: Mapping[str, np.ndarray], opt: AdamState):
+        """Adam's step at `epoch` with the gradients that the block puts in the dict
+        it is given. A non-finite `loss` is refused before the block runs."""
+        if not np.isfinite(loss):
+            raise NumericError(f"{self.stage} loss became non-finite at epoch {epoch}, last finite loss "
+                               f"{self.losses[-1] if self.losses else 'none'}")
+        grads = {}
+        yield grads
+        try:
+            adam_step(params, grads, opt)
+        except NumericError as err:  # the same refusal, with the epoch and the loss
+            raise NumericError(f"{err} at epoch {epoch}, loss {loss}") from err
+        self.losses.append(loss)

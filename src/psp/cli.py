@@ -126,9 +126,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _config(PretrainConfig, args)
-    params, losses = pretrain(_load_dataset(args), cfg)
+    params, record = pretrain(_load_dataset(args), cfg)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=params))
-    write_loss_log(str(args.out) + ".loss.tsv", losses)
+    write_loss_log(str(args.out) + ".loss.tsv", record.losses)
     print(f"pretrained {cfg.epochs} epochs, checkpoint at {args.out}", file=sys.stderr)
     return 0
 
@@ -138,11 +138,12 @@ def _cmd_tune(args) -> int:
     cfg = _config(PromptConfig, args)
     split = _split_for(g, args, cfg.seed)
     val = split.val if split.val.indices.size else None
-    prompted, losses, _ = prompt_tune(task_context(g, ckpt.params, args.task), split.train, cfg, val=val)
+    prompted, record = prompt_tune(task_context(g, ckpt.params, args.task), split.train, cfg, val=val)
     save_checkpoint(args.out, Checkpoint(tau=cfg.tau, seed=cfg.seed, params=ckpt.params,
                                          prompt=prompted))
-    write_loss_log(str(args.out) + ".loss.tsv", losses)
-    print(f"tuned {len(losses)} epochs, bundle at {args.out}", file=sys.stderr)
+    write_loss_log(str(args.out) + ".loss.tsv", record.losses)
+    kept = "" if val is None else f", kept epoch {record.best_epoch}, val acc {record.best_acc:.4f}"
+    print(f"tuned {len(record.losses)} epochs, stopped on {record.stop}{kept}, bundle at {args.out}", file=sys.stderr)
     return 0
 
 
@@ -197,7 +198,8 @@ def _cmd_sweep(args) -> int:
 
     def fit(job):  # --val-shots >= 1: the kept weights' validation accuracy and prototypes
         cfg, split = job
-        return prompt_tune(ctx, split.train, cfg, val=split.val)[2]
+        record = prompt_tune(ctx, split.train, cfg, val=split.val)[1]
+        return record.best_acc, record.best_proto
 
     jobs = [(dataclasses.replace(cfg, seed=seed), split) for cfg in points for seed, split in zip(seeds, splits)]
     best = None

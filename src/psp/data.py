@@ -31,7 +31,7 @@ CHECKPOINT_VERSION = 1
 DEGREE_ONEHOT_WIDTH = 64
 # the bytes on which numpy's tokenizer and str.splitlines agree where lines break
 _PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
-# most bytes of text per task `_read_table` and `_write_table` hand `fork_map`.
+# most bytes of text per task `_read_table` and `write_table` hand `fork_map`.
 # Parsing features text, two forked halves break even with one in-process parse at
 # ~2 MiB (2 cores: 53 vs 55 ms at 2 MiB, 82 vs 67 ms at 3 MiB), so every range, at
 # least 4 MiB once there are two, pays for the ~20 ms the workers cost, and every
@@ -175,7 +175,7 @@ def _read_lines(path: Path, kind, sep: Optional[str],
     return table, linenos
 
 
-def _write_table(path, rows) -> None:
+def write_table(path, rows) -> None:
     """One tab-separated line per row of a 2-D array or a list of rows of
     Python scalars; str of a float is its shortest round-tripping repr, so
     values keep full precision. `fork_map` formats the rows in the fewest
@@ -230,9 +230,9 @@ def save_node_dataset(directory, g: GraphData) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     upper = sparse.triu(g.adjacency, k=1, format="coo")
-    _write_table(directory / "edges.tsv", np.column_stack((upper.row, upper.col)))
-    _write_table(directory / "features.tsv", g.features)
-    _write_table(directory / "labels.tsv", g.labels.reshape(-1, 1))
+    write_table(directory / "edges.tsv", np.column_stack((upper.row, upper.col)))
+    write_table(directory / "features.tsv", g.features)
+    write_table(directory / "labels.tsv", g.labels.reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +567,6 @@ def export_weight_matrix(w: np.ndarray, labels, path) -> None:
     if lab.size != n:
         raise DataError(f"{lab.size} labels for {n} weight rows")
     header = ["node", "label"] + [f"w_{j}" for j in range(c)]
-    _write_table(path, [header] + [[i, label, *row] for i, (label, row)
-                                   in enumerate(zip(lab.tolist(), w.tolist()))])
+    write_table(path, [header] + [[i, label, *row] for i, (label, row)
+                                  in enumerate(zip(lab.tolist(), w.tolist()))])
 

@@ -46,7 +46,7 @@ def init_encoder_params(n_features: int, hidden_dim: int, seed: int) -> EncoderP
                           else np.zeros((1, hidden_dim)) for name in PARAM_NAMES})
 
 
-def _check_mode(mode: str) -> bool:
+def check_mode(mode: str) -> bool:
     if mode not in ("train", "eval"):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
     return mode == "train"
@@ -81,7 +81,7 @@ def _hidden(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_
 def _two_layer(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
                mode: str, seed: int, dropout_rate: float) -> np.ndarray:
     """prop(h @ W2) + b2 for the view's hidden layer h (`_hidden`)."""
-    h, _, prop = _hidden(view, x, params, a_norm, _check_mode(mode), seed, dropout_rate)
+    h, _, prop = _hidden(view, x, params, a_norm, check_mode(mode), seed, dropout_rate)
     z = prop(h @ params[f"{view}_w2"])
     z += params[f"{view}_b2"]
     return z

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import _row_norms, check_tau
+from .autodiff import check_tau, row_norms
 from .errors import ContractError, DataError, DimensionError
 
 
@@ -21,8 +21,8 @@ def predict(anchors: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarr
     if len(prototypes) < 1:
         raise ContractError("predict needs at least one prototype")
     inv_tau = 1.0 / check_tau(tau)
-    a_unit = anchors * _row_norms(anchors)
-    logits = (a_unit * inv_tau) @ (prototypes * _row_norms(prototypes)).T
+    a_unit = anchors * row_norms(anchors)
+    logits = (a_unit * inv_tau) @ (prototypes * row_norms(prototypes)).T
     logits -= logits.max(axis=1, keepdims=True)
     ex = np.exp(logits)
     return ex / ex.sum(axis=1, keepdims=True)

@@ -21,16 +21,16 @@ import numpy as np
 
 from .autodiff import (
     AdamState,
-    adam_step,
+    FitRecord,
     check_finite,
     check_fraction,
     check_tau,
     derive_seed,
     masked_infonce,
 )
-from .data import _write_table
+from .data import write_table
 from .encoders import EncoderParams, encoder_vjp, gnn_forward, init_encoder_params, mlp_forward
-from .errors import ContractError, NumericError, ParameterError
+from .errors import ContractError, ParameterError
 from .graph import GraphData, gcn_normalize
 
 
@@ -73,14 +73,14 @@ def ntxent_pretrain_loss(z1: np.ndarray, z2: np.ndarray, tau: float, overwrite_i
     return masked_infonce(z1, z2, np.arange(n), tau, (True, True), overwrite_inputs)
 
 
-def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[float]]:
-    """Full-batch contrastive training; returns the encoders + loss history."""
+def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, FitRecord]:
+    """Full-batch contrastive training; returns the encoders and the run's record."""
     if g.n_nodes < 2:
         raise ContractError("pre-training needs at least 2 nodes")
     params = init_encoder_params(g.features.shape[1], cfg.hidden_dim, cfg.seed)
     a_norm = gcn_normalize(g.adjacency)
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    losses: list[float] = []
+    record = FitRecord("pre-training")
     for epoch in range(cfg.epochs):
         epoch_seed = derive_seed(cfg.seed, epoch)
         z1 = mlp_forward(g.features, params, "train", epoch_seed, cfg.dropout)
@@ -89,21 +89,14 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, list[flo
         # normalize the views in place; g1 is then z1's own memory
         value, g1, g2 = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
         del z1, z2  # z2 holds its unit rows, which nothing reads again
-        if not np.isfinite(value):
-            raise NumericError(f"pre-training loss became non-finite at epoch {epoch}, last finite loss "
-                               f"{losses[-1] if losses else 'none'}")
-        grads = (encoder_vjp(g2, "gnn", g.features, params, a_norm, epoch_seed, cfg.dropout)
-                 | encoder_vjp(g1, "mlp", g.features, params, None, epoch_seed, cfg.dropout))
-        del g1, g2
-        try:
-            adam_step(params, grads, opt)
-        except NumericError as err:
-            raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
-        losses.append(value)
+        with record.step(epoch, value, params, opt) as grads:
+            grads |= (encoder_vjp(g2, "gnn", g.features, params, a_norm, epoch_seed, cfg.dropout)
+                      | encoder_vjp(g1, "mlp", g.features, params, None, epoch_seed, cfg.dropout))
+            del g1, g2
         del grads  # no array of this epoch is alive while the next one runs
-    return params, losses
+    return params, record
 
 
 def write_loss_log(path, losses) -> None:
     """Tab-separated epoch/loss pairs, one line per epoch."""
-    _write_table(path, list(enumerate(losses)))
+    write_table(path, list(enumerate(losses)))

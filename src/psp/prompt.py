@@ -23,17 +23,17 @@ from scipy import sparse
 
 from .autodiff import (
     AdamState,
-    _row_dots,
-    adam_step,
+    FitRecord,
     check_fraction,
     check_tau,
     derive_seed,
     dropout_mask,
     masked_infonce,
+    row_dots,
     seeded_rng,
 )
-from .encoders import EncoderParams, _check_mode, gnn_forward, mlp_forward
-from .errors import ContractError, DimensionError, NumericError, ParameterError
+from .encoders import EncoderParams, check_mode, gnn_forward, mlp_forward
+from .errors import ContractError, DimensionError, ParameterError
 from .graph import (
     GraphData,
     LabeledSet,
@@ -168,7 +168,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     pass also yields its weights' validation read-out; and the VJP, which maps
     d/d(prototypes) to d/d(weight_rows), zero on the rows the mask pins.
     """
-    training = _check_mode(mode)
+    training = check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     if len(weights) != len(ctx.anchors):
         raise DimensionError(f"prompt has {len(weights)} weight rows for {len(ctx.anchors)} {ctx.task} rows")
@@ -225,27 +225,27 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
 
     def vjp(g):
         gz = g @ w2.T
-        gs_p = _row_dots(gz, u2)
+        gs_p = row_dots(gz, u2)
         gz *= s_p  # d/du2
         if scale is not None:
             gz *= scale  # d/d((s_b*W)^T H_b + s_p*H_p)
-        gs_p += _row_dots(gz, h_p)
+        gs_p += row_dots(gz, h_p)
         g_b = wst.T @ gz  # d/dH_b
         # relu's gate and the keep-mask are both H > 0 after dropout
         g_b *= h_b > 0  # d/d(s_b*t1)
-        gs_b = _row_dots(g_b, t1)
+        gs_b = row_dots(g_b, t1)
         for lo in range(0, n, _VJP_BLOCK_ROWS):  # (A+I)^T(s_b*g_b): d/d(s_b*XW1) through t1
             rows = slice(lo, lo + _VJP_BLOCK_ROWS)
-            gs_b[rows] += _row_dots(a_sb[rows] @ g_b, xw[rows])
+            gs_b[rows] += row_dots(a_sb[rows] @ g_b, xw[rows])
         g_p = gz * s_p  # d/dH_p
         g_p *= h_p > 0
-        gs_p += _row_dots(g_p, u1)
+        gs_p += row_dots(g_p, u1)
         g_p *= s_p  # d/du1
         g_ws = h_b @ gz.T  # d/d(s_b*W), N x C
         g_ws += xw @ g_p.T
-        gs_b += _row_dots(w, g_ws)
+        gs_b += row_dots(w, g_ws)
         g_ws += g_b @ sp1.T  # s_b*(this) is d/dW through t1's W(s_p*PW1)
-        gs_p += _row_dots(wst @ g_b + g_p, pw)  # d/d(s_p*PW1)
+        gs_p += row_dots(wst @ g_b + g_p, pw)  # d/d(s_p*PW1)
         # through the degrees: ds/dd = -s/(2d), and d|W|/dW = sign W
         gw = g_ws * s_b + np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
         if ctx.task == "graph":  # member nodes' entries sum into their graph's row
@@ -285,13 +285,13 @@ def prompt_loss(anchors: np.ndarray, prototypes: np.ndarray, labels, tau: float
 
 
 def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
-                val: LabeledSet | None = None) -> tuple[PromptedGraph, list[float], tuple | None]:
+                val: LabeledSet | None = None) -> tuple[PromptedGraph, FitRecord]:
     """Optimize the prompt weights alone under the similarity loss.
 
     Anchors come from the context's frozen attribute view. With a validation
-    set, tuning keeps the weights from the best validation accuracy, stops
-    early after `cfg.patience` stale epochs, and also returns that accuracy
-    with the kept weights' dropout-free prototypes (None without one).
+    set, tuning keeps the weights from the best validation accuracy and stops
+    early after `cfg.patience` stale epochs; the record names the kept epoch,
+    with its accuracy and its weights' dropout-free prototypes.
     """
     if not labeled.indices.size:
         raise ContractError("prompt tuning needs a non-empty labeled set")
@@ -304,8 +304,7 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
                              trainable_row_mask=mask)
 
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    losses: list[float] = []
-    best_acc, best_w, best_proto, best_epoch = -1.0, weights.copy(), None, -1
+    record = FitRecord("prompt")
     # pass e runs at the weights W_e: it validates what epoch e - 1 left (the
     # untouched initialization competes as epoch -1) and trains epoch e; with
     # a validation set, one last pass only validates the final weights
@@ -317,21 +316,17 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
             value, g_proto = prompt_loss(ctx.anchors[labeled.indices], proto, labeled.classes, cfg.tau)
         if val is not None:
             acc = accuracy(ctx, val_proto, val, cfg.tau)
-            if acc > best_acc:
-                best_acc, best_w, best_proto, best_epoch = acc, weights.copy(), val_proto, epoch - 1
-            elif epoch - 1 - best_epoch >= cfg.patience:
+            if acc > record.best_acc:
+                record.best_epoch, record.best_acc = epoch - 1, acc
+                record.best_weights, record.best_proto = weights.copy(), val_proto
+            elif training and epoch - 1 - record.best_epoch >= cfg.patience:
+                record.stop = "patience"
                 break
         if not training:
             break
-        if not np.isfinite(value):
-            raise NumericError(f"prompt loss became non-finite at epoch {epoch}, last finite loss "
-                               f"{losses[-1] if losses else 'none'}")
-        try:
-            adam_step({"prompt_weights": weights}, {"prompt_weights": vjp(g_proto)}, opt)
-        except NumericError as err:
-            raise NumericError(f"{err} at epoch {epoch}, loss {value}") from err
-        losses.append(value)
-        del vjp  # its N-row arrays go before the next pass forms its own
+        with record.step(epoch, value, {"prompt_weights": weights}, opt) as grads:
+            grads["prompt_weights"] = vjp(g_proto)
+        del vjp, grads  # their N-row arrays go before the next pass forms its own
     if val is not None:
-        prompted.weight_rows = best_w
-    return prompted, losses, None if val is None else (best_acc, best_proto)
+        prompted.weight_rows = record.best_weights
+    return prompted, record

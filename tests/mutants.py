@@ -8,7 +8,7 @@ Each mutant replaces one fragment of one line of a file in a copy of `src/`,
 tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
 that the first failure names the narrowest test. A mutant that no test fails
 is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All eleven take about 3 minutes on two cores.
+equivalent. All fourteen take about 4 minutes on two cores.
 """
 
 import json
@@ -36,6 +36,9 @@ MUTANTS = {
     "pretrain-swaps-views-b1-grads": ("pretrain.py", "del g1, g2",
                                       'grads["mlp_b1"], grads["gnn_b1"] = grads["gnn_b1"], grads["mlp_b1"]'),
     "prompt-grad-ignores-row-mask": ("prompt.py", "return gw * mask[:, None]", "return gw"),
+    "step-takes-a-non-finite-loss": ("autodiff.py", "if not np.isfinite(loss):", "if False:"),
+    "patience-one-epoch-late": ("prompt.py", ">= cfg.patience", "> cfg.patience"),
+    "adam-refusal-without-epoch-and-loss": ("autodiff.py", 'f"{err} at epoch {epoch}, loss {loss}"', 'f"{err}"'),
 }
 
 

@@ -69,8 +69,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from psp.autodiff import AdamState, _row_dots, _row_norms, adam_step, derive_seed, dropout_mask, seeded_rng
-from psp.encoders import PARAM_NAMES, _check_mode, encoder_vjp, gnn_forward, mlp_forward
+from psp.autodiff import AdamState, adam_step, derive_seed, dropout_mask, row_dots, row_norms, seeded_rng
+from psp.encoders import PARAM_NAMES, check_mode, encoder_vjp, gnn_forward, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.encoders import init_encoder_params
 from psp.graph import PromptedGraph, SelfLoopedBase, build_csr, gcn_normalize
@@ -335,7 +335,7 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"cosine_sim_matrix: feature dims differ, {a.shape} vs {b.shape}")
     a_in, b_in = a.data, b.data
     u, v = (np.linalg.norm(x, axis=1, keepdims=True) for x in (a_in, b_in))
-    inv_u, inv_v = _row_norms(a_in), _row_norms(b_in)
+    inv_u, inv_v = row_norms(a_in), row_norms(b_in)
     norm_prod = u @ v.T
     denom = np.maximum(norm_prod, COSINE_EPS)
     out = (a_in @ b_in.T) / denom
@@ -511,7 +511,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     dropped-out rows and the keep-mask, and each stage of the base-row
     gradient, including (A+I)^T(s_b*G_b) whole. Returns what `prompted_layer`
     returns: the prototypes, the dropout-free prototypes and the VJP."""
-    training = _check_mode(mode)
+    training = check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     w1, b1, w2, b2 = ctx.params.view("gnn")
     a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
@@ -550,22 +550,22 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
 
     def vjp(g):
         gz = g @ w2.T
-        gs_p = _row_dots(gz, u2)
+        gs_p = row_dots(gz, u2)
         gz = gz * s_p
         if scale is not None:
             gz = gz * scale
-        gs_p += _row_dots(gz, h_p)
+        gs_p += row_dots(gz, h_p)
         g_h = wst.T @ gz
         g_pre = g_h * gate_b if keep_b is None else g_h * gate_b * keep_b
         g_x = a_sb @ g_pre
-        gs_b = _row_dots(g_pre, t1) + _row_dots(g_x, xw)
+        gs_b = row_dots(g_pre, t1) + row_dots(g_x, xw)
         g_p = gz * s_p * gate_p if keep_p is None else gz * s_p * gate_p * keep_p
-        gs_p += _row_dots(g_p, u1)
+        gs_p += row_dots(g_p, u1)
         g_p = g_p * s_p
         g_ws = h_b @ gz.T + xw @ g_p.T
-        gs_b += _row_dots(w, g_ws)
+        gs_b += row_dots(w, g_ws)
         g_ws = g_ws + g_pre @ sp1.T
-        gs_p += _row_dots(wst @ g_pre + g_p, pw)
+        gs_p += row_dots(wst @ g_pre + g_p, pw)
         gw = g_ws * s_b + np.sign(w) * ((-0.5) * gs_b * s_b / deg_b + ((-0.5) * gs_p * s_p / deg_p).T)
         if ctx.task == "graph":
             gw, per_node = np.zeros(weights.shape), gw
@@ -580,7 +580,8 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
     then a separate eval forward of the new weights, all through
     `full_graph_prototypes`. Returns the final weights (the best ones with a
     validation set), the losses, the validation accuracies in the order they
-    were taken, and the best epoch (-1: the initialization)."""
+    were taken, the best epoch (-1: the initialization) and the stop reason:
+    "patience" when a training epoch was skipped, else "epochs"."""
     n_classes = ctx.n_classes
     w0 = init_edge_weights(ctx.struct, labeled, n_classes)
     mask = restrict_edge_ratio(len(ctx.anchors), labeled, cfg.edge_ratio, cfg.seed)
@@ -607,7 +608,8 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
                 best_acc, best_w, best_epoch = val_accs[-1], weights.data.copy(), epoch
             elif epoch - best_epoch >= cfg.patience:
                 break
-    return best_w if val is not None else weights.data, losses, val_accs, best_epoch
+    stop = "patience" if len(losses) < cfg.epochs else "epochs"
+    return best_w if val is not None else weights.data, losses, val_accs, best_epoch, stop
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _pipeline(seed: int, homophily: float):
     z2 = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     ctx = task_context(g, params, "node")
     acc_np = accuracy(ctx, class_mean_rows(z2, split.train, 3), split.test, TUNE["tau"])
-    prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
+    prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
     proto = prototype_embeddings(ctx, prompted, "eval")
     acc_psp = accuracy(ctx, proto, split.test, TUNE["tau"])
     return dict(g=g, ctx=ctx, seed=seed, split=split, acc_np=acc_np, acc_psp=acc_psp,
@@ -237,7 +237,7 @@ def _edge_ratio_tune(run_state, ratio):
     g, ctx, split = run_state["g"], run_state["ctx"], run_state["split"]
     n, n_t = g.n_nodes, split.train.indices.size
     cfg = PromptConfig(seed=run_state["seed"], edge_ratio=ratio, **TUNE)
-    prompted, _, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
+    prompted, _ = prompt_tune(ctx, split.train, cfg, val=split.val)
     trainable = int(prompted.trainable_row_mask.sum()) * prompted.weight_rows.shape[1]
     expected = (n_t + min(int(np.floor(ratio * n)), n - n_t)) * prompted.weight_rows.shape[1]
     proto = prototype_embeddings(ctx, prompted, "eval")
@@ -302,7 +302,7 @@ def test_criterion_9_cora_band():
         params, _ = pretrain(g, PretrainConfig(seed=seed, **PRETRAIN))
         split = sample_k_shot(g.labels, 3, seed, val_k=VAL_K)
         ctx = task_context(g, params, "node")
-        prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
+        prompted, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **TUNE), val=split.val)
         proto = prototype_embeddings(ctx, prompted, "eval")
         accs.append(accuracy(ctx, proto, split.test, TUNE["tau"]))
     mean_acc = float(np.mean(accs))
@@ -334,8 +334,8 @@ def _graph_run(root: Path, seed: int):
     split = sample_k_shot(g.graph_labels, GRAPH_K_SHOT, seed)
     ctx = task_context(g, params, "graph")
     tau, rate = GRAPH_TUNE["tau"], GRAPH_TUNE["dropout"]
-    init, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **{**GRAPH_TUNE, "epochs": 0}))
-    tuned, _, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **GRAPH_TUNE))
+    init, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **{**GRAPH_TUNE, "epochs": 0}))
+    tuned, _ = prompt_tune(ctx, split.train, PromptConfig(seed=seed, **GRAPH_TUNE))
     accs = [accuracy(ctx, prototype_embeddings(ctx, p, "eval"), split.test, tau) for p in (tuned, init)]
     acc_np = accuracy(ctx, class_mean_rows(ctx.struct, split.train, ctx.n_classes), split.test, tau)
 

@@ -284,8 +284,9 @@ def test_sweep_keeps_the_first_of_tied_grid_points(pipeline, capsys, monkeypatch
     tune = psp.cli.prompt_tune
 
     def tied_tune(*args, **kwargs):  # real prototypes, one validation accuracy for every fit
-        prompted, losses, (_, protos) = tune(*args, **kwargs)
-        return prompted, losses, (0.5, protos)
+        prompted, record = tune(*args, **kwargs)
+        record.best_acc = 0.5
+        return prompted, record
 
     monkeypatch.setattr(psp.cli, "prompt_tune", tied_tune)
     _, data, ckpt, _ = pipeline
@@ -469,6 +470,25 @@ def test_tune_with_zero_val_shots_tunes_every_epoch(pipeline, tmp_path, capsys):
     assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "t.ckpt"),
                 "--epochs", "5", "--patience", "0", "--k-shot", "3", "--val-shots", "0"]) == 0
     assert "tuned 5 epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patience,stop", [(2, "patience"), (60, "epochs")])
+def test_tune_says_why_it_stopped_and_which_epoch_it_kept(pipeline, tmp_path, capsys, patience, stop):
+    _, data, ckpt, _ = pipeline
+    out = tmp_path / "t.ckpt"
+    assert run(["tune", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out), "--epochs", "20",
+                "--patience", str(patience), "--k-shot", "3", "--val-shots", "3", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    line = re.fullmatch(rf"tuned (\d+) epochs, stopped on {stop}, kept epoch (-?\d+), val acc (\S+), "
+                        rf"bundle at {re.escape(str(out))}", captured.err.splitlines()[-1])
+    assert line and captured.out == ""
+    epochs, kept, acc = int(line[1]), int(line[2]), float(line[3])
+    # patience p stops the first pass whose weights are p + 1 epochs past the kept ones
+    assert (epochs < 20 and kept == epochs - 1 - patience) if stop == "patience" else epochs == 20
+    g, bundle = load_node_dataset(data), load_checkpoint(out)
+    ctx = psp.task_context(g, bundle.params, "node")
+    val = sample_k_shot(g.labels, 3, 1, 3).val  # the kept weights' accuracy on it
+    assert acc == round(psp.accuracy(ctx, psp.prototype_embeddings(ctx, bundle.prompt), val, bundle.tau), 4)
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from psp.data import (
     _RawDraws,
     _read_lines,
     _read_table,
-    _write_table,
     export_weight_matrix,
     generate_sbm,
     load_checkpoint,
@@ -31,6 +30,7 @@ from psp.data import (
     sample_k_shot,
     save_checkpoint,
     save_node_dataset,
+    write_table,
 )
 from psp.encoders import PARAM_NAMES, init_encoder_params
 from psp.errors import DataError, FormatError, ParameterError, PspError
@@ -312,9 +312,9 @@ def formatted(rows):
 def test_write_table_gives_the_same_bytes_in_any_number_of_chunks(tmp_path, table, chunk_bytes,
                                                                   as_list):
     rows = table.tolist() if as_list else table
-    _write_table(tmp_path / "one.tsv", rows)
+    write_table(tmp_path / "one.tsv", rows)
     with small_tasks(chunk_bytes):
-        _write_table(tmp_path / "many.tsv", rows)
+        write_table(tmp_path / "many.tsv", rows)
     expected = formatted(table.tolist())
     assert (tmp_path / "one.tsv").read_bytes() == expected
     assert (tmp_path / "many.tsv").read_bytes() == expected
@@ -349,16 +349,16 @@ def test_write_chunks_are_even(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_module, "fork_map", record)
     with small_tasks(25 * 3 * 10):  # at most 10 rows of 3 values a chunk
-        _write_table(tmp_path / "t.tsv", np.zeros((21, 3)))
+        write_table(tmp_path / "t.tsv", np.zeros((21, 3)))
     assert chunks == [7, 7, 7]  # not 10, 10 and a 1-row sliver
 
 
 def test_forked_ranges_and_chunks_match_one_task(tmp_path):
     g = generate_sbm(300, 3, 0.7, 4.0, 8, 0.5, seed=4)
     one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
-    _write_table(one, g.features)
+    write_table(one, g.features)
     with small_tasks(4096, cpus=2):  # a dozen ranges and chunks, over two workers
-        _write_table(many, g.features)
+        write_table(many, g.features)
         forked, linenos = _read_table(many, float, "\t")
         assert one.read_bytes() == many.read_bytes()
         lines = many.read_bytes().split(b"\n")

@@ -138,10 +138,10 @@ def test_one_task_reads_and_writes_without_multiprocessing(tmp_path):
         "from pathlib import Path\n"
         "import numpy as np\n"
         "import psp.cli\n"
-        "from psp.data import _read_table, _write_table\n"
+        "from psp.data import _read_table, write_table\n"
         "assert 'multiprocessing' not in sys.modules, 'imported by psp.cli'\n"
         "path = Path(sys.argv[1])\n"
-        "_write_table(path, np.arange(12.0).reshape(4, 3))\n"
+        "write_table(path, np.arange(12.0).reshape(4, 3))\n"
         "assert _read_table(path, float, '\\t')[0].shape == (4, 3)\n"
         "assert 'multiprocessing' not in sys.modules, 'imported by one-task table IO'\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

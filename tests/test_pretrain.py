@@ -1,4 +1,3 @@
-import importlib
 
 import numpy as np
 import pytest
@@ -89,8 +88,8 @@ def test_pretraining_step_gradients_match_the_tape(dropout, seed, monkeypatch):
     same initial weights, seed and dropout streams."""
     g = generate_sbm(40, 3, 0.8, 4.0, 6, 0.5, seed=seed)
     cfg = PretrainConfig(epochs=1, hidden_dim=5, dropout=dropout, seed=seed)
-    handed = []  # `psp.pretrain` the name is the function; the module is imported by its path
-    monkeypatch.setattr(importlib.import_module("psp.pretrain"), "adam_step", lambda params, grads, state: handed.append(grads))
+    handed = []  # the record's step calls `adam_step` by its name in `psp.autodiff`
+    monkeypatch.setattr("psp.autodiff.adam_step", lambda params, grads, state: handed.append(grads))
     pretrain(g, cfg)
     leaves = encoder_leaves(init_encoder_params(6, 5, seed))
     a_norm, epoch_seed = gcn_normalize(g.adjacency), derive_seed(seed, 0)
@@ -146,16 +145,17 @@ def small_graph():
 
 
 def test_pretrain_zero_epochs_returns_frozen_init(small_graph):
-    params, losses = pretrain(small_graph, PretrainConfig(epochs=0, hidden_dim=8, seed=3))
-    assert losses == []
+    params, record = pretrain(small_graph, PretrainConfig(epochs=0, hidden_dim=8, seed=3))
+    assert record.losses == [] and record.stop == "epochs"
     reference = init_encoder_params(16, 8, seed=3)
     for name in PARAM_NAMES:
         assert np.array_equal(params[name], reference[name])
 
 
 def test_pretrain_descends_on_small_graph(small_graph):
-    _, losses = pretrain(small_graph, PretrainConfig(epochs=200, hidden_dim=32, seed=0))
-    assert losses[-1] < losses[0]
+    _, record = pretrain(small_graph, PretrainConfig(epochs=200, hidden_dim=32, seed=0))
+    assert len(record.losses) == 200 and record.stop == "epochs"
+    assert record.losses[-1] < record.losses[0]
 
 
 def test_pretrain_seed_determinism(small_graph):
@@ -168,8 +168,8 @@ def test_pretrain_seed_determinism(small_graph):
 
 def test_pretrain_loss_window_means_decrease():
     g = generate_sbm(300, 3, 0.8, 10.0, 16, 0.5, seed=1)
-    _, losses = pretrain(g, PretrainConfig(epochs=50, hidden_dim=64, seed=1))
-    windows = np.array(losses).reshape(10, 5).mean(axis=1)
+    _, record = pretrain(g, PretrainConfig(epochs=50, hidden_dim=64, seed=1))
+    windows = np.array(record.losses).reshape(10, 5).mean(axis=1)
     assert all(windows[i + 1] <= windows[i] for i in range(9))
 
 

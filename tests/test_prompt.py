@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp import encoders, prompt
+from psp import autodiff, encoders, prompt
 from psp.autodiff import derive_seed, masked_infonce
 from psp.data import generate_sbm, sample_k_shot
 from psp.encoders import PARAM_NAMES, encoder_vjp, gnn_forward, init_encoder_params, mlp_forward
@@ -605,8 +605,8 @@ def test_tuning_step_gradient_matches_the_tape(task, monkeypatch):
     ctx = task_context(g, frozen_params(g.features.shape[1], 7, 21), task)
     cfg = PromptConfig(epochs=1, lr=1e-1, seed=4, dropout=0.3, edge_ratio=0.3)
     handed = []
-    monkeypatch.setattr(prompt, "adam_step", lambda params, grads, state: handed.append(grads))
-    prompted, _, _ = prompt_tune(ctx, labeled, cfg)  # the spy takes no step: the weights are W_0
+    monkeypatch.setattr(autodiff, "adam_step", lambda params, grads, state: handed.append(grads))
+    prompted, _ = prompt_tune(ctx, labeled, cfg)  # the spy takes no step: the weights are W_0
     w, mask = Tensor(prompted.weight_rows, requires_grad=True), prompted.trainable_row_mask
     with Tape() as tape:
         proto = full_graph_prototypes(ctx, PromptedGraph(task, prompted.proto_features, w, mask),
@@ -703,7 +703,7 @@ def test_graph_task_weight_rows_per_graph():
     params = frozen_params(4)
     labeled = LabeledSet([0, 1], [0, 1])
     cfg = PromptConfig(epochs=2, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0, dropout=0.0)
-    prompted, _, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
+    prompted, _ = prompt_tune(task_context(g, params, "graph"), labeled, cfg)
     assert len(prompted.weight_rows) == g.n_graphs  # one row per graph, not per node
 
 
@@ -715,7 +715,7 @@ def test_tuned_prompt_survives_a_checkpoint_round_trip(task, tmp_path):
     params = frozen_params(4)
     ctx = task_context(g, params, task)
     cfg = PromptConfig(epochs=3, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=1, edge_ratio=0.5)
-    tuned, _, _ = prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), cfg)
+    tuned, _ = prompt_tune(ctx, LabeledSet([0, 1], [0, 1]), cfg)
     assert tuned.task == task
     save_checkpoint(tmp_path / "bundle.ckpt", Checkpoint(tau=0.5, seed=1, params=params,
                                                          prompt=tuned))
@@ -737,8 +737,8 @@ def test_every_value_is_a_float64_array(tmp_path):
 
     ctx = task_context(toy_graph(n=8), frozen_params(4), "node")
     labeled = LabeledSet([0, 1], [0, 1])
-    prompted, _, (_, kept) = prompt_tune(ctx, labeled, PromptConfig(epochs=1),
-                                         val=LabeledSet([2, 3], [0, 1]))
+    prompted, record = prompt_tune(ctx, labeled, PromptConfig(epochs=1), val=LabeledSet([2, 3], [0, 1]))
+    kept = record.best_proto
     save_checkpoint(tmp_path / "bundle.ckpt", Checkpoint(tau=0.5, seed=0, params=ctx.params,
                                                          prompt=prompted))
     values = {name: getattr(ctx, name) for name in ("anchors", "struct", "attr_base", "xw1")}
@@ -792,8 +792,8 @@ def test_tune_zero_epochs_keeps_masked_init(sbm_setup):
     g, params, split, labeled, _ = sbm_setup
     cfg = PromptConfig(epochs=0, lr=1e-2, weight_decay=1e-4, tau=0.5, seed=0,
                        edge_ratio=0.1)
-    prompted, losses, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
-    assert losses == []
+    prompted, record = prompt_tune(task_context(g, params, "node"), labeled, cfg)
+    assert record.losses == [] and record.stop == "epochs"
     struct = gnn_forward(g.features, gcn_normalize(g.adjacency), params, "eval")
     w0 = init_edge_weights(struct, labeled, 3)
     expected = w0 * prompted.trainable_row_mask[:, None]
@@ -804,10 +804,10 @@ def test_tune_improves_training_accuracy(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     ctx = task_context(g, params, "node")
     cfg0 = PromptConfig(epochs=0, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    before, _, _ = prompt_tune(ctx, labeled, cfg0)
+    before, _ = prompt_tune(ctx, labeled, cfg0)
     acc_before = accuracy(ctx, prototype_embeddings(ctx, before, "eval"), labeled, 0.5)
     cfg = PromptConfig(epochs=60, lr=1e-3, weight_decay=1e-4, tau=0.5, seed=0)
-    after, _, _ = prompt_tune(ctx, labeled, cfg)
+    after, _ = prompt_tune(ctx, labeled, cfg)
     acc_after = accuracy(ctx, prototype_embeddings(ctx, after, "eval"), labeled, 0.5)
     assert acc_after >= acc_before
 
@@ -816,7 +816,7 @@ def test_tune_masked_rows_stay_zero(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = PromptConfig(epochs=25, lr=1e-2, weight_decay=1e-3, tau=0.5, seed=0,
                        edge_ratio=0.05)
-    prompted, _, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
+    prompted, _ = prompt_tune(task_context(g, params, "node"), labeled, cfg)
     frozen_rows = prompted.weight_rows[~prompted.trainable_row_mask]
     assert np.array_equal(frozen_rows, np.zeros_like(frozen_rows))
 
@@ -848,8 +848,8 @@ def test_tune_is_seed_deterministic(sbm_setup):
     g, params, split, labeled, val = sbm_setup
     cfg = dict(epochs=10, lr=1e-2, weight_decay=1e-4, tau=0.5, dropout=0.3)
     ctx = task_context(g, params, "node")
-    a, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
-    b, _, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
+    a, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
+    b, _ = prompt_tune(ctx, labeled, PromptConfig(seed=7, **cfg), val=val)
     assert np.array_equal(a.weight_rows, b.weight_rows)
 
 
@@ -882,7 +882,7 @@ def test_eval_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak):
     bound of 2.6 fails on one more N x h array kept: 3.15; 3.1 with s_b*XW1
     formed, 4.1 when all four terms of layer 1 were)."""
     ctx, split = n2000_task
-    prompted, _, _ = prompt_tune(ctx, split.train, PromptConfig(epochs=0))
+    prompted, _ = prompt_tune(ctx, split.train, PromptConfig(epochs=0))
     _, peak = traced_peak(lambda: prompted_layer(ctx, prompted, "eval"), 2000, 128)
     assert peak < 2.6, f"peak {peak:.2f} N x h arrays"
 
@@ -914,7 +914,8 @@ def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, e
     val = val if with_val else None
     cfg = PromptConfig(epochs=epochs, patience=patience, lr=1e-1, weight_decay=1e-3, tau=0.5,
                        seed=4, dropout=0.3, edge_ratio=0.5)
-    want_w, want_losses, want_accs, want_best = two_forward_prompt_tune(ctx, labeled, cfg, val)
+    want_w, want_losses, want_accs, want_best, want_stop = two_forward_prompt_tune(ctx, labeled, cfg, val)
+    assert want_stop == ("patience" if patience == 3 else "epochs")  # both stops are covered
     accs = []
 
     def recorded_accuracy(*args):
@@ -922,16 +923,17 @@ def test_tune_loop_matches_the_two_forward_oracle(monkeypatch, task, with_val, e
         return accs[-1]
 
     monkeypatch.setattr(psp.prompt, "accuracy", recorded_accuracy)
-    prompted, losses, kept = prompt_tune(ctx, labeled, cfg, val)
-    assert len(losses) == len(want_losses)
-    np.testing.assert_allclose(losses, want_losses, rtol=0, atol=1e-12)
+    prompted, record = prompt_tune(ctx, labeled, cfg, val)
+    assert len(record.losses) == len(want_losses)
+    np.testing.assert_allclose(record.losses, want_losses, rtol=0, atol=1e-12)
     assert accs == want_accs
-    assert (int(np.argmax(accs)) - 1 if accs else -1) == want_best
+    assert record.best_epoch == want_best and record.stop == want_stop
     np.testing.assert_allclose(prompted.weight_rows, want_w, rtol=0, atol=1e-12)
     if val is None:
-        assert kept is None
+        assert record.best_acc == -1.0 and record.best_proto is None and record.best_weights is None
     else:  # the kept weights' read-out is the one a separate eval pass forms, bit for bit
-        assert kept[0] == max(accs)
-        np.testing.assert_array_equal(kept[1], prototype_embeddings(ctx, prompted, "eval"))
-    if patience == 3:
-        assert len(losses) < epochs  # the patience stop acted
+        assert record.best_acc == max(accs) == accs[record.best_epoch + 1]
+        assert record.best_weights is prompted.weight_rows
+        np.testing.assert_array_equal(record.best_proto, prototype_embeddings(ctx, prompted, "eval"))
+    if want_stop == "patience":
+        assert len(record.losses) < epochs

@@ -1,7 +1,8 @@
 """`src/psp` holds no unreachable code: every module-level function, class and
 assignment is reached from what `psp/__init__` imports, or from `psp.cli.main`,
 by following names through module bodies and the package's relative imports.
-Code that only tests use belongs in `tests/oracles.py`."""
+Code that only tests use belongs in `tests/oracles.py`. A helper that another
+module imports has a public name: no `from .x import _y`."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,11 @@ def unreached_names() -> list[str]:
 def test_every_module_level_name_in_src_is_reached():
     unreached = unreached_names()
     assert not unreached, f"nothing in psp reaches {unreached}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [f"{path.stem}: from .{node.module} import {a.name}" for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for a in node.names if a.name.startswith("_")]
+    assert not private, f"helpers used across modules need public names: {private}"
