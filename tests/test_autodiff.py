@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from psp import autodiff
-from psp.autodiff import AdamState, adam_step, check_fraction, check_tau, masked_infonce
+from psp.autodiff import AdamState, FitRecord, adam_step, check_fraction, check_tau, masked_infonce
 from psp.errors import ContractError, DataError, DimensionError, NumericError, ParameterError
 from psp.graph import build_csr, check_csr
 
@@ -389,6 +389,23 @@ def test_adam_decoupled_weight_decay():
     p = np.full((1, 1), 2.0)
     adam_step({"p": p}, {"p": np.zeros((1, 1))}, AdamState(lr=0.1, weight_decay=0.5))
     assert p[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+def test_fit_record_step_owns_both_refusals():
+    """A non-finite loss is refused before the block that forms the gradients
+    runs; Adam's refusal gains the epoch and the loss; only a taken step
+    records its loss."""
+    record, p, state, ran = FitRecord("toy"), {"p": np.zeros((1, 1))}, AdamState(lr=0.1), []
+    with record.step(0, 1.5, p, state) as grads:
+        grads["p"] = np.ones((1, 1))
+    with pytest.raises(NumericError, match=r"^toy loss became non-finite at epoch 1, last finite loss 1\.5$"):
+        with record.step(1, np.nan, p, state):
+            ran.append("block")
+    with pytest.raises(NumericError, match=r"^adam_step: .* gradient max-abs 1e\+200 at epoch 2, loss 0\.5$"):
+        with record.step(2, 0.5, p, state) as grads:
+            grads["p"] = np.full((1, 1), 1e200)
+    assert ran == [] and record.losses == [1.5] and state.t == 1
+    assert record.stop == "epochs" and record.best_epoch == -1 and record.best_proto is None
 
 
 @settings(max_examples=20, deadline=None)
