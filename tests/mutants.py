@@ -8,7 +8,7 @@ Each mutant replaces one fragment of one line of a file in a copy of `src/`,
 tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
 that the first failure names the narrowest test. A mutant that no test fails
 is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All fourteen take about 4 minutes on two cores.
+equivalent. All fourteen take about 3 minutes on two cores.
 """
 
 import json
