@@ -36,9 +36,8 @@ def seeded_rng(seed: int, salt: int) -> np.random.Generator:
 _DROPOUT_DRAW = 1 << 16
 
 
-def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
-                 training: bool) -> Optional[np.ndarray]:
-    """The bool keep-mask of inverted dropout for `shape`, or None when dropout is off.
+def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int) -> Optional[np.ndarray]:
+    """The bool keep-mask of inverted dropout for `shape`, or None when `p` is 0.
 
     Callers multiply by the mask, then scale the kept entries by 1/(1-p).
     The mask depends only on (seed, stream): each call site names its own
@@ -48,7 +47,7 @@ def dropout_mask(shape: tuple[int, int], p: float, seed: int, stream: int,
     values at a time, so no float array of `shape` is formed.
     """
     p = check_fraction("dropout", p, open_top=True)
-    if not training or p == 0.0:
+    if p == 0.0:
         return None
     rng = seeded_rng(seed, stream)
     keep = np.empty(shape, dtype=bool)
@@ -113,11 +112,9 @@ _INFONCE_GB_ROWS = 1024
 
 
 def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
-                   wrt: tuple[bool, bool] = (False, False), overwrite_inputs: bool = False
-                   ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
+                   overwrite_inputs: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean InfoNCE of the rows of z1 against the rows of z2, as one fused op:
-    the loss, and its gradients into z1 and z2 where `wrt` asks for them (None
-    elsewhere).
+    the loss, and its gradients into z1 and z2.
 
     Logits are cosine similarities over tau. Row i scores
     logsumexp_{j != positives[i]}(logit_ij) - logit_{i,positives[i]}: the
@@ -126,18 +123,17 @@ def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
     row gives logit 0 and gradient 0. The op walks z1 in blocks of
     `_INFONCE_BLOCK_ROWS` rows: each block of logits is one GEMM, and only
     each row's max-shift and sum of exponentials are kept, so no
-    len(z1) x len(z2) array ever exists. When a gradient is asked for, the same
-    sweep turns each exp block into softmax - one-hot and accumulates it. Each
-    block finishes its anchor rows' gradient and stores it over those rows of
-    z1's unit array, which no later block reads, so the z1 side needs no array
-    of its own; the z2 side is added up through one buffer of about
-    `_INFONCE_GB_ROWS` rows and finished once the sweep is done.
+    len(z1) x len(z2) array ever exists. The same sweep turns each exp block
+    into softmax - one-hot and accumulates it. Each block finishes its anchor
+    rows' gradient and stores it over those rows of z1's unit array, which no
+    later block reads, so the z1 side needs no array of its own; the z2 side
+    is added up through one buffer of about `_INFONCE_GB_ROWS` rows and
+    finished once the sweep is done.
 
     With `overwrite_inputs`, the unit arrays are z1 and z2 themselves, scaled
-    in place: afterwards z2 holds its unit rows, and z1 holds its unit rows, or
-    its gradient when that is formed. It saves two N x h arrays. Only a caller
-    that never reads either input again may set it, and the inputs must share
-    no memory.
+    in place: afterwards z2 holds its unit rows, and z1 its gradient. It saves
+    two N x h arrays. Only a caller that never reads either input again may
+    set it, and the inputs must share no memory.
     """
     if z1.shape[1] != z2.shape[1]:
         raise DimensionError(f"masked_infonce: feature dims differ, {z1.shape} vs {z2.shape}")
@@ -156,17 +152,15 @@ def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
     a_unit = np.multiply(z1, inv_u, out=z1 if overwrite_inputs else None)
     b_unit = np.multiply(z2, inv_v, out=z2 if overwrite_inputs else None)
     # each block overwrites its own anchor rows with their gradient, once it has read them
-    ga = a_unit if wrt[0] else None
-    gb = np.zeros_like(b_unit) if wrt[1] else None
-    if gb is not None:
-        # gb grows chunk by chunk through one buffer. numpy forms a product with
-        # one row or one column as a gemv, whose last bits differ from the whole
-        # product's: so no chunk has one row, and a one-column gb is one chunk.
-        starts = list(range(0, n, _INFONCE_GB_ROWS if z2.shape[1] > 1 else n))
-        if n - starts[-1] == 1:
-            starts.pop()
-        gb_chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-        gb_part = np.empty((max(c.stop - c.start for c in gb_chunks), z2.shape[1]))
+    ga, gb = a_unit, np.zeros_like(b_unit)
+    # gb grows chunk by chunk through one buffer. numpy forms a product with
+    # one row or one column as a gemv, whose last bits differ from the whole
+    # product's: so no chunk has one row, and a one-column gb is one chunk.
+    starts = list(range(0, n, _INFONCE_GB_ROWS if z2.shape[1] > 1 else n))
+    if n - starts[-1] == 1:
+        starts.pop()
+    gb_chunks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+    gb_part = np.empty((max(c.stop - c.start for c in gb_chunks), z2.shape[1]))
     shift = np.empty((m, 1))
     sum_exp = np.empty((m, 1))
     positive = np.empty((m, 1))
@@ -179,22 +173,18 @@ def masked_infonce(z1: np.ndarray, z2: np.ndarray, positives, tau: float,
         shift[lo:hi] = logits.max(axis=1, keepdims=True)
         logits -= shift[lo:hi]
         sum_exp[lo:hi] = np.exp(logits, out=logits).sum(axis=1, keepdims=True)
-        if any(wrt):  # the exp block becomes softmax - one-hot in place
-            logits /= sum_exp[lo:hi]
-            logits[at_pos] -= 1.0
-            if gb is not None:  # gb += logits.T @ a_unit[lo:hi]
-                for c in gb_chunks:
-                    part = gb_part[:c.stop - c.start]
-                    np.matmul(logits[:, c].T, a_unit[lo:hi], out=part)
-                    gb[c] += part
-            if ga is not None:
-                g_rows = logits @ b_unit
-                _through_row_norms(g_rows, a_unit[lo:hi], inv_u[lo:hi], inv_tau / m)
-                ga[lo:hi] = g_rows
+        logits /= sum_exp[lo:hi]  # the exp block becomes softmax - one-hot in place
+        logits[at_pos] -= 1.0
+        for c in gb_chunks:  # gb += logits.T @ a_unit[lo:hi]
+            part = gb_part[:c.stop - c.start]
+            np.matmul(logits[:, c].T, a_unit[lo:hi], out=part)
+            gb[c] += part
+        g_rows = logits @ b_unit
+        _through_row_norms(g_rows, a_unit[lo:hi], inv_u[lo:hi], inv_tau / m)
+        ga[lo:hi] = g_rows
         del logits  # free the block before the next one is built
     loss = (np.log(sum_exp) + shift - positive).sum() * (1.0 / m)
-    if gb is not None:
-        _through_row_norms(gb, b_unit, inv_v, inv_tau / m)
+    _through_row_norms(gb, b_unit, inv_v, inv_tau / m)
     return float(loss), ga, gb
 
 

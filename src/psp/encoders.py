@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from .autodiff import derive_seed, dropout_mask, seeded_rng
+from .autodiff import check_fraction, derive_seed, dropout_mask, seeded_rng
 from .errors import DimensionError, ParameterError
 
 # the eight encoder parameters, in checkpoint order: each view's W1, b1, W2, b2
@@ -46,20 +46,23 @@ def init_encoder_params(n_features: int, hidden_dim: int, seed: int) -> EncoderP
                           else np.zeros((1, hidden_dim)) for name in PARAM_NAMES})
 
 
-def check_mode(mode: str) -> bool:
+def check_mode(mode: str, dropout_rate: float) -> float:
+    """The dropout rate `mode` applies: `dropout_rate` in train, 0 in eval; a bad rate is refused."""
     if mode not in ("train", "eval"):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return mode == "train"
+    rate = check_fraction("dropout", dropout_rate, open_top=True)
+    return rate if mode == "train" else 0.0
 
 
-def _hidden(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
-            training: bool, seed: int, dropout_rate: float):
-    """The view's hidden layer h = dropout(relu(prop(x@W1) + b1)), the scale of
-    its kept entries (None without dropout) and prop.
-
-    prop is the product with `a_norm`, or the identity when it is None. The
-    mask depends only on (seed, stream), so a second call gives h's bits again.
+def _hidden(x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None, seed: int,
+            dropout_rate: float):
+    """The hidden layer h = dropout(relu(prop(x@W1) + b1)), the scale of its
+    kept entries (None without dropout), prop and the view's name, for the view
+    that `a_norm` selects: the GNN, whose prop is the product with `a_norm`, or
+    the MLP, whose prop is the identity, when it is None. The mask depends
+    only on (seed, stream), so a second call gives h's bits again.
     """
+    view = "mlp" if a_norm is None else "gnn"
     w1, b1, _, _ = params.view(view)
     if x.shape[1] != len(w1) or (a_norm is not None and a_norm.shape[1] != len(x)):
         raise DimensionError(f"encoder: input {x.shape} does not fit W1 {w1.shape}"
@@ -69,19 +72,19 @@ def _hidden(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_
     h += b1
     h *= h > 0
     salt, stream = _DROPOUT[view]
-    keep = dropout_mask(h.shape, dropout_rate, derive_seed(seed, salt), stream, training)
+    keep = dropout_mask(h.shape, dropout_rate, derive_seed(seed, salt), stream)
     if keep is None:
-        return h, None, prop
+        return h, None, prop, view
     scale = 1.0 / (1.0 - dropout_rate)
     h *= keep
     h *= scale
-    return h, scale, prop
+    return h, scale, prop, view
 
 
-def _two_layer(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
-               mode: str, seed: int, dropout_rate: float) -> np.ndarray:
-    """prop(h @ W2) + b2 for the view's hidden layer h (`_hidden`)."""
-    h, _, prop = _hidden(view, x, params, a_norm, check_mode(mode), seed, dropout_rate)
+def _two_layer(x: np.ndarray, params: EncoderParams, a_norm: sparse.csr_array | None,
+               seed: int, dropout_rate: float) -> np.ndarray:
+    """prop(h @ W2) + b2 for the hidden layer h of the view `a_norm` selects (`_hidden`)."""
+    h, _, prop, view = _hidden(x, params, a_norm, seed, dropout_rate)
     z = prop(h @ params[f"{view}_w2"])
     z += params[f"{view}_b2"]
     return z
@@ -90,21 +93,21 @@ def _two_layer(view: str, x: np.ndarray, params: EncoderParams, a_norm: sparse.c
 def mlp_forward(x: np.ndarray, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Attribute-only view; never reads any adjacency."""
-    return _two_layer("mlp", x, params, None, mode, seed, dropout_rate)
+    return _two_layer(x, params, None, seed, check_mode(mode, dropout_rate))
 
 
 def gnn_forward(x: np.ndarray, a_norm: sparse.csr_array, params: EncoderParams, mode: str = "eval",
                 seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Two propagation layers over a normalized CSR adjacency."""
-    return _two_layer("gnn", x, params, a_norm, mode, seed, dropout_rate)
+    return _two_layer(x, params, a_norm, seed, check_mode(mode, dropout_rate))
 
 
-def encoder_vjp(g: np.ndarray, view: str, x: np.ndarray, params: EncoderParams,
+def encoder_vjp(g: np.ndarray, x: np.ndarray, params: EncoderParams,
                 a_norm: sparse.csr_array | None = None, seed: int = 0,
                 dropout_rate: float = 0.0) -> dict[str, np.ndarray]:
-    """The gradients of sum(g * z) into the view's W1, b1, W2 and b2, by name,
-    for z the view's training forward with the same seed and rate (`a_norm`
-    None for the MLP).
+    """The gradients of sum(g * z) into W1, b1, W2 and b2 of the view that
+    `a_norm` selects (None: the MLP, an adjacency: the GNN), by name, for z
+    that view's training forward with the same seed and rate.
 
     Keeps no array of its own: it rebuilds h from x, W1, b1 and the
     (seed, stream) mask, which nothing changes between the forward and the
@@ -115,7 +118,7 @@ def encoder_vjp(g: np.ndarray, view: str, x: np.ndarray, params: EncoderParams,
     gb2 = g.sum(axis=0, keepdims=True)
     back = (lambda m: m) if a_norm is None else (lambda m: a_norm.T @ m)
     g = back(g)
-    h, scale, _ = _hidden(view, x, params, a_norm, True, seed, dropout_rate)
+    h, scale, _, view = _hidden(x, params, a_norm, seed, dropout_rate)
     gh = g @ params[f"{view}_w2"].T
     gw2 = h.T @ g
     del g  # neither N-row array outlives its last read

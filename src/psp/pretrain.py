@@ -70,7 +70,7 @@ def ntxent_pretrain_loss(z1: np.ndarray, z2: np.ndarray, tau: float, overwrite_i
     n = len(z1)
     if n < 2:
         raise ContractError("contrastive loss needs at least 2 rows (the denominator is empty otherwise)")
-    return masked_infonce(z1, z2, np.arange(n), tau, (True, True), overwrite_inputs)
+    return masked_infonce(z1, z2, np.arange(n), tau, overwrite_inputs)
 
 
 def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, FitRecord]:
@@ -90,8 +90,8 @@ def pretrain(g: GraphData, cfg: PretrainConfig) -> tuple[EncoderParams, FitRecor
         value, g1, g2 = ntxent_pretrain_loss(z1, z2, cfg.tau, overwrite_inputs=True)
         del z1, z2  # z2 holds its unit rows, which nothing reads again
         with record.step(epoch, value, params, opt) as grads:
-            grads |= (encoder_vjp(g2, "gnn", g.features, params, a_norm, epoch_seed, cfg.dropout)
-                      | encoder_vjp(g1, "mlp", g.features, params, None, epoch_seed, cfg.dropout))
+            grads |= (encoder_vjp(g2, g.features, params, a_norm, epoch_seed, cfg.dropout)
+                      | encoder_vjp(g1, g.features, params, None, epoch_seed, cfg.dropout))
             del g1, g2
         del grads  # no array of this epoch is alive while the next one runs
     return params, record

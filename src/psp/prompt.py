@@ -75,9 +75,10 @@ class PromptConfig:
         check_fraction("edge ratio", self.edge_ratio, open_top=False)
         check_tau(self.tau)
         check_fraction("dropout", self.dropout, open_top=True)
-        for name in ("epochs", "patience"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be non-negative, got {self.epochs}")
+        if self.patience < 1:  # 0 would stop where 1 does: a stale count starts at 1
+            raise ParameterError(f"patience must be at least 1, got {self.patience}")
 
 
 def init_edge_weights(z2: np.ndarray, labeled: LabeledSet, n_classes: int) -> np.ndarray:
@@ -141,7 +142,7 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
                        xw1=g.features @ params["gnn_w1"])
 
 
-def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed: int = 0,
+def prompted_layer(ctx: TaskContext, ps: PromptedGraph, seed: int = 0,
                    dropout_rate: float = 0.0) -> tuple[np.ndarray, np.ndarray, Callable]:
     """Prototype rows of the frozen GNN over the prompted graph, as one fused op.
 
@@ -168,7 +169,6 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
     pass also yields its weights' validation read-out; and the VJP, which maps
     d/d(prototypes) to d/d(weight_rows), zero on the rows the mask pins.
     """
-    training = check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     if len(weights) != len(ctx.anchors):
         raise DimensionError(f"prompt has {len(weights)} weight rows for {len(ctx.anchors)} {ctx.task} rows")
@@ -214,7 +214,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
             u2 *= scale
         return u2, (u2 * s_p) @ w2 + b2
 
-    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0)
     clean, scale = None, None
     if keep is not None:
         clean = layer2(h_b, h_p, None)[1]
@@ -259,7 +259,7 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval", seed
 def prototype_embeddings(ctx: TaskContext, ps: PromptedGraph, mode: str = "eval",
                          seed: int = 0, dropout_rate: float = 0.0) -> np.ndarray:
     """Prototype rows of the GNN run over the prompted graph: `prompted_layer`'s first result."""
-    return prompted_layer(ctx, ps, mode, seed, dropout_rate)[0]
+    return prompted_layer(ctx, ps, seed, check_mode(mode, dropout_rate))[0]
 
 
 def accuracy(ctx: TaskContext, prototypes: np.ndarray, labeled: LabeledSet, tau: float) -> float:
@@ -273,14 +273,14 @@ def prompt_loss(anchors: np.ndarray, prototypes: np.ndarray, labels, tau: float
     gradient into the prototypes.
 
     The denominator runs over the other classes only. Anchors are a constant
-    array: the gradient is formed for the prototype side alone.
+    array: the loss forms their gradient too, and it is dropped.
     """
     if len(prototypes) < 2:
         raise ContractError("prompt loss needs at least 2 classes")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.size != len(anchors):
         raise ContractError(f"{len(anchors)} anchors vs {labels.size} labels")
-    loss, _, grad = masked_infonce(anchors, prototypes, labels, tau, (False, True))
+    loss, _, grad = masked_infonce(anchors, prototypes, labels, tau)
     return loss, grad
 
 
@@ -310,8 +310,8 @@ def prompt_tune(ctx: TaskContext, labeled: LabeledSet, cfg: PromptConfig,
     # a validation set, one last pass only validates the final weights
     for epoch in range(cfg.epochs + (val is not None)):
         training = epoch < cfg.epochs
-        proto, val_proto, vjp = prompted_layer(ctx, prompted, "train" if training else "eval",
-                                               derive_seed(cfg.seed, epoch), cfg.dropout)
+        proto, val_proto, vjp = prompted_layer(ctx, prompted, derive_seed(cfg.seed, epoch),
+                                               cfg.dropout if training else 0.0)
         if training:
             value, g_proto = prompt_loss(ctx.anchors[labeled.indices], proto, labeled.classes, cfg.tau)
         if val is not None:

@@ -8,7 +8,7 @@ Each mutant replaces one fragment of one line of a file in a copy of `src/`,
 tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
 that the first failure names the narrowest test. A mutant that no test fails
 is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All fourteen take about 3 minutes on two cores.
+equivalent. All eighteen take about 2.5 minutes on two cores.
 """
 
 import json
@@ -39,6 +39,10 @@ MUTANTS = {
     "step-takes-a-non-finite-loss": ("autodiff.py", "if not np.isfinite(loss):", "if False:"),
     "patience-one-epoch-late": ("prompt.py", ">= cfg.patience", "> cfg.patience"),
     "adam-refusal-without-epoch-and-loss": ("autodiff.py", 'f"{err} at epoch {epoch}, loss {loss}"', 'f"{err}"'),
+    "encoder-vjp-drops-dropout-scale": ("encoders.py", "gh *= scale", "gh *= 1.0"),
+    "infonce-gradient-without-one-hot": ("autodiff.py", "logits[at_pos] -= 1.0", "logits[at_pos] -= 0.0"),
+    "prompted-vjp-degree-term-without-deg-b": ("prompt.py", "gs_b * s_b / deg_b", "gs_b * s_b"),
+    "patience-zero-accepted": ("prompt.py", "if self.patience < 1:", "if self.patience < 0:"),
 }
 
 

@@ -17,8 +17,9 @@ build losses from them:
   row or a column of the other's), `absolute`, `rsqrt` (floored at
   `DEGREE_FLOOR`), `row_sum`, `scale`, `sub`, `exp`, `log`, `total_sum`:
   products, elementwise ops and reductions.
-- `relu`, `dropout`: the activation and the inverted dropout that the
-  composed encoders below are built from.
+- `relu`, `dropout(x, p, seed, stream)`: the activation and the inverted
+  dropout (the identity when p is 0) that the composed encoders below are
+  built from.
 - `select_rows`: a row gather, which expands per-graph weights to member
   nodes in `full_graph_prototypes`.
 - `cosine_sim_matrix`: the all-pairs cosine op; also the independent cosine
@@ -31,6 +32,8 @@ Parity oracles, one per fast path in `src`:
 - `composed_mlp_forward` and `composed_gnn_forward` check
   `psp.encoders.mlp_forward`, `gnn_forward` and `encoder_vjp`: each encoder
   as the 6-8 generic tape ops it was recorded as before it became one op.
+  Like the two forwards, they take a `mode`, which `check_mode` turns into
+  the dropout rate.
 - `dense_gcn_normalize` checks `psp.graph.gcn_normalize`: D^-1/2 (A+I) D^-1/2
   as a dense array.
 - `dense_prompted_normalize` checks `prompted_apply`, the prompted-graph
@@ -39,14 +42,15 @@ Parity oracles, one per fast path in `src`:
   it replaced.
 - `choice_sbm_edges` checks `psp.data.generate_sbm`'s edge loop: the loop
   it replaced, which drew each edge with `Generator.choice`.
-- `full_graph_prototypes` checks `psp.prompt.prompted_layer`: the GNN over
-  all N+C rows of the prompted graph, both layers through `prompted_apply`,
-  then its prototype rows.
-- `keep_all_prompted_layer` checks `psp.prompt.prompted_layer` byte for
-  byte: the same folded arithmetic (each degree scale on a C-wide operand,
-  the dropout scale on layer 2's C rows), with every N-row intermediate in
-  an array of its own instead of reused buffers, shared gates and a
-  block-wise sparse product.
+- `full_graph_prototypes(ctx, ps, seed, dropout_rate)` checks
+  `psp.prompt.prompted_layer`: the GNN over all N+C rows of the prompted
+  graph, both layers through `prompted_apply`, then its prototype rows. Like
+  `prompted_layer`, it and `keep_all_prompted_layer` take a rate, not a mode.
+- `keep_all_prompted_layer(ctx, ps, seed, dropout_rate)` checks
+  `psp.prompt.prompted_layer` byte for byte: the same folded arithmetic
+  (each degree scale on a C-wide operand, the dropout scale on layer 2's C
+  rows), with every N-row intermediate in an array of its own instead of
+  reused buffers, shared gates and a block-wise sparse product.
 - `two_forward_prompt_tune` checks `psp.prompt.prompt_tune`'s loop: the loop
   it replaced, over `full_graph_prototypes`, with a separate eval forward
   after every step.
@@ -294,10 +298,10 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", (a,), a.data * gate, lambda g: (g * gate,))
 
 
-def dropout(x: Tensor, p: float, seed: int, stream: int, training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, seed: int, stream: int) -> Tensor:
     """Inverted dropout with the `dropout_mask` of (seed, stream), which is
-    the same on a tape or off; identity in evaluation mode."""
-    keep = dropout_mask(x.shape, p, seed, stream, training)
+    the same on a tape or off; the identity when p is 0."""
+    keep = dropout_mask(x.shape, p, seed, stream)
     if keep is None:
         return x
     factor = keep / (1.0 - p)
@@ -379,7 +383,7 @@ def composed_mlp_forward(x, leaves, mode="eval", seed=0, dropout_rate=0.0):
     with the same dropout salt and stream."""
     w1, b1, w2, b2 = (leaves[f"mlp_{p}"] for p in ("w1", "b1", "w2", "b2"))
     h = relu(add(matmul(Tensor(x), w1), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 1), 0, mode == "train")
+    h = dropout(h, check_mode(mode, dropout_rate), derive_seed(seed, 1), 0)
     return add(matmul(h, w2), b2)
 
 
@@ -388,7 +392,7 @@ def composed_gnn_forward(x, a_norm, leaves, mode="eval", seed=0, dropout_rate=0.
     with the same dropout salt and stream."""
     w1, b1, w2, b2 = (leaves[f"gnn_{p}"] for p in ("w1", "b1", "w2", "b2"))
     h = relu(add(spmm(a_norm, matmul(Tensor(x), w1)), b1))
-    h = dropout(h, dropout_rate, derive_seed(seed, 2), 1, mode == "train")
+    h = dropout(h, check_mode(mode, dropout_rate), derive_seed(seed, 2), 1)
     return add(spmm(a_norm, matmul(h, w2)), b2)
 
 
@@ -481,7 +485,7 @@ def prompted_apply(base: SelfLoopedBase, w: Tensor, h_base: Tensor, h_proto: Ten
     return mul(top, s_b), mul(bottom, s_p)
 
 
-def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
+def full_graph_prototypes(ctx, ps, seed=0, dropout_rate=0.0):
     """The two-layer GNN over all N+C rows of the prompted graph, both layers
     through `prompted_apply` and the first with one (N+C)-row dropout mask,
     then its prototype rows. `ps.weight_rows` is the tape leaf, a Tensor."""
@@ -494,8 +498,7 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     blocks = prompted_apply(base, w, matmul(Tensor(g.features), w1),
                             matmul(Tensor(ps.proto_features), w1))
     h_base, h_proto = (relu(add(h, b1)) for h in blocks)
-    keep = dropout_mask((w.rows + w.cols, ctx.params.hidden_dim), dropout_rate,
-                        derive_seed(seed, 2), 0, mode == "train")
+    keep = dropout_mask((w.rows + w.cols, ctx.params.hidden_dim), dropout_rate, derive_seed(seed, 2), 0)
     if keep is not None:
         factor = keep / (1.0 - dropout_rate)
         h_base = mul(h_base, Tensor(factor[:g.n_nodes]))
@@ -504,14 +507,13 @@ def full_graph_prototypes(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
     return add(proto, b2)
 
 
-def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
+def keep_all_prompted_layer(ctx, ps, seed=0, dropout_rate=0.0):
     """`psp.prompt.prompted_layer`'s arithmetic, step for step, with a VJP that
     keeps every N-row intermediate it reads in an array of its own: the
     column-scaled A+I, t1, the pre-activation, relu's output and gate, the
     dropped-out rows and the keep-mask, and each stage of the base-row
     gradient, including (A+I)^T(s_b*G_b) whole. Returns what `prompted_layer`
     returns: the prototypes, the dropout-free prototypes and the VJP."""
-    training = check_mode(mode)
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     w1, b1, w2, b2 = ctx.params.view("gnn")
     a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
@@ -539,7 +541,7 @@ def keep_all_prompted_layer(ctx, ps, mode="eval", seed=0, dropout_rate=0.0):
             u2 = u2 * scale
         return u2, (u2 * s_p) @ w2 + b2
 
-    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0, training)
+    keep = dropout_mask((n + w.shape[1], b1.shape[1]), dropout_rate, derive_seed(seed, 2), 0)
     keep_b, keep_p = (None, None) if keep is None else (keep[:n], keep[n:])
     clean, scale, h_b, h_p = None, None, relu_b, relu_p
     if keep is not None:
@@ -597,7 +599,7 @@ def two_forward_prompt_tune(ctx, labeled, cfg, val=None):
         best_acc = val_accs[-1]
     for epoch in range(cfg.epochs):
         with Tape() as tape:
-            proto = full_graph_prototypes(ctx, ps, "train", derive_seed(cfg.seed, epoch), cfg.dropout)
+            proto = full_graph_prototypes(ctx, ps, derive_seed(cfg.seed, epoch), cfg.dropout)
             loss, g_proto = prompt_loss(anchors, proto.data, labeled.classes, cfg.tau)
             seeded = total_sum(mul(proto, Tensor(g_proto)))  # its flow into proto is g_proto
         adam_step({"prompt_weights": weights.data}, {"prompt_weights": backward(tape, seeded)[weights]}, opt)
@@ -663,23 +665,23 @@ def _value_and_grad(f, leaf: Tensor):
     return value_and_grad
 
 
-def _encoder_grad_case(view, x, params, a_norm, probe, name, seed=11, dropout_rate=0.3):
+def _encoder_grad_case(x, params, a_norm, probe, name, seed=11, dropout_rate=0.3):
     """(f, array) for `grad_check`: sum(probe * z) for z the view's training
     forward (`a_norm` None for the MLP), as a function of the parameter `name`,
     which the check perturbs in place, with its gradient from `encoder_vjp`."""
     def f(_):
         z = (mlp_forward(x, params, "train", seed, dropout_rate) if a_norm is None
              else gnn_forward(x, a_norm, params, "train", seed, dropout_rate))
-        return float((z * probe).sum()), encoder_vjp(probe, view, x, params, a_norm, seed, dropout_rate)[name]
+        return float((z * probe).sum()), encoder_vjp(probe, x, params, a_norm, seed, dropout_rate)[name]
 
     return f, params[name]
 
 
-def prompt_loss_and_grad(ctx, ps, anchors, labels, tau, mode="eval", seed=0, dropout_rate=0.0):
+def prompt_loss_and_grad(ctx, ps, anchors, labels, tau, seed=0, dropout_rate=0.0):
     """`prompt_loss` of `prompted_layer`'s prototypes and its gradient into
     `ps.weight_rows`, chained by hand as a tuning step chains them; a function
     of the weights for `grad_check`, which perturbs `ps.weight_rows` in place."""
-    proto, _, vjp = prompted_layer(ctx, ps, mode, seed, dropout_rate)
+    proto, _, vjp = prompted_layer(ctx, ps, seed, dropout_rate)
     loss, g_proto = prompt_loss(anchors, proto, labels, tau)
     return loss, vjp(g_proto)
 
@@ -718,15 +720,15 @@ def op_grad_cases() -> dict:
         "rsqrt": (lambda t: total_sum(rsqrt(t)), positive),
         "row_sum": (lambda t: total_sum(mul(row_sum(t), col)), m43),
         "total_sum": (lambda t: scale(total_sum(t), 3.0), m43),
-        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0, True)), m43),
+        "dropout": (lambda t: total_sum(dropout(t, 0.3, 11, 0)), m43),
         "cosine": (lambda t: total_sum(mul(cosine_sim_matrix(t, m33), probe43)), m43),
     }
     # each fused encoder op in train mode, through each parameter (perturbed in place)
     enc, a_norm = init_encoder_params(3, 4, seed=5), gcn_normalize(csr)
     for view, graph in (("mlp", None), ("gnn", a_norm)):
         for p in ("w1", "b1", "w2", "b2"):
-            cases[f"two_layer_{view}_{p}"] = _encoder_grad_case(view, probe43.data, enc, graph,
-                                                               probe44.data, f"{view}_{p}")
+            cases[f"two_layer_{view}_{p}"] = _encoder_grad_case(probe43.data, enc, graph, probe44.data,
+                                                               f"{view}_{p}")
     return cases
 
 

@@ -343,7 +343,7 @@ def _graph_run(root: Path, seed: int):
     def loss_and_grad_at(w):
         ps = PromptedGraph("graph", init.proto_features, w, init.trainable_row_mask)
         return prompt_loss_and_grad(ctx, ps, ctx.anchors[split.train.indices], split.train.classes,
-                                    tau, "train", seed, rate)
+                                    tau, seed, rate)
 
     w = init.weight_rows
     direction, h = np.random.default_rng(seed).standard_normal(w.shape), 1e-6

@@ -153,19 +153,15 @@ def test_row_vector_and_col_vector_broadcasts():
 # dropout
 
 
-def test_dropout_eval_is_identity():
-    m = rand(4, 4, 11)
-    assert dropout(m, 0.7, seed=3, stream=0, training=False) is m
-
-
 def test_dropout_p_zero_is_identity():
     m = rand(4, 4, 12)
-    assert dropout(m, 0.0, seed=3, stream=0, training=True) is m
+    assert dropout(m, 0.0, seed=3, stream=0) is m
+    assert autodiff.dropout_mask((4, 4), 0.0, 3, 0) is None
 
 
 def test_dropout_survivor_fraction():
     m = Tensor(np.ones((100, 100)))
-    out = dropout(m, 0.5, seed=5, stream=0, training=True)
+    out = dropout(m, 0.5, seed=5, stream=0)
     survivors = np.count_nonzero(out.data) / out.data.size
     assert abs(survivors - 0.5) < 0.03
     # survivors carry the inverted scale
@@ -178,27 +174,27 @@ def test_dropout_mask_is_one_full_draw_compared_with_p(shape):
     """Below, at, a multiple of and past the buffer of `_DROPOUT_DRAW` values."""
     for p, seed, stream in ((0.2, 3, 0), (0.5, 11, 1)):
         want = autodiff.seeded_rng(seed, stream).random(shape) >= p
-        got = autodiff.dropout_mask(shape, p, seed, stream, training=True)
+        got = autodiff.dropout_mask(shape, p, seed, stream)
         assert got.dtype == bool and got.shape == shape
         np.testing.assert_array_equal(got, want)
 
 
 def test_dropout_bad_probability():
     with pytest.raises(ParameterError):
-        dropout(rand(2, 2), 1.0, seed=0, stream=0, training=True)
+        dropout(rand(2, 2), 1.0, seed=0, stream=0)
     with pytest.raises(ParameterError):
-        dropout(rand(2, 2), -0.1, seed=0, stream=0, training=True)
+        dropout(rand(2, 2), -0.1, seed=0, stream=0)
 
 
 def test_dropout_is_pure_in_seed():
     """The mask is a function of (seed, stream) alone, on a tape or off."""
     m = Tensor(rand(6, 6, 13).data, requires_grad=True)
-    a = dropout(m, 0.4, seed=21, stream=0, training=True)
+    a = dropout(m, 0.4, seed=21, stream=0)
     with Tape():
-        b = dropout(m, 0.4, seed=21, stream=0, training=True)
+        b = dropout(m, 0.4, seed=21, stream=0)
     assert np.array_equal(a.data, b.data)
-    c = dropout(m, 0.4, seed=22, stream=0, training=True)
-    d = dropout(m, 0.4, seed=21, stream=1, training=True)
+    c = dropout(m, 0.4, seed=22, stream=0)
+    d = dropout(m, 0.4, seed=21, stream=1)
     assert not np.array_equal(a.data, c.data) and not np.array_equal(a.data, d.data)
 
 
@@ -494,7 +490,7 @@ def test_masked_infonce_matches_composite(case, monkeypatch):
     a[list(zero_rows)] = 0.0
     b[[r for r in zero_rows if r < n]] = 0.0
     positives = np.arange(m) if diagonal else rng.integers(0, n, size=m)
-    fused = masked_infonce(a, b, positives, 0.5, (True, True))
+    fused = masked_infonce(a, b, positives, 0.5)
     oracle = _composite_value_and_grads(a, b, positives, 0.5)
     assert abs(fused[0] - oracle[0]) <= 1e-12
     for got, want in zip(fused[1:], oracle[1:]):
@@ -506,8 +502,8 @@ def test_masked_infonce_grad_check_both_inputs(monkeypatch):
     rng = np.random.default_rng(31)
     z1, z2 = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
     positives = [2, 0, 3, 3, 1]
-    assert grad_check(lambda t: masked_infonce(t, z2, positives, 0.7, (True, False))[:2], z1) < 1e-4
-    assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7, (False, True))[::2], z2) < 1e-4
+    assert grad_check(lambda t: masked_infonce(t, z2, positives, 0.7)[:2], z1) < 1e-4
+    assert grad_check(lambda t: masked_infonce(z1, t, positives, 0.7)[::2], z2) < 1e-4
 
 
 @pytest.mark.parametrize("s1,s2", [(1e3, 1.0), (1.0, 1e3), (1e-9, 1.0), (1.0, 1e-9),
@@ -537,21 +533,11 @@ def test_backward_twice_over_infonce_returns_equal_gradients():
         np.testing.assert_array_equal(second[t], first[t])
 
 
-def test_masked_infonce_value_is_the_same_without_gradients():
-    rng = np.random.default_rng(47)
-    a, b = rng.standard_normal((300, 5)), rng.standard_normal((300, 5))
-    both = masked_infonce(a, b, np.arange(300), 0.5, (True, True))[0]
-    for wrt in ((False, False), (True, False), (False, True)):
-        loss, ga, gb = masked_infonce(a, b, np.arange(300), 0.5, wrt)
-        assert loss == both and (ga is not None, gb is not None) == wrt
-
-
 def test_masked_infonce_memory_is_row_blocked(traced_peak):
     n = 4000
     rng = np.random.default_rng(5)
     z1, z2 = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
-    (loss, g1, g2), peak = traced_peak(lambda: masked_infonce(z1, z2, np.arange(n), 0.5, (True, True)),
-                                       n, n)
+    (loss, g1, g2), peak = traced_peak(lambda: masked_infonce(z1, z2, np.arange(n), 0.5), n, n)
     assert np.isfinite(loss) and g1.shape == g2.shape == (n, 16)
     assert peak < 0.25, f"peak {peak:.3f} n x n arrays"
 
@@ -561,11 +547,11 @@ def _unit_rows(x):
     return np.where(norm > 0, x / np.maximum(norm, 1e-300), 0.0)
 
 
-def _infonce_run(a, b, overwrite, grads):
-    """Loss, gradients (None without) and inputs of one masked_infonce call on copies of a, b."""
+def _infonce_run(a, b, overwrite):
+    """Loss, gradients and inputs of one masked_infonce call on copies of a, b."""
     z1, z2 = a.copy(), b.copy()
-    loss, g1, g2 = masked_infonce(z1, z2, np.arange(len(a)), 0.5, (grads, grads), overwrite)
-    return loss, (g1.copy(), g2.copy()) if grads else None, z1, z2
+    loss, g1, g2 = masked_infonce(z1, z2, np.arange(len(a)), 0.5, overwrite)
+    return loss, (g1.copy(), g2.copy()), z1, z2
 
 
 def _infonce_inputs(cols):
@@ -582,24 +568,20 @@ def infonce_inputs():
 
 def test_masked_infonce_default_leaves_its_inputs_untouched(infonce_inputs):
     a, b = infonce_inputs
-    for grads in (False, True):
-        _, _, z1, z2 = _infonce_run(a, b, False, grads)
-        np.testing.assert_array_equal(z1, a)
-        np.testing.assert_array_equal(z2, b)
+    _, _, z1, z2 = _infonce_run(a, b, False)
+    np.testing.assert_array_equal(z1, a)
+    np.testing.assert_array_equal(z2, b)
 
 
 def test_masked_infonce_overwrite_inputs_gives_the_same_bits(infonce_inputs):
     a, b = infonce_inputs
-    loss, grads, _, _ = _infonce_run(a, b, False, True)
-    loss_in_place, grads_in_place, _, z2 = _infonce_run(a, b, True, True)
+    loss, grads, _, _ = _infonce_run(a, b, False)
+    loss_in_place, grads_in_place, z1, z2 = _infonce_run(a, b, True)
     assert loss_in_place == loss
     for got, want in zip(grads_in_place, grads):
         np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(z1, grads[0])  # z1 holds its gradient
     np.testing.assert_allclose(z2, _unit_rows(b), rtol=1e-15, atol=0)
-    no_grads, _, z1, z2 = _infonce_run(a, b, True, False)
-    assert no_grads == loss
-    for z, x in ((z1, a), (z2, b)):  # without a gradient to store, both hold unit rows
-        np.testing.assert_allclose(z, _unit_rows(x), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("cols", [1, 6])
@@ -608,9 +590,9 @@ def test_masked_infonce_gradient_chunks_give_the_single_products_bits(cols, gb_r
     """299 leaves one row over, which joins the chunk before it: a one-row
     product, like a one-column one, is a gemv with other last bits."""
     a, b = _infonce_inputs(cols)
-    _, whole, _, _ = _infonce_run(a, b, False, True)
+    _, whole, _, _ = _infonce_run(a, b, False)
     monkeypatch.setattr(autodiff, "_INFONCE_GB_ROWS", gb_rows)
-    _, chunked, _, _ = _infonce_run(a, b, False, True)
+    _, chunked, _, _ = _infonce_run(a, b, False)
     for got, want in zip(chunked, whole):
         np.testing.assert_array_equal(got, want)
 

@@ -118,15 +118,16 @@ def test_outputs_share_dimension():
 
 
 def test_an_encoder_vjp_returns_exactly_its_four_parameter_gradients():
-    """The features are a constant: each view's VJP differentiates its own W1, b1, W2, b2
-    alone, each gradient shaped like its parameter, and leaves the parameters as they were."""
+    """The features are a constant: the VJP of the view that `a_norm` selects (None: the
+    MLP, an adjacency: the GNN) differentiates that view's W1, b1, W2, b2 alone, names
+    each gradient after it, shapes it like its parameter, and leaves the parameters as they were."""
     p = make_params()
     before = params_checksum(p)
     x = np.random.default_rng(6).standard_normal((5, 4))
     a = gcn_normalize(build_csr(5, [(0, 1), (1, 2)]))
     g = np.random.default_rng(7).standard_normal((5, 6))
     for view, graph in (("mlp", None), ("gnn", a)):
-        grads = encoder_vjp(g, view, x, p, graph, 7, 0.2)
+        grads = encoder_vjp(g, x, p, graph, 7, 0.2)
         assert list(grads) == [n for n in PARAM_NAMES if n.startswith(view)]
         assert all(grads[n].shape == p[n].shape for n in grads)
     assert params_checksum(p) == before
@@ -201,8 +202,7 @@ def test_fused_encoders_match_composed_oracles_bitwise(n, hidden, n_features, ra
     for view, fused, composed, graph in cases:
         inputs = (features,) if graph is None else (features, graph)
         got = fused(*inputs, params, mode, seed, rate)
-        got_grads = encoder_vjp(probe, view, features, params, graph, seed,
-                                rate if mode == "train" else 0.0)
+        got_grads = encoder_vjp(probe, features, params, graph, seed, rate if mode == "train" else 0.0)
         leaves = encoder_leaves(params)
         with Tape() as tape:
             want = composed(*inputs, leaves, mode, seed, rate)

@@ -130,11 +130,15 @@ def test_prompt_config_grids():
         task_context(toy_graph(), frozen_params(4), "edge")
 
 
-@pytest.mark.parametrize("field", ["epochs", "patience"])
-def test_prompt_config_rejects_negative_counts(field):
-    PromptConfig(**{field: 0})
-    with pytest.raises(ParameterError, match=f"{field} must be non-negative, got -1"):
-        PromptConfig(**{field: -1})
+@pytest.mark.parametrize("field,least,refusal", [("epochs", 0, "must be non-negative"),
+                                                  ("patience", 1, "must be at least 1")],
+                         ids=["epochs", "patience"])
+def test_prompt_config_rejects_negative_counts(field, least, refusal):
+    """Epochs may be 0; patience may not, since a stale count starts at 1."""
+    PromptConfig(**{field: least})
+    for value in sorted({least - 1, -1}):
+        with pytest.raises(ParameterError, match=f"{field} {refusal}, got {value}"):
+            PromptConfig(**{field: value})
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
@@ -353,13 +357,13 @@ def test_prompt_loss_rejects_out_of_range_labels(labels):
 
 
 def test_prompt_loss_differentiates_only_the_prototypes():
-    """The anchors are a constant array: the loss forms the prototypes'
+    """The anchors are a constant array: the loss hands back the prototypes'
     gradient alone, and the caller's anchors are left as they were."""
     anchors = np.random.default_rng(13).standard_normal((2, 3))
     before = anchors.copy()
     protos = np.random.default_rng(14).standard_normal((2, 3))
     loss, grad = prompt_loss(anchors, protos, [0, 1], tau=0.5)
-    both = masked_infonce(anchors, protos, [0, 1], 0.5, (True, True))
+    both = masked_infonce(anchors, protos, [0, 1], 0.5)
     assert loss == both[0] and np.array_equal(grad, both[2])
     assert np.array_equal(anchors, before)
 
@@ -395,16 +399,16 @@ def _prompt_case(task, partial_mask, seed=21):
             rng.standard_normal((n_classes, g.features.shape[1])), mask)
 
 
-def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
+def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, seed, rate):
     """Prototypes of `prompted_layer` or of the tape oracle `full_graph_prototypes`,
     and the gradient of sum(prototypes * probe) into the weights."""
     probe = np.random.default_rng(5).standard_normal((w0.shape[1], ctx.params.hidden_dim))
     if fn is prompted_layer:
-        out, _, vjp = prompted_layer(ctx, PromptedGraph(ctx.task, proto_feats, w0, mask), mode, seed, rate)
+        out, _, vjp = prompted_layer(ctx, PromptedGraph(ctx.task, proto_feats, w0, mask), seed, rate)
         return out, vjp(probe)
     w = Tensor(w0, requires_grad=True)
     with Tape() as tape:
-        out = fn(ctx, PromptedGraph(ctx.task, proto_feats, w, mask), mode, seed, rate)
+        out = fn(ctx, PromptedGraph(ctx.task, proto_feats, w, mask), seed, rate)
         loss = total_sum(mul(out, Tensor(probe)))
     return out.data, backward(tape, loss)[w]
 
@@ -414,17 +418,15 @@ def _forward_and_weight_grad(fn, ctx, w0, proto_feats, mask, mode, seed, rate):
 @pytest.mark.parametrize("partial_mask", [False, True])
 def test_prototype_rows_match_full_graph_oracle(task, mode, rate, partial_mask):
     ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask)
-    got, got_grad = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask,
-                                             mode, 17, rate)
-    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats,
-                                               mask, mode, 17, rate)
+    got, got_grad = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask, 17, rate)
+    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats, mask,
+                                               17, rate)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
     assert np.all(got_grad[~mask] == 0.0)
     if mode == "train":
         # dropout acted: the eval-mode read-out differs
-        eval_out, _ = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask,
-                                               "eval", 17, 0.0)
+        eval_out, _ = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask, 17, 0.0)
         assert not np.allclose(got, eval_out)
 
 
@@ -459,23 +461,20 @@ _DRAWN_CASES = dict(
     sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), n_nodes=st.integers(1, 12),
     n_classes=st.integers(1, 4), hidden=st.integers(1, 6), n_features=st.integers(1, 4),
     mask_kind=st.sampled_from(["all", "none", "some"]),
-    zero_share=st.sampled_from([0.0, 0.4, 1.0]), mode=st.sampled_from(["train", "eval"]),
-    seed=st.integers(0, 2**32 - 1))
+    zero_share=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(rate=st.sampled_from([0.0, 0.3, 0.9]), **_DRAWN_CASES)
 def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
-        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
-        seed):
+        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, rate, seed):
     """Fused forward and weight gradient against the tape-composed oracle on
     drawn graphs, widths, row masks, dropout and weights with exact zeros."""
     ctx, w0, proto_feats, mask = _drawn_case(task, sizes, n_nodes, n_classes, hidden, n_features,
                                              mask_kind, zero_share, seed)
-    got, got_grad = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask,
-                                             mode, seed, rate)
-    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats,
-                                               mask, mode, seed, rate)
+    got, got_grad = _forward_and_weight_grad(prompted_layer, ctx, w0, proto_feats, mask, seed, rate)
+    want, want_grad = _forward_and_weight_grad(full_graph_prototypes, ctx, w0, proto_feats, mask,
+                                               seed, rate)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-10)
     assert np.all(got_grad[~mask] == 0.0)
@@ -484,7 +483,7 @@ def test_prompted_layer_matches_full_graph_oracle_on_drawn_cases(
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(rate=st.sampled_from([0.0, 0.2, 0.5, 0.9]), zero_w1_column=st.booleans(), **_DRAWN_CASES)
 def test_prompted_layer_matches_keep_all_oracle_bitwise(
-        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, mode, rate,
+        task, sizes, n_nodes, n_classes, hidden, n_features, mask_kind, zero_share, rate,
         zero_w1_column, seed):
     """The lean VJP against the one that kept every intermediate, byte for
     byte (signed zeros count): prototypes, dropout-free prototypes and dW."""
@@ -494,7 +493,7 @@ def test_prompted_layer_matches_keep_all_oracle_bitwise(
     ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w0, trainable_row_mask=mask)
     results = []
     for layer in (prompted_layer, keep_all_prompted_layer):
-        out, clean, vjp = layer(ctx, ps, mode, seed, rate)
+        out, clean, vjp = layer(ctx, ps, seed, rate)
         results.append([a.tobytes() for a in (out, clean, vjp(probe))])
     assert results[0] == results[1]
 
@@ -503,8 +502,8 @@ def _spy_on_masks(monkeypatch, module) -> list:
     """The (seed, stream) of every mask that `module` draws, in order."""
     draws, draw = [], module.dropout_mask
 
-    def spy(shape, rate, seed, stream, training):
-        keep = draw(shape, rate, seed, stream, training)
+    def spy(shape, rate, seed, stream):
+        keep = draw(shape, rate, seed, stream)
         if keep is not None:
             draws.append((seed, stream))
         return keep
@@ -519,7 +518,7 @@ def test_training_forward_draws_one_dropout_mask(task, monkeypatch):
     ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True)
     ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w0, trainable_row_mask=mask)
     draws = _spy_on_masks(monkeypatch, prompt)
-    out, _, vjp = prompted_layer(ctx, ps, "train", 17, 0.3)
+    out, _, vjp = prompted_layer(ctx, ps, 17, 0.3)
     vjp(np.ones_like(out))
     assert draws == [(derive_seed(17, 2), 0)]
 
@@ -532,8 +531,8 @@ def test_each_encoder_training_forward_draws_its_dropout_ordinal(monkeypatch):
     a = gcn_normalize(build_csr(5, [(0, 1), (1, 2)]))
     draws = _spy_on_masks(monkeypatch, encoders)
     g = mlp_forward(x, p, "train", 7, 0.2) + gnn_forward(x, a, p, "train", 7, 0.2)
-    encoder_vjp(g, "mlp", x, p, None, 7, 0.2)
-    encoder_vjp(g, "gnn", x, p, a, 7, 0.2)
+    encoder_vjp(g, x, p, None, 7, 0.2)
+    encoder_vjp(g, x, p, a, 7, 0.2)
     assert draws == [(derive_seed(7, 1), 0), (derive_seed(7, 2), 1)] * 2
 
 
@@ -548,7 +547,7 @@ def test_dropout_masks_do_not_depend_on_the_tape_or_call_order():
     ps = PromptedGraph(task="node", proto_features=proto_feats, weight_rows=w0, trainable_row_mask=mask)
     forwards = {"mlp": lambda: mlp_forward(x, p, "train", 7, 0.5),
                 "gnn": lambda: gnn_forward(x, a, p, "train", 7, 0.5),
-                "prompted": lambda: prompted_layer(ctx, ps, "train", 7, 0.5)[0]}
+                "prompted": lambda: prompted_layer(ctx, ps, 7, 0.5)[0]}
     alone = {name: forward().tobytes() for name, forward in forwards.items()}
     leaf = Tensor(np.ones((1, 1)), requires_grad=True)
     for order in itertools.permutations(forwards):
@@ -573,10 +572,10 @@ def test_encoder_eval_forward_draws_no_mask(monkeypatch):
 def test_training_pass_reads_out_its_weights_without_dropout(task):
     ctx, w0, proto_feats, mask = _prompt_case(task, partial_mask=True)
     ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w0, trainable_row_mask=mask)
-    train, clean, _ = prompted_layer(ctx, ps, "train", 17, 0.3)
+    train, clean, _ = prompted_layer(ctx, ps, 17, 0.3)
     np.testing.assert_array_equal(clean, prototype_embeddings(ctx, ps, "eval"))
     np.testing.assert_array_equal(train, prototype_embeddings(ctx, ps, "train", 17, 0.3))
-    out, same, _ = prompted_layer(ctx, ps, "eval")
+    out, same, _ = prompted_layer(ctx, ps)
     assert same is out
 
 
@@ -588,7 +587,7 @@ def test_prompt_loss_grad_check_through_prototype_rows_in_train_mode(task):
     anchors = rng.standard_normal((6, ctx.params.hidden_dim))
     labels = np.arange(6) % n_classes
     ps = PromptedGraph(task=task, proto_features=proto_feats, weight_rows=w0, trainable_row_mask=mask)
-    assert grad_check(lambda _: prompt_loss_and_grad(ctx, ps, anchors, labels, 0.5, "train", 3, 0.3),
+    assert grad_check(lambda _: prompt_loss_and_grad(ctx, ps, anchors, labels, 0.5, 3, 0.3),
                       ps.weight_rows, h=1e-5) < 1e-4
 
 
@@ -610,7 +609,7 @@ def test_tuning_step_gradient_matches_the_tape(task, monkeypatch):
     w, mask = Tensor(prompted.weight_rows, requires_grad=True), prompted.trainable_row_mask
     with Tape() as tape:
         proto = full_graph_prototypes(ctx, PromptedGraph(task, prompted.proto_features, w, mask),
-                                      "train", derive_seed(cfg.seed, 0), cfg.dropout)
+                                      derive_seed(cfg.seed, 0), cfg.dropout)
         loss = composite_infonce(Tensor(ctx.anchors[labeled.indices]), proto, labeled.classes, cfg.tau)
     ((name, got),) = handed[0].items()
     assert name == "prompt_weights" and not mask.all()
@@ -747,7 +746,7 @@ def test_every_value_is_a_float64_array(tmp_path):
         "tuned proto_features": prompted.proto_features,
         "loaded proto_features": load_checkpoint(tmp_path / "bundle.ckpt").prompt.proto_features,
         "kept prototypes": kept,
-        "dropout-free read-out": prompted_layer(ctx, prompted, "train", 0, 0.5)[1],
+        "dropout-free read-out": prompted_layer(ctx, prompted, 0, 0.5)[1],
         "prototypes": prompted_layer(ctx, prompted)[0],
         "weight rows": prompted.weight_rows,
         "loaded weight rows": load_checkpoint(tmp_path / "bundle.ckpt").prompt.weight_rows,
@@ -767,8 +766,7 @@ def test_every_value_is_a_float64_array(tmp_path):
     (tmp_path / "tu" / "RING_node_attributes.txt").unlink()
     values["degree one-hot features"] = load_tu_dataset(tmp_path / "tu", "RING").features
     values.update({name: ctx.params[name] for name in PARAM_NAMES})
-    values.update(encoder_vjp(ctx.anchors, "gnn", ctx.graph.features, ctx.params,
-                              gcn_normalize(ctx.graph.adjacency)))
+    values.update(encoder_vjp(ctx.anchors, ctx.graph.features, ctx.params, gcn_normalize(ctx.graph.adjacency)))
     wrapped = {name: type(v).__name__ for name, v in values.items()
                if not (isinstance(v, np.ndarray) and v.dtype == np.float64)}
     assert wrapped == {}
@@ -883,7 +881,7 @@ def test_eval_pass_peak_stays_near_the_arrays_it_needs(n2000_task, traced_peak):
     formed, 4.1 when all four terms of layer 1 were)."""
     ctx, split = n2000_task
     prompted, _ = prompt_tune(ctx, split.train, PromptConfig(epochs=0))
-    _, peak = traced_peak(lambda: prompted_layer(ctx, prompted, "eval"), 2000, 128)
+    _, peak = traced_peak(lambda: prompted_layer(ctx, prompted), 2000, 128)
     assert peak < 2.6, f"peak {peak:.2f} N x h arrays"
 
 
