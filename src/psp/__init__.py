@@ -35,10 +35,10 @@ from .graph import (
     GraphData,
     LabeledSet,
     PromptedGraph,
-    SelfLoopedBase,
     build_csr,
     gcn_normalize,
     mean_readout,
+    self_looped,
 )
 from .inference import class_mean_rows, evaluate, predict
 from .parallel import fork_map

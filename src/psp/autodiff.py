@@ -99,6 +99,12 @@ def check_tau(tau) -> float:
     return tau
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that a checkpoint's signed 64-bit field cannot store."""
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise ParameterError(f"seed must lie in [-2^63, 2^63), got {seed}")
+
+
 def _through_row_norms(g: np.ndarray, unit: np.ndarray, inv: np.ndarray, c: float) -> None:
     """g := c * d(x/|x|)^T g in place: inv|x| * (g - (g.x^) x^) * c, row by row."""
     g -= row_dots(g, unit) * unit
@@ -196,13 +202,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam with decoupled weight decay; moments are allocated lazily."""
+    """Adam with decoupled weight decay; moments are keyed by parameter name and allocated lazily."""
 
     lr: float = 1e-4
     weight_decay: float = 0.0
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
 
 def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
@@ -210,22 +216,22 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
     """One bias-corrected update of the named arrays in place, each moved by
     its entry of `grads`.
 
-    All or nothing: every new moment is formed aside and checked before any
-    is stored, so a refusal leaves the parameters, the moments and `state.t`
-    as they were.
+    Moments are found by name; a step naming other parameters than the state
+    tracks is refused. All or nothing: every new moment is formed aside and
+    checked before any is stored, so a refusal leaves the parameters, the
+    moments and `state.t` as they were.
     """
-    old_m = state.m or [np.zeros_like(p) for p in params.values()]
-    old_v = state.v or [np.zeros_like(p) for p in params.values()]
-    if len(old_m) != len(params):
-        raise ContractError(f"optimizer state tracks {len(old_m)} parameters, got {len(params)}")
+    old_m = state.m or {name: np.zeros_like(p) for name, p in params.items()}
+    old_v = state.v or {name: np.zeros_like(p) for name, p in params.items()}
+    if old_m.keys() != params.keys():
+        raise ContractError(f"optimizer state tracks parameters {sorted(old_m)}, got {sorted(params)}")
+    new_m, new_v = {}, {}
     for name, p in params.items():
         if name not in grads:
             raise ContractError(f"adam_step: parameter {name} has no gradient")
-        if grads[name].shape != p.shape:
+        g, m, v = grads[name], old_m[name], old_v[name]
+        if g.shape != p.shape:
             raise ContractError(f"adam_step: gradient shape mismatch on parameter {name}")
-    new_m, new_v = [], []
-    for name, m, v in zip(params, old_m, old_v):
-        g = grads[name]
         with np.errstate(over="ignore", invalid="ignore"):
             m = m * ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -234,14 +240,13 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
         if not (np.isfinite(m).all() and np.isfinite(v).all()):  # m / sqrt(inf) is a finite 0
             raise NumericError(f"adam_step: a moment of parameter {name} is non-finite, "
                                f"gradient max-abs {float(np.abs(g).max())}")
-        new_m.append(m)
-        new_v.append(v)
+        new_m[name], new_v[name] = m, v
     state.m, state.v = new_m, new_v
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, m, v in zip(params.values(), new_m, new_v):
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    for name, p in params.items():
+        update = state.lr * (new_m[name] / bc1) / (np.sqrt(new_v[name] / bc2) + ADAM_EPS)
         if state.weight_decay:
             update = update + state.lr * state.weight_decay * p
         p -= update

@@ -188,9 +188,10 @@ def _cmd_sweep(args) -> int:
                                   _parse_list(args.weight_decay_grid, "--weight-decay-grid", float),
                                   _parse_list(args.dropout_grid, "--dropout-grid", float)))
     g, ckpt = _load_run(args)
-    base = _config(PromptConfig, args)  # every grid point is checked before the first fit
+    base = _config(PromptConfig, args)  # every grid point and seed is checked before the first fit
     points = [dataclasses.replace(base, lr=lr, weight_decay=wd, dropout=d) for lr, wd, d in grid]
     splits = [_split_for(g, args, seed) for seed in seeds]
+    jobs = [(dataclasses.replace(cfg, seed=seed), split) for cfg in points for seed, split in zip(seeds, splits)]
     # so is the test split: its size, unlike its items, does not depend on the seed
     if not splits[0].test.indices.size:
         raise ContractError("accuracy needs at least one labeled item, got none")
@@ -201,7 +202,6 @@ def _cmd_sweep(args) -> int:
         record = prompt_tune(ctx, split.train, cfg, val=split.val)[1]
         return record.best_acc, record.best_proto
 
-    jobs = [(dataclasses.replace(cfg, seed=seed), split) for cfg in points for seed, split in zip(seeds, splits)]
     best = None
     with contextlib.closing(fork_map(fit, jobs)) as fitted:
         for cfg in points:

@@ -55,10 +55,6 @@ class Checkpoint:
     params: EncoderParams
     prompt: Optional[PromptedGraph] = None
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.params.hidden_dim
-
 
 # ---------------------------------------------------------------------------
 # text tables
@@ -487,7 +483,7 @@ class _Reader:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Little-endian binary layout with length-prefixed shape+data blocks."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack("<Iqd", ckpt.hidden_dim, ckpt.seed, ckpt.tau)]
+             struct.pack("<Iqd", ckpt.params.hidden_dim, ckpt.seed, ckpt.tau)]
     blocks = [ckpt.params[name] for name in PARAM_NAMES]
     parts.append(struct.pack("<I", len(blocks)))
     parts.extend(_pack_block(b) for b in blocks)

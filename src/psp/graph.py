@@ -5,7 +5,7 @@ The prompted graph attaches one virtual node per class to the base graph via
 a dense learnable weight block. Its one operator is the fused
 `psp.prompt.prompted_layer`, which recomputes the symmetric degree
 normalization on every forward pass because the weights move during tuning;
-the self-looped base and its degrees (`SelfLoopedBase`) are built once.
+A+I and its degrees (`self_looped`) are built once, into the task context.
 """
 
 from __future__ import annotations
@@ -168,21 +168,13 @@ def build_csr(n: int, edges) -> sparse.csr_array:
     return a
 
 
-@dataclass(frozen=True)
-class SelfLoopedBase:
-    """A square base adjacency with a self-loop added on every node, and the
-    row sums of the result (the base degrees) as an N x 1 column."""
-
-    a_hat: sparse.csr_array
-    degree: np.ndarray
-
-    @classmethod
-    def of(cls, a: sparse.csr_array) -> "SelfLoopedBase":
-        n, cols = a.shape
-        if n != cols:
-            raise DimensionError(f"self-loops need a square matrix, got {n}x{cols}")
-        a_hat = a + sparse.eye_array(n, format="csr")
-        return cls(a_hat, a_hat.sum(axis=1).reshape(-1, 1))
+def self_looped(a: sparse.csr_array) -> tuple[sparse.csr_array, np.ndarray]:
+    """A+I for a square adjacency A, and its row sums (the base degrees) as an N x 1 column."""
+    n, cols = a.shape
+    if n != cols:
+        raise DimensionError(f"self-loops need a square matrix, got {n}x{cols}")
+    a_hat = a + sparse.eye_array(n, format="csr")
+    return a_hat, a_hat.sum(axis=1).reshape(-1, 1)
 
 
 def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
@@ -191,9 +183,9 @@ def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
     Degrees are taken from the self-looped matrix, so a regular graph's
     normalized rows sum to 1.
     """
-    base = SelfLoopedBase.of(a)
-    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(base.degree.ravel(), 1e-12)))
-    norm = inv_sqrt @ base.a_hat @ inv_sqrt
+    a_hat, degree = self_looped(a)
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(degree.ravel(), 1e-12)))
+    norm = inv_sqrt @ a_hat @ inv_sqrt
     norm.sort_indices()
     return norm
 

@@ -24,6 +24,7 @@ from .autodiff import (
     FitRecord,
     check_finite,
     check_fraction,
+    check_seed,
     check_tau,
     derive_seed,
     masked_infonce,
@@ -46,6 +47,7 @@ class PretrainConfig:
 
     def __post_init__(self):
         check_tau(self.tau)
+        check_seed(self.seed)
         check_finite("lr", self.lr, positive=True)
         check_finite("weight_decay", self.weight_decay)
         check_fraction("dropout", self.dropout, open_top=True)

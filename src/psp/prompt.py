@@ -25,6 +25,7 @@ from .autodiff import (
     AdamState,
     FitRecord,
     check_fraction,
+    check_seed,
     check_tau,
     derive_seed,
     dropout_mask,
@@ -38,10 +39,10 @@ from .graph import (
     GraphData,
     LabeledSet,
     PromptedGraph,
-    SelfLoopedBase,
     class_count,
     gcn_normalize,
     mean_readout,
+    self_looped,
 )
 from .inference import class_mean_rows, evaluate, predict
 
@@ -74,6 +75,7 @@ class PromptConfig:
             raise ParameterError(f"weight_decay must come from {WEIGHT_DECAY_GRID}, got {self.weight_decay}")
         check_fraction("edge ratio", self.edge_ratio, open_top=False)
         check_tau(self.tau)
+        check_seed(self.seed)
         check_fraction("dropout", self.dropout, open_top=True)
         if self.epochs < 0:
             raise ParameterError(f"epochs must be non-negative, got {self.epochs}")
@@ -108,8 +110,8 @@ class TaskContext:
 
     Built once by `task_context` and shared by every fit on the same data and
     encoders. Rows of `anchors`, `struct` and `attr_base` are nodes for the
-    node task and graphs for the graph task; `base` and `xw1` always cover
-    the N base nodes, which the prompted graph propagates over either way.
+    node task and graphs for the graph task; `a_hat`, `base_degree` and `xw1`
+    cover the N base nodes either way: the prompted graph propagates over them.
     """
 
     graph: GraphData
@@ -118,7 +120,8 @@ class TaskContext:
     anchors: np.ndarray      # attribute (MLP) view: the anchor side of the loss
     struct: np.ndarray       # structural (GNN) view: the edge-weight initializer
     attr_base: np.ndarray    # features: the prototype-feature initializer
-    base: SelfLoopedBase     # the prompted graph's constant base block
+    a_hat: sparse.csr_array  # A+I: the prompted graph's constant base block
+    base_degree: np.ndarray  # row sums of A+I as an N x 1 column
     xw1: np.ndarray          # X·W1 of the GNN's first layer over the base nodes
 
     @property
@@ -137,8 +140,9 @@ def task_context(g: GraphData, params: EncoderParams, task: str) -> TaskContext:
     attr_base = g.features
     if task == "graph":
         anchors, struct, attr_base = (mean_readout(v, g.graph_of) for v in (anchors, struct, attr_base))
+    a_hat, base_degree = self_looped(g.adjacency)
     return TaskContext(graph=g, params=params, task=task, anchors=anchors, struct=struct,
-                       attr_base=attr_base, base=SelfLoopedBase.of(g.adjacency),
+                       attr_base=attr_base, a_hat=a_hat, base_degree=base_degree,
                        xw1=g.features @ params["gnn_w1"])
 
 
@@ -180,13 +184,13 @@ def prompted_layer(ctx: TaskContext, ps: PromptedGraph, seed: int = 0,
     if len(feats) != weights.shape[1]:
         raise DimensionError(f"prompt has {len(feats)} prototype feature rows for {weights.shape[1]} weight columns")
     w1, b1, w2, b2 = ctx.params.view("gnn")
-    a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
+    a_hat, graph_of = ctx.a_hat, ctx.graph.graph_of
     w = weights * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
     # d >= 1 (self-loops), so the scales need no floor
-    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base_degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
     wst = wt * s_b.T  # (s_b*W)^T

@@ -8,7 +8,7 @@ Each mutant replaces one fragment of one line of a file in a copy of `src/`,
 tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
 that the first failure names the narrowest test. A mutant that no test fails
 is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All eighteen take about 2.5 minutes on two cores.
+equivalent. All twenty take about 2.5 minutes on two cores.
 """
 
 import json
@@ -28,9 +28,10 @@ MUTANTS = {
     "no-symmetry-check": ("graph.py", "if asym.nnz and asym.max() > 0:", "if False:"),
     "prototype-self-loop-2": ("prompt.py", "keepdims=True) + 1.0", "keepdims=True) + 2.0"),
     "edge-init-through-abs": ("prompt.py", "return z2 @ class_mean_rows", "return np.abs(z2) @ class_mean_rows"),
-    "adam-no-first-moment-bias-correction": ("autodiff.py", "state.lr * (m / bc1)", "state.lr * m"),
+    "adam-no-first-moment-bias-correction": ("autodiff.py", "state.lr * (new_m[name] / bc1)",
+                                             "state.lr * new_m[name]"),
     "prompted-dropout-unscaled": ("prompt.py", "scale = 1.0 / (1.0 - dropout_rate)", "scale = 1.0"),
-    "gcn-degree-floor-1.5": ("graph.py", "base.degree.ravel(), 1e-12", "base.degree.ravel(), 1.5"),
+    "gcn-degree-floor-1.5": ("graph.py", "degree.ravel(), 1e-12", "degree.ravel(), 1.5"),
     "prompted-leaky-relu": ("prompt.py", "np.maximum(h_b, 0.0, out=h_b)", "np.maximum(h_b, 0.01 * h_b, out=h_b)"),
     "sweep-keeps-last-tie": ("cli.py", "mean_val > best[0]", "mean_val >= best[0]"),
     "pretrain-swaps-views-b1-grads": ("pretrain.py", "del g1, g2",
@@ -43,6 +44,9 @@ MUTANTS = {
     "infonce-gradient-without-one-hot": ("autodiff.py", "logits[at_pos] -= 1.0", "logits[at_pos] -= 0.0"),
     "prompted-vjp-degree-term-without-deg-b": ("prompt.py", "gs_b * s_b / deg_b", "gs_b * s_b"),
     "patience-zero-accepted": ("prompt.py", "if self.patience < 1:", "if self.patience < 0:"),
+    "adam-moments-by-position": ("autodiff.py", "old_m[name], old_v[name]",
+                                 "*(list(o.values())[list(params).index(name)] for o in (old_m, old_v))"),
+    "seed-unbounded": ("autodiff.py", "if not -(1 << 63) <= seed < 1 << 63:", "if False:"),
 }
 
 

@@ -38,6 +38,9 @@ Parity oracles, one per fast path in `src`:
   as a dense array.
 - `dense_prompted_normalize` checks `prompted_apply`, the prompted-graph
   operator as tape ops: the normalized (N+C) x (N+C) matrix as a dense array.
+  `prompted_apply` takes its base as `psp.graph.self_looped` returns it: A+I
+  and its degrees; `keep_all_prompted_layer` reads the two from the task
+  context.
 - `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
   it replaced.
 - `choice_sbm_edges` checks `psp.data.generate_sbm`'s edge loop: the loop
@@ -77,7 +80,7 @@ from psp.autodiff import AdamState, adam_step, derive_seed, dropout_mask, row_do
 from psp.encoders import PARAM_NAMES, check_mode, encoder_vjp, gnn_forward, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.encoders import init_encoder_params
-from psp.graph import PromptedGraph, SelfLoopedBase, build_csr, gcn_normalize
+from psp.graph import PromptedGraph, build_csr, gcn_normalize, self_looped
 from psp.inference import class_mean_rows
 from psp.prompt import accuracy, init_edge_weights, prompt_loss, prompted_layer, restrict_edge_ratio
 
@@ -471,16 +474,18 @@ def choice_sbm_edges(n, n_classes, homophily, avg_deg, seed):
     return edges, rng
 
 
-def prompted_apply(base: SelfLoopedBase, w: Tensor, h_base: Tensor, h_proto: Tensor):
+def prompted_apply(base: tuple[sparse.csr_array, np.ndarray], w: Tensor, h_base: Tensor, h_proto: Tensor):
     """The prompted graph [[A+I, W], [W^T, I]], scaled by d^-1/2 on both sides,
     times the matrix whose base rows are `h_base` and prototype rows `h_proto`;
-    returns the product as the same two row blocks. d holds the absolute row
-    sums, plus 1 on base rows; gradients reach W through d too."""
+    returns the product as the same two row blocks. `base` is A+I and its row
+    sums, as `self_looped` returns them. d holds the absolute row sums, plus 1
+    on base rows; gradients reach W through d too."""
+    a_hat, degree = base
     abs_w = absolute(w)
-    s_b = rsqrt(add(row_sum(abs_w), Tensor(base.degree)))
+    s_b = rsqrt(add(row_sum(abs_w), Tensor(degree)))
     s_p = rsqrt(add(row_sum(transpose(abs_w)), Tensor(np.ones((w.cols, 1)))))
     sb, sp = mul(h_base, s_b), mul(h_proto, s_p)
-    top = add(spmm(base.a_hat, sb), matmul(w, sp))
+    top = add(spmm(a_hat, sb), matmul(w, sp))
     bottom = add(matmul(transpose(w), sb), sp)
     return mul(top, s_b), mul(bottom, s_p)
 
@@ -493,7 +498,7 @@ def full_graph_prototypes(ctx, ps, seed=0, dropout_rate=0.0):
     w = mul(ps.weight_rows, Tensor(ps.trainable_row_mask.astype(np.float64).reshape(-1, 1)))
     if ctx.task == "graph":
         w = select_rows(w, g.graph_of)
-    base = SelfLoopedBase.of(g.adjacency)
+    base = self_looped(g.adjacency)
     w1, b1, w2, b2 = (Tensor(a) for a in ctx.params.view("gnn"))
     blocks = prompted_apply(base, w, matmul(Tensor(g.features), w1),
                             matmul(Tensor(ps.proto_features), w1))
@@ -516,12 +521,12 @@ def keep_all_prompted_layer(ctx, ps, seed=0, dropout_rate=0.0):
     returns: the prototypes, the dropout-free prototypes and the VJP."""
     weights, mask, feats = ps.weight_rows, ps.trainable_row_mask, ps.proto_features
     w1, b1, w2, b2 = ctx.params.view("gnn")
-    a_hat, graph_of = ctx.base.a_hat, ctx.graph.graph_of
+    a_hat, graph_of = ctx.a_hat, ctx.graph.graph_of
     w = weights * mask[:, None]
     if ctx.task == "graph":
         w = w[graph_of]
     wt, n = np.ascontiguousarray(w.T), w.shape[0]
-    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base.degree
+    deg_b = np.abs(w).sum(axis=1, keepdims=True) + ctx.base_degree
     deg_p = np.abs(wt).sum(axis=1, keepdims=True) + 1.0
     s_b, s_p = 1.0 / np.sqrt(deg_b), 1.0 / np.sqrt(deg_p)
     wst = wt * s_b.T

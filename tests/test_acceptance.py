@@ -25,9 +25,9 @@ from psp.graph import (
     GraphData,
     LabeledSet,
     PromptedGraph,
-    SelfLoopedBase,
     build_csr,
     gcn_normalize,
+    self_looped,
 )
 from psp.inference import class_mean_rows, predict
 from psp.parallel import fork_map
@@ -182,7 +182,7 @@ def test_criterion_3_structural_invariants():
     n, edges = fixtures[2]
     a = build_csr(n, edges)
     eye = np.eye(n + 2)
-    top, _ = prompted_apply(SelfLoopedBase.of(a), Tensor(np.zeros((n, 2))),
+    top, _ = prompted_apply(self_looped(a), Tensor(np.zeros((n, 2))),
                             Tensor(eye[:n]), Tensor(eye[n:]))
     reduction_err = np.abs(top.data[:, :n] - gcn_normalize(a).toarray()).max()
 

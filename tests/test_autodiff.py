@@ -346,12 +346,45 @@ def test_adam_refusal_leaves_parameters_moments_and_counter_as_they_were(steps_b
     state = AdamState(lr=0.1)
     for _ in range(steps_before):
         adam_step(params, {"p": np.ones((2, 2)), "q": np.ones((2, 2))}, state)
-    before = [a.copy() for a in list(params.values()) + state.m + state.v]
+    before = [a.copy() for a in [*params.values(), *state.m.values(), *state.v.values()]]
     with pytest.raises(NumericError, match="moment of parameter q is non-finite"):
         adam_step(params, {"p": np.ones((2, 2)), "q": np.full((2, 2), 1e200)}, state)
     assert state.t == steps_before and len(state.m) == len(state.v) == 2 * steps_before
-    for got, want in zip(list(params.values()) + state.m + state.v, before):
+    for got, want in zip([*params.values(), *state.m.values(), *state.v.values()], before):
         np.testing.assert_array_equal(got, want)
+
+
+def test_adam_pairs_moments_by_name_whatever_the_dict_order():
+    """Two same-shape parameters with unequal gradients: a second step that
+    lists them the other way round moves each exactly as the in-order step."""
+    grads = {"a": np.full((2, 2), 1.0), "b": np.full((2, 2), -3.0)}
+    in_order, reordered = ({"a": np.zeros((2, 2)), "b": np.zeros((2, 2))} for _ in range(2))
+    states = AdamState(lr=0.1), AdamState(lr=0.1)
+    for params, state in zip((in_order, reordered), states):
+        adam_step(params, grads, state)
+    adam_step(in_order, {"a": 2.0 * grads["a"], "b": 0.5 * grads["b"]}, states[0])
+    adam_step({"b": reordered["b"], "a": reordered["a"]}, {"b": 0.5 * grads["b"], "a": 2.0 * grads["a"]},
+              states[1])
+    for name in ("a", "b"):
+        np.testing.assert_array_equal(reordered[name], in_order[name])
+        np.testing.assert_array_equal(states[1].m[name], states[0].m[name])
+        np.testing.assert_array_equal(states[1].v[name], states[0].v[name])
+
+
+@pytest.mark.parametrize("names", [("a", "c"), ("a",), ("a", "b", "c")])
+def test_adam_refuses_another_parameter_set_leaving_everything_as_it_was(names):
+    state = AdamState(lr=0.1)
+    adam_step({"a": np.zeros((2, 2)), "b": np.zeros((2, 2))}, {"a": np.ones((2, 2)), "b": np.ones((2, 2))}, state)
+    params = {name: np.full((2, 2), 7.0) for name in names}
+    moments = {name: (state.m[name].copy(), state.v[name].copy()) for name in ("a", "b")}
+    with pytest.raises(ContractError, match=re.escape(f"tracks parameters ['a', 'b'], got {sorted(names)}")):
+        adam_step(params, {name: np.ones((2, 2)) for name in names}, state)
+    assert state.t == 1 and list(state.m) == list(state.v) == ["a", "b"]
+    for name, (m, v) in moments.items():
+        np.testing.assert_array_equal(state.m[name], m)
+        np.testing.assert_array_equal(state.v[name], v)
+    for p in params.values():
+        np.testing.assert_array_equal(p, np.full((2, 2), 7.0))
 
 
 def test_adam_refuses_grads_that_lack_a_parameter():

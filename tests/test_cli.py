@@ -70,7 +70,7 @@ def test_pretrain_outputs_checkpoint_and_loss_log(pipeline):
     lines = open(log).read().splitlines()
     assert len(lines) == 8 and lines[0].startswith("0\t")
     loaded = load_checkpoint(ckpt)
-    assert loaded.hidden_dim == 16 and loaded.prompt is None
+    assert loaded.params.hidden_dim == 16 and loaded.prompt is None
 
 
 def test_tune_outputs_bundle_with_prompt(pipeline):
@@ -232,6 +232,14 @@ REFUSALS = {
         f"{EVAL} --task graph"),
     "test_export_w_refuses_a_tu_name_without_data": (
         "--tu-name needs --data", "export-w --ckpt {tuned} --tu-name X --out {out}"),
+    # a checkpoint stores the seed as a signed 64-bit integer; sweep is refused before any fit too
+    "test_seeded_commands_refuse_a_seed_a_checkpoint_cannot_store": {
+        f"{command}-{seed}": (f"seed must lie in [-2^63, 2^63), got {seed}", argv)
+        for command, seed, argv in (
+            ("pretrain", 2 ** 63, f"{PRETRAIN} --seed {2 ** 63}"),
+            ("pretrain", -2 ** 63 - 1, f"{PRETRAIN} --seed={-2 ** 63 - 1}"),
+            ("tune", 2 ** 64 + 1, f"{TUNE} --seed {2 ** 64 + 1}"),
+            ("sweep", 2 ** 64 + 1, f"{SWEEP} --seeds 0,{2 ** 64 + 1}"))},
     "test_synth_refuses_noise_that_overflows_the_features": (
         "noise must keep the features finite, got 1e+308", f"{SYNTH} --noise 1e308"),
 }

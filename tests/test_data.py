@@ -672,7 +672,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, with_prompt):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     back = load_checkpoint(path)
-    assert back.hidden_dim == 4 and back.seed == 11 and back.tau == 0.5
+    assert back.params.hidden_dim == 4 and back.seed == 11 and back.tau == 0.5
     assert tuple(back.params) == PARAM_NAMES
     for name in PARAM_NAMES:
         assert np.array_equal(back.params[name], ckpt.params[name])

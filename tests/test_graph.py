@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
-    SelfLoopedBase,
     build_csr,
     check_csr,
     class_count,
     gcn_normalize,
     mean_readout,
+    self_looped,
 )
 
 from oracles import (
@@ -35,7 +35,7 @@ def operator_matrix(a, w: np.ndarray, h=None) -> np.ndarray:
     matrix h, by default I (the operator itself), split into its row blocks on
     the way in and stacked on the way out."""
     h = np.eye(sum(w.shape)) if h is None else h
-    base, proto = prompted_apply(SelfLoopedBase.of(a), Tensor(w), Tensor(h[:len(w)]), Tensor(h[len(w):]))
+    base, proto = prompted_apply(self_looped(a), Tensor(w), Tensor(h[:len(w)]), Tensor(h[len(w):]))
     return np.vstack([base.data, proto.data])
 
 
@@ -165,7 +165,7 @@ def test_gcn_normalize_regular_graph_rows_sum_to_one():
 def test_prompted_operator_rejects_non_square_base():
     rect = check_csr(([1.0, 1.0], [0, 1], [0, 1, 2]), shape=(2, 3))
     with pytest.raises(DimensionError, match="square"):
-        SelfLoopedBase.of(rect)
+        self_looped(rect)
 
 
 def test_normalize_prompted_zero_weights_reduces_to_gcn():
@@ -218,7 +218,7 @@ def test_gradient_through_normalization_into_weights():
     probe_base, probe_proto = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
 
     def f(w):
-        base, proto = prompted_apply(SelfLoopedBase.of(a), w, h_base, h_proto)
+        base, proto = prompted_apply(self_looped(a), w, h_base, h_proto)
         return add(total_sum(mul(base, probe_base)), total_sum(mul(proto, probe_proto)))
 
     assert grad_check(f, Tensor(rng.standard_normal((4, 2))), h=1e-5) < 1e-4

@@ -14,10 +14,10 @@ from psp.graph import (
     GraphData,
     LabeledSet,
     PromptedGraph,
-    SelfLoopedBase,
     build_csr,
     gcn_normalize,
     mean_readout,
+    self_looped,
 )
 from psp.inference import class_mean_rows, predict
 from psp.prompt import (
@@ -313,7 +313,7 @@ def test_weight_doubling_changes_but_bounds_prototypes():
     # scale: |w_i| <= d_i and |w_i| <= d_c give |w_i|/sqrt(d_i d_c) <= 1
     for factor in (1.0, 2.0, 100.0):
         eye = np.eye(4)
-        blocks = prompted_apply(SelfLoopedBase.of(g.adjacency), Tensor(base_w * factor),
+        blocks = prompted_apply(self_looped(g.adjacency), Tensor(base_w * factor),
                                 Tensor(eye[:3]), Tensor(eye[3:]))
         assert max(np.abs(b.data).max() for b in blocks) <= 1.0 + 1e-12
 
@@ -650,7 +650,7 @@ def test_task_context_builds_views_once_per_task():
     np.testing.assert_array_equal(node.anchors, mlp_forward(g.features, params))
     np.testing.assert_array_equal(node.attr_base, g.features)
     np.testing.assert_array_equal(node.xw1, g.features @ params["gnn_w1"])
-    np.testing.assert_array_equal(node.base.degree.ravel(), g.adjacency.sum(axis=1) + 1.0)
+    np.testing.assert_array_equal(node.base_degree.ravel(), g.adjacency.sum(axis=1) + 1.0)
     graph = task_context(g, params, "graph")
     attr, struct = mean_readout(node.anchors, g.graph_of), mean_readout(node.struct, g.graph_of)
     np.testing.assert_array_equal(graph.anchors, attr)
@@ -742,7 +742,7 @@ def test_every_value_is_a_float64_array(tmp_path):
                                                          prompt=prompted))
     values = {name: getattr(ctx, name) for name in ("anchors", "struct", "attr_base", "xw1")}
     values.update({
-        "base.degree": ctx.base.degree,
+        "base_degree": ctx.base_degree,
         "tuned proto_features": prompted.proto_features,
         "loaded proto_features": load_checkpoint(tmp_path / "bundle.ckpt").prompt.proto_features,
         "kept prototypes": kept,
