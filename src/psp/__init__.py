@@ -1,5 +1,23 @@
 """Dual-view contrastive pre-training and structure prompt tuning for graphs."""
 
+import importlib.util
+import sys
+
+import numpy
+
+# `import scipy.sparse` runs `from numpy import *` (its vendored array_api_compat),
+# which imports every lazy numpy submodule. psp reads neither of these, so each
+# body runs only on first attribute access; numpy.ma stays eager, np.unique reads it
+_DEFERRED = ("numpy.testing", "numpy.f2py")
+for _name in _DEFERRED:
+    if _name not in sys.modules:  # a caller may hold the real module already
+        _spec = importlib.util.find_spec(_name)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_name] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_name])
+        # on numpy too, whose __getattr__ would otherwise import it again and recurse
+        setattr(numpy, _name.split(".")[1], sys.modules[_name])
+
 from .autodiff import AdamState, FitRecord, adam_step, masked_infonce
 from .data import (
     Checkpoint,

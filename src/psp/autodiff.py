@@ -100,7 +100,8 @@ def check_tau(tau) -> float:
 
 
 def check_seed(seed) -> None:
-    """Refuse a seed that a checkpoint's signed 64-bit field cannot store."""
+    """Refuse a seed that a checkpoint's signed 64-bit field cannot store, and
+    that `seeded_rng` would read as another seed."""
     if not -(1 << 63) <= seed < 1 << 63:
         raise ParameterError(f"seed must lie in [-2^63, 2^63), got {seed}")
 

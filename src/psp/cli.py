@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .autodiff import check_seed
 from .data import (
     Checkpoint,
     SplitSpec,
@@ -324,6 +325,8 @@ def run(argv=None) -> int:
         args.hidden_dim = 32 if args.task == "graph" else PretrainConfig.hidden_dim
     _echo_config(args)
     try:
+        if hasattr(args, "seed"):  # seeded_rng reads a seed mod 2^64, so a wider one aliases
+            check_seed(args.seed)
         return args.func(args)
     except PspError as exc:
         print(f"error: {exc}", file=sys.stderr)

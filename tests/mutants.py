@@ -8,7 +8,7 @@ Each mutant replaces one fragment of one line of a file in a copy of `src/`,
 tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
 that the first failure names the narrowest test. A mutant that no test fails
 is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All twenty take about 2.5 minutes on two cores.
+equivalent. All twenty-three take about 3.5 minutes on two cores.
 """
 
 import json
@@ -47,6 +47,10 @@ MUTANTS = {
     "adam-moments-by-position": ("autodiff.py", "old_m[name], old_v[name]",
                                  "*(list(o.values())[list(params).index(name)] for o in (old_m, old_v))"),
     "seed-unbounded": ("autodiff.py", "if not -(1 << 63) <= seed < 1 << 63:", "if False:"),
+    "run-skips-the-seed-check": ("cli.py", "check_seed(args.seed)", "pass"),
+    "numpy-testing-and-f2py-not-deferred": ("__init__.py", '_DEFERRED = ("numpy.testing", "numpy.f2py")',
+                                            "_DEFERRED = ()"),
+    "deferral-replaces-a-loaded-module": ("__init__.py", "if _name not in sys.modules:", "if True:"),
 }
 
 

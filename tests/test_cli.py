@@ -240,6 +240,10 @@ REFUSALS = {
             ("pretrain", -2 ** 63 - 1, f"{PRETRAIN} --seed={-2 ** 63 - 1}"),
             ("tune", 2 ** 64 + 1, f"{TUNE} --seed {2 ** 64 + 1}"),
             ("sweep", 2 ** 64 + 1, f"{SWEEP} --seeds 0,{2 ** 64 + 1}"))},
+    # seeded_rng reads a seed mod 2^64: 2^64 would silently write or score what seed 0 does
+    "test_synth_and_eval_refuse_a_seed_that_aliases_another": {
+        command: (f"seed must lie in [-2^63, 2^63), got {2 ** 64}", f"{base} --seed {2 ** 64}")
+        for command, base in (("synth", SYNTH), ("eval", EVAL))},
     "test_synth_refuses_noise_that_overflows_the_features": (
         "noise must keep the features finite, got 1e+308", f"{SYNTH} --noise 1e308"),
 }
@@ -837,3 +841,35 @@ def test_only_main_freezes_the_import_time_heap(tmp_path):
     # after `psp.cli.run`, then from inside `psp.cli.main`
     assert _fresh_python(_FREEZE_COUNT, "run", tmp_path) == ["0"]  # library use keeps the default collector
     assert int(_fresh_python(_FREEZE_COUNT, "main", tmp_path)[-1]) > 0
+
+
+_DEFERRED_MODULES = """
+import sys
+if sys.argv[1] == "held":
+    import numpy.testing
+    held = numpy.testing
+    import psp
+    print(sys.modules["numpy.testing"] is held and numpy.testing is held)
+else:
+    import psp.cli
+    data, ckpt, tuned = (sys.argv[2] + name for name in ("/data", "/m.ckpt", "/t.ckpt"))
+    for argv in (f"synth --n 30 --out {data}", f"pretrain --data {data} --out {ckpt} --epochs 1",
+                 f"tune --data {data} --ckpt {ckpt} --out {tuned} --epochs 1",
+                 f"eval --data {data} --ckpt {tuned}"):
+        assert psp.cli.run(argv.split()) == 0
+    print(sorted({"numpy.testing._private.utils", "numpy.f2py.crackfortran"} & set(sys.modules)))
+    import numpy.f2py
+    from numpy.testing import assert_allclose
+    assert_allclose(1.0, 1.0)
+    print(numpy.f2py.get_include())
+"""
+
+
+def test_stages_never_load_numpy_testing_or_f2py(tmp_path):
+    *_, loaded, include = _fresh_python(_DEFERRED_MODULES, "stages", tmp_path)
+    assert loaded == "[]"
+    assert os.path.isdir(include)  # each still loads on first use
+
+
+def test_a_numpy_testing_imported_before_psp_is_kept(tmp_path):
+    assert _fresh_python(_DEFERRED_MODULES, "held", tmp_path) == ["True"]
