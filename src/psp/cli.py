@@ -96,7 +96,8 @@ def _config(cls, args):
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
-    """A comma-separated flag value; blank items are skipped, but one value is required."""
+    """A comma-separated flag value; blank items are skipped, but one value is required
+    and none may repeat once parsed."""
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -104,6 +105,9 @@ def _parse_list(text: str, flag: str, kind) -> list:
                              f"values, got {text!r}") from None
     if not values:
         raise ParameterError(f"{flag} needs at least one value, got {text!r}")
+    for i, v in enumerate(values):
+        if v in values[:i]:  # a repeat fits again what its first copy fits and weighs twice in the means
+            raise ParameterError(f"{flag} repeats the value {v}, got {text!r}")
     return values
 
 

@@ -391,7 +391,7 @@ def generate_sbm(n: int, n_classes: int, homophily: float, avg_deg: float,
     if n < n_classes:
         raise ParameterError(f"need at least one node per class, got n={n}, classes={n_classes}")
     if n_classes < 1:
-        raise ParameterError("n_classes must be positive")
+        raise ParameterError(f"n_classes must be positive, got {n_classes}")
     check_fraction("homophily", homophily, open_top=False)
     check_finite("avg_deg", avg_deg)
     check_finite("noise", noise)

@@ -52,7 +52,7 @@ class PretrainConfig:
         check_finite("weight_decay", self.weight_decay)
         check_fraction("dropout", self.dropout, open_top=True)
         if self.epochs < 0:
-            raise ParameterError("epochs must be non-negative")
+            raise ParameterError(f"epochs must be non-negative, got {self.epochs}")
         if self.hidden_dim < 1:
             raise ParameterError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
 

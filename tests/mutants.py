@@ -4,11 +4,12 @@
     python tests/mutants.py NAME ...   # the named mutants; prints, writes nothing
 
 Each mutant replaces one fragment of one line of a file in a copy of `src/`,
-`tests/`, `perfbench/` and `pyproject.toml` in a temporary directory, and runs
-tier-1 there with `-x`, the end-to-end golden and acceptance modules last, so
-that the first failure names the narrowest test. A mutant that no test fails
-is recorded as SURVIVED: it needs a test that kills it, or a reason why it is
-equivalent. All twenty-three take about 3.5 minutes on two cores.
+`tests/`, `perfbench/`, `pyproject.toml` and `README.md` in a temporary
+directory, and runs tier-1 there with `-x`, the end-to-end golden and
+acceptance modules last, so that the first failure names the narrowest test.
+A mutant that no test fails is recorded as SURVIVED: it needs a test that
+kills it, or a reason why it is equivalent. The whole table runs in under 5
+minutes on two cores.
 """
 
 import json
@@ -51,6 +52,12 @@ MUTANTS = {
     "numpy-testing-and-f2py-not-deferred": ("__init__.py", '_DEFERRED = ("numpy.testing", "numpy.f2py")',
                                             "_DEFERRED = ()"),
     "deferral-replaces-a-loaded-module": ("__init__.py", "if _name not in sys.modules:", "if True:"),
+    "split-val-takes-a-train-item": ("data.py", "part[picked[k:k + val_k]] = 1", "part[picked[k - 1:k + val_k]] = 1"),
+    "label-mask-may-empty-a-class": ("data.py", "n_keep = max(1, ", "n_keep = max(0, "),
+    "edge-ratio-rounds-up": ("prompt.py", "take = min(int(np.floor(r * n)), pool.size)",
+                             "take = min(int(np.ceil(r * n)), pool.size)"),
+    "edge-ratio-drops-the-labeled-rows": ("prompt.py", "mask[labeled.indices] = True", "mask[labeled.indices] = False"),
+    "list-flags-take-a-repeat": ("cli.py", "if v in values[:i]:", "if False:"),
 }
 
 
@@ -62,6 +69,7 @@ def run(name: str, tmp: Path) -> dict:
     for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "pyproject.toml", work)
+    shutil.copy(ROOT / "README.md", work)  # tests/test_readme.py reads it
     path = work / "src" / "psp" / file
     text = path.read_text(encoding="utf-8")
     if text.count(fragment) != 1:

@@ -246,6 +246,13 @@ REFUSALS = {
         for command, base in (("synth", SYNTH), ("eval", EVAL))},
     "test_synth_refuses_noise_that_overflows_the_features": (
         "noise must keep the features finite, got 1e+308", f"{SYNTH} --noise 1e308"),
+    # a repeated seed or grid value would be fitted twice and weigh twice in the means
+    "test_sweep_refuses_a_repeated_value": {
+        "seeds": ("--seeds repeats the value 0, got '0,0'", f"{SWEEP} --seeds 0,0"),
+        "lr-grid": ("--lr-grid repeats the value 0.01, got '0.01,1e-2'", f"{SWEEP} --lr-grid 0.01,1e-2")},
+    "test_count_refusals_name_the_value": {
+        "pretrain-epochs": ("epochs must be non-negative, got -1", f"{PRETRAIN} --epochs -1"),
+        "synth-classes": ("n_classes must be positive, got 0", f"{SYNTH} --classes 0")},
 }
 
 

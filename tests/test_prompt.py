@@ -229,6 +229,7 @@ def test_edge_ratio_counts_and_determinism():
     m2 = restrict_edge_ratio(100, labeled, 0.1, seed=4)
     assert np.array_equal(m1, m2)
     assert m1.sum() == 2 + 10  # N_t + floor(r * N)
+    assert restrict_edge_ratio(10, labeled, 0.25, seed=4).sum() == 2 + 2  # floor(2.5), not ceil
     m3 = restrict_edge_ratio(100, labeled, 0.1, seed=5)
     assert not np.array_equal(m1, m3)
 
