@@ -6,9 +6,11 @@ import sys
 import numpy
 
 # `import scipy.sparse` runs `from numpy import *` (its vendored array_api_compat),
-# which imports every lazy numpy submodule. psp reads neither of these, so each
-# body runs only on first attribute access; numpy.ma stays eager, np.unique reads it
-_DEFERRED = ("numpy.testing", "numpy.f2py")
+# which imports every lazy numpy submodule. psp reads none of these, so each body
+# runs only on first attribute access; psp's paths avoid the np.unique form and the
+# dia_array constructor that read numpy.ma
+_DEFERRED = ("numpy.testing", "numpy.f2py", "numpy.ma", "numpy.polynomial", "numpy.char", "numpy.strings",
+             "numpy.rec", "numpy.ctypeslib")
 for _name in _DEFERRED:
     if _name not in sys.modules:  # a caller may hold the real module already
         _spec = importlib.util.find_spec(_name)

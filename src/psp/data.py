@@ -319,7 +319,7 @@ def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec
         return split
     rng = seeded_rng(seed, 0x3A5C)
     keep = np.zeros(train.indices.size, dtype=bool)
-    for cls in np.unique(train.classes):
+    for cls in np.flatnonzero(np.bincount(train.classes)):
         members = np.flatnonzero(train.classes == cls)
         n_keep = max(1, int(round(members.size * (1.0 - ratio))))
         keep[rng.choice(members, size=n_keep, replace=False)] = True

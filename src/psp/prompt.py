@@ -54,7 +54,7 @@ _VJP_BLOCK_ROWS = 1024
 
 
 def _in_grid(value: float, grid) -> bool:
-    return any(np.isclose(value, g, rtol=1e-9) for g in grid)
+    return any(np.isclose(value, g, rtol=1e-9, atol=0.0) for g in grid)
 
 
 @dataclass

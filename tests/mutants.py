@@ -49,8 +49,9 @@ MUTANTS = {
                                  "*(list(o.values())[list(params).index(name)] for o in (old_m, old_v))"),
     "seed-unbounded": ("autodiff.py", "if not -(1 << 63) <= seed < 1 << 63:", "if False:"),
     "run-skips-the-seed-check": ("cli.py", "check_seed(args.seed)", "pass"),
-    "numpy-testing-and-f2py-not-deferred": ("__init__.py", '_DEFERRED = ("numpy.testing", "numpy.f2py")',
-                                            "_DEFERRED = ()"),
+    "numpy-testing-and-f2py-not-deferred": ("__init__.py", '_DEFERRED = ("numpy.testing", "numpy.f2py", ',
+                                            "_DEFERRED = ("),
+    "numpy-ma-not-deferred": ("__init__.py", '"numpy.ma", ', ""),
     "deferral-replaces-a-loaded-module": ("__init__.py", "if _name not in sys.modules:", "if True:"),
     "split-val-takes-a-train-item": ("data.py", "part[picked[k:k + val_k]] = 1", "part[picked[k - 1:k + val_k]] = 1"),
     "label-mask-may-empty-a-class": ("data.py", "n_keep = max(1, ", "n_keep = max(0, "),
@@ -58,6 +59,8 @@ MUTANTS = {
                              "take = min(int(np.ceil(r * n)), pool.size)"),
     "edge-ratio-drops-the-labeled-rows": ("prompt.py", "mask[labeled.indices] = True", "mask[labeled.indices] = False"),
     "list-flags-take-a-repeat": ("cli.py", "if v in values[:i]:", "if False:"),
+    "gcn-normalize-without-column-scale": ("graph.py", "a_hat.data *= inv_sqrt[a_hat.indices]", "a_hat.data *= 1.0"),
+    "grid-admits-near-values": ("prompt.py", "rtol=1e-9, atol=0.0", "rtol=1e-9"),
 }
 
 

@@ -41,6 +41,9 @@ Parity oracles, one per fast path in `src`:
   `prompted_apply` takes its base as `psp.graph.self_looped` returns it: A+I
   and its degrees; `keep_all_prompted_layer` reads the two from the task
   context.
+- `gcn_normalize` checks `psp.graph.gcn_normalize` bit for bit: the same
+  normalization as two products with `scipy.sparse.diags_array`, whose
+  `dia_array` constructor imports numpy.ma through `np.unique`.
 - `set_loop_build_csr` checks `psp.graph.build_csr`: the per-edge set loop
   it replaced.
 - `choice_sbm_edges` checks `psp.data.generate_sbm`'s edge loop: the loop
@@ -80,7 +83,7 @@ from psp.autodiff import AdamState, adam_step, derive_seed, dropout_mask, row_do
 from psp.encoders import PARAM_NAMES, check_mode, encoder_vjp, gnn_forward, mlp_forward
 from psp.errors import ContractError, DataError, DimensionError, NumericError
 from psp.encoders import init_encoder_params
-from psp.graph import PromptedGraph, build_csr, gcn_normalize, self_looped
+from psp.graph import PromptedGraph, build_csr, self_looped
 from psp.inference import class_mean_rows
 from psp.prompt import accuracy, init_edge_weights, prompt_loss, prompted_layer, restrict_edge_ratio
 
@@ -405,6 +408,15 @@ def dense_gcn_normalize(adj_dense: np.ndarray) -> np.ndarray:
     deg = hat.sum(axis=1)
     inv = 1.0 / np.sqrt(deg)
     return inv[:, None] * hat * inv[None, :]
+
+
+def gcn_normalize(a: sparse.csr_array) -> sparse.csr_array:
+    """D^-1/2 (A+I) D^-1/2 as D^-1/2 @ (A+I) @ D^-1/2 with diagonal sparse factors."""
+    a_hat, degree = self_looped(a)
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(np.maximum(degree.ravel(), DEGREE_FLOOR)))
+    norm = inv_sqrt @ a_hat @ inv_sqrt
+    norm.sort_indices()
+    return norm
 
 
 def dense_prompted_normalize(adj_dense: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -25,6 +25,8 @@ from psp.data import (
 )
 from psp.graph import PromptedGraph
 
+from graph_batches import write_ring_chord_batch
+
 # `psp tune --tau 1e-308`'s refusal: the gradient's max-abs, then the epoch's loss
 ADAM_REFUSAL = (r"^error: adam_step: a moment of parameter prompt_weights is non-finite, "
                 r"gradient max-abs (\S+) at epoch 0, loss (\S+)$")
@@ -250,6 +252,11 @@ REFUSALS = {
     "test_sweep_refuses_a_repeated_value": {
         "seeds": ("--seeds repeats the value 0, got '0,0'", f"{SWEEP} --seeds 0,0"),
         "lr-grid": ("--lr-grid repeats the value 0.01, got '0.01,1e-2'", f"{SWEEP} --lr-grid 0.01,1e-2")},
+    # grid membership is relative to 1e-9: an absolute slack of 1e-8 would admit 0.0100000001
+    "test_lr_flags_refuse_a_value_near_a_grid_point": {
+        "tune": ("lr must come from (0.0001, 0.001, 0.01, 0.1), got 0.0100000001", f"{TUNE} --lr 0.0100000001"),
+        "sweep": ("lr must come from (0.0001, 0.001, 0.01, 0.1), got 0.0100000001",
+                  f"{SWEEP} --lr-grid 0.01,0.0100000001")},
     "test_count_refusals_name_the_value": {
         "pretrain-epochs": ("epochs must be non-negative, got -1", f"{PRETRAIN} --epochs -1"),
         "synth-classes": ("n_classes must be positive, got 0", f"{SYNTH} --classes 0")},
@@ -852,6 +859,7 @@ def test_only_main_freezes_the_import_time_heap(tmp_path):
 
 _DEFERRED_MODULES = """
 import sys
+import types
 if sys.argv[1] == "held":
     import numpy.testing
     held = numpy.testing
@@ -859,23 +867,35 @@ if sys.argv[1] == "held":
     print(sys.modules["numpy.testing"] is held and numpy.testing is held)
 else:
     import psp.cli
-    data, ckpt, tuned = (sys.argv[2] + name for name in ("/data", "/m.ckpt", "/t.ckpt"))
+    data, tu, ckpt, tuned, w = (sys.argv[2] + name for name in ("/data", "/tu", "/m.ckpt", "/t.ckpt", "/w.tsv"))
+    # one grid point and one seed: fork_map fits inline, so this process loads what a fit loads
+    sweep = (f"sweep --ckpt {ckpt} --epochs 1 --k-shot 1 --val-shots 1 --lr-grid 0.01 "
+             "--weight-decay-grid 0.0001 --dropout-grid 0 --seeds 1")
     for argv in (f"synth --n 30 --out {data}", f"pretrain --data {data} --out {ckpt} --epochs 1",
                  f"tune --data {data} --ckpt {ckpt} --out {tuned} --epochs 1",
-                 f"eval --data {data} --ckpt {tuned}"):
-        assert psp.cli.run(argv.split()) == 0
-    print(sorted({"numpy.testing._private.utils", "numpy.f2py.crackfortran"} & set(sys.modules)))
-    import numpy.f2py
-    from numpy.testing import assert_allclose
-    assert_allclose(1.0, 1.0)
-    print(numpy.f2py.get_include())
+                 f"eval --data {data} --ckpt {tuned}", f"eval --data {data} --ckpt {ckpt} --variant psp-np",
+                 f"export-w --ckpt {tuned} --data {data} --out {w}", f"{sweep} --data {data}",
+                 f"{sweep} --data {tu} --tu-name RING --task graph"):
+        assert psp.cli.run(argv.split()) == 0, argv
+    # a lazy module keeps LazyLoader's type until an attribute access runs its body; the names
+    # are listed here, not read from psp, so that one dropped from psp's list shows
+    deferred = ("testing", "f2py", "ma", "polynomial", "char", "strings", "rec", "ctypeslib")
+    print(sorted(name for name in deferred if type(sys.modules["numpy." + name]) is types.ModuleType))
+    import ctypes
+    import os
+    import numpy as np
+    print(np.testing.assert_allclose(1.0, 1.0) is None, os.path.isdir(np.f2py.get_include()),
+          np.ma.masked_array([1, 2], mask=[0, 1]).sum() == 1, np.polynomial.Polynomial([1, 2])(2) == 5,
+          np.char.upper("a") == "A", np.strings.upper("a") == "A", np.rec.array([(1, 2)]).shape == (1,),
+          np.ctypeslib.as_ctypes_type(np.int32) is ctypes.c_int32)
 """
 
 
-def test_stages_never_load_numpy_testing_or_f2py(tmp_path):
-    *_, loaded, include = _fresh_python(_DEFERRED_MODULES, "stages", tmp_path)
+def test_stages_never_load_a_deferred_numpy_module(tmp_path):
+    write_ring_chord_batch(tmp_path / "stages" / "tu", "RING", seed=0, n_graphs=12)
+    *_, loaded, first_use = _fresh_python(_DEFERRED_MODULES, "stages", tmp_path)
     assert loaded == "[]"
-    assert os.path.isdir(include)  # each still loads on first use
+    assert first_use.split() == ["True"] * 8  # each still loads on first use
 
 
 def test_a_numpy_testing_imported_before_psp_is_kept(tmp_path):

@@ -6,6 +6,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psp.data import generate_sbm, load_tu_dataset
 from psp.errors import ContractError, DataError, DimensionError
 from psp.graph import (
     GraphData,
@@ -17,6 +18,8 @@ from psp.graph import (
     self_looped,
 )
 
+import oracles
+from graph_batches import write_ring_chord_batch
 from oracles import (
     Tensor,
     add,
@@ -151,6 +154,39 @@ def test_gcn_normalize_matches_dense_oracle(name):
     got = gcn_normalize(a).toarray()
     np.testing.assert_allclose(got, dense_gcn_normalize(a.toarray()), atol=1e-12)
     np.testing.assert_allclose(got, got.T, atol=1e-12)
+
+
+def _signed_weights(n: int, seed: int) -> sparse.csr_array:
+    """A symmetric matrix with negative entries, some rows summing below zero."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    return sparse.csr_array(m + m.T)
+
+
+def _tu_batch(tmp) -> sparse.csr_array:
+    write_ring_chord_batch(tmp, "RING", seed=0)
+    return load_tu_dataset(tmp, "RING").adjacency
+
+
+PARITY_GRAPHS = {
+    "sbm3000": lambda tmp: generate_sbm(3000, 3, 0.8, 2.5, 64, 0.5, seed=11).adjacency,
+    "sbm300": lambda tmp: generate_sbm(300, 3, 0.8, 2.5, 64, 0.5, seed=11).adjacency,
+    "tu-batch": _tu_batch,
+    "isolated": lambda tmp: build_csr(6, [(0, 1), (1, 2)]),
+    "edgeless": lambda tmp: build_csr(5, []),
+    "signed": lambda tmp: _signed_weights(12, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+def test_gcn_normalize_matches_the_diagonal_products_bit_for_bit(name, tmp_path):
+    a = PARITY_GRAPHS[name](tmp_path)
+    got, want = gcn_normalize(a), oracles.gcn_normalize(a)
+    assert got.shape == want.shape and got.has_canonical_format
+    for field in ("indptr", "indices"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def test_gcn_normalize_regular_graph_rows_sum_to_one():
