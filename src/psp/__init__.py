@@ -14,6 +14,8 @@ _DEFERRED = ("numpy.testing", "numpy.f2py", "numpy.ma", "numpy.polynomial", "num
 for _name in _DEFERRED:
     if _name not in sys.modules:  # a caller may hold the real module already
         _spec = importlib.util.find_spec(_name)
+        if _spec is None:  # numpy 1.x has no numpy.strings, and numpy.char and numpy.rec are not modules there
+            continue
         _spec.loader = importlib.util.LazyLoader(_spec.loader)
         sys.modules[_name] = importlib.util.module_from_spec(_spec)
         _spec.loader.exec_module(sys.modules[_name])

@@ -319,7 +319,8 @@ def mask_training_labels(split: SplitSpec, ratio: float, seed: int) -> SplitSpec
         return split
     rng = seeded_rng(seed, 0x3A5C)
     keep = np.zeros(train.indices.size, dtype=bool)
-    for cls in np.flatnonzero(np.bincount(train.classes)):
+    ordered = np.sort(train.classes)
+    for cls in ordered[np.append(True, ordered[1:] != ordered[:-1])]:  # its classes, ascending
         members = np.flatnonzero(train.classes == cls)
         n_keep = max(1, int(round(members.size * (1.0 - ratio))))
         keep[rng.choice(members, size=n_keep, replace=False)] = True

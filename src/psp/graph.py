@@ -68,7 +68,9 @@ class GraphData:
             self.graph_of = np.asarray(self.graph_of, dtype=np.int64)
             if self.graph_of.size != self.n_nodes:
                 raise DataError("graph_of must have one entry per node")
-            if self.graph_of.size and (self.graph_of.min() != 0 or not np.bincount(self.graph_of).all()):
+            # a surjective map has no more graphs than nodes, which also bounds bincount's counters
+            if self.graph_of.size and (self.graph_of.min() != 0 or self.graph_of.max() >= self.graph_of.size
+                                       or not np.bincount(self.graph_of).all()):
                 raise DataError("graph_of must be surjective onto 0..n_graphs-1")
         if self.graph_labels is not None:
             self.graph_labels = np.asarray(self.graph_labels, dtype=np.int64)

@@ -865,6 +865,13 @@ if sys.argv[1] == "held":
     held = numpy.testing
     import psp
     print(sys.modules["numpy.testing"] is held and numpy.testing is held)
+elif sys.argv[1] == "absent":
+    # as on numpy 1.x, where numpy.strings does not exist and numpy.char and numpy.rec are no modules
+    import importlib.util
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *rest: None if name == "numpy.char" else find_spec(name, *rest)
+    import psp
+    print(type(sys.modules["numpy.ctypeslib"]) is not types.ModuleType)  # the names after it stay deferred
 else:
     import psp.cli
     data, tu, ckpt, tuned, w = (sys.argv[2] + name for name in ("/data", "/tu", "/m.ckpt", "/t.ckpt", "/w.tsv"))
@@ -900,3 +907,7 @@ def test_stages_never_load_a_deferred_numpy_module(tmp_path):
 
 def test_a_numpy_testing_imported_before_psp_is_kept(tmp_path):
     assert _fresh_python(_DEFERRED_MODULES, "held", tmp_path) == ["True"]
+
+
+def test_a_deferred_name_numpy_lacks_is_skipped(tmp_path):
+    assert _fresh_python(_DEFERRED_MODULES, "absent", tmp_path) == ["True"]

@@ -17,6 +17,7 @@ from psp import data as data_module
 from psp.autodiff import seeded_rng
 from psp.data import (
     Checkpoint,
+    SplitSpec,
     _line_ranges,
     _RawDraws,
     _read_lines,
@@ -34,7 +35,7 @@ from psp.data import (
 )
 from psp.encoders import PARAM_NAMES, init_encoder_params
 from psp.errors import DataError, FormatError, ParameterError, PspError
-from psp.graph import PromptedGraph, build_csr, class_count
+from psp.graph import LabeledSet, PromptedGraph, build_csr, class_count
 
 from oracles import choice_sbm_edges, intra_class_edge_fraction
 
@@ -474,6 +475,13 @@ def test_mask_training_labels_noop_and_half():
     assert np.bincount(masked.train.classes).tolist() == [5, 5]
     np.testing.assert_array_equal(masked.train.classes, labels[masked.train.indices])
     assert masked.val is split.val and masked.test is split.test
+
+
+def test_mask_training_labels_takes_a_far_class_id():
+    # the classes are found by sorting, with no counter per class id
+    split = SplitSpec(LabeledSet([0, 1, 2, 3], [0, 0, 10 ** 11, 10 ** 11]), LabeledSet([], []), LabeledSet([], []))
+    masked = mask_training_labels(split, 0.5, seed=3)
+    assert masked.train.classes.tolist() == [0, 10 ** 11]
 
 
 def test_mask_training_labels_never_empties_class():

@@ -403,3 +403,8 @@ def test_graphdata_rejects_bad_graph_labels(graph_labels):
 def test_graphdata_rejects_gappy_graph_of():
     with pytest.raises(DataError, match="surjective"):
         _tiny_graph(graph_of=np.array([0, 2]))
+
+
+def test_graphdata_rejects_a_far_graph_id_before_counting_graphs():
+    with pytest.raises(DataError, match="surjective"):  # not a MemoryError from 10**11 counters
+        _tiny_graph(graph_of=np.array([0, 10 ** 11]))
